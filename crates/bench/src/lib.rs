@@ -1,13 +1,11 @@
-//! Benchmark crate: see the `benches/` directory. Each Criterion bench
-//! regenerates (a scaled-down instance of) one of the paper's tables or
-//! figures; the full-scale regeneration lives in the
-//! `softstage-experiments` crate's `reproduce` binary.
+//! Allocation instrumentation: [`alloc_counter`] is a counting
+//! [`std::alloc::GlobalAlloc`] wrapper around the system allocator, used
+//! by the repo's benchmark (`benchmark/`, which reports
+//! `simnet.allocs_per_event`) and by this crate's allocation regression
+//! test (`tests/alloc_regression.rs`).
 //!
-//! This crate also hosts the [`alloc_counter`] instrumentation used by
-//! the scheduler microbenchmark (`src/bin/sched_bench.rs`) and the
-//! allocation regression test: a counting [`std::alloc::GlobalAlloc`]
-//! wrapper around the system allocator. That wrapper is the one place in
-//! the workspace that needs `unsafe` (the `GlobalAlloc` trait itself is
+//! That wrapper is the one place in the workspace outside `xia-addr`'s
+//! SHA-NI module that needs `unsafe` (the `GlobalAlloc` trait itself is
 //! unsafe), so this crate does not carry `#![forbid(unsafe_code)]`; the
 //! module below re-establishes `#![deny(unsafe_code)]` everywhere except
 //! the two-line trait impl.

@@ -1,17 +1,17 @@
 //! Allocation regression guard for the simulator hot path.
 //!
-//! The timer-wheel PR's pooling claim is that a steady-state link
+//! The simulator's pooling claim is that a steady-state link
 //! transmit/deliver cycle performs **zero** heap operations per event:
-//! wheel buckets, the action scratch vector and packet buffers all
-//! recycle through [`simnet::BufPool`] free lists once warm. These tests
-//! install the counting global allocator from
+//! wheel buckets recycle through a [`simnet::BufPool`] free list and the
+//! action scratch vector is handed from one dispatch to the next. These
+//! tests install the counting global allocator from
 //! [`softstage_bench::alloc_counter`] and assert that claim exactly, so
 //! any future change that sneaks an allocation back into the inner loop
 //! fails loudly instead of showing up as a quiet throughput regression.
 
 use simnet::{
-    BufPool, Context, EventQueue, LinkConfig, LinkId, Message, Node, Scheduler, SimDuration,
-    SimTime, Simulator, WheelQueue,
+    BufPool, Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator,
+    WheelQueue,
 };
 use softstage_bench::alloc_counter::{snapshot, CountingAlloc};
 
@@ -44,8 +44,8 @@ impl Node<Ball> for Paddle {
     }
 }
 
-fn pingpong(scheduler: Scheduler) -> Simulator<Ball> {
-    let mut sim = Simulator::with_scheduler(7, scheduler);
+fn pingpong() -> Simulator<Ball> {
+    let mut sim = Simulator::new(7);
     let a = sim.add_node(Box::new(Paddle {
         kick: true,
         link: None,
@@ -69,26 +69,23 @@ fn pingpong(scheduler: Scheduler) -> Simulator<Ball> {
 }
 
 /// The headline guarantee: after warmup, the transmit/deliver cycle runs
-/// allocation-free on both backends (the heap backend reuses its arena
-/// in place; the wheel recycles buckets through its pool).
+/// allocation-free (the wheel recycles buckets through its pool).
 #[test]
 fn steady_state_transmit_cycle_allocates_nothing() {
-    for scheduler in [Scheduler::Wheel, Scheduler::Heap] {
-        let mut sim = pingpong(scheduler);
-        sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
-        let before = snapshot();
-        let target = sim.stats().events + 50_000;
-        sim.run_while(SimTime::MAX, |s| s.stats().events >= target);
-        let delta = snapshot().since(before);
-        assert_eq!(
-            delta.heap_ops(),
-            0,
-            "{scheduler:?}: steady-state transmit cycle touched the heap \
-             ({} allocs, {} reallocs over 50k events)",
-            delta.allocs,
-            delta.reallocs,
-        );
-    }
+    let mut sim = pingpong();
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
+    let before = snapshot();
+    let target = sim.stats().events + 50_000;
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= target);
+    let delta = snapshot().since(before);
+    assert_eq!(
+        delta.heap_ops(),
+        0,
+        "steady-state transmit cycle touched the heap \
+         ({} allocs, {} reallocs over 50k events)",
+        delta.allocs,
+        delta.reallocs,
+    );
 }
 
 /// The pool itself: capacity survives round trips, fresh allocations stop

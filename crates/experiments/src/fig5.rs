@@ -46,7 +46,7 @@ pub enum Segment {
 }
 
 /// Runs one Fig. 5 cell and returns application-level Mbps.
-pub fn throughput(proto: Proto, segment: Segment, seed: u64) -> f64 {
+fn throughput(proto: Proto, segment: Segment, seed: u64) -> f64 {
     let total = 10 * MB;
     let chunk = match proto {
         Proto::XChunkP => 2 * MB,

@@ -83,4 +83,4 @@ pub use trace::{
     BreakerState, ClientMode, DropReason, FetchSource, InvariantKind, RejectReason, Tag,
     TraceEvent, TraceOracle, TraceRecord, TraceSink, Violation,
 };
-pub use wheel::{EventQueue, HeapQueue, Scheduler, WheelQueue};
+pub use wheel::WheelQueue;

@@ -1,11 +1,10 @@
-//! Free-list buffer pools for the simulator hot path.
+//! Free-list buffer pool for the simulator hot path.
 //!
-//! The event scheduler ([`crate::wheel`]) and the dispatch loop churn
-//! through short-lived `Vec` buffers: timer-wheel slot buckets fill and
-//! drain once per rotation, and every node callback collects its actions
-//! into a scratch vector. Allocating those on the general-purpose heap
-//! puts `malloc`/`free` inside the innermost simulation loop — visible as
-//! allocs/event in the `sched` microbenchmark (`crates/bench`). A
+//! The event scheduler ([`crate::wheel`]) churns through short-lived
+//! `Vec` buffers: timer-wheel slot buckets fill and drain once per
+//! rotation. Allocating those on the general-purpose heap puts
+//! `malloc`/`free` inside the innermost simulation loop — visible as
+//! `simnet.allocs_per_event` in the benchmark (`benchmark/`). A
 //! [`BufPool`] breaks that cycle: exhausted buffers are cleared (length
 //! zero, capacity kept) and parked on a free list, so the steady state
 //! recycles warm capacity instead of round-tripping the allocator.
@@ -20,7 +19,8 @@
 /// [`BufPool::get`] hands out a buffer (recycled when one is parked,
 /// freshly allocated otherwise) and [`BufPool::put`] returns it. Returned
 /// buffers are cleared immediately; the list keeps at most
-/// [`BufPool::MAX_PARKED`] of them so a one-off burst cannot pin its
+/// [`BufPool::MAX_PARKED`] of them and none above a fixed capacity
+/// (`MAX_CAPACITY` elements), so a one-off burst cannot pin its
 /// high-water capacity forever.
 #[derive(Debug)]
 pub struct BufPool<T> {
@@ -33,6 +33,12 @@ impl<T> BufPool<T> {
     /// Upper bound on parked buffers; beyond this, [`BufPool::put`] lets
     /// the buffer drop back to the allocator.
     pub const MAX_PARKED: usize = 1024;
+
+    /// Upper bound on a parked buffer's capacity, in elements; a larger
+    /// one drops back to the allocator. Without it a cascaded high-level
+    /// wheel bucket (hundreds of entries) would be handed to a level-0
+    /// bucket that needs a handful of slots and stay that large.
+    const MAX_CAPACITY: usize = 64;
 
     /// Creates an empty pool.
     pub const fn new() -> Self {
@@ -62,11 +68,13 @@ impl<T> BufPool<T> {
 
     /// Returns a buffer to the pool. Contents are dropped here; capacity
     /// is kept for the next [`BufPool::get`]. Zero-capacity buffers are
-    /// not worth parking and are dropped outright.
+    /// not worth parking and buffers over `MAX_CAPACITY` would pin a
+    /// burst's memory; both are dropped outright.
     // sslint: hot-path — recycle runs once per drained bucket; parking must not allocate
     pub fn put(&mut self, mut buf: Vec<T>) {
         buf.clear();
-        if buf.capacity() > 0 && self.free.len() < Self::MAX_PARKED {
+        let worth_parking = (1..=Self::MAX_CAPACITY).contains(&buf.capacity());
+        if worth_parking && self.free.len() < Self::MAX_PARKED {
             self.free.push(buf);
         }
     }
@@ -116,6 +124,16 @@ mod tests {
         let mut pool: BufPool<u32> = BufPool::new();
         pool.put(Vec::new());
         assert_eq!(pool.parked(), 0);
+    }
+
+    #[test]
+    fn parked_capacity_is_bounded() {
+        let cap = BufPool::<u32>::MAX_CAPACITY;
+        let mut pool: BufPool<u32> = BufPool::new();
+        pool.put(Vec::with_capacity(cap + 1));
+        assert_eq!(pool.parked(), 0, "an over-cap buffer is dropped");
+        pool.put(Vec::with_capacity(cap));
+        assert_eq!(pool.parked(), 1, "an at-cap buffer is parked");
     }
 
     #[test]

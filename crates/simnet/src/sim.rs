@@ -6,7 +6,7 @@ use crate::rng::Rng;
 use crate::stats::{LinkStats, SimStats};
 use crate::time::SimTime;
 use crate::trace::{DropReason, TraceEvent, TraceSink};
-use crate::wheel::{Backend, Scheduler};
+use crate::wheel::WheelQueue;
 
 /// Records `event` into an optional sink; compiled away entirely when the
 /// `util/trace` feature is off.
@@ -57,7 +57,7 @@ enum EventKind<M> {
 pub struct Simulator<M: Message> {
     time: SimTime,
     seq: u64,
-    queue: Backend<EventKind<M>>,
+    queue: WheelQueue<EventKind<M>>,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     links: Vec<Link>,
     rng: Rng,
@@ -74,18 +74,12 @@ pub struct Simulator<M: Message> {
 }
 
 impl<M: Message> Simulator<M> {
-    /// Creates a simulator whose randomness derives entirely from `seed`,
-    /// dispatching from the default [`Scheduler::Wheel`] backend.
+    /// Creates a simulator whose randomness derives entirely from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, Scheduler::default())
-    }
-
-    /// Like [`Simulator::new`] with an explicit event-queue backend.
-    pub fn with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
         Simulator {
             time: SimTime::ZERO,
             seq: 0,
-            queue: Backend::new(scheduler),
+            queue: WheelQueue::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: Rng::seed_from_u64(seed),
@@ -95,28 +89,6 @@ impl<M: Message> Simulator<M> {
             sink: None,
             spare_actions: Vec::new(),
         }
-    }
-
-    /// Which event-queue backend this simulator dispatches from.
-    pub fn scheduler(&self) -> Scheduler {
-        self.queue.kind()
-    }
-
-    /// Switches the event-queue backend, migrating any pending events.
-    ///
-    /// Migration drains the old queue in dispatch order and re-files
-    /// each event with its original `(at, seq)` key, so the swap is
-    /// invisible: the next pop is the same event either way. Used by the
-    /// cross-scheduler digest tests to A/B a fully built topology.
-    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        if self.queue.kind() == scheduler {
-            return;
-        }
-        let mut next = Backend::new(scheduler);
-        while let Some((at, seq, kind)) = self.queue.pop() {
-            next.push(at, seq, kind);
-        }
-        self.queue = next;
     }
 
     /// Attaches (or replaces) a flight recorder holding at most
@@ -826,43 +798,6 @@ mod tests {
         sim.add_node(Box::new(Loop));
         sim.set_event_limit(100);
         sim.run();
-    }
-
-    /// The livelock guard counts *dispatches*, which both queue backends
-    /// must agree on exactly: the limit fires at the same event count
-    /// and the same simulated time regardless of scheduler.
-    #[test]
-    fn event_limit_fires_identically_across_backends() {
-        use crate::wheel::Scheduler;
-        struct Loop;
-        impl Node<Num> for Loop {
-            fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
-                ctx.set_timer(SimDuration::from_micros(1), 0);
-            }
-            fn on_packet(&mut self, _: &mut Context<'_, Num>, _: LinkId, _: Num) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, Num>, _: TimerKey) {
-                ctx.set_timer(SimDuration::from_micros(1), 0);
-            }
-        }
-        let outcome = |scheduler| {
-            let mut sim: Simulator<Num> = Simulator::with_scheduler(0, scheduler);
-            sim.add_node(Box::new(Loop));
-            sim.set_event_limit(100);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
-                .expect_err("limit must trip");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "<non-string panic>".into());
-            (sim.stats().events, sim.now(), msg)
-        };
-        let wheel = outcome(Scheduler::Wheel);
-        let heap = outcome(Scheduler::Heap);
-        assert!(
-            wheel.2.contains("event limit"),
-            "unexpected panic: {wheel:?}"
-        );
-        assert_eq!(wheel, heap);
     }
 
     #[test]

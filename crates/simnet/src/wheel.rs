@@ -1,21 +1,15 @@
-//! Event-queue backends: the hierarchical timer wheel and the reference
-//! binary heap.
+//! The simulator's event queue: a hierarchical timer wheel.
 //!
 //! The simulator dispatches events in `(time, seq)` order — `seq` is the
 //! global insertion counter, so ties at equal timestamps resolve FIFO.
-//! Both backends here implement that contract exactly; they are
-//! interchangeable event-for-event, which the differential suite
-//! (`crates/simnet/tests/sched_diff.rs`) and the cross-scheduler golden
-//! trace tests pin down.
+//! [`WheelQueue`] is a hierarchical timer wheel (calendar queue) with
+//! 64-slot levels covering the full `u64` microsecond range. Push is
+//! O(1); pop is amortized O(1) with occasional cascades. Slot buckets are
+//! recycled through a [`BufPool`], so the steady state allocates nothing.
 //!
-//! - [`WheelQueue`] is the production backend: a hierarchical timer wheel
-//!   (calendar queue) with 64-slot levels covering the full `u64`
-//!   microsecond range. Push is O(1); pop is amortized O(1) with
-//!   occasional cascades. Slot buckets are recycled through a
-//!   [`BufPool`], so the steady state allocates nothing.
-//! - [`HeapQueue`] is the pre-wheel `BinaryHeap<Reverse<_>>` scheduler,
-//!   kept verbatim as the reference implementation for differential
-//!   tests and A/B digest comparisons.
+//! The ordering contract is pinned by the differential suite
+//! (`crates/simnet/tests/sched_diff.rs`), which drives the wheel against
+//! the contract written literally: a `BTreeMap` keyed by `(at, seq)`.
 //!
 //! # Wheel geometry
 //!
@@ -39,11 +33,7 @@
 //! order. Equal-timestamp events always converge to the same level-0
 //! bucket in push order — across cascades too, because a cascade
 //! completes before any later push can observe the new cursor. Hence pop
-//! order is exactly `(at, seq)`: identical to the heap, byte-identical
-//! traces.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! order is exactly `(at, seq)`.
 
 use crate::pool::BufPool;
 use crate::time::SimTime;
@@ -54,36 +44,6 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so that `LEVELS * LEVEL_BITS >= 64` covers any `u64`.
 const LEVELS: usize = 11;
-
-/// Which event-queue backend a [`crate::Simulator`] dispatches from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Hierarchical timer wheel ([`WheelQueue`]) — the default.
-    #[default]
-    Wheel,
-    /// Binary heap ([`HeapQueue`]) — the pre-wheel reference backend,
-    /// kept for differential testing and A/B trace comparison.
-    Heap,
-}
-
-/// The ordering contract every simulator event queue must honor: pop
-/// order is ascending `(at, seq)`, i.e. time order with FIFO
-/// tie-breaking by the insertion counter.
-pub trait EventQueue<T> {
-    /// Enqueues `item` to fire at `at`. `seq` is the caller's global
-    /// insertion counter; callers must pass strictly increasing values.
-    fn push(&mut self, at: SimTime, seq: u64, item: T);
-    /// Removes and returns the earliest event (lowest `(at, seq)`).
-    fn pop(&mut self) -> Option<(SimTime, u64, T)>;
-    /// The timestamp of the earliest pending event, without dequeuing.
-    fn next_at(&self) -> Option<SimTime>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 struct Entry<T> {
     at: u64,
@@ -96,7 +56,7 @@ struct Entry<T> {
 pub struct WheelQueue<T> {
     /// Time cursor: every pending entry has `at >= elapsed`, and all
     /// occupied buckets sit at or after the cursor's position on their
-    /// level. Only advances inside [`EventQueue::pop`].
+    /// level. Only advances inside [`WheelQueue::pop`].
     elapsed: u64,
     len: usize,
     /// Bit `l` set iff level `l` has any occupied slot — the earliest
@@ -173,29 +133,23 @@ impl<T> WheelQueue<T> {
         let slot = self.occupied[level].trailing_zeros() as usize;
         Some((level, slot))
     }
-}
 
-impl<T> Default for WheelQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> for WheelQueue<T> {
+    /// Enqueues `item` to fire at `at`. `seq` is the caller's global
+    /// insertion counter; callers must pass strictly increasing values.
     // sslint: hot-path — wheel filing runs once per scheduled event
-    fn push(&mut self, at: SimTime, seq: u64, item: T) {
+    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         let at = at.as_micros();
         debug_assert!(at >= self.elapsed, "scheduled into the wheel's past");
-        // Clamp for totality: the heap would accept a past timestamp and
-        // the dispatcher's monotonic-time debug_assert would catch it;
-        // the wheel files it as "due now" with the same seq ordering.
+        // Clamp for totality: a past timestamp files as "due now", in seq
+        // order with whatever else is due.
         let at = at.max(self.elapsed);
         self.file(Entry { at, seq, item });
         self.len += 1;
     }
 
+    /// Removes and returns the earliest event (lowest `(at, seq)`).
     // sslint: hot-path — wheel dispatch runs once per delivered event
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         loop {
             if let Some(entry) = self.current.pop() {
                 self.len -= 1;
@@ -245,7 +199,8 @@ impl<T> EventQueue<T> for WheelQueue<T> {
         }
     }
 
-    fn next_at(&self) -> Option<SimTime> {
+    /// The timestamp of the earliest pending event, without dequeuing.
+    pub fn next_at(&self) -> Option<SimTime> {
         // Deliberately non-mutating: peeking must not advance the
         // cursor, because callers may push new (earlier) events between
         // a peek and the next pop.
@@ -268,8 +223,20 @@ impl<T> EventQueue<T> for WheelQueue<T> {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<T> Default for WheelQueue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -282,139 +249,12 @@ impl<T> std::fmt::Debug for WheelQueue<T> {
     }
 }
 
-struct HeapEntry<T> {
-    at: SimTime,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The pre-wheel scheduler, verbatim: a min-heap over `(at, seq)`.
-///
-/// Kept as the reference backend so differential tests and golden-trace
-/// A/B runs can prove the wheel changed nothing observable.
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-}
-
-impl<T> HeapQueue<T> {
-    /// Creates an empty heap queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        self.heap.push(Reverse(HeapEntry { at, seq, item }));
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let Reverse(e) = self.heap.pop()?;
-        Some((e.at, e.seq, e.item))
-    }
-
-    fn next_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-impl<T> std::fmt::Debug for HeapQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapQueue")
-            .field("len", &self.heap.len())
-            .finish()
-    }
-}
-
-/// Static dispatch over the two backends — an enum rather than a trait
-/// object so the dispatcher's inner loop inlines.
-pub(crate) enum Backend<T> {
-    Wheel(WheelQueue<T>),
-    Heap(HeapQueue<T>),
-}
-
-impl<T> Backend<T> {
-    pub(crate) fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::Wheel => Backend::Wheel(WheelQueue::new()),
-            Scheduler::Heap => Backend::Heap(HeapQueue::new()),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> Scheduler {
-        match self {
-            Backend::Wheel(_) => Scheduler::Wheel,
-            Backend::Heap(_) => Scheduler::Heap,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        match self {
-            Backend::Wheel(q) => q.push(at, seq, item),
-            Backend::Heap(q) => q.push(at, seq, item),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        match self {
-            Backend::Wheel(q) => q.pop(),
-            Backend::Heap(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn next_at(&self) -> Option<SimTime> {
-        match self {
-            Backend::Wheel(q) => q.next_at(),
-            Backend::Heap(q) => q.next_at(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Backend::Wheel(q) => q.len(),
-            Backend::Heap(q) => q.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    fn drain<Q: EventQueue<u32>>(q: &mut Q) -> Vec<(u64, u64, u32)> {
+    fn drain(q: &mut WheelQueue<u32>) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
         while let Some((at, seq, item)) = q.pop() {
             out.push((at.as_micros(), seq, item));
@@ -453,9 +293,9 @@ mod tests {
     #[test]
     fn interleaved_push_pop_stays_sorted() {
         // A deterministic LCG drives pushes mixed with pops; compare the
-        // wheel to the reference heap at every step.
+        // wheel to an ordered map keyed by `(at, seq)` at every step.
         let mut wheel: WheelQueue<u32> = WheelQueue::new();
-        let mut heap: HeapQueue<u32> = HeapQueue::new();
+        let mut reference: BTreeMap<(u64, u64), u32> = BTreeMap::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut seq = 0u64;
         let mut now = 0u64;
@@ -464,31 +304,28 @@ mod tests {
             let delay = (state >> 33) % 1000;
             // Occasional far-future outliers exercise high levels.
             let delay = if state % 17 == 0 { delay << 40 } else { delay };
-            let at = SimTime::from_micros(now + delay);
-            wheel.push(at, seq, round as u32);
-            heap.push(at, seq, round as u32);
+            wheel.push(SimTime::from_micros(now + delay), seq, round as u32);
+            reference.insert((now + delay, seq), round as u32);
             seq += 1;
             if state % 3 == 0 {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(
-                    w.as_ref().map(|(a, s, i)| (*a, *s, *i)),
-                    h.as_ref().map(|(a, s, i)| (*a, *s, *i))
-                );
+                let w = wheel.pop().map(|(at, s, i)| (at.as_micros(), s, i));
+                let r = reference.pop_first().map(|((at, s), i)| (at, s, i));
+                assert_eq!(w, r);
                 if let Some((at, _, _)) = w {
-                    now = at.as_micros();
+                    now = at;
                 }
             }
-            assert_eq!(wheel.next_at(), heap.next_at());
-            assert_eq!(wheel.len(), heap.len());
+            assert_eq!(
+                wheel.next_at().map(SimTime::as_micros),
+                reference.first_key_value().map(|(&(at, _), _)| at)
+            );
+            assert_eq!(wheel.len(), reference.len());
         }
-        assert_eq!(drain(&mut wheel), {
-            let mut v = Vec::new();
-            while let Some((at, s, i)) = heap.pop() {
-                v.push((at.as_micros(), s, i));
-            }
-            v
-        });
+        let tail: Vec<_> = reference
+            .into_iter()
+            .map(|((at, s), i)| (at, s, i))
+            .collect();
+        assert_eq!(drain(&mut wheel), tail);
     }
 
     #[test]

@@ -1,59 +1,89 @@
-//! Differential tests: the timer-wheel scheduler against the reference
-//! binary heap.
+//! Differential tests: the timer-wheel scheduler against its contract.
 //!
-//! Every test drives the two [`EventQueue`] backends with the *same*
-//! operation sequence and asserts they agree — on each pop, on each
-//! non-mutating peek, and on the final drain. Seeded generators
-//! (`util::check` + `util::seed`) cover the regimes where a wheel can
-//! diverge from a heap: bursts of equal-timestamp events (FIFO
-//! tie-breaking), far-future events that overflow into high wheel
-//! levels (cascade correctness), pops cut short by a dispatch limit,
-//! and full simulator runs where in-flight deliveries are cancelled by
-//! link epochs.
+//! The contract is "pop in ascending `(at, seq)` order", so the reference
+//! is that sentence written literally: a `BTreeMap` keyed by `(at, seq)`
+//! with `insert` / `pop_first` / `first_key_value`. Every test drives the
+//! [`WheelQueue`] and the map with the *same* operation sequence and
+//! asserts they agree — on each pop, on each non-mutating peek, and on
+//! the final drain. Seeded generators (`util::check` + `util::seed`)
+//! cover the regimes where a wheel can diverge: bursts of
+//! equal-timestamp events (FIFO tie-breaking), far-future events that
+//! overflow into high wheel levels (cascade correctness), pops cut short
+//! by a dispatch limit, and fleet-shaped periodic ticks whose
+//! high-level buckets hold several tied timestamps at once.
+
+use std::collections::BTreeMap;
 
 use simnet::rng::Rng;
-use simnet::{
-    Context, EventQueue, HeapQueue, LinkConfig, LinkId, Message, Node, Scheduler, SimDuration,
-    SimTime, Simulator, WheelQueue,
-};
+use simnet::{SimTime, WheelQueue};
 use util::check::{check, Gen};
 use util::seed;
 
 /// One observable pop result.
 type Popped = (SimTime, u64, u64);
 
-/// Pops both queues once and asserts byte-for-byte agreement.
-fn pop_both(wheel: &mut WheelQueue<u64>, heap: &mut HeapQueue<u64>) -> Option<Popped> {
-    let w = wheel.pop();
-    let h = heap.pop();
-    assert_eq!(w, h, "wheel and heap disagreed on pop order");
-    w
+/// The wheel and its reference, driven in lock step.
+struct Pair {
+    wheel: WheelQueue<u64>,
+    reference: BTreeMap<(SimTime, u64), u64>,
+    seq: u64,
 }
 
-/// Drives both backends through `ops` interleaved push/pop operations,
-/// with `delay` choosing each push's offset from the current clock, then
+impl Pair {
+    fn new() -> Self {
+        Pair {
+            wheel: WheelQueue::new(),
+            reference: BTreeMap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: u64, item: u64) {
+        let at = SimTime::from_micros(at);
+        self.wheel.push(at, self.seq, item);
+        self.reference.insert((at, self.seq), item);
+        self.seq += 1;
+    }
+
+    /// Pops both once and asserts byte-for-byte agreement.
+    fn pop(&mut self) -> Option<Popped> {
+        let w = self.wheel.pop();
+        let r = self
+            .reference
+            .pop_first()
+            .map(|((at, seq), item)| (at, seq, item));
+        assert_eq!(w, r, "wheel and reference disagreed on pop order");
+        w
+    }
+
+    /// Asserts the non-mutating views agree.
+    fn peek(&self) {
+        let first = self.reference.first_key_value().map(|(&(at, _), _)| at);
+        assert_eq!(self.wheel.next_at(), first, "peek disagreement");
+        assert_eq!(self.wheel.len(), self.reference.len());
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert!(self.wheel.is_empty());
+    }
+}
+
+/// Drives the pair through `ops` interleaved push/pop operations, with
+/// `delay` choosing each push's offset from the current clock, then
 /// drains and compares the tails.
 fn drive(g: &mut Gen, ops: usize, mut delay: impl FnMut(&mut Gen) -> u64) {
-    let mut wheel: WheelQueue<u64> = WheelQueue::new();
-    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut q = Pair::new();
     let mut now = 0u64;
-    let mut seq = 0u64;
     for _ in 0..ops {
-        if wheel.is_empty() || g.bool() {
-            let at = now.saturating_add(delay(g));
-            wheel.push(SimTime::from_micros(at), seq, seq);
-            heap.push(SimTime::from_micros(at), seq, seq);
-            seq += 1;
-        } else if let Some((at, _, _)) = pop_both(&mut wheel, &mut heap) {
+        if q.wheel.is_empty() || g.bool() {
+            q.push(now.saturating_add(delay(g)), q.seq);
+        } else if let Some((at, _, _)) = q.pop() {
             now = at.as_micros();
         }
-        assert_eq!(wheel.next_at(), heap.next_at(), "peek disagreement");
-        assert_eq!(wheel.len(), heap.len());
+        q.peek();
     }
-    while !heap.is_empty() {
-        pop_both(&mut wheel, &mut heap);
-    }
-    assert!(wheel.is_empty());
+    q.drain();
 }
 
 #[test]
@@ -92,32 +122,59 @@ fn pop_limit_cuts_both_backends_at_the_same_event() {
     // number of pops, more work arrives, then the run resumes. The
     // prefix before the cut, the cut point, and the tail must all agree.
     check("sched-diff-limit", 30, |g| {
-        let mut wheel: WheelQueue<u64> = WheelQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut seq = 0u64;
-        let mut push_burst =
-            |wheel: &mut WheelQueue<u64>, heap: &mut HeapQueue<u64>, g: &mut Gen, base: u64| {
-                for _ in 0..g.usize_in(5, 40) {
-                    let at = SimTime::from_micros(base + g.u64_in(0, 100));
-                    wheel.push(at, seq, seq);
-                    heap.push(at, seq, seq);
-                    seq += 1;
-                }
-            };
-        push_burst(&mut wheel, &mut heap, g, 0);
+        let mut q = Pair::new();
+        let push_burst = |q: &mut Pair, g: &mut Gen, base: u64| {
+            for _ in 0..g.usize_in(5, 40) {
+                q.push(base + g.u64_in(0, 100), q.seq);
+            }
+        };
+        push_burst(&mut q, g, 0);
         let limit = g.usize_in(1, 20);
         let mut resume_at = 0;
         for _ in 0..limit {
-            if let Some((at, _, _)) = pop_both(&mut wheel, &mut heap) {
+            if let Some((at, _, _)) = q.pop() {
                 resume_at = at.as_micros();
             }
         }
         // New work lands relative to where the limited run stopped.
-        push_burst(&mut wheel, &mut heap, g, resume_at);
-        while !heap.is_empty() {
-            pop_both(&mut wheel, &mut heap);
+        push_burst(&mut q, g, resume_at);
+        q.drain();
+    });
+}
+
+#[test]
+fn periodic_ticks_cascade_mixed_timestamps_in_fifo_order() {
+    // A fleet's beacon timers: many clients re-arm one period ahead on a
+    // handful of phases. The phases share one 4096 µs window and the
+    // period is 2^20 µs, so each round files every tick into a single
+    // level-3 bucket holding several distinct timestamps, each with
+    // ties; it cascades through levels 2 and 1 while near-term work is
+    // pushed between a peek and the next pop. Ties must come out in
+    // push order all the way down.
+    const PERIOD: u64 = 1 << 20;
+    const TICK: u64 = 1;
+    const NEAR: u64 = 0;
+    check("sched-diff-ticks", 30, |g| {
+        let mut q = Pair::new();
+        let phases = g.vec_of(2, 4, |g| g.u64_in(0, 4095));
+        for _ in 0..g.usize_in(20, 60) {
+            q.push(PERIOD + *g.choose(&phases), TICK);
         }
-        assert!(wheel.is_empty());
+        let mut now = 0u64;
+        for _ in 0..600 {
+            q.peek();
+            if g.bool() {
+                q.push(now + g.u64_in(0, 30), NEAR);
+                q.peek();
+            }
+            if let Some((at, _, item)) = q.pop() {
+                now = at.as_micros();
+                if item == TICK {
+                    q.push(now + PERIOD, TICK);
+                }
+            }
+        }
+        q.drain();
     });
 }
 
@@ -154,128 +211,4 @@ fn derived_seed_schedules_are_reproducible() {
         run(seed::derive(42, "sched-diff", 1)),
         "distinct replicates should explore distinct schedules"
     );
-}
-
-// ---------------------------------------------------------------------
-// End-to-end: a full simulator run, including epoch-cancelled in-flight
-// deliveries, is observably identical under both backends.
-
-#[derive(Clone, Debug, PartialEq)]
-struct Num(u64);
-impl Message for Num {
-    fn wire_size(&self) -> usize {
-        600
-    }
-}
-
-/// Echoes every received number back, incremented, up to a bound.
-struct Echo {
-    limit: u64,
-    log: Vec<(SimTime, u64)>,
-    kick: bool,
-    link: Option<LinkId>,
-}
-
-impl Node<Num> for Echo {
-    fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
-        if self.kick {
-            if let Some(l) = self.link {
-                ctx.send(l, Num(0));
-                // Equal-deadline timers ride along to exercise FIFO ties
-                // inside a real dispatch loop.
-                ctx.set_timer(SimDuration::from_millis(5), 1);
-                ctx.set_timer(SimDuration::from_millis(5), 2);
-            }
-        }
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_, Num>, link: LinkId, msg: Num) {
-        self.log.push((ctx.now(), msg.0));
-        if msg.0 < self.limit {
-            ctx.send(link, Num(msg.0 + 1));
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, Num>, key: simnet::TimerKey) {
-        self.log.push((ctx.now(), u64::MAX - key));
-    }
-}
-
-fn lossy_run(
-    scheduler: Scheduler,
-    seed_val: u64,
-) -> (Vec<(SimTime, u64)>, Vec<(SimTime, u64)>, u64) {
-    let mut sim = Simulator::with_scheduler(seed_val, scheduler);
-    assert_eq!(sim.scheduler(), scheduler);
-    let a = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: true,
-        link: None,
-    }));
-    let b = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: false,
-        link: None,
-    }));
-    let l = sim.add_link(
-        a,
-        b,
-        LinkConfig::wireless(2_000_000, SimDuration::from_millis(3), 0.2),
-    );
-    sim.node_mut::<Echo>(a).unwrap().link = Some(l);
-    sim.node_mut::<Echo>(b).unwrap().link = Some(l);
-    // A mid-run outage cancels whatever is in flight via the link epoch.
-    sim.schedule_link_state(SimTime::from_micros(40_000), l, false);
-    sim.schedule_link_state(SimTime::from_micros(90_000), l, true);
-    sim.run();
-    let log_a = sim.node::<Echo>(a).unwrap().log.clone();
-    let log_b = sim.node::<Echo>(b).unwrap().log.clone();
-    (log_a, log_b, sim.stats().events)
-}
-
-#[test]
-fn full_simulator_run_is_identical_across_schedulers() {
-    for seed_val in [1, 7, 42, 1234] {
-        let wheel = lossy_run(Scheduler::Wheel, seed_val);
-        let heap = lossy_run(Scheduler::Heap, seed_val);
-        assert_eq!(wheel, heap, "seed {seed_val}: backends diverged");
-    }
-}
-
-#[test]
-fn set_scheduler_migrates_pending_events_in_order() {
-    // Build under one backend, flip to the other with events pending —
-    // the run must still match a pure single-backend run.
-    let pure = lossy_run(Scheduler::Heap, 11);
-    let mut sim = Simulator::with_scheduler(11, Scheduler::Wheel);
-    let a = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: true,
-        link: None,
-    }));
-    let b = sim.add_node(Box::new(Echo {
-        limit: 40,
-        log: vec![],
-        kick: false,
-        link: None,
-    }));
-    let l = sim.add_link(
-        a,
-        b,
-        LinkConfig::wireless(2_000_000, SimDuration::from_millis(3), 0.2),
-    );
-    sim.node_mut::<Echo>(a).unwrap().link = Some(l);
-    sim.node_mut::<Echo>(b).unwrap().link = Some(l);
-    sim.schedule_link_state(SimTime::from_micros(40_000), l, false);
-    sim.schedule_link_state(SimTime::from_micros(90_000), l, true);
-    // Pending events exist now (the scripted link flaps); migrate them.
-    sim.set_scheduler(Scheduler::Heap);
-    sim.run();
-    let got = (
-        sim.node::<Echo>(a).unwrap().log.clone(),
-        sim.node::<Echo>(b).unwrap().log.clone(),
-        sim.stats().events,
-    );
-    assert_eq!(got, pure);
 }

@@ -13,8 +13,6 @@
 //!   reports,
 //! - [`check`]: a seeded property-test harness with shrink-on-fail,
 //!   replacing `proptest` in the workspace's property tests,
-//! - [`bench`]: a wall-clock micro-benchmark harness, replacing
-//!   `criterion` for the reproduction's figure benches,
 //! - [`seed`]: splitmix64-based seed derivation for replicated
 //!   experiment grids (one base seed, per-cell/per-replicate streams),
 //! - [`sync`]: the workspace's doorway to `std::sync`/`std::thread` —
@@ -29,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod bytes;
 pub mod check;
 pub mod json;

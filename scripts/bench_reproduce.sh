@@ -95,20 +95,6 @@ if [ "$TARGET" = ssmc ]; then
     exit 0
 fi
 
-# `sched` is a different shape of target: the scheduler microbenchmark
-# (events/sec + allocs/event, wheel vs heap — heap being the pre-wheel
-# baseline) rather than a paired reproduce run.
-if [ "$TARGET" = sched ]; then
-    SBIN=target/release/sched_bench
-    if [ ! -x "$SBIN" ]; then
-        cargo build -q --release --offline -p softstage-bench --bin sched_bench
-    fi
-    payload=$("$SBIN" --events 2000000 --json)
-    write_entry sched "    \"sched\": $payload"
-    echo "bench_reproduce: sched -> $OUT"
-    exit 0
-fi
-
 if [ ! -x "$BIN" ]; then
     cargo build -q --release --offline -p softstage-experiments --bin reproduce
 fi

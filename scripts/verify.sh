@@ -43,10 +43,11 @@ cargo test -q --offline
 echo "== chaos suite (fault injection, release) =="
 cargo test -q --offline --release -p softstage-suite --test chaos --test determinism
 
-echo "== scheduler differential suite (wheel vs heap, release) =="
-# Property tests drive both event-queue backends through the same push/pop
-# sequences (equal-timestamp bursts, far-future overflow, pop limits) and
-# full simulator runs, asserting identical dispatch order throughout.
+echo "== scheduler differential suite (wheel vs its (at, seq) contract, release) =="
+# Property tests drive the timer wheel and a BTreeMap keyed by (at, seq)
+# through the same push/pop/peek sequences (equal-timestamp bursts,
+# far-future overflow, pop limits, fleet-shaped periodic ticks), asserting
+# identical dispatch order throughout.
 cargo test -q --offline --release -p simnet --test sched_diff
 
 echo "== allocation regression (counting allocator, release) =="
@@ -74,8 +75,10 @@ RUSTFLAGS="--cfg model" CARGO_TARGET_DIR=target/model \
 echo "== golden traces (flight recorder + invariant oracle, release) =="
 cargo test -q --offline --release -p softstage-suite --test golden_trace
 
-echo "== benches compile (feature-gated, not run) =="
-cargo check -q --offline -p softstage-bench --features bench --benches
+echo "== ssbench (the repo's benchmark) builds and passes its own tests =="
+# benchmark/ is its own workspace, so nothing above compiles it; this is
+# what notices a change under crates/ that breaks the benchmark.
+cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
 echo "== reproduce: parallel determinism diff + wall-clock record =="
 # Paired --jobs 1 vs --jobs 2 on the small smoke target: fails unless
@@ -90,9 +93,6 @@ scripts/bench_reproduce.sh overload 2 1
 # --jobs 2 stay byte-identical. The full 1000-client sweep is the `fleet`
 # target: scripts/bench_reproduce.sh fleet 4
 scripts/bench_reproduce.sh fleet-smoke 2 1
-# Scheduler microbenchmark: events/sec and allocs/event for both queue
-# backends (heap = the pre-wheel baseline), recorded as the sched entry.
-scripts/bench_reproduce.sh sched
 # Model-checker throughput: schedules explored per second on the
 # canonical pool shape, recorded as the ssmc entry.
 scripts/bench_reproduce.sh ssmc

@@ -11,20 +11,13 @@
 mod common;
 
 use softstage_suite::simnet::fault::FaultPlan;
-use softstage_suite::simnet::{Scheduler, SimDuration, SimTime};
+use softstage_suite::simnet::{SimDuration, SimTime};
 
 /// Runs one download and folds every observable statistic — including the
 /// recorded trace — into a digest.
 fn run_digest(seed: u64, faults: bool) -> [u8; 20] {
-    run_digest_with(seed, faults, Scheduler::Wheel)
-}
-
-/// Same run, but on an explicit event-queue backend: the scheduler must
-/// be invisible in every observable.
-fn run_digest_with(seed: u64, faults: bool, scheduler: Scheduler) -> [u8; 20] {
     let p = common::small(seed);
     let mut tb = common::testbed(&p);
-    tb.sim.set_scheduler(scheduler);
     tb.enable_trace(common::TRACE_CAPACITY);
     if faults {
         let mut plan = FaultPlan::new();
@@ -76,21 +69,4 @@ fn same_seed_is_byte_identical_under_faults() {
 fn different_seeds_differ() {
     // Sanity: the seed actually reaches the simulation.
     assert_ne!(run_digest(3, false), run_digest(4, false));
-}
-
-/// The timer wheel's strict FIFO tie-break at equal timestamps makes its
-/// dispatch order identical to the binary heap's `(at, seq)` order, so
-/// the full digest — statistics plus the recorded event sequence — must
-/// not depend on which backend ran the simulation, with or without an
-/// active fault schedule.
-#[test]
-fn same_seed_digest_is_scheduler_independent() {
-    for faults in [false, true] {
-        let wheel = run_digest_with(3, faults, Scheduler::Wheel);
-        let heap = run_digest_with(3, faults, Scheduler::Heap);
-        assert_eq!(
-            wheel, heap,
-            "wheel and heap schedulers diverged (faults {faults})"
-        );
-    }
 }

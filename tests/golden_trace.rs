@@ -9,8 +9,7 @@ mod common;
 use softstage_suite::experiments::Testbed;
 use softstage_suite::simnet::trace::parse_jsonl;
 use softstage_suite::simnet::{
-    DropReason, FetchSource, InvariantKind, Scheduler, SimDuration, TraceEvent, TraceOracle,
-    TraceRecord,
+    DropReason, FetchSource, InvariantKind, SimDuration, TraceEvent, TraceOracle, TraceRecord,
 };
 use softstage_suite::softstage::SoftStageConfig;
 use softstage_suite::vehicular::CoverageSchedule;
@@ -21,14 +20,8 @@ use common::{deadline, small, TRACE_CAPACITY};
 /// One seeded fig5-style staging run (alternating coverage) with the
 /// recorder attached.
 fn staging_run(seed: u64) -> Testbed {
-    staging_run_with(seed, Scheduler::Wheel)
-}
-
-/// The same run on an explicit event-queue backend.
-fn staging_run_with(seed: u64, scheduler: Scheduler) -> Testbed {
     let p = small(seed);
     let mut tb = common::testbed(&p);
-    tb.sim.set_scheduler(scheduler);
     tb.enable_trace(TRACE_CAPACITY);
     let result = tb.run(deadline());
     assert!(result.content_ok, "staging run must complete: {result:?}");
@@ -107,21 +100,6 @@ fn staging_golden_trace_is_byte_identical_and_oracle_clean() {
         .count();
     assert!(staged > 0, "staging run must stage chunks");
     assert!(edge_fetches > 0, "staging run must fetch from edge caches");
-}
-
-/// The scheduler backend must be invisible in the serialized trace: the
-/// timer wheel breaks equal-timestamp ties in push (seq) order, exactly
-/// like the reference heap's `(at, seq)` ordering, so the JSONL export —
-/// every event, in order, byte for byte — is identical across backends.
-#[test]
-fn golden_trace_is_byte_identical_across_schedulers() {
-    let wheel = staging_run_with(42, Scheduler::Wheel);
-    let heap = staging_run_with(42, Scheduler::Heap);
-    assert_eq!(
-        golden(&wheel, "staging run (wheel)"),
-        golden(&heap, "staging run (heap)"),
-        "wheel and heap schedulers must serialize identical golden traces"
-    );
 }
 
 #[test]
