@@ -631,8 +631,8 @@ fn sweep_spec(id: &str, title: &str, sizes: &[usize], skews: &[f64]) -> TableSpe
     spec
 }
 
-/// The full fleet sweep: 250 and 1000 clients at strong (1.2) and weak
-/// (0.4) skew — the grid where the edge-vs-origin crossover shows.
+/// The full fleet sweep: 250 and 1000 clients at strong (1.2) and no
+/// (0.0, uniform) skew — the grid where the edge-vs-origin crossover shows.
 pub fn spec() -> TableSpec {
     sweep_spec(
         "fleet",

@@ -59,7 +59,7 @@ pub struct SoftStageConfig {
     pub coordinator: CoordinatorConfig,
     /// Staging on/off; off gives the Xftp baseline.
     pub staging_enabled: bool,
-    /// Retry and back-off knobs, as one serializable [`RetryProfile`]
+    /// Retry and back-off knobs, as one [`RetryProfile`]
     /// (staging re-requests follow `stage_retry · 2^attempt` clamped to
     /// `stage_retry_cap`, bounded by `stage_retry_budget`; origin-fetch
     /// retries follow `fetch_retry`..`fetch_retry_cap`).

@@ -1,21 +1,18 @@
 //! The Chunk Profile (Table I of the paper): per-chunk staging state, kept
-//! on the client by the Staging Manager — plus the serializable
-//! [`RetryProfile`] holding the Manager's retry and back-off knobs.
+//! on the client by the Staging Manager — plus the [`RetryProfile`]
+//! holding the Manager's retry and back-off knobs.
 
 use std::collections::BTreeMap;
 
 use simnet::{SimDuration, SimTime};
-use util::json::{FromJson, Json, JsonError, ToJson};
 use xia_addr::{Dag, Xid};
 
-/// The Staging Manager's retry knobs, as one serializable profile.
+/// The Staging Manager's retry knobs, as one profile.
 ///
 /// Staging retries follow a capped exponential back-off
 /// (`stage_retry · 2^attempt`, clamped to `stage_retry_cap`) bounded by
 /// `stage_retry_budget` total re-requests; origin fetch retries follow
-/// their own `fetch_retry..fetch_retry_cap` schedule. The JSON encoding
-/// round-trips exactly (integer µs), so tuned profiles can be shipped
-/// and replayed deterministically.
+/// their own `fetch_retry..fetch_retry_cap` schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryProfile {
     /// Base staging-retry back-off (first retry waits this long).
@@ -39,50 +36,6 @@ impl Default for RetryProfile {
             fetch_retry: SimDuration::from_millis(500),
             fetch_retry_cap: SimDuration::from_secs(8),
         }
-    }
-}
-
-impl ToJson for RetryProfile {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "stage_retry_us".into(),
-                self.stage_retry.as_micros().to_json(),
-            ),
-            (
-                "stage_retry_cap_us".into(),
-                self.stage_retry_cap.as_micros().to_json(),
-            ),
-            (
-                "stage_retry_budget".into(),
-                u64::from(self.stage_retry_budget).to_json(),
-            ),
-            (
-                "fetch_retry_us".into(),
-                self.fetch_retry.as_micros().to_json(),
-            ),
-            (
-                "fetch_retry_cap_us".into(),
-                self.fetch_retry_cap.as_micros().to_json(),
-            ),
-        ])
-    }
-}
-
-impl FromJson for RetryProfile {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let us = |key: &str| -> Result<SimDuration, JsonError> {
-            Ok(SimDuration::from_micros(u64::from_json(v.field(key)?)?))
-        };
-        let budget = u64::from_json(v.field("stage_retry_budget")?)?;
-        Ok(RetryProfile {
-            stage_retry: us("stage_retry_us")?,
-            stage_retry_cap: us("stage_retry_cap_us")?,
-            stage_retry_budget: u32::try_from(budget)
-                .map_err(|_| JsonError::new("stage_retry_budget exceeds u32"))?,
-            fetch_retry: us("fetch_retry_us")?,
-            fetch_retry_cap: us("fetch_retry_cap_us")?,
-        })
     }
 }
 
@@ -455,27 +408,6 @@ mod tests {
         let late = SimTime::from_micros(2_000_000);
         assert_eq!(p.staging_candidates(0, 10, early), vec![1, 2]);
         assert_eq!(p.staging_candidates(0, 10, late), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn retry_profile_round_trips_through_json() {
-        let p = RetryProfile {
-            stage_retry: SimDuration::from_millis(250),
-            stage_retry_cap: SimDuration::from_secs(5),
-            stage_retry_budget: 12,
-            fetch_retry: SimDuration::from_millis(125),
-            fetch_retry_cap: SimDuration::from_secs(4),
-        };
-        let text = p.to_json().to_string_compact();
-        let back = RetryProfile::from_json(&Json::parse(&text).expect("parse"));
-        assert_eq!(back.expect("decode"), p);
-        // The defaults survive the trip too.
-        let d = RetryProfile::default();
-        let text = d.to_json().to_string_compact();
-        assert_eq!(
-            RetryProfile::from_json(&Json::parse(&text).expect("parse")).expect("decode"),
-            d
-        );
     }
 
     #[test]

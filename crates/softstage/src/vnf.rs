@@ -365,24 +365,34 @@ impl App for StagingVnf {
         debug_assert_eq!(inflight.cid, cid);
         let latency = ctx.now() - inflight.started;
         let waiters = self.waiters.remove(&cid).unwrap_or_default();
-        match result {
+        // A store squeezed below the chunk size refuses the insert: the
+        // origin fetch succeeded but nothing is staged, so the waiters
+        // must hear `ok: false` and fall back rather than chase a chunk
+        // this edge does not hold.
+        let staged_bytes = match result {
             FetchResult::Complete(bytes) => {
+                let len = bytes.len() as u64;
+                ctx.store().insert(cid, bytes).then_some(len)
+            }
+            FetchResult::NotFound | FetchResult::Failed => None,
+        };
+        match staged_bytes {
+            Some(bytes) => {
                 self.stats.staged += 1;
-                self.stats.bytes_staged += bytes.len() as u64;
+                self.stats.bytes_staged += bytes;
                 self.latency.observe(latency);
                 util::trace_event!(
                     ctx,
                     TraceEvent::Staged {
                         chunk: Tag::of(cid.id()),
-                        bytes: bytes.len() as u64,
+                        bytes,
                     }
                 );
-                ctx.store().insert(cid, bytes);
                 for w in waiters {
                     self.reply(ctx, &w.requester, w.token, cid, true, latency.as_micros());
                 }
             }
-            FetchResult::NotFound | FetchResult::Failed => {
+            None => {
                 self.stats.failed += 1;
                 util::trace_event!(
                     ctx,

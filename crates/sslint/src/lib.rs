@@ -31,13 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod flow;
 pub mod graph;
 pub mod lex;
 pub mod manifest;
 pub mod rules;
-pub mod sarif;
 pub mod workspace;
 
 use std::collections::BTreeMap;
@@ -153,12 +151,6 @@ fn allow_extent(toks: &[lex::Tok], line: u32) -> u32 {
 /// Runs the full audit over the workspace rooted at `root`, applying the
 /// allowlist at `allowlist_path` (workspace-relative) if it exists.
 pub fn run(root: &Path, allowlist_path: &str) -> io::Result<Report> {
-    run_jobs(root, allowlist_path, 1)
-}
-
-/// Like [`run`], lexing source files on `jobs` worker threads. The
-/// report is byte-identical for any worker count.
-pub fn run_jobs(root: &Path, allowlist_path: &str, jobs: usize) -> io::Result<Report> {
     let allow_text = match std::fs::read_to_string(root.join(allowlist_path)) {
         Ok(text) => text,
         Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
@@ -166,7 +158,7 @@ pub fn run_jobs(root: &Path, allowlist_path: &str, jobs: usize) -> io::Result<Re
     };
     let (entries, malformed) = parse_allowlist(&allow_text);
 
-    let ws = workspace::load_jobs(root, jobs)?;
+    let ws = workspace::load(root)?;
     let raw = rules::run_all(&ws, &entries);
 
     // Inline allow map: file → (first, last, rules) coverage intervals.

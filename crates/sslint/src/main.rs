@@ -1,5 +1,5 @@
-//! CLI entry point: `sslint [--root <dir>] [--format text|jsonl|sarif]
-//! [--allow <file>] [--jobs <n>] [--no-cache] [--list-rules]`.
+//! CLI entry point: `sslint [--root <dir>] [--format text|jsonl]
+//! [--allow <file>] [--list-rules]`.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
@@ -14,8 +14,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = Format::Text;
     let mut allow = sslint::ALLOWLIST_FILE.to_string();
-    let mut jobs = 1usize;
-    let mut use_cache = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -31,14 +29,8 @@ fn main() -> ExitCode {
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("jsonl") => format = Format::Jsonl,
-                Some("sarif") => format = Format::Sarif,
-                _ => return usage("--format must be `text`, `jsonl` or `sarif`"),
+                _ => return usage("--format must be `text` or `jsonl`"),
             },
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => return usage("--jobs needs a worker count >= 1"),
-            },
-            "--no-cache" => use_cache = false,
             "--list-rules" => {
                 for r in sslint::rules::RULES {
                     println!("{:<18} {:<8} {}", r.id, r.group, r.desc);
@@ -53,18 +45,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let cache_path = use_cache.then(|| root.join("target").join("sslint-cache.json"));
-    let report = match sslint::cache::run_cached(&root, &allow, jobs, cache_path.as_deref()) {
-        Ok((r, status)) => {
-            // Opt-in diagnostic: scripts asserting warm replays (the
-            // rebuild-keeps-warm cache test, CI cache tuning) set
-            // SSLINT_CACHE_STATUS=1. Off by default so cold and warm
-            // runs stay byte-identical on stderr too.
-            if std::env::var_os("SSLINT_CACHE_STATUS").is_some() {
-                eprintln!("sslint: cache {}", status.label());
-            }
-            r
-        }
+    let report = match sslint::run(&root, &allow) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("sslint: cannot audit {}: {e}", root.display());
             return ExitCode::from(2);
@@ -76,9 +58,6 @@ fn main() -> ExitCode {
             for f in &report.findings {
                 println!("{}", f.to_json().to_string_compact());
             }
-        }
-        Format::Sarif => {
-            print!("{}", sslint::sarif::render(&report.findings));
         }
         Format::Text => {
             for f in &report.findings {
@@ -106,28 +85,17 @@ fn main() -> ExitCode {
 enum Format {
     Text,
     Jsonl,
-    Sarif,
 }
 
 const HELP: &str = "\
 sslint — in-tree determinism & hygiene auditor
 
-USAGE: sslint [--root <dir>] [--format text|jsonl|sarif] [--allow <file>]
-              [--jobs <n>] [--no-cache] [--list-rules]
+USAGE: sslint [--root <dir>] [--format text|jsonl] [--allow <file>] [--list-rules]
 
   --root <dir>     workspace root to audit (default: .)
-  --format <fmt>   `text` (default), `jsonl` (one finding per line) or
-                   `sarif` (SARIF 2.1.0, for code-scanning upload)
+  --format <fmt>   `text` (default) or `jsonl` (one finding per line)
   --allow <file>   allowlist path relative to the root (default: sslint.allow)
-  --jobs <n>       lexer worker threads (default: 1); output is
-                   byte-identical for any value
-  --no-cache       skip the <root>/target/sslint-cache.json fingerprint
-                   snapshot and always run cold
   --list-rules     print the rule catalogue (id, group, description) and exit
-
-Setting SSLINT_CACHE_STATUS=1 prints `sslint: cache cold|warm|disabled`
-to stderr after the audit (off by default, so cold and warm runs stay
-byte-identical on stderr as well as stdout).
 
 Exit codes: 0 clean, 1 findings, 2 usage or I/O error.";
 

@@ -4,17 +4,10 @@
 //! (crate `tests/`/`benches/` dirs and the root `tests/`/`examples/`
 //! dirs) that the cross-reference rules (`dead-pub`, `trace-coverage`)
 //! count identifier uses in without auditing it.
-//!
-//! File lexing is fanned out over [`util::sync::parallel_map`] (the same
-//! model-checked pool `experiments::exec` runs on): paths are collected
-//! and sorted first, workers fill result slots by index, and the merged
-//! model is therefore byte-identical for any worker count.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use util::sync::parallel_map;
 
 use crate::lex::{self, Lexed};
 use crate::manifest::{self, Manifest};
@@ -69,24 +62,10 @@ pub struct Workspace {
     pub ref_files: Vec<RefFile>,
 }
 
-/// Which bucket a discovered `.rs` file lands in.
-enum Bucket {
-    /// `crates/<dir>/src/**` — audited source of crate `crate_idx`.
-    Src { crate_idx: usize },
-    /// Reference-only corpus file, owned by a crate dir or the root.
-    Reference { owner: Option<String> },
-}
-
-/// Loads the workspace rooted at `root` with one lexer worker.
+/// Loads the workspace rooted at `root`. Only `crates/*/` directories
+/// that contain a `Cargo.toml` become members; everything is read eagerly
+/// so the rules run over a consistent snapshot.
 pub fn load(root: &Path) -> io::Result<Workspace> {
-    load_jobs(root, 1)
-}
-
-/// Loads the workspace rooted at `root`, lexing files on `jobs` scoped
-/// worker threads. Only `crates/*/` directories that contain a
-/// `Cargo.toml` become members; everything is read eagerly so the rules
-/// run over a consistent snapshot. The result is independent of `jobs`.
-pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
     let root_manifest = match fs::read_to_string(root.join("Cargo.toml")) {
         Ok(text) => Some(manifest::parse(&text)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => None,
@@ -105,82 +84,45 @@ pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
     crate_dirs.sort();
 
     let mut crates = Vec::new();
-    // Work list: every file to lex, with its destination bucket. Sorted
-    // path order within each bucket keeps the merge deterministic.
-    let mut work: Vec<(PathBuf, Bucket)> = Vec::new();
+    let mut ref_files = Vec::new();
     for dir in &crate_dirs {
         let dir_name = dir
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
         let manifest_text = fs::read_to_string(dir.join("Cargo.toml"))?;
-        let crate_idx = crates.len();
-        let src = dir.join("src");
-        if src.is_dir() {
-            let mut rs_files = Vec::new();
-            collect_rs(&src, &mut rs_files)?;
-            rs_files.sort();
-            for path in rs_files {
-                work.push((path, Bucket::Src { crate_idx }));
-            }
+        let mut files = Vec::new();
+        for (rel, lexed) in lex_dir(root, &dir.join("src"))? {
+            files.push(SrcFile {
+                is_bin: rel.contains("/src/bin/") || rel.ends_with("/src/main.rs"),
+                mask: lex::test_mask(&lexed.tokens),
+                rel,
+                lexed,
+            });
         }
         for sub in ["tests", "benches"] {
-            let d = dir.join(sub);
-            if d.is_dir() {
-                let mut rs_files = Vec::new();
-                collect_rs(&d, &mut rs_files)?;
-                rs_files.sort();
-                for path in rs_files {
-                    work.push((
-                        path,
-                        Bucket::Reference {
-                            owner: Some(dir_name.clone()),
-                        },
-                    ));
-                }
+            for (rel, lexed) in lex_dir(root, &dir.join(sub))? {
+                ref_files.push(RefFile {
+                    rel,
+                    owner: Some(dir_name.clone()),
+                    lexed,
+                });
             }
         }
         crates.push(CrateInfo {
             manifest_rel: rel_to(root, &dir.join("Cargo.toml")),
             dir_name,
             manifest: manifest::parse(&manifest_text),
-            files: Vec::new(),
+            files,
         });
     }
     for sub in ["tests", "examples"] {
-        let d = root.join(sub);
-        if d.is_dir() {
-            let mut rs_files = Vec::new();
-            collect_rs(&d, &mut rs_files)?;
-            rs_files.sort();
-            for path in rs_files {
-                work.push((path, Bucket::Reference { owner: None }));
-            }
-        }
-    }
-
-    // Read eagerly (I/O errors surface before any thread spawns), then
-    // lex on the pool.
-    let mut texts: Vec<String> = Vec::with_capacity(work.len());
-    for (path, _) in &work {
-        texts.push(fs::read_to_string(path)?);
-    }
-    let lexed = lex_pool(&texts, jobs);
-
-    let mut ref_files = Vec::new();
-    for ((path, bucket), (lexed, mask)) in work.into_iter().zip(lexed) {
-        let rel = rel_to(root, &path);
-        match bucket {
-            Bucket::Src { crate_idx } => {
-                let is_bin = rel.contains("/src/bin/") || rel.ends_with("/src/main.rs");
-                crates[crate_idx].files.push(SrcFile {
-                    rel,
-                    is_bin,
-                    lexed,
-                    mask,
-                });
-            }
-            Bucket::Reference { owner } => ref_files.push(RefFile { rel, owner, lexed }),
+        for (rel, lexed) in lex_dir(root, &root.join(sub))? {
+            ref_files.push(RefFile {
+                rel,
+                owner: None,
+                lexed,
+            });
         }
     }
 
@@ -191,15 +133,19 @@ pub fn load_jobs(root: &Path, jobs: usize) -> io::Result<Workspace> {
     })
 }
 
-/// Lexes `texts` on `jobs` scoped worker threads via
-/// [`util::sync::parallel_map`]; slot `i` always holds the result for
-/// `texts[i]`, so the output order never depends on scheduling.
-fn lex_pool(texts: &[String], jobs: usize) -> Vec<(Lexed, Vec<bool>)> {
-    parallel_map(texts.len(), jobs, |i| {
-        let lexed = lex::lex(&texts[i]);
-        let mask = lex::test_mask(&lexed.tokens);
-        (lexed, mask)
-    })
+/// Lexes every `.rs` file under `dir` (none when `dir` is absent), in
+/// sorted path order, paired with its root-relative path.
+fn lex_dir(root: &Path, dir: &Path) -> io::Result<Vec<(String, Lexed)>> {
+    let mut paths = Vec::new();
+    if dir.is_dir() {
+        collect_rs(dir, &mut paths)?;
+    }
+    paths.sort();
+    let mut out = Vec::with_capacity(paths.len());
+    for path in paths {
+        out.push((rel_to(root, &path), lex::lex(&fs::read_to_string(&path)?)));
+    }
+    Ok(out)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -218,25 +164,4 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 fn rel_to(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.to_string_lossy().replace('\\', "/")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lex_pool_is_worker_count_independent() {
-        let texts: Vec<String> = (0..23)
-            .map(|i| format!("pub fn f{i}() {{ let x = {i}; call(x); }}"))
-            .collect();
-        let serial = lex_pool(&texts, 1);
-        for jobs in [2, 4, 9] {
-            let par = lex_pool(&texts, jobs);
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.0.tokens, b.0.tokens, "jobs={jobs}");
-                assert_eq!(a.1, b.1, "jobs={jobs}");
-            }
-        }
-    }
 }

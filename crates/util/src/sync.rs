@@ -1,9 +1,9 @@
 //! The workspace's only doorway to `std::sync` / `std::thread`.
 //!
 //! Every concurrent site in the workspace — the experiments fan-out
-//! pool, the fleet summary memo, sslint's parallel lexer — builds on
-//! the primitives re-exported here instead of naming `std::sync` or
-//! `std::thread` directly (the `sync-shim` lint rule enforces this).
+//! pool, the fleet summary memo — builds on the primitives re-exported
+//! here instead of naming `std::sync` or `std::thread` directly (the
+//! `sync-shim` lint rule enforces this).
 //! The payoff is a compile-time switch:
 //!
 //! - In a normal build (no `model` cfg) everything below is a zero-cost
@@ -92,7 +92,7 @@ use std::sync::Arc;
 /// returning the results in index order.
 ///
 /// This is the workspace's canonical fan-out shape (the experiments
-/// grid runner and sslint's parallel lexer both use it): workers pull
+/// grid runner uses it): workers pull
 /// indices from a shared atomic cursor and publish into a pre-sized,
 /// mutex-guarded slot table, so the merged output is byte-identical
 /// for every worker count — including the `jobs == 1` path, which runs

@@ -3,8 +3,8 @@
 //! Compiled only under `RUSTFLAGS="--cfg model"`, where `util::sync`
 //! resolves to the ssmc-instrumented primitives — so the
 //! `parallel_map` pool and `MemoMap` memo explored here are the exact
-//! code the experiments grid runner, sslint's parallel lexer and the
-//! fleet summary cache run in production builds.
+//! code the experiments grid runner and the fleet summary cache run in
+//! production builds.
 //!
 //! Run with: `RUSTFLAGS="--cfg model" cargo test -p softstage-util --test model`
 #![cfg(model)]

@@ -532,18 +532,13 @@ impl Host {
                 _ => {}
             },
             TransportEvent::Closed { conn } | TransportEvent::Failed { conn, .. } => {
-                let failed = matches!(event, TransportEvent::Failed { .. });
                 match self.owners.remove(conn) {
                     Some(Owner::Server) => self.server.on_gone(*conn),
                     Some(Owner::Fetch(i)) => {
                         if let Some(st) = self.fetchers.remove(conn) {
-                            if !st.done && failed {
-                                let (handle, cid) = (st.handle, st.fetcher.cid());
-                                self.with_app(ctx, i, |app, hctx| {
-                                    app.on_fetch_complete(hctx, handle, cid, FetchResult::Failed)
-                                });
-                            } else if !st.done {
-                                // Clean close without a complete body.
+                            // A failure and a clean close without a
+                            // complete body both fail the fetch.
+                            if !st.done {
                                 let (handle, cid) = (st.handle, st.fetcher.cid());
                                 self.with_app(ctx, i, |app, hctx| {
                                     app.on_fetch_complete(hctx, handle, cid, FetchResult::Failed)

@@ -57,7 +57,7 @@ impl TransportConfig {
 
     /// The XIA prototype stack: a user-level Click daemon.
     ///
-    /// The 115 µs per-packet cost is calibrated so a wired bulk transfer
+    /// The 160 µs per-packet cost is calibrated so a wired bulk transfer
     /// reaches ≈66 Mbps on a 100 Mbps segment where kernel TCP reaches
     /// ≈95 Mbps, reproducing the paper's Fig. 5.
     pub fn xia() -> Self {

@@ -48,53 +48,6 @@ write_entry() { # write_entry NAME ENTRY_LINE
     } > "$OUT"
 }
 
-# `sslint` is also its own shape: a cold audit (snapshot removed) against
-# a warm replay of target/sslint-cache.json. Fails unless the two JSONL
-# outputs are byte-identical (and propagates exit 1 if the audit finds
-# anything), then records both wall-clocks as the sslint entry.
-if [ "$TARGET" = sslint ]; then
-    LBIN=target/release/sslint
-    if [ ! -x "$LBIN" ]; then
-        cargo build -q --release --offline -p sslint
-    fi
-    cold_out=$(mktemp) warm_out=$(mktemp)
-    trap 'rm -f "$cold_out" "$warm_out"' EXIT
-    rm -f target/sslint-cache.json
-    t0=$(date +%s%3N)
-    "$LBIN" --format jsonl > "$cold_out"
-    t1=$(date +%s%3N)
-    "$LBIN" --format jsonl > "$warm_out"
-    t2=$(date +%s%3N)
-    if ! cmp -s "$cold_out" "$warm_out"; then
-        echo "bench_reproduce: FAIL: sslint cold and warm findings differ" >&2
-        exit 1
-    fi
-    cold_secs=$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 1000 }')
-    warm_secs=$(awk -v a="$t1" -v b="$t2" 'BEGIN { printf "%.3f", (b - a) / 1000 }')
-    speedup=$(awk -v a="$cold_secs" -v b="$warm_secs" \
-        'BEGIN { printf "%.2f", (b > 0) ? a / b : 1 }')
-    entry=$(printf '    "sslint": {"cold_secs": %s, "warm_secs": %s, "warm_speedup": %s, "host_cores": %s, "byte_identical": true}' \
-        "$cold_secs" "$warm_secs" "$speedup" "$CORES")
-    write_entry sslint "$entry"
-    echo "bench_reproduce: sslint cold ${cold_secs}s, warm ${warm_secs}s" \
-        "(${speedup}x, byte-identical) -> $OUT"
-    exit 0
-fi
-
-# `ssmc` is the model-checker throughput microbenchmark: unbounded
-# exploration of the canonical 3-worker pool shape, reporting schedules
-# explored per second.
-if [ "$TARGET" = ssmc ]; then
-    MBIN=target/release/ssmc_bench
-    if [ ! -x "$MBIN" ]; then
-        cargo build -q --release --offline -p ssmc --bin ssmc_bench
-    fi
-    payload=$("$MBIN" --json)
-    write_entry ssmc "    \"ssmc\": $payload"
-    echo "bench_reproduce: ssmc -> $OUT"
-    exit 0
-fi
-
 if [ ! -x "$BIN" ]; then
     cargo build -q --release --offline -p softstage-experiments --bin reproduce
 fi

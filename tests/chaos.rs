@@ -186,6 +186,34 @@ fn cache_squeeze_evicts_staged_chunks_and_is_survivable() {
 }
 
 #[test]
+fn cache_squeezed_below_one_chunk_refuses_staging_without_lying() {
+    for seed in SEEDS {
+        let p = small(seed);
+        let (tb, _) = assert_survives(&p, |tb| {
+            let mut plan = FaultPlan::new();
+            for &edge in &tb.edges.clone() {
+                // Half a chunk of cache before staging starts: every
+                // insert is refused, so every staging reply must say so.
+                plan.cache_squeeze(edge, SimTime::ZERO, (MB / 2) as usize);
+            }
+            plan.apply(&mut tb.sim);
+        });
+        // A refused insert told as `ok: true` sends the client to an edge
+        // that does not hold the chunk: NotFound, then a fallback refetch.
+        let stats = tb.client_app().stats();
+        assert_eq!(
+            stats.fallback_refetches, 0,
+            "client chased a chunk no edge held (seed {seed}): {stats:?}"
+        );
+        let vnf = tb.vnf_stats();
+        assert!(
+            vnf.iter().all(|v| v.staged == 0) && vnf.iter().any(|v| v.failed > 0),
+            "refused inserts must count as failed, not staged (seed {seed}): {vnf:?}"
+        );
+    }
+}
+
+#[test]
 fn slow_edge_service_degradation_is_survivable() {
     for seed in SEEDS {
         let p = small(seed);
