@@ -412,17 +412,10 @@ impl FleetWorld {
         self.summarize()
     }
 
-    /// Audits the flight record against the invariant oracle (no-op
-    /// when tracing is off or the ring overflowed — counting rules are
-    /// unsound on a truncated trace).
+    /// Audits every event the run recorded against the invariant oracle
+    /// (no violations when tracing is off).
     pub fn audit_trace(&self) -> Vec<simnet::Violation> {
-        let Some(sink) = self.sim.trace() else {
-            return Vec::new();
-        };
-        if sink.dropped() > 0 {
-            return Vec::new();
-        }
-        simnet::TraceOracle::new().audit_with_stats(&sink.to_vec(), self.sim.stats())
+        self.sim.audit_trace(&simnet::TraceOracle::new())
     }
 
     fn summarize(&self) -> FleetSummary {

@@ -283,30 +283,17 @@ impl Testbed {
             .unwrap_or_default()
     }
 
-    /// Records dropped by the flight recorder's ring (0 means the trace is
-    /// complete and every oracle rule is sound).
-    pub fn trace_dropped(&self) -> u64 {
-        self.sim.trace().map_or(0, simnet::TraceSink::dropped)
-    }
-
-    /// Audits the recorded trace against the invariant oracle, including
-    /// the per-link stats cross-check. The handoff-atomicity rule applies
-    /// only under the chunk-aware policy — the legacy policy legitimately
-    /// switches networks mid-chunk. Returns no violations when tracing is
-    /// off or the ring overflowed (counting rules are unsound on a
-    /// truncated trace; assert [`Testbed::trace_dropped`]` == 0` first).
+    /// Audits every event the run recorded against the invariant oracle,
+    /// including the per-link stats cross-check (no violations when
+    /// tracing is off). The handoff-atomicity rule applies only under the
+    /// chunk-aware policy — the legacy policy legitimately switches
+    /// networks mid-chunk.
     pub fn audit_trace(&self) -> Vec<simnet::Violation> {
-        let Some(sink) = self.sim.trace() else {
-            return Vec::new();
-        };
-        if sink.dropped() > 0 {
-            return Vec::new();
-        }
         let mut oracle = simnet::TraceOracle::new();
         if !self.chunk_aware {
             oracle = oracle.without_handoff_atomicity();
         }
-        oracle.audit_with_stats(&sink.to_vec(), self.sim.stats())
+        self.sim.audit_trace(&oracle)
     }
 
     /// Counters of every deployed Staging VNF, in edge order (empty when

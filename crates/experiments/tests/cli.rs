@@ -25,33 +25,44 @@ fn run_ok(args: &[&str]) -> Output {
 }
 
 /// The tentpole invariant: output is byte-identical for any `--jobs N`.
-/// Exercised on the smoke target so the test stays cheap in debug
-/// builds, and at `--seeds 2` so replicate fan-out is covered too.
+/// Exercised on the smoke target at `--seeds 2` so replicate fan-out is
+/// covered, and on the overload and fleet-smoke tables (shared-world
+/// memo, 200 clients) at one seed so the test stays affordable in debug
+/// builds.
 #[test]
 fn jobs_do_not_change_output() {
-    let j1 = tmp_path("jobs1.json");
-    let j4 = tmp_path("jobs4.json");
-    let base = ["smoke", "--seeds", "2"];
-    let out1 = run_ok(&[&base[..], &["--jobs", "1", "--json", j1.to_str().unwrap()]].concat());
-    let out4 = run_ok(&[&base[..], &["--jobs", "4", "--json", j4.to_str().unwrap()]].concat());
+    for base in [
+        &["smoke", "--seeds", "2"][..],
+        &["overload"][..],
+        &["fleet-smoke"][..],
+    ] {
+        let target = base[0];
+        let j1 = tmp_path(&format!("{target}_jobs1.json"));
+        let j4 = tmp_path(&format!("{target}_jobs4.json"));
+        let out1 = run_ok(&[base, &["--jobs", "1", "--json", j1.to_str().unwrap()]].concat());
+        let out4 = run_ok(&[base, &["--jobs", "4", "--json", j4.to_str().unwrap()]].concat());
 
-    let json1 = std::fs::read(&j1).expect("read jobs=1 json");
-    let json4 = std::fs::read(&j4).expect("read jobs=4 json");
-    assert_eq!(json1, json4, "JSON output differs between --jobs 1 and 4");
+        let json1 = std::fs::read(&j1).expect("read jobs=1 json");
+        let json4 = std::fs::read(&j4).expect("read jobs=4 json");
+        assert_eq!(
+            json1, json4,
+            "{target}: JSON output differs between --jobs 1 and 4"
+        );
 
-    // The rendered tables must match too; only the trailing `wrote PATH`
-    // line differs by construction.
-    let text = |out: &Output| {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.starts_with("wrote "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(text(&out1), text(&out4));
+        // The rendered tables must match too; only the trailing `wrote PATH`
+        // line differs by construction.
+        let text = |out: &Output| {
+            String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter(|l| !l.starts_with("wrote "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(text(&out1), text(&out4), "{target}: rendered tables differ");
 
-    let _ = std::fs::remove_file(&j1);
-    let _ = std::fs::remove_file(&j4);
+        let _ = std::fs::remove_file(&j1);
+        let _ = std::fs::remove_file(&j4);
+    }
 }
 
 /// `--seeds 1` must keep the canonical single-seed output: no

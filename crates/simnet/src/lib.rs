@@ -16,8 +16,8 @@
 //! - a seeded, deterministic random number generator: every simulation is a
 //!   pure function of (topology, parameters, seed),
 //! - an optional [`trace`] flight recorder: typed per-event records in a
-//!   bounded ring buffer, JSON-lines export, and a [`TraceOracle`] that
-//!   audits protocol invariants over a recorded run.
+//!   bounded ring buffer, JSON-lines export, and a streaming
+//!   [`TraceAudit`] that checks protocol invariants as records arrive.
 //!
 //! Time is integer microseconds ([`SimTime`]); ties are broken by insertion
 //! order, so runs are exactly reproducible.
@@ -81,6 +81,6 @@ pub use stats::{LinkStats, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     BreakerState, ClientMode, DropReason, FetchSource, InvariantKind, RejectReason, Tag,
-    TraceEvent, TraceOracle, TraceRecord, TraceSink, Violation,
+    TraceAudit, TraceEvent, TraceOracle, TraceRecord, TraceSink, Violation,
 };
 pub use wheel::WheelQueue;

@@ -2,13 +2,16 @@
 //!
 //! Every layer of the stack can emit typed [`TraceEvent`]s into a bounded
 //! ring-buffer [`TraceSink`] owned by the simulator. A record is a `Copy`
-//! struct — recording on the hot path is a couple of stores, never an
-//! allocation or a format. The sink exports JSON lines (one object per
-//! record, fixed key order) via `util::json`, so two runs of the same
-//! seeded configuration produce **byte-identical** trace files.
+//! struct — recording never formats. The sink exports JSON lines (one
+//! object per record, fixed key order) via `util::json`, so two runs of
+//! the same seeded configuration produce **byte-identical** trace files.
+//! The schema is declared once, in the `trace_events!` table below; the
+//! enum, the JSON writer and the JSON parser are generated from it.
 //!
-//! [`TraceOracle`] replays a trace and checks protocol invariants that
-//! aggregate counters cannot express:
+//! [`TraceAudit`] checks each record as the sink receives it — so the
+//! verdict covers the whole run even after the ring has overflowed —
+//! against protocol invariants that aggregate counters cannot express
+//! ([`TraceOracle`] folds a recorded slice through the same rules):
 //!
 //! - sequence numbers strictly increase and timestamps never go backwards
 //!   (globally, hence also per node),
@@ -18,22 +21,20 @@
 //! - no chunk transfer spans a committed handoff (chunk-aware policy),
 //! - no staging request leaves a node whose circuit breaker is open, and
 //!   a breaker never opens without a preceding reject or timeout,
-//! - per-link event counts and byte totals match [`LinkStats`] exactly
-//!   (only meaningful on untruncated traces).
+//! - per-link event counts and byte totals match [`LinkStats`] exactly.
 //!
 //! Identifiers larger than a machine word (XIA CIDs/NIDs) are folded into
 //! a 63-bit [`Tag`] so every field of a record serializes as a JSON
 //! integer and survives a parse round trip exactly.
 
-use std::collections::VecDeque;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use util::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::link::LinkId;
 use crate::node::NodeId;
-use crate::stats::SimStats;
+use crate::stats::{LinkStats, SimStats};
 use crate::time::SimTime;
 
 /// A compact 63-bit identity tag for content (CIDs) and networks (NIDs).
@@ -63,395 +64,442 @@ impl fmt::Display for Tag {
     }
 }
 
-/// Why a packet never reached the far end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Channel loss exhausted ARQ retries (or no ARQ).
-    Loss,
-    /// Tail drop at a full transmit queue.
-    Queue,
-    /// The link was administratively down at transmit time.
-    Down,
-    /// Discarded in flight by a down transition.
-    InFlight,
-    /// Delivered with flipped bits; the wire checksum rejected it.
-    Corrupt,
+/// Conversion between a typed record field and its JSON value: one impl
+/// per field type the event table uses, so the table names only types.
+trait Wire: Sized {
+    fn to_wire(self) -> Json;
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError>;
 }
 
-impl DropReason {
-    fn name(self) -> &'static str {
-        match self {
-            DropReason::Loss => "loss",
-            DropReason::Queue => "queue",
-            DropReason::Down => "down",
-            DropReason::InFlight => "in_flight",
-            DropReason::Corrupt => "corrupt",
+impl Wire for u64 {
+    fn to_wire(self) -> Json {
+        Json::Int(self as i64)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+        v.field(key)?
+            .as_u64()
+            .ok_or_else(|| JsonError::new(format!("field {key:?} is not an unsigned integer")))
+    }
+}
+
+impl Wire for u32 {
+    fn to_wire(self) -> Json {
+        u64::from(self).to_wire()
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+        u32::try_from(u64::from_wire(v, key)?)
+            .map_err(|_| JsonError::new(format!("field {key:?} exceeds u32")))
+    }
+}
+
+impl Wire for bool {
+    fn to_wire(self) -> Json {
+        Json::Bool(self)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+        v.field(key)?
+            .as_bool()
+            .ok_or_else(|| JsonError::new(format!("field {key:?} is not a bool")))
+    }
+}
+
+impl Wire for f64 {
+    fn to_wire(self) -> Json {
+        Json::Float(self)
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+        v.field(key)?
+            .as_f64()
+            .ok_or_else(|| JsonError::new(format!("field {key:?} is not a number")))
+    }
+}
+
+impl Wire for LinkId {
+    fn to_wire(self) -> Json {
+        (self.index() as u64).to_wire()
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+        Ok(LinkId(u64::from_wire(v, key)? as usize))
+    }
+}
+
+impl Wire for Tag {
+    fn to_wire(self) -> Json {
+        self.0.to_wire()
+    }
+    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+        Ok(Tag(u64::from_wire(v, key)?))
+    }
+}
+
+fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, JsonError> {
+    v.field(key)?
+        .as_str()
+        .ok_or_else(|| JsonError::new(format!("field {key:?} is not a string")))
+}
+
+/// Declares a field enum that travels as a string: each variant is written
+/// once, next to its wire name, and `name`/`parse`/[`Wire`] are generated
+/// from that one list. The visibility before `names` is that of
+/// `name`/`parse`.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident, $nvis:vis names {
+            $( $(#[$vmeta:meta])* $variant:ident = $wire:literal, )+
         }
-    }
-
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        Ok(match s {
-            "loss" => DropReason::Loss,
-            "queue" => DropReason::Queue,
-            "down" => DropReason::Down,
-            "in_flight" => DropReason::InFlight,
-            "corrupt" => DropReason::Corrupt,
-            other => return Err(JsonError::new(format!("unknown drop reason {other:?}"))),
-        })
-    }
-}
-
-/// Where a client fetch was directed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchSource {
-    /// The in-network staging cache (VNF-fronted edge router).
-    EdgeCache,
-    /// The origin server over the wired path.
-    Origin,
-}
-
-impl FetchSource {
-    fn name(self) -> &'static str {
-        match self {
-            FetchSource::EdgeCache => "edge",
-            FetchSource::Origin => "origin",
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
         }
-    }
 
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        Ok(match s {
-            "edge" => FetchSource::EdgeCache,
-            "origin" => FetchSource::Origin,
-            other => return Err(JsonError::new(format!("unknown fetch source {other:?}"))),
-        })
-    }
-}
+        impl $name {
+            /// The variant's wire name.
+            $nvis fn name(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $wire, )+
+                }
+            }
 
-/// Client staging lifecycle mode, mirrored from `softstage::StagingMode`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientMode {
-    /// Staging through the VNF.
-    Active,
-    /// Fetching straight from the origin DAG.
-    OriginFallback,
-    /// Retry budget exhausted; plain Xftp for the rest of the run.
-    Degraded,
-}
-
-impl ClientMode {
-    fn name(self) -> &'static str {
-        match self {
-            ClientMode::Active => "active",
-            ClientMode::OriginFallback => "origin_fallback",
-            ClientMode::Degraded => "degraded",
+            /// Parses a wire name back into the variant.
+            $nvis fn parse(s: &str) -> Result<Self, JsonError> {
+                match s {
+                    $( $wire => Ok($name::$variant), )+
+                    other => Err(JsonError::new(format!(
+                        "unknown {} {other:?}", stringify!($name)
+                    ))),
+                }
+            }
         }
-    }
 
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        Ok(match s {
-            "active" => ClientMode::Active,
-            "origin_fallback" => ClientMode::OriginFallback,
-            "degraded" => ClientMode::Degraded,
-            other => return Err(JsonError::new(format!("unknown client mode {other:?}"))),
-        })
-    }
-}
-
-/// Why a staging VNF refused to take on a request.
-///
-/// The wire names are shared with `softstage`'s reject message, so the
-/// parse helpers are public.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The staging queue reached its configured depth cap.
-    QueueDepth,
-    /// The staging queue reached its configured byte cap.
-    QueueBytes,
-    /// Admission control predicted the chunk cannot stage in time.
-    Deadline,
-}
-
-impl RejectReason {
-    /// The reason's wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RejectReason::QueueDepth => "queue_depth",
-            RejectReason::QueueBytes => "queue_bytes",
-            RejectReason::Deadline => "deadline",
+        impl Wire for $name {
+            fn to_wire(self) -> Json {
+                Json::Str(self.name().to_string())
+            }
+            fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
+                $name::parse(req_str(v, key)?)
+            }
         }
-    }
+    };
+}
 
-    /// Parses a wire name back into the reason.
-    pub fn parse(s: &str) -> Result<Self, JsonError> {
-        Ok(match s {
-            "queue_depth" => RejectReason::QueueDepth,
-            "queue_bytes" => RejectReason::QueueBytes,
-            "deadline" => RejectReason::Deadline,
-            other => return Err(JsonError::new(format!("unknown reject reason {other:?}"))),
-        })
+wire_enum! {
+    /// Why a packet never reached the far end.
+    pub enum DropReason, names {
+        /// Channel loss exhausted ARQ retries (or no ARQ).
+        Loss = "loss",
+        /// Tail drop at a full transmit queue.
+        Queue = "queue",
+        /// The link was administratively down at transmit time.
+        Down = "down",
+        /// Discarded in flight by a down transition.
+        InFlight = "in_flight",
+        /// Delivered with flipped bits; the wire checksum rejected it.
+        Corrupt = "corrupt",
     }
 }
 
-/// State of the client's per-edge circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: staging requests flow normally.
-    Closed,
-    /// Tripped: no staging requests until the open window elapses.
-    Open,
-    /// Probing: exactly one trial request decides close vs. re-open.
-    HalfOpen,
+wire_enum! {
+    /// Where a client fetch was directed.
+    pub enum FetchSource, names {
+        /// The in-network staging cache (VNF-fronted edge router).
+        EdgeCache = "edge",
+        /// The origin server over the wired path.
+        Origin = "origin",
+    }
 }
 
-impl BreakerState {
-    /// The state's wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
+wire_enum! {
+    /// Client staging lifecycle mode, mirrored from `softstage::StagingMode`.
+    pub enum ClientMode, names {
+        /// Staging through the VNF.
+        Active = "active",
+        /// Fetching straight from the origin DAG.
+        OriginFallback = "origin_fallback",
+        /// Retry budget exhausted; plain Xftp for the rest of the run.
+        Degraded = "degraded",
+    }
+}
+
+wire_enum! {
+    /// Why a staging VNF refused to take on a request.
+    ///
+    /// The wire names are shared with `softstage`'s reject message, so the
+    /// parse helpers are public.
+    pub enum RejectReason, pub names {
+        /// The staging queue reached its configured depth cap.
+        QueueDepth = "queue_depth",
+        /// The staging queue reached its configured byte cap.
+        QueueBytes = "queue_bytes",
+        /// Admission control predicted the chunk cannot stage in time.
+        Deadline = "deadline",
+    }
+}
+
+wire_enum! {
+    /// State of the client's per-edge circuit breaker.
+    pub enum BreakerState, pub names {
+        /// Healthy: staging requests flow normally.
+        Closed = "closed",
+        /// Tripped: no staging requests until the open window elapses.
+        Open = "open",
+        /// Probing: exactly one trial request decides close vs. re-open.
+        HalfOpen = "half_open",
+    }
+}
+
+/// Declares [`TraceEvent`] from one table: each entry is a variant, its
+/// wire name (the `"ev"` value) and its typed fields. A field's JSON key
+/// is its identifier and fields serialize in declaration order, so the
+/// enum, `name()`, the JSON writer and the JSON parser cannot disagree —
+/// adding an event kind is one entry here.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $wire:literal
+                $({ $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )+ })?,
+            )+
         }
-    }
-
-    /// Parses a wire name back into the state.
-    pub fn parse(s: &str) -> Result<Self, JsonError> {
-        Ok(match s {
-            "closed" => BreakerState::Closed,
-            "open" => BreakerState::Open,
-            "half_open" => BreakerState::HalfOpen,
-            other => return Err(JsonError::new(format!("unknown breaker state {other:?}"))),
-        })
-    }
-}
-
-/// One typed event in the flight record. All variants are `Copy`.
-///
-/// Packet events are attributed to the node acting at that instant:
-/// enqueue/tx/drop-at-tx to the sender, deliver/in-flight-drop to the
-/// receiver. Link and fault events are attributed to the affected
-/// node (endpoint `a` for link-wide events).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A node offered a packet to a link.
-    PacketEnqueue {
-        /// Link the packet was offered to.
-        link: LinkId,
-        /// Wire size in bytes.
-        bytes: u32,
-    },
-    /// The link accepted the packet and will deliver it.
-    PacketTx {
-        /// Link carrying the packet.
-        link: LinkId,
-        /// Wire size in bytes.
-        bytes: u32,
-        /// Link-layer attempts (1 = no ARQ retries).
-        attempts: u32,
-    },
-    /// The packet arrived intact and was dispatched to the receiver.
-    PacketDeliver {
-        /// Link that carried the packet.
-        link: LinkId,
-        /// Wire size in bytes.
-        bytes: u32,
-    },
-    /// The packet was lost; `reason` says where.
-    PacketDrop {
-        /// Link involved.
-        link: LinkId,
-        /// Wire size in bytes.
-        bytes: u32,
-        /// Which mechanism dropped it.
-        reason: DropReason,
-    },
-    /// A link came up.
-    LinkUp {
-        /// The link.
-        link: LinkId,
-    },
-    /// A link went down (in-flight packets will be discarded).
-    LinkDown {
-        /// The link.
-        link: LinkId,
-    },
-    /// Fault injection degraded a link's channel quality.
-    FaultOnset {
-        /// The link.
-        link: LinkId,
-        /// Per-attempt loss probability now in effect.
-        loss: f64,
-        /// Corruption probability now in effect.
-        corrupt: f64,
-    },
-    /// Channel quality returned to its configured baseline.
-    FaultClear {
-        /// The link.
-        link: LinkId,
-    },
-    /// The node crashed: volatile state and cache are gone.
-    NodeCrash,
-    /// The node restarted after a crash.
-    NodeRestart,
-    /// The node's content cache was wiped in place.
-    CacheWipe,
-    /// Client asked a VNF to stage a chunk.
-    StageRequest {
-        /// Content tag.
-        chunk: Tag,
-    },
-    /// VNF acknowledged a staging request.
-    StageAck {
-        /// Content tag.
-        chunk: Tag,
-        /// Whether the VNF accepted the request.
-        ok: bool,
-    },
-    /// VNF began pulling a chunk from the origin.
-    StageStart {
-        /// Content tag.
-        chunk: Tag,
-    },
-    /// A chunk is now resident in the edge cache. `bytes == 0` means the
-    /// chunk was already cached when requested (no backhaul transfer).
-    Staged {
-        /// Content tag.
-        chunk: Tag,
-        /// Bytes pulled over the backhaul (0 if already cached).
-        bytes: u64,
-    },
-    /// VNF failed to pull a chunk from the origin.
-    StageFailed {
-        /// Content tag.
-        chunk: Tag,
-    },
-    /// The cache evicted a chunk to make room (or a wipe removed it).
-    ChunkEvicted {
-        /// Content tag.
-        chunk: Tag,
-    },
-    /// The node's bounded evicted-CID log overflowed between flushes:
-    /// `dropped` evictions happened whose `ChunkEvicted` records were
-    /// lost. Oracle rules that count evictions treat the trace as
-    /// lower-bounded from this record on.
-    EvictOverflow {
-        /// Evictions whose individual records were dropped.
-        dropped: u64,
-    },
-    /// The content service answered a chunk request from its cache.
-    ChunkServed {
-        /// Content tag.
-        chunk: Tag,
-        /// Chunk payload size in bytes.
-        bytes: u64,
-    },
-    /// Client began fetching a chunk.
-    FetchStart {
-        /// Content tag.
-        chunk: Tag,
-        /// Where the fetch is directed.
-        source: FetchSource,
-    },
-    /// Client finished (or abandoned) fetching a chunk.
-    FetchComplete {
-        /// Content tag.
-        chunk: Tag,
-        /// Bytes received (0 on failure).
-        bytes: u64,
-        /// Where the fetch was directed.
-        source: FetchSource,
-        /// Whether the chunk arrived intact.
-        ok: bool,
-    },
-    /// Chunk-aware policy deferred a handoff until the chunk boundary.
-    HandoffDefer {
-        /// Target network tag.
-        target: Tag,
-    },
-    /// The client committed a handoff to a new network.
-    HandoffCommit {
-        /// Target network tag.
-        target: Tag,
-    },
-    /// The client's staging mode changed.
-    ModeTransition {
-        /// The mode entered.
-        mode: ClientMode,
-    },
-    /// The staging coordinator's target pipeline depth changed.
-    StageDepth {
-        /// New target depth in chunks.
-        depth: u32,
-    },
-    /// A VNF refused a staging request (emitted by the VNF at the
-    /// decision and by the client on receipt; the node tells them apart).
-    StageReject {
-        /// Content tag.
-        chunk: Tag,
-        /// Why the request was shed.
-        reason: RejectReason,
-        /// Advisory back-off before retrying, µs.
-        retry_after_us: u64,
-    },
-    /// A staging request outlived its back-off without any answer; the
-    /// client re-issues it and counts the silence against edge health.
-    StageTimeout {
-        /// Content tag.
-        chunk: Tag,
-    },
-    /// The client's circuit breaker for its active edge changed state.
-    BreakerTransition {
-        /// Network tag of the edge the breaker guards (0 if unknown).
-        edge: Tag,
-        /// The state entered.
-        state: BreakerState,
-    },
-    /// Fault injection resized the node's content cache in place.
-    CacheResize {
-        /// New capacity in bytes.
-        capacity: u64,
-    },
-    /// Fault injection changed the node's service delay (0 = restored).
-    ServiceDegrade {
-        /// Added per-reply service delay, µs.
-        delay_us: u64,
-    },
-}
-
-impl TraceEvent {
-    /// The event's wire name (the `"ev"` field in JSON lines).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::PacketEnqueue { .. } => "pkt_enqueue",
-            TraceEvent::PacketTx { .. } => "pkt_tx",
-            TraceEvent::PacketDeliver { .. } => "pkt_deliver",
-            TraceEvent::PacketDrop { .. } => "pkt_drop",
-            TraceEvent::LinkUp { .. } => "link_up",
-            TraceEvent::LinkDown { .. } => "link_down",
-            TraceEvent::FaultOnset { .. } => "fault_onset",
-            TraceEvent::FaultClear { .. } => "fault_clear",
-            TraceEvent::NodeCrash => "node_crash",
-            TraceEvent::NodeRestart => "node_restart",
-            TraceEvent::CacheWipe => "cache_wipe",
-            TraceEvent::StageRequest { .. } => "stage_request",
-            TraceEvent::StageAck { .. } => "stage_ack",
-            TraceEvent::StageStart { .. } => "stage_start",
-            TraceEvent::Staged { .. } => "staged",
-            TraceEvent::StageFailed { .. } => "stage_failed",
-            TraceEvent::ChunkEvicted { .. } => "chunk_evicted",
-            TraceEvent::EvictOverflow { .. } => "evict_overflow",
-            TraceEvent::ChunkServed { .. } => "chunk_served",
-            TraceEvent::FetchStart { .. } => "fetch_start",
-            TraceEvent::FetchComplete { .. } => "fetch_complete",
-            TraceEvent::HandoffDefer { .. } => "handoff_defer",
-            TraceEvent::HandoffCommit { .. } => "handoff_commit",
-            TraceEvent::ModeTransition { .. } => "mode",
-            TraceEvent::StageDepth { .. } => "stage_depth",
-            TraceEvent::StageReject { .. } => "stage_reject",
-            TraceEvent::StageTimeout { .. } => "stage_timeout",
-            TraceEvent::BreakerTransition { .. } => "breaker",
-            TraceEvent::CacheResize { .. } => "cache_resize",
-            TraceEvent::ServiceDegrade { .. } => "service_degrade",
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $ty, )+ })?,
+            )+
         }
+
+        impl TraceEvent {
+            /// The event's wire name (the `"ev"` field in JSON lines).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $wire, )+
+                }
+            }
+
+            /// Appends the payload fields as `(key, value)` pairs.
+            fn push_fields(self, fields: &mut Vec<(String, Json)>) {
+                match self {
+                    $(
+                        TraceEvent::$variant $({ $($field,)+ })? => {
+                            $($( fields.push((stringify!($field).to_string(), $field.to_wire())); )+)?
+                        }
+                    )+
+                }
+            }
+
+            /// Parses the payload of the event named `ev` out of `v`.
+            fn parse(ev: &str, v: &Json) -> Result<Self, JsonError> {
+                match ev {
+                    $(
+                        $wire => Ok(TraceEvent::$variant $({
+                            $( $field: Wire::from_wire(v, stringify!($field))?, )+
+                        })?),
+                    )+
+                    other => Err(JsonError::new(format!("unknown event {other:?}"))),
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
+    /// One typed event in the flight record. All variants are `Copy`.
+    ///
+    /// Packet events are attributed to the node acting at that instant:
+    /// enqueue/tx/drop-at-tx to the sender, deliver/in-flight-drop to the
+    /// receiver. Link and fault events are attributed to the affected
+    /// node (endpoint `a` for link-wide events).
+    pub enum TraceEvent {
+        /// A node offered a packet to a link.
+        PacketEnqueue = "pkt_enqueue" {
+            /// Link the packet was offered to.
+            link: LinkId,
+            /// Wire size in bytes.
+            bytes: u32,
+        },
+        /// The link accepted the packet and will deliver it.
+        PacketTx = "pkt_tx" {
+            /// Link carrying the packet.
+            link: LinkId,
+            /// Wire size in bytes.
+            bytes: u32,
+            /// Link-layer attempts (1 = no ARQ retries).
+            attempts: u32,
+        },
+        /// The packet arrived intact and was dispatched to the receiver.
+        PacketDeliver = "pkt_deliver" {
+            /// Link that carried the packet.
+            link: LinkId,
+            /// Wire size in bytes.
+            bytes: u32,
+        },
+        /// The packet was lost; `reason` says where.
+        PacketDrop = "pkt_drop" {
+            /// Link involved.
+            link: LinkId,
+            /// Wire size in bytes.
+            bytes: u32,
+            /// Which mechanism dropped it.
+            reason: DropReason,
+        },
+        /// A link came up.
+        LinkUp = "link_up" {
+            /// The link.
+            link: LinkId,
+        },
+        /// A link went down (in-flight packets will be discarded).
+        LinkDown = "link_down" {
+            /// The link.
+            link: LinkId,
+        },
+        /// Fault injection degraded a link's channel quality.
+        FaultOnset = "fault_onset" {
+            /// The link.
+            link: LinkId,
+            /// Per-attempt loss probability now in effect.
+            loss: f64,
+            /// Corruption probability now in effect.
+            corrupt: f64,
+        },
+        /// Channel quality returned to its configured baseline.
+        FaultClear = "fault_clear" {
+            /// The link.
+            link: LinkId,
+        },
+        /// The node crashed: volatile state and cache are gone.
+        NodeCrash = "node_crash",
+        /// The node restarted after a crash.
+        NodeRestart = "node_restart",
+        /// The node's content cache was wiped in place.
+        CacheWipe = "cache_wipe",
+        /// Client asked a VNF to stage a chunk.
+        StageRequest = "stage_request" {
+            /// Content tag.
+            chunk: Tag,
+        },
+        /// VNF acknowledged a staging request.
+        StageAck = "stage_ack" {
+            /// Content tag.
+            chunk: Tag,
+            /// Whether the VNF accepted the request.
+            ok: bool,
+        },
+        /// VNF began pulling a chunk from the origin.
+        StageStart = "stage_start" {
+            /// Content tag.
+            chunk: Tag,
+        },
+        /// A chunk is now resident in the edge cache. `bytes == 0` means the
+        /// chunk was already cached when requested (no backhaul transfer).
+        Staged = "staged" {
+            /// Content tag.
+            chunk: Tag,
+            /// Bytes pulled over the backhaul (0 if already cached).
+            bytes: u64,
+        },
+        /// VNF failed to pull a chunk from the origin.
+        StageFailed = "stage_failed" {
+            /// Content tag.
+            chunk: Tag,
+        },
+        /// The cache evicted a chunk to make room (or a wipe removed it).
+        ChunkEvicted = "chunk_evicted" {
+            /// Content tag.
+            chunk: Tag,
+        },
+        /// The node's bounded evicted-CID log overflowed between flushes:
+        /// `dropped` evictions happened whose `ChunkEvicted` records were
+        /// lost. Oracle rules that count evictions treat the trace as
+        /// lower-bounded from this record on.
+        EvictOverflow = "evict_overflow" {
+            /// Evictions whose individual records were dropped.
+            dropped: u64,
+        },
+        /// The content service answered a chunk request from its cache.
+        ChunkServed = "chunk_served" {
+            /// Content tag.
+            chunk: Tag,
+            /// Chunk payload size in bytes.
+            bytes: u64,
+        },
+        /// Client began fetching a chunk.
+        FetchStart = "fetch_start" {
+            /// Content tag.
+            chunk: Tag,
+            /// Where the fetch is directed.
+            source: FetchSource,
+        },
+        /// Client finished (or abandoned) fetching a chunk.
+        FetchComplete = "fetch_complete" {
+            /// Content tag.
+            chunk: Tag,
+            /// Bytes received (0 on failure).
+            bytes: u64,
+            /// Where the fetch was directed.
+            source: FetchSource,
+            /// Whether the chunk arrived intact.
+            ok: bool,
+        },
+        /// Chunk-aware policy deferred a handoff until the chunk boundary.
+        HandoffDefer = "handoff_defer" {
+            /// Target network tag.
+            target: Tag,
+        },
+        /// The client committed a handoff to a new network.
+        HandoffCommit = "handoff_commit" {
+            /// Target network tag.
+            target: Tag,
+        },
+        /// The client's staging mode changed.
+        ModeTransition = "mode" {
+            /// The mode entered.
+            mode: ClientMode,
+        },
+        /// The staging coordinator's target pipeline depth changed.
+        StageDepth = "stage_depth" {
+            /// New target depth in chunks.
+            depth: u32,
+        },
+        /// A VNF refused a staging request (emitted by the VNF at the
+        /// decision and by the client on receipt; the node tells them apart).
+        StageReject = "stage_reject" {
+            /// Content tag.
+            chunk: Tag,
+            /// Why the request was shed.
+            reason: RejectReason,
+            /// Advisory back-off before retrying, µs.
+            retry_after_us: u64,
+        },
+        /// A staging request outlived its back-off without any answer; the
+        /// client re-issues it and counts the silence against edge health.
+        StageTimeout = "stage_timeout" {
+            /// Content tag.
+            chunk: Tag,
+        },
+        /// The client's circuit breaker for its active edge changed state.
+        BreakerTransition = "breaker" {
+            /// Network tag of the edge the breaker guards (0 if unknown).
+            edge: Tag,
+            /// The state entered.
+            state: BreakerState,
+        },
+        /// Fault injection resized the node's content cache in place.
+        CacheResize = "cache_resize" {
+            /// New capacity in bytes.
+            capacity: u64,
+        },
+        /// Fault injection changed the node's service delay (0 = restored).
+        ServiceDegrade = "service_degrade" {
+            /// Added per-reply service delay, µs.
+            delay_us: u64,
+        },
     }
 }
 
@@ -469,279 +517,26 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn int(v: u64) -> Json {
-    Json::Int(v as i64)
-}
-
 impl ToJson for TraceRecord {
     fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("seq", int(self.seq)),
-            ("t", int(self.at.as_micros())),
-            ("node", int(self.node.index() as u64)),
-            ("ev", Json::Str(self.event.name().to_string())),
+            ("seq".to_string(), self.seq.to_wire()),
+            ("t".to_string(), self.at.as_micros().to_wire()),
+            ("node".to_string(), (self.node.index() as u64).to_wire()),
+            ("ev".to_string(), Json::Str(self.event.name().to_string())),
         ];
-        match self.event {
-            TraceEvent::PacketEnqueue { link, bytes }
-            | TraceEvent::PacketDeliver { link, bytes } => {
-                fields.push(("link", int(link.index() as u64)));
-                fields.push(("bytes", int(u64::from(bytes))));
-            }
-            TraceEvent::PacketTx {
-                link,
-                bytes,
-                attempts,
-            } => {
-                fields.push(("link", int(link.index() as u64)));
-                fields.push(("bytes", int(u64::from(bytes))));
-                fields.push(("attempts", int(u64::from(attempts))));
-            }
-            TraceEvent::PacketDrop {
-                link,
-                bytes,
-                reason,
-            } => {
-                fields.push(("link", int(link.index() as u64)));
-                fields.push(("bytes", int(u64::from(bytes))));
-                fields.push(("reason", Json::Str(reason.name().to_string())));
-            }
-            TraceEvent::LinkUp { link }
-            | TraceEvent::LinkDown { link }
-            | TraceEvent::FaultClear { link } => {
-                fields.push(("link", int(link.index() as u64)));
-            }
-            TraceEvent::FaultOnset {
-                link,
-                loss,
-                corrupt,
-            } => {
-                fields.push(("link", int(link.index() as u64)));
-                fields.push(("loss", Json::Float(loss)));
-                fields.push(("corrupt", Json::Float(corrupt)));
-            }
-            TraceEvent::NodeCrash | TraceEvent::NodeRestart | TraceEvent::CacheWipe => {}
-            TraceEvent::StageRequest { chunk }
-            | TraceEvent::StageStart { chunk }
-            | TraceEvent::StageFailed { chunk }
-            | TraceEvent::ChunkEvicted { chunk }
-            | TraceEvent::StageTimeout { chunk } => {
-                fields.push(("chunk", int(chunk.0)));
-            }
-            TraceEvent::StageAck { chunk, ok } => {
-                fields.push(("chunk", int(chunk.0)));
-                fields.push(("ok", Json::Bool(ok)));
-            }
-            TraceEvent::Staged { chunk, bytes } | TraceEvent::ChunkServed { chunk, bytes } => {
-                fields.push(("chunk", int(chunk.0)));
-                fields.push(("bytes", int(bytes)));
-            }
-            TraceEvent::EvictOverflow { dropped } => {
-                fields.push(("dropped", int(dropped)));
-            }
-            TraceEvent::FetchStart { chunk, source } => {
-                fields.push(("chunk", int(chunk.0)));
-                fields.push(("source", Json::Str(source.name().to_string())));
-            }
-            TraceEvent::FetchComplete {
-                chunk,
-                bytes,
-                source,
-                ok,
-            } => {
-                fields.push(("chunk", int(chunk.0)));
-                fields.push(("bytes", int(bytes)));
-                fields.push(("source", Json::Str(source.name().to_string())));
-                fields.push(("ok", Json::Bool(ok)));
-            }
-            TraceEvent::HandoffDefer { target } | TraceEvent::HandoffCommit { target } => {
-                fields.push(("target", int(target.0)));
-            }
-            TraceEvent::ModeTransition { mode } => {
-                fields.push(("mode", Json::Str(mode.name().to_string())));
-            }
-            TraceEvent::StageDepth { depth } => {
-                fields.push(("depth", int(u64::from(depth))));
-            }
-            TraceEvent::StageReject {
-                chunk,
-                reason,
-                retry_after_us,
-            } => {
-                fields.push(("chunk", int(chunk.0)));
-                fields.push(("reason", Json::Str(reason.name().to_string())));
-                fields.push(("retry_after_us", int(retry_after_us)));
-            }
-            TraceEvent::BreakerTransition { edge, state } => {
-                fields.push(("edge", int(edge.0)));
-                fields.push(("state", Json::Str(state.name().to_string())));
-            }
-            TraceEvent::CacheResize { capacity } => {
-                fields.push(("capacity", int(capacity)));
-            }
-            TraceEvent::ServiceDegrade { delay_us } => {
-                fields.push(("delay_us", int(delay_us)));
-            }
-        }
-        obj(fields)
+        self.event.push_fields(&mut fields);
+        Json::Obj(fields)
     }
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, JsonError> {
-    v.field(key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::new(format!("field {key:?} is not an unsigned integer")))
-}
-
-fn req_u32(v: &Json, key: &str) -> Result<u32, JsonError> {
-    u32::try_from(req_u64(v, key)?)
-        .map_err(|_| JsonError::new(format!("field {key:?} exceeds u32")))
-}
-
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, JsonError> {
-    v.field(key)?
-        .as_str()
-        .ok_or_else(|| JsonError::new(format!("field {key:?} is not a string")))
-}
-
-fn req_bool(v: &Json, key: &str) -> Result<bool, JsonError> {
-    v.field(key)?
-        .as_bool()
-        .ok_or_else(|| JsonError::new(format!("field {key:?} is not a bool")))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, JsonError> {
-    v.field(key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::new(format!("field {key:?} is not a number")))
-}
-
-fn req_link(v: &Json) -> Result<LinkId, JsonError> {
-    Ok(LinkId(req_u64(v, "link")? as usize))
-}
-
-fn req_tag(v: &Json, key: &str) -> Result<Tag, JsonError> {
-    Ok(Tag(req_u64(v, key)?))
 }
 
 impl FromJson for TraceRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let seq = req_u64(v, "seq")?;
-        let at = SimTime::from_micros(req_u64(v, "t")?);
-        let node = NodeId(req_u64(v, "node")? as usize);
-        let ev = req_str(v, "ev")?;
-        let event = match ev {
-            "pkt_enqueue" => TraceEvent::PacketEnqueue {
-                link: req_link(v)?,
-                bytes: req_u32(v, "bytes")?,
-            },
-            "pkt_tx" => TraceEvent::PacketTx {
-                link: req_link(v)?,
-                bytes: req_u32(v, "bytes")?,
-                attempts: req_u32(v, "attempts")?,
-            },
-            "pkt_deliver" => TraceEvent::PacketDeliver {
-                link: req_link(v)?,
-                bytes: req_u32(v, "bytes")?,
-            },
-            "pkt_drop" => TraceEvent::PacketDrop {
-                link: req_link(v)?,
-                bytes: req_u32(v, "bytes")?,
-                reason: DropReason::parse(req_str(v, "reason")?)?,
-            },
-            "link_up" => TraceEvent::LinkUp { link: req_link(v)? },
-            "link_down" => TraceEvent::LinkDown { link: req_link(v)? },
-            "fault_onset" => TraceEvent::FaultOnset {
-                link: req_link(v)?,
-                loss: req_f64(v, "loss")?,
-                corrupt: req_f64(v, "corrupt")?,
-            },
-            "fault_clear" => TraceEvent::FaultClear { link: req_link(v)? },
-            "node_crash" => TraceEvent::NodeCrash,
-            "node_restart" => TraceEvent::NodeRestart,
-            "cache_wipe" => TraceEvent::CacheWipe,
-            "stage_request" => TraceEvent::StageRequest {
-                chunk: req_tag(v, "chunk")?,
-            },
-            "stage_ack" => TraceEvent::StageAck {
-                chunk: req_tag(v, "chunk")?,
-                ok: req_bool(v, "ok")?,
-            },
-            "stage_start" => TraceEvent::StageStart {
-                chunk: req_tag(v, "chunk")?,
-            },
-            "staged" => TraceEvent::Staged {
-                chunk: req_tag(v, "chunk")?,
-                bytes: req_u64(v, "bytes")?,
-            },
-            "stage_failed" => TraceEvent::StageFailed {
-                chunk: req_tag(v, "chunk")?,
-            },
-            "chunk_evicted" => TraceEvent::ChunkEvicted {
-                chunk: req_tag(v, "chunk")?,
-            },
-            "evict_overflow" => TraceEvent::EvictOverflow {
-                dropped: req_u64(v, "dropped")?,
-            },
-            "chunk_served" => TraceEvent::ChunkServed {
-                chunk: req_tag(v, "chunk")?,
-                bytes: req_u64(v, "bytes")?,
-            },
-            "fetch_start" => TraceEvent::FetchStart {
-                chunk: req_tag(v, "chunk")?,
-                source: FetchSource::parse(req_str(v, "source")?)?,
-            },
-            "fetch_complete" => TraceEvent::FetchComplete {
-                chunk: req_tag(v, "chunk")?,
-                bytes: req_u64(v, "bytes")?,
-                source: FetchSource::parse(req_str(v, "source")?)?,
-                ok: req_bool(v, "ok")?,
-            },
-            "handoff_defer" => TraceEvent::HandoffDefer {
-                target: req_tag(v, "target")?,
-            },
-            "handoff_commit" => TraceEvent::HandoffCommit {
-                target: req_tag(v, "target")?,
-            },
-            "mode" => TraceEvent::ModeTransition {
-                mode: ClientMode::parse(req_str(v, "mode")?)?,
-            },
-            "stage_depth" => TraceEvent::StageDepth {
-                depth: req_u32(v, "depth")?,
-            },
-            "stage_reject" => TraceEvent::StageReject {
-                chunk: req_tag(v, "chunk")?,
-                reason: RejectReason::parse(req_str(v, "reason")?)?,
-                retry_after_us: req_u64(v, "retry_after_us")?,
-            },
-            "stage_timeout" => TraceEvent::StageTimeout {
-                chunk: req_tag(v, "chunk")?,
-            },
-            "breaker" => TraceEvent::BreakerTransition {
-                edge: req_tag(v, "edge")?,
-                state: BreakerState::parse(req_str(v, "state")?)?,
-            },
-            "cache_resize" => TraceEvent::CacheResize {
-                capacity: req_u64(v, "capacity")?,
-            },
-            "service_degrade" => TraceEvent::ServiceDegrade {
-                delay_us: req_u64(v, "delay_us")?,
-            },
-            other => return Err(JsonError::new(format!("unknown event {other:?}"))),
-        };
         Ok(TraceRecord {
-            seq,
-            at,
-            node,
-            event,
+            seq: u64::from_wire(v, "seq")?,
+            at: SimTime::from_micros(u64::from_wire(v, "t")?),
+            node: NodeId(u64::from_wire(v, "node")? as usize),
+            event: TraceEvent::parse(req_str(v, "ev")?, v)?,
         })
     }
 }
@@ -750,14 +545,17 @@ impl FromJson for TraceRecord {
 ///
 /// A ring buffer of [`TraceRecord`]s: when full, the oldest record is
 /// discarded and [`TraceSink::dropped`] counts the loss, so memory stays
-/// bounded no matter how long the run. Counting oracle rules are only
-/// sound on untruncated traces (`dropped() == 0`).
+/// bounded no matter how long the run. Every record also passes through
+/// a [`TraceAudit`] on its way in, so the oracle's verdict covers the
+/// whole run whatever the ring retained; `dropped()` only says how much
+/// of the run [`TraceSink::to_jsonl`] can still show.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     records: VecDeque<TraceRecord>,
     capacity: usize,
     next_seq: u64,
     dropped: u64,
+    audit: TraceAudit,
 }
 
 impl TraceSink {
@@ -769,23 +567,32 @@ impl TraceSink {
             capacity,
             next_seq: 0,
             dropped: 0,
+            audit: TraceAudit::default(),
         }
     }
 
-    /// Appends a record, evicting the oldest if the ring is full.
+    /// Appends a record, evicting the oldest if the ring is full, and
+    /// feeds it to the streaming audit.
     #[inline]
     pub fn record(&mut self, at: SimTime, node: NodeId, event: TraceEvent) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord {
+        let record = TraceRecord {
             seq: self.next_seq,
             at,
             node,
             event,
-        });
+        };
         self.next_seq += 1;
+        self.audit.observe(&record);
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(record);
+    }
+
+    /// The audit of every record ever written, retained or not.
+    pub fn audit(&self) -> &TraceAudit {
+        &self.audit
     }
 
     /// Number of records currently held.
@@ -803,15 +610,10 @@ impl TraceSink {
         self.capacity
     }
 
-    /// Records evicted by ring overflow (0 means the trace is complete).
+    /// Records evicted by ring overflow (0 means the retained window is
+    /// the complete trace).
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Total records ever written (equals the next sequence number).
-    #[cfg(test)]
-    pub(crate) fn total_recorded(&self) -> u64 {
-        self.next_seq
     }
 
     /// Iterates the retained records oldest-first.
@@ -846,11 +648,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = Json::parse(line).map_err(|e| JsonError::new(format!("line {}: {e}", i + 1)))?;
-        out.push(
-            TraceRecord::from_json(&v)
-                .map_err(|e| JsonError::new(format!("line {}: {e}", i + 1)))?,
-        );
+        let record = Json::parse(line).and_then(|v| TraceRecord::from_json(&v));
+        out.push(record.map_err(|e| JsonError::new(format!("line {}: {e}", i + 1)))?);
     }
     Ok(out)
 }
@@ -860,7 +659,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
 pub enum InvariantKind {
     /// Sequence numbers must strictly increase.
     MonotoneSeq,
-    /// Timestamps must never go backwards (globally and per node).
+    /// Timestamps must never go backwards (globally, hence per node).
     MonotoneTime,
     /// A delivery (or in-flight drop) with no matching transmission.
     OrphanDelivery,
@@ -911,7 +710,10 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Replays a trace and checks protocol invariants.
+/// The oracle's configuration: which optional rules a read-out applies.
+/// The rules themselves live in [`TraceAudit`]; [`TraceOracle::audit`]
+/// and [`TraceOracle::audit_with_stats`] fold a recorded slice through
+/// one.
 #[derive(Debug, Clone)]
 pub struct TraceOracle {
     /// Check that no handoff commits while a chunk fetch is in flight.
@@ -924,19 +726,6 @@ impl Default for TraceOracle {
     fn default() -> Self {
         Self::new()
     }
-}
-
-#[derive(Clone, Default)]
-struct LinkTally {
-    enqueued: u64,
-    tx: u64,
-    tx_bytes: u64,
-    delivered: u64,
-    drops_loss: u64,
-    drops_queue: u64,
-    drops_down: u64,
-    drops_in_flight: u64,
-    drops_corrupt: u64,
 }
 
 impl TraceOracle {
@@ -955,26 +744,233 @@ impl TraceOracle {
     }
 
     /// Structural audit: ordering, orphan deliveries, unstaged fetches,
-    /// handoff atomicity. Sound on any trace, truncated or not (a
-    /// truncated trace can hide a violation but never invent one, except
-    /// that a tx preceding the retained window may make its delivery look
-    /// orphaned — callers with ring overflow should treat orphan findings
-    /// on `dropped() > 0` traces as advisory).
+    /// handoff atomicity, breaker discipline. `records` must be a whole
+    /// trace: a slice that starts mid-run can make a delivery look
+    /// orphaned because its transmission precedes the slice.
     pub fn audit(&self, records: &[TraceRecord]) -> Vec<Violation> {
-        let mut v = Vec::new();
-        self.audit_into(records, &mut v);
-        v
+        Self::fold(records).violations(self, None)
     }
 
     /// Full audit plus accounting against the simulator's counters.
     ///
-    /// Only meaningful for complete traces ([`TraceSink::dropped`] == 0)
-    /// of finished runs; in-flight packets at the deadline are tolerated
-    /// (deliveries ≤ transmissions).
+    /// Only meaningful for whole traces of finished runs; in-flight
+    /// packets at the deadline are tolerated (deliveries ≤ transmissions).
     pub fn audit_with_stats(&self, records: &[TraceRecord], stats: &SimStats) -> Vec<Violation> {
-        let mut v = Vec::new();
-        let tallies = self.audit_into(records, &mut v);
-        let last_seq = records.last().map_or(0, |r| r.seq);
+        Self::fold(records).violations(self, Some(stats))
+    }
+
+    fn fold(records: &[TraceRecord]) -> TraceAudit {
+        let mut audit = TraceAudit::default();
+        for r in records {
+            audit.observe(r);
+        }
+        audit
+    }
+}
+
+/// One link's counters as rebuilt from its packet records.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkTally {
+    /// What the simulator's own [`LinkStats`] must read if the recorder
+    /// and the accountant agree (`attempts` is not traced).
+    stats: LinkStats,
+    /// Deliveries plus in-flight drops: packets that left the wire.
+    arrivals: u64,
+}
+
+impl LinkTally {
+    /// The finding, if more packets have left the wire than entered it.
+    fn orphan(&self, link: LinkId) -> Option<Finding> {
+        let (arrivals, tx) = (self.arrivals, self.stats.delivered);
+        (arrivals > tx).then_some(Finding::Orphan(link.index(), arrivals, tx))
+    }
+}
+
+/// A violation as [`TraceAudit::observe`] keeps it: the rule broken and
+/// the numbers its message needs. The message is only built at read-out,
+/// so the recording path never formats a string.
+#[derive(Debug, Clone, Copy)]
+enum Finding {
+    /// (previous sequence number)
+    Seq(u64),
+    /// (the record's time, the latest time before it)
+    Time(SimTime, SimTime),
+    /// (link, its arrivals so far, its transmissions so far)
+    Orphan(usize, u64, u64),
+    /// (chunk)
+    UnstagedEdgeFetch(Tag),
+    /// (handoff target, chunk in flight)
+    HandoffMidChunk(Tag, Tag),
+    /// (node, chunk)
+    StageWhileBreakerOpen(usize, Tag),
+    /// (node)
+    BreakerOpenNoSignal(usize),
+}
+
+impl Finding {
+    fn kind(self) -> InvariantKind {
+        match self {
+            Finding::Seq(..) => InvariantKind::MonotoneSeq,
+            Finding::Time(..) => InvariantKind::MonotoneTime,
+            Finding::Orphan(..) => InvariantKind::OrphanDelivery,
+            Finding::UnstagedEdgeFetch(..) => InvariantKind::UnstagedEdgeFetch,
+            Finding::HandoffMidChunk(..) => InvariantKind::HandoffMidChunk,
+            Finding::StageWhileBreakerOpen(..) => InvariantKind::StageWhileBreakerOpen,
+            Finding::BreakerOpenNoSignal(..) => InvariantKind::BreakerOpenNoSignal,
+        }
+    }
+
+    fn violation(self, seq: u64) -> Violation {
+        let kind = self.kind();
+        let detail = match self {
+            Finding::Seq(prev) => format!("sequence {seq} follows {prev}"),
+            Finding::Time(at, prev) => {
+                let (at, prev) = (at.as_micros(), prev.as_micros());
+                format!("time went backwards: {at} µs after {prev} µs")
+            }
+            Finding::Orphan(link, arrivals, tx) => {
+                format!("link {link}: arrival #{arrivals} exceeds {tx} transmissions")
+            }
+            Finding::UnstagedEdgeFetch(chunk) => {
+                format!("chunk {chunk} completed from the edge cache but was never staged")
+            }
+            Finding::HandoffMidChunk(target, chunk) => {
+                format!("handoff to {target} committed while chunk {chunk} in flight")
+            }
+            Finding::StageWhileBreakerOpen(node, chunk) => {
+                format!("node {node} requested staging of chunk {chunk} with its breaker open")
+            }
+            Finding::BreakerOpenNoSignal(node) => {
+                format!("node {node} opened its breaker without a reject or timeout before it")
+            }
+        };
+        Violation { kind, seq, detail }
+    }
+}
+
+/// The invariant oracle as a streaming fold: [`TraceAudit::observe`]
+/// checks each record as it arrives against O(nodes + links + staged
+/// chunks) of state, and [`TraceAudit::violations`] reads the verdict
+/// out. [`TraceSink::record`] feeds one, so a simulator's audit never
+/// depends on how many records its ring retained.
+#[derive(Debug, Clone, Default)]
+pub struct TraceAudit {
+    prev_seq: Option<u64>,
+    prev_time: SimTime,
+    links: BTreeMap<usize, LinkTally>,
+    staged: BTreeSet<u64>,
+    in_flight: BTreeMap<usize, Tag>,
+    breaker: BTreeMap<usize, BreakerState>,
+    health_signals: BTreeMap<usize, u64>,
+    /// Every finding so far with its record's sequence number, in record
+    /// order. Handoff-atomicity findings are always collected; the
+    /// read-out drops them when the oracle's switch is off.
+    found: Vec<(u64, Finding)>,
+}
+
+impl TraceAudit {
+    /// Checks one record against everything observed before it.
+    pub fn observe(&mut self, r: &TraceRecord) {
+        let node = r.node.index();
+        let mut found = |f: Finding| self.found.push((r.seq, f));
+        if let Some(prev) = self.prev_seq.filter(|&prev| r.seq <= prev) {
+            found(Finding::Seq(prev));
+        }
+        self.prev_seq = Some(r.seq);
+        // One global clock: a per-node reversal is a global one too.
+        if r.at < self.prev_time {
+            found(Finding::Time(r.at, self.prev_time));
+        }
+        self.prev_time = self.prev_time.max(r.at);
+        match r.event {
+            TraceEvent::PacketEnqueue { link, .. } => {
+                self.links.entry(link.index()).or_default().stats.offered += 1;
+            }
+            TraceEvent::PacketTx { link, bytes, .. } => {
+                let t = self.links.entry(link.index()).or_default();
+                t.stats.delivered += 1;
+                t.stats.bytes_delivered += u64::from(bytes);
+            }
+            TraceEvent::PacketDeliver { link, .. } => {
+                let t = self.links.entry(link.index()).or_default();
+                t.arrivals += 1;
+                if let Some(orphan) = t.orphan(link) {
+                    found(orphan);
+                }
+            }
+            TraceEvent::PacketDrop { link, reason, .. } => {
+                let t = self.links.entry(link.index()).or_default();
+                match reason {
+                    DropReason::Loss => t.stats.lost += 1,
+                    DropReason::Queue => t.stats.dropped_queue += 1,
+                    DropReason::Down => t.stats.dropped_down += 1,
+                    DropReason::Corrupt => t.stats.corrupted += 1,
+                    DropReason::InFlight => {
+                        t.stats.dropped_in_flight += 1;
+                        t.arrivals += 1;
+                        if let Some(orphan) = t.orphan(link) {
+                            found(orphan);
+                        }
+                    }
+                }
+            }
+            TraceEvent::Staged { chunk, .. } => {
+                self.staged.insert(chunk.0);
+            }
+            TraceEvent::FetchStart { chunk, .. } => {
+                self.in_flight.insert(node, chunk);
+            }
+            TraceEvent::FetchComplete {
+                chunk, source, ok, ..
+            } => {
+                self.in_flight.remove(&node);
+                if ok && source == FetchSource::EdgeCache && !self.staged.contains(&chunk.0) {
+                    found(Finding::UnstagedEdgeFetch(chunk));
+                }
+            }
+            TraceEvent::HandoffCommit { target } => {
+                if let Some(&chunk) = self.in_flight.get(&node) {
+                    found(Finding::HandoffMidChunk(target, chunk));
+                }
+            }
+            TraceEvent::StageRequest { chunk }
+                if self.breaker.get(&node) == Some(&BreakerState::Open) =>
+            {
+                found(Finding::StageWhileBreakerOpen(node, chunk));
+            }
+            TraceEvent::StageReject { .. } | TraceEvent::StageTimeout { .. } => {
+                *self.health_signals.entry(node).or_insert(0) += 1;
+            }
+            TraceEvent::BreakerTransition { state, .. } => {
+                if state == BreakerState::Open
+                    && self.health_signals.get(&node).copied().unwrap_or(0) == 0
+                {
+                    found(Finding::BreakerOpenNoSignal(node));
+                }
+                self.breaker.insert(node, state);
+                self.health_signals.insert(node, 0);
+            }
+            _ => {}
+        }
+    }
+
+    /// The violations found so far, in record order. `oracle` selects
+    /// the optional rules; with `stats`, the per-link event counts and
+    /// byte totals seen so far are also checked against the simulator's
+    /// counters (meaningful once the run has finished).
+    pub fn violations(&self, oracle: &TraceOracle, stats: Option<&SimStats>) -> Vec<Violation> {
+        let mut v: Vec<Violation> = self
+            .found
+            .iter()
+            .filter(|(_, f)| {
+                oracle.check_handoff_atomicity || f.kind() != InvariantKind::HandoffMidChunk
+            })
+            .map(|&(seq, f)| f.violation(seq))
+            .collect();
+        let Some(stats) = stats else {
+            return v;
+        };
+        let last_seq = self.prev_seq.unwrap_or(0);
         let mut mismatch = |detail: String| {
             v.push(Violation {
                 kind: InvariantKind::StatsMismatch,
@@ -983,16 +979,20 @@ impl TraceOracle {
             });
         };
         for (idx, ls) in stats.links.iter().enumerate() {
-            let t = tallies.get(&idx).cloned().unwrap_or_default();
+            let t = self.links.get(&idx).copied().unwrap_or_default().stats;
             let pairs: [(&str, u64, u64); 8] = [
-                ("offered", t.enqueued, ls.offered),
-                ("delivered(tx)", t.tx, ls.delivered),
-                ("bytes_delivered", t.tx_bytes, ls.bytes_delivered),
-                ("lost", t.drops_loss, ls.lost),
-                ("dropped_queue", t.drops_queue, ls.dropped_queue),
-                ("dropped_down", t.drops_down, ls.dropped_down),
-                ("dropped_in_flight", t.drops_in_flight, ls.dropped_in_flight),
-                ("corrupted", t.drops_corrupt, ls.corrupted),
+                ("offered", t.offered, ls.offered),
+                ("delivered(tx)", t.delivered, ls.delivered),
+                ("bytes_delivered", t.bytes_delivered, ls.bytes_delivered),
+                ("lost", t.lost, ls.lost),
+                ("dropped_queue", t.dropped_queue, ls.dropped_queue),
+                ("dropped_down", t.dropped_down, ls.dropped_down),
+                (
+                    "dropped_in_flight",
+                    t.dropped_in_flight,
+                    ls.dropped_in_flight,
+                ),
+                ("corrupted", t.corrupted, ls.corrupted),
             ];
             for (name, traced, counted) in pairs {
                 if traced != counted {
@@ -1002,183 +1002,12 @@ impl TraceOracle {
                 }
             }
         }
-        for idx in tallies.keys() {
+        for idx in self.links.keys() {
             if *idx >= stats.links.len() {
                 mismatch(format!("trace mentions link {idx} unknown to SimStats"));
             }
         }
         v
-    }
-
-    fn audit_into(
-        &self,
-        records: &[TraceRecord],
-        v: &mut Vec<Violation>,
-    ) -> BTreeMap<usize, LinkTally> {
-        let mut prev_seq: Option<u64> = None;
-        let mut prev_time = SimTime::ZERO;
-        let mut node_time: BTreeMap<usize, SimTime> = BTreeMap::new();
-        let mut links: BTreeMap<usize, LinkTally> = BTreeMap::new();
-        let mut staged: BTreeSet<u64> = BTreeSet::new();
-        let mut in_flight: BTreeMap<usize, Tag> = BTreeMap::new();
-        let mut breaker: BTreeMap<usize, BreakerState> = BTreeMap::new();
-        let mut health_signals: BTreeMap<usize, u64> = BTreeMap::new();
-        for r in records {
-            if let Some(p) = prev_seq {
-                if r.seq <= p {
-                    v.push(Violation {
-                        kind: InvariantKind::MonotoneSeq,
-                        seq: r.seq,
-                        detail: format!("sequence {} follows {}", r.seq, p),
-                    });
-                }
-            }
-            prev_seq = Some(r.seq);
-            if r.at < prev_time {
-                v.push(Violation {
-                    kind: InvariantKind::MonotoneTime,
-                    seq: r.seq,
-                    detail: format!(
-                        "time went backwards: {} µs after {} µs",
-                        r.at.as_micros(),
-                        prev_time.as_micros()
-                    ),
-                });
-            }
-            prev_time = prev_time.max(r.at);
-            let nt = node_time.entry(r.node.index()).or_insert(SimTime::ZERO);
-            if r.at < *nt {
-                v.push(Violation {
-                    kind: InvariantKind::MonotoneTime,
-                    seq: r.seq,
-                    detail: format!(
-                        "node {} time went backwards: {} µs after {} µs",
-                        r.node.index(),
-                        r.at.as_micros(),
-                        nt.as_micros()
-                    ),
-                });
-            }
-            *nt = (*nt).max(r.at);
-            match r.event {
-                TraceEvent::PacketEnqueue { link, .. } => {
-                    links.entry(link.index()).or_default().enqueued += 1;
-                }
-                TraceEvent::PacketTx { link, bytes, .. } => {
-                    let t = links.entry(link.index()).or_default();
-                    t.tx += 1;
-                    t.tx_bytes += u64::from(bytes);
-                }
-                TraceEvent::PacketDeliver { link, .. } => {
-                    let t = links.entry(link.index()).or_default();
-                    t.delivered += 1;
-                    if t.delivered + t.drops_in_flight > t.tx {
-                        v.push(Violation {
-                            kind: InvariantKind::OrphanDelivery,
-                            seq: r.seq,
-                            detail: format!(
-                                "link {}: delivery #{} exceeds {} transmissions",
-                                link.index(),
-                                t.delivered + t.drops_in_flight,
-                                t.tx
-                            ),
-                        });
-                    }
-                }
-                TraceEvent::PacketDrop { link, reason, .. } => {
-                    let t = links.entry(link.index()).or_default();
-                    match reason {
-                        DropReason::Loss => t.drops_loss += 1,
-                        DropReason::Queue => t.drops_queue += 1,
-                        DropReason::Down => t.drops_down += 1,
-                        DropReason::Corrupt => t.drops_corrupt += 1,
-                        DropReason::InFlight => {
-                            t.drops_in_flight += 1;
-                            if t.delivered + t.drops_in_flight > t.tx {
-                                v.push(Violation {
-                                    kind: InvariantKind::OrphanDelivery,
-                                    seq: r.seq,
-                                    detail: format!(
-                                        "link {}: in-flight drop #{} exceeds {} transmissions",
-                                        link.index(),
-                                        t.delivered + t.drops_in_flight,
-                                        t.tx
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                TraceEvent::Staged { chunk, .. } => {
-                    staged.insert(chunk.0);
-                }
-                TraceEvent::FetchStart { chunk, .. } => {
-                    in_flight.insert(r.node.index(), chunk);
-                }
-                TraceEvent::FetchComplete {
-                    chunk, source, ok, ..
-                } => {
-                    in_flight.remove(&r.node.index());
-                    if ok && source == FetchSource::EdgeCache && !staged.contains(&chunk.0) {
-                        v.push(Violation {
-                            kind: InvariantKind::UnstagedEdgeFetch,
-                            seq: r.seq,
-                            detail: format!(
-                                "chunk {chunk} completed from the edge cache but was never staged"
-                            ),
-                        });
-                    }
-                }
-                TraceEvent::HandoffCommit { target } => {
-                    if self.check_handoff_atomicity {
-                        if let Some(chunk) = in_flight.get(&r.node.index()) {
-                            v.push(Violation {
-                                kind: InvariantKind::HandoffMidChunk,
-                                seq: r.seq,
-                                detail: format!(
-                                    "handoff to {target} committed while chunk {chunk} in flight"
-                                ),
-                            });
-                        }
-                    }
-                }
-                TraceEvent::StageRequest { chunk } => {
-                    if breaker.get(&r.node.index()) == Some(&BreakerState::Open) {
-                        v.push(Violation {
-                            kind: InvariantKind::StageWhileBreakerOpen,
-                            seq: r.seq,
-                            detail: format!(
-                                "node {} requested staging of chunk {chunk} \
-                                 with its breaker open",
-                                r.node.index()
-                            ),
-                        });
-                    }
-                }
-                TraceEvent::StageReject { .. } | TraceEvent::StageTimeout { .. } => {
-                    *health_signals.entry(r.node.index()).or_insert(0) += 1;
-                }
-                TraceEvent::BreakerTransition { state, .. } => {
-                    if state == BreakerState::Open
-                        && health_signals.get(&r.node.index()).copied().unwrap_or(0) == 0
-                    {
-                        v.push(Violation {
-                            kind: InvariantKind::BreakerOpenNoSignal,
-                            seq: r.seq,
-                            detail: format!(
-                                "node {} opened its breaker without a reject \
-                                 or timeout since the last transition",
-                                r.node.index()
-                            ),
-                        });
-                    }
-                    breaker.insert(r.node.index(), state);
-                    health_signals.insert(r.node.index(), 0);
-                }
-                _ => {}
-            }
-        }
-        links
     }
 }
 
@@ -1211,95 +1040,32 @@ mod tests {
         }
         assert_eq!(s.len(), 2);
         assert_eq!(s.dropped(), 3);
-        assert_eq!(s.total_recorded(), 5);
         let v = s.to_vec();
         assert_eq!(v[0].seq, 3);
         assert_eq!(v[1].seq, 4);
     }
 
     #[test]
-    fn jsonl_round_trips() {
-        let mut s = TraceSink::new(64);
-        s.record(
-            SimTime::from_micros(5),
-            NodeId(1),
-            TraceEvent::PacketTx {
-                link: LinkId(2),
-                bytes: 1460,
-                attempts: 3,
-            },
-        );
-        s.record(
-            SimTime::from_micros(9),
-            NodeId(2),
-            TraceEvent::FetchComplete {
-                chunk: Tag(0x1234),
-                bytes: 1 << 20,
-                source: FetchSource::EdgeCache,
-                ok: true,
-            },
-        );
-        s.record(
-            SimTime::from_micros(11),
-            NodeId(3),
-            TraceEvent::EvictOverflow { dropped: 512 },
-        );
-        let text = s.to_jsonl();
-        let parsed = parse_jsonl(&text).expect("parse");
-        assert_eq!(parsed, s.to_vec());
-    }
-
-    #[test]
-    fn overload_events_round_trip() {
-        let mut s = TraceSink::new(64);
-        s.record(
-            SimTime::from_micros(1),
-            NodeId(3),
-            TraceEvent::StageReject {
-                chunk: Tag(0xbeef),
-                reason: RejectReason::QueueDepth,
-                retry_after_us: 2_000_000,
-            },
-        );
-        s.record(
-            SimTime::from_micros(2),
-            NodeId(3),
-            TraceEvent::StageTimeout { chunk: Tag(0xbeef) },
-        );
-        s.record(
-            SimTime::from_micros(3),
-            NodeId(3),
-            TraceEvent::BreakerTransition {
-                edge: Tag(42),
-                state: BreakerState::HalfOpen,
-            },
-        );
-        s.record(
-            SimTime::from_micros(4),
-            NodeId(1),
-            TraceEvent::CacheResize { capacity: 1 << 20 },
-        );
-        s.record(
-            SimTime::from_micros(5),
-            NodeId(1),
-            TraceEvent::ServiceDegrade { delay_us: 250_000 },
-        );
-        let parsed = parse_jsonl(&s.to_jsonl()).expect("parse");
-        assert_eq!(parsed, s.to_vec());
-        for reason in [
-            RejectReason::QueueDepth,
-            RejectReason::QueueBytes,
-            RejectReason::Deadline,
-        ] {
-            assert_eq!(RejectReason::parse(reason.name()).expect("parse"), reason);
+    fn overflowed_ring_does_not_hide_violations() {
+        let (bytes, attempts) = (64, 1);
+        let mut s = TraceSink::new(4);
+        for i in 0..300 {
+            let link = LinkId(0);
+            let tx = TraceEvent::PacketTx {
+                link,
+                bytes,
+                attempts,
+            };
+            s.record(SimTime::from_micros(2 * i), NodeId(0), tx);
+            // One arrival nobody sent, long gone from the ring by the end.
+            let link = LinkId(usize::from(i == 150));
+            let deliver = TraceEvent::PacketDeliver { link, bytes };
+            s.record(SimTime::from_micros(2 * i + 1), NodeId(1), deliver);
         }
-        for state in [
-            BreakerState::Closed,
-            BreakerState::Open,
-            BreakerState::HalfOpen,
-        ] {
-            assert_eq!(BreakerState::parse(state.name()).expect("parse"), state);
-        }
+        assert_eq!((s.len(), s.dropped()), (4, 596));
+        let v = s.audit().violations(&TraceOracle::new(), None);
+        assert_eq!(v.len(), 1, "{v:#?}");
+        assert_eq!((v[0].kind, v[0].seq), (InvariantKind::OrphanDelivery, 301));
     }
 
     #[test]

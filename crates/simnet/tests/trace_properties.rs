@@ -6,8 +6,8 @@
 
 use simnet::trace::parse_jsonl;
 use simnet::{
-    ClientMode, DropReason, FetchSource, InvariantKind, LinkId, NodeId, SimTime, Tag, TraceEvent,
-    TraceOracle, TraceRecord,
+    BreakerState, ClientMode, DropReason, FetchSource, InvariantKind, LinkId, NodeId, RejectReason,
+    SimTime, Tag, TraceEvent, TraceOracle, TraceRecord,
 };
 use util::check::{check, Gen};
 use util::json::ToJson;
@@ -22,12 +22,65 @@ fn arb_tag(g: &mut Gen) -> Tag {
     Tag(arb_u63(g))
 }
 
+const REJECT_REASONS: [RejectReason; 3] = [
+    RejectReason::QueueDepth,
+    RejectReason::QueueBytes,
+    RejectReason::Deadline,
+];
+
+const BREAKER_STATES: [BreakerState; 3] = [
+    BreakerState::Closed,
+    BreakerState::Open,
+    BreakerState::HalfOpen,
+];
+
+/// Number of event kinds `arb_event` draws from. `kind_index` below is a
+/// no-wildcard match, so a new `TraceEvent` variant fails to compile here
+/// until it gets an index — and `generator_covers_every_kind` fails until
+/// `arb_event` generates it.
+const KINDS: usize = 30;
+
+fn kind_index(e: &TraceEvent) -> usize {
+    match e {
+        TraceEvent::PacketEnqueue { .. } => 0,
+        TraceEvent::PacketTx { .. } => 1,
+        TraceEvent::PacketDeliver { .. } => 2,
+        TraceEvent::PacketDrop { .. } => 3,
+        TraceEvent::LinkUp { .. } => 4,
+        TraceEvent::LinkDown { .. } => 5,
+        TraceEvent::FaultOnset { .. } => 6,
+        TraceEvent::FaultClear { .. } => 7,
+        TraceEvent::NodeCrash => 8,
+        TraceEvent::NodeRestart => 9,
+        TraceEvent::CacheWipe => 10,
+        TraceEvent::StageRequest { .. } => 11,
+        TraceEvent::StageAck { .. } => 12,
+        TraceEvent::StageStart { .. } => 13,
+        TraceEvent::Staged { .. } => 14,
+        TraceEvent::StageFailed { .. } => 15,
+        TraceEvent::ChunkEvicted { .. } => 16,
+        TraceEvent::EvictOverflow { .. } => 17,
+        TraceEvent::ChunkServed { .. } => 18,
+        TraceEvent::FetchStart { .. } => 19,
+        TraceEvent::FetchComplete { .. } => 20,
+        TraceEvent::HandoffDefer { .. } => 21,
+        TraceEvent::HandoffCommit { .. } => 22,
+        TraceEvent::ModeTransition { .. } => 23,
+        TraceEvent::StageDepth { .. } => 24,
+        TraceEvent::StageReject { .. } => 25,
+        TraceEvent::StageTimeout { .. } => 26,
+        TraceEvent::BreakerTransition { .. } => 27,
+        TraceEvent::CacheResize { .. } => 28,
+        TraceEvent::ServiceDegrade { .. } => 29,
+    }
+}
+
 fn arb_event(g: &mut Gen) -> TraceEvent {
     let link = LinkId::from_index(g.usize_in(0, 7));
     let chunk = arb_tag(g);
     let bytes32 = g.u64_in(0, u64::from(u32::MAX)) as u32;
     let bytes64 = arb_u63(g);
-    match g.usize_in(0, 23) {
+    match g.usize_in(0, KINDS - 1) {
         0 => TraceEvent::PacketEnqueue {
             link,
             bytes: bytes32,
@@ -75,33 +128,57 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
         },
         15 => TraceEvent::StageFailed { chunk },
         16 => TraceEvent::ChunkEvicted { chunk },
-        17 => TraceEvent::ChunkServed {
+        17 => TraceEvent::EvictOverflow { dropped: bytes64 },
+        18 => TraceEvent::ChunkServed {
             chunk,
             bytes: bytes64,
         },
-        18 => TraceEvent::FetchStart {
+        19 => TraceEvent::FetchStart {
             chunk,
             source: *g.choose(&[FetchSource::EdgeCache, FetchSource::Origin]),
         },
-        19 => TraceEvent::FetchComplete {
+        20 => TraceEvent::FetchComplete {
             chunk,
             bytes: bytes64,
             source: *g.choose(&[FetchSource::EdgeCache, FetchSource::Origin]),
             ok: g.bool(),
         },
-        20 => TraceEvent::HandoffDefer { target: chunk },
-        21 => TraceEvent::HandoffCommit { target: chunk },
-        22 => TraceEvent::ModeTransition {
+        21 => TraceEvent::HandoffDefer { target: chunk },
+        22 => TraceEvent::HandoffCommit { target: chunk },
+        23 => TraceEvent::ModeTransition {
             mode: *g.choose(&[
                 ClientMode::Active,
                 ClientMode::OriginFallback,
                 ClientMode::Degraded,
             ]),
         },
-        _ => TraceEvent::StageDepth {
+        24 => TraceEvent::StageDepth {
             depth: g.u64_in(0, u64::from(u32::MAX)) as u32,
         },
+        25 => TraceEvent::StageReject {
+            chunk,
+            reason: *g.choose(&REJECT_REASONS),
+            retry_after_us: bytes64,
+        },
+        26 => TraceEvent::StageTimeout { chunk },
+        27 => TraceEvent::BreakerTransition {
+            edge: chunk,
+            state: *g.choose(&BREAKER_STATES),
+        },
+        28 => TraceEvent::CacheResize { capacity: bytes64 },
+        _ => TraceEvent::ServiceDegrade { delay_us: bytes64 },
     }
+}
+
+#[test]
+fn generator_covers_every_kind() {
+    check("trace_generator_coverage", 4, |g| {
+        let mut seen = [false; KINDS];
+        for _ in 0..1024 {
+            seen[kind_index(&arb_event(g))] = true;
+        }
+        assert_eq!(seen, [true; KINDS], "arb_event never drew some kind");
+    });
 }
 
 #[test]
@@ -125,6 +202,11 @@ fn serialization_round_trips_every_event_shape() {
             .collect();
         let parsed = parse_jsonl(&jsonl).expect("serialized trace parses");
         assert_eq!(parsed, records, "round-trip must be exact");
+        // The wire names `softstage`'s reject message shares.
+        let reason = *g.choose(&REJECT_REASONS);
+        assert_eq!(RejectReason::parse(reason.name()).expect("parse"), reason);
+        let state = *g.choose(&BREAKER_STATES);
+        assert_eq!(BreakerState::parse(state.name()).expect("parse"), state);
     });
 }
 

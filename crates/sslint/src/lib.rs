@@ -16,7 +16,6 @@
 //! | D — determinism | `wall-clock`, `hash-iter` |
 //! | P — panic hygiene | `panic` |
 //! | H — hermeticity & layering | `dep-hermetic`, `layering`, `unsafe-forbid` |
-//! | T — trace conventions | `trace-kind` |
 //! | G — graph semantics | `panic-reach`, `rng-provenance`, `trace-coverage`, `dead-pub` |
 //! | F — flow (pass 3) | `hot-path-alloc`, `thread-capture`, `unsafe-contract`, `float-determinism` |
 //!

@@ -1,5 +1,5 @@
 //! The rule engine: determinism (D), panic hygiene (P), hermeticity &
-//! layering (H), trace conventions (T) and graph-semantic analysis (G).
+//! layering (H) and graph-semantic analysis (G).
 //!
 //! Each rule is a pure function from the lexed workspace model to a list
 //! of [`Finding`]s. The single-file rules are token-pattern based; the G
@@ -44,9 +44,6 @@ pub const RULE_DEP_HERMETIC: &str = "dep-hermetic";
 pub const RULE_LAYERING: &str = "layering";
 /// Rule H: every library crate must carry `#![forbid(unsafe_code)]`.
 pub const RULE_UNSAFE_FORBID: &str = "unsafe-forbid";
-/// Rule T: every `TraceEvent` kind used must be declared in
-/// `simnet::trace`.
-pub const RULE_TRACE_KIND: &str = "trace-kind";
 /// Hygiene of the hygiene tool: allow comments must carry a reason.
 pub const RULE_ALLOW_REASON: &str = "allow-reason";
 /// Allowlist-file entries that matched nothing are stale and must go.
@@ -128,11 +125,6 @@ pub const RULES: &[RuleInfo] = &[
         desc: "every library crate carries #![forbid(unsafe_code)]",
     },
     RuleInfo {
-        id: RULE_TRACE_KIND,
-        group: "T",
-        desc: "every TraceEvent kind used is declared in simnet::trace",
-    },
-    RuleInfo {
         id: RULE_ALLOW_REASON,
         group: "hygiene",
         desc: "inline allow comments must carry a reason",
@@ -197,7 +189,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_DEP_HERMETIC,
     RULE_LAYERING,
     RULE_UNSAFE_FORBID,
-    RULE_TRACE_KIND,
     RULE_ALLOW_REASON,
     RULE_ALLOWLIST_UNUSED,
     RULE_PANIC_REACH,
@@ -263,7 +254,6 @@ pub fn is_sim_crate(dir_name: &str) -> bool {
 pub fn run_all(ws: &Workspace, allow: &[crate::AllowEntry]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let declared = declared_trace_variants(ws);
-    let declared_kinds = declared.as_ref().map(|d| d.names.clone());
     hermeticity(ws, &mut findings);
     for krate in &ws.crates {
         layering(krate, &mut findings);
@@ -286,7 +276,6 @@ pub fn run_all(ws: &Workspace, allow: &[crate::AllowEntry]) -> Vec<Finding> {
             if !file.is_bin {
                 panic_hygiene(file, &mut findings);
             }
-            trace_kinds(file, &declared_kinds, &mut findings);
         }
     }
     let graph = Graph::build(ws);
@@ -748,7 +737,7 @@ fn unsafe_forbid(krate: &CrateInfo, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule T — trace conventions
+// The trace schema (read by trace-coverage)
 // ---------------------------------------------------------------------------
 
 /// The `TraceEvent` declaration as parsed out of `simnet`'s trace module:
@@ -763,10 +752,13 @@ struct TraceDecl {
     lines: BTreeMap<String, u32>,
 }
 
-/// Parses the declared `TraceEvent` variants out of
-/// `crates/simnet/src/trace.rs`. Returns `None` when the workspace has no
-/// trace module (rules T and trace-coverage are then skipped — nothing to
-/// check against).
+/// Parses the declared `TraceEvent` variants out of the `trace_events!`
+/// table in `crates/simnet/src/trace.rs` (entries are `Variant = "wire
+/// name"`, optionally followed by a `{ field: Type, … }` block). Anchors
+/// on the table *invocation*, not on the first `enum TraceEvent {` token
+/// run — the macro that expands the table carries one too. Returns `None`
+/// when the workspace has no trace table (trace-coverage is then skipped
+/// — nothing to check against).
 fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
     let simnet = ws.crates.iter().find(|c| c.dir_name == "simnet")?;
     let trace = simnet
@@ -774,9 +766,14 @@ fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
         .iter()
         .find(|f| f.rel.ends_with("src/trace.rs"))?;
     let toks = &trace.lexed.tokens;
-    let start = toks
+    let table = toks
         .windows(3)
-        .position(|w| w[0].is_ident("enum") && w[1].is_ident("TraceEvent") && w[2].is_punct("{"))?
+        .position(|w| w[0].is_ident("trace_events") && w[1].is_punct("!") && w[2].is_punct("{"))?
+        + 3;
+    let start = table
+        + toks.get(table..)?.windows(3).position(|w| {
+            w[0].is_ident("enum") && w[1].is_ident("TraceEvent") && w[2].is_punct("{")
+        })?
         + 3;
     let mut names = BTreeSet::new();
     let mut lines = BTreeMap::new();
@@ -806,39 +803,6 @@ fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
         names,
         lines,
     })
-}
-
-fn trace_kinds(file: &SrcFile, declared: &Option<BTreeSet<String>>, findings: &mut Vec<Finding>) {
-    let Some(declared) = declared else {
-        return;
-    };
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] {
-            continue;
-        }
-        if t.is_ident("TraceEvent")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|n| n.kind == TokKind::Ident)
-        {
-            let Some(kind_tok) = toks.get(i + 2) else {
-                continue;
-            };
-            let kind = &kind_tok.text;
-            if !declared.contains(kind) {
-                findings.push(Finding {
-                    rule: RULE_TRACE_KIND,
-                    file: file.rel.clone(),
-                    line: kind_tok.line,
-                    msg: format!(
-                        "trace kind `TraceEvent::{kind}` is not declared in \
-                         simnet::trace — declare the variant before \
-                         emitting it"
-                    ),
-                });
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,14 +991,14 @@ fn trace_coverage(
     for (ki, krate) in ws.crates.iter().enumerate() {
         for (fi, file) in krate.files.iter().enumerate() {
             let toks = &file.lexed.tokens;
-            // Token ranges of `impl TraceOracle` blocks in the declaring
+            // Token ranges of `impl TraceAudit` blocks in the declaring
             // file: variant uses there are the oracle checking, not
             // emitting.
             let oracle_spans: Vec<(usize, usize)> = if file.rel == decl.file {
                 graph.files[ki][fi]
                     .items
                     .iter()
-                    .filter(|it| it.kind == ItemKind::Impl && it.name == "TraceOracle")
+                    .filter(|it| it.kind == ItemKind::Impl && it.name == "TraceAudit")
                     .map(|it| it.span)
                     .collect()
             } else {
@@ -2056,6 +2020,25 @@ mod tests {
         }
         for c in ["util", "apps", "experiments", "bench", "suite", "sslint"] {
             assert!(!is_sim_crate(c), "{c}");
+        }
+    }
+
+    /// trace-coverage is only as good as its reading of the live
+    /// `trace_events!` table: an anchor that stops matching would make
+    /// the rule pass vacuously.
+    #[test]
+    fn live_trace_table_is_read() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let ws = crate::workspace::load(&root).expect("workspace loads");
+        let decl = declared_trace_variants(&ws).expect("simnet declares the trace table");
+        assert!(decl.names.len() >= 30, "{:?}", decl.names);
+        // First entry, a unit entry, last entry.
+        for name in ["PacketEnqueue", "NodeCrash", "ServiceDegrade"] {
+            assert!(
+                decl.names.contains(name),
+                "{name} missing: {:?}",
+                decl.names
+            );
         }
     }
 }

@@ -1,5 +1,16 @@
-/// Flight-recorder event kinds.
-pub enum TraceEvent {
-    PacketTx { link: u64 },
-    LinkUp,
+/// Flight-recorder event kinds, declared the way the live tree does: one
+/// table, expanded by a macro whose own body also says `enum TraceEvent {`.
+macro_rules! trace_events {
+    (pub enum TraceEvent { $($variant:ident = $wire:literal $({ $($field:ident: $ty:ty,)+ })?,)+ }) => {
+        pub enum TraceEvent { $($variant $({ $($field: $ty,)+ })?,)+ }
+    };
+}
+
+trace_events! {
+    pub enum TraceEvent {
+        PacketTx = "pkt_tx" {
+            link: u64,
+        },
+        LinkUp = "link_up",
+    }
 }

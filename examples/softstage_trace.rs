@@ -8,7 +8,9 @@
 //!
 //! With no output path the per-event-type summary and the oracle verdict
 //! print to stdout and the JSON lines are suppressed; pass a path (or `-`
-//! for stdout) to get the full trace.
+//! for stdout) to get the trace. The verdict comes from the streaming
+//! audit and covers every event of the run; the ring only bounds how much
+//! of it the JSON-lines dump (and the summary) can still show.
 
 use std::collections::BTreeMap;
 
@@ -55,7 +57,7 @@ fn main() {
         },
     );
     println!(
-        "trace: {} records ({} dropped by the ring)",
+        "trace: {} records in the ring ({} older ones dropped from the dump)",
         sink.len(),
         sink.dropped()
     );

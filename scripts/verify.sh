@@ -17,10 +17,10 @@ echo "== sslint (determinism & hygiene audit) =="
 target/release/sslint
 
 echo "== sslint: trace-coverage obligation is in force =="
-# The overload path added trace kinds (stage_reject, stage_timeout,
-# breaker_transition, cache_resize, service_degrade); the trace-coverage
-# rule is what obliges each one to keep an emit site and an oracle/test
-# reference. Fail loudly if the rule ever drops out of the catalogue.
+# Every entry of the trace_events! table in crates/simnet/src/trace.rs
+# must keep an emit site and an oracle/test reference; the trace-coverage
+# rule is what obliges it. Fail loudly if the rule ever drops out of the
+# catalogue.
 # (plain grep, not -q: -q closes the pipe on the first match, which the
 # emitter sees as a broken-pipe write error)
 cargo run -q -p sslint --release --offline -- --list-rules | grep '^trace-coverage' > /dev/null \
@@ -76,19 +76,5 @@ echo "== ssbench (the repo's benchmark) builds and passes its own tests =="
 # benchmark/ is its own workspace, so nothing above compiles it; this is
 # what notices a change under crates/ that breaks the benchmark.
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
-
-echo "== reproduce: parallel determinism diff + wall-clock record =="
-# Paired --jobs 1 vs --jobs 2 on the small smoke target: fails unless
-# byte-identical, refreshes the smoke entry in BENCH_reproduce.json.
-# For the full trajectory point, run: scripts/bench_reproduce.sh all 4
-scripts/bench_reproduce.sh smoke 2 2
-# The overload table (completion vs staging-queue cap) rides along as a
-# second recorded row: graceful degradation stays benchmarked.
-scripts/bench_reproduce.sh overload 2 1
-# Fleet smoke: ~200 concurrent clients sharing edge caches, end to end.
-# Records wall-clock and clients-simulated/sec; fails unless --jobs 1 and
-# --jobs 2 stay byte-identical. The full 1000-client sweep is the `fleet`
-# target: scripts/bench_reproduce.sh fleet 4
-scripts/bench_reproduce.sh fleet-smoke 2 1
 
 echo "verify: OK"

@@ -74,25 +74,19 @@ fn thousand_client_traces_are_byte_identical() {
 
 #[test]
 fn fleet_oracle_passes_multi_client_interleaving() {
-    // A couple hundred clients through two edges: staging requests,
-    // cache hits, evictions and fallbacks from distinct clients
-    // interleave in one trace, and every oracle invariant must still
-    // hold (per-link conservation, breaker transitions, staging
-    // bookkeeping).
-    let mut world = build(
-        &FleetParams {
-            clients: 200,
-            ..kilo_fleet(42)
-        }
-        .with_seed(7),
-    );
-    world.sim.enable_trace(common::TRACE_CAPACITY);
+    // A thousand clients through two edges: staging requests, cache
+    // hits, evictions and fallbacks from distinct clients interleave in
+    // one trace, and every oracle invariant must still hold (per-link
+    // conservation, breaker transitions, staging bookkeeping). The ring
+    // is deliberately far smaller than the run: the audit streams, so
+    // its verdict must not depend on what the ring retained.
+    let mut world = build(&kilo_fleet(7));
+    world.sim.enable_trace(4096);
     let s = world.run();
-    assert_eq!(s.completed, 200, "{s:?}");
-    assert_eq!(
-        world.sim.trace().map_or(0, |t| t.dropped()),
-        0,
-        "trace ring overflowed; raise the capacity"
+    assert_eq!(s.completed, 1000, "{s:?}");
+    assert!(
+        world.sim.trace().is_some_and(|t| t.dropped() > 0),
+        "the run must overflow the ring for this test to mean anything"
     );
     let violations = world.audit_trace();
     assert!(

@@ -66,6 +66,13 @@ fn golden(tb: &Testbed, scenario: &str) -> [u8; 20] {
         tb.sim.trace().expect("recorder attached").to_vec(),
         "{scenario}: JSONL round-trip"
     );
+    // The batch fold over the export and the streaming audit are the same
+    // rules: same verdict on a real trace, stats cross-check included.
+    assert_eq!(
+        TraceOracle::new().audit_with_stats(&parsed, tb.sim.stats()),
+        tb.audit_trace(),
+        "{scenario}: batch vs streaming audit"
+    );
     sha1::sha1(jsonl.as_bytes())
 }
 
