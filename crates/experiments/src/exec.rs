@@ -2,10 +2,13 @@
 //!
 //! Each figure module declares its table as a [`TableSpec`]: a list of
 //! independent [`Cell`]s (one simulation apiece) plus [`DerivedRow`]s
-//! computed from the cell values. [`execute`] evaluates every
-//! `(cell, replicate)` pair across a scoped worker pool and merges the
-//! results back **in declared order**, so the output is byte-identical
-//! regardless of worker count:
+//! computed from the cell values. A cell simulates its world once and
+//! publishes every number that world yields: value 0 is the cell's own
+//! row, the rest are read by derived rows ([`Values::at`]), so several
+//! rows about one world never cost a second simulation. [`execute`]
+//! evaluates every `(cell, replicate)` pair across a scoped worker pool
+//! and merges the results back **in declared order**, so the output is
+//! byte-identical regardless of worker count:
 //!
 //! - work assignment never influences results — each pair's seed is a
 //!   pure function of `(base seed, seed key, replicate)` via
@@ -27,11 +30,51 @@ use util::sync::parallel_map;
 
 use crate::report::{Spread, Table};
 
-/// How a cell measures one value from one seed.
-pub type CellFn = Box<dyn Fn(u64) -> f64 + Send + Sync>;
+/// How a cell turns one seed into the values its world publishes
+/// (never empty; value 0 is the cell's printed row).
+pub type CellFn = Box<dyn Fn(u64) -> Vec<f64> + Send + Sync>;
 
 /// How a derived row folds one replicate's cell values into one value.
-pub type DeriveFn = Box<dyn Fn(&[f64]) -> f64 + Send + Sync>;
+pub type DeriveFn = Box<dyn Fn(&Values<'_>) -> f64 + Send + Sync>;
+
+/// What one evaluation of a cell publishes: a bare `f64` for the common
+/// one-number cell, an array when the world yields several.
+pub struct Published(Vec<f64>);
+
+impl From<f64> for Published {
+    fn from(value: f64) -> Self {
+        Published(vec![value])
+    }
+}
+
+impl<const N: usize> From<[f64; N]> for Published {
+    fn from(values: [f64; N]) -> Self {
+        const { assert!(N > 0, "a cell publishes at least its own row") };
+        Published(values.into())
+    }
+}
+
+/// One replicate's published values, as derived rows see them: `v[i]` is
+/// cell `i`'s primary value (declared cell order), [`Values::at`] reads
+/// the others.
+pub struct Values<'a> {
+    cells: &'a [Vec<f64>],
+}
+
+impl Values<'_> {
+    /// The `k`-th value cell `cell` published this replicate.
+    pub fn at(&self, cell: usize, k: usize) -> f64 {
+        self.cells[cell][k]
+    }
+}
+
+impl std::ops::Index<usize> for Values<'_> {
+    type Output = f64;
+
+    fn index(&self, cell: usize) -> &f64 {
+        &self.cells[cell][0]
+    }
+}
 
 /// One independently evaluable cell of an experiment table.
 pub struct Cell {
@@ -51,18 +94,18 @@ pub struct Cell {
 
 impl Cell {
     /// A cell with the default per-cell seed key.
-    pub fn new(
+    pub fn new<V: Into<Published>>(
         id: impl Into<String>,
         label: impl Into<String>,
         paper: Option<f64>,
-        eval: impl Fn(u64) -> f64 + Send + Sync + 'static,
+        eval: impl Fn(u64) -> V + Send + Sync + 'static,
     ) -> Self {
         Cell {
             id: id.into(),
             label: label.into(),
             paper,
             seed_key: None,
-            eval: Box::new(eval),
+            eval: Box::new(move |seed| eval(seed).into().0),
         }
     }
 
@@ -90,7 +133,7 @@ impl DerivedRow {
     pub fn new(
         label: impl Into<String>,
         paper: Option<f64>,
-        derive: impl Fn(&[f64]) -> f64 + Send + Sync + 'static,
+        derive: impl Fn(&Values<'_>) -> f64 + Send + Sync + 'static,
     ) -> Self {
         DerivedRow {
             label: label.into(),
@@ -133,7 +176,7 @@ impl TableSpec {
     }
 
     /// Appends a derived row (builder style).
-    pub(crate) fn derived(mut self, row: DerivedRow) -> Self {
+    pub fn derived(mut self, row: DerivedRow) -> Self {
         self.derived.push(row);
         self
     }
@@ -206,7 +249,7 @@ pub fn execute(specs: &[TableSpec], config: &ExecConfig) -> Vec<Table> {
             }
         }
     }
-    let eval_item = |&(si, ci, r): &(usize, usize, u32)| -> f64 {
+    let eval_item = |&(si, ci, r): &(usize, usize, u32)| -> Vec<f64> {
         let (spec, cell) = (&specs[si], &specs[si].cells[ci]);
         let seed = util::seed::derive(config.base_seed, &seed_key(spec, cell), r);
         (cell.eval)(seed)
@@ -215,31 +258,29 @@ pub fn execute(specs: &[TableSpec], config: &ExecConfig) -> Vec<Table> {
     // effective worker gains nothing from a pool and measurably loses
     // to it on few-core hosts), and the seed derivation is identical
     // either way, so output is byte-identical across worker counts.
-    let results: Vec<f64> = parallel_map(items.len(), config.jobs, |i| eval_item(&items[i]));
+    let mut results = parallel_map(items.len(), config.jobs, |i| eval_item(&items[i])).into_iter();
 
-    // Merge back in declared order. Every slot is filled: a panicking
+    // Merge back in declared order — `results` is in work-list order, so
+    // each cell's replicates come next. Every slot is filled: a panicking
     // cell unwinds out of the scope above before we get here.
-    let mut base = 0usize;
     let mut tables = Vec::with_capacity(specs.len());
     for spec in specs {
         let mut table = Table::new(&spec.id, &spec.title, &spec.unit);
-        // Per-replicate cell values, for the derived rows.
-        let mut per_rep: Vec<Vec<f64>> = vec![Vec::with_capacity(spec.cells.len()); reps as usize];
+        // Per replicate, what each cell published — the derived rows' input.
+        let mut per_rep: Vec<Vec<Vec<f64>>> =
+            vec![Vec::with_capacity(spec.cells.len()); reps as usize];
         for (ci, cell) in spec.cells.iter().enumerate() {
-            let values: Vec<f64> = (0..reps)
-                .map(|r| {
-                    let idx = base + ci * reps as usize + r as usize;
-                    results[idx]
-                })
-                .collect();
-            for (r, &v) in values.iter().enumerate() {
-                per_rep[r].push(v);
+            for (rep, published) in per_rep.iter_mut().zip(&mut results) {
+                rep.push(published);
             }
+            let values: Vec<f64> = per_rep.iter().map(|rep| rep[ci][0]).collect();
             push_summary(&mut table, &cell.label, cell.paper, &values);
         }
-        base += spec.cells.len() * reps as usize;
         for row in &spec.derived {
-            let values: Vec<f64> = per_rep.iter().map(|vals| (row.derive)(vals)).collect();
+            let values: Vec<f64> = per_rep
+                .iter()
+                .map(|cells| (row.derive)(&Values { cells }))
+                .collect();
             push_summary(&mut table, &row.label, row.paper, &values);
         }
         tables.push(table);
@@ -391,6 +432,75 @@ mod tests {
             (sq_row.measured - v_row.measured * v_row.measured).abs() > 1e-12,
             "per-replicate fold must not collapse to mean-of-means"
         );
+    }
+
+    #[test]
+    fn secondary_values_fold_like_a_paired_metric_cell() {
+        // Before cells could publish several values, a second number of
+        // the same world was its own cell on the same seed key. Reading
+        // it through `at` must give that cell's row, replicate by
+        // replicate: same mean, same min/max.
+        let paired = TableSpec::new("t", "T", "u")
+            .cell(Cell::new("w", "w", None, synth(1)).with_seed_key("world"))
+            .cell(Cell::new("m", "metric", None, synth(2)).with_seed_key("world"));
+        let published = TableSpec::new("t", "T", "u")
+            .cell(
+                Cell::new("w", "w", None, |seed| [synth(1)(seed), synth(2)(seed)])
+                    .with_seed_key("world"),
+            )
+            .derived(DerivedRow::new("metric", None, |v| v.at(0, 1)));
+        let config = ExecConfig {
+            jobs: 2,
+            seeds: 3,
+            base_seed: 42,
+        };
+        let was = execute(&[paired], &config);
+        let now = execute(&[published], &config);
+        assert!(was[0].rows[1].spread.is_some(), "three replicates");
+        assert_eq!(json(&was), json(&now));
+    }
+
+    #[test]
+    fn each_world_is_evaluated_once_per_replicate() {
+        use std::sync::Arc;
+        use util::sync::{AtomicUsize, Ordering};
+
+        // The fleet-smoke shape: a staged and a baseline world, five
+        // metric rows off the staged one, a gain row and a constant —
+        // nine rows, two simulations per replicate.
+        let evals = Arc::new(AtomicUsize::new(0));
+        let spec = || {
+            let world = |tag: u64| {
+                let evals = Arc::clone(&evals);
+                Cell::new(format!("w{tag}"), "p50", None, move |seed| {
+                    evals.fetch_add(1, Ordering::Relaxed);
+                    let p50 = synth(tag)(seed);
+                    [p50, 1.0, 2.0, 3.0, 4.0, 5.0]
+                })
+                .with_seed_key("combo")
+            };
+            let mut spec = TableSpec::new("f", "Fleet-shaped", "u")
+                .cell(world(1))
+                .cell(world(2));
+            for m in 1..=5 {
+                spec = spec.derived(DerivedRow::new("metric", None, move |v| v.at(0, m)));
+            }
+            spec.derived(DerivedRow::new("gain", None, |v| v[1] / v[0]))
+                .derived(DerivedRow::new("total", None, |_| 2.0))
+        };
+        for jobs in [1, 4] {
+            evals.store(0, Ordering::Relaxed);
+            let config = ExecConfig {
+                jobs,
+                seeds: 3,
+                base_seed: 42,
+            };
+            assert_eq!(execute(&[spec()], &config)[0].rows.len(), 9);
+            assert_eq!(evals.load(Ordering::Relaxed), 2 * 3, "jobs={jobs}");
+        }
+        // One simulation per cell, so the cell counts are the world counts.
+        assert_eq!(crate::overload::spec().cells.len(), 3);
+        assert_eq!(crate::fleet::spec().cells.len(), 8);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! trace share a seed key so every replicate replays the *same*
 //! synthesized trace with both stacks before deriving the factor row.
 
-use simnet::{SimDuration, SimTime};
+use simnet::SimTime;
 use softstage::SoftStageConfig;
 use vehicular::{synthesize_wardriving, ConnectivityTrace, WardrivingParams};
 
@@ -143,6 +143,5 @@ pub fn smoke(seed: u64) -> TraceResult {
         },
         seed,
     );
-    let _ = SimDuration::from_secs(1);
     replay(&trace, seed)
 }

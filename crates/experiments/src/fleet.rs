@@ -25,10 +25,6 @@
 //! overhead. [`spec`] sweeps fleet size × Zipf skew to find the point
 //! where the edge-vs-origin gain row drops through 1.0.
 
-use std::sync::Arc;
-
-use util::sync::MemoMap;
-
 use simnet::{LinkConfig, NodeId, SimDuration, SimTime, Simulator};
 use softstage::StagingVnf;
 use softstage::{DeadlineAware, SoftStageClient, SoftStageConfig, VnfConfig};
@@ -45,7 +41,7 @@ use crate::testbed::generate_content;
 use crate::workload::{client_objects, ZipfCatalog};
 
 /// Everything that defines one fleet world. Results are a pure function
-/// of this struct — [`FleetParams::key`] is the memo key.
+/// of this struct.
 #[derive(Debug, Clone)]
 pub struct FleetParams {
     /// Concurrent clients in the world.
@@ -118,31 +114,6 @@ impl FleetParams {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// A stable memo key covering every field that can change results.
-    pub fn key(&self) -> String {
-        format!(
-            "c{}-e{}-o{}x{}x{}-w{}-z{:.4}-cache{}-s{}-bw{}/{}/{}-rtt{}-b{}-a{}-h{}-v{}-seed{}",
-            self.clients,
-            self.edges,
-            self.catalog_objects,
-            self.chunks_per_object,
-            self.chunk_size,
-            self.objects_per_client,
-            self.zipf_skew,
-            self.edge_cache_bytes,
-            u8::from(self.staging),
-            self.wireless_bw_bps,
-            self.backhaul_bw_bps,
-            self.origin_bw_bps,
-            self.origin_rtt.as_micros(),
-            self.beacon_interval.as_micros(),
-            self.arrival_window.as_micros(),
-            self.horizon.as_micros(),
-            u8::from(self.verify_content),
-            self.seed,
-        )
     }
 }
 
@@ -402,9 +373,7 @@ impl FleetWorld {
             {
                 first_unfinished += 1;
             }
-            let all_done = first_unfinished == self.clients.len()
-                && (0..self.clients.len()).all(|i| self.client_app(i).is_done());
-            if all_done || stop >= self.horizon {
+            if first_unfinished == self.clients.len() || stop >= self.horizon {
                 break;
             }
             next = next + slice;
@@ -514,55 +483,33 @@ impl FleetWorld {
     }
 }
 
-/// Memoized fleet summaries: several table rows read different metrics
-/// of the *same* world, and paired cells re-read it per replicate — the
-/// cache keeps that one simulation per world instead of one per row.
-/// Results are a pure function of the key, so memoization can never
-/// change output, only wall-clock.
-static CACHE: MemoMap<String, FleetSummary> = MemoMap::new();
-
-/// The summary for `params`, simulated at most once per key. The memo's
-/// map lock is only held to hand out the key's slot; concurrent callers
-/// for one key then block on the slot's `OnceLock`, so a world is never
-/// simulated twice — several workers asking for different metrics of
-/// the same world cost one simulation, not one each. (This per-key slot
-/// pattern is exactly what ssmc model-checks race-free in the
-/// `ssmc_model` suite; the plain-map variant it replaced is kept there
-/// as the known-bad fixture.)
-pub fn summary(params: &FleetParams) -> Arc<FleetSummary> {
-    CACHE.get_or_compute(params.key(), || build(params).run())
-}
-
-/// Empties the memo cache. Determinism tests call this between runs so
-/// a jobs-1-vs-jobs-N comparison actually re-simulates instead of
-/// trivially replaying cached summaries.
-pub fn reset_summary_cache() {
-    CACHE.clear();
+/// The summary of one freshly built and run world for `params`.
+pub fn summary(params: &FleetParams) -> FleetSummary {
+    build(params).run()
 }
 
 /// The sweep grid: fleet sizes × Zipf skews.
 const SWEEP_CLIENTS: [usize; 2] = [250, 1000];
 const SWEEP_SKEWS: [f64; 2] = [1.2, 0.0];
 
-/// Parameters for one sweep combo at one seed.
-fn combo(clients: usize, skew: f64, staging: bool, seed: u64) -> FleetParams {
-    FleetParams {
-        clients,
-        zipf_skew: skew,
-        staging,
-        ..FleetParams::default()
-    }
-    .with_seed(seed)
-}
+type Metric = (&'static str, fn(&FleetSummary) -> f64);
 
-fn combo_key(clients: usize, skew: f64) -> String {
-    format!("fleet/c{clients}-z{skew:.1}")
-}
+/// What each sweep cell publishes, in order: p50 (the cell's own row),
+/// then the metric rows read off the staged world of each combo.
+const METRICS: [Metric; 6] = [
+    ("p50 (s)", |s| s.p50_s),
+    ("p99 staged (s)", |s| s.p99_s),
+    ("edge cache hit ratio", |s| s.cache_hit_ratio),
+    ("origin offload", |s| s.origin_offload),
+    ("stage rejects (count)", |s| s.stage_rejects as f64),
+    ("completed clients (count)", |s| s.completed as f64),
+];
 
 /// Builds the fleet table over `sizes` × `skews`: per combo a staged and
-/// a baseline p50 cell (paired worlds), a derived edge-gain row, then
-/// per-combo staged-world metric rows (p99, hit ratio, origin offload,
-/// rejects, completions) that re-read the memoized staged summaries.
+/// a baseline p50 cell (paired worlds), then derived rows — the staged
+/// world's other metrics (p99, hit ratio, origin offload, rejects,
+/// completions), the edge gain per combo and the client total. One world
+/// is simulated per cell; every other row reads what it published.
 fn sweep_spec(id: &str, title: &str, sizes: &[usize], skews: &[f64]) -> TableSpec {
     let mut spec = TableSpec::new(id, title, "s / x / ratio / count");
     let combos: Vec<(usize, f64)> = sizes
@@ -577,13 +524,31 @@ fn sweep_spec(id: &str, title: &str, sizes: &[usize], skews: &[f64]) -> TableSpe
                     format!("{which}-c{clients}-z{skew:.1}"),
                     format!("p50 {which}, F={clients} z={skew:.1} (s)"),
                     None,
-                    move |seed| summary(&combo(clients, skew, staging, seed)).p50_s,
+                    move |seed| {
+                        let s = summary(&FleetParams {
+                            clients,
+                            zipf_skew: skew,
+                            staging,
+                            seed,
+                            ..FleetParams::default()
+                        });
+                        METRICS.map(|(_, read)| read(&s))
+                    },
                 )
-                .with_seed_key(combo_key(clients, skew)),
+                .with_seed_key(format!("fleet/c{clients}-z{skew:.1}")),
             );
         }
     }
-    // Cells so far: [2k] staged p50, [2k+1] baseline p50 per combo k.
+    // Cells: [2k] staged, [2k+1] baseline per combo k.
+    for (k, &(clients, skew)) in combos.iter().enumerate() {
+        for (m, (name, _)) in METRICS.iter().enumerate().skip(1) {
+            spec = spec.derived(DerivedRow::new(
+                format!("{name}, F={clients} z={skew:.1}"),
+                None,
+                move |v| v.at(2 * k, m),
+            ));
+        }
+    }
     for (k, &(clients, skew)) in combos.iter().enumerate() {
         spec = spec.derived(DerivedRow::new(
             format!("edge gain, F={clients} z={skew:.1} (x)"),
@@ -592,36 +557,11 @@ fn sweep_spec(id: &str, title: &str, sizes: &[usize], skews: &[f64]) -> TableSpe
         ));
     }
     let total: usize = combos.iter().map(|&(c, _)| 2 * c).sum();
-    spec = spec.derived(DerivedRow::new(
+    spec.derived(DerivedRow::new(
         "clients simulated (count)",
         None,
         move |_| total as f64,
-    ));
-    // Staged-world metrics ride on the memoized summaries: same seed
-    // key as the combo's p50 pair, so every replicate reads the world
-    // already simulated above.
-    type Metric = (&'static str, fn(&FleetSummary) -> f64);
-    let metrics: [Metric; 5] = [
-        ("p99 staged (s)", |s| s.p99_s),
-        ("edge cache hit ratio", |s| s.cache_hit_ratio),
-        ("origin offload", |s| s.origin_offload),
-        ("stage rejects (count)", |s| s.stage_rejects as f64),
-        ("completed clients (count)", |s| s.completed as f64),
-    ];
-    for &(clients, skew) in &combos {
-        for (name, read) in metrics {
-            spec = spec.cell(
-                Cell::new(
-                    format!("{name}-c{clients}-z{skew:.1}"),
-                    format!("{name}, F={clients} z={skew:.1}"),
-                    None,
-                    move |seed| read(&summary(&combo(clients, skew, true, seed))),
-                )
-                .with_seed_key(combo_key(clients, skew)),
-            );
-        }
-    }
-    spec
+    ))
 }
 
 /// The full fleet sweep: 250 and 1000 clients at strong (1.2) and no
@@ -706,18 +646,5 @@ mod tests {
             self.staging = staging;
             self
         }
-    }
-
-    #[test]
-    fn summary_memoizes_per_key_until_reset() {
-        reset_summary_cache();
-        let p = tiny(11);
-        let a = summary(&p);
-        let b = summary(&p);
-        assert!(Arc::ptr_eq(&a, &b), "second read must hit the memo");
-        reset_summary_cache();
-        let c = summary(&p);
-        assert!(!Arc::ptr_eq(&a, &c), "reset must drop the cached world");
-        assert_eq!(a.digest, c.digest, "recomputation must agree");
     }
 }

@@ -26,8 +26,8 @@ fn run_ok(args: &[&str]) -> Output {
 
 /// The tentpole invariant: output is byte-identical for any `--jobs N`.
 /// Exercised on the smoke target at `--seeds 2` so replicate fan-out is
-/// covered, and on the overload and fleet-smoke tables (shared-world
-/// memo, 200 clients) at one seed so the test stays affordable in debug
+/// covered, and on the overload and fleet-smoke tables (multi-valued
+/// cells, 200 clients) at one seed so the test stays affordable in debug
 /// builds.
 #[test]
 fn jobs_do_not_change_output() {

@@ -387,8 +387,8 @@ fn sync_shim_flag(findings: &mut Vec<Finding>, file: &SrcFile, tok: &Tok, module
     });
 }
 
-/// Rule `sync-shim`: every lock, atomic, memo slot and spawn must come
-/// from `util::sync`, the workspace's single doorway to concurrency —
+/// Rule `sync-shim`: every lock, atomic and spawn must come from
+/// `util::sync`, the workspace's single doorway to concurrency —
 /// that is what lets `RUSTFLAGS="--cfg model"` swap the whole workspace
 /// onto ssmc's instrumented twins and exhaustively explore its
 /// interleavings. Plain shared-ownership types (`Arc`, `Weak`) and the

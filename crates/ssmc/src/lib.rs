@@ -18,11 +18,11 @@
 //!   budget (default 2) keeps the suite fast while catching the
 //!   overwhelming majority of real interleaving bugs.
 //! - **Happens-before race detection.** A vector-clock engine tracks
-//!   the release/acquire edges of every mutex, atomic, `OnceLock` and
-//!   spawn/join. Plain-memory accesses ([`sync::RaceCell`]) that are
-//!   not ordered by those edges are reported as a [`Failure::Race`]
-//!   carrying both racing source locations — the detector finds the
-//!   race even when the explored schedule happened to "win" it.
+//!   the release/acquire edges of every mutex, atomic and spawn/join.
+//!   Plain-memory accesses ([`sync::RaceCell`]) that are not ordered by
+//!   those edges are reported as a [`Failure::Race`] carrying both
+//!   racing source locations — the detector finds the race even when
+//!   the explored schedule happened to "win" it.
 //! - **Result checking.** The closure's return value must be identical
 //!   across every explored schedule (the workspace's byte-identity
 //!   contract); any divergence is a [`Failure::Mismatch`]. Runs with

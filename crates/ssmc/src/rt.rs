@@ -54,8 +54,6 @@ pub(crate) enum OpKind {
     AtomicLoad,
     AtomicStore,
     AtomicRmw,
-    Once,
-    OnceGet,
     CellRead,
     CellWrite,
 }
@@ -67,8 +65,6 @@ impl OpKind {
             OpKind::AtomicLoad => Op::AtomicLoad(id),
             OpKind::AtomicStore => Op::AtomicStore(id),
             OpKind::AtomicRmw => Op::AtomicRmw(id),
-            OpKind::Once => Op::Once(id),
-            OpKind::OnceGet => Op::OnceGet(id),
             OpKind::CellRead => Op::CellRead(id),
             OpKind::CellWrite => Op::CellWrite(id),
         }
@@ -84,14 +80,11 @@ pub(crate) enum Op {
     AtomicLoad(u64),
     AtomicStore(u64),
     AtomicRmw(u64),
-    Once(u64),
-    OnceGet(u64),
     CellRead(u64),
     CellWrite(u64),
     Join(Vec<usize>),
     // Trace-only (never pending):
     Unlock(u64),
-    OnceDone(u64),
     Spawn(usize),
     Exit,
     Choice(usize, usize),
@@ -104,12 +97,9 @@ impl Op {
             | Op::AtomicLoad(o)
             | Op::AtomicStore(o)
             | Op::AtomicRmw(o)
-            | Op::Once(o)
-            | Op::OnceGet(o)
             | Op::CellRead(o)
             | Op::CellWrite(o)
-            | Op::Unlock(o)
-            | Op::OnceDone(o) => Some(*o),
+            | Op::Unlock(o) => Some(*o),
             _ => None,
         }
     }
@@ -117,7 +107,7 @@ impl Op {
     fn is_write(&self) -> bool {
         matches!(
             self,
-            Op::Lock(_) | Op::AtomicStore(_) | Op::AtomicRmw(_) | Op::Once(_) | Op::CellWrite(_)
+            Op::Lock(_) | Op::AtomicStore(_) | Op::AtomicRmw(_) | Op::CellWrite(_)
         )
     }
 
@@ -128,13 +118,10 @@ impl Op {
             Op::AtomicLoad(_) => "atomic-load",
             Op::AtomicStore(_) => "atomic-store",
             Op::AtomicRmw(_) => "atomic-rmw",
-            Op::Once(_) => "once",
-            Op::OnceGet(_) => "once-get",
             Op::CellRead(_) => "cell-read",
             Op::CellWrite(_) => "cell-write",
             Op::Join(_) => "join",
             Op::Unlock(_) => "unlock",
-            Op::OnceDone(_) => "once-done",
             Op::Spawn(_) => "spawn",
             Op::Exit => "exit",
             Op::Choice(_, _) => "choice",
@@ -152,19 +139,6 @@ fn dependent(a: &Op, b: &Op) -> bool {
     }
 }
 
-/// Outcome of a scheduled operation, for primitives whose behavior
-/// depends on model state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Outcome {
-    /// Plain effect applied; proceed.
-    Proceed,
-    /// This thread won the `OnceLock` initialization: run the
-    /// initializer, then call [`Rt::once_done`].
-    OnceInit,
-    /// The `OnceLock` was already initialized (acquire edge applied).
-    OnceReady,
-}
-
 #[derive(Clone, Debug)]
 struct Access {
     tid: usize,
@@ -172,20 +146,11 @@ struct Access {
     site: String,
 }
 
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum OnceState {
-    #[default]
-    Vacant,
-    Running(usize),
-    Done,
-}
-
 #[derive(Default)]
 struct ObjState {
     /// Release clock: joined into acquirers.
     vc: VClock,
     locked_by: Option<usize>,
-    once: OnceState,
     write: Option<Access>,
     reads: BTreeMap<usize, Access>,
 }
@@ -344,9 +309,9 @@ impl Rt {
         }
     }
 
-    /// Declares `op`, schedules, waits for the token, applies the op's
-    /// happens-before effects, and returns its outcome.
-    fn run_op(&self, me: usize, op: Op, loc: Option<&'static Location<'static>>) -> Outcome {
+    /// Declares `op`, schedules, waits for the token and applies the op's
+    /// happens-before effects.
+    fn run_op(&self, me: usize, op: Op, loc: Option<&'static Location<'static>>) {
         let mut st = self.st();
         {
             let t = &mut st.threads[me];
@@ -372,13 +337,10 @@ impl Rt {
             op: op.clone(),
             loc,
         });
-        match self.apply(&mut st, me, &op, loc) {
-            Ok(outcome) => outcome,
-            Err(f) => {
-                self.fail(&mut st, f);
-                drop(st);
-                self.abort_unwind();
-            }
+        if let Err(f) = self.apply(&mut st, me, &op, loc) {
+            self.fail(&mut st, f);
+            drop(st);
+            self.abort_unwind();
         }
     }
 
@@ -389,22 +351,18 @@ impl Rt {
         token: &ObjToken,
         kind: OpKind,
         loc: &'static Location<'static>,
-    ) -> Outcome {
+    ) {
         let id = {
             let mut st = self.st();
             Self::obj_id(&mut st, token)
         };
-        self.run_op(me, kind.op(id), Some(loc))
+        self.run_op(me, kind.op(id), Some(loc));
     }
 
     /// Whether thread `t`'s declared op can execute right now.
     fn op_enabled(st: &SchedState, t: usize) -> bool {
         match &st.threads[t].pending {
             Some(Op::Lock(o)) => st.objs.get(o).map_or(true, |s| s.locked_by.is_none()),
-            Some(Op::Once(o)) => st
-                .objs
-                .get(o)
-                .map_or(true, |s| !matches!(s.once, OnceState::Running(r) if r != t)),
             Some(Op::Join(children)) => children.iter().all(|&c| st.threads[c].finished),
             Some(_) => true,
             None => false,
@@ -544,7 +502,7 @@ impl Rt {
         me: usize,
         op: &Op,
         loc: Option<&'static Location<'static>>,
-    ) -> Result<Outcome, Failure> {
+    ) -> Result<(), Failure> {
         let site = || loc.map_or_else(|| "<unknown>".to_owned(), Location::to_string);
         st.threads[me].vc.bump(me);
         match op {
@@ -557,7 +515,7 @@ impl Rt {
                 };
                 st.threads[me].vc.join(&ovc);
             }
-            Op::AtomicLoad(o) | Op::OnceGet(o) => {
+            Op::AtomicLoad(o) => {
                 let ovc = st.objs.entry(*o).or_default().vc.clone();
                 st.threads[me].vc.join(&ovc);
             }
@@ -570,28 +528,6 @@ impl Rt {
                 st.threads[me].vc.join(&ovc);
                 let vc = st.threads[me].vc.clone();
                 st.objs.entry(*o).or_default().vc.join(&vc);
-            }
-            Op::Once(o) => {
-                let state = st.objs.entry(*o).or_default().once;
-                match state {
-                    OnceState::Done => {
-                        let ovc = st.objs.entry(*o).or_default().vc.clone();
-                        st.threads[me].vc.join(&ovc);
-                        return Ok(Outcome::OnceReady);
-                    }
-                    OnceState::Vacant => {
-                        st.objs.entry(*o).or_default().once = OnceState::Running(me);
-                        return Ok(Outcome::OnceInit);
-                    }
-                    OnceState::Running(r) => {
-                        return Err(Failure::Nondeterminism {
-                            detail: format!(
-                                "thread {me} scheduled into a OnceLock still initializing \
-                                 on thread {r}"
-                            ),
-                        });
-                    }
-                }
             }
             Op::CellRead(o) => {
                 let my_vc = st.threads[me].vc.clone();
@@ -659,9 +595,9 @@ impl Rt {
                 st.threads[me].vc.join(&acc);
             }
             // Trace-only ops are never scheduled.
-            Op::Unlock(_) | Op::OnceDone(_) | Op::Spawn(_) | Op::Exit | Op::Choice(_, _) => {}
+            Op::Unlock(_) | Op::Spawn(_) | Op::Exit | Op::Choice(_, _) => {}
         }
-        Ok(Outcome::Proceed)
+        Ok(())
     }
 
     /// Mutex release: a non-yielding release edge (the next decision
@@ -680,27 +616,6 @@ impl Rt {
         st.trace.push(TraceStep {
             tid: me,
             op: Op::Unlock(id),
-            loc: None,
-        });
-        self.cv.notify_all();
-    }
-
-    /// Completes a `OnceLock` initialization won via
-    /// [`Outcome::OnceInit`]; releases to all future getters.
-    pub(crate) fn once_done(&self, me: usize, token: &ObjToken) {
-        let mut st = self.st();
-        if st.abort {
-            return;
-        }
-        let id = Self::obj_id(&mut st, token);
-        st.threads[me].vc.bump(me);
-        let vc = st.threads[me].vc.clone();
-        let obj = st.objs.entry(id).or_default();
-        obj.vc.join(&vc);
-        obj.once = OnceState::Done;
-        st.trace.push(TraceStep {
-            tid: me,
-            op: Op::OnceDone(id),
             loc: None,
         });
         self.cv.notify_all();

@@ -23,7 +23,7 @@ use std::sync::PoisonError;
 
 pub use std::sync::atomic::Ordering;
 
-use crate::rt::{self, ObjToken, OpKind, Outcome};
+use crate::rt::{self, ObjToken, OpKind};
 
 /// A mutual-exclusion lock; [`lock`](Mutex::lock) is a schedule point
 /// and an acquire edge, guard drop a release edge.
@@ -94,62 +94,40 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-macro_rules! model_atomic {
-    ($(#[$doc:meta])* $name:ident, $real:ty, $value:ty) => {
-        $(#[$doc])*
-        pub struct $name {
-            token: ObjToken,
-            real: $real,
-        }
-
-        impl $name {
-            /// A new atomic with the given initial value.
-            pub const fn new(v: $value) -> Self {
-                $name { token: ObjToken::new(), real: <$real>::new(v) }
-            }
-
-            /// Loads the value (an acquire edge in the model; the
-            /// requested ordering is upgraded to `SeqCst`).
-            #[track_caller]
-            pub fn load(&self, _order: Ordering) -> $value {
-                if let Some((rt, me)) = rt::handle() {
-                    rt.op_on(me, &self.token, OpKind::AtomicLoad, Location::caller());
-                }
-                self.real.load(Ordering::SeqCst)
-            }
-
-            /// Stores a value (a release edge in the model).
-            #[track_caller]
-            pub fn store(&self, v: $value, _order: Ordering) {
-                if let Some((rt, me)) = rt::handle() {
-                    rt.op_on(me, &self.token, OpKind::AtomicStore, Location::caller());
-                }
-                self.real.store(v, Ordering::SeqCst);
-            }
-        }
-    };
+/// Atomic `usize` — the work-stealing cursor type.
+pub struct AtomicUsize {
+    token: ObjToken,
+    real: std::sync::atomic::AtomicUsize,
 }
 
-model_atomic!(
-    /// Atomic `usize` — the work-stealing cursor type.
-    AtomicUsize,
-    std::sync::atomic::AtomicUsize,
-    usize
-);
-model_atomic!(
-    /// Atomic `u64` counter.
-    AtomicU64,
-    std::sync::atomic::AtomicU64,
-    u64
-);
-model_atomic!(
-    /// Atomic flag.
-    AtomicBool,
-    std::sync::atomic::AtomicBool,
-    bool
-);
-
 impl AtomicUsize {
+    /// A new atomic with the given initial value.
+    pub const fn new(v: usize) -> Self {
+        AtomicUsize {
+            token: ObjToken::new(),
+            real: std::sync::atomic::AtomicUsize::new(v),
+        }
+    }
+
+    /// Loads the value (an acquire edge in the model; the requested
+    /// ordering is upgraded to `SeqCst`).
+    #[track_caller]
+    pub fn load(&self, _order: Ordering) -> usize {
+        if let Some((rt, me)) = rt::handle() {
+            rt.op_on(me, &self.token, OpKind::AtomicLoad, Location::caller());
+        }
+        self.real.load(Ordering::SeqCst)
+    }
+
+    /// Stores a value (a release edge in the model).
+    #[track_caller]
+    pub fn store(&self, v: usize, _order: Ordering) {
+        if let Some((rt, me)) = rt::handle() {
+            rt.op_on(me, &self.token, OpKind::AtomicStore, Location::caller());
+        }
+        self.real.store(v, Ordering::SeqCst);
+    }
+
     /// Atomically adds, returning the previous value (an acquire and
     /// release edge — read-modify-write).
     #[track_caller]
@@ -158,86 +136,6 @@ impl AtomicUsize {
             rt.op_on(me, &self.token, OpKind::AtomicRmw, Location::caller());
         }
         self.real.fetch_add(v, Ordering::SeqCst)
-    }
-}
-
-impl AtomicU64 {
-    /// Atomically adds, returning the previous value.
-    #[track_caller]
-    pub fn fetch_add(&self, v: u64, _order: Ordering) -> u64 {
-        if let Some((rt, me)) = rt::handle() {
-            rt.op_on(me, &self.token, OpKind::AtomicRmw, Location::caller());
-        }
-        self.real.fetch_add(v, Ordering::SeqCst)
-    }
-}
-
-impl AtomicBool {
-    /// Atomically replaces the value, returning the previous one.
-    #[track_caller]
-    pub fn swap(&self, v: bool, _order: Ordering) -> bool {
-        if let Some((rt, me)) = rt::handle() {
-            rt.op_on(me, &self.token, OpKind::AtomicRmw, Location::caller());
-        }
-        self.real.swap(v, Ordering::SeqCst)
-    }
-}
-
-/// A write-once memo slot. In the model, losing the initialization race
-/// *blocks* (in model time) until the winner finishes, then observes
-/// the published value through an acquire edge — this is why the
-/// `MemoMap` slot pattern is race-free by construction.
-pub struct OnceLock<T> {
-    token: ObjToken,
-    real: std::sync::OnceLock<T>,
-}
-
-impl<T> OnceLock<T> {
-    /// An empty slot.
-    pub const fn new() -> Self {
-        OnceLock {
-            token: ObjToken::new(),
-            real: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// The value, if initialized (an acquire edge in the model).
-    #[track_caller]
-    pub fn get(&self) -> Option<&T> {
-        if let Some((rt, me)) = rt::handle() {
-            rt.op_on(me, &self.token, OpKind::OnceGet, Location::caller());
-        }
-        self.real.get()
-    }
-
-    /// Returns the value, initializing it with `f` if the slot is
-    /// empty. Exactly one initializer runs per slot.
-    #[track_caller]
-    pub fn get_or_init<F: FnOnce() -> T>(&self, f: F) -> &T {
-        match rt::handle() {
-            None => self.real.get_or_init(f),
-            Some((rt, me)) => {
-                match rt.op_on(me, &self.token, OpKind::Once, Location::caller()) {
-                    Outcome::OnceInit => {
-                        let v = self.real.get_or_init(f);
-                        rt.once_done(me, &self.token);
-                        v
-                    }
-                    Outcome::OnceReady | Outcome::Proceed => match self.real.get() {
-                        Some(v) => v,
-                        // Unreachable: OnceReady implies an initialized
-                        // slot. Stay total rather than panic.
-                        None => self.real.get_or_init(f),
-                    },
-                }
-            }
-        }
-    }
-}
-
-impl<T> Default for OnceLock<T> {
-    fn default() -> Self {
-        OnceLock::new()
     }
 }
 

@@ -18,7 +18,7 @@
 //! - [`sync`]: the workspace's doorway to `std::sync`/`std::thread` —
 //!   zero-cost re-exports in normal builds that swap to the `ssmc`
 //!   model checker's instrumented twins under `--cfg model`, plus the
-//!   shared [`sync::parallel_map`] pool and [`sync::MemoMap`] memo.
+//!   shared [`sync::parallel_map`] pool.
 //!
 //! Everything here is deterministic where it matters: the property harness
 //! derives its cases from a fixed per-property seed, so CI failures

@@ -1,8 +1,8 @@
 //! The workspace's only doorway to `std::sync` / `std::thread`.
 //!
-//! Every concurrent site in the workspace — the experiments fan-out
-//! pool, the fleet summary memo — builds on the primitives re-exported
-//! here instead of naming `std::sync` or `std::thread` directly (the
+//! The workspace's one concurrent site — the experiments fan-out pool,
+//! [`parallel_map`] below — builds on the primitives re-exported here
+//! instead of naming `std::sync` or `std::thread` directly (the
 //! `sync-shim` lint rule enforces this).
 //! The payoff is a compile-time switch:
 //!
@@ -15,8 +15,8 @@
 //! - Under `RUSTFLAGS="--cfg model"` the same names resolve to
 //!   [`ssmc::sync`] twins, and every synchronization operation routes
 //!   through ssmc's schedule-exploring scheduler and vector-clock race
-//!   detector. `crates/util/tests/model.rs` exhaustively explores the
-//!   shared helpers below under that cfg.
+//!   detector. `crates/util/tests/model.rs` exhaustively explores
+//!   [`parallel_map`] under that cfg.
 //!
 //! See DESIGN.md §8 for the model's semantics (SeqCst upgrade,
 //! happens-before edges, preemption bounding).
@@ -27,8 +27,8 @@
 mod real {
     use std::sync::PoisonError;
 
-    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    pub use std::sync::{MutexGuard, OnceLock};
+    pub use std::sync::atomic::{AtomicUsize, Ordering};
+    pub use std::sync::MutexGuard;
     pub use std::thread::{scope, Scope};
 
     /// A non-poisoning [`std::sync::Mutex`]: `lock()` hands back the
@@ -73,9 +73,7 @@ mod real {
 pub use real::*;
 
 #[cfg(model)]
-pub use ssmc::sync::{
-    scope, AtomicBool, AtomicU64, AtomicUsize, Mutex, MutexGuard, OnceLock, Ordering, Scope,
-};
+pub use ssmc::sync::{scope, AtomicUsize, Mutex, MutexGuard, Ordering, Scope};
 
 /// Model-build stand-in for the hardware-thread count: a fixed small
 /// value, so code branching on it stays deterministic under
@@ -84,9 +82,6 @@ pub use ssmc::sync::{
 pub fn available_parallelism() -> Option<usize> {
     Some(2)
 }
-
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Maps `f` over `0..len` with a pool of `jobs` worker threads,
 /// returning the results in index order.
@@ -133,49 +128,6 @@ where
         .collect()
 }
 
-/// A concurrent compute-once memo: one [`OnceLock`] slot per key.
-///
-/// Losers of a per-key compute race block on the slot and observe the
-/// winner's value through an acquire edge, so `compute` runs at most
-/// once per key and every caller sees the same `Arc` — the pattern the
-/// fleet summary cache uses. The two-level shape (a mutex only around
-/// the key table, computation outside it) keeps slow computations from
-/// serializing unrelated keys.
-pub struct MemoMap<K, V> {
-    map: Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>,
-}
-
-impl<K: Ord, V> MemoMap<K, V> {
-    /// An empty memo.
-    pub const fn new() -> Self {
-        MemoMap {
-            map: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The memoized value for `key`, running `compute` to fill the slot
-    /// if this is the first request (or racing requests lost the
-    /// initialization).
-    pub fn get_or_compute<F: FnOnce() -> V>(&self, key: K, compute: F) -> Arc<V> {
-        let slot = {
-            let mut map = self.map.lock();
-            Arc::clone(map.entry(key).or_default())
-        };
-        Arc::clone(slot.get_or_init(|| Arc::new(compute())))
-    }
-
-    /// Drops every memoized slot (subsequent lookups recompute).
-    pub fn clear(&self) {
-        self.map.lock().clear();
-    }
-}
-
-impl<K: Ord, V> Default for MemoMap<K, V> {
-    fn default() -> Self {
-        MemoMap::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,28 +139,6 @@ mod tests {
             assert_eq!(parallel_map(17, jobs, |i| (i as u64) * 3 + 1), reference);
         }
         assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn memo_map_computes_once_per_key() {
-        let memo: MemoMap<String, u32> = MemoMap::new();
-        let calls = AtomicUsize::new(0);
-        let a = memo.get_or_compute("a".to_owned(), || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            7
-        });
-        let b = memo.get_or_compute("a".to_owned(), || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            9
-        });
-        assert_eq!((*a, *b), (7, 7));
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        memo.clear();
-        let c = memo.get_or_compute("a".to_owned(), || {
-            calls.fetch_add(1, Ordering::Relaxed);
-            9
-        });
-        assert_eq!(*c, 9);
     }
 
     #[test]

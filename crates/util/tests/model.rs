@@ -1,15 +1,14 @@
-//! Exhaustive model checks of `util::sync`'s shared helpers.
+//! Exhaustive model checks of `util::sync::parallel_map`.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg model"`, where `util::sync`
-//! resolves to the ssmc-instrumented primitives — so the
-//! `parallel_map` pool and `MemoMap` memo explored here are the exact
-//! code the experiments grid runner and the fleet summary cache run in
-//! production builds.
+//! resolves to the ssmc-instrumented primitives — so the pool explored
+//! here is the exact code the experiments grid runner runs in production
+//! builds.
 //!
 //! Run with: `RUSTFLAGS="--cfg model" cargo test -p softstage-util --test model`
 #![cfg(model)]
 
-use util::sync::{parallel_map, MemoMap, Ordering};
+use util::sync::parallel_map;
 
 fn cfg(name: &str) -> ssmc::Config {
     let mut cfg = ssmc::Config::new(name);
@@ -43,36 +42,4 @@ fn parallel_map_serial_path_has_one_schedule() {
     })
     .unwrap_or_else(|f| panic!("serial parallel_map failed model check: {f}"));
     assert_eq!(stats.schedules, 1);
-}
-
-/// Two threads demanding the same key: the compute closure runs exactly
-/// once, both observe the same value, and no interleaving races.
-#[test]
-fn memo_map_computes_once_under_contention() {
-    let stats = ssmc::explore(cfg("util-memo-map"), || {
-        let memo: MemoMap<u8, u64> = MemoMap::new();
-        let calls = util::sync::AtomicUsize::new(0);
-        let memo = &memo;
-        let calls = &calls;
-        let seen = util::sync::Mutex::new([0u64; 2]);
-        util::sync::scope(|s| {
-            let seen = &seen;
-            for t in 0..2usize {
-                s.spawn(move || {
-                    let v = memo.get_or_compute(1, || {
-                        calls.fetch_add(1, Ordering::Relaxed);
-                        40 + 2
-                    });
-                    seen.lock()[t] = *v;
-                });
-            }
-        });
-        let snapshot = seen.into_inner();
-        (calls.load(Ordering::Relaxed), snapshot)
-    })
-    .unwrap_or_else(|f| panic!("MemoMap failed model check: {f}"));
-    assert!(
-        stats.schedules >= 2,
-        "expected >1 interleaving, got {stats:?}"
-    );
 }

@@ -56,16 +56,16 @@ cargo test -q --offline --release -p softstage-suite --test overload
 
 echo "== ssmc model checking (bounded schedule exploration, release) =="
 # Detection power (the known-bad plain-map memo must be flagged with both
-# racing sites) plus exhaustive byte-identity of the real concurrent
-# structures (work-stealing cursor, OnceLock memo) and the choice-driven
-# breaker walk — all under the preemption-bound-2 CI budget, seconds not
-# minutes.
+# racing sites; schedule-dependent results, lock inversion and panics in
+# checked code must be reported) plus exhaustive byte-identity of the
+# work-stealing cursor shape and the choice/preemption-bound machinery —
+# all under the preemption-bound-2 CI budget, seconds not minutes.
 cargo test -q --offline --release -p softstage-suite --test ssmc_model
 
 echo "== util::sync under the model cfg (shim routed through ssmc) =="
 # Rebuilds util with `--cfg model` into its own target dir (so the main
-# build cache stays warm) and explores parallel_map and MemoMap through
-# the exact shim the production sites use.
+# build cache stays warm) and explores parallel_map — the workspace's
+# one threaded function — through the exact shim exec.rs calls it by.
 RUSTFLAGS="--cfg model" CARGO_TARGET_DIR=target/model \
     cargo test -q --offline -p softstage-util --test model
 

@@ -9,8 +9,8 @@
 
 mod common;
 
-use softstage_suite::experiments::fleet::{build, reset_summary_cache, summary, FleetParams};
-use softstage_suite::experiments::{execute, Cell, ExecConfig, TableSpec};
+use softstage_suite::experiments::fleet::{build, summary, FleetParams};
+use softstage_suite::experiments::{execute, Cell, DerivedRow, ExecConfig, TableSpec};
 use softstage_suite::simnet::SimDuration;
 use softstage_suite::xia_addr::sha1;
 use util::json::ToJson;
@@ -97,31 +97,23 @@ fn fleet_oracle_passes_multi_client_interleaving() {
 
 #[test]
 fn fleet_tables_are_byte_identical_across_jobs() {
-    // Regression for the tentpole's determinism claim: `reproduce fleet
-    // --jobs N` must be a pure function of `(spec, seeds, base seed)`.
-    // The memo cache is flushed between runs so the comparison really
-    // re-simulates instead of replaying cached summaries.
+    // `reproduce fleet --jobs N` must be a pure function of `(spec,
+    // seeds, base seed)`. One cell publishes both numbers of its world;
+    // every run simulates afresh, there is nothing to replay.
     let spec = || {
-        let params = |seed| {
-            FleetParams {
-                clients: 300,
-                ..kilo_fleet(0)
-            }
-            .with_seed(seed)
-        };
         TableSpec::new("fleet-mini", "Mini fleet determinism probe", "s / ratio")
-            .cell(Cell::new("p50", "p50 (s)", None, move |seed| {
-                summary(&params(seed)).p50_s
+            .cell(Cell::new("p50", "p50 (s)", None, |seed| {
+                let s = summary(&FleetParams {
+                    clients: 300,
+                    ..kilo_fleet(seed)
+                });
+                [s.p50_s, s.cache_hit_ratio]
             }))
-            .cell(Cell::new(
-                "hit",
-                "edge cache hit ratio",
-                None,
-                move |seed| summary(&params(seed)).cache_hit_ratio,
-            ))
+            .derived(DerivedRow::new("edge cache hit ratio", None, |v| {
+                v.at(0, 1)
+            }))
     };
     let run = |jobs| {
-        reset_summary_cache();
         let tables = execute(
             &[spec()],
             &ExecConfig {

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use ssmc::sync::{scope, AtomicUsize, Mutex, OnceLock, Ordering, RaceCell};
+use ssmc::sync::{scope, AtomicUsize, Mutex, Ordering, RaceCell};
 use ssmc::{choice, explore, Config, Failure};
 
 fn quiet(name: &str) -> Config {
@@ -77,41 +77,6 @@ fn race_detection_does_not_require_the_racy_schedule() {
         matches!(result, Err(Failure::Race { .. })),
         "zero preemptions still finds the race through vector clocks"
     );
-}
-
-/// The shipped memo shape (`util::sync::MemoMap`): a mutex-guarded
-/// slot map with `OnceLock` slots. Exhaustively race-free, the
-/// initializer runs exactly once, and every schedule observes the same
-/// value.
-#[test]
-fn oncelock_memo_is_race_free_and_computes_once() {
-    let stats = explore(quiet("oncelock-memo"), || {
-        let slots: Mutex<BTreeMap<String, std::sync::Arc<OnceLock<u64>>>> =
-            Mutex::new(BTreeMap::new());
-        let calls = AtomicUsize::new(0);
-        let seen = Mutex::new(Vec::new());
-        scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let slot = std::sync::Arc::clone(
-                        slots.lock().entry("fleet/250".to_owned()).or_default(),
-                    );
-                    let v = *slot.get_or_init(|| {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        42
-                    });
-                    seen.lock().push(v);
-                });
-            }
-        });
-        (calls.load(Ordering::SeqCst), seen.into_inner())
-    })
-    .expect("the OnceLock memo must pass exhaustively");
-    assert!(
-        stats.schedules >= 2,
-        "exploration must cover more than one schedule, got {stats:?}"
-    );
-    assert!(!stats.capped);
 }
 
 /// The work-stealing pool shape (`util::sync::parallel_map`): an atomic
@@ -296,20 +261,10 @@ fn primitives_work_outside_exploration() {
     a.store(5, Ordering::SeqCst);
     assert_eq!(a.fetch_add(1, Ordering::SeqCst), 5);
     assert_eq!(a.load(Ordering::SeqCst), 6);
-    let o: OnceLock<u32> = OnceLock::default();
-    assert!(o.get().is_none());
-    assert_eq!(*o.get_or_init(|| 3), 3);
-    assert_eq!(o.get(), Some(&3));
     let c = RaceCell::new(vec![1u8]);
     c.with_mut(|v| v.push(2));
     assert_eq!(c.with(Vec::len), 2);
     assert_eq!(c.into_inner(), vec![1, 2]);
-    let b = ssmc::sync::AtomicBool::new(false);
-    assert!(!b.swap(true, Ordering::SeqCst));
-    assert!(b.load(Ordering::SeqCst));
-    let u = ssmc::sync::AtomicU64::new(10);
-    u.store(11, Ordering::SeqCst);
-    assert_eq!(u.fetch_add(1, Ordering::SeqCst), 11);
     let done = std::cell::Cell::new(false);
     scope(|s| {
         s.spawn(|| {});
