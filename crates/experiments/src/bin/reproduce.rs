@@ -25,6 +25,10 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--seed" => {
                 seed = it
                     .next()
@@ -126,11 +130,12 @@ fn main() {
     }
 }
 
+const USAGE: &str =
+    "usage: reproduce [fig5|fig6|fig6a..fig6f|handoff|fig7|ablation|overload|smoke|fleet|\
+     fleet-smoke|all] [--seed N] [--seeds K] [--jobs N] [--json PATH]";
+
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!(
-        "usage: reproduce [fig5|fig6|fig6a..fig6f|handoff|fig7|ablation|overload|smoke|fleet|\
-         fleet-smoke|all] [--seed N] [--seeds K] [--jobs N] [--json PATH]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
 }

@@ -19,12 +19,12 @@
 //!   trace) share a [`Cell::seed_key`], guaranteeing both sides of a
 //!   ratio simulate the same world at every replicate.
 //!
-//! Threads are confined to [`util::sync`]'s pool (the `sync-shim` rule
-//! audits every crate for stray `std::thread`/`std::sync` use, and the
-//! pool itself is model-checked by `ssmc`): simulation crates stay
-//! single-threaded, and a panicking cell — figure drivers assert on
-//! invalid runs — propagates out of the scoped pool and aborts the
-//! reproduction, exactly like the old serial loop.
+//! Threads are confined to [`util::sync::parallel_map`], whose workers
+//! share nothing but a ticket cursor (DESIGN.md §8): simulation crates
+//! stay single-threaded (sslint's `wall-clock` rule rejects
+//! `std::thread` there), and a panicking cell — figure drivers assert on
+//! invalid runs — reaches the caller with its own message and aborts
+//! the reproduction, exactly like the serial loop.
 
 use util::sync::parallel_map;
 
@@ -220,11 +220,12 @@ pub(crate) fn runnable_cells(specs: &[TableSpec], seeds: u32) -> usize {
 
 /// The default worker count for a run: `min(available cores, runnable
 /// cells)`, at least 1. Spawning more workers than cores is a measured
-/// pessimization (lock and scheduler churn on few-core hosts), and more
+/// pessimization (scheduler churn on few-core hosts), and more
 /// workers than cells can never help; an explicit `--jobs N` still
 /// overrides this.
 pub fn default_jobs(specs: &[TableSpec], seeds: u32) -> usize {
-    default_jobs_with(util::sync::available_parallelism(), specs, seeds)
+    let cores = std::thread::available_parallelism().ok().map(usize::from);
+    default_jobs_with(cores, specs, seeds)
 }
 
 /// [`default_jobs`] with the core count injected: `None` — the platform
@@ -261,8 +262,8 @@ pub fn execute(specs: &[TableSpec], config: &ExecConfig) -> Vec<Table> {
     let mut results = parallel_map(items.len(), config.jobs, |i| eval_item(&items[i])).into_iter();
 
     // Merge back in declared order — `results` is in work-list order, so
-    // each cell's replicates come next. Every slot is filled: a panicking
-    // cell unwinds out of the scope above before we get here.
+    // each cell's replicates come next. None is missing: a panicking
+    // cell unwinds out of the pool above before we get here.
     let mut tables = Vec::with_capacity(specs.len());
     for spec in specs {
         let mut table = Table::new(&spec.id, &spec.title, &spec.unit);
@@ -462,8 +463,8 @@ mod tests {
 
     #[test]
     fn each_world_is_evaluated_once_per_replicate() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
-        use util::sync::{AtomicUsize, Ordering};
 
         // The fleet-smoke shape: a staged and a baseline world, five
         // metric rows off the staged one, a gain row and a constant —
@@ -527,7 +528,7 @@ mod tests {
         assert_eq!(runnable_cells(std::slice::from_ref(&one), 3), 12);
         assert!(default_jobs(std::slice::from_ref(&one), 1) <= 4);
         assert!(default_jobs(&[], 1) >= 1, "empty spec list still gets 1");
-        let cores = util::sync::available_parallelism().unwrap_or(1);
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         assert!(default_jobs(std::slice::from_ref(&one), 64) <= cores);
     }
 

@@ -144,3 +144,18 @@ fn bad_arguments_exit_2() {
         );
     }
 }
+
+/// Asking for help is not an error: the usage line on stdout, exit 0,
+/// and no simulation.
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = reproduce().arg(flag).output().expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(0), "{flag}: {:?}", out.status);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("usage: reproduce") && stdout.lines().count() == 1,
+            "{flag}: {stdout}"
+        );
+    }
+}

@@ -17,7 +17,7 @@
 //! | P — panic hygiene | `panic` |
 //! | H — hermeticity & layering | `dep-hermetic`, `layering`, `unsafe-forbid` |
 //! | G — graph semantics | `panic-reach`, `rng-provenance`, `trace-coverage`, `dead-pub` |
-//! | F — flow (pass 3) | `hot-path-alloc`, `thread-capture`, `unsafe-contract`, `float-determinism` |
+//! | F — flow (pass 3) | `hot-path-alloc`, `unsafe-contract`, `float-determinism` |
 //!
 //! Violations can be justified two ways: inline with
 //! `// sslint: allow(<rule>) — <reason>` (covers its own line plus the

@@ -62,10 +62,6 @@ pub const RULE_DEAD_PUB: &str = "dead-pub";
 /// Rule F: heap-allocating constructs reachable from a `// sslint:
 /// hot-path` root without passing through a pool acquire.
 pub const RULE_HOT_PATH_ALLOC: &str = "hot-path-alloc";
-/// Rule F: nondeterministic shared-state captures in closures handed to
-/// `thread::scope`/`spawn` (unmediated writes, `&mut`, `RefCell`/`Cell`,
-/// completion-order result pushes).
-pub const RULE_THREAD_CAPTURE: &str = "thread-capture";
 /// Rule F: every `unsafe` construct needs an adjacent `// SAFETY:`
 /// comment, a sanctioned allowlist row with a cross-check test, and a
 /// dominating feature guard for gated dispatch.
@@ -73,14 +69,9 @@ pub const RULE_UNSAFE_CONTRACT: &str = "unsafe-contract";
 /// Rule F: floating-point accumulation in sim crates must use a fixed
 /// iteration order — no `f64` folds over hash-ordered collections.
 pub const RULE_FLOAT_DETERMINISM: &str = "float-determinism";
-/// Rule G: concurrency primitives come from `util::sync`, never
-/// directly from `std::sync`/`std::thread` — so every lock, atomic and
-/// spawn in the workspace is model-checkable by `ssmc` under
-/// `--cfg model`.
-pub const RULE_SYNC_SHIM: &str = "sync-shim";
 
-/// One rule's catalogue entry, for `--list-rules`, SARIF metadata and the
-/// DESIGN.md §7 sync test.
+/// One rule's catalogue entry, for `--list-rules` and the DESIGN.md §7
+/// sync test.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Stable rule identifier.
@@ -160,11 +151,6 @@ pub const RULES: &[RuleInfo] = &[
         desc: "no heap allocation reachable from a hot-path root without a pool acquire (call path reported)",
     },
     RuleInfo {
-        id: RULE_THREAD_CAPTURE,
-        group: "F",
-        desc: "spawned closures must not capture &mut/RefCell/Cell, write captured state, or push in completion order",
-    },
-    RuleInfo {
         id: RULE_UNSAFE_CONTRACT,
         group: "F",
         desc: "every unsafe construct carries an adjacent SAFETY: comment, a cross-checked allow row, and its guard",
@@ -173,11 +159,6 @@ pub const RULES: &[RuleInfo] = &[
         id: RULE_FLOAT_DETERMINISM,
         group: "F",
         desc: "sim-crate float accumulation folds in a fixed order, never over hash-ordered collections",
-    },
-    RuleInfo {
-        id: RULE_SYNC_SHIM,
-        group: "G",
-        desc: "concurrency primitives come from util::sync (model-checked by ssmc), never std::sync/std::thread directly",
     },
 ];
 
@@ -196,10 +177,8 @@ pub const ALL_RULES: &[&str] = &[
     RULE_TRACE_COVERAGE,
     RULE_DEAD_PUB,
     RULE_HOT_PATH_ALLOC,
-    RULE_THREAD_CAPTURE,
     RULE_UNSAFE_CONTRACT,
     RULE_FLOAT_DETERMINISM,
-    RULE_SYNC_SHIM,
 ];
 
 /// The layering DAG: each crate's layer number; a crate may only depend
@@ -260,12 +239,6 @@ pub fn run_all(ws: &Workspace, allow: &[crate::AllowEntry]) -> Vec<Finding> {
         unsafe_forbid(krate, &mut findings);
         for file in &krate.files {
             allow_hygiene(file, &mut findings);
-            thread_capture(file, &mut findings);
-            // The model checker itself implements the shim twins — it is
-            // the one crate that legitimately wraps std primitives.
-            if krate.dir_name != "ssmc" {
-                sync_shim(file, &mut findings);
-            }
             if is_sim_crate(&krate.dir_name) {
                 wall_clock(file, &mut findings);
                 let hash_names = collect_hash_names(file);
@@ -349,119 +322,6 @@ fn wall_clock(file: &SrcFile, findings: &mut Vec<Finding>) {
                     msg: format!(
                         "`std::{module}` in a simulation crate — threads and \
                          process environment break reproducibility"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule G — sync-shim: concurrency only through util::sync
-// ---------------------------------------------------------------------------
-
-/// `std::sync` items that are plain shared-ownership plumbing, not
-/// synchronization operations — safe to name anywhere.
-const SYNC_SHIM_SYNC_ALLOWED: &[&str] = &[
-    "Arc",
-    "Weak",
-    "PoisonError",
-    "LockResult",
-    "TryLockError",
-    "TryLockResult",
-];
-/// `std::thread` items with no scheduling or spawning semantics.
-const SYNC_SHIM_THREAD_ALLOWED: &[&str] = &["LocalKey", "AccessError", "ThreadId"];
-
-fn sync_shim_flag(findings: &mut Vec<Finding>, file: &SrcFile, tok: &Tok, module: &str) {
-    findings.push(Finding {
-        rule: RULE_SYNC_SHIM,
-        file: file.rel.clone(),
-        line: tok.line,
-        msg: format!(
-            "`std::{module}::{}` outside `util::sync` — take the primitive \
-             from the shim instead, so `--cfg model` routes it through the \
-             ssmc schedule explorer",
-            tok.text
-        ),
-    });
-}
-
-/// Rule `sync-shim`: every lock, atomic and spawn must come from
-/// `util::sync`, the workspace's single doorway to concurrency —
-/// that is what lets `RUSTFLAGS="--cfg model"` swap the whole workspace
-/// onto ssmc's instrumented twins and exhaustively explore its
-/// interleavings. Plain shared-ownership types (`Arc`, `Weak`) and the
-/// poison plumbing carry no scheduling semantics and stay allowed; the
-/// shim's own wrapper arm in `crates/util/src/sync.rs` is the one
-/// sanctioned (allowlisted) naming site, and `crates/ssmc` — which
-/// implements the twins — is exempt wholesale.
-fn sync_shim(file: &SrcFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || !t.is_ident("std") {
-            continue;
-        }
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct("::")) {
-            continue;
-        }
-        let Some(module_tok) = toks.get(i + 2) else {
-            continue;
-        };
-        let (module, allowed): (&str, &[&str]) = match module_tok.text.as_str() {
-            "sync" if module_tok.kind == TokKind::Ident => ("sync", SYNC_SHIM_SYNC_ALLOWED),
-            "thread" if module_tok.kind == TokKind::Ident => ("thread", SYNC_SHIM_THREAD_ALLOWED),
-            _ => continue,
-        };
-        match toks.get(i + 3) {
-            // `std::sync::X…` — flag the first path segment unless it is
-            // pure plumbing (`atomic`, `mpsc` etc. are flagged here).
-            Some(p) if p.is_punct("::") => match toks.get(i + 4) {
-                Some(seg) if seg.kind == TokKind::Ident => {
-                    if !allowed.contains(&seg.text.as_str()) {
-                        sync_shim_flag(findings, file, seg, module);
-                    }
-                }
-                // `use std::sync::{Arc, Mutex, atomic::{…}}` — flag each
-                // top-level segment head; a flagged head covers its
-                // nested tree.
-                Some(brace) if brace.is_punct("{") => {
-                    let mut j = i + 5;
-                    let mut depth = 1usize;
-                    let mut head = true;
-                    while let Some(m) = toks.get(j) {
-                        if m.is_punct("{") {
-                            depth += 1;
-                            head = true;
-                        } else if m.is_punct("}") {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        } else if m.is_punct(",") {
-                            head = true;
-                        } else if m.kind == TokKind::Ident {
-                            if head && depth == 1 && !allowed.contains(&m.text.as_str()) {
-                                sync_shim_flag(findings, file, m, module);
-                            }
-                            head = false;
-                        }
-                        j += 1;
-                    }
-                }
-                _ => {}
-            },
-            // Bare `use std::thread;` — the whole module in scope.
-            _ => {
-                findings.push(Finding {
-                    rule: RULE_SYNC_SHIM,
-                    file: file.rel.clone(),
-                    line: module_tok.line,
-                    msg: format!(
-                        "bare `std::{module}` import outside `util::sync` — \
-                         take the primitives from the shim instead, so \
-                         `--cfg model` routes them through the ssmc schedule \
-                         explorer"
                     ),
                 });
             }
@@ -1287,292 +1147,6 @@ fn hot_path_alloc(ws: &Workspace, graph: &Graph, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// Identifier heads that mark a mediated (race-free, order-free) access
-/// inside a spawned closure.
-const CAPTURE_MEDIATORS: &[&str] = &[
-    "lock",
-    "fetch_add",
-    "fetch_sub",
-    "store",
-    "load",
-    "compare_exchange",
-    "swap",
-    "send",
-];
-
-/// Rule F `thread-capture`: audits every closure handed to
-/// `thread::scope`/`scope.spawn`/`thread::spawn`. Flags (a) `&mut`
-/// captures, (b) `RefCell`/`Cell` interior mutability crossing into a
-/// thread, (c) direct writes to captured bindings (mediated chains
-/// through `.lock()`/atomics/channels naturally escape the pattern), and
-/// (d) the ordering hazard of `.push(…)` onto a captured collection —
-/// results land in completion order, not declared order; the sanctioned
-/// idiom is a pre-sized slot table indexed by work item.
-fn thread_capture(file: &SrcFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || !t.is_ident("spawn") {
-            continue;
-        }
-        if !lex::back(toks, i, 1).is_some_and(|p| p.is_punct(".") || p.is_punct("::")) {
-            continue;
-        }
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            continue;
-        }
-        let mut j = i + 2;
-        if toks.get(j).is_some_and(|n| n.is_ident("move")) {
-            j += 1;
-        }
-        if !toks.get(j).is_some_and(|n| n.is_punct("|")) {
-            continue; // not a literal closure argument
-        }
-        // Closure parameters up to the closing `|`.
-        let mut locals: BTreeSet<String> = BTreeSet::new();
-        let mut k = j + 1;
-        while k < toks.len() && !toks[k].is_punct("|") {
-            if toks[k].kind == TokKind::Ident && !matches!(toks[k].text.as_str(), "mut" | "ref") {
-                locals.insert(toks[k].text.clone());
-            }
-            k += 1;
-        }
-        let body_start = k + 1;
-        let body_end = closure_body_end(toks, i + 1, body_start);
-        collect_closure_locals(toks, body_start, body_end, &mut locals);
-
-        for n in body_start..body_end {
-            let tn = &toks[n];
-            // (a) `&mut captured` aliased into the thread.
-            if tn.is_punct("&")
-                && toks.get(n + 1).is_some_and(|x| x.is_ident("mut"))
-                && toks.get(n + 2).is_some_and(|x| {
-                    x.kind == TokKind::Ident && x.text != "self" && !locals.contains(&x.text)
-                })
-            {
-                let Some(name) = toks.get(n + 2) else {
-                    continue;
-                };
-                findings.push(Finding {
-                    rule: RULE_THREAD_CAPTURE,
-                    file: file.rel.clone(),
-                    line: name.line,
-                    msg: format!(
-                        "spawned closure captures `&mut {}` — route writes \
-                         through a Mutex/atomic or a per-task slot",
-                        name.text
-                    ),
-                });
-                continue;
-            }
-            // (b) interior mutability that is not Sync.
-            if tn.is_ident("RefCell") || tn.is_ident("Cell") {
-                findings.push(Finding {
-                    rule: RULE_THREAD_CAPTURE,
-                    file: file.rel.clone(),
-                    line: tn.line,
-                    msg: format!(
-                        "`{}` inside a spawned closure — interior mutability \
-                         crossing a thread boundary needs a Mutex or atomic",
-                        tn.text
-                    ),
-                });
-                continue;
-            }
-            if tn.kind != TokKind::Ident {
-                continue;
-            }
-            // (d) completion-order pushes onto a captured collection.
-            if matches!(tn.text.as_str(), "push" | "push_back")
-                && lex::back(toks, n, 1).is_some_and(|p| p.is_punct("."))
-                && toks.get(n + 1).is_some_and(|x| x.is_punct("("))
-            {
-                if let Some(h) = flow::chain_head(toks, n) {
-                    let head = &toks[h];
-                    let is_path = toks.get(h + 1).is_some_and(|x| x.is_punct("::"));
-                    if !is_path && head.text != "self" && !locals.contains(&head.text) {
-                        findings.push(Finding {
-                            rule: RULE_THREAD_CAPTURE,
-                            file: file.rel.clone(),
-                            line: tn.line,
-                            msg: format!(
-                                "`{}.push(…)` inside a spawned closure keys \
-                                 results by completion order — assign into a \
-                                 pre-sized slot indexed by the work item \
-                                 instead",
-                                head.text
-                            ),
-                        });
-                    }
-                }
-                continue;
-            }
-            // (c) direct write to a captured binding.
-            if locals.contains(&tn.text)
-                || tn.text == "self"
-                || CAPTURE_MEDIATORS.contains(&tn.text.as_str())
-                || lex::back(toks, n, 1).is_some_and(|p| {
-                    p.is_punct(".")
-                        || p.is_punct("::")
-                        || p.is_punct("&")
-                        || p.kind == TokKind::Ident
-                })
-            {
-                continue;
-            }
-            let mut w = n + 1;
-            if toks.get(w).is_some_and(|x| x.is_punct("[")) {
-                w = skip_index(toks, w);
-            }
-            let op_start = w;
-            if toks.get(w).is_some_and(|x| {
-                x.is_punct("+")
-                    || x.is_punct("-")
-                    || x.is_punct("*")
-                    || x.is_punct("/")
-                    || x.is_punct("%")
-                    || x.is_punct("^")
-            }) {
-                w += 1;
-            }
-            let is_assign = toks.get(w).is_some_and(|x| x.is_punct("="))
-                && !toks
-                    .get(w + 1)
-                    .is_some_and(|x| x.is_punct("=") || x.is_punct(">"));
-            // Plain `x = …` must not be a `let` initializer or comparison
-            // tail; compound `x += …` is always a write.
-            if is_assign && (w > op_start || !is_let_target(toks, n)) {
-                findings.push(Finding {
-                    rule: RULE_THREAD_CAPTURE,
-                    file: file.rel.clone(),
-                    line: tn.line,
-                    msg: format!(
-                        "spawned closure writes captured binding `{}` without \
-                         a Mutex/atomic/channel — a data race the scope only \
-                         hides by convention",
-                        tn.text
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// Token index just past a closure body that starts at `body_start`,
-/// where `open_paren` is the `spawn(` paren enclosing the closure: a
-/// braced body ends at its balanced `}`, an expression body at the
-/// argument list's `,` or `)`.
-fn closure_body_end(toks: &[Tok], open_paren: usize, body_start: usize) -> usize {
-    if toks.get(body_start).is_some_and(|n| n.is_punct("{")) {
-        let mut depth = 0usize;
-        let mut i = body_start;
-        while i < toks.len() {
-            if toks[i].is_punct("{") {
-                depth += 1;
-            } else if toks[i].is_punct("}") {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        return toks.len();
-    }
-    let mut depth = 1i32; // we are inside `spawn(`
-    let mut i = open_paren + 1;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-            depth -= 1;
-            if depth == 0 {
-                return i;
-            }
-        } else if depth == 1 && t.is_punct(",") && i >= body_start {
-            return i;
-        }
-        i += 1;
-    }
-    toks.len()
-}
-
-/// Adds `let`/`for`-bound names and nested-closure parameters within
-/// `toks[start..end)` to `locals`.
-fn collect_closure_locals(toks: &[Tok], start: usize, end: usize, locals: &mut BTreeSet<String>) {
-    let mut i = start;
-    while i < end {
-        let t = &toks[i];
-        if t.is_ident("let") || t.is_ident("for") {
-            let mut n = i + 1;
-            while n < end {
-                let tn = &toks[n];
-                if tn.is_punct("=") || tn.is_ident("in") || tn.is_punct(":") || tn.is_punct(";") {
-                    break;
-                }
-                if tn.kind == TokKind::Ident && !matches!(tn.text.as_str(), "mut" | "ref") {
-                    locals.insert(tn.text.clone());
-                }
-                n += 1;
-            }
-        }
-        // Nested closure params: `|a, b|` after `(`, `,` or `=`.
-        if t.is_punct("|")
-            && lex::back(toks, i, 1)
-                .is_some_and(|p| p.is_punct("(") || p.is_punct(",") || p.is_punct("="))
-        {
-            let mut n = i + 1;
-            while n < end && !toks[n].is_punct("|") {
-                if toks[n].kind == TokKind::Ident && !matches!(toks[n].text.as_str(), "mut" | "ref")
-                {
-                    locals.insert(toks[n].text.clone());
-                }
-                n += 1;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Whether the ident at `i` is the binding target of a `let` (scanning
-/// back over pattern tokens to the `let` keyword on the same statement).
-fn is_let_target(toks: &[Tok], i: usize) -> bool {
-    let mut k = i;
-    while let Some(p) = lex::back(toks, k, 1) {
-        if p.is_ident("let") {
-            return true;
-        }
-        if p.kind == TokKind::Ident && matches!(p.text.as_str(), "mut" | "ref") {
-            k -= 1;
-            continue;
-        }
-        if p.is_punct("(") || p.is_punct(",") {
-            k -= 1;
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
-/// Skips a balanced `[…]` starting at `open`. Returns the index past `]`.
-fn skip_index(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        if toks[i].is_punct("[") {
-            depth += 1;
-        } else if toks[i].is_punct("]") {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    toks.len()
 }
 
 /// Rule F `unsafe-contract`: three obligations per `unsafe` construct.

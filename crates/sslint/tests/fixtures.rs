@@ -113,11 +113,6 @@ fn hot_path_alloc_fixture() {
 }
 
 #[test]
-fn thread_capture_fixture() {
-    assert_exactly("thread-capture", "thread-capture");
-}
-
-#[test]
 fn unsafe_contract_fixture() {
     assert_exactly("unsafe-contract", "unsafe-contract");
 }
@@ -125,11 +120,6 @@ fn unsafe_contract_fixture() {
 #[test]
 fn float_determinism_fixture() {
     assert_exactly("float-determinism", "float-determinism");
-}
-
-#[test]
-fn sync_shim_fixture() {
-    assert_exactly("sync-shim", "sync-shim");
 }
 
 /// Every bad fixture must make the *binary* exit 1 and name its rule in
@@ -150,10 +140,8 @@ fn binary_exits_nonzero_on_every_fixture() {
         "trace-coverage",
         "dead-pub",
         "hot-path-alloc",
-        "thread-capture",
         "unsafe-contract",
         "float-determinism",
-        "sync-shim",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sslint"))
             .args(["--root"])

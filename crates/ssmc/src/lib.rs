@@ -1,228 +1,128 @@
-//! `ssmc` — the SoftStage model checker.
+//! `ssmc` — exhaustive enumeration of small decision trees.
 //!
-//! A hermetic, loom-style stateless model checker for the concurrency
-//! primitives the workspace actually uses (`util::sync`). [`explore`]
-//! runs a closure over and over, each time forcing a different thread
-//! interleaving, until every schedule reachable under the configured
-//! preemption budget has been seen:
+//! [`walk`] runs a closure once per leaf of the tree its
+//! [`Walk::choice`] calls span, depth first: the first run takes branch
+//! 0 everywhere, and after each run the deepest decision with branches
+//! left advances while everything below it starts over. Where
+//! `util::check` samples a large input space at random, this visits a
+//! small one completely — `tests/overload.rs` drives the breaker through
+//! all 7⁵ event sequences against an independently coded spec.
 //!
-//! - **Controlled scheduling.** The primitives in [`sync`] are drop-in
-//!   twins of their `std` counterparts, but inside an [`explore`] run
-//!   every operation first parks the thread and hands a scheduling
-//!   token to a DFS driver. Exactly one thread runs at a time, so each
-//!   execution is a deterministic function of the decision vector.
-//! - **DFS with sleep-set pruning.** Schedule decisions form a stack;
-//!   after each execution the deepest non-exhausted decision is
-//!   advanced. Sleep sets (a DPOR-style reduction) skip schedules that
-//!   only commute independent operations, and a bounded-preemption
-//!   budget (default 2) keeps the suite fast while catching the
-//!   overwhelming majority of real interleaving bugs.
-//! - **Happens-before race detection.** A vector-clock engine tracks
-//!   the release/acquire edges of every mutex, atomic and spawn/join.
-//!   Plain-memory accesses ([`sync::RaceCell`]) that are not ordered by
-//!   those edges are reported as a [`Failure::Race`] carrying both
-//!   racing source locations — the detector finds the race even when
-//!   the explored schedule happened to "win" it.
-//! - **Result checking.** The closure's return value must be identical
-//!   across every explored schedule (the workspace's byte-identity
-//!   contract); any divergence is a [`Failure::Mismatch`]. Runs with
-//!   deliberate data nondeterminism ([`choice`]) can disable this via
-//!   [`Config::check_results`].
-//!
-//! The crate has zero dependencies and performs no I/O besides an
-//! optional failure trace dump (`SSMC_TRACE_DIR`). Explored closures
-//! must create all shared state *inside* the closure: primitive values
-//! persist across executions (only the model bookkeeping resets), just
-//! like loom.
+//! The body must be a pure function of its picks: the arity of a
+//! decision may depend on earlier picks (a ragged tree) but on nothing
+//! else. Single-threaded, no dependencies, no I/O; a failing assertion
+//! in the body is an ordinary panic at its own file and line.
 //!
 //! ```
-//! use ssmc::sync::{scope, Mutex};
-//!
-//! let stats = ssmc::explore(ssmc::Config::new("doc-counter"), || {
-//!     let total = Mutex::new(0u32);
-//!     scope(|s| {
-//!         for _ in 0..2 {
-//!             s.spawn(|| {
-//!                 *total.lock() += 1;
-//!             });
-//!         }
-//!     });
-//!     total.into_inner()
-//! })
-//! .unwrap();
-//! assert!(stats.schedules >= 2);
+//! let mut seen = Vec::new();
+//! let leaves = ssmc::walk(|w| {
+//!     let a = w.choice(2);
+//!     let b = w.choice(3);
+//!     seen.push((a, b));
+//! });
+//! assert_eq!(leaves, 6);
+//! assert_eq!(seen.first(), Some(&(0, 0)));
+//! assert_eq!(seen.last(), Some(&(1, 2)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-use std::path::PathBuf;
-
-mod rt;
-pub mod sync;
-mod vc;
-
-pub use rt::explore;
-
-/// Configuration of one [`explore`] run.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Name of the checked scenario — becomes the trace file stem.
-    pub name: String,
-    /// Maximum preemptive context switches per schedule (`None` =
-    /// unbounded). A switch is preemptive when the running thread could
-    /// have continued but another was scheduled instead; switches at
-    /// blocking or exit points are always free.
-    pub preemption_bound: Option<usize>,
-    /// Hard cap on explored executions; hitting it sets
-    /// [`Stats::capped`] instead of failing.
-    pub max_schedules: u64,
-    /// Hard cap on scheduling decisions per execution; exceeding it is
-    /// a [`Failure::DepthExceeded`] (almost always a livelock in the
-    /// checked code).
-    pub max_depth: usize,
-    /// Require the closure's return value to be identical across all
-    /// explored schedules. Disable for walks that use [`choice`] to
-    /// inject data nondeterminism.
-    pub check_results: bool,
-    /// Where to dump the failing schedule trace (falls back to the
-    /// `SSMC_TRACE_DIR` environment variable; `None` and no variable =
-    /// no dump).
-    pub trace_dir: Option<PathBuf>,
+/// The decisions of the run in progress — handed to the body of
+/// [`walk`].
+pub struct Walk {
+    /// `(branch taken, arity)` of each decision on the current path.
+    path: Vec<(usize, usize)>,
+    /// Decisions the current run has made so far.
+    depth: usize,
 }
 
-impl Config {
-    /// The CI defaults: preemption bound 2, result checking on.
-    pub fn new(name: &str) -> Self {
-        Config {
-            name: name.to_owned(),
-            preemption_bound: Some(2),
-            max_schedules: 100_000,
-            max_depth: 10_000,
-            check_results: true,
-            trace_dir: None,
-        }
+impl Walk {
+    /// A decision point with branches `0..n`: across the runs of one
+    /// [`walk`], every branch is taken under every combination of the
+    /// decisions before it.
+    pub fn choice(&mut self, n: usize) -> usize {
+        assert!(n > 0, "choice(0) has no branch to take");
+        let (taken, arity) = match self.path.get(self.depth) {
+            Some(&replayed) => replayed,
+            None => {
+                self.path.push((0, n));
+                (0, n)
+            }
+        };
+        assert_eq!(
+            arity, n,
+            "decision {} changed arity on replay: the body is not a pure function of its picks",
+            self.depth
+        );
+        self.depth += 1;
+        taken
     }
 }
 
-/// What an exhaustive (or capped) exploration covered.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Complete executions explored (distinct schedules).
-    pub schedules: u64,
-    /// Executions abandoned early by sleep-set or preemption-budget
-    /// pruning (their behaviors are covered elsewhere or out of
-    /// budget).
-    pub pruned: u64,
-    /// `true` when [`Config::max_schedules`] stopped the search before
-    /// the decision space was exhausted.
-    pub capped: bool,
-}
-
-/// One side of a data race: who accessed, how, and where.
-#[derive(Clone, Debug)]
-pub struct AccessSite {
-    /// Model thread id (0 is the thread that called [`explore`]).
-    pub thread: usize,
-    /// `true` for a write access.
-    pub write: bool,
-    /// Source location (`file:line:column`) of the access.
-    pub site: String,
-}
-
-impl fmt::Display for AccessSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "thread {} {} at {}",
-            self.thread,
-            if self.write { "write" } else { "read" },
-            self.site
-        )
-    }
-}
-
-/// Why an exploration failed. The failing schedule is dumped to the
-/// trace file (if configured) before this is returned.
-#[derive(Clone, Debug)]
-pub enum Failure {
-    /// Two accesses to the same unsynchronized location are unordered
-    /// by happens-before.
-    Race {
-        /// The earlier access in the explored schedule.
-        first: AccessSite,
-        /// The later, concurrent access.
-        second: AccessSite,
-    },
-    /// Every live thread is blocked.
-    Deadlock {
-        /// One line per blocked thread: what it waits on and where.
-        waiting: Vec<String>,
-    },
-    /// A thread panicked (a real panic in the checked code, not a
-    /// model-internal control-flow unwind).
-    Panic {
-        /// Model thread id of the panicking thread.
-        thread: usize,
-        /// The panic payload, if it was a string.
-        msg: String,
-    },
-    /// The closure's return value differed between two schedules.
-    Mismatch {
-        /// Debug rendering of the first schedule's value.
-        expected: String,
-        /// Debug rendering of the diverging value.
-        got: String,
-    },
-    /// Replaying a decision prefix diverged — the checked code consults
-    /// inputs outside the model (time, ambient randomness, OS state).
-    Nondeterminism {
-        /// What diverged.
-        detail: String,
-    },
-    /// An execution exceeded [`Config::max_depth`] decisions.
-    DepthExceeded {
-        /// The configured cap that was hit.
-        depth: usize,
-    },
-}
-
-impl fmt::Display for Failure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Failure::Race { first, second } => {
-                write!(f, "data race: {first} is concurrent with {second}")
-            }
-            Failure::Deadlock { waiting } => {
-                write!(f, "deadlock: {}", waiting.join("; "))
-            }
-            Failure::Panic { thread, msg } => {
-                write!(f, "thread {thread} panicked: {msg}")
-            }
-            Failure::Mismatch { expected, got } => {
-                write!(
-                    f,
-                    "schedule-dependent result: first schedule returned {expected}, \
-                     a later schedule returned {got}"
-                )
-            }
-            Failure::Nondeterminism { detail } => {
-                write!(f, "nondeterministic replay: {detail}")
-            }
-            Failure::DepthExceeded { depth } => {
-                write!(f, "execution exceeded {depth} scheduling decisions")
+/// Runs `body` once per leaf of its decision tree and returns the
+/// number of leaves — 1 for a body that never calls [`Walk::choice`].
+pub fn walk(mut body: impl FnMut(&mut Walk)) -> u64 {
+    let mut w = Walk {
+        path: Vec::new(),
+        depth: 0,
+    };
+    let mut leaves = 0;
+    loop {
+        w.depth = 0;
+        body(&mut w);
+        leaves += 1;
+        assert_eq!(
+            w.depth,
+            w.path.len(),
+            "the body stopped short of its replayed path: it is not a pure function of its picks"
+        );
+        // Advance the deepest decision that has a branch left; the
+        // exhausted ones below it are forgotten and start over at 0.
+        loop {
+            match w.path.pop() {
+                None => return leaves,
+                Some((taken, arity)) if taken + 1 < arity => {
+                    w.path.push((taken + 1, arity));
+                    break;
+                }
+                Some(_) => {}
             }
         }
     }
 }
 
-/// A data-nondeterminism decision point: inside an [`explore`] run the
-/// DFS explores every branch in `0..n` (across schedules); outside a
-/// run it returns 0. Branching on `choice` costs no preemption budget.
-pub fn choice(n: usize) -> usize {
-    match rt::handle() {
-        None => 0,
-        Some((rt, me)) => rt.choice(me, n),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn choice_covers_every_branch() {
+        let mut mask = 0u8;
+        let leaves = walk(|w| mask |= 1 << w.choice(3));
+        assert_eq!(leaves, 3);
+        assert_eq!(mask, 0b111, "all three branches must run");
+    }
+
+    #[test]
+    fn ragged_tree_visits_each_leaf_once() {
+        // The second decision's arity is the first pick plus one, and
+        // pick 0 makes no second decision at all: 1 + 2 + 3 leaves.
+        let mut seen = Vec::new();
+        let leaves = walk(|w| {
+            let a = w.choice(3);
+            let b = if a == 0 { 0 } else { w.choice(a + 1) };
+            seen.push((a, b));
+        });
+        let expected = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)];
+        assert_eq!(seen, expected, "depth-first order, no leaf twice");
+        assert_eq!(leaves, 6);
+    }
+
+    #[test]
+    fn a_body_that_never_picks_runs_once() {
+        let mut runs = 0;
+        assert_eq!(walk(|_| runs += 1), 1);
+        assert_eq!(runs, 1);
     }
 }

@@ -15,10 +15,15 @@
 //!     assert_eq!(a + b, b + a);
 //! });
 //! ```
+//!
+//! Random sampling suits large input spaces. For one small enough to
+//! visit completely, [`walk`] runs a body once per leaf of the decision
+//! tree its [`Walk::choice`] calls span.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
-use crate::sync::Mutex;
+pub use ssmc::{walk, Walk};
 
 /// Number of shrink candidates tried after a failure before giving up.
 const SHRINK_BUDGET: usize = 2000;
@@ -173,7 +178,9 @@ pub fn check(name: &str, cases: usize, prop: impl Fn(&mut Gen)) {
         Err(_) => fnv1a(name),
     };
 
-    let _serial = HOOK_LOCK.lock();
+    // A failing property panics below with the guard still held; the
+    // lock guards `()`, so a poisoned one is as good as new.
+    let _serial = HOOK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let saved_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // quiet during search + shrink
     let outcome = run_all(base, cases, &prop).map(|(case, tape, msg)| {
@@ -271,7 +278,7 @@ fn shrink(prop: &impl Fn(&mut Gen), mut tape: Vec<u64>, mut msg: String) -> (Vec
     (tape, msg)
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -12,13 +12,13 @@
 //!   `serde`/`serde_json` for trace files, staging messages and experiment
 //!   reports,
 //! - [`check`]: a seeded property-test harness with shrink-on-fail,
-//!   replacing `proptest` in the workspace's property tests,
+//!   replacing `proptest` in the workspace's property tests, and beside
+//!   it the exhaustive [`check::walk`] for spaces small enough to visit
+//!   completely,
 //! - [`seed`]: splitmix64-based seed derivation for replicated
 //!   experiment grids (one base seed, per-cell/per-replicate streams),
-//! - [`sync`]: the workspace's doorway to `std::sync`/`std::thread` —
-//!   zero-cost re-exports in normal builds that swap to the `ssmc`
-//!   model checker's instrumented twins under `--cfg model`, plus the
-//!   shared [`sync::parallel_map`] pool.
+//! - [`sync`]: [`sync::parallel_map`], the index-keyed worker pool behind
+//!   `reproduce --jobs` and the workspace's only threaded code.
 //!
 //! Everything here is deterministic where it matters: the property harness
 //! derives its cases from a fixed per-property seed, so CI failures

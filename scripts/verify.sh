@@ -26,14 +26,6 @@ echo "== sslint: trace-coverage obligation is in force =="
 cargo run -q -p sslint --release --offline -- --list-rules | grep '^trace-coverage' > /dev/null \
     || { echo "verify: sslint trace-coverage rule missing" >&2; exit 1; }
 
-echo "== sslint: sync-shim obligation is in force =="
-# The sync-shim rule is what makes every lock, atomic and spawn in the
-# workspace reachable by the ssmc schedule explorer (`util::sync` is the
-# only sanctioned std::sync/std::thread naming site). Fail loudly if it
-# ever drops out of the catalogue.
-cargo run -q -p sslint --release --offline -- --list-rules | grep '^sync-shim' > /dev/null \
-    || { echo "verify: sslint sync-shim rule missing" >&2; exit 1; }
-
 echo "== tier-1: workspace tests =="
 cargo test -q --offline
 
@@ -51,23 +43,8 @@ echo "== allocation regression (counting allocator, release) =="
 # Steady-state transmit/deliver must stay at zero heap ops per event.
 cargo test -q --offline --release -p softstage-bench --test alloc_regression
 
-echo "== overload suite (backpressure, admission, circuit breaker, release) =="
+echo "== overload suite (backpressure, admission, exhaustive breaker walk, release) =="
 cargo test -q --offline --release -p softstage-suite --test overload
-
-echo "== ssmc model checking (bounded schedule exploration, release) =="
-# Detection power (the known-bad plain-map memo must be flagged with both
-# racing sites; schedule-dependent results, lock inversion and panics in
-# checked code must be reported) plus exhaustive byte-identity of the
-# work-stealing cursor shape and the choice/preemption-bound machinery —
-# all under the preemption-bound-2 CI budget, seconds not minutes.
-cargo test -q --offline --release -p softstage-suite --test ssmc_model
-
-echo "== util::sync under the model cfg (shim routed through ssmc) =="
-# Rebuilds util with `--cfg model` into its own target dir (so the main
-# build cache stays warm) and explores parallel_map — the workspace's
-# one threaded function — through the exact shim exec.rs calls it by.
-RUSTFLAGS="--cfg model" CARGO_TARGET_DIR=target/model \
-    cargo test -q --offline -p softstage-util --test model
 
 echo "== golden traces (flight recorder + invariant oracle, release) =="
 cargo test -q --offline --release -p softstage-suite --test golden_trace

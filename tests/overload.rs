@@ -167,8 +167,8 @@ fn unpinched_vnf_sees_no_backpressure() {
 #[test]
 fn breaker_walks_the_full_state_machine() {
     // The breaker is a pure state machine on the sim clock. Instead of a
-    // hand-enumerated walk, `ssmc::choice` drives *every* event sequence
-    // of bounded depth — failures, successes, early and late polls,
+    // hand-enumerated walk, `util::check::walk` drives *every* event
+    // sequence of bounded depth — failures, successes, early and late polls,
     // probe sends, probe aborts (a probe lost to a coverage gap must free
     // the slot without a verdict), and edge-switch resets — and compares
     // the real breaker against an independently-coded spec of the
@@ -229,11 +229,9 @@ fn breaker_walks_the_full_state_machine() {
     let mark = |bit: u32| seen.set(seen.get() | 1 << bit);
     const COVERAGE_BITS: u32 = 9;
 
-    let mut cfg = ssmc::Config::new("breaker-walk");
-    cfg.check_results = false; // `choice` injects data nondeterminism
     let open_for = SimDuration::from_secs(3);
 
-    let stats = ssmc::explore(cfg, || {
+    let sequences = util::check::walk(|w| {
         let mut b = Breaker::new(BreakerConfig {
             threshold: THRESHOLD,
             open_for,
@@ -247,7 +245,7 @@ fn breaker_walks_the_full_state_machine() {
         let mut now = SimTime::ZERO;
         for step in 0..DEPTH {
             now = now + SimDuration::from_secs(1);
-            let ev = EVENTS[ssmc::choice(EVENTS.len())];
+            let ev = EVENTS[w.choice(EVENTS.len())];
             let before = spec.state;
             let (got, want) = match ev {
                 Ev::Failure => (
@@ -348,16 +346,13 @@ fn breaker_walks_the_full_state_machine() {
                 _ => {}
             }
         }
-    })
-    .unwrap_or_else(|f| panic!("breaker diverged from its spec: {f}"));
+    });
 
-    // Every depth-5 event sequence is one explored schedule.
     assert_eq!(
-        stats.schedules,
+        sequences,
         (EVENTS.len() as u64).pow(DEPTH as u32),
-        "the walk must be exhaustive: {stats:?}"
+        "the walk must visit every depth-5 event sequence"
     );
-    assert!(!stats.capped, "the walk must not hit the schedule cap");
     assert_eq!(
         seen.get(),
         (1 << COVERAGE_BITS) - 1,
