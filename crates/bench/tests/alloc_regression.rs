@@ -3,14 +3,16 @@
 //! The simulator's pooling claim is that a steady-state link
 //! transmit/deliver cycle performs **zero** heap operations per event:
 //! wheel buckets recycle through a [`simnet::BufPool`] free list and the
-//! action scratch vector is handed from one dispatch to the next. These
-//! tests install the counting global allocator from
+//! action scratch vector is handed from one dispatch to the next. The
+//! claim covers the per-event paths the bare ping-pong does not drive
+//! too — the flight recorder with its streaming audit, and timer filing.
+//! These tests install the counting global allocator from
 //! [`softstage_bench::alloc_counter`] and assert that claim exactly, so
 //! any future change that sneaks an allocation back into the inner loop
 //! fails loudly instead of showing up as a quiet throughput regression.
 
 use simnet::{
-    BufPool, Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator,
+    BufPool, Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator, TimerKey,
     WheelQueue,
 };
 use softstage_bench::alloc_counter::{snapshot, CountingAlloc};
@@ -44,6 +46,21 @@ impl Node<Ball> for Paddle {
     }
 }
 
+/// Re-arms one periodic timer forever — one timer filing per tick.
+struct Ticker;
+impl Ticker {
+    const PERIOD: SimDuration = SimDuration::from_micros(100);
+}
+impl Node<Ball> for Ticker {
+    fn on_start(&mut self, ctx: &mut Context<'_, Ball>) {
+        ctx.set_timer(Self::PERIOD, 0);
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_, Ball>, _link: LinkId, _msg: Ball) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_, Ball>, key: TimerKey) {
+        ctx.set_timer(Self::PERIOD, key);
+    }
+}
+
 fn pingpong() -> Simulator<Ball> {
     let mut sim = Simulator::new(7);
     let a = sim.add_node(Box::new(Paddle {
@@ -68,11 +85,9 @@ fn pingpong() -> Simulator<Ball> {
     sim
 }
 
-/// The headline guarantee: after warmup, the transmit/deliver cycle runs
-/// allocation-free (the wheel recycles buckets through its pool).
-#[test]
-fn steady_state_transmit_cycle_allocates_nothing() {
-    let mut sim = pingpong();
+/// Warms `sim` up for 10k events, then asserts the next 50k perform no
+/// heap operation at all.
+fn assert_steady_state_allocates_nothing(mut sim: Simulator<Ball>, what: &str) {
     sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
     let before = snapshot();
     let target = sim.stats().events + 50_000;
@@ -81,11 +96,37 @@ fn steady_state_transmit_cycle_allocates_nothing() {
     assert_eq!(
         delta.heap_ops(),
         0,
-        "steady-state transmit cycle touched the heap \
+        "steady-state {what} touched the heap \
          ({} allocs, {} reallocs over 50k events)",
         delta.allocs,
         delta.reallocs,
     );
+}
+
+/// The headline guarantee: after warmup, the transmit/deliver cycle runs
+/// allocation-free (the wheel recycles buckets through its pool).
+#[test]
+fn steady_state_transmit_cycle_allocates_nothing() {
+    assert_steady_state_allocates_nothing(pingpong(), "transmit cycle");
+}
+
+/// The same guarantee with the flight recorder attached and a periodic
+/// timer re-arming: every event passes through `TraceSink::record` →
+/// `TraceAudit::observe` (the ring is small enough to wrap during
+/// warm-up, so eviction is on the measured path) and every tick files a
+/// timer through `WheelQueue::push`.
+#[test]
+fn steady_state_traced_cycle_with_timers_allocates_nothing() {
+    let mut sim = pingpong();
+    sim.add_node(Box::new(Ticker));
+    sim.enable_trace(1_024);
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
+    assert!(
+        sim.trace().is_some_and(|t| t.dropped() > 0),
+        "the ring must wrap during warm-up"
+    );
+    assert!(sim.stats().timers > 1_000, "the ticker must be ticking");
+    assert_steady_state_allocates_nothing(sim, "traced transmit/timer cycle");
 }
 
 /// The pool itself: capacity survives round trips, fresh allocations stop

@@ -68,8 +68,7 @@ impl Default for ArqConfig {
 
 /// Static configuration of a [`Link`] (both directions share it). All
 /// fields are plain scalars, so the type is `Copy` — the transmit hot
-/// path takes a copy rather than `clone()`ing (hot-path-alloc treats any
-/// `.clone()` on the hot path as an allocation smell).
+/// path takes a copy rather than `clone()`ing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Link bandwidth in bits per second.
@@ -246,14 +245,13 @@ impl Link {
         } else if node == self.b {
             self.a
         } else {
-            // sslint: allow(panic, panic-reach) — documented contract: callers must pass an endpoint; wrong topology wiring cannot be recovered here
+            // sslint: allow(panic) — documented contract: callers must pass an endpoint; wrong topology wiring cannot be recovered here
             panic!("{node} is not an endpoint of this link");
         }
     }
 
     /// Offers one packet of `wire_bytes` for transmission from `from` at
     /// `now`; `sample` draws uniform `[0,1)` values for loss decisions.
-    // sslint: hot-path — runs once per packet offered; must stay allocation-free
     pub(crate) fn transmit(
         &mut self,
         from: NodeId,

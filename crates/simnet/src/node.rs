@@ -150,7 +150,7 @@ impl<'a, M: Message> Context<'a, M> {
     ///
     /// Panics if this node is not an endpoint of `link`.
     pub fn peer(&self, link: LinkId) -> NodeId {
-        // sslint: allow(panic-reach) — documented contract: the panic is the point
+        // sslint: allow(panic) — documented contract: the panic is the point
         self.links[link.index()].peer_of(self.node)
     }
 

@@ -51,7 +51,6 @@ impl<T> BufPool<T> {
 
     /// Takes a buffer from the pool, allocating only when the free list
     /// is empty. The returned buffer is always empty (`len == 0`).
-    // sslint: pool-boundary — the one sanctioned allocation site: a fresh Vec only when the free list is dry
     pub fn get(&mut self) -> Vec<T> {
         match self.free.pop() {
             Some(buf) => {
@@ -70,7 +69,6 @@ impl<T> BufPool<T> {
     /// is kept for the next [`BufPool::get`]. Zero-capacity buffers are
     /// not worth parking and buffers over `MAX_CAPACITY` would pin a
     /// burst's memory; both are dropped outright.
-    // sslint: hot-path — recycle runs once per drained bucket; parking must not allocate
     pub fn put(&mut self, mut buf: Vec<T>) {
         buf.clear();
         let worth_parking = (1..=Self::MAX_CAPACITY).contains(&buf.capacity());

@@ -149,7 +149,7 @@ impl<M: Message> Simulator<M> {
     ///
     /// Panics if `id` was not returned by [`Simulator::add_link`].
     pub fn link(&self, id: LinkId) -> &Link {
-        // sslint: allow(panic-reach) — documented contract: LinkIds are minted by add_link
+        // sslint: allow(panic) — documented contract: LinkIds are minted by add_link
         &self.links[id.0]
     }
 
@@ -235,7 +235,7 @@ impl<M: Message> Simulator<M> {
             .get_mut(id.0)
             .and_then(Option::take)
             .unwrap_or_else(|| {
-                // sslint: allow(panic, panic-reach) — reentrant dispatch is a scheduler bug; continuing would corrupt the event order the traces attest to
+                // sslint: allow(panic) — reentrant dispatch is a scheduler bug; continuing would corrupt the event order the traces attest to
                 panic!("reentrant dispatch on node {id}");
             });
         let mut ctx = Context {
@@ -274,10 +274,10 @@ impl<M: Message> Simulator<M> {
         let wire = msg.wire_size();
         let bytes = wire32(wire);
         let now = self.time;
-        // sslint: allow(panic-reach) — LinkIds are minted by add_link; a node sending on a foreign id is a wiring bug that must stop the run
+        // sslint: allow(panic) — LinkIds are minted by add_link; a node sending on a foreign id is a wiring bug that must stop the run
         let stats = &mut self.stats.links[link_id.0];
         stats.offered += 1;
-        // sslint: allow(panic-reach) — same add_link invariant as the stats index above
+        // sslint: allow(panic) — same add_link invariant as the stats index above
         let link = &mut self.links[link_id.0];
         let to = link.peer_of(from);
         let rng = &mut self.rng;
@@ -402,8 +402,8 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Dispatches the next event, if any. Returns `false` when the queue is
-    /// empty.
-    // sslint: hot-path — per-event dispatch; alloc_regression budgets it at 0 allocs/event
+    /// empty. This is the per-event path `alloc_regression` budgets at 0
+    /// heap operations per event, traced or not.
     pub(crate) fn step(&mut self) -> bool {
         self.ensure_started();
         let Some((at, _seq, kind)) = self.queue.pop() else {

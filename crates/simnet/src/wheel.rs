@@ -112,7 +112,7 @@ impl<T> WheelQueue<T> {
         let level = Self::level_for(self.elapsed, entry.at);
         let slot = (entry.at >> (LEVEL_BITS as usize * level)) as usize & (SLOTS - 1);
         let idx = level * SLOTS + slot;
-        // sslint: allow(panic-reach) — idx < LEVELS * SLOTS by construction: level <= 10, slot <= 63
+        // sslint: allow(panic) — idx < LEVELS * SLOTS by construction: level <= 10, slot <= 63
         let bucket = &mut self.slots[idx];
         if bucket.capacity() == 0 {
             *bucket = self.pool.get();
@@ -129,14 +129,13 @@ impl<T> WheelQueue<T> {
             return None;
         }
         let level = self.levels.trailing_zeros() as usize;
-        // sslint: allow(panic-reach) — `levels` bits only cover the LEVELS array
+        // sslint: allow(panic) — `levels` bits only cover the LEVELS array
         let slot = self.occupied[level].trailing_zeros() as usize;
         Some((level, slot))
     }
 
     /// Enqueues `item` to fire at `at`. `seq` is the caller's global
     /// insertion counter; callers must pass strictly increasing values.
-    // sslint: hot-path — wheel filing runs once per scheduled event
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         let at = at.as_micros();
         debug_assert!(at >= self.elapsed, "scheduled into the wheel's past");
@@ -148,7 +147,6 @@ impl<T> WheelQueue<T> {
     }
 
     /// Removes and returns the earliest event (lowest `(at, seq)`).
-    // sslint: hot-path — wheel dispatch runs once per delivered event
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         loop {
             if let Some(entry) = self.current.pop() {
@@ -161,7 +159,7 @@ impl<T> WheelQueue<T> {
             }
             let (level, slot) = self.earliest_bucket()?;
             let idx = level * SLOTS + slot;
-            // sslint: allow(panic-reach) — idx < LEVELS * SLOTS: occupancy bits only cover real slots
+            // sslint: allow(panic) — idx < LEVELS * SLOTS: occupancy bits only cover real slots
             let mut bucket = std::mem::take(&mut self.slots[idx]);
             self.occupied[level] &= !(1u64 << slot);
             if self.occupied[level] == 0 {
@@ -209,7 +207,7 @@ impl<T> WheelQueue<T> {
         }
         let (level, slot) = self.earliest_bucket()?;
         let idx = level * SLOTS + slot;
-        // sslint: allow(panic-reach) — idx < LEVELS * SLOTS: occupancy bits only cover real slots
+        // sslint: allow(panic) — idx < LEVELS * SLOTS: occupancy bits only cover real slots
         let bucket = &self.slots[idx];
         if level == 0 {
             // Level-0 buckets are single-timestamp batches.

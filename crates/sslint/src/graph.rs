@@ -1,29 +1,14 @@
-//! Pass 1 of the semantic analyzer: a lightweight item graph over the
-//! lexed workspace.
+//! The item scanner: a flat item *list* per lexed source file.
 //!
-//! The graph is an IR of *items and calls*, not types: for every source
-//! file it records the `fn`/`struct`/`enum`/`trait`/`impl`/`const`/
-//! `static`/`mod` items with their visibility, name, line and token span,
-//! and for every `fn` body an over-approximated set of outgoing call
-//! edges. Resolution is deliberately syntactic:
-//!
-//! - unqualified calls (`helper(…)`) and method calls (`x.helper(…)`)
-//!   resolve **by name within the defining crate**,
-//! - path calls resolve **across crates** when the path head names an
-//!   in-tree crate (`util::seed::derive(…)`, `simnet::Rng::split(…)`);
-//!   `crate::`/`self::`/`super::` heads resolve within the crate.
-//!
-//! Unknown heads fall back to same-crate name resolution, so the edge set
-//! over-approximates inside a crate and under-approximates across crates
-//! — the right bias for reachability lints that must survive refactors
-//! without a type checker. Rules built on the graph
-//! ([`crate::rules`]: `panic-reach`, `rng-provenance`, `trace-coverage`,
-//! `dead-pub`) consume [`Graph`] read-only.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! For every file it records the `fn`/`struct`/`enum`/`trait`/`impl`/
+//! `const`/`static`/`mod` items with their kind, visibility, name, line,
+//! token span, enclosing `impl`/`mod` and whether they sit in test code.
+//! That is all it is — no call edges, no reachability, no types: the
+//! rules that need more than tokens ([`crate::rules`]: `dead-pub`,
+//! `trace-coverage`, `unsafe-contract`) ask "which items does this file
+//! declare, and where", and the list answers it.
 
 use crate::lex::{self, Tok, TokKind};
-use crate::workspace::Workspace;
 
 /// What kind of item a [`Item`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,288 +80,10 @@ impl Item {
     }
 }
 
-/// Globally identifies one fn node by its index in [`Graph::fns`].
-pub type FnId = usize;
-
-/// How a potential panic manifests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect("…")` with a string-literal argument.
-    Expect,
-    /// `panic!` / `todo!` / `unimplemented!`.
-    Macro,
-    /// `container[index]` with a non-literal, non-range index.
-    Index,
-}
-
-impl PanicKind {
-    /// Short human label for messages.
-    pub fn label(self) -> &'static str {
-        match self {
-            PanicKind::Unwrap => "`.unwrap()`",
-            PanicKind::Expect => "`.expect(\"…\")`",
-            PanicKind::Macro => "panicking macro",
-            PanicKind::Index => "indexing (can panic on out-of-range)",
-        }
-    }
-}
-
-/// One potential panic inside a fn body.
-#[derive(Debug, Clone, Copy)]
-pub struct PanicSite {
-    /// The panic class.
-    pub kind: PanicKind,
-    /// Source location.
-    pub line: u32,
-}
-
-/// One fn node of the call graph.
-#[derive(Debug)]
-pub struct FnNode {
-    /// Where the fn lives.
-    pub krate: usize,
-    /// File index within the crate.
-    pub file: usize,
-    /// Item index within the file's [`FileItems`].
-    pub item: usize,
-    /// The fn's name (for path rendering).
-    pub name: String,
-    /// Whether the fn is a public-API entry point: `pub fn` or a
-    /// trait-impl method (dynamic dispatch) in non-test, non-bin code.
-    pub entry: bool,
-    /// Whether a `// sslint: hot-path — why` marker names this fn as a
-    /// root of the hot-path-alloc reachability set.
-    pub hot_root: bool,
-    /// Whether a `// sslint: pool-boundary — why` marker names this fn as
-    /// a pool acquire: hot-path traversal stops here and the fn's own
-    /// (amortized) allocations are sanctioned.
-    pub pool_boundary: bool,
-    /// Outgoing call edges (global fn ids), sorted and deduplicated.
-    pub calls: Vec<FnId>,
-    /// Potential panics in this fn's own body.
-    pub panics: Vec<PanicSite>,
-}
-
-/// All items of one source file.
-#[derive(Debug, Default)]
-pub struct FileItems {
-    /// Items in source order (containers precede their children).
-    pub items: Vec<Item>,
-}
-
-/// The workspace item graph.
-pub struct Graph {
-    /// `files[krate][file]` mirrors `Workspace::crates[krate].files`.
-    pub files: Vec<Vec<FileItems>>,
-    /// Flat fn table; edges index into it.
-    pub fns: Vec<FnNode>,
-}
-
-/// Rust keywords that read like call heads but never are.
-const NON_CALL_KEYWORDS: &[&str] = &[
-    "if", "while", "match", "return", "for", "loop", "else", "let", "move", "in", "as", "fn",
-    "impl", "where", "break", "continue", "unsafe", "dyn", "ref", "mut", "use", "pub", "box",
-    "await", "yield",
-];
-
-/// Keyword heads that keep path resolution inside the current crate.
-const LOCAL_PATH_HEADS: &[&str] = &["crate", "self", "super", "Self"];
-
-impl Graph {
-    /// Builds the item graph for `ws`: scans every crate's source files
-    /// into [`FileItems`], then wires the fn-level call edges.
-    pub fn build(ws: &Workspace) -> Graph {
-        let mut files: Vec<Vec<FileItems>> = Vec::with_capacity(ws.crates.len());
-        for krate in &ws.crates {
-            let mut per_file = Vec::with_capacity(krate.files.len());
-            for file in &krate.files {
-                per_file.push(scan_file(&file.lexed.tokens, &file.mask));
-            }
-            files.push(per_file);
-        }
-
-        // Flat fn table + per-crate name → ids index for resolution.
-        let mut fns: Vec<FnNode> = Vec::new();
-        for (ki, krate) in ws.crates.iter().enumerate() {
-            for (fi, file) in krate.files.iter().enumerate() {
-                for (ii, item) in files[ki][fi].items.iter().enumerate() {
-                    if item.kind != ItemKind::Fn {
-                        continue;
-                    }
-                    let entry = !item.in_test
-                        && !file.is_bin
-                        && (item.vis == Vis::Pub || item.is_trait_impl_fn());
-                    let marked = |marker_lines: &[u32]| {
-                        marker_lines.iter().any(|&m| {
-                            m < item.line
-                                && !files[ki][fi].items.iter().any(|o| {
-                                    o.kind == ItemKind::Fn && m < o.line && o.line < item.line
-                                })
-                        })
-                    };
-                    fns.push(FnNode {
-                        krate: ki,
-                        file: fi,
-                        item: ii,
-                        name: item.name.clone(),
-                        entry,
-                        hot_root: !item.in_test && marked(&file.lexed.hot_paths),
-                        pool_boundary: marked(&file.lexed.pool_boundaries),
-                        calls: Vec::new(),
-                        panics: Vec::new(),
-                    });
-                }
-            }
-        }
-        let mut by_crate_name: Vec<BTreeMap<String, Vec<FnId>>> =
-            vec![BTreeMap::new(); files.len()];
-        for (id, f) in fns.iter().enumerate() {
-            if let Some(names) = by_crate_name.get_mut(f.krate) {
-                names.entry(f.name.clone()).or_default().push(id);
-            }
-        }
-
-        // Map dependency-key spellings (`xia_addr`, `util`, …) to crate
-        // indices, so `dep::path::fn(…)` edges cross crates.
-        let mut crate_of_head: BTreeMap<String, usize> = BTreeMap::new();
-        for (ki, krate) in ws.crates.iter().enumerate() {
-            crate_of_head.insert(krate.dir_name.replace('-', "_"), ki);
-            if let Some(pkg) = &krate.manifest.package_name {
-                crate_of_head.insert(pkg.replace('-', "_"), ki);
-            }
-        }
-
-        // Wire edges and panic sites.
-        for id in 0..fns.len() {
-            let (ki, fi, ii) = (fns[id].krate, fns[id].file, fns[id].item);
-            let Some((bstart, bend)) = files[ki][fi].items[ii].body else {
-                continue;
-            };
-            let file = &ws.crates[ki].files[fi];
-            let toks = &file.lexed.tokens;
-            let mask = &file.mask;
-            let mut calls: BTreeSet<FnId> = BTreeSet::new();
-            for i in bstart..bend.min(toks.len()) {
-                if mask[i] {
-                    continue;
-                }
-                let t = &toks[i];
-                if t.kind != TokKind::Ident || !toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-                    continue;
-                }
-                if NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
-                    continue;
-                }
-                // Walk the `a :: b :: name` path backwards to its head.
-                let mut head = i;
-                while lex::back(toks, head, 1).is_some_and(|p| p.is_punct("::"))
-                    && lex::back(toks, head, 2).is_some_and(|p| p.kind == TokKind::Ident)
-                {
-                    head -= 2;
-                }
-                let callee = t.text.as_str();
-                let resolved_crate = if head == i {
-                    ki // unqualified: same crate
-                } else {
-                    let h = toks[head].text.as_str();
-                    if LOCAL_PATH_HEADS.contains(&h) {
-                        ki
-                    } else {
-                        *crate_of_head.get(h).unwrap_or(&ki)
-                    }
-                };
-                if let Some(ids) = by_crate_name[resolved_crate].get(callee) {
-                    calls.extend(ids.iter().copied());
-                }
-            }
-            fns[id].calls = calls.into_iter().collect();
-            fns[id].panics = scan_panics(toks, mask, bstart, bend.min(toks.len()));
-        }
-
-        Graph { files, fns }
-    }
-
-    /// Multi-source BFS from every entry fn. Returns, for each fn id,
-    /// `Some((hops, parent))` when reachable — `parent` is the fn it was
-    /// discovered from (`None` for entries themselves). Deterministic:
-    /// entries seed in id order and adjacency lists are sorted.
-    pub fn reach_from_entries(&self) -> Vec<Option<(u32, Option<FnId>)>> {
-        let mut state: Vec<Option<(u32, Option<FnId>)>> = vec![None; self.fns.len()];
-        let mut queue: std::collections::VecDeque<FnId> = std::collections::VecDeque::new();
-        for (id, f) in self.fns.iter().enumerate() {
-            if f.entry {
-                state[id] = Some((0, None));
-                queue.push_back(id);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            let (hops, _) = state[id].unwrap_or((0, None));
-            for &next in &self.fns[id].calls {
-                if state[next].is_none() {
-                    state[next] = Some((hops + 1, Some(id)));
-                    queue.push_back(next);
-                }
-            }
-        }
-        state
-    }
-
-    /// Multi-source BFS from every `// sslint: hot-path` root, pruned at
-    /// `// sslint: pool-boundary` fns: a pool acquire is never entered, so
-    /// neither its body nor anything only reachable through it is in the
-    /// hot set. Same result shape as [`Graph::reach_from_entries`].
-    pub fn reach_from_hot(&self) -> Vec<Option<(u32, Option<FnId>)>> {
-        let mut state: Vec<Option<(u32, Option<FnId>)>> = vec![None; self.fns.len()];
-        let mut queue: std::collections::VecDeque<FnId> = std::collections::VecDeque::new();
-        for (id, f) in self.fns.iter().enumerate() {
-            if f.hot_root && !f.pool_boundary {
-                state[id] = Some((0, None));
-                queue.push_back(id);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            let (hops, _) = state[id].unwrap_or((0, None));
-            for &next in &self.fns[id].calls {
-                // Constructor-named callees are setup-by-convention: the
-                // syntactic resolver maps `Direction::default()` onto every
-                // same-named fn in the crate, so following them would drag
-                // cold constructors into the hot set. The runtime
-                // allocs/event counter backstops any constructor that truly
-                // runs per-event.
-                if matches!(
-                    self.fns[next].name.as_str(),
-                    "new" | "default" | "with_capacity"
-                ) {
-                    continue;
-                }
-                if state[next].is_none() && !self.fns[next].pool_boundary {
-                    state[next] = Some((hops + 1, Some(id)));
-                    queue.push_back(next);
-                }
-            }
-        }
-        state
-    }
-
-    /// Renders the shortest call path ending at `id` as
-    /// `entry → … → name`, following BFS parents.
-    pub fn path_to(&self, reach: &[Option<(u32, Option<FnId>)>], id: FnId) -> String {
-        let mut names = vec![self.fns[id].name.clone()];
-        let mut cur = id;
-        while let Some((_, Some(parent))) = reach[cur] {
-            names.push(self.fns[parent].name.clone());
-            cur = parent;
-        }
-        names.reverse();
-        names.join(" → ")
-    }
-}
-
-/// Scans one file's token stream into its item list.
-pub fn scan_file(toks: &[Tok], mask: &[bool]) -> FileItems {
-    let mut out = FileItems::default();
+/// Scans one file's token stream into its item list, in source order
+/// (containers precede their children).
+pub fn scan_file(toks: &[Tok], mask: &[bool]) -> Vec<Item> {
+    let mut out = Vec::new();
     scan_items(toks, mask, 0, toks.len(), None, None, &mut out);
     out
 }
@@ -390,7 +97,7 @@ fn scan_items(
     end: usize,
     parent: Option<usize>,
     enclosing_trait: Option<&str>,
-    out: &mut FileItems,
+    out: &mut Vec<Item>,
 ) {
     let mut i = start;
     let mut vis = Vis::Private;
@@ -444,7 +151,7 @@ fn scan_items(
                     .map(|n| n.text.clone())
                     .unwrap_or_default();
                 let item_end = skip_to_semicolon(toks, i, end);
-                out.items.push(Item {
+                out.push(Item {
                     kind,
                     name,
                     vis,
@@ -498,7 +205,7 @@ fn scan_items(
                     }
                     j += 1;
                 }
-                out.items.push(Item {
+                out.push(Item {
                     kind: ItemKind::Fn,
                     name,
                     vis,
@@ -549,8 +256,8 @@ fn scan_items(
                     }
                     j += 1;
                 }
-                let idx = out.items.len();
-                out.items.push(Item {
+                let idx = out.len();
+                out.push(Item {
                     kind,
                     name: name.clone(),
                     vis,
@@ -643,8 +350,8 @@ fn scan_items(
                     continue;
                 }
                 let bend = skip_balanced(toks, j, end, "{", "}");
-                let idx = out.items.len();
-                out.items.push(Item {
+                let idx = out.len();
+                out.push(Item {
                     kind: ItemKind::Impl,
                     name: type_name,
                     vis: Vis::Private,
@@ -702,7 +409,13 @@ fn last_path_ident(toks: &[Tok], header: &[usize], after: usize) -> Option<Strin
 
 /// Skips a balanced bracket pair starting at `open_at` (which must hold
 /// `open`). Returns the index just past the matching close.
-fn skip_balanced(toks: &[Tok], open_at: usize, end: usize, open: &str, close: &str) -> usize {
+pub(crate) fn skip_balanced(
+    toks: &[Tok],
+    open_at: usize,
+    end: usize,
+    open: &str,
+    close: &str,
+) -> usize {
     let mut depth = 0usize;
     let mut i = open_at;
     while i < end {
@@ -754,93 +467,12 @@ fn skip_to_semicolon_or_block(toks: &[Tok], from: usize, end: usize) -> usize {
     end
 }
 
-/// Scans a fn body for potential panics: `.unwrap()`, `.expect("…")`,
-/// `panic!`/`todo!`/`unimplemented!`, and non-literal indexing.
-fn scan_panics(toks: &[Tok], mask: &[bool], start: usize, end: usize) -> Vec<PanicSite> {
-    const MACROS: &[&str] = &["panic", "todo", "unimplemented"];
-    let mut out = Vec::new();
-    for i in start..end {
-        if mask[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if t.kind == TokKind::Ident {
-            let prev_is_dot = i > start && lex::back(toks, i, 1).is_some_and(|p| p.is_punct("."));
-            if t.text == "unwrap" && prev_is_dot && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-            {
-                out.push(PanicSite {
-                    kind: PanicKind::Unwrap,
-                    line: t.line,
-                });
-            }
-            if t.text == "expect"
-                && prev_is_dot
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                && toks.get(i + 2).is_some_and(|n| {
-                    n.kind == TokKind::Literal && n.text.contains('"') && !n.text.starts_with('b')
-                })
-            {
-                out.push(PanicSite {
-                    kind: PanicKind::Expect,
-                    line: t.line,
-                });
-            }
-            if MACROS.contains(&t.text.as_str()) && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-            {
-                out.push(PanicSite {
-                    kind: PanicKind::Macro,
-                    line: t.line,
-                });
-            }
-        }
-        // Indexing: `recv[…]` where `recv` ends in an ident, `)` or `]`,
-        // and the index is a *computed* expression — arithmetic, field
-        // access, nested calls. Three index shapes are exempt as the
-        // workspace's guarded idioms: lone literals (`buf[0]`, length-
-        // checked by convention), lone identifiers (`toks[i]`, a loop-
-        // bounded cursor) and ranges (`buf[2..22]`, slicing). The
-        // unguarded hazard this flags is the derived index nobody
-        // bounds-checked: `nodes[id.0]`, `v[i + 1]`, `heap[k % n]`.
-        if t.is_punct("[") && i > start {
-            let Some(recv) = lex::back(toks, i, 1) else {
-                continue;
-            };
-            let is_recv = recv.kind == TokKind::Ident
-                && !NON_CALL_KEYWORDS.contains(&recv.text.as_str())
-                || recv.is_punct(")")
-                || recv.is_punct("]");
-            if !is_recv {
-                continue;
-            }
-            let close = skip_balanced(toks, i, end, "[", "]");
-            let inner = &toks[i + 1..close.saturating_sub(1)];
-            if inner.is_empty() {
-                continue;
-            }
-            let lone_token = inner.len() == 1
-                && (inner[0].kind == TokKind::Literal || inner[0].kind == TokKind::Ident);
-            let has_range = inner.iter().any(|x| x.is_punct("."))
-                && inner
-                    .windows(2)
-                    .any(|w| w[0].is_punct(".") && w[1].is_punct("."));
-            let has_ident = inner.iter().any(|x| x.kind == TokKind::Ident);
-            if !lone_token && !has_range && has_ident {
-                out.push(PanicSite {
-                    kind: PanicKind::Index,
-                    line: t.line,
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lex;
 
-    fn graph_of(src: &str) -> FileItems {
+    fn items_of(src: &str) -> Vec<Item> {
         let lexed = lex::lex(src);
         let mask = lex::test_mask(&lexed.tokens);
         scan_file(&lexed.tokens, &mask)
@@ -848,34 +480,33 @@ mod tests {
 
     #[test]
     fn scans_fn_struct_enum_with_visibility() {
-        let items = graph_of(
+        let items = items_of(
             "pub fn a() {}\nfn b() {}\npub(crate) fn c() {}\npub struct S { pub x: u32 }\nenum E { V }\npub const N: u32 = 3;\n",
         );
-        let by_name = |n: &str| items.items.iter().find(|i| i.name == n).unwrap();
+        let by_name = |n: &str| items.iter().find(|i| i.name == n).unwrap();
         assert_eq!(by_name("a").vis, Vis::Pub);
         assert_eq!(by_name("a").kind, ItemKind::Fn);
         assert_eq!(by_name("b").vis, Vis::Private);
         assert_eq!(by_name("c").vis, Vis::Restricted);
         assert_eq!(by_name("S").kind, ItemKind::Struct);
         // The struct field `pub x` must not become an item.
-        assert!(items.items.iter().all(|i| i.name != "x"));
+        assert!(items.iter().all(|i| i.name != "x"));
         assert_eq!(by_name("E").kind, ItemKind::Enum);
         assert_eq!(by_name("N").kind, ItemKind::Const);
     }
 
     #[test]
     fn impl_blocks_attribute_methods() {
-        let items = graph_of(
+        let items = items_of(
             "struct S;\nimpl S { pub fn m(&self) {} fn p(&self) {} }\nimpl core::fmt::Display for S { fn fmt(&self) {} }\n",
         );
-        let m = items.items.iter().find(|i| i.name == "m").unwrap();
+        let m = items.iter().find(|i| i.name == "m").unwrap();
         assert_eq!(m.vis, Vis::Pub);
         assert!(!m.is_trait_impl_fn());
-        let f = items.items.iter().find(|i| i.name == "fmt").unwrap();
+        let f = items.iter().find(|i| i.name == "fmt").unwrap();
         assert!(f.is_trait_impl_fn());
         assert_eq!(f.trait_name.as_deref(), Some("Display"));
         let imp = items
-            .items
             .iter()
             .find(|i| i.kind == ItemKind::Impl && i.trait_name.is_some())
             .unwrap();
@@ -883,44 +514,22 @@ mod tests {
     }
 
     #[test]
-    fn panic_sites_cover_all_four_kinds() {
-        let src = "fn f(v: &[u32], i: usize) { v.get(0).unwrap(); v.get(0).expect(\"x\"); panic!(\"y\"); let _ = v[i + 1]; let _ = v[i]; let _ = v[0]; let _ = &v[1..3]; }";
-        let lexed = lex::lex(src);
-        let mask = lex::test_mask(&lexed.tokens);
-        let items = scan_file(&lexed.tokens, &mask);
-        let f = &items.items[0];
-        let (bs, be) = f.body.unwrap();
-        let panics = scan_panics(&lexed.tokens, &mask, bs, be);
-        let kinds: Vec<PanicKind> = panics.iter().map(|p| p.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                PanicKind::Unwrap,
-                PanicKind::Expect,
-                PanicKind::Macro,
-                PanicKind::Index
-            ],
-            "lone-literal, lone-ident and range indexing must not count"
-        );
-    }
-
-    #[test]
     fn test_items_are_marked() {
-        let items = graph_of("#[cfg(test)]\nmod tests { pub fn t() {} }\npub fn live() {}");
-        let t = items.items.iter().find(|i| i.name == "t").unwrap();
+        let items = items_of("#[cfg(test)]\nmod tests { pub fn t() {} }\npub fn live() {}");
+        let t = items.iter().find(|i| i.name == "t").unwrap();
         assert!(t.in_test);
-        let live = items.items.iter().find(|i| i.name == "live").unwrap();
+        let live = items.iter().find(|i| i.name == "live").unwrap();
         assert!(!live.in_test);
     }
 
     #[test]
     fn trait_default_methods_are_scanned() {
-        let items = graph_of(
+        let items = items_of(
             "pub trait T { fn provided(&self) { helper(); } fn required(&self); }\nfn helper() {}",
         );
-        let p = items.items.iter().find(|i| i.name == "provided").unwrap();
+        let p = items.iter().find(|i| i.name == "provided").unwrap();
         assert!(p.body.is_some());
-        let r = items.items.iter().find(|i| i.name == "required").unwrap();
+        let r = items.iter().find(|i| i.name == "required").unwrap();
         assert!(r.body.is_none());
     }
 }

@@ -63,13 +63,6 @@ pub struct Lexed {
     /// Lines of `// SAFETY: …` comments (the unsafe-contract rule
     /// requires one adjacent to every `unsafe` construct).
     pub safety_comments: Vec<u32>,
-    /// Lines of `// sslint: hot-path — why` markers: the next fn item is a
-    /// root of the hot-path-alloc reachability set.
-    pub hot_paths: Vec<u32>,
-    /// Lines of `// sslint: pool-boundary — why` markers: the next fn item
-    /// is a pool acquire — hot-path traversal stops there and its own
-    /// (amortized, cold) allocations are sanctioned.
-    pub pool_boundaries: Vec<u32>,
 }
 
 /// Scans `src` into tokens. The scanner never fails: unexpected bytes
@@ -333,9 +326,8 @@ fn ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
 }
 
-/// Parses the sslint line-comment directives — `sslint: allow(rule[,
-/// rule…]) — reason`, `sslint: hot-path — why`, `sslint: pool-boundary —
-/// why` — plus plain `SAFETY:` contract comments.
+/// Parses the one sslint line-comment directive — `sslint: allow(rule[,
+/// rule…]) — reason` — plus plain `SAFETY:` contract comments.
 fn scan_allow_comment(comment: &str, line: u32, out: &mut Lexed) {
     let t = comment.trim_start();
     // `// SAFETY: …` contract comments, plus the rustdoc `# Safety`
@@ -357,16 +349,7 @@ fn scan_allow_comment(comment: &str, line: u32, out: &mut Lexed) {
     let Some(rest) = t.strip_prefix("sslint:") else {
         return;
     };
-    let rest = rest.trim_start();
-    if rest.starts_with("hot-path") {
-        out.hot_paths.push(line);
-        return;
-    }
-    if rest.starts_with("pool-boundary") {
-        out.pool_boundaries.push(line);
-        return;
-    }
-    let Some(rest) = rest.strip_prefix("allow") else {
+    let Some(rest) = rest.trim_start().strip_prefix("allow") else {
         return;
     };
     let rest = rest.trim_start();
@@ -434,19 +417,19 @@ pub fn test_mask(tokens: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Scans an attribute's bracketed body starting just past `#[`. Returns
-/// `(index past the closing bracket, whether the attribute gates tests)`.
 /// The token `n` positions before `i`, if it exists — the guarded
 /// backward cursor shared by the rule scans.
 pub(crate) fn back(toks: &[Tok], i: usize, n: usize) -> Option<&Tok> {
     i.checked_sub(n).and_then(|k| toks.get(k))
 }
 
+/// Scans an attribute's bracketed body starting just past `#[`. Returns
+/// `(index past the closing bracket, whether the attribute gates tests)`.
 fn scan_attr(tokens: &[Tok], mut i: usize) -> (usize, bool) {
     let mut depth = 1usize;
     let mut has_cfg_or_test = false;
     let mut has_test_word = false;
-    let mut has_not = false;
+    let mut has_live_arm = false;
     if let Some(t) = tokens.get(i) {
         if t.is_ident("test") {
             has_cfg_or_test = true;
@@ -464,14 +447,16 @@ fn scan_attr(tokens: &[Tok], mut i: usize) -> (usize, bool) {
             depth -= 1;
         } else if t.is_ident("test") {
             has_test_word = true;
-        } else if t.is_ident("not") {
-            // `#[cfg(not(test))]` gates *live* code; treating it as a test
-            // region would hide real findings.
-            has_not = true;
+        } else if t.is_ident("not") || t.is_ident("any") {
+            // `#[cfg(not(test))]` gates *live* code, and so does
+            // `#[cfg(any(test, feature = "x"))]` whenever its other arm
+            // holds; treating either as a test region would hide real
+            // findings.
+            has_live_arm = true;
         }
         i += 1;
     }
-    (i, has_cfg_or_test && has_test_word && !has_not)
+    (i, has_cfg_or_test && has_test_word && !has_live_arm)
 }
 
 /// Skips one item starting at `i`: everything up to and including the
@@ -576,17 +561,30 @@ mod tests {
     }
 
     #[test]
-    fn safety_and_flow_markers_are_collected() {
+    fn test_mask_skips_cfg_any_but_covers_cfg_all() {
+        // `any(test, …)` compiles into non-test builds when its other arm
+        // holds, so its body stays visible to every rule (regression: it
+        // used to be masked); `all(test, …)` is test-only and stays masked.
+        let src = "#[cfg(any(test, feature = \"x\"))]\nmod m { fn f() { a.unwrap(); } }\n\
+                   #[cfg(all(test, feature = \"x\"))]\nmod t { fn g() { b.unwrap(); } }";
+        let l = lex(src);
+        let mask = test_mask(&l.tokens);
+        let unwraps: Vec<bool> = l
+            .tokens
+            .iter()
+            .zip(&mask)
+            .filter(|(t, _)| t.is_ident("unwrap"))
+            .map(|(_, m)| *m)
+            .collect();
+        assert_eq!(unwraps, [false, true]);
+    }
+
+    #[test]
+    fn safety_comments_are_collected() {
         let src = "// SAFETY: ptr is in bounds\n\
-                   unsafe { x() }\n\
-                   // sslint: hot-path — event loop root\n\
-                   fn step() {}\n\
-                   // sslint: pool-boundary — sanctioned cold alloc\n\
-                   fn get() {}\n";
+                   unsafe { x() }\n";
         let l = lex(src);
         assert_eq!(l.safety_comments, vec![1]);
-        assert_eq!(l.hot_paths, vec![3]);
-        assert_eq!(l.pool_boundaries, vec![5]);
         assert!(l.allows.is_empty());
     }
 

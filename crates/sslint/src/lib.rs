@@ -5,19 +5,19 @@
 //! params, seed) ⇒ byte-identical stats digests and flight-recorder
 //! traces. That contract is easy to break silently — one `HashMap`
 //! iteration, one `Instant::now()`, one registry dependency — so this
-//! crate machine-checks it. A small hand-rolled Rust lexer
-//! ([`lex`]) and manifest reader ([`manifest`]) feed two analysis passes:
-//! a token-pattern rule engine and, built on the [`graph`] item graph, a
-//! set of semantic rules that understand items and calls. Every member
-//! crate is audited:
+//! crate machine-checks it. A small hand-rolled Rust lexer ([`lex`]),
+//! an item scanner ([`graph`]) and a manifest reader ([`manifest`]) feed
+//! one stateless pass of token rules per file plus the manifest rules;
+//! the per-file item *list* serves the three rules that need to know
+//! which items a file declares. Every member crate is audited:
 //!
 //! | group | rules |
 //! |-------|-------|
 //! | D — determinism | `wall-clock`, `hash-iter` |
 //! | P — panic hygiene | `panic` |
-//! | H — hermeticity & layering | `dep-hermetic`, `layering`, `unsafe-forbid` |
-//! | G — graph semantics | `panic-reach`, `rng-provenance`, `trace-coverage`, `dead-pub` |
-//! | F — flow (pass 3) | `hot-path-alloc`, `unsafe-contract`, `float-determinism` |
+//! | H — hermeticity, layering & unsafe | `dep-hermetic`, `layering`, `unsafe-forbid`, `unsafe-contract` |
+//! | G — seed provenance & coverage | `rng-provenance`, `trace-coverage`, `dead-pub` |
+//! | hygiene | `allow-reason`, `allowlist-unused` |
 //!
 //! Violations can be justified two ways: inline with
 //! `// sslint: allow(<rule>) — <reason>` (covers its own line plus the
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flow;
 pub mod graph;
 pub mod lex;
 pub mod manifest;
@@ -158,7 +157,7 @@ pub fn run(root: &Path, allowlist_path: &str) -> io::Result<Report> {
     let (entries, malformed) = parse_allowlist(&allow_text);
 
     let ws = workspace::load(root)?;
-    let raw = rules::run_all(&ws, &entries);
+    let raw = rules::run_all(&ws);
 
     // Inline allow map: file → (first, last, rules) coverage intervals.
     // An allow comment covers its own line plus the statement that starts
@@ -307,7 +306,7 @@ mod tests {
         // A `for`/`if` header opens a block: the allow covers the header
         // line, not the whole body.
         let src = "fn f() {\n\
-                   // sslint: allow(panic-reach) — header only\n\
+                   // sslint: allow(panic) — header only\n\
                    for i in 0..3 {\n\
                        body(i);\n\
                    }\n\

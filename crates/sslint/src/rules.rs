@@ -1,19 +1,16 @@
-//! The rule engine: determinism (D), panic hygiene (P), hermeticity &
-//! layering (H) and graph-semantic analysis (G).
+//! The rule engine: determinism (D), panic hygiene (P), hermeticity,
+//! layering & unsafe (H) and cross-file coverage (G).
 //!
 //! Each rule is a pure function from the lexed workspace model to a list
-//! of [`Finding`]s. The single-file rules are token-pattern based; the G
-//! rules (`panic-reach`, `rng-provenance`, `trace-coverage`, `dead-pub`)
-//! run over the [`crate::graph`] item graph, so they see *items and
-//! calls* and survive refactors that move code between functions and
-//! files. Both layers over-approximate in principle — no type
-//! information — and the inline `// sslint: allow(<rule>) — <reason>`
-//! escape hatch covers the rest.
+//! of [`Finding`]s. Most are token patterns over one file or one
+//! manifest; `dead-pub`, `trace-coverage` and `unsafe-contract` also read
+//! the per-file item list ([`crate::graph`]). All of them
+//! over-approximate — no type information — and the inline
+//! `// sslint: allow(<rule>) — <reason>` escape hatch covers the rest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::flow::{self, AssignClass};
-use crate::graph::{Graph, ItemKind, Vis};
+use crate::graph::{self, ItemKind, Vis};
 use crate::lex::{self, Tok, TokKind};
 use crate::workspace::{CrateInfo, SrcFile, Workspace};
 
@@ -33,10 +30,10 @@ pub struct Finding {
 /// Rule D: no wall-clock, thread or process-environment access in
 /// simulation crates.
 pub const RULE_WALL_CLOCK: &str = "wall-clock";
-/// Rule D: no iteration over hash-ordered collections in simulation
-/// crates.
+/// Rule D: no hash-ordered collection types in simulation crates.
 pub const RULE_HASH_ITER: &str = "hash-iter";
-/// Rule P: no `unwrap`/`expect`/`panic!`/`todo!` in non-test library code.
+/// Rule P: no `unwrap`/`expect`/`panic!`/`todo!`/computed indexing in
+/// non-test library code.
 pub const RULE_PANIC: &str = "panic";
 /// Rule H: all dependencies must resolve in-tree (path or workspace).
 pub const RULE_DEP_HERMETIC: &str = "dep-hermetic";
@@ -44,13 +41,13 @@ pub const RULE_DEP_HERMETIC: &str = "dep-hermetic";
 pub const RULE_LAYERING: &str = "layering";
 /// Rule H: every library crate must carry `#![forbid(unsafe_code)]`.
 pub const RULE_UNSAFE_FORBID: &str = "unsafe-forbid";
+/// Rule H: every non-test `unsafe` construct needs an adjacent
+/// `// SAFETY:` comment.
+pub const RULE_UNSAFE_CONTRACT: &str = "unsafe-contract";
 /// Hygiene of the hygiene tool: allow comments must carry a reason.
 pub const RULE_ALLOW_REASON: &str = "allow-reason";
 /// Allowlist-file entries that matched nothing are stale and must go.
 pub const RULE_ALLOWLIST_UNUSED: &str = "allowlist-unused";
-/// Rule G: a potential panic (unwrap/expect/panic macro/computed
-/// indexing) reachable from a non-test `pub` item of a library crate.
-pub const RULE_PANIC_REACH: &str = "panic-reach";
 /// Rule G: RNG constructions in sim crates must flow from a named seed
 /// (the `util::seed` chain or a parameter), never a literal or the clock.
 pub const RULE_RNG_PROVENANCE: &str = "rng-provenance";
@@ -59,17 +56,6 @@ pub const RULE_RNG_PROVENANCE: &str = "rng-provenance";
 pub const RULE_TRACE_COVERAGE: &str = "trace-coverage";
 /// Rule G: pub items of internal crates with zero cross-crate references.
 pub const RULE_DEAD_PUB: &str = "dead-pub";
-/// Rule F: heap-allocating constructs reachable from a `// sslint:
-/// hot-path` root without passing through a pool acquire.
-pub const RULE_HOT_PATH_ALLOC: &str = "hot-path-alloc";
-/// Rule F: every `unsafe` construct needs an adjacent `// SAFETY:`
-/// comment, a sanctioned allowlist row with a cross-check test, and a
-/// dominating feature guard for gated dispatch.
-pub const RULE_UNSAFE_CONTRACT: &str = "unsafe-contract";
-/// Rule F: floating-point accumulation in sim crates must use a fixed
-/// iteration order — no `f64` folds over hash-ordered collections.
-pub const RULE_FLOAT_DETERMINISM: &str = "float-determinism";
-
 /// One rule's catalogue entry, for `--list-rules` and the DESIGN.md §7
 /// sync test.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +63,7 @@ pub struct RuleInfo {
     /// Stable rule identifier.
     pub id: &'static str,
     /// Rule group: `D` determinism, `P` panic hygiene, `H` hermeticity &
-    /// layering, `T` trace conventions, `G` graph semantics, `hygiene`.
+    /// layering, `G` cross-file coverage, `hygiene`.
     pub group: &'static str,
     /// One-line description.
     pub desc: &'static str,
@@ -93,12 +79,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: RULE_HASH_ITER,
         group: "D",
-        desc: "no iteration over hash-ordered collections in simulation crates",
+        desc: "no HashMap/HashSet in simulation crates",
     },
     RuleInfo {
         id: RULE_PANIC,
         group: "P",
-        desc: "no unwrap/expect(\"…\")/panic!/todo! in non-test library code",
+        desc: "no unwrap/expect(\"…\")/panic!/todo!/computed indexing in non-test library code",
     },
     RuleInfo {
         id: RULE_DEP_HERMETIC,
@@ -116,6 +102,11 @@ pub const RULES: &[RuleInfo] = &[
         desc: "every library crate carries #![forbid(unsafe_code)]",
     },
     RuleInfo {
+        id: RULE_UNSAFE_CONTRACT,
+        group: "H",
+        desc: "every non-test unsafe construct carries an adjacent SAFETY: comment",
+    },
+    RuleInfo {
         id: RULE_ALLOW_REASON,
         group: "hygiene",
         desc: "inline allow comments must carry a reason",
@@ -124,11 +115,6 @@ pub const RULES: &[RuleInfo] = &[
         id: RULE_ALLOWLIST_UNUSED,
         group: "hygiene",
         desc: "allowlist entries that match no finding are stale",
-    },
-    RuleInfo {
-        id: RULE_PANIC_REACH,
-        group: "G",
-        desc: "no potential panic reachable from a non-test pub item (shortest call path reported)",
     },
     RuleInfo {
         id: RULE_RNG_PROVENANCE,
@@ -145,21 +131,6 @@ pub const RULES: &[RuleInfo] = &[
         group: "G",
         desc: "no pub item of an internal crate with zero cross-crate references",
     },
-    RuleInfo {
-        id: RULE_HOT_PATH_ALLOC,
-        group: "F",
-        desc: "no heap allocation reachable from a hot-path root without a pool acquire (call path reported)",
-    },
-    RuleInfo {
-        id: RULE_UNSAFE_CONTRACT,
-        group: "F",
-        desc: "every unsafe construct carries an adjacent SAFETY: comment, a cross-checked allow row, and its guard",
-    },
-    RuleInfo {
-        id: RULE_FLOAT_DETERMINISM,
-        group: "F",
-        desc: "sim-crate float accumulation folds in a fixed order, never over hash-ordered collections",
-    },
 ];
 
 /// Every rule id, for `--help` and allowlist validation.
@@ -170,15 +141,12 @@ pub const ALL_RULES: &[&str] = &[
     RULE_DEP_HERMETIC,
     RULE_LAYERING,
     RULE_UNSAFE_FORBID,
+    RULE_UNSAFE_CONTRACT,
     RULE_ALLOW_REASON,
     RULE_ALLOWLIST_UNUSED,
-    RULE_PANIC_REACH,
     RULE_RNG_PROVENANCE,
     RULE_TRACE_COVERAGE,
     RULE_DEAD_PUB,
-    RULE_HOT_PATH_ALLOC,
-    RULE_UNSAFE_CONTRACT,
-    RULE_FLOAT_DETERMINISM,
 ];
 
 /// The layering DAG: each crate's layer number; a crate may only depend
@@ -226,37 +194,28 @@ pub fn is_sim_crate(dir_name: &str) -> bool {
         || dir_name.starts_with("xia-")
 }
 
-/// Runs every rule over the workspace: the single-file token rules, then
-/// the graph-semantic rules over a freshly built [`Graph`], then the
-/// flow-aware pass-3 rules ([`crate::flow`]). `allow` is the parsed root
-/// allowlist — the unsafe-contract rule audits its unsafe-forbid rows.
-pub fn run_all(ws: &Workspace, allow: &[crate::AllowEntry]) -> Vec<Finding> {
+/// Runs every rule over the workspace: the manifest rules, the per-file
+/// token rules, then the two cross-file coverage rules.
+pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let declared = declared_trace_variants(ws);
     hermeticity(ws, &mut findings);
     for krate in &ws.crates {
         layering(krate, &mut findings);
         unsafe_forbid(krate, &mut findings);
         for file in &krate.files {
             allow_hygiene(file, &mut findings);
+            unsafe_contract(file, &mut findings);
             if is_sim_crate(&krate.dir_name) {
-                wall_clock(file, &mut findings);
-                let hash_names = collect_hash_names(file);
-                hash_iter(file, &hash_names, &mut findings);
+                determinism(file, &mut findings);
                 rng_provenance(file, &mut findings);
-                float_determinism(file, &hash_names, &mut findings);
             }
             if !file.is_bin {
                 panic_hygiene(file, &mut findings);
             }
         }
     }
-    let graph = Graph::build(ws);
-    panic_reach(ws, &graph, &mut findings);
-    trace_coverage(ws, &graph, &declared, &mut findings);
-    dead_pub(ws, &graph, &mut findings);
-    hot_path_alloc(ws, &graph, &mut findings);
-    unsafe_contract(ws, &graph, allow, &mut findings);
+    trace_coverage(ws, &mut findings);
+    dead_pub(ws, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
@@ -266,9 +225,17 @@ pub fn run_all(ws: &Workspace, allow: &[crate::AllowEntry]) -> Vec<Finding> {
 // ---------------------------------------------------------------------------
 
 const WALL_CLOCK_TYPES: &[&str] = &["SystemTime", "Instant"];
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 const FORBIDDEN_STD_MODULES: &[&str] = &["thread", "env"];
 
-fn wall_clock(file: &SrcFile, findings: &mut Vec<Finding>) {
+/// Rules D `wall-clock` and `hash-iter`, one scan: both are bans on
+/// naming a type (or `std` module) in a simulation crate's non-test code.
+/// `hash-iter` bans the *type*, not iteration over it — `RandomState` is
+/// seeded per instance, so any iteration, float fold or `Debug` print of
+/// a hash collection differs run to run, and a ban on the identifier
+/// catches every one of them, `use … as` aliases included (the alias
+/// declaration has to name the type).
+fn determinism(file: &SrcFile, findings: &mut Vec<Finding>) {
     let toks = &file.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
         if file.mask[i] || t.kind != TokKind::Ident {
@@ -282,6 +249,18 @@ fn wall_clock(file: &SrcFile, findings: &mut Vec<Finding>) {
                 msg: format!(
                     "`{}` in a simulation crate — simulated time must come \
                      from `simnet::SimTime`",
+                    t.text
+                ),
+            });
+        }
+        if HASH_TYPES.contains(&t.text.as_str()) {
+            findings.push(Finding {
+                rule: RULE_HASH_ITER,
+                file: file.rel.clone(),
+                line: t.line,
+                msg: format!(
+                    "`{}` in a simulation crate — hash order differs run to \
+                     run; use BTreeMap/BTreeSet",
                     t.text
                 ),
             });
@@ -329,132 +308,37 @@ fn wall_clock(file: &SrcFile, findings: &mut Vec<Finding>) {
     }
 }
 
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-/// Collects identifiers bound to hash-ordered collections in one file's
-/// non-test code: struct fields, let bindings and fn parameters with a
-/// `HashMap`/`HashSet` annotation, plus `let x = HashMap::new()` style
-/// initializers. Scoped per file — pooling names crate-wide would make a
-/// `Vec`-typed field in one file collide with a same-named map in another.
-fn collect_hash_names(file: &SrcFile) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || !HASH_TYPES.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Walk backwards over `std :: collections ::` path prefixes,
-        // reference sigils and `mut` to find `name :` or `name =`.
-        let mut j = i;
-        while lex::back(toks, j, 1).is_some_and(|p| p.is_punct("::"))
-            && lex::back(toks, j, 2).is_some_and(|p| p.kind == TokKind::Ident)
-        {
-            j -= 2;
-        }
-        while lex::back(toks, j, 1)
-            .is_some_and(|p| p.is_punct("&") || p.is_ident("mut") || p.is_ident("dyn"))
-        {
-            j -= 1;
-        }
-        if lex::back(toks, j, 1).is_some_and(|p| p.is_punct(":") || p.is_punct("=")) {
-            if let Some(name) = lex::back(toks, j, 2).filter(|p| p.kind == TokKind::Ident) {
-                names.insert(name.text.clone());
-            }
-        }
-    }
-    names
-}
-
-fn hash_iter(file: &SrcFile, hash_names: &BTreeSet<String>, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] {
-            continue;
-        }
-        // `name.iter()`, `self.name.drain()`, …
-        if t.kind == TokKind::Ident
-            && hash_names.contains(&t.text)
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("."))
-            && toks
-                .get(i + 2)
-                .is_some_and(|n| ITER_METHODS.contains(&n.text.as_str()))
-            && toks.get(i + 3).is_some_and(|n| n.is_punct("("))
-        {
-            let Some(method) = toks.get(i + 2).map(|n| &n.text) else {
-                continue;
-            };
-            findings.push(Finding {
-                rule: RULE_HASH_ITER,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: format!(
-                    "`{}.{method}()` iterates a hash-ordered collection — \
-                     replace with BTreeMap/BTreeSet or justify with an \
-                     sslint allow comment",
-                    t.text
-                ),
-            });
-        }
-        // `for x in &self.name { … }` — direct iteration of the map value.
-        if t.is_ident("for") {
-            let Some(in_pos) = toks[i..]
-                .iter()
-                .position(|x| x.is_ident("in"))
-                .map(|p| p + i)
-            else {
-                continue;
-            };
-            let Some(brace_pos) = toks[in_pos..]
-                .iter()
-                .position(|x| x.is_punct("{"))
-                .map(|p| p + in_pos)
-            else {
-                continue;
-            };
-            let expr = &toks[in_pos + 1..brace_pos];
-            let calls_method = expr.iter().any(|x| x.is_punct("("));
-            let last_ident = expr.iter().rev().find(|x| x.kind == TokKind::Ident);
-            if let Some(last) = last_ident {
-                if !calls_method && hash_names.contains(&last.text) {
-                    findings.push(Finding {
-                        rule: RULE_HASH_ITER,
-                        file: file.rel.clone(),
-                        line: last.line,
-                        msg: format!(
-                            "`for … in {}` iterates a hash-ordered collection \
-                             — replace with BTreeMap/BTreeSet or justify with \
-                             an sslint allow comment",
-                            last.text
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Rule P — panic hygiene
 // ---------------------------------------------------------------------------
 
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 
+/// Keywords that can directly precede a `[` opening an array literal,
+/// slice pattern or array type — never an indexed receiver.
+const NOT_A_RECEIVER: &[&str] = &[
+    "as", "break", "const", "dyn", "else", "for", "if", "impl", "in", "let", "match", "move",
+    "mut", "ref", "return", "where", "while", "yield",
+];
+
 fn panic_hygiene(file: &SrcFile, findings: &mut Vec<Finding>) {
     let toks = &file.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || t.kind != TokKind::Ident {
+        if file.mask[i] {
+            continue;
+        }
+        if t.is_punct("[") && is_computed_index(toks, i) {
+            findings.push(Finding {
+                rule: RULE_PANIC,
+                file: file.rel.clone(),
+                line: t.line,
+                msg: "computed index in library code (can panic on \
+                      out-of-range) — guard the input, use `.get(…)`, or \
+                      justify with an sslint allow comment"
+                    .to_string(),
+            });
+        }
+        if t.kind != TokKind::Ident {
             continue;
         }
         let prev_is_dot = lex::back(toks, i, 1).is_some_and(|p| p.is_punct("."));
@@ -501,8 +385,35 @@ fn panic_hygiene(file: &SrcFile, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Whether the `[` at `open` indexes a receiver with a *computed*
+/// expression — arithmetic, field access, nested calls. The receiver must
+/// end in an ident, `)` or `]`. Three index shapes are exempt as the
+/// workspace's guarded idioms: lone literals (`buf[0]`, length-checked by
+/// convention), lone identifiers (`toks[i]`, a loop-bounded cursor) and
+/// ranges (`buf[2..22]`, slicing). The unguarded hazard this flags is the
+/// derived index nobody bounds-checked: `nodes[id.0]`, `v[i + 1]`,
+/// `heap[k % n]`.
+fn is_computed_index(toks: &[Tok], open: usize) -> bool {
+    let is_recv = lex::back(toks, open, 1).is_some_and(|recv| {
+        recv.kind == TokKind::Ident && !NOT_A_RECEIVER.contains(&recv.text.as_str())
+            || recv.is_punct(")")
+            || recv.is_punct("]")
+    });
+    if !is_recv {
+        return false;
+    }
+    let close = graph::skip_balanced(toks, open, toks.len(), "[", "]");
+    let inner = toks.get(open + 1..close - 1).unwrap_or_default();
+    let lone_token = inner.len() == 1;
+    let has_range = inner
+        .windows(2)
+        .any(|w| w[0].is_punct(".") && w[1].is_punct("."));
+    let has_ident = inner.iter().any(|x| x.kind == TokKind::Ident);
+    !lone_token && !has_range && has_ident
+}
+
 // ---------------------------------------------------------------------------
-// Rule H — hermeticity & layering
+// Rule H — hermeticity, layering & unsafe
 // ---------------------------------------------------------------------------
 
 fn hermeticity(ws: &Workspace, findings: &mut Vec<Finding>) {
@@ -596,6 +507,52 @@ fn unsafe_forbid(krate: &CrateInfo, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Rule H `unsafe-contract`: every non-test `unsafe` block/fn/impl needs
+/// a `// SAFETY:` comment (or rustdoc `# Safety` section) within the
+/// three preceding lines; multi-line SAFETY comments extend the window,
+/// and `unsafe fn` signatures *inside* an `unsafe impl` inherit the
+/// impl-level contract — the trait dictates them.
+fn unsafe_contract(file: &SrcFile, findings: &mut Vec<Finding>) {
+    let toks = &file.lexed.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if file.mask[i] || !t.is_ident("unsafe") {
+            continue;
+        }
+        let next = toks.get(i + 1);
+        let covered = file
+            .lexed
+            .safety_comments
+            .iter()
+            .any(|&s| s <= t.line && t.line - s <= 3);
+        let is_required_sig = next.is_some_and(|n| n.is_ident("fn"))
+            && file.items.iter().any(|it| {
+                it.kind == ItemKind::Impl
+                    && it.span.0 <= i
+                    && i < it.span.1
+                    && lex::back(toks, it.span.0, 1).is_some_and(|p| p.is_ident("unsafe"))
+            });
+        if covered || is_required_sig {
+            continue;
+        }
+        let what = match next {
+            Some(n) if n.is_punct("{") => "unsafe block",
+            Some(n) if n.is_ident("fn") => "unsafe fn",
+            Some(n) if n.is_ident("impl") => "unsafe impl",
+            Some(n) if n.is_ident("trait") => "unsafe trait",
+            _ => "unsafe construct",
+        };
+        findings.push(Finding {
+            rule: RULE_UNSAFE_CONTRACT,
+            file: file.rel.clone(),
+            line: t.line,
+            msg: format!(
+                "{what} without an adjacent `// SAFETY:` comment — state \
+                 the invariant that makes it sound"
+            ),
+        });
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The trace schema (read by trace-coverage)
 // ---------------------------------------------------------------------------
@@ -666,45 +623,8 @@ fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule G — graph semantics
+// Rule G — seed provenance and cross-file coverage
 // ---------------------------------------------------------------------------
-
-/// Rule G `panic-reach`: walks the call graph from every public-API entry
-/// (non-test `pub fn` or trait-impl method of a library crate) and flags
-/// every potential panic in a reachable fn body, with the shortest call
-/// path as the message. Sites already carry their own line, so inline
-/// allows and the allowlist suppress them exactly like token findings.
-fn panic_reach(ws: &Workspace, graph: &Graph, findings: &mut Vec<Finding>) {
-    let reach = graph.reach_from_entries();
-    for (id, f) in graph.fns.iter().enumerate() {
-        if reach[id].is_none() || f.panics.is_empty() {
-            continue;
-        }
-        let Some(file) = ws.crates.get(f.krate).and_then(|k| k.files.get(f.file)) else {
-            continue;
-        };
-        if file.is_bin {
-            // Bin-file fns are never entries; a same-name edge from lib
-            // code would be a resolution artifact, not a real call.
-            continue;
-        }
-        let path = graph.path_to(&reach, id);
-        for site in &f.panics {
-            findings.push(Finding {
-                rule: RULE_PANIC_REACH,
-                file: file.rel.clone(),
-                line: site.line,
-                msg: format!(
-                    "{} reachable from pub API via `{}` — guard the \
-                     input, return a Result, or justify with an sslint \
-                     allow comment",
-                    site.kind.label(),
-                    path
-                ),
-            });
-        }
-    }
-}
 
 /// Identifiers that smell like wall-clock entropy inside a seed
 /// expression.
@@ -831,13 +751,8 @@ fn rng_provenance(file: &SrcFile, findings: &mut Vec<Finding>) {
 /// use in test code, in the reference corpus, or inside the oracle's own
 /// impl block). Unemitted variants are dead observability; unchecked ones
 /// are blind spots the oracle silently stopped covering.
-fn trace_coverage(
-    ws: &Workspace,
-    graph: &Graph,
-    declared: &Option<TraceDecl>,
-    findings: &mut Vec<Finding>,
-) {
-    let Some(decl) = declared else {
+fn trace_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
+    let Some(decl) = declared_trace_variants(ws) else {
         return;
     };
     let mut emitted: BTreeSet<String> = BTreeSet::new();
@@ -848,15 +763,14 @@ fn trace_coverage(
         }
     };
 
-    for (ki, krate) in ws.crates.iter().enumerate() {
-        for (fi, file) in krate.files.iter().enumerate() {
+    for krate in &ws.crates {
+        for file in &krate.files {
             let toks = &file.lexed.tokens;
             // Token ranges of `impl TraceAudit` blocks in the declaring
             // file: variant uses there are the oracle checking, not
             // emitting.
             let oracle_spans: Vec<(usize, usize)> = if file.rel == decl.file {
-                graph.files[ki][fi]
-                    .items
+                file.items
                     .iter()
                     .filter(|it| it.kind == ItemKind::Impl && it.name == "TraceAudit")
                     .map(|it| it.span)
@@ -941,7 +855,7 @@ fn dead_pub_audits(kind: ItemKind) -> bool {
 /// pub API (it *is* the product surface); internal crates must shrink
 /// theirs to what is used, which is what rustc's per-crate
 /// `unreachable_pub` can never see.
-fn dead_pub(ws: &Workspace, graph: &Graph, findings: &mut Vec<Finding>) {
+fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
     // Which crates are internal: named as a dependency (any section) by
     // another member crate.
     let mut internal: BTreeSet<usize> = BTreeSet::new();
@@ -1006,11 +920,11 @@ fn dead_pub(ws: &Workspace, graph: &Graph, findings: &mut Vec<Finding>) {
                     .enumerate()
                     .any(|(other, set)| other != ki && set.contains(name))
         };
-        for (fi, file) in krate.files.iter().enumerate() {
+        for file in &krate.files {
             if file.is_bin {
                 continue;
             }
-            for item in &graph.files[ki][fi].items {
+            for item in &file.items {
                 if item.vis != Vis::Pub
                     || item.in_test
                     || item.name.is_empty()
@@ -1035,519 +949,6 @@ fn dead_pub(ws: &Workspace, graph: &Graph, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Rule F — flow-aware (pass 3)
-// ---------------------------------------------------------------------------
-
-/// Rule F `hot-path-alloc`: the static twin of `alloc_regression.rs`.
-/// Walks the call graph from every `// sslint: hot-path` root (pruned at
-/// `// sslint: pool-boundary` acquires) and flags heap-allocating
-/// constructs in reachable bodies: `Vec::new`/`vec!`, `Box::new`,
-/// `String::new`/`from`, `.to_vec()`/`.to_string()`/`.to_owned()`,
-/// `.clone()` and `format!` are flagged outright; `.push(…)` only when
-/// dataflow shows the receiver was freshly constructed empty in this fn
-/// and never (re)filled from a pool — a warm field or pool-acquired
-/// buffer pushes into reserved capacity, which the runtime counter
-/// verifies. Sized `with_capacity` pre-allocation is the sanctioned
-/// setup idiom and is not flagged.
-fn hot_path_alloc(ws: &Workspace, graph: &Graph, findings: &mut Vec<Finding>) {
-    let reach = graph.reach_from_hot();
-    for (id, f) in graph.fns.iter().enumerate() {
-        if reach.get(id).is_none_or(Option::is_none) {
-            continue;
-        }
-        let Some(item) = graph
-            .files
-            .get(f.krate)
-            .and_then(|files| files.get(f.file))
-            .and_then(|gf| gf.items.get(f.item))
-        else {
-            continue;
-        };
-        let Some((bs, be)) = item.body else {
-            continue;
-        };
-        let Some(file) = ws.crates.get(f.krate).and_then(|k| k.files.get(f.file)) else {
-            continue;
-        };
-        let toks = &file.lexed.tokens;
-        let be = be.min(toks.len());
-        let path = graph.path_to(&reach, id);
-        let mut flag = |line: u32, what: &str| {
-            findings.push(Finding {
-                rule: RULE_HOT_PATH_ALLOC,
-                file: file.rel.clone(),
-                line,
-                msg: format!(
-                    "{what} allocates on the hot path `{path}` — recycle \
-                     through a pool, hoist out of the event loop, or justify \
-                     with an sslint allow comment"
-                ),
-            });
-        };
-        for (i, t) in toks.iter().enumerate().take(be).skip(bs) {
-            if file.mask.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let prev_is_dot = lex::back(toks, i, 1).is_some_and(|p| p.is_punct("."));
-            let next_is_paren = toks.get(i + 1).is_some_and(|n| n.is_punct("("));
-            let next_is_bang = toks.get(i + 1).is_some_and(|n| n.is_punct("!"));
-            // `Vec::new()`, `String::new()`, `String::from(…)`, `Box::new(…)`.
-            if matches!(t.text.as_str(), "Vec" | "VecDeque" | "String" | "Box")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|n| n.is_ident("new") || n.is_ident("from"))
-                && toks.get(i + 3).is_some_and(|n| n.is_punct("("))
-            {
-                let Some(method) = toks.get(i + 2) else {
-                    continue;
-                };
-                flag(t.line, &format!("`{}::{}(…)`", t.text, method.text));
-                continue;
-            }
-            if (t.text == "vec" || t.text == "format") && next_is_bang {
-                flag(t.line, &format!("`{}!`", t.text));
-                continue;
-            }
-            if prev_is_dot && next_is_paren {
-                match t.text.as_str() {
-                    "to_vec" | "to_string" | "to_owned" | "clone" => {
-                        flag(t.line, &format!("`.{}()`", t.text));
-                        continue;
-                    }
-                    "push" | "push_back" | "push_front" => {
-                        let Some(h) = flow::chain_head(toks, i) else {
-                            continue;
-                        };
-                        let Some(head) = toks.get(h) else {
-                            continue;
-                        };
-                        let name = &head.text;
-                        if name == "self" || head.kind != TokKind::Ident {
-                            continue; // field/unknown receiver: warm by contract
-                        }
-                        let classes = flow::reaching_assignments(toks, bs, i, name);
-                        let fresh = classes.contains(&AssignClass::FreshEmpty);
-                        let pooled = classes.contains(&AssignClass::Pool);
-                        if fresh && !pooled {
-                            flag(
-                                t.line,
-                                &format!("`{name}.{}(…)` into a freshly-emptied buffer", t.text),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-}
-
-/// Rule F `unsafe-contract`: three obligations per `unsafe` construct.
-/// (1) Every non-test `unsafe` block/fn/impl needs a `// SAFETY:` comment
-/// within the three preceding lines (multi-line SAFETY comments extend
-/// the window; `unsafe fn` signatures *inside* an `unsafe impl` inherit
-/// the impl-level contract). (2) Every unsafe-containing crate must be
-/// sanctioned by an `unsafe-forbid` allowlist row whose reason cites a
-/// cross-check test that actually references the unsafe module. (3) An
-/// unsafe block dispatching into a feature-gated module (one declaring an
-/// `available()` probe) must be dominated by a call to that guard.
-fn unsafe_contract(
-    ws: &Workspace,
-    graph: &Graph,
-    allow: &[crate::AllowEntry],
-    findings: &mut Vec<Finding>,
-) {
-    for (ki, krate) in ws.crates.iter().enumerate() {
-        // Guard modules of this crate: inline `mod m` or sibling file `m.rs`
-        // declaring a fn named `available`.
-        let mut guard_mods: BTreeSet<String> = BTreeSet::new();
-        for (fi, file) in krate.files.iter().enumerate() {
-            let items = &graph.files[ki][fi].items;
-            for item in items {
-                if item.kind == ItemKind::Fn && item.name == "available" {
-                    match item.parent {
-                        Some(p) if items[p].kind == ItemKind::Mod => {
-                            guard_mods.insert(items[p].name.clone());
-                        }
-                        None => {
-                            if let Some(stem) = file_stem(&file.rel) {
-                                guard_mods.insert(stem.to_string());
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        let mut unsafe_files: Vec<usize> = Vec::new();
-        for (fi, file) in krate.files.iter().enumerate() {
-            let toks = &file.lexed.tokens;
-            let items = &graph.files[ki][fi].items;
-            let mut saw_unsafe = false;
-            for (i, t) in toks.iter().enumerate() {
-                if file.mask[i] || !t.is_ident("unsafe") {
-                    continue;
-                }
-                saw_unsafe = true;
-                let next = toks.get(i + 1);
-                let in_unsafe_impl = items.iter().any(|it| {
-                    it.kind == ItemKind::Impl
-                        && it.span.0 <= i
-                        && i < it.span.1
-                        && lex::back(toks, it.span.0, 1).is_some_and(|p| p.is_ident("unsafe"))
-                });
-                let is_required_sig =
-                    next.is_some_and(|n| n.is_ident("fn")) && in_unsafe_impl && i != 0;
-                let covered = file
-                    .lexed
-                    .safety_comments
-                    .iter()
-                    .any(|&s| s <= t.line && t.line - s <= 3);
-                if !covered && !is_required_sig {
-                    let what = match next {
-                        Some(n) if n.is_punct("{") => "unsafe block",
-                        Some(n) if n.is_ident("fn") => "unsafe fn",
-                        Some(n) if n.is_ident("impl") => "unsafe impl",
-                        Some(n) if n.is_ident("trait") => "unsafe trait",
-                        _ => "unsafe construct",
-                    };
-                    findings.push(Finding {
-                        rule: RULE_UNSAFE_CONTRACT,
-                        file: file.rel.clone(),
-                        line: t.line,
-                        msg: format!(
-                            "{what} without an adjacent `// SAFETY:` comment — \
-                             state the invariant that makes it sound"
-                        ),
-                    });
-                }
-                // Guard dominance for feature-gated dispatch.
-                if next.is_some_and(|n| n.is_punct("{")) {
-                    check_guard_dominance(file, items, &guard_mods, i, findings);
-                }
-            }
-            if saw_unsafe {
-                unsafe_files.push(fi);
-            }
-        }
-        if unsafe_files.is_empty() {
-            continue;
-        }
-
-        // (2) The crate-level sanction and its cross-check test.
-        let lib_rel = krate
-            .files
-            .iter()
-            .find(|f| f.rel.ends_with("src/lib.rs"))
-            .map(|f| f.rel.clone());
-        let row = allow
-            .iter()
-            .find(|e| e.rule == RULE_UNSAFE_FORBID && Some(&e.path) == lib_rel.as_ref());
-        if row.is_none() {
-            findings.push(Finding {
-                rule: RULE_UNSAFE_CONTRACT,
-                file: lib_rel.unwrap_or_else(|| krate.manifest_rel.clone()),
-                line: 1,
-                msg: format!(
-                    "crate `{}` contains unsafe code but no `unsafe-forbid` \
-                     allowlist row sanctions it — add a reasoned row or \
-                     remove the unsafe",
-                    krate.dir_name
-                ),
-            });
-        }
-        for &fi in &unsafe_files {
-            let file = &krate.files[fi];
-            let Some(stem) = file_stem(&file.rel) else {
-                continue;
-            };
-            // Cross-check tests: the reference corpus (crate tests/benches
-            // or root tests/examples) or in-crate `#[cfg(test)]` code
-            // naming the module.
-            let mut citing: BTreeSet<String> = BTreeSet::new();
-            for rf in &ws.ref_files {
-                let owned =
-                    rf.owner.as_deref() == Some(krate.dir_name.as_str()) || rf.owner.is_none();
-                if owned && references_stem(&rf.lexed.tokens, stem) {
-                    if let Some(s) = file_stem(&rf.rel) {
-                        citing.insert(s.to_string());
-                    }
-                }
-            }
-            let in_crate_test_ref = krate.files.iter().any(|f| {
-                f.lexed
-                    .tokens
-                    .iter()
-                    .zip(&f.mask)
-                    .any(|(t, &m)| m && t.kind == TokKind::Ident && eq_stem(&t.text, stem))
-            });
-            if citing.is_empty() && !in_crate_test_ref {
-                findings.push(Finding {
-                    rule: RULE_UNSAFE_CONTRACT,
-                    file: file.rel.clone(),
-                    line: 1,
-                    msg: format!(
-                        "unsafe module `{stem}` has no cross-check test \
-                         reference — add a test exercising it against the \
-                         safe implementation"
-                    ),
-                });
-            } else if let Some(row) = row {
-                if !citing.is_empty() && !citing.iter().any(|c| cites_word(&row.reason, c)) {
-                    findings.push(Finding {
-                        rule: RULE_UNSAFE_CONTRACT,
-                        file: crate::ALLOWLIST_FILE.to_string(),
-                        line: row.line,
-                        msg: format!(
-                            "unsafe-forbid row for `{}` must cite its \
-                             cross-check test in the reason (one of: {})",
-                            krate.dir_name,
-                            citing
-                                .iter()
-                                .map(String::as_str)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Flags an unsafe block that calls into a guard module without a
-/// dominating `available()` probe.
-fn check_guard_dominance(
-    file: &SrcFile,
-    items: &[crate::graph::Item],
-    guard_mods: &BTreeSet<String>,
-    unsafe_idx: usize,
-    findings: &mut Vec<Finding>,
-) {
-    let toks = &file.lexed.tokens;
-    let open = unsafe_idx + 1;
-    let close = {
-        let mut depth = 0usize;
-        let mut i = open;
-        loop {
-            if i >= toks.len() {
-                break i;
-            }
-            if toks[i].is_punct("{") {
-                depth += 1;
-            } else if toks[i].is_punct("}") {
-                depth -= 1;
-                if depth == 0 {
-                    break i + 1;
-                }
-            }
-            i += 1;
-        }
-    };
-    // Gated dispatch inside the block: `m::f(…)` with `m` a guard module.
-    let mut gated: Option<&str> = None;
-    for i in open..close.min(toks.len()) {
-        if toks[i].kind == TokKind::Ident
-            && guard_mods.contains(&toks[i].text)
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-        {
-            gated = Some(toks[i].text.as_str());
-            break;
-        }
-    }
-    let Some(module) = gated else {
-        return;
-    };
-    // Enclosing fn body → statement tree → dominating spans.
-    let encl = items
-        .iter()
-        .filter(|it| it.kind == ItemKind::Fn)
-        .filter_map(|it| it.body)
-        .find(|&(bs, be)| bs <= unsafe_idx && unsafe_idx < be);
-    let guarded = match encl {
-        Some((bs, be)) => {
-            let stmts = flow::parse_stmts(toks, bs, be.min(toks.len()));
-            let mut spans = Vec::new();
-            flow::dominating_spans(&stmts, unsafe_idx, &mut spans);
-            spans.iter().any(|&(s, e)| {
-                toks[s..e.min(toks.len())]
-                    .iter()
-                    .any(|t| t.is_ident("available"))
-            })
-        }
-        None => false,
-    };
-    if !guarded {
-        findings.push(Finding {
-            rule: RULE_UNSAFE_CONTRACT,
-            file: file.rel.clone(),
-            line: toks[unsafe_idx].line,
-            msg: format!(
-                "unsafe dispatch into `{module}` is not dominated by its \
-                 `{module}::available()` guard — gate the call on the \
-                 feature probe"
-            ),
-        });
-    }
-}
-
-/// The file stem of a workspace-relative path (`crates/x/src/sha1.rs` →
-/// `sha1`).
-fn file_stem(rel: &str) -> Option<&str> {
-    rel.rsplit('/').next()?.strip_suffix(".rs")
-}
-
-/// Whether `reason` names `stem` as a whole word (identifier-boundary
-/// match, so `module` does not count as a citation of a `mod.rs`).
-fn cites_word(reason: &str, stem: &str) -> bool {
-    reason
-        .split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-        .any(|w| w == stem)
-}
-
-/// Whether a token stream names `stem` (case-insensitively, so the type
-/// `Sha1` counts as a reference to module `sha1`).
-fn references_stem(toks: &[Tok], stem: &str) -> bool {
-    toks.iter()
-        .any(|t| t.kind == TokKind::Ident && eq_stem(&t.text, stem))
-}
-
-fn eq_stem(ident: &str, stem: &str) -> bool {
-    ident.eq_ignore_ascii_case(stem)
-}
-
-/// Fold terminals that accumulate floats.
-const FOLD_TERMINALS: &[&str] = &["sum", "product", "fold"];
-
-/// Rule F `float-determinism`: in sim crates, a float fold over a
-/// hash-ordered collection produces run-to-run different rounding even
-/// with identical inputs (f64 addition is not associative). `hash-iter`
-/// already bans iterating hash *bindings*; this rule closes the flow
-/// gap — folds whose chain head is a *call* to a fn returning
-/// `HashMap`/`HashSet` (no binding for `hash-iter` to see) with float
-/// evidence: an `::<f64>` turbofish, a float fold seed, an `as f64`
-/// cast in the chain, or a float value type on the returning fn.
-fn float_determinism(file: &SrcFile, hash_names: &BTreeSet<String>, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    let hash_fns = collect_hash_returning_fns(file);
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i]
-            || t.kind != TokKind::Ident
-            || !FOLD_TERMINALS.contains(&t.text.as_str())
-            || !lex::back(toks, i, 1).is_some_and(|p| p.is_punct("."))
-        {
-            continue;
-        }
-        let mut float = false;
-        // `::<f64>` turbofish on the terminal.
-        if toks.get(i + 1).is_some_and(|n| n.is_punct("::")) {
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct(">") {
-                if toks[j].is_ident("f64") || toks[j].is_ident("f32") {
-                    float = true;
-                }
-                j += 1;
-            }
-        }
-        // `fold(0.0, …)` float seed.
-        if t.text == "fold" {
-            if let Some(seed) = toks
-                .iter()
-                .skip(i + 1)
-                .find(|x| x.kind == TokKind::Literal || x.is_punct(")"))
-            {
-                if seed.kind == TokKind::Literal && seed.text.contains('.') {
-                    float = true;
-                }
-            }
-        }
-        let Some(h) = flow::chain_head(toks, i) else {
-            continue;
-        };
-        let head = &toks[h];
-        let head_is_call = toks.get(h + 1).is_some_and(|n| n.is_punct("("));
-        let hash_ordered = if head_is_call {
-            match hash_fns.get(&head.text) {
-                Some(&value_has_float) => {
-                    float |= value_has_float;
-                    true
-                }
-                None => false,
-            }
-        } else {
-            hash_names.contains(&head.text)
-        };
-        // `as f64` anywhere between head and terminal.
-        if !float {
-            float = toks[h..i]
-                .windows(2)
-                .any(|w| w[0].is_ident("as") && (w[1].is_ident("f64") || w[1].is_ident("f32")));
-        }
-        if hash_ordered && float {
-            findings.push(Finding {
-                rule: RULE_FLOAT_DETERMINISM,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: format!(
-                    "float `.{}(…)` over the hash-ordered `{}` — f64 \
-                     addition is order-sensitive; collect into a BTreeMap \
-                     or sort before folding",
-                    t.text, head.text
-                ),
-            });
-        }
-    }
-}
-
-/// Fns in this file whose return type is a hash-ordered collection,
-/// mapped to whether the value generics mention a float type.
-fn collect_hash_returning_fns(file: &SrcFile) -> BTreeMap<String, bool> {
-    let toks = &file.lexed.tokens;
-    let mut out = BTreeMap::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("fn") {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
-            continue;
-        };
-        // Scan the signature (to the body `{` or `;` at depth 0) for a
-        // hash return type and float value generics.
-        let mut depth = 0i32;
-        let mut j = i + 2;
-        let mut is_hash = false;
-        let mut has_float = false;
-        let mut after_arrow = false;
-        while j < toks.len() {
-            let tj = &toks[j];
-            if tj.is_punct("(") || tj.is_punct("[") {
-                depth += 1;
-            } else if tj.is_punct(")") || tj.is_punct("]") {
-                depth -= 1;
-            } else if depth == 0 && (tj.is_punct("{") || tj.is_punct(";")) {
-                break;
-            } else if tj.is_punct("-") && toks.get(j + 1).is_some_and(|n| n.is_punct(">")) {
-                after_arrow = true;
-            } else if after_arrow && HASH_TYPES.contains(&tj.text.as_str()) {
-                is_hash = true;
-            } else if after_arrow && is_hash && (tj.is_ident("f64") || tj.is_ident("f32")) {
-                has_float = true;
-            }
-            j += 1;
-        }
-        if is_hash {
-            out.insert(name.text.clone(), has_float);
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1595,6 +996,35 @@ mod tests {
         for c in ["util", "apps", "experiments", "bench", "suite", "sslint"] {
             assert!(!is_sim_crate(c), "{c}");
         }
+    }
+
+    #[test]
+    fn panic_sites_cover_all_four_kinds() {
+        let src = "fn f(v: &[u32], i: usize) {\n\
+                   v.get(0).unwrap();\n\
+                   v.get(0).expect(\"x\");\n\
+                   panic!(\"y\");\n\
+                   let _ = v[i + 1];\n\
+                   let _ = v[i]; let _ = v[0]; let _ = &v[1..3]; for _ in [i + 1, 2] {}\n\
+                   }";
+        let lexed = lex::lex(src);
+        let mask = lex::test_mask(&lexed.tokens);
+        let file = SrcFile {
+            rel: "f.rs".to_string(),
+            is_bin: false,
+            items: graph::scan_file(&lexed.tokens, &mask),
+            mask,
+            lexed,
+        };
+        let mut findings = Vec::new();
+        panic_hygiene(&file, &mut findings);
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            [2, 3, 4, 5],
+            "lone-literal, lone-ident and range indexing and array \
+             literals must not count: {findings:?}"
+        );
     }
 
     /// trace-coverage is only as good as its reading of the live

@@ -1,14 +1,15 @@
 //! Loads the workspace into the model the rules operate on: one
 //! [`CrateInfo`] per member crate, each holding its parsed manifest and the
-//! lexed, test-masked source files under `src/`, plus a reference corpus
-//! (crate `tests/`/`benches/` dirs and the root `tests/`/`examples/`
-//! dirs) that the cross-reference rules (`dead-pub`, `trace-coverage`)
-//! count identifier uses in without auditing it.
+//! lexed, test-masked, item-scanned source files under `src/`, plus a
+//! reference corpus (crate `tests/`/`benches/` dirs and the root
+//! `tests/`/`examples/` dirs) that the cross-reference rules (`dead-pub`,
+//! `trace-coverage`) count identifier uses in without auditing it.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::graph::{self, Item};
 use crate::lex::{self, Lexed};
 use crate::manifest::{self, Manifest};
 
@@ -24,6 +25,8 @@ pub struct SrcFile {
     /// `mask[i]` is true when token `i` sits inside `#[cfg(test)]` /
     /// `#[test]` gated code.
     pub mask: Vec<bool>,
+    /// The file's item list, in source order.
+    pub items: Vec<Item>,
 }
 
 /// One file of the reference corpus: lexed but not audited. Used only to
@@ -32,9 +35,6 @@ pub struct SrcFile {
 pub struct RefFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
-    /// Which crate's `tests/`/`benches/` dir the file came from, by
-    /// directory name (`None` for the root `tests/`/`examples/` dirs).
-    pub owner: Option<String>,
     /// The token stream.
     pub lexed: Lexed,
 }
@@ -93,20 +93,18 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
         let manifest_text = fs::read_to_string(dir.join("Cargo.toml"))?;
         let mut files = Vec::new();
         for (rel, lexed) in lex_dir(root, &dir.join("src"))? {
+            let mask = lex::test_mask(&lexed.tokens);
             files.push(SrcFile {
                 is_bin: rel.contains("/src/bin/") || rel.ends_with("/src/main.rs"),
-                mask: lex::test_mask(&lexed.tokens),
+                items: graph::scan_file(&lexed.tokens, &mask),
+                mask,
                 rel,
                 lexed,
             });
         }
         for sub in ["tests", "benches"] {
             for (rel, lexed) in lex_dir(root, &dir.join(sub))? {
-                ref_files.push(RefFile {
-                    rel,
-                    owner: Some(dir_name.clone()),
-                    lexed,
-                });
+                ref_files.push(RefFile { rel, lexed });
             }
         }
         crates.push(CrateInfo {
@@ -118,11 +116,7 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
     }
     for sub in ["tests", "examples"] {
         for (rel, lexed) in lex_dir(root, &root.join(sub))? {
-            ref_files.push(RefFile {
-                rel,
-                owner: None,
-                lexed,
-            });
+            ref_files.push(RefFile { rel, lexed });
         }
     }
 

@@ -1,9 +1,1 @@
 pub mod raw;
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn raw_roundtrip() {
-        assert_eq!(crate::raw::read(&7), 7);
-    }
-}

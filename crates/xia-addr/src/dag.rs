@@ -250,7 +250,7 @@ impl Dag {
     /// The intent (final destination) node.
     pub fn intent(&self) -> Xid {
         let intent = self.repr.intent;
-        // sslint: allow(panic-reach) — intent is range-checked at construction and the Dag is immutable after it
+        // sslint: allow(panic) — intent is range-checked at construction and the Dag is immutable after it
         self.repr.nodes[intent].xid
     }
 

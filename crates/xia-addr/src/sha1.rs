@@ -7,6 +7,11 @@
 //! crate set. SHA-1's cryptographic weakness is irrelevant here: it is used
 //! as a content fingerprint exactly as the XIA prototype does.
 //!
+//! `unsafe` is confined to the private `shani` module (the SHA-NI
+//! intrinsics). Its one entry point is a safe method on a `ShaNi` value
+//! that only a successful CPUID probe can produce, so every call site in
+//! this file is safe code and an unguarded dispatch does not compile.
+//!
 //! # Examples
 //!
 //! ```
@@ -127,7 +132,7 @@ impl Sha1 {
     /// `update` without touching `total_len` (used for padding only).
     fn update_padding(&mut self, data: &[u8]) {
         for &b in data {
-            // sslint: allow(panic-reach) — buffer_len < 64 is re-established
+            // sslint: allow(panic) — buffer_len < 64 is re-established
             // two lines below every time it reaches the block size
             self.buffer[self.buffer_len] = b;
             self.buffer_len += 1;
@@ -144,14 +149,11 @@ impl Sha1 {
     /// [`Self::process_block`] otherwise. Both compute the same FIPS
     /// 180-1 function, so digests — and everything derived from them
     /// (CIDs, golden traces) — are identical across machines.
-    #[allow(unsafe_code)]
     fn process_blocks(&mut self, blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0);
         #[cfg(target_arch = "x86_64")]
-        if shani::available() {
-            // SAFETY: `available()` just confirmed the sha/ssse3/sse4.1
-            // CPU features that `compress` is compiled with.
-            unsafe { shani::compress(&mut self.state, blocks) };
+        if let Some(hw) = shani::ShaNi::detect() {
+            hw.compress(&mut self.state, blocks);
             return;
         }
         let mut iter = blocks.chunks_exact(64);
@@ -174,7 +176,7 @@ impl Sha1 {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 16..80 {
-            // sslint: allow(panic-reach) — schedule offsets are const-bounded
+            // sslint: allow(panic) — schedule offsets are const-bounded
             // (i ≥ 16, so i-16 ≥ 0; i < 80 into [u32; 80])
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
@@ -189,7 +191,7 @@ impl Sha1 {
                     .wrapping_add($a.rotate_left(5))
                     .wrapping_add($d ^ ($b & ($c ^ $d)))
                     .wrapping_add(0x5A82_7999u32)
-                    // sslint: allow(panic-reach) — $i is a literal round
+                    // sslint: allow(panic) — $i is a literal round
                     // index, always < 80
                     .wrapping_add(w[$i]);
                 $b = $b.rotate_left(30);
@@ -201,7 +203,7 @@ impl Sha1 {
                     .wrapping_add($a.rotate_left(5))
                     .wrapping_add($b ^ $c ^ $d)
                     .wrapping_add($k)
-                    // sslint: allow(panic-reach) — $i is a literal round
+                    // sslint: allow(panic) — $i is a literal round
                     // index, always < 80
                     .wrapping_add(w[$i]);
                 $b = $b.rotate_left(30);
@@ -213,7 +215,7 @@ impl Sha1 {
                     .wrapping_add($a.rotate_left(5))
                     .wrapping_add(($b & $c) | ($d & ($b | $c)))
                     .wrapping_add(0x8F1B_BCDCu32)
-                    // sslint: allow(panic-reach) — $i is a literal round
+                    // sslint: allow(panic) — $i is a literal round
                     // index, always < 80
                     .wrapping_add(w[$i]);
                 $b = $b.rotate_left(30);
@@ -314,8 +316,9 @@ impl Sha1 {
 /// is the canonical Intel schedule — four message registers cycle through
 /// `sha1msg1`/`xor`/`sha1msg2` to produce each next group of four `W`
 /// words while `sha1rnds4` retires four rounds at a time. Selection is a
-/// runtime CPUID check, and the portable path computes the identical
-/// function, so results never depend on the host.
+/// runtime CPUID check carried by the `ShaNi` proof token, and the
+/// portable path computes the identical function, so results never
+/// depend on the host.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod shani {
@@ -325,22 +328,38 @@ mod shani {
         _mm_shuffle_epi8, _mm_xor_si128,
     };
 
-    /// Whether the CPU supports every feature `compress` is built with.
-    /// `is_x86_feature_detected!` caches, so this is a couple of atomic
-    /// loads after the first call.
-    pub(super) fn available() -> bool {
-        std::is_x86_feature_detected!("sha")
-            && std::is_x86_feature_detected!("ssse3")
-            && std::is_x86_feature_detected!("sse4.1")
+    /// Proof that this CPU supports every feature [`compress`] is built
+    /// with. The field is private and [`ShaNi::detect`] is the only
+    /// constructor, so holding a value *is* the passed CPUID check.
+    #[derive(Clone, Copy)]
+    pub(super) struct ShaNi(());
+
+    impl ShaNi {
+        /// Probes the CPU. `is_x86_feature_detected!` caches, so this is
+        /// a couple of atomic loads after the first call.
+        pub(super) fn detect() -> Option<ShaNi> {
+            (std::is_x86_feature_detected!("sha")
+                && std::is_x86_feature_detected!("ssse3")
+                && std::is_x86_feature_detected!("sse4.1"))
+            .then_some(ShaNi(()))
+        }
+
+        /// Compresses every 64-byte block in `blocks` into `state`.
+        pub(super) fn compress(self, state: &mut [u32; 5], blocks: &[u8]) {
+            // SAFETY: a `ShaNi` exists only because `detect` saw the
+            // sha/ssse3/sse4.1 CPU features `compress` is compiled with.
+            unsafe { compress(state, blocks) }
+        }
     }
 
     /// Compresses every 64-byte block in `blocks` into `state`.
     ///
     /// # Safety
     ///
-    /// The caller must have confirmed [`available`] on this CPU.
+    /// The CPU must support sha, ssse3 and sse4.1 — which is what a
+    /// [`ShaNi`] value attests.
     #[target_feature(enable = "sha", enable = "ssse3", enable = "sse4.1")]
-    pub(super) unsafe fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+    unsafe fn compress(state: &mut [u32; 5], blocks: &[u8]) {
         debug_assert_eq!(blocks.len() % 64, 0);
         // Reverses all 16 bytes: big-endian words + reversed word order,
         // matching the (a,b,c,d)-in-descending-dwords register layout.
@@ -564,17 +583,15 @@ mod tests {
     /// traces machine-independent.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    #[allow(unsafe_code)]
     fn hardware_and_portable_compressions_agree() {
-        if !shani::available() {
+        let Some(shani) = shani::ShaNi::detect() else {
             return;
-        }
+        };
         let blocks: Vec<u8> = (0..192u32)
             .map(|i| (i.wrapping_mul(31) % 251) as u8)
             .collect();
         let mut hw = Sha1::new();
-        // SAFETY: guarded by the `available()` check above.
-        unsafe { shani::compress(&mut hw.state, &blocks) };
+        shani.compress(&mut hw.state, &blocks);
         let mut portable = Sha1::new();
         for block in blocks.chunks_exact(64) {
             if let Ok(block) = <&[u8; 64]>::try_from(block) {
