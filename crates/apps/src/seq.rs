@@ -1,7 +1,8 @@
 //! A minimal sequential chunk downloader (no mobility, no staging).
 
 use simnet::{SimDuration, SimTime};
-use xia_addr::{sha1::Sha1, Dag, Xid};
+use xcache::ContentDigest;
+use xia_addr::{Dag, Xid};
 use xia_host::{App, FetchResult, HostCtx};
 
 /// Fetches a list of chunk DAGs strictly in order, retrying failures with
@@ -19,7 +20,7 @@ pub struct SeqFetcher {
     pub bytes: u64,
     /// Failed attempts (retried).
     pub failures: u64,
-    hash: Sha1,
+    hash: ContentDigest,
     finished: Option<SimTime>,
 }
 
@@ -34,7 +35,7 @@ impl SeqFetcher {
             completions: Vec::new(),
             bytes: 0,
             failures: 0,
-            hash: Sha1::new(),
+            hash: ContentDigest::new(),
             finished: None,
         }
     }
@@ -49,9 +50,9 @@ impl SeqFetcher {
         self.finished
     }
 
-    /// SHA-1 over the delivered content in order.
+    /// [`ContentDigest`] of the verified chunks delivered, in order.
     pub fn content_digest(&self) -> [u8; 20] {
-        self.hash.clone().finalize()
+        self.hash.finish()
     }
 
     fn fetch_next(&mut self, ctx: &mut HostCtx<'_, '_>) {
@@ -92,7 +93,7 @@ impl App for SeqFetcher {
         match result {
             FetchResult::Complete(bytes) => {
                 self.bytes += bytes.len() as u64;
-                self.hash.update(&bytes);
+                self.hash.push(&cid);
                 self.completions.push((ctx.now(), cid, ctx.now() - started));
                 self.next += 1;
                 if self.next >= self.dags.len() {

@@ -5,7 +5,9 @@
 //! wheel buckets recycle through a [`simnet::BufPool`] free list and the
 //! action scratch vector is handed from one dispatch to the next. The
 //! claim covers the per-event paths the bare ping-pong does not drive
-//! too — the flight recorder with its streaming audit, and timer filing.
+//! too — the flight recorder with its streaming audit, and timer filing —
+//! and the host stack's receive path above the simulator (two `EndHost`s
+//! moving a chunk).
 //! These tests install the counting global allocator from
 //! [`softstage_bench::alloc_counter`] and assert that claim exactly, so
 //! any future change that sneaks an allocation back into the inner loop
@@ -15,7 +17,11 @@ use simnet::{
     BufPool, Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator, TimerKey,
     WheelQueue,
 };
+use softstage_apps::{build_origin, SeqFetcher};
 use softstage_bench::alloc_counter::{snapshot, CountingAlloc};
+use xia_addr::{Principal, Xid};
+use xia_host::{EndHost, Host, HostConfig};
+use xia_wire::{XiaPacket, MSS};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -177,4 +183,76 @@ fn wheel_buckets_recycle_instead_of_allocating() {
         recycled > fresh,
         "steady-state buckets should be recycled (recycled {recycled}, fresh {fresh})"
     );
+}
+
+/// The host stack's receive path: a client `EndHost` fetching one 4 MB
+/// chunk from an origin `EndHost` over one link. Per data segment the
+/// origin's mux dispatches an ACK and pumps the next segment; the client's
+/// mux delivers the payload to its fetcher and emits the ACK. None of that
+/// may allocate: the host's locator `Dag` is kept, not rebuilt per segment
+/// (5 allocations each on both hosts); the outbox swaps against the node's
+/// spare instead of being given away (1 per emitting dispatch); a pure
+/// ACK's empty payload is unallocated (1 per ACK).
+///
+/// What the window does see is the scheduler: every ACK re-arms the RTO,
+/// the stale timers pile into far-future wheel buckets, and buckets that
+/// outgrow the pool's parking limit are re-grown. That is measured at
+/// 0.05 heap ops per segment here and budgeted at 1/8 — under any
+/// per-segment allocation in the stack, the cheapest of which costs 1/2.
+/// The window sits between two doublings of the fetcher's body buffer
+/// (1400 x 2^10 and 2^11 bytes), the stack's one amortised growth.
+#[test]
+fn steady_state_chunk_receive_path_allocates_nothing_per_segment() {
+    const CHUNK: usize = 4 << 20;
+    const WINDOW: u64 = 800;
+    let nid = Xid::new_random(Principal::Nid, 1);
+    let content = util::bytes::Bytes::from(vec![7u8; CHUNK]);
+    let (origin, _, dags) = build_origin(
+        Xid::new_random(Principal::Hid, 1),
+        nid,
+        &content,
+        CHUNK,
+        Default::default(),
+    );
+    let mut fetcher = Host::new(HostConfig::new(Xid::new_random(Principal::Hid, 2)));
+    fetcher.add_app(Box::new(SeqFetcher::new(
+        dags.into_iter().map(|(_, dag)| dag).collect(),
+    )));
+    let mut sim: Simulator<XiaPacket> = Simulator::new(7);
+    let origin = sim.add_node(Box::new(EndHost::new(origin)));
+    let client = sim.add_node(Box::new(EndHost::new(fetcher)));
+    let link = sim.add_link(
+        client,
+        origin,
+        LinkConfig::wired(10_000_000, SimDuration::from_micros(500)),
+    );
+    for node in [origin, client] {
+        sim.node_mut::<EndHost>(node)
+            .expect("end host")
+            .host_mut()
+            .set_attachment(Some(nid), Some(link));
+    }
+    // One ACK per data segment, so two packet arrivals per segment.
+    let segments = |sim: &Simulator<XiaPacket>| sim.stats().packets / 2;
+    sim.run_while(SimTime::MAX, |s| segments(s) >= 1_150);
+    let before = snapshot();
+    sim.run_while(SimTime::MAX, |s| segments(s) >= 1_150 + WINDOW);
+    let delta = snapshot().since(before);
+    assert!(
+        (segments(&sim) as usize) < CHUNK / MSS,
+        "the window must end inside the transfer"
+    );
+    assert!(
+        delta.heap_ops() * 8 <= WINDOW,
+        "receiving {WINDOW} segments touched the heap {} times ({} allocs, {} reallocs)",
+        delta.heap_ops(),
+        delta.allocs,
+        delta.reallocs,
+    );
+    sim.run();
+    let done = sim
+        .node::<EndHost>(client)
+        .and_then(|n| n.host().app::<SeqFetcher>(0))
+        .is_some_and(|f| f.is_done() && f.bytes == CHUNK as u64);
+    assert!(done, "the chunk must arrive whole");
 }

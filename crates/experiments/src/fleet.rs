@@ -29,6 +29,7 @@ use simnet::{LinkConfig, NodeId, SimDuration, SimTime, Simulator};
 use softstage::StagingVnf;
 use softstage::{DeadlineAware, SoftStageClient, SoftStageConfig, VnfConfig};
 use vehicular::BeaconApp;
+use xcache::ContentDigest;
 use xia_addr::{sha1::Sha1, Dag, Principal, Xid};
 use xia_host::{EndHost, Host, HostConfig};
 use xia_router::RouterNode;
@@ -77,8 +78,8 @@ pub struct FleetParams {
     pub arrival_window: SimDuration,
     /// Hard stop; unfinished clients are censored at this horizon.
     pub horizon: SimDuration,
-    /// Verify every client's delivered bytes against the published
-    /// content (costs a full re-hash of each working set; tests only).
+    /// Verify every client's delivered [`ContentDigest`] against the
+    /// published manifests of its working set.
     pub verify_content: bool,
     /// World seed: drives content, working sets and the simulator.
     pub seed: u64,
@@ -186,7 +187,6 @@ pub fn build(params: &FleetParams) -> FleetWorld {
     origin_host.set_attachment(Some(nid_server), None);
     let object_bytes = params.chunks_per_object * params.chunk_size;
     let mut object_dags: Vec<Vec<(Xid, Dag)>> = Vec::with_capacity(params.catalog_objects);
-    let mut object_contents = Vec::with_capacity(params.catalog_objects);
     for obj in 0..params.catalog_objects {
         let content_seed = util::seed::derive(params.seed, "fleet/object", obj as u32 + 1);
         let content = generate_content(object_bytes, content_seed);
@@ -198,9 +198,6 @@ pub fn build(params: &FleetParams) -> FleetWorld {
                 .map(|cid| (*cid, Dag::cid_with_fallback(*cid, nid_server, hid_server)))
                 .collect(),
         );
-        if params.verify_content {
-            object_contents.push(content);
-        }
     }
     let origin = sim.add_node(Box::new(EndHost::new(origin_host)));
 
@@ -255,11 +252,11 @@ pub fn build(params: &FleetParams) -> FleetWorld {
             .flat_map(|&o| object_dags[o].iter().cloned())
             .collect();
         expected.push(params.verify_content.then(|| {
-            let mut h = Sha1::new();
-            for &o in &objects {
-                h.update(&object_contents[o]);
+            let mut d = ContentDigest::new();
+            for (cid, _) in objects.iter().flat_map(|&o| &object_dags[o]) {
+                d.push(cid);
             }
-            h.finalize()
+            d.finish()
         }));
         let config = SoftStageConfig {
             client_id: i as u32,
@@ -622,6 +619,21 @@ mod tests {
         assert!(s.content_ok, "every download verifies: {s:?}");
         assert!(s.p50_s > 0.0 && s.p99_s >= s.p50_s);
         assert!(s.cache_hit_ratio > 0.0, "shared cache never hit: {s:?}");
+    }
+
+    #[test]
+    fn fleet_verification_compares_against_the_published_manifests() {
+        let mut world = build(&tiny(42));
+        // Client 3's working set as the catalog published it, in order.
+        let honest = world.expected[3].expect("verify_content is on");
+        let delivered = |w: &FleetWorld| w.client_app(3).content_digest();
+        assert_ne!(delivered(&world), honest, "nothing delivered yet");
+        // A publisher that committed to different content is noticed.
+        world.expected[3] = Some([0; 20]);
+        let s = world.run();
+        assert_eq!(s.completed, 24);
+        assert_eq!(delivered(&world), honest, "digests agree after the run");
+        assert!(!s.content_ok, "client 3 must fail verification: {s:?}");
     }
 
     #[test]

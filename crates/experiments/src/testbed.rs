@@ -20,7 +20,7 @@ use softstage_apps::build_origin;
 use util::bytes::Bytes;
 use vehicular::{BeaconApp, CoverageSchedule};
 use xcache::Manifest;
-use xia_addr::{sha1, Dag, Principal, Xid};
+use xia_addr::{Dag, Principal, Xid};
 use xia_host::{EndHost, Host, HostConfig};
 use xia_router::RouterNode;
 use xia_wire::XiaPacket;
@@ -45,8 +45,6 @@ pub struct Testbed {
     pub manifest: Manifest,
     /// `(cid, origin DAG)` per chunk, in order.
     pub chunk_dags: Vec<(Xid, Dag)>,
-    /// SHA-1 of the published content (integrity checks).
-    pub content_digest: [u8; 20],
     /// Whether the client runs the chunk-aware handoff policy (decides
     /// whether the trace oracle enforces handoff atomicity).
     pub chunk_aware: bool,
@@ -77,7 +75,7 @@ pub struct RunResult {
     /// Time the staging path spent in each mode, in µs:
     /// `(Active, OriginFallback, Degraded)`.
     pub mode_dwell_us: (u64, u64, u64),
-    /// Whether the delivered content hash matches the published content.
+    /// Whether the delivered content digest matches the manifest's.
     pub content_ok: bool,
 }
 
@@ -121,7 +119,6 @@ pub fn build_with_vnf(
 
     // --- origin server ---
     let content = generate_content(params.file_size, params.seed);
-    let content_digest = sha1::sha1(&content);
     let (server_host, manifest, chunk_dags) = build_origin(
         hid_server,
         nid_server,
@@ -239,7 +236,6 @@ pub fn build_with_vnf(
         radio_links,
         manifest,
         chunk_dags,
-        content_digest,
         chunk_aware,
     }
 }
@@ -374,7 +370,7 @@ impl Testbed {
                 stats.dwell_fallback_us,
                 stats.dwell_degraded_us,
             ),
-            content_ok: app.is_done() && app.content_digest() == self.content_digest,
+            content_ok: app.is_done() && app.content_digest() == self.manifest.digest(),
         }
     }
 }

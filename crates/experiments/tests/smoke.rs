@@ -2,8 +2,10 @@
 //! file correctly with both clients.
 
 use simnet::{SimDuration, SimTime};
-use softstage::SoftStageConfig;
+use softstage::{SoftStageClient, SoftStageConfig};
 use softstage_experiments::{build, ExperimentParams, MB};
+use xia_addr::{Dag, Xid};
+use xia_host::EndHost;
 
 fn small_params() -> ExperimentParams {
     ExperimentParams {
@@ -25,6 +27,11 @@ fn softstage_downloads_with_staging() {
     let result = tb.run(deadline());
     assert!(result.completion.is_some(), "download finished");
     assert!(result.content_ok, "content verified against publisher hash");
+    assert_eq!(
+        tb.client_app().content_digest(),
+        tb.manifest.digest(),
+        "client-side and publisher-side digests agree"
+    );
     assert_eq!(result.chunks_fetched, 8);
     assert!(
         result.from_staged > 0,
@@ -67,4 +74,35 @@ fn no_vnf_falls_back_to_origin() {
     );
     assert!(result.content_ok);
     assert_eq!(result.from_staged, 0);
+}
+
+/// The digest is over the ordered CIDs the fetches verified, so a client
+/// that downloads the manifest's chunks in another order, or not all of
+/// them, finishes but does not verify — exactly as the byte hash it
+/// replaced would have said.
+#[test]
+fn reordered_or_short_downloads_do_not_verify() {
+    let params = small_params();
+    let schedule = params.alternating_schedule(SimDuration::from_secs(600));
+    type Tamper = fn(&mut Vec<(Xid, Dag)>);
+    let tamperings: [(&str, Tamper); 2] = [
+        ("two entries swapped", |dags| dags.swap(2, 5)),
+        ("one entry dropped", |dags| {
+            dags.remove(3);
+        }),
+    ];
+    for (what, tamper) in tamperings {
+        let mut tb = build(&params, &schedule, SoftStageConfig::baseline());
+        let mut dags = tb.chunk_dags.clone();
+        tamper(&mut dags);
+        *tb.sim
+            .node_mut::<EndHost>(tb.client)
+            .expect("client node")
+            .host_mut()
+            .app_mut::<SoftStageClient>(0)
+            .expect("client app") = SoftStageClient::new(dags, SoftStageConfig::baseline());
+        let result = tb.run(deadline());
+        assert!(result.completion.is_some(), "{what}: every chunk exists");
+        assert!(!result.content_ok, "{what}: must not verify");
+    }
 }

@@ -112,7 +112,6 @@ impl<T> WheelQueue<T> {
         let level = Self::level_for(self.elapsed, entry.at);
         let slot = (entry.at >> (LEVEL_BITS as usize * level)) as usize & (SLOTS - 1);
         let idx = level * SLOTS + slot;
-        // sslint: allow(panic) — idx < LEVELS * SLOTS by construction: level <= 10, slot <= 63
         let bucket = &mut self.slots[idx];
         if bucket.capacity() == 0 {
             *bucket = self.pool.get();
@@ -129,7 +128,6 @@ impl<T> WheelQueue<T> {
             return None;
         }
         let level = self.levels.trailing_zeros() as usize;
-        // sslint: allow(panic) — `levels` bits only cover the LEVELS array
         let slot = self.occupied[level].trailing_zeros() as usize;
         Some((level, slot))
     }
@@ -159,7 +157,6 @@ impl<T> WheelQueue<T> {
             }
             let (level, slot) = self.earliest_bucket()?;
             let idx = level * SLOTS + slot;
-            // sslint: allow(panic) — idx < LEVELS * SLOTS: occupancy bits only cover real slots
             let mut bucket = std::mem::take(&mut self.slots[idx]);
             self.occupied[level] &= !(1u64 << slot);
             if self.occupied[level] == 0 {
@@ -207,7 +204,6 @@ impl<T> WheelQueue<T> {
         }
         let (level, slot) = self.earliest_bucket()?;
         let idx = level * SLOTS + slot;
-        // sslint: allow(panic) — idx < LEVELS * SLOTS: occupancy bits only cover real slots
         let bucket = &self.slots[idx];
         if level == 0 {
             // Level-0 buckets are single-timestamp batches.

@@ -27,7 +27,7 @@ use simnet::{
     BreakerState, ClientMode, FetchSource, LinkId, SimDuration, SimTime, Tag, TraceEvent,
 };
 use vehicular::{RoamConfig, RoamEvent, RoamState, Roamer, ROAM_ASSOC_TIMER};
-use xia_addr::{sha1::Sha1, Dag, Xid};
+use xia_addr::{Dag, Xid};
 use xia_host::{App, FetchResult, HostCtx};
 use xia_wire::Beacon;
 
@@ -238,7 +238,7 @@ pub struct SoftStageClient {
     detached_at: Option<SimTime>,
     stats: ClientStats,
     done: bool,
-    content_hash: Sha1,
+    content_hash: xcache::ContentDigest,
 }
 
 impl SoftStageClient {
@@ -273,7 +273,7 @@ impl SoftStageClient {
                 ..ClientStats::default()
             },
             done: false,
-            content_hash: Sha1::new(),
+            content_hash: xcache::ContentDigest::new(),
         }
     }
 
@@ -302,9 +302,9 @@ impl SoftStageClient {
         &self.coordinator
     }
 
-    /// SHA-1 over all delivered content, in order (integrity checks).
+    /// [`xcache::ContentDigest`] of the verified chunks delivered, in order.
     pub fn content_digest(&self) -> [u8; 20] {
-        self.content_hash.clone().finalize()
+        self.content_hash.finish()
     }
 
     /// Current staging-path state.
@@ -837,7 +837,7 @@ impl App for SoftStageClient {
                     self.stats.from_origin += 1;
                 }
                 self.stats.bytes_fetched += bytes.len() as u64;
-                self.content_hash.update(&bytes);
+                self.content_hash.push(&cid);
                 self.stats
                     .chunk_completions
                     .push((ctx.now(), fetch.idx, fetch.staged));

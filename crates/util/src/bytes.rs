@@ -26,8 +26,10 @@ pub struct Bytes {
     // Arc<Vec<u8>> rather than Arc<[u8]> so `From<Vec<u8>>` is a move:
     // converting a Vec into Arc<[u8]> would re-copy the payload to place
     // it inline with the refcount header, and chunk construction on the
-    // transmit path does this for every multi-kilobyte buffer.
-    data: Arc<Vec<u8>>,
+    // transmit path does this for every multi-kilobyte buffer. `None` is
+    // the empty buffer: every pure ACK carries one, so `Bytes::new()` must
+    // not touch the heap.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -81,7 +83,7 @@ impl Bytes {
             "slice {lo}..{hi} out of range for length {len}"
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -96,7 +98,10 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -110,7 +115,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -261,7 +266,15 @@ mod tests {
         assert_eq!(tail.len(), 5);
         assert_eq!(tail[0], 15);
         // The clone is a pointer bump, not a copy.
-        assert_eq!(Arc::strong_count(&b.data), 3);
+        assert_eq!(b.data.as_ref().map(Arc::strong_count), Some(3));
+    }
+
+    #[test]
+    fn empty_buffer_is_unallocated_and_sliceable() {
+        let e = Bytes::new();
+        assert!(e.data.is_none() && e.is_empty());
+        assert_eq!(&e.slice(..)[..], &[] as &[u8]);
+        assert_eq!(e, Bytes::from(Vec::new()));
     }
 
     #[test]

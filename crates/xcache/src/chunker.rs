@@ -2,7 +2,37 @@
 
 use util::bytes::Bytes;
 use util::json::{FromJson, Json, JsonError, ToJson};
-use xia_addr::Xid;
+use xia_addr::{sha1::Sha1, Xid};
+
+/// The content digest: SHA-1 over the 20-byte ids of an object's chunk
+/// CIDs, in order.
+///
+/// A CID is the SHA-1 of its chunk's payload and every fetch checks the
+/// payload against it ([`crate::ChunkFetcher`]), so the ordered CID list
+/// commits to every byte and to the order of the chunks without hashing
+/// the payload a second time. Publishers fold the manifest
+/// ([`Manifest::digest`]); downloaders push the CID each verified fetch
+/// completed with — never their own request list, which would compare the
+/// manifest with itself.
+#[derive(Debug, Clone, Default)]
+pub struct ContentDigest(Sha1);
+
+impl ContentDigest {
+    /// The digest of no chunks.
+    pub fn new() -> Self {
+        ContentDigest::default()
+    }
+
+    /// Appends the next chunk's CID.
+    pub fn push(&mut self, cid: &Xid) {
+        self.0.update(cid.id());
+    }
+
+    /// The digest of the CIDs pushed so far.
+    pub fn finish(&self) -> [u8; 20] {
+        self.0.clone().finalize()
+    }
+}
 
 /// A manifest describing one published content object (e.g. a file): the
 /// ordered list of chunk CIDs a client must fetch.
@@ -29,6 +59,15 @@ impl Manifest {
     /// Whether the manifest has no chunks.
     pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()
+    }
+
+    /// The [`ContentDigest`] a complete in-order download must reproduce.
+    pub fn digest(&self) -> [u8; 20] {
+        let mut d = ContentDigest::new();
+        for cid in &self.chunks {
+            d.push(cid);
+        }
+        d.finish()
     }
 }
 

@@ -23,7 +23,7 @@ pub mod proto;
 pub mod service;
 pub mod store;
 
-pub use chunker::{chunk_content, Manifest};
+pub use chunker::{chunk_content, ContentDigest, Manifest};
 pub use proto::{ChunkRequest, ChunkResponseHeader, ProtoError};
 pub use service::{ChunkFetcher, ChunkServer, FetchProgress, ServerAction};
 pub use store::{ChunkStore, EvictionPolicy, StoreStats};

@@ -250,7 +250,6 @@ impl Dag {
     /// The intent (final destination) node.
     pub fn intent(&self) -> Xid {
         let intent = self.repr.intent;
-        // sslint: allow(panic) — intent is range-checked at construction and the Dag is immutable after it
         self.repr.nodes[intent].xid
     }
 

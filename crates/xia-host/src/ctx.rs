@@ -36,7 +36,10 @@ pub(crate) struct FetchState {
 #[derive(Debug)]
 pub struct HostMeta {
     pub(crate) hid: Xid,
-    pub(crate) nid: Option<Xid>,
+    nid: Option<Xid>,
+    /// The locator address for `nid`, rebuilt only when `nid` changes so
+    /// the per-packet paths clone an `Arc` instead of assembling a DAG.
+    local: Dag,
     pub(crate) primary_link: Option<LinkId>,
     pub(crate) cache_fetched: bool,
     pub(crate) services: Vec<Xid>,
@@ -45,13 +48,41 @@ pub struct HostMeta {
 }
 
 impl HostMeta {
+    /// Identity of an unattached host.
+    pub(crate) fn new(hid: Xid, cache_fetched: bool) -> Self {
+        HostMeta {
+            hid,
+            nid: None,
+            local: Dag::direct(hid),
+            primary_link: None,
+            cache_fetched,
+            services: Vec::new(),
+            next_fetch_handle: 1,
+            next_token: 1,
+        }
+    }
+
+    /// The network the host is attached to, if any.
+    pub(crate) fn nid(&self) -> Option<Xid> {
+        self.nid
+    }
+
+    /// Moves the data plane to `link` inside network `nid`.
+    pub(crate) fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
+        if nid != self.nid {
+            self.nid = nid;
+            self.local = match nid {
+                Some(nid) => Dag::host(nid, self.hid),
+                None => Dag::direct(self.hid),
+            };
+        }
+        self.primary_link = link;
+    }
+
     /// The host's current locator address (`NID : HID`), or a bare `HID`
     /// DAG while unattached.
     pub(crate) fn local_dag(&self) -> Dag {
-        match self.nid {
-            Some(nid) => Dag::host(nid, self.hid),
-            None => Dag::direct(self.hid),
-        }
+        self.local.clone()
     }
 }
 
@@ -119,7 +150,7 @@ impl<'a, 'b> HostCtx<'a, 'b> {
 
     /// The network the host is currently attached to, if any.
     pub fn nid(&self) -> Option<Xid> {
-        self.meta.nid
+        self.meta.nid()
     }
 
     /// The current primary (data) interface.
@@ -136,8 +167,7 @@ impl<'a, 'b> HostCtx<'a, 'b> {
     /// association). Does not migrate live connections; see
     /// [`HostCtx::migrate_connections`].
     pub fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
-        self.meta.nid = nid;
-        self.meta.primary_link = link;
+        self.meta.set_attachment(nid, link);
     }
 
     /// Migrates all live connections to the current local address after an

@@ -69,15 +69,7 @@ impl Host {
     /// Builds a host from its configuration.
     pub fn new(config: HostConfig) -> Self {
         Host {
-            meta: HostMeta {
-                hid: config.hid,
-                nid: None,
-                primary_link: None,
-                cache_fetched: config.cache_fetched,
-                services: Vec::new(),
-                next_fetch_handle: 1,
-                next_token: 1,
-            },
+            meta: HostMeta::new(config.hid, config.cache_fetched),
             mux: TransportMux::new(config.transport, config.hid),
             store: ChunkStore::new(config.cache_capacity, config.cache_policy),
             server: ChunkServer::new(),
@@ -115,13 +107,12 @@ impl Host {
 
     /// Network attachment, if any.
     pub fn nid(&self) -> Option<Xid> {
-        self.meta.nid
+        self.meta.nid()
     }
 
     /// Sets the data-plane attachment before or during a run.
     pub fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
-        self.meta.nid = nid;
-        self.meta.primary_link = link;
+        self.meta.set_attachment(nid, link);
     }
 
     /// Registers a control service SID (e.g. a staging VNF).
@@ -161,12 +152,15 @@ impl Host {
         self.meta.primary_link
     }
 
-    /// Drains packets emitted by the stack since the last call. The
-    /// wrapping node decides their egress: an [`EndHost`] sends them on
-    /// its primary link; a router routes them through its forwarding
-    /// engine.
-    pub fn take_outbox(&mut self) -> Vec<XiaPacket> {
-        std::mem::take(&mut self.outbox)
+    /// Swaps the packets emitted by the stack since the last call into
+    /// `spare`, which must be empty and whose allocation the stack's next
+    /// emissions reuse — so two buffers ping-pong and a dispatch in steady
+    /// state allocates neither. The wrapping node decides the packets'
+    /// egress: an [`EndHost`] sends them on its primary link; a router
+    /// routes them through its forwarding engine.
+    pub fn swap_outbox(&mut self, spare: &mut Vec<XiaPacket>) {
+        debug_assert!(spare.is_empty(), "outbox spare must be drained");
+        std::mem::swap(&mut self.outbox, spare);
     }
 
     /// Publishes `content` as pinned chunks of `chunk_size` bytes and
@@ -621,7 +615,7 @@ impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("hid", &self.meta.hid)
-            .field("nid", &self.meta.nid)
+            .field("nid", &self.meta.nid())
             .field("apps", &self.apps.len())
             .field("connections", &self.mux.active_connections())
             .finish()
@@ -638,6 +632,8 @@ pub struct EndHost {
     /// Packets the stack emitted while no primary link was attached
     /// (transmitting into a coverage gap).
     pub dropped_no_link: u64,
+    /// Drained outbox buffer, swapped back into the stack at each flush.
+    spare_outbox: Vec<XiaPacket>,
 }
 
 impl EndHost {
@@ -647,6 +643,7 @@ impl EndHost {
             host,
             stray_packets: 0,
             dropped_no_link: 0,
+            spare_outbox: Vec::new(),
         }
     }
 
@@ -662,8 +659,10 @@ impl EndHost {
 
     /// Sends queued stack emissions out the primary link.
     fn flush(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
-        for pkt in self.host.take_outbox() {
-            match self.host.primary_link() {
+        self.host.swap_outbox(&mut self.spare_outbox);
+        let link = self.host.primary_link();
+        for pkt in self.spare_outbox.drain(..) {
+            match link {
                 Some(link) => ctx.send(link, pkt),
                 None => self.dropped_no_link += 1,
             }

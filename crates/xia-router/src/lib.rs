@@ -120,6 +120,8 @@ pub struct RouterNode {
     /// Learn reverse routes to source HIDs from arriving packets.
     source_learning: bool,
     stats: RouterStats,
+    /// Drained outbox buffer, swapped back into the stack at each flush.
+    spare_outbox: Vec<XiaPacket>,
 }
 
 impl RouterNode {
@@ -134,6 +136,7 @@ impl RouterNode {
             routes: RoutingTables::new(),
             source_learning: true,
             stats: RouterStats::default(),
+            spare_outbox: Vec::new(),
         }
     }
 
@@ -278,15 +281,17 @@ impl RouterNode {
 
     /// Routes packets originated by the local stack.
     fn flush(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
+        let mut out = std::mem::take(&mut self.spare_outbox);
         loop {
-            let out = self.host.take_outbox();
+            self.host.swap_outbox(&mut out);
             if out.is_empty() {
                 break;
             }
-            for pkt in out {
+            for pkt in out.drain(..) {
                 self.process(ctx, None, pkt);
             }
         }
+        self.spare_outbox = out;
     }
 
     fn learn(&mut self, link: LinkId, pkt: &XiaPacket) {

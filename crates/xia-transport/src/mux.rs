@@ -240,7 +240,7 @@ impl TransportMux {
                 let key = move |kind, gen| pack_key(uid, kind, gen);
                 c.on_segment(env, &key, seg, &pkt.src);
             }
-            self.reap_finished();
+            self.reap(uid);
             return;
         }
         // TIME_WAIT replay: a retransmitted FIN for a reaped connection
@@ -336,18 +336,6 @@ impl TransportMux {
                 .push_back((c.id, c.final_ack(), c.src_dag.clone()));
         }
     }
-
-    fn reap_finished(&mut self) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.finished)
-            .map(|(u, _)| *u)
-            .collect();
-        for uid in done {
-            self.reap(uid);
-        }
-    }
 }
 
 impl std::fmt::Debug for TransportMux {
@@ -356,5 +344,217 @@ impl std::fmt::Debug for TransportMux {
             .field("local_hid", &self.local_hid)
             .field("connections", &self.conns.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::SimTime;
+    use util::check::{check, Gen};
+    use xia_addr::Principal;
+
+    const A: usize = 0;
+    const B: usize = 1;
+
+    /// Collects what one mux emits, arms and delivers.
+    #[derive(Default)]
+    struct Env {
+        now: SimTime,
+        out: Vec<XiaPacket>,
+        timers: Vec<(SimTime, u64)>,
+        events: Vec<crate::TransportEvent>,
+    }
+
+    impl TransportEnv for Env {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn emit(&mut self, pkt: XiaPacket) {
+            self.out.push(pkt);
+        }
+        fn set_timer(&mut self, delay: SimDuration, key: u64) {
+            self.timers.push((self.now + delay, key));
+        }
+        fn deliver(&mut self, event: crate::TransportEvent) {
+            self.events.push(event);
+        }
+    }
+
+    /// Two muxes and the packets in flight between them.
+    struct Pair {
+        mux: [TransportMux; 2],
+        env: [Env; 2],
+        addr: [Dag; 2],
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            let nid = Xid::new_random(Principal::Nid, 1);
+            let hids = [100, 200].map(|s| Xid::new_random(Principal::Hid, s));
+            // Two RTOs give up, so random timer firings reach time-outs.
+            let config = TransportConfig {
+                max_consecutive_rtos: 2,
+                ..TransportConfig::linux_tcp()
+            };
+            Pair {
+                mux: hids.map(|hid| TransportMux::new(config.clone(), hid)),
+                env: [Env::default(), Env::default()],
+                addr: hids.map(|hid| Dag::host(nid, hid)),
+            }
+        }
+
+        fn connect(&mut self, from: usize) -> ConnId {
+            let (dst, src) = (self.addr[1 - from].clone(), self.addr[from].clone());
+            let id = self.mux[from].connect(&mut self.env[from], dst, src);
+            self.assert_reaped(from);
+            id
+        }
+
+        fn deliver(&mut self, to: usize, pkt: XiaPacket) {
+            let local = self.addr[to].clone();
+            self.mux[to].on_packet(&mut self.env[to], pkt, local);
+            self.assert_reaped(to);
+        }
+
+        /// Delivers everything in flight, both ways, until nothing moves.
+        fn settle(&mut self) {
+            while self.env.iter().any(|e| !e.out.is_empty()) {
+                for from in [A, B] {
+                    for pkt in std::mem::take(&mut self.env[from].out) {
+                        self.deliver(1 - from, pkt);
+                    }
+                }
+            }
+        }
+
+        /// The invariant that replaced the per-packet scan: whatever a
+        /// public call finished, it also reaped.
+        fn assert_reaped(&self, side: usize) {
+            let mux = &self.mux[side];
+            assert!(
+                mux.conns.values().all(|c| !c.finished),
+                "a finished connection outlived the call that finished it"
+            );
+            assert_eq!(mux.by_id.len(), mux.conns.len());
+            assert!(mux.by_id.iter().all(|(id, uid)| mux.conns[uid].id == *id));
+        }
+    }
+
+    fn segment(pkt: &XiaPacket) -> &Segment {
+        match &pkt.l4 {
+            L4::Segment(seg) => seg,
+            other => panic!("not a segment: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn completing_segment_reaps_exactly_its_connection() {
+        let mut p = Pair::new();
+        let idle: Vec<ConnId> = (0..64).map(|_| p.connect(A)).collect();
+        let conn = p.connect(A);
+        p.settle();
+        assert_eq!(p.mux[A].active_connections(), 65);
+        assert_eq!(p.mux[B].active_connections(), 65);
+
+        // A sends its request and closes; B answers by closing too.
+        p.mux[A]
+            .send(&mut p.env[A], conn, Bytes::from_static(b"GET"))
+            .expect("send queues");
+        p.mux[A].close(&mut p.env[A], conn).expect("close queues");
+        p.settle();
+        p.mux[B].close(&mut p.env[B], conn).expect("close queues");
+        let fin = p.env[B].out.pop().expect("B's FIN");
+        assert!(segment(&fin).flags.fin && p.env[B].out.is_empty());
+
+        // B's FIN completes the connection at A: exactly that one goes.
+        p.deliver(A, fin.clone());
+        assert_eq!(p.mux[A].active_connections(), 64);
+        assert!(!p.mux[A].has_connection(conn));
+        assert!(idle.iter().all(|id| p.mux[A].has_connection(*id)));
+        assert!(p.env[A]
+            .events
+            .iter()
+            .any(|e| matches!(e, crate::TransportEvent::Closed { conn: c } if *c == conn)));
+
+        // A's final ACK is lost and B retransmits its FIN: A no longer
+        // knows the connection and answers from TIME_WAIT, not with a RST.
+        let final_ack = segment(&p.env[A].out.pop().expect("A's final ACK")).ack;
+        p.deliver(A, fin);
+        let replay = p.env[A].out.pop().expect("TIME_WAIT replay");
+        let seg = segment(&replay);
+        assert!(seg.flags.ack && !seg.flags.rst);
+        assert_eq!((seg.conn, seg.ack), (conn, final_ack));
+        assert_eq!(replay.src, p.addr[A]);
+
+        // The replayed ACK completes B's side: again exactly one goes.
+        p.deliver(B, replay);
+        assert_eq!(p.mux[B].active_connections(), 64);
+        assert!(idle.iter().all(|id| p.mux[B].has_connection(*id)));
+    }
+
+    /// Random API calls, deliveries (in any order, with loss and
+    /// duplication) and timer firings on two muxes.
+    fn random_walk(g: &mut Gen) {
+        let mut p = Pair::new();
+        let mut conns: Vec<ConnId> = Vec::new();
+        // Sending after closing is the caller's bug, so the walk does not.
+        let mut closed: Vec<(usize, ConnId)> = Vec::new();
+        for _ in 0..g.usize_in(1, 120) {
+            let side = g.usize_in(A, B);
+            let pick = |g: &mut Gen, conns: &[ConnId]| {
+                (!conns.is_empty()).then(|| conns[g.usize_in(0, conns.len() - 1)])
+            };
+            match g.usize_in(0, 9) {
+                0 => conns.push(p.connect(side)),
+                1 => {
+                    if let Some(conn) = pick(g, &conns).filter(|c| !closed.contains(&(side, *c))) {
+                        let data = Bytes::from(vec![7u8; g.usize_in(1, 4000)]);
+                        let _ = p.mux[side].send(&mut p.env[side], conn, data);
+                    }
+                }
+                2 => {
+                    if let Some(conn) = pick(g, &conns) {
+                        let _ = p.mux[side].close(&mut p.env[side], conn);
+                        closed.push((side, conn));
+                    }
+                }
+                3 => {
+                    if let Some(conn) = pick(g, &conns) {
+                        p.mux[side].abort(&mut p.env[side], conn);
+                    }
+                }
+                4 => {
+                    // Fire this side's earliest timer, if it has one.
+                    let timers = &mut p.env[side].timers;
+                    if let Some(i) = (0..timers.len()).min_by_key(|&i| timers[i]) {
+                        let (at, key) = timers.swap_remove(i);
+                        p.env[side].now = p.env[side].now.max(at);
+                        assert!(p.mux[side].on_timer(&mut p.env[side], key));
+                    }
+                }
+                // Deliver, duplicate or lose a packet this side emitted.
+                roll => {
+                    let out = &mut p.env[side].out;
+                    if !out.is_empty() {
+                        let pkt = out.remove(g.usize_in(0, out.len() - 1));
+                        if roll == 5 {
+                            p.deliver(1 - side, pkt.clone());
+                        }
+                        if roll != 6 {
+                            p.deliver(1 - side, pkt);
+                        }
+                    }
+                }
+            }
+            p.assert_reaped(side);
+        }
+        // Whatever state the walk left, quiescing it keeps the invariant.
+        p.settle();
+    }
+
+    #[test]
+    fn no_finished_connection_survives_a_public_call() {
+        check("mux_reaps_what_it_finishes", 256, random_walk);
     }
 }

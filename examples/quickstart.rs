@@ -7,7 +7,7 @@
 
 use simnet::{LinkConfig, SimDuration, Simulator};
 use softstage_suite::apps::{build_origin, SeqFetcher};
-use softstage_suite::xia_addr::{sha1, Principal, Xid};
+use softstage_suite::xia_addr::{Principal, Xid};
 use softstage_suite::xia_host::{EndHost, Host, HostConfig};
 use softstage_suite::xia_wire::XiaPacket;
 use util::bytes::Bytes;
@@ -24,7 +24,6 @@ fn main() {
             .map(|i| (i % 251) as u8)
             .collect::<Vec<u8>>(),
     );
-    let digest = sha1::sha1(&content);
     let (server_host, manifest, dags) = build_origin(
         server_hid,
         server_nid,
@@ -37,6 +36,9 @@ fn main() {
         manifest.len(),
         dags[0].1 // the first chunk's `CID | NID : HID` address
     );
+    // The manifest's digest commits to every chunk CID in order; each CID
+    // in turn is the hash its fetch verifies the payload against.
+    let digest = manifest.digest();
 
     // 3. A client that fetches every chunk sequentially (XChunkP-style).
     let mut client_host = Host::new(HostConfig::new(client_hid));
