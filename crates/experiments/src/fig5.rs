@@ -23,7 +23,7 @@ use xia_wire::XiaPacket;
 use crate::exec::{execute_one, Cell, ExecConfig, TableSpec};
 use crate::params::{MB, MBPS};
 use crate::report::Table;
-use crate::testbed::generate_content;
+use crate::world::generate_content;
 
 /// Protocols measured in Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -25,21 +25,18 @@
 //! overhead. [`spec`] sweeps fleet size × Zipf skew to find the point
 //! where the edge-vs-origin gain row drops through 1.0.
 
-use simnet::{LinkConfig, NodeId, SimDuration, SimTime, Simulator};
-use softstage::StagingVnf;
+use std::ops::{Deref, DerefMut};
+
+use simnet::{LinkConfig, SimDuration, SimTime};
 use softstage::{DeadlineAware, SoftStageClient, SoftStageConfig, VnfConfig};
-use vehicular::BeaconApp;
-use xcache::ContentDigest;
-use xia_addr::{sha1::Sha1, Dag, Principal, Xid};
-use xia_host::{EndHost, Host, HostConfig};
-use xia_router::RouterNode;
-use xia_wire::XiaPacket;
+use xia_addr::sha1::Sha1;
+use xia_host::EndHost;
 
 use crate::exec::{execute_one, Cell, DerivedRow, ExecConfig, TableSpec};
 use crate::params::{MB, MBPS};
 use crate::report::Table;
-use crate::testbed::generate_content;
 use crate::workload::{client_objects, ZipfCatalog};
+use crate::world::{self, client_on, ClientSpec, EdgeSpec, World, WorldSpec};
 
 /// Everything that defines one fleet world. Results are a pure function
 /// of this struct.
@@ -153,22 +150,32 @@ pub struct FleetSummary {
     pub digest: String,
 }
 
-/// A built fleet world, ready to run.
+/// A built fleet world, ready to run: the [`World`] (whose fields and
+/// readers it derefs to) plus what the summary needs.
 pub struct FleetWorld {
-    /// The simulator (public so tests can attach the flight recorder).
-    pub sim: Simulator<XiaPacket>,
-    /// Client nodes, in client-id order.
-    pub clients: Vec<NodeId>,
-    /// Edge router nodes.
-    pub edges: Vec<NodeId>,
-    /// The origin server node.
-    pub origin: NodeId,
+    world: World,
     up_times: Vec<SimTime>,
-    expected: Vec<Option<[u8; 20]>>,
+    verify_content: bool,
     horizon: SimTime,
 }
 
-/// Builds the fleet world for `params`.
+impl Deref for FleetWorld {
+    type Target = World;
+
+    fn deref(&self) -> &World {
+        &self.world
+    }
+}
+
+impl DerefMut for FleetWorld {
+    fn deref_mut(&mut self) -> &mut World {
+        &mut self.world
+    }
+}
+
+/// Builds the fleet world for `params`: the Fig. 4 world
+/// ([`crate::world`]) with every client parked at edge `i % edges`, its
+/// one radio link coming up at its arrival time.
 ///
 /// # Panics
 ///
@@ -176,181 +183,73 @@ pub struct FleetWorld {
 /// clients/edges, or a working set larger than the catalog).
 pub fn build(params: &FleetParams) -> FleetWorld {
     assert!(params.clients > 0 && params.edges > 0, "empty fleet");
-    let mut sim = Simulator::new(params.seed);
-
-    // --- origin: one host publishing the whole catalog, pinned ---
-    let hid_server = Xid::new_random(Principal::Hid, 1_000);
-    let nid_server = Xid::new_random(Principal::Nid, 1_000);
-    let mut origin_cfg = HostConfig::new(hid_server);
-    origin_cfg.cache_capacity = usize::MAX;
-    let mut origin_host = Host::new(origin_cfg);
-    origin_host.set_attachment(Some(nid_server), None);
     let object_bytes = params.chunks_per_object * params.chunk_size;
-    let mut object_dags: Vec<Vec<(Xid, Dag)>> = Vec::with_capacity(params.catalog_objects);
-    for obj in 0..params.catalog_objects {
-        let content_seed = util::seed::derive(params.seed, "fleet/object", obj as u32 + 1);
-        let content = generate_content(object_bytes, content_seed);
-        let manifest = origin_host.publish_content(&content, params.chunk_size);
-        object_dags.push(
-            manifest
-                .chunks
-                .iter()
-                .map(|cid| (*cid, Dag::cid_with_fallback(*cid, nid_server, hid_server)))
-                .collect(),
-        );
-    }
-    let origin = sim.add_node(Box::new(EndHost::new(origin_host)));
-
-    // --- core router ---
-    let hid_core = Xid::new_random(Principal::Hid, 2_000);
-    let nid_core = Xid::new_random(Principal::Nid, 2_000);
-    let core = sim.add_node(Box::new(RouterNode::new(
-        nid_core,
-        Host::new(HostConfig::new(hid_core)),
-    )));
-
-    // --- edges: bounded shared cache, VNF (staged worlds), beacons ---
-    let mut edges = Vec::with_capacity(params.edges);
-    let mut edge_ids = Vec::with_capacity(params.edges);
-    for e in 0..params.edges {
-        let hid = Xid::new_random(Principal::Hid, 4_000 + e as u64);
-        let nid = Xid::new_random(Principal::Nid, 4_000 + e as u64);
-        let mut cfg = HostConfig::new(hid);
-        cfg.cache_capacity = params.edge_cache_bytes;
-        let mut host = Host::new(cfg);
-        let vnf_dag = if params.staging {
-            let sid = Xid::new_random(Principal::Sid, 4_000 + e as u64);
-            let vnf = StagingVnf::with_config(
-                sid,
-                VnfConfig {
+    let catalog = ZipfCatalog::new(params.catalog_objects, params.zipf_skew);
+    // Staggered arrivals: one link-up every window/N, deterministic.
+    let up_times: Vec<SimTime> = (0..params.clients as u64)
+        .map(|i| {
+            SimTime::ZERO
+                + SimDuration::from_micros(
+                    params.arrival_window.as_micros() * i / params.clients as u64,
+                )
+        })
+        .collect();
+    let world = world::build(WorldSpec {
+        seed: params.seed,
+        contents: (0..params.catalog_objects as u32)
+            .map(|obj| {
+                let seed = util::seed::derive(params.seed, "fleet/object", obj + 1);
+                (object_bytes, seed)
+            })
+            .collect(),
+        chunk_size: params.chunk_size,
+        edges: (0..params.edges)
+            .map(|_| EdgeSpec {
+                cache_bytes: params.edge_cache_bytes,
+                vnf: params.staging.then(|| VnfConfig {
                     chunk_bytes_hint: params.chunk_size as u64,
                     admission: Box::new(DeadlineAware),
                     ..VnfConfig::default()
-                },
-            );
-            let dag = vnf.service_dag(nid, hid);
-            host.add_app(Box::new(vnf));
-            Some(dag)
-        } else {
-            None
-        };
-        let mut beacon = BeaconApp::new(nid, hid, params.beacon_interval);
-        beacon.staging_vnf = vnf_dag;
-        host.add_app(Box::new(beacon));
-        edges.push(sim.add_node(Box::new(RouterNode::new(nid, host))));
-        edge_ids.push((nid, hid));
-    }
-
-    // --- clients: round-robin edges, per-client Zipf working sets ---
-    let catalog = ZipfCatalog::new(params.catalog_objects, params.zipf_skew);
-    let mut clients = Vec::with_capacity(params.clients);
-    let mut expected = Vec::with_capacity(params.clients);
-    for i in 0..params.clients {
-        let objects = client_objects(&catalog, params.seed, i as u32, params.objects_per_client);
-        let chunk_dags: Vec<(Xid, Dag)> = objects
+                }),
+                beacon_interval: params.beacon_interval,
+                rss_model: None,
+            })
+            .collect(),
+        clients: up_times
             .iter()
-            .flat_map(|&o| object_dags[o].iter().cloned())
-            .collect();
-        expected.push(params.verify_content.then(|| {
-            let mut d = ContentDigest::new();
-            for (cid, _) in objects.iter().flat_map(|&o| &object_dags[o]) {
-                d.push(cid);
-            }
-            d.finish()
-        }));
-        let config = SoftStageConfig {
-            client_id: i as u32,
-            ..if params.staging {
-                SoftStageConfig::default()
-            } else {
-                SoftStageConfig::baseline()
-            }
-        };
-        let mut app = SoftStageClient::new(chunk_dags, config);
-        // Fleet beacons are slow (event economy); stretch the sensor's
-        // liveness window to match or edges flap "gone" between beacons.
-        app.roamer.sensor.beacon_timeout = params.beacon_interval * 3;
-        let hid = Xid::new_random(Principal::Hid, 10_000 + i as u64);
-        let mut host = Host::new(HostConfig::new(hid));
-        host.add_app(Box::new(app));
-        clients.push(sim.add_node(Box::new(EndHost::new(host))));
-    }
-
-    // --- links and routes ---
-    let l_origin = sim.add_link(
-        origin,
-        core,
-        LinkConfig::wired(params.origin_bw_bps, params.origin_rtt / 2),
-    );
-    sim.node_mut::<EndHost>(origin)
-        .expect("origin node")
-        .host_mut()
-        .set_attachment(Some(nid_server), Some(l_origin));
-    {
-        let core_router = sim.node_mut::<RouterNode>(core).expect("core node");
-        core_router.routes_mut().add_route(nid_server, l_origin);
-        core_router.routes_mut().add_route(hid_server, l_origin);
-    }
-    for (e, &edge) in edges.iter().enumerate() {
-        let l_backhaul = sim.add_link(
-            edge,
-            core,
-            LinkConfig::wired(params.backhaul_bw_bps, SimDuration::from_millis(1)),
-        );
-        let router = sim.node_mut::<RouterNode>(edge).expect("edge node");
-        router.routes_mut().set_default(l_backhaul);
-        let (nid_e, hid_e) = edge_ids[e];
-        let core_router = sim.node_mut::<RouterNode>(core).expect("core node");
-        core_router.routes_mut().add_route(nid_e, l_backhaul);
-        core_router.routes_mut().add_route(hid_e, l_backhaul);
-    }
-    let mut up_times = Vec::with_capacity(params.clients);
-    for (i, &client) in clients.iter().enumerate() {
-        let edge = edges[i % params.edges];
-        let l_radio = sim.add_link(
-            client,
-            edge,
-            LinkConfig::wireless(params.wireless_bw_bps, SimDuration::from_millis(2), 0.0)
-                .starting_down(),
-        );
-        let beacon_app = if params.staging { 1 } else { 0 };
-        sim.node_mut::<RouterNode>(edge)
-            .expect("edge node")
-            .host_mut()
-            .app_mut::<BeaconApp>(beacon_app)
-            .expect("beacon app")
-            .radio_links
-            .push(l_radio);
-        // Staggered arrivals: one link-up every window/N, deterministic.
-        let up = SimTime::ZERO
-            + SimDuration::from_micros(
-                params.arrival_window.as_micros() * i as u64 / params.clients as u64,
-            );
-        sim.schedule_link_state(up, l_radio, true);
-        up_times.push(up);
-    }
-
+            .enumerate()
+            .map(|(i, &up)| ClientSpec {
+                hid_seed: 10_000 + i as u64,
+                objects: client_objects(&catalog, params.seed, i as u32, params.objects_per_client),
+                config: SoftStageConfig {
+                    client_id: i as u32,
+                    ..if params.staging {
+                        SoftStageConfig::default()
+                    } else {
+                        SoftStageConfig::baseline()
+                    }
+                },
+                // Fleet beacons are slow (event economy); stretch the
+                // sensor's liveness window to match or edges flap "gone"
+                // between beacons.
+                beacon_timeout: params.beacon_interval * 3,
+                radios: vec![i % params.edges],
+                transitions: vec![(up, 0, true)],
+            })
+            .collect(),
+        internet: LinkConfig::wired(params.origin_bw_bps, params.origin_rtt / 2),
+        backhaul: LinkConfig::wired(params.backhaul_bw_bps, SimDuration::from_millis(1)),
+        radio: LinkConfig::wireless(params.wireless_bw_bps, SimDuration::from_millis(2), 0.0),
+    });
     FleetWorld {
-        sim,
-        clients,
-        edges,
-        origin,
+        world,
         up_times,
-        expected,
+        verify_content: params.verify_content,
         horizon: SimTime::ZERO + params.horizon,
     }
 }
 
 impl FleetWorld {
-    fn client_app(&self, i: usize) -> &SoftStageClient {
-        self.sim
-            .node::<EndHost>(self.clients[i])
-            .expect("client node")
-            .host()
-            .app::<SoftStageClient>(0)
-            .expect("client app")
-    }
-
     /// Runs to completion (or the horizon) and aggregates the fleet's
     /// counters. The run advances in one-second slices — checking a
     /// thousand clients per *event* would dwarf the simulation itself.
@@ -364,9 +263,11 @@ impl FleetWorld {
             } else {
                 self.horizon
             };
-            self.sim.run_until(stop);
-            while first_unfinished < self.clients.len()
-                && self.client_app(first_unfinished).is_done()
+            self.world.sim.run_until(stop);
+            while self
+                .clients
+                .get(first_unfinished)
+                .is_some_and(|&c| client_on(&self.sim, c).is_some_and(SoftStageClient::is_done))
             {
                 first_unfinished += 1;
             }
@@ -378,12 +279,6 @@ impl FleetWorld {
         self.summarize()
     }
 
-    /// Audits every event the run recorded against the invariant oracle
-    /// (no violations when tracing is off).
-    pub fn audit_trace(&self) -> Vec<simnet::Violation> {
-        self.sim.audit_trace(&simnet::TraceOracle::new())
-    }
-
     fn summarize(&self) -> FleetSummary {
         let n = self.clients.len();
         let mut digest = Sha1::new();
@@ -391,8 +286,7 @@ impl FleetWorld {
         let mut completed = 0usize;
         let mut content_ok = true;
         let (mut staged, mut origin_direct, mut rejects) = (0u64, 0u64, 0u64);
-        for i in 0..n {
-            let app = self.client_app(i);
+        for (i, app) in self.client_apps().enumerate() {
             let stats = app.stats();
             let up = self.up_times[i];
             let dur = match stats.finished {
@@ -406,9 +300,7 @@ impl FleetWorld {
             staged += stats.from_staged;
             origin_direct += stats.from_origin;
             rejects += stats.stage_rejects;
-            if let Some(expect) = &self.expected[i] {
-                content_ok &= stats.finished.is_some() && app.content_digest() == *expect;
-            }
+            content_ok &= !self.verify_content || self.content_ok(i);
             for v in [
                 u64::from(stats.client_id),
                 stats.finished.map_or(u64::MAX, SimTime::as_micros),
@@ -422,14 +314,8 @@ impl FleetWorld {
             }
         }
         let (mut edge_hits, mut evictions, mut dropped, mut peak) = (0u64, 0u64, 0u64, 0u64);
-        for &edge in &self.edges {
-            let stats = self
-                .sim
-                .node::<RouterNode>(edge)
-                .expect("edge node")
-                .host()
-                .store()
-                .stats();
+        for host in self.edge_hosts() {
+            let stats = host.store().stats();
             edge_hits += stats.hits;
             evictions += stats.evictions;
             dropped += stats.evict_log_dropped;
@@ -625,11 +511,12 @@ mod tests {
     fn fleet_verification_compares_against_the_published_manifests() {
         let mut world = build(&tiny(42));
         // Client 3's working set as the catalog published it, in order.
-        let honest = world.expected[3].expect("verify_content is on");
-        let delivered = |w: &FleetWorld| w.client_app(3).content_digest();
+        let honest = world.expected[3];
+        let delivered =
+            |w: &FleetWorld| w.client_apps().nth(3).expect("24 clients").content_digest();
         assert_ne!(delivered(&world), honest, "nothing delivered yet");
         // A publisher that committed to different content is noticed.
-        world.expected[3] = Some([0; 20]);
+        world.expected[3] = [0; 20];
         let s = world.run();
         assert_eq!(s.completed, 24);
         assert_eq!(delivered(&world), honest, "digests agree after the run");
@@ -647,16 +534,13 @@ mod tests {
 
     #[test]
     fn baseline_fleet_never_touches_edge_caches() {
-        let s = build(&tiny(42).with_staging(false)).run();
+        let s = build(&FleetParams {
+            staging: false,
+            ..tiny(42)
+        })
+        .run();
         assert_eq!(s.cache_hit_ratio, 0.0, "no VNF, no edge copies: {s:?}");
         assert!(s.origin_offload <= 0.0, "all chunks come from the origin");
         assert_eq!(s.completed, 24);
-    }
-
-    impl FleetParams {
-        fn with_staging(mut self, staging: bool) -> Self {
-            self.staging = staging;
-            self
-        }
     }
 }

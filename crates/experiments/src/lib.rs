@@ -11,7 +11,9 @@
 //! | (extra) | [`overload`] | Graceful degradation under staging-queue caps |
 //! | (extra) | [`fleet`] | Fleet-scale shared-cache contention ([`workload`] drives it) |
 //!
-//! [`testbed`] builds the paper's Fig. 4 topology; [`params`] holds the
+//! [`world`] builds the paper's Fig. 4 topology from plain data;
+//! [`testbed`] (one client along a coverage schedule) and [`fleet`] (N
+//! parked clients) are parameterisations of it. [`params`] holds the
 //! Table III parameter set. Every module declares its table as a list of
 //! independent cells ([`exec::TableSpec`]); the shared fan-out engine
 //! ([`exec::execute`]) evaluates them across a worker pool with per-cell
@@ -35,6 +37,7 @@ pub mod report;
 pub mod smoke;
 pub mod testbed;
 pub mod workload;
+pub mod world;
 
 pub use exec::{execute, Cell, DerivedRow, ExecConfig, TableSpec};
 pub use params::{ExperimentParams, MB, MBPS};

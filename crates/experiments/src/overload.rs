@@ -19,7 +19,7 @@ use crate::testbed;
 
 /// Storm parameters: 12 MB in 1 MB chunks, with a staging window deep
 /// enough (initial depth 16) that a pinched VNF queue must reject.
-fn storm_params(seed: u64) -> ExperimentParams {
+pub fn storm_params(seed: u64) -> ExperimentParams {
     ExperimentParams {
         file_size: 12 * MB,
         chunk_size: MB,
@@ -30,7 +30,7 @@ fn storm_params(seed: u64) -> ExperimentParams {
 
 /// The aggressive client: opens with a deep staged-ahead window so the
 /// request storm hits the VNF immediately instead of ramping up.
-fn storm_client() -> SoftStageConfig {
+pub fn storm_client() -> SoftStageConfig {
     SoftStageConfig {
         coordinator: CoordinatorConfig {
             initial_depth: 16,
@@ -41,7 +41,7 @@ fn storm_client() -> SoftStageConfig {
 }
 
 /// A VNF pinched to `max_depth` concurrent staging jobs.
-fn pinched_vnf(max_depth: usize) -> VnfConfig {
+pub fn pinched_vnf(max_depth: usize) -> VnfConfig {
     VnfConfig {
         max_depth,
         retry_after: SimDuration::from_millis(750),

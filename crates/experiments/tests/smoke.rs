@@ -29,7 +29,7 @@ fn softstage_downloads_with_staging() {
     assert!(result.content_ok, "content verified against publisher hash");
     assert_eq!(
         tb.client_app().content_digest(),
-        tb.manifest.digest(),
+        tb.catalog[0].0.digest(),
         "client-side and publisher-side digests agree"
     );
     assert_eq!(result.chunks_fetched, 8);
@@ -93,10 +93,11 @@ fn reordered_or_short_downloads_do_not_verify() {
     ];
     for (what, tamper) in tamperings {
         let mut tb = build(&params, &schedule, SoftStageConfig::baseline());
-        let mut dags = tb.chunk_dags.clone();
+        let mut dags = tb.catalog[0].1.clone();
         tamper(&mut dags);
+        let client = tb.client;
         *tb.sim
-            .node_mut::<EndHost>(tb.client)
+            .node_mut::<EndHost>(client)
             .expect("client node")
             .host_mut()
             .app_mut::<SoftStageClient>(0)

@@ -33,7 +33,7 @@ fn main() {
     };
     let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
     let mut tb = build(&params, &schedule, SoftStageConfig::default());
-    tb.enable_trace(1 << 20);
+    tb.sim.enable_trace(1 << 20);
     let result = tb.run(SimTime::ZERO + SimDuration::from_secs(2000));
 
     let sink = tb.sim.trace().expect("recorder attached");

@@ -19,8 +19,8 @@ target/release/sslint
 echo "== tier-1: workspace tests =="
 cargo test -q --offline
 
-echo "== chaos suite (fault injection, release) =="
-cargo test -q --offline --release -p softstage-suite --test chaos --test determinism
+echo "== chaos suite (fault injection, single- and multi-client, release) =="
+cargo test -q --offline --release -p softstage-suite --test chaos --test determinism --test fleet
 
 echo "== scheduler differential suite (wheel vs its (at, seq) contract, release) =="
 # Property tests drive the timer wheel and a BTreeMap keyed by (at, seq)

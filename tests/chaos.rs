@@ -29,14 +29,14 @@ fn assert_survives(
     inject: impl Fn(&mut Testbed),
 ) -> (Testbed, RunResult) {
     let mut clean_tb = testbed(params);
-    clean_tb.enable_trace(TRACE_CAPACITY);
+    clean_tb.sim.enable_trace(TRACE_CAPACITY);
     let clean = clean_tb.run(deadline());
     assert!(clean.content_ok, "fault-free run must pass: {clean:?}");
     common::assert_trace_clean(&clean_tb, &format!("clean seed {}", params.seed));
     let clean_t = clean.completion.expect("fault-free completion");
 
     let mut tb = testbed(params);
-    tb.enable_trace(TRACE_CAPACITY);
+    tb.sim.enable_trace(TRACE_CAPACITY);
     inject(&mut tb);
     let result = tb.run(deadline());
     assert!(
@@ -243,7 +243,7 @@ fn vnf_unreachable_uses_explicit_origin_fallback() {
             ..small(seed)
         };
         let mut tb = testbed(&p);
-        tb.enable_trace(TRACE_CAPACITY);
+        tb.sim.enable_trace(TRACE_CAPACITY);
         let result = tb.run(deadline());
         assert!(result.content_ok, "no-VNF run (seed {seed}): {result:?}");
         assert_eq!(result.from_staged, 0);
@@ -280,7 +280,7 @@ fn long_vnf_outage_exhausts_retry_budget_and_degrades_to_xftp() {
         };
         let schedule = p.alternating_schedule(SimDuration::from_secs(2000));
         let mut tb = build(&p, &schedule, config);
-        tb.enable_trace(TRACE_CAPACITY);
+        tb.sim.enable_trace(TRACE_CAPACITY);
         let mut plan = FaultPlan::new();
         for &edge in &tb.edges.clone() {
             // A 300 s outage: far longer than the budget can bridge, so

@@ -18,7 +18,7 @@ use softstage_suite::simnet::{SimDuration, SimTime};
 fn run_digest(seed: u64, faults: bool) -> [u8; 20] {
     let p = common::small(seed);
     let mut tb = common::testbed(&p);
-    tb.enable_trace(common::TRACE_CAPACITY);
+    tb.sim.enable_trace(common::TRACE_CAPACITY);
     if faults {
         let mut plan = FaultPlan::new();
         for (i, &link) in tb.radio_links.clone().iter().enumerate() {

@@ -2,7 +2,8 @@
 //! world must be a pure function of `(FleetParams, seed)` — byte-identical
 //! digests across fresh builds, byte-identical tables across `--jobs`
 //! counts, and a flight record that satisfies every oracle invariant
-//! under multi-client interleaving.
+//! under multi-client interleaving. Fleets share the one Fig. 4 builder
+//! with the testbed, so they also take its faults and its mobility.
 //!
 //! Worlds here are sized for debug-mode test runs: many clients, tiny
 //! per-client payloads.
@@ -10,8 +11,13 @@
 mod common;
 
 use softstage_suite::experiments::fleet::{build, summary, FleetParams};
-use softstage_suite::experiments::{execute, Cell, DerivedRow, ExecConfig, TableSpec};
-use softstage_suite::simnet::SimDuration;
+use softstage_suite::experiments::world::{self, client_on, ClientSpec};
+use softstage_suite::experiments::{
+    execute, testbed, Cell, DerivedRow, ExecConfig, ExperimentParams, TableSpec, MB, MBPS,
+};
+use softstage_suite::simnet::fault::FaultPlan;
+use softstage_suite::simnet::{SimDuration, SimTime};
+use softstage_suite::softstage::{SoftStageClient, SoftStageConfig, VnfConfig};
 use softstage_suite::xia_addr::sha1;
 use util::json::ToJson;
 
@@ -56,11 +62,7 @@ fn thousand_client_traces_are_byte_identical() {
         world.sim.enable_trace(common::TRACE_CAPACITY);
         world.run();
         assert_eq!(world.sim.trace().map_or(0, |t| t.dropped()), 0);
-        world
-            .sim
-            .trace()
-            .map(softstage_suite::simnet::TraceSink::to_jsonl)
-            .unwrap_or_default()
+        world.trace_jsonl()
     };
     let a = jsonl(42);
     let b = jsonl(42);
@@ -127,4 +129,134 @@ fn fleet_tables_are_byte_identical_across_jobs() {
     let serial = run(1);
     let pooled = run(4);
     assert_eq!(serial, pooled, "fleet tables differ between --jobs 1 and 4");
+}
+
+const SEEDS: [u64; 3] = [7, 101, 9001];
+
+#[test]
+fn faulted_fleet_completes_without_a_retry_storm() {
+    // Two dozen clients behind two edges whose caches hold one chunk
+    // each; edge 0's cache is squeezed below a chunk while clients are
+    // still arriving, then both edges crash (staging state, caches and
+    // beacons die) and restart 8 s later. Every client must ride it out
+    // with intact content, and recovery must not hammer the origin.
+    for seed in SEEDS {
+        let mut world = build(
+            &FleetParams {
+                clients: 24,
+                edges: 2,
+                catalog_objects: 8,
+                chunks_per_object: 2,
+                chunk_size: 64 * 1024,
+                objects_per_client: 2,
+                zipf_skew: 1.0,
+                edge_cache_bytes: 64 * 1024,
+                arrival_window: SimDuration::from_secs(2),
+                horizon: SimDuration::from_secs(120),
+                verify_content: true,
+                ..FleetParams::default()
+            }
+            .with_seed(seed),
+        );
+        world.sim.enable_trace(common::TRACE_CAPACITY);
+        let mut plan = FaultPlan::new();
+        plan.cache_squeeze(
+            world.edges[0],
+            SimTime::ZERO + SimDuration::from_millis(800),
+            32 * 1024,
+        );
+        for &edge in &world.edges.clone() {
+            plan.crash(
+                edge,
+                SimTime::ZERO + SimDuration::from_millis(1500),
+                Some(SimDuration::from_secs(8)),
+            );
+        }
+        plan.apply(&mut world.sim);
+        let s = world.run();
+        assert_eq!(s.completed, 24, "seed {seed}: {s:?}");
+        assert!(s.content_ok, "seed {seed}: {s:?}");
+        let violations = world.audit_trace();
+        assert!(violations.is_empty(), "seed {seed}: {violations:#?}");
+        // The origin serves at most twice what the clients took delivery
+        // of: faults cost refetches, not a storm of them.
+        assert!(s.origin_offload >= -1.0, "seed {seed}: {s:?}");
+        assert!(
+            world.vnf_queue_depths().iter().all(|&d| d == 0),
+            "seed {seed}: staging queues must drain: {:?}",
+            world.vnf_queue_depths()
+        );
+    }
+}
+
+/// Eight clients driving in convoy: the testbed's world with its client
+/// record repeated, so all share one alternating coverage schedule over
+/// two edges (and the edges' one RSS model). Slow radios and short
+/// encounters stretch a small file over several encounters.
+fn platoon(seed: u64) -> world::World {
+    let params = ExperimentParams {
+        file_size: 4 * MB,
+        chunk_size: MB / 4,
+        encounter: SimDuration::from_secs(3),
+        disconnection: SimDuration::from_secs(2),
+        wireless_bw_bps: 4 * MBPS,
+        seed,
+        ..ExperimentParams::default()
+    };
+    let schedule = params.alternating_schedule(SimDuration::from_secs(600));
+    let mut spec = testbed::spec(&params, &schedule, SoftStageConfig::default(), |_| {
+        VnfConfig::default()
+    });
+    let driver = spec.clients.remove(0);
+    spec.clients = (0..8u32)
+        .map(|i| ClientSpec {
+            hid_seed: driver.hid_seed + u64::from(i),
+            config: SoftStageConfig {
+                client_id: i,
+                ..driver.config.clone()
+            },
+            ..driver.clone()
+        })
+        .collect();
+    let mut world = world::build(spec);
+    world.sim.enable_trace(common::TRACE_CAPACITY);
+    let clients = world.clients.clone();
+    world.sim.run_while(common::deadline(), |sim| {
+        clients
+            .iter()
+            .all(|&c| client_on(sim, c).is_some_and(SoftStageClient::is_done))
+    });
+    world
+}
+
+#[test]
+fn platoon_hands_off_together_and_delivers_intact() {
+    for seed in SEEDS {
+        let world = platoon(seed);
+        for (i, app) in world.client_apps().enumerate() {
+            assert!(
+                world.content_ok(i),
+                "seed {seed}: client {i} must finish with the manifest's digest: {:?}",
+                app.stats()
+            );
+            assert_eq!(app.content_digest(), world.catalog[0].0.digest());
+            assert!(
+                app.roamer.handoffs >= 2,
+                "seed {seed}: client {i} handed off {} time(s)",
+                app.roamer.handoffs
+            );
+        }
+        let violations = world.audit_trace();
+        assert!(violations.is_empty(), "seed {seed}: {violations:#?}");
+    }
+}
+
+#[test]
+fn platoon_traces_are_byte_identical() {
+    let digest = || {
+        let world = platoon(42);
+        assert_eq!(world.sim.trace().map_or(0, |t| t.dropped()), 0);
+        sha1::sha1(world.trace_jsonl().as_bytes())
+    };
+    assert_eq!(digest(), digest(), "same-seed platoon traces differ");
 }

@@ -22,7 +22,7 @@ use common::{deadline, small, TRACE_CAPACITY};
 fn staging_run(seed: u64) -> Testbed {
     let p = small(seed);
     let mut tb = common::testbed(&p);
-    tb.enable_trace(TRACE_CAPACITY);
+    tb.sim.enable_trace(TRACE_CAPACITY);
     let result = tb.run(deadline());
     assert!(result.content_ok, "staging run must complete: {result:?}");
     tb
@@ -45,7 +45,7 @@ fn handoff_run(seed: u64) -> Testbed {
         SimDuration::from_secs(2000),
     );
     let mut tb = softstage_suite::experiments::build(&p, &schedule, SoftStageConfig::default());
-    tb.enable_trace(TRACE_CAPACITY);
+    tb.sim.enable_trace(TRACE_CAPACITY);
     let result = tb.run(deadline());
     assert!(result.content_ok, "handoff run must complete: {result:?}");
     assert!(

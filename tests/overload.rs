@@ -18,48 +18,24 @@
 
 mod common;
 
+use softstage_suite::experiments::overload::{pinched_vnf, storm_client, storm_params};
 use softstage_suite::experiments::{build_with_vnf, ExperimentParams, RunResult, Testbed, MB};
 use softstage_suite::simnet::fault::FaultPlan;
 use softstage_suite::simnet::{BreakerState, SimDuration, SimTime};
-use softstage_suite::softstage::{
-    Breaker, BreakerConfig, CoordinatorConfig, SoftStageConfig, VnfConfig,
-};
+use softstage_suite::softstage::{Breaker, BreakerConfig, VnfConfig};
 
 use common::{deadline, TRACE_CAPACITY};
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
 
-/// The storm: a deep staging window (initial depth 16) over a 12-chunk
-/// download, so the first request batch alone overruns a pinched queue.
-fn storm_params(seed: u64) -> ExperimentParams {
-    ExperimentParams {
-        file_size: 12 * MB,
-        chunk_size: MB,
-        seed,
-        ..ExperimentParams::default()
-    }
-}
-
-fn storm_client() -> SoftStageConfig {
-    SoftStageConfig {
-        coordinator: CoordinatorConfig {
-            initial_depth: 16,
-            ..CoordinatorConfig::default()
-        },
-        ..SoftStageConfig::default()
-    }
-}
-
 /// Builds the storm testbed with every VNF capped at `max_depth` jobs.
 fn storm_testbed(seed: u64, max_depth: usize) -> Testbed {
     let params = storm_params(seed);
     let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
-    let mut tb = build_with_vnf(&params, &schedule, storm_client(), |_| VnfConfig {
-        max_depth,
-        retry_after: SimDuration::from_millis(750),
-        ..VnfConfig::default()
+    let mut tb = build_with_vnf(&params, &schedule, storm_client(), |_| {
+        pinched_vnf(max_depth)
     });
-    tb.enable_trace(TRACE_CAPACITY);
+    tb.sim.enable_trace(TRACE_CAPACITY);
     tb
 }
 
@@ -382,7 +358,7 @@ fn slow_edge_trips_breaker_and_download_survives() {
         };
         let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
         let mut tb = build_with_vnf(&params, &schedule, storm_client(), |_| VnfConfig::default());
-        tb.enable_trace(TRACE_CAPACITY);
+        tb.sim.enable_trace(TRACE_CAPACITY);
         let mut plan = FaultPlan::new();
         for &edge in &tb.edges.clone() {
             plan.slow_edge(
