@@ -13,9 +13,8 @@
 use simnet::{SimDuration, SimTime};
 use softstage::{CoordinatorConfig, HandoffPolicy, SoftStageConfig};
 
-use crate::exec::{execute_one, Cell, ExecConfig, TableSpec};
+use crate::exec::{Cell, TableSpec};
 use crate::params::ExperimentParams;
-use crate::report::Table;
 use crate::testbed;
 
 fn deadline() -> SimTime {
@@ -126,11 +125,6 @@ pub fn spec() -> TableSpec {
         ));
 
     spec
-}
-
-/// The full ablation table, serially at one seed.
-pub fn run(seed: u64) -> Table {
-    execute_one(spec(), &ExecConfig::serial(seed))
 }
 
 #[cfg(test)]

@@ -289,12 +289,6 @@ pub fn execute(specs: &[TableSpec], config: &ExecConfig) -> Vec<Table> {
     tables
 }
 
-/// Evaluates a single spec — the convenience behind each figure
-/// module's `run(seed)` wrapper.
-pub(crate) fn execute_one(spec: TableSpec, config: &ExecConfig) -> Table {
-    execute(std::slice::from_ref(&spec), config).swap_remove(0)
-}
-
 /// Pushes `values` as one row: plain when there is a single replicate,
 /// mean/min/max otherwise.
 fn push_summary(table: &mut Table, label: &str, paper: Option<f64>, values: &[f64]) {

@@ -20,9 +20,8 @@ use xia_host::{EndHost, Host, HostConfig};
 use xia_transport::TransportConfig;
 use xia_wire::XiaPacket;
 
-use crate::exec::{execute_one, Cell, ExecConfig, TableSpec};
+use crate::exec::{Cell, TableSpec};
 use crate::params::{MB, MBPS};
-use crate::report::Table;
 use crate::world::generate_content;
 
 /// Protocols measured in Fig. 5.
@@ -136,11 +135,6 @@ pub fn spec() -> TableSpec {
         }
     }
     spec
-}
-
-/// Reproduces the whole figure, serially at one seed.
-pub fn run(seed: u64) -> Table {
-    execute_one(spec(), &ExecConfig::serial(seed))
 }
 
 #[cfg(test)]

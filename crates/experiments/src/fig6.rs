@@ -12,9 +12,8 @@
 use simnet::{SimDuration, SimTime};
 use softstage::SoftStageConfig;
 
-use crate::exec::{execute_one, Cell, ExecConfig, TableSpec};
+use crate::exec::{Cell, TableSpec};
 use crate::params::{ExperimentParams, MB, MBPS};
-use crate::report::Table;
 use crate::testbed;
 
 /// Outcome of one gain comparison.
@@ -191,39 +190,4 @@ pub fn specs() -> Vec<TableSpec> {
         bandwidth_spec(),
         latency_spec(),
     ]
-}
-
-/// Fig. 6(a), serially at one seed.
-pub fn chunk_size(seed: u64) -> Table {
-    execute_one(chunk_size_spec(), &ExecConfig::serial(seed))
-}
-
-/// Fig. 6(b), serially at one seed.
-pub fn encounter(seed: u64) -> Table {
-    execute_one(encounter_spec(), &ExecConfig::serial(seed))
-}
-
-/// Fig. 6(c), serially at one seed.
-pub fn disconnection(seed: u64) -> Table {
-    execute_one(disconnection_spec(), &ExecConfig::serial(seed))
-}
-
-/// Fig. 6(d), serially at one seed.
-pub fn loss(seed: u64) -> Table {
-    execute_one(loss_spec(), &ExecConfig::serial(seed))
-}
-
-/// Fig. 6(e), serially at one seed.
-pub fn bandwidth(seed: u64) -> Table {
-    execute_one(bandwidth_spec(), &ExecConfig::serial(seed))
-}
-
-/// Fig. 6(f), serially at one seed.
-pub fn latency(seed: u64) -> Table {
-    execute_one(latency_spec(), &ExecConfig::serial(seed))
-}
-
-/// All six panels, serially at one seed.
-pub fn run_all(seed: u64) -> Vec<Table> {
-    crate::exec::execute(&specs(), &ExecConfig::serial(seed))
 }

@@ -14,9 +14,8 @@ use simnet::SimTime;
 use softstage::SoftStageConfig;
 use vehicular::{synthesize_wardriving, ConnectivityTrace, WardrivingParams};
 
-use crate::exec::{Cell, DerivedRow, ExecConfig, TableSpec};
+use crate::exec::{Cell, DerivedRow, TableSpec};
 use crate::params::{ExperimentParams, MB};
-use crate::report::Table;
 use crate::testbed;
 
 /// Outcome of replaying one trace with both clients.
@@ -125,11 +124,6 @@ pub fn spec() -> TableSpec {
         ));
     }
     spec
-}
-
-/// Reproduces Fig. 7(b), serially at one seed.
-pub fn run(seed: u64) -> Table {
-    crate::exec::execute_one(spec(), &ExecConfig::serial(seed))
 }
 
 /// A short deterministic smoke variant used by tests: 120 s trace.

@@ -28,13 +28,12 @@
 use std::ops::{Deref, DerefMut};
 
 use simnet::{LinkConfig, SimDuration, SimTime};
-use softstage::{DeadlineAware, SoftStageClient, SoftStageConfig, VnfConfig};
+use softstage::{AdmissionPolicy, SoftStageClient, SoftStageConfig, VnfConfig};
 use xia_addr::sha1::Sha1;
 use xia_host::EndHost;
 
-use crate::exec::{execute_one, Cell, DerivedRow, ExecConfig, TableSpec};
+use crate::exec::{Cell, DerivedRow, TableSpec};
 use crate::params::{MB, MBPS};
-use crate::report::Table;
 use crate::workload::{client_objects, ZipfCatalog};
 use crate::world::{self, client_on, ClientSpec, EdgeSpec, World, WorldSpec};
 
@@ -208,7 +207,7 @@ pub fn build(params: &FleetParams) -> FleetWorld {
                 cache_bytes: params.edge_cache_bytes,
                 vnf: params.staging.then(|| VnfConfig {
                     chunk_bytes_hint: params.chunk_size as u64,
-                    admission: Box::new(DeadlineAware),
+                    admission: AdmissionPolicy::DeadlineAware,
                     ..VnfConfig::default()
                 }),
                 beacon_interval: params.beacon_interval,
@@ -467,11 +466,6 @@ pub fn smoke_spec() -> TableSpec {
         &[200],
         &[0.8],
     )
-}
-
-/// The fleet table, serially at one seed.
-pub fn run(seed: u64) -> Table {
-    execute_one(spec(), &ExecConfig::serial(seed))
 }
 
 #[cfg(test)]

@@ -14,9 +14,8 @@ use simnet::{SimDuration, SimTime};
 use softstage::{HandoffPolicy, SoftStageConfig};
 use vehicular::CoverageSchedule;
 
-use crate::exec::{execute_one, Cell, DerivedRow, ExecConfig, TableSpec};
+use crate::exec::{Cell, DerivedRow, TableSpec};
 use crate::params::ExperimentParams;
-use crate::report::Table;
 use crate::testbed;
 
 /// Download time over the overlapping-coverage drive under `policy`.
@@ -62,9 +61,4 @@ pub fn spec() -> TableSpec {
     .derived(DerivedRow::new("reduction (%)", Some(21.7), |v| {
         (1.0 - v[1] / v[0]) * 100.0
     }))
-}
-
-/// Reproduces the §IV-D result, serially at one seed.
-pub fn run(seed: u64) -> Table {
-    execute_one(spec(), &ExecConfig::serial(seed))
 }

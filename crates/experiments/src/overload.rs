@@ -12,9 +12,8 @@
 use simnet::{SimDuration, SimTime};
 use softstage::{CoordinatorConfig, SoftStageConfig, VnfConfig};
 
-use crate::exec::{execute_one, Cell, DerivedRow, ExecConfig, TableSpec};
+use crate::exec::{Cell, DerivedRow, TableSpec};
 use crate::params::{ExperimentParams, MB};
-use crate::report::Table;
 use crate::testbed;
 
 /// Storm parameters: 12 MB in 1 MB chunks, with a staging window deep
@@ -110,9 +109,4 @@ pub fn spec() -> TableSpec {
     .derived(DerivedRow::new("degradation cap-2 (x)", None, |v| {
         v[2] / v[0]
     }))
-}
-
-/// The overload table, serially at one seed.
-pub fn run(seed: u64) -> Table {
-    execute_one(spec(), &ExecConfig::serial(seed))
 }

@@ -9,9 +9,8 @@
 use simnet::{SimDuration, SimTime};
 use softstage::SoftStageConfig;
 
-use crate::exec::{execute_one, Cell, DerivedRow, ExecConfig, TableSpec};
+use crate::exec::{Cell, DerivedRow, TableSpec};
 use crate::params::{ExperimentParams, MB};
-use crate::report::Table;
 use crate::testbed;
 
 /// The reduced-scale parameter set: 8 MB file, 1 MB chunks.
@@ -64,9 +63,4 @@ pub fn spec() -> TableSpec {
         .derived(DerivedRow::new("default gain (x)", None, |v| v[1] / v[0]))
         .derived(DerivedRow::new("enc-3s gain (x)", None, |v| v[3] / v[2]));
     spec
-}
-
-/// The smoke table, serially at one seed.
-pub fn run(seed: u64) -> Table {
-    execute_one(spec(), &ExecConfig::serial(seed))
 }

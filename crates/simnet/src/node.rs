@@ -4,7 +4,6 @@ use std::any::Any;
 use std::fmt;
 
 use crate::link::{Link, LinkId};
-use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink};
 
@@ -112,7 +111,6 @@ pub struct Context<'a, M: Message> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) links: &'a [Link],
-    pub(crate) rng: &'a mut Rng,
     pub(crate) actions: Vec<Action<M>>,
     pub(crate) trace: Option<&'a mut TraceSink>,
 }
@@ -138,12 +136,6 @@ impl<'a, M: Message> Context<'a, M> {
         self.actions.push(Action::Timer { delay, key });
     }
 
-    /// Whether `link` is currently up; `false` for ids this simulation
-    /// never minted.
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.links.get(link.index()).is_some_and(|l| l.up)
-    }
-
     /// The node at the far end of `link` from this node.
     ///
     /// # Panics
@@ -167,19 +159,6 @@ impl<'a, M: Message> Context<'a, M> {
             sink.record(self.now, self.node, event);
         }
     }
-
-    /// Draws a uniform random `f64` in `[0, 1)` from the simulation's
-    /// deterministic generator.
-    pub fn random_f64(&mut self) -> f64 {
-        self.rng.next_f64()
-    }
-
-    /// Draws a uniform random `u64` from the simulation's deterministic
-    /// generator.
-    #[cfg(test)]
-    pub(crate) fn random_u64(&mut self) -> u64 {
-        self.rng.next_u64()
-    }
 }
 
 #[cfg(test)]
@@ -196,13 +175,11 @@ mod tests {
 
     #[test]
     fn context_accumulates_actions_in_order() {
-        let mut rng = Rng::seed_from_u64(1);
         let links = vec![];
         let mut ctx: Context<'_, Msg> = Context {
             now: SimTime::ZERO,
             node: NodeId(0),
             links: &links,
-            rng: &mut rng,
             actions: vec![],
             trace: None,
         };
@@ -211,32 +188,5 @@ mod tests {
         assert_eq!(ctx.actions.len(), 2);
         assert!(matches!(ctx.actions[0], Action::Timer { key: 42, .. }));
         assert!(matches!(ctx.actions[1], Action::Send { .. }));
-    }
-
-    #[test]
-    fn random_is_deterministic_for_seed() {
-        let mut r1 = Rng::seed_from_u64(9);
-        let mut r2 = Rng::seed_from_u64(9);
-        let links = vec![];
-        let mut c1: Context<'_, Msg> = Context {
-            now: SimTime::ZERO,
-            node: NodeId(0),
-            links: &links,
-            rng: &mut r1,
-            actions: vec![],
-            trace: None,
-        };
-        let v1 = (c1.random_u64(), c1.random_f64());
-        let links2 = vec![];
-        let mut c2: Context<'_, Msg> = Context {
-            now: SimTime::ZERO,
-            node: NodeId(0),
-            links: &links2,
-            rng: &mut r2,
-            actions: vec![],
-            trace: None,
-        };
-        let v2 = (c2.random_u64(), c2.random_f64());
-        assert_eq!(v1, v2);
     }
 }

@@ -8,14 +8,11 @@ use crate::time::SimTime;
 use crate::trace::{DropReason, TraceEvent, TraceOracle, TraceSink, Violation};
 use crate::wheel::WheelQueue;
 
-/// Records `event` into an optional sink; compiled away entirely when the
-/// `util/trace` feature is off.
+/// Records `event` into an optional sink.
 #[inline]
 fn emit(sink: &mut Option<TraceSink>, at: SimTime, node: NodeId, event: TraceEvent) {
-    if util::trace_compiled() {
-        if let Some(s) = sink {
-            s.record(at, node, event);
-        }
+    if let Some(s) = sink {
+        s.record(at, node, event);
     }
 }
 
@@ -242,7 +239,6 @@ impl<M: Message> Simulator<M> {
             now: self.time,
             node: id,
             links: &self.links,
-            rng: &mut self.rng,
             // Recycled scratch buffer: empty here, emptied again below.
             actions: std::mem::take(&mut self.spare_actions),
             trace: self.sink.as_mut(),

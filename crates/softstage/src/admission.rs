@@ -12,15 +12,9 @@ use simnet::{RejectReason, SimDuration, SimTime};
 
 /// The staging queue at the instant an admission decision is made.
 #[derive(Debug, Clone, Copy)]
-pub struct AdmissionSnapshot {
+pub(crate) struct AdmissionSnapshot {
     /// In-flight staging jobs (distinct origin fetches).
     pub depth: usize,
-    /// Configured depth cap.
-    pub max_depth: usize,
-    /// Estimated bytes the in-flight jobs will pull.
-    pub bytes: u64,
-    /// Configured byte cap.
-    pub max_bytes: u64,
     /// Current sim time.
     pub now: SimTime,
     /// The client's usefulness deadline for this request, if it sent one.
@@ -29,56 +23,34 @@ pub struct AdmissionSnapshot {
     pub est_stage: Option<SimDuration>,
 }
 
-/// Decides whether the VNF takes on one more staging job.
-///
-/// Returning `None` admits the job; `Some(reason)` sheds it with a typed
-/// reject. Policies run only below the hard caps, so they refine — never
-/// replace — backpressure.
-pub trait AdmissionPolicy: std::fmt::Debug {
-    /// One admission decision for one chunk.
-    fn admit(&mut self, q: &AdmissionSnapshot) -> Option<RejectReason>;
+/// Decides whether the VNF takes on one more staging job. Policies run
+/// only below the hard caps, so they refine — never replace —
+/// backpressure.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Admits everything below the hard caps.
+    #[default]
+    AlwaysAdmit,
+    /// Sheds requests that cannot stage before the client's deadline.
+    ///
+    /// The wait for a free slot is approximated as one smoothed staging
+    /// latency per queued job ahead of this one, plus the job's own
+    /// fetch. Requests without a deadline, and VNFs without a latency
+    /// estimate yet, always admit — the policy only sheds on evidence.
+    DeadlineAware,
 }
 
-/// Admits everything below the hard caps (the pre-overload behavior).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlwaysAdmit;
-
-impl AdmissionPolicy for AlwaysAdmit {
-    fn admit(&mut self, _q: &AdmissionSnapshot) -> Option<RejectReason> {
-        None
-    }
-}
-
-/// Sheds once the queue reaches a soft depth threshold (≤ the hard cap).
-#[derive(Debug, Clone, Copy)]
-pub struct DepthThreshold {
-    /// Jobs in flight at or above which new work is shed.
-    pub threshold: usize,
-}
-
-impl AdmissionPolicy for DepthThreshold {
-    fn admit(&mut self, q: &AdmissionSnapshot) -> Option<RejectReason> {
-        (q.depth >= self.threshold).then_some(RejectReason::QueueDepth)
-    }
-}
-
-/// Sheds requests that cannot stage before the client's deadline.
-///
-/// The wait for a free slot is approximated as one smoothed staging
-/// latency per queued job ahead of this one, plus the job's own fetch.
-/// Requests without a deadline, and VNFs without a latency estimate yet,
-/// always admit — the policy only sheds on evidence.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeadlineAware;
-
-impl AdmissionPolicy for DeadlineAware {
-    fn admit(&mut self, q: &AdmissionSnapshot) -> Option<RejectReason> {
-        let (deadline, est) = match (q.deadline, q.est_stage) {
-            (Some(d), Some(e)) => (d, e),
-            _ => return None,
-        };
-        let landing = q.now + est * (q.depth as u64 + 1);
-        (landing > deadline).then_some(RejectReason::Deadline)
+impl AdmissionPolicy {
+    /// One admission decision for one chunk: `None` admits the job,
+    /// `Some(reason)` sheds it with a typed reject.
+    pub(crate) fn admit(self, q: &AdmissionSnapshot) -> Option<RejectReason> {
+        match (self, q.deadline, q.est_stage) {
+            (AdmissionPolicy::DeadlineAware, Some(deadline), Some(est)) => {
+                let landing = q.now + est * (q.depth as u64 + 1);
+                (landing > deadline).then_some(RejectReason::Deadline)
+            }
+            _ => None,
+        }
     }
 }
 
@@ -89,9 +61,6 @@ mod tests {
     fn snap(depth: usize, deadline_us: Option<u64>, est_us: Option<u64>) -> AdmissionSnapshot {
         AdmissionSnapshot {
             depth,
-            max_depth: 16,
-            bytes: 0,
-            max_bytes: u64::MAX,
             now: SimTime::from_micros(1_000_000),
             deadline: deadline_us.map(SimTime::from_micros),
             est_stage: est_us.map(SimDuration::from_micros),
@@ -100,21 +69,10 @@ mod tests {
 
     #[test]
     fn always_admit_admits() {
-        assert_eq!(AlwaysAdmit.admit(&snap(15, None, None)), None);
-    }
-
-    #[test]
-    fn depth_threshold_sheds_at_threshold() {
-        let mut p = DepthThreshold { threshold: 4 };
-        assert_eq!(p.admit(&snap(3, None, None)), None);
-        assert_eq!(
-            p.admit(&snap(4, None, None)),
-            Some(RejectReason::QueueDepth)
-        );
-        assert_eq!(
-            p.admit(&snap(9, None, None)),
-            Some(RejectReason::QueueDepth)
-        );
+        let p = AdmissionPolicy::AlwaysAdmit;
+        assert_eq!(p.admit(&snap(15, None, None)), None);
+        // Even past a deadline it has the evidence for.
+        assert_eq!(p.admit(&snap(3, Some(1_600_000), Some(500_000))), None);
     }
 
     #[test]
@@ -126,7 +84,7 @@ mod tests {
         // now substitutes its cold-start horizon, so this test fails
         // against the pre-fix client behavior (final assertion below).
         use crate::coordinator::{CoordinatorConfig, StagingCoordinator};
-        let mut p = DeadlineAware;
+        let p = AdmissionPolicy::DeadlineAware;
         let coord = StagingCoordinator::new(CoordinatorConfig::default());
         let now = SimTime::from_micros(5_000_000);
         let deadline = SimTime::from_micros(coord.deadline_us_for(now, 2));
@@ -135,9 +93,6 @@ mod tests {
         // horizon: shed.
         let hopeless = AdmissionSnapshot {
             depth: 12,
-            max_depth: 64,
-            bytes: 0,
-            max_bytes: u64::MAX,
             now,
             deadline: Some(deadline),
             est_stage: Some(SimDuration::from_millis(1500)),
@@ -162,7 +117,7 @@ mod tests {
 
     #[test]
     fn deadline_aware_sheds_only_on_evidence() {
-        let mut p = DeadlineAware;
+        let p = AdmissionPolicy::DeadlineAware;
         // No deadline or no estimate: admit.
         assert_eq!(p.admit(&snap(8, None, Some(500_000))), None);
         assert_eq!(p.admit(&snap(8, Some(1_200_000), None)), None);

@@ -34,7 +34,7 @@ use xia_wire::Beacon;
 use crate::breaker::{Breaker, BreakerConfig};
 use crate::coordinator::{CoordinatorConfig, StagingCoordinator};
 use crate::messages::StagingMsg;
-use crate::profile::{ChunkProfile, RetryProfile, StagingState};
+use crate::profile::{ChunkProfile, ChunkRecord, RetryProfile, StagingState};
 
 /// When to hand off to a stronger network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,6 +116,15 @@ fn tag(x: &Xid) -> Tag {
     Tag::of(x.id())
 }
 
+/// Flight-recorder source of a fetch.
+fn source(staged: bool) -> FetchSource {
+    if staged {
+        FetchSource::EdgeCache
+    } else {
+        FetchSource::Origin
+    }
+}
+
 /// Capped exponential back-off with deterministic jitter.
 ///
 /// `base · 2^attempt`, clamped to `cap`, then jittered by ±25 % using an
@@ -136,6 +145,23 @@ fn backoff(base: SimDuration, cap: SimDuration, attempt: u32, salt: u64) -> SimD
     let jitter_pm = (h % 501) as i64 - 250;
     let jittered = us as i64 + (us as i64 / 1000) * jitter_pm;
     SimDuration::from_micros(jittered.max(1) as u64)
+}
+
+/// A chunk's staging re-request back-off, salted by its CID so distinct
+/// chunks keep distinct schedules.
+fn stage_backoff(retry: &RetryProfile, r: &ChunkRecord) -> SimDuration {
+    let salt = r
+        .cid
+        .id()
+        .iter()
+        .take(8)
+        .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+    backoff(
+        retry.stage_retry,
+        retry.stage_retry_cap,
+        r.stage_attempts.saturating_sub(1),
+        salt,
+    )
 }
 
 impl SoftStageConfig {
@@ -400,11 +426,7 @@ impl SoftStageClient {
             ctx,
             TraceEvent::FetchStart {
                 chunk: tag(&cid),
-                source: if staged {
-                    FetchSource::EdgeCache
-                } else {
-                    FetchSource::Origin
-                },
+                source: source(staged),
             }
         );
         self.in_flight = Some(InFlightFetch {
@@ -534,6 +556,20 @@ impl SoftStageClient {
         self.stage_chunks(ctx, vnf, &idxs);
     }
 
+    /// Starts the handoff to `target`; `false` when the roamer refuses.
+    fn commit_handoff(&mut self, ctx: &mut HostCtx<'_, '_>, target: Xid) -> bool {
+        let started = self.roamer.begin_handoff(ctx, target) != RoamEvent::None;
+        if started {
+            util::trace_event!(
+                ctx,
+                TraceEvent::HandoffCommit {
+                    target: tag(&target)
+                }
+            );
+        }
+        started
+    }
+
     fn handle_handoff_opportunity(&mut self, ctx: &mut HostCtx<'_, '_>) {
         let Some(candidate) = self
             .roamer
@@ -546,14 +582,7 @@ impl SoftStageClient {
         match self.config.policy {
             HandoffPolicy::Default => {
                 // Legacy: switch immediately, even mid-chunk.
-                if self.roamer.begin_handoff(ctx, target) != RoamEvent::None {
-                    util::trace_event!(
-                        ctx,
-                        TraceEvent::HandoffCommit {
-                            target: tag(&target)
-                        }
-                    );
-                }
+                self.commit_handoff(ctx, target);
             }
             HandoffPolicy::ChunkAware => {
                 if self.in_flight.is_some() {
@@ -571,13 +600,8 @@ impl SoftStageClient {
                             }
                         }
                     }
-                } else if self.roamer.begin_handoff(ctx, target) != RoamEvent::None {
-                    util::trace_event!(
-                        ctx,
-                        TraceEvent::HandoffCommit {
-                            target: tag(&target)
-                        }
-                    );
+                } else {
+                    self.commit_handoff(ctx, target);
                 }
             }
         }
@@ -645,19 +669,9 @@ impl App for SoftStageClient {
             TICK_TIMER => {
                 // Re-issue staging for requests lost in the air, each
                 // chunk on its own capped-exponential back-off schedule.
-                let (base, cap) = (
-                    self.config.retry.stage_retry,
-                    self.config.retry.stage_retry_cap,
-                );
-                let stale = self.profile.stale_pending_with(ctx.now(), |r| {
-                    let salt = r
-                        .cid
-                        .id()
-                        .iter()
-                        .take(8)
-                        .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
-                    backoff(base, cap, r.stage_attempts.saturating_sub(1), salt)
-                });
+                let stale = self
+                    .profile
+                    .stale_pending_with(ctx.now(), |r| stage_backoff(&self.config.retry, r));
                 if !stale.is_empty() && !self.staging_off() {
                     let budget = u64::from(self.config.retry.stage_retry_budget);
                     let associated = matches!(self.roamer.state(), RoamState::Associated { .. });
@@ -775,18 +789,7 @@ impl App for SoftStageClient {
                 if let Some((idx, r)) = self.profile.by_cid(&cid) {
                     // Honor the VNF's advisory, but never come back sooner
                     // than this chunk's own back-off schedule would.
-                    let salt = r
-                        .cid
-                        .id()
-                        .iter()
-                        .take(8)
-                        .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
-                    let own = backoff(
-                        self.config.retry.stage_retry,
-                        self.config.retry.stage_retry_cap,
-                        r.stage_attempts.saturating_sub(1),
-                        salt,
-                    );
+                    let own = stage_backoff(&self.config.retry, r);
                     let wait = own.max(SimDuration::from_micros(retry_after_us));
                     self.profile.mark_rejected(idx, ctx.now() + wait);
                 }
@@ -820,11 +823,7 @@ impl App for SoftStageClient {
                     TraceEvent::FetchComplete {
                         chunk: tag(&cid),
                         bytes: bytes.len() as u64,
-                        source: if fetch.staged {
-                            FetchSource::EdgeCache
-                        } else {
-                            FetchSource::Origin
-                        },
+                        source: source(fetch.staged),
                         ok: true,
                     }
                 );
@@ -852,13 +851,7 @@ impl App for SoftStageClient {
                 // Chunk-aware handoff: the deferred switch happens now, at
                 // the chunk boundary, with no connection to migrate.
                 if let Some(target) = self.pending_handoff.take() {
-                    if self.roamer.begin_handoff(ctx, target) != RoamEvent::None {
-                        util::trace_event!(
-                            ctx,
-                            TraceEvent::HandoffCommit {
-                                target: tag(&target)
-                            }
-                        );
+                    if self.commit_handoff(ctx, target) {
                         self.maybe_stage(ctx);
                         return; // Fetch resumes once associated.
                     }
@@ -872,11 +865,7 @@ impl App for SoftStageClient {
                     TraceEvent::FetchComplete {
                         chunk: tag(&cid),
                         bytes: 0,
-                        source: if fetch.staged {
-                            FetchSource::EdgeCache
-                        } else {
-                            FetchSource::Origin
-                        },
+                        source: source(fetch.staged),
                         ok: false,
                     }
                 );

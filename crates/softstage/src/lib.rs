@@ -38,9 +38,7 @@ pub mod messages;
 pub mod profile;
 pub mod vnf;
 
-pub use admission::{
-    AdmissionPolicy, AdmissionSnapshot, AlwaysAdmit, DeadlineAware, DepthThreshold,
-};
+pub use admission::AdmissionPolicy;
 pub use breaker::{Breaker, BreakerConfig};
 pub use client::{ClientStats, HandoffPolicy, SoftStageClient, SoftStageConfig, StagingMode};
 pub use coordinator::{CoordinatorConfig, Ewma, StagingCoordinator};

@@ -20,7 +20,7 @@ use util::bytes::Bytes;
 use xia_addr::{Dag, Xid};
 use xia_host::{App, FetchResult, HostCtx};
 
-use crate::admission::{AdmissionPolicy, AdmissionSnapshot, AlwaysAdmit};
+use crate::admission::{AdmissionPolicy, AdmissionSnapshot};
 use crate::coordinator::Ewma;
 use crate::messages::StagingMsg;
 
@@ -28,7 +28,7 @@ use crate::messages::StagingMsg;
 const REPLY_TIMER: u32 = 1;
 
 /// Bounds and admission configuration of a [`StagingVnf`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct VnfConfig {
     /// Maximum concurrent staging jobs (in-flight origin fetches).
     pub max_depth: usize,
@@ -40,7 +40,7 @@ pub struct VnfConfig {
     /// Advisory back-off sent with every reject.
     pub retry_after: SimDuration,
     /// Admission policy applied below the hard caps.
-    pub admission: Box<dyn AdmissionPolicy>,
+    pub admission: AdmissionPolicy,
 }
 
 impl Default for VnfConfig {
@@ -52,7 +52,7 @@ impl Default for VnfConfig {
             max_bytes: 512 * 1024 * 1024,
             chunk_bytes_hint: 2 * 1024 * 1024,
             retry_after: SimDuration::from_secs(1),
-            admission: Box::new(AlwaysAdmit),
+            admission: AdmissionPolicy::AlwaysAdmit,
         }
     }
 }
@@ -213,7 +213,7 @@ impl StagingVnf {
     }
 
     /// The hard caps, then the policy. `None` admits.
-    fn admission_verdict(&mut self, now: SimTime, deadline_us: u64) -> Option<RejectReason> {
+    fn admission_verdict(&self, now: SimTime, deadline_us: u64) -> Option<RejectReason> {
         let depth = self.fetches.len();
         if depth >= self.config.max_depth {
             return Some(RejectReason::QueueDepth);
@@ -224,9 +224,6 @@ impl StagingVnf {
         }
         let snapshot = AdmissionSnapshot {
             depth,
-            max_depth: self.config.max_depth,
-            bytes,
-            max_bytes: self.config.max_bytes,
             now,
             deadline: (deadline_us > 0).then(|| SimTime::from_micros(deadline_us)),
             est_stage: self.latency.value(),

@@ -33,17 +33,6 @@ pub mod json;
 pub mod seed;
 pub mod sync;
 
-/// Whether trace emitters are compiled into this build.
-///
-/// Evaluated against **this crate's** `trace` feature (on by default), not
-/// the caller's, so [`trace_event!`] behaves identically from every crate
-/// in the workspace. When the feature is off the macro body becomes
-/// `if false { ... }` and the optimizer removes both the branch and the
-/// event construction.
-pub const fn trace_compiled() -> bool {
-    cfg!(feature = "trace")
-}
-
 /// Emits a trace event through a context, paying nothing when tracing is
 /// unavailable.
 ///
@@ -55,7 +44,7 @@ pub const fn trace_compiled() -> bool {
 #[macro_export]
 macro_rules! trace_event {
     ($ctx:expr, $ev:expr) => {
-        if $crate::trace_compiled() && $ctx.tracing() {
+        if $ctx.tracing() {
             $ctx.trace($ev);
         }
     };

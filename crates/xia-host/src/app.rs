@@ -5,7 +5,6 @@ use std::any::Any;
 use simnet::{LinkId, NodeFault};
 use util::bytes::Bytes;
 use xia_addr::{Dag, Xid};
-use xia_transport::TransportEvent;
 use xia_wire::Beacon;
 
 use crate::ctx::HostCtx;
@@ -23,19 +22,16 @@ pub enum FetchResult {
 
 /// An application (or network function) running on a host stack.
 ///
-/// Applications receive upcalls from the host: transport events for
-/// connections they own, completions for chunk fetches they issued,
-/// control datagrams, beacons heard on any interface, link state changes
-/// and their own timers. All interaction with the world goes through the
-/// [`HostCtx`] passed to each callback.
+/// Applications receive upcalls from the host: completions for chunk
+/// fetches they issued, control datagrams, beacons heard on any
+/// interface, link state changes and their own timers. All interaction
+/// with the world goes through the [`HostCtx`] passed to each callback.
+/// Apps never hold a transport connection: on a host a connection is a
+/// fetch one of them delegated or a serve the chunk server accepted.
 #[allow(unused_variables)]
 pub trait App: Any {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {}
-
-    /// Transport event for a connection owned by this app (opened with
-    /// [`HostCtx::connect`]).
-    fn on_transport_event(&mut self, ctx: &mut HostCtx<'_, '_>, event: &TransportEvent) {}
 
     /// A chunk fetch issued with [`HostCtx::xfetch_chunk`] finished.
     fn on_fetch_complete(

@@ -6,26 +6,20 @@ use simnet::{Context as SimContext, LinkId, SimDuration, SimTime};
 use util::bytes::Bytes;
 use xcache::{ChunkFetcher, ChunkStore};
 use xia_addr::{Dag, Xid};
-use xia_transport::{TransportError, TransportEvent, TransportMux};
+use xia_transport::{TransportEvent, TransportMux};
 use xia_wire::{ConnId, XiaPacket, L4};
 
-/// Tag marking a host timer key as belonging to an application.
+/// Tag marking a host timer key as belonging to an application. Below it
+/// the key is `boot epoch << 40 | app index << 32 | the app's own key`.
 pub(crate) const APP_TIMER_TAG: u64 = 0x4150 << 48;
 
-/// Who owns a transport connection on this host.
-#[derive(Debug)]
-pub(crate) enum Owner {
-    /// The built-in chunk server.
-    Server,
-    /// Application `idx` (raw connection API).
-    App(usize),
-    /// A chunk fetch delegation issued by application `idx`.
-    Fetch(usize),
-}
-
-/// State of one in-flight chunk fetch.
+/// State of one in-flight chunk fetch. A connection with a `FetchState`
+/// is a fetch; any other connection the mux knows is one the chunk server
+/// accepted.
 #[derive(Debug)]
 pub(crate) struct FetchState {
+    /// The application that issued the fetch.
+    pub(crate) app_idx: usize,
     pub(crate) handle: u64,
     pub(crate) fetcher: ChunkFetcher,
     /// Terminal result already reported to the app.
@@ -34,7 +28,7 @@ pub(crate) struct FetchState {
 
 /// Host identity and attachment state shared with applications.
 #[derive(Debug)]
-pub struct HostMeta {
+pub(crate) struct HostMeta {
     pub(crate) hid: Xid,
     nid: Option<Xid>,
     /// The locator address for `nid`, rebuilt only when `nid` changes so
@@ -45,6 +39,9 @@ pub struct HostMeta {
     pub(crate) services: Vec<Xid>,
     pub(crate) next_fetch_handle: u64,
     pub(crate) next_token: u64,
+    /// Bumped at every restart, so a timer armed before a crash is
+    /// recognised, and dropped, when it matures after the reboot.
+    pub(crate) boot_epoch: u8,
 }
 
 impl HostMeta {
@@ -59,6 +56,7 @@ impl HostMeta {
             services: Vec::new(),
             next_fetch_handle: 1,
             next_token: 1,
+            boot_epoch: 0,
         }
     }
 
@@ -111,15 +109,14 @@ impl xia_transport::TransportEnv for HostEnv<'_, '_> {
     }
 }
 
-/// The window through which an [`crate::App`] uses its host: transport,
-/// chunk fetching, control datagrams, timers, attachment management and
-/// the local chunk store.
+/// The window through which an [`crate::App`] uses its host: chunk
+/// fetching, control datagrams, timers, attachment management, the local
+/// chunk store and the flight recorder.
 pub struct HostCtx<'a, 'b> {
     pub(crate) sim: &'a mut SimContext<'b, XiaPacket>,
     pub(crate) mux: &'a mut TransportMux,
     pub(crate) store: &'a mut ChunkStore,
     pub(crate) meta: &'a mut HostMeta,
-    pub(crate) owners: &'a mut BTreeMap<ConnId, Owner>,
     pub(crate) fetchers: &'a mut BTreeMap<ConnId, FetchState>,
     pub(crate) pending: &'a mut VecDeque<TransportEvent>,
     pub(crate) outbox: &'a mut Vec<XiaPacket>,
@@ -158,11 +155,6 @@ impl<'a, 'b> HostCtx<'a, 'b> {
         self.meta.primary_link
     }
 
-    /// Whether `link` is currently up.
-    pub fn link_up(&self, link: LinkId) -> bool {
-        self.sim.link_up(link)
-    }
-
     /// Attaches the data plane to `link` inside network `nid` (an
     /// association). Does not migrate live connections; see
     /// [`HostCtx::migrate_connections`].
@@ -191,48 +183,6 @@ impl<'a, 'b> HostCtx<'a, 'b> {
         }
     }
 
-    /// Opens a transport connection to `dst`; events arrive via
-    /// [`crate::App::on_transport_event`].
-    pub fn connect(&mut self, dst: Dag) -> ConnId {
-        let src = self.meta.local_dag();
-        let app_idx = self.app_idx;
-        let (mux, mut env) = self.env();
-        let id = mux.connect(&mut env, dst, src);
-        self.owners.insert(id, Owner::App(app_idx));
-        id
-    }
-
-    /// Sends bytes on an app-owned connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors (unknown/closing connection).
-    pub fn send(&mut self, conn: ConnId, data: Bytes) -> Result<(), TransportError> {
-        let (mux, mut env) = self.env();
-        mux.send(&mut env, conn, data)
-    }
-
-    /// Closes the send direction of an app-owned connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors (unknown connection).
-    pub fn close(&mut self, conn: ConnId) -> Result<(), TransportError> {
-        let (mux, mut env) = self.env();
-        mux.close(&mut env, conn)
-    }
-
-    /// Aborts a connection.
-    pub fn abort(&mut self, conn: ConnId) {
-        let (mux, mut env) = self.env();
-        mux.abort(&mut env, conn);
-    }
-
-    /// Smoothed RTT of a live connection, if measured.
-    pub fn srtt(&self, conn: ConnId) -> Option<SimDuration> {
-        self.mux.srtt(conn)
-    }
-
     /// Number of live transport connections on this host.
     pub fn active_connection_count(&self) -> usize {
         self.mux.active_connections()
@@ -249,10 +199,10 @@ impl<'a, 'b> HostCtx<'a, 'b> {
         let app_idx = self.app_idx;
         let (mux, mut env) = self.env();
         let conn = mux.connect(&mut env, dag, src);
-        self.owners.insert(conn, Owner::Fetch(app_idx));
         self.fetchers.insert(
             conn,
             FetchState {
+                app_idx,
                 handle,
                 fetcher: ChunkFetcher::new(cid),
                 done: false,
@@ -294,13 +244,11 @@ impl<'a, 'b> HostCtx<'a, 'b> {
     /// Arms an application timer; `key` (low 32 bits) returns via
     /// [`crate::App::on_timer`].
     pub fn set_app_timer(&mut self, delay: SimDuration, key: u32) {
-        let packed = APP_TIMER_TAG | ((self.app_idx as u64 & 0xFFFF) << 32) | u64::from(key);
+        let packed = APP_TIMER_TAG
+            | (u64::from(self.meta.boot_epoch) << 40)
+            | ((self.app_idx as u64 & 0xFF) << 32)
+            | u64::from(key);
         self.sim.set_timer(delay, packed);
-    }
-
-    /// Uniform random value in `[0, 1)` from the simulation's seeded RNG.
-    pub fn random_f64(&mut self) -> f64 {
-        self.sim.random_f64()
     }
 
     /// Whether the simulation's flight recorder is attached. Check before

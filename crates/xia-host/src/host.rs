@@ -12,7 +12,7 @@ use xia_transport::{TransportConfig, TransportEvent, TransportMux};
 use xia_wire::{ConnId, XiaPacket, L4};
 
 use crate::app::{App, FetchResult};
-use crate::ctx::{FetchState, HostCtx, HostEnv, HostMeta, Owner, APP_TIMER_TAG};
+use crate::ctx::{FetchState, HostCtx, HostEnv, HostMeta, APP_TIMER_TAG};
 
 /// Configuration of a host stack.
 #[derive(Debug, Clone)]
@@ -23,8 +23,6 @@ pub struct HostConfig {
     pub transport: TransportConfig,
     /// Local XCache capacity in bytes.
     pub cache_capacity: usize,
-    /// Local XCache eviction policy.
-    pub cache_policy: EvictionPolicy,
     /// Whether chunks fetched by this host are inserted into its XCache
     /// for reuse ("clients can optionally store chunks in their XCache").
     pub cache_fetched: bool,
@@ -38,7 +36,6 @@ impl HostConfig {
             hid,
             transport: TransportConfig::xia(),
             cache_capacity: 256 * 1024 * 1024,
-            cache_policy: EvictionPolicy::Lru,
             cache_fetched: false,
         }
     }
@@ -56,7 +53,6 @@ pub struct Host {
     store: ChunkStore,
     server: ChunkServer,
     apps: Vec<Option<Box<dyn App>>>,
-    owners: BTreeMap<ConnId, Owner>,
     fetchers: BTreeMap<ConnId, FetchState>,
     pending: VecDeque<TransportEvent>,
     outbox: Vec<XiaPacket>,
@@ -71,10 +67,9 @@ impl Host {
         Host {
             meta: HostMeta::new(config.hid, config.cache_fetched),
             mux: TransportMux::new(config.transport, config.hid),
-            store: ChunkStore::new(config.cache_capacity, config.cache_policy),
+            store: ChunkStore::new(config.cache_capacity, EvictionPolicy::Lru),
             server: ChunkServer::new(),
             apps: Vec::new(),
-            owners: BTreeMap::new(),
             fetchers: BTreeMap::new(),
             pending: VecDeque::new(),
             outbox: Vec::new(),
@@ -105,21 +100,9 @@ impl Host {
         self.meta.hid
     }
 
-    /// Network attachment, if any.
-    pub fn nid(&self) -> Option<Xid> {
-        self.meta.nid()
-    }
-
     /// Sets the data-plane attachment before or during a run.
     pub fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
         self.meta.set_attachment(nid, link);
-    }
-
-    /// Registers a control service SID (e.g. a staging VNF).
-    pub fn register_service(&mut self, sid: Xid) {
-        if !self.meta.services.contains(&sid) {
-            self.meta.services.push(sid);
-        }
     }
 
     /// The local chunk store.
@@ -203,9 +186,7 @@ impl Host {
 
     /// Delivers the simulation start to all apps.
     pub fn start(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
-        for idx in 0..self.apps.len() {
-            self.with_app(ctx, idx, |app, hctx| app.on_start(hctx));
-        }
+        self.each_app(ctx, |app, hctx| app.on_start(hctx));
         self.drain(ctx);
     }
 
@@ -229,55 +210,40 @@ impl Host {
         match fault {
             NodeFault::CacheWipe => {
                 self.store.wipe();
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| app.on_fault(hctx, fault));
-                }
-                self.drain(ctx);
             }
+            NodeFault::CacheResize { capacity } => {
+                self.store.resize(capacity);
+            }
+            // Host state is untouched; apps model the degraded rate.
+            NodeFault::SlowService { .. } => {}
             NodeFault::Crash => {
                 self.down = true;
                 self.mux.reset();
-                self.owners.clear();
                 self.fetchers.clear();
                 self.pending.clear();
                 self.outbox.clear();
                 self.meta.services.clear();
                 self.store.wipe();
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| app.on_fault(hctx, fault));
-                }
-                // No drain: anything apps tried to emit died with the node.
+            }
+            NodeFault::Restart if !self.down => return,
+            NodeFault::Restart => {
+                self.down = false;
+                self.meta.boot_epoch = self.meta.boot_epoch.wrapping_add(1);
+            }
+        }
+        self.each_app(ctx, |app, hctx| app.on_fault(hctx, fault));
+        match fault {
+            NodeFault::Crash => {
+                // No drain: anything apps tried to emit died with the
+                // node, and so did the cache/server trace logs.
                 self.pending.clear();
                 self.outbox.clear();
-                // Cache/server trace logs died with the node too.
                 let _ = self.store.take_evicted();
                 let _ = self.server.take_served();
             }
-            NodeFault::Restart => {
-                if !self.down {
-                    return;
-                }
-                self.down = false;
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| app.on_fault(hctx, fault));
-                }
-                self.start(ctx);
-            }
-            NodeFault::CacheResize { capacity } => {
-                self.store.resize(capacity);
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| app.on_fault(hctx, fault));
-                }
-                // Draining flushes the squeeze's evictions into the trace.
-                self.drain(ctx);
-            }
-            NodeFault::SlowService { .. } => {
-                // Host state is untouched; apps model the degraded rate.
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| app.on_fault(hctx, fault));
-                }
-                self.drain(ctx);
-            }
+            NodeFault::Restart => self.start(ctx),
+            // Draining flushes a squeeze's evictions into the trace.
+            _ => self.drain(ctx),
         }
     }
 
@@ -294,9 +260,7 @@ impl Host {
         match &pkt.l4 {
             L4::Beacon(beacon) => {
                 let beacon = beacon.clone();
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| app.on_beacon(hctx, link, &beacon));
-                }
+                self.each_app(ctx, |app, hctx| app.on_beacon(hctx, link, &beacon));
             }
             L4::Control {
                 service,
@@ -305,20 +269,14 @@ impl Host {
             } => {
                 let (service, token, body) = (*service, *token, body.clone());
                 let from = pkt.src.clone();
-                for idx in 0..self.apps.len() {
-                    self.with_app(ctx, idx, |app, hctx| {
-                        app.on_control(hctx, from.clone(), service, token, &body)
-                    });
-                }
+                self.each_app(ctx, |app, hctx| {
+                    app.on_control(hctx, from.clone(), service, token, &body)
+                });
             }
             L4::Segment(_) => {
                 let local = self.meta.local_dag();
-                let mut env = HostEnv {
-                    sim: ctx,
-                    outbox: &mut self.outbox,
-                    pending: &mut self.pending,
-                };
-                self.mux.on_packet(&mut env, pkt, local);
+                let (mux, mut env) = self.env(ctx);
+                mux.on_packet(&mut env, pkt, local);
             }
         }
         self.drain(ctx);
@@ -333,20 +291,20 @@ impl Host {
             return true;
         }
         if key & (0xFFFF << 48) == xia_transport::TIMER_TAG {
-            let mut env = HostEnv {
-                sim: ctx,
-                outbox: &mut self.outbox,
-                pending: &mut self.pending,
-            };
-            self.mux.on_timer(&mut env, key);
+            let (mux, mut env) = self.env(ctx);
+            mux.on_timer(&mut env, key);
             self.drain(ctx);
             return true;
         }
         if key & (0xFFFF << 48) == APP_TIMER_TAG {
-            let idx = ((key >> 32) & 0xFFFF) as usize;
-            let payload = key as u32 as u64;
-            self.with_app(ctx, idx, |app, hctx| app.on_timer(hctx, payload));
-            self.drain(ctx);
+            // A timer armed before the last crash died with the node,
+            // even when it matures after the restart.
+            if (key >> 40) as u8 == self.meta.boot_epoch {
+                let idx = ((key >> 32) & 0xFF) as usize;
+                let payload = key as u32 as u64;
+                self.with_app(ctx, idx, |app, hctx| app.on_timer(hctx, payload));
+                self.drain(ctx);
+            }
             return true;
         }
         false
@@ -362,9 +320,7 @@ impl Host {
         if self.down {
             return;
         }
-        for idx in 0..self.apps.len() {
-            self.with_app(ctx, idx, |app, hctx| app.on_link_event(hctx, link, up));
-        }
+        self.each_app(ctx, |app, hctx| app.on_link_event(hctx, link, up));
         self.drain(ctx);
     }
 
@@ -386,7 +342,6 @@ impl Host {
             mux: &mut self.mux,
             store: &mut self.store,
             meta: &mut self.meta,
-            owners: &mut self.owners,
             fetchers: &mut self.fetchers,
             pending: &mut self.pending,
             outbox: &mut self.outbox,
@@ -396,25 +351,45 @@ impl Host {
         self.apps[idx] = Some(app);
     }
 
+    /// Runs `f` on every app in index order. Does not drain events.
+    fn each_app(
+        &mut self,
+        ctx: &mut SimContext<'_, XiaPacket>,
+        mut f: impl FnMut(&mut dyn App, &mut HostCtx<'_, '_>),
+    ) {
+        for idx in 0..self.apps.len() {
+            self.with_app(ctx, idx, &mut f);
+        }
+    }
+
+    /// The mux and the environment its calls run against.
+    fn env<'a, 'b>(
+        &'a mut self,
+        ctx: &'a mut SimContext<'b, XiaPacket>,
+    ) -> (&'a mut TransportMux, HostEnv<'a, 'b>) {
+        let env = HostEnv {
+            sim: ctx,
+            outbox: &mut self.outbox,
+            pending: &mut self.pending,
+        };
+        (&mut self.mux, env)
+    }
+
     fn apply_server_actions(
         &mut self,
         ctx: &mut SimContext<'_, XiaPacket>,
         actions: Vec<ServerAction>,
     ) {
+        let (mux, mut env) = self.env(ctx);
         for action in actions {
-            let mut env = HostEnv {
-                sim: ctx,
-                outbox: &mut self.outbox,
-                pending: &mut self.pending,
-            };
             match action {
                 ServerAction::Send(conn, data) => {
-                    let _ = self.mux.send(&mut env, conn, data);
+                    let _ = mux.send(&mut env, conn, data);
                 }
                 ServerAction::Close(conn) => {
-                    let _ = self.mux.close(&mut env, conn);
+                    let _ = mux.close(&mut env, conn);
                 }
-                ServerAction::Abort(conn) => self.mux.abort(&mut env, conn),
+                ServerAction::Abort(conn) => mux.abort(&mut env, conn),
             }
         }
     }
@@ -436,7 +411,7 @@ impl Host {
         let evicted = self.store.take_evicted();
         let evicted_dropped = self.store.take_evicted_dropped();
         let served = self.server.take_served();
-        if !util::trace_compiled() || !ctx.tracing() {
+        if !ctx.tracing() {
             return;
         }
         for cid in evicted {
@@ -459,155 +434,88 @@ impl Host {
         }
     }
 
+    /// A connection with a [`FetchState`] is a fetch; any other is one the
+    /// chunk server accepted.
     fn route_event(&mut self, ctx: &mut SimContext<'_, XiaPacket>, event: TransportEvent) {
-        match &event {
-            TransportEvent::Incoming { conn, .. } => {
-                self.owners.insert(*conn, Owner::Server);
-                self.server.on_incoming(*conn);
+        match event {
+            TransportEvent::Incoming { conn, .. } => self.server.on_incoming(conn),
+            TransportEvent::Connected { conn, .. } => {
+                if let Some(st) = self.fetchers.get(&conn) {
+                    let req = st.fetcher.request_bytes();
+                    let (mux, mut env) = self.env(ctx);
+                    let _ = mux.send(&mut env, conn, req);
+                }
             }
-            TransportEvent::Connected { conn, .. } => match self.owners.get(conn) {
-                Some(Owner::Fetch(_)) => {
-                    if let Some(st) = self.fetchers.get(conn) {
-                        let req = st.fetcher.request_bytes();
-                        let mut env = HostEnv {
-                            sim: ctx,
-                            outbox: &mut self.outbox,
-                            pending: &mut self.pending,
-                        };
-                        let _ = self.mux.send(&mut env, *conn, req);
+            TransportEvent::Data { conn, data } => {
+                if let Some(st) = self.fetchers.get_mut(&conn) {
+                    if st.done {
+                        return;
                     }
-                }
-                Some(Owner::App(i)) => {
-                    let i = *i;
-                    self.with_app(ctx, i, |app, hctx| app.on_transport_event(hctx, &event));
-                }
-                _ => {}
-            },
-            TransportEvent::Data { conn, data } => match self.owners.get(conn) {
-                Some(Owner::Server) => {
-                    let actions = self.server.on_data(*conn, data, &mut self.store);
-                    self.apply_server_actions(ctx, actions);
-                }
-                Some(Owner::Fetch(i)) => {
-                    let (i, conn, data) = (*i, *conn, data.clone());
-                    self.advance_fetch(ctx, i, conn, &data);
-                }
-                Some(Owner::App(i)) => {
-                    let i = *i;
-                    self.with_app(ctx, i, |app, hctx| app.on_transport_event(hctx, &event));
-                }
-                None => {}
-            },
-            TransportEvent::PeerClosed { conn } => match self.owners.get(conn) {
-                Some(Owner::Fetch(i)) => {
-                    let (i, conn) = (*i, *conn);
-                    let unfinished = self.fetchers.get_mut(&conn).and_then(|st| {
-                        let was = !st.done;
-                        st.done = true;
-                        was.then(|| (st.handle, st.fetcher.cid()))
-                    });
-                    if let Some((handle, cid)) = unfinished {
-                        // Truncated response: the responder closed early.
-                        let mut env = HostEnv {
-                            sim: ctx,
-                            outbox: &mut self.outbox,
-                            pending: &mut self.pending,
-                        };
-                        let _ = self.mux.close(&mut env, conn);
-                        self.with_app(ctx, i, |app, hctx| {
-                            app.on_fetch_complete(hctx, handle, cid, FetchResult::Failed)
-                        });
-                    }
-                }
-                Some(Owner::App(i)) => {
-                    let i = *i;
-                    self.with_app(ctx, i, |app, hctx| app.on_transport_event(hctx, &event));
-                }
-                _ => {}
-            },
-            TransportEvent::Closed { conn } | TransportEvent::Failed { conn, .. } => {
-                match self.owners.remove(conn) {
-                    Some(Owner::Server) => self.server.on_gone(*conn),
-                    Some(Owner::Fetch(i)) => {
-                        if let Some(st) = self.fetchers.remove(conn) {
-                            // A failure and a clean close without a
-                            // complete body both fail the fetch.
-                            if !st.done {
-                                let (handle, cid) = (st.handle, st.fetcher.cid());
-                                self.with_app(ctx, i, |app, hctx| {
-                                    app.on_fetch_complete(hctx, handle, cid, FetchResult::Failed)
-                                });
+                    match st.fetcher.on_data(&data) {
+                        FetchProgress::InProgress => {}
+                        FetchProgress::Complete(bytes) => {
+                            if self.meta.cache_fetched {
+                                self.store.insert(st.fetcher.cid(), bytes.clone());
                             }
+                            self.finish_fetch(ctx, conn, FetchResult::Complete(bytes), false);
+                        }
+                        FetchProgress::NotFound => {
+                            self.finish_fetch(ctx, conn, FetchResult::NotFound, false);
+                        }
+                        FetchProgress::Corrupt => {
+                            self.finish_fetch(ctx, conn, FetchResult::Failed, true);
                         }
                     }
-                    Some(Owner::App(i)) => {
-                        self.with_app(ctx, i, |app, hctx| app.on_transport_event(hctx, &event));
-                    }
-                    None => {}
+                } else {
+                    let actions = self.server.on_data(conn, &data, &mut self.store);
+                    self.apply_server_actions(ctx, actions);
+                }
+            }
+            // Before a full body this is a truncated response: the
+            // responder closed early.
+            TransportEvent::PeerClosed { conn } => {
+                self.finish_fetch(ctx, conn, FetchResult::Failed, false);
+            }
+            TransportEvent::Closed { conn } | TransportEvent::Failed { conn, .. } => {
+                if self.fetchers.contains_key(&conn) {
+                    // A failure and a clean close without a complete
+                    // body both fail the fetch.
+                    self.finish_fetch(ctx, conn, FetchResult::Failed, false);
+                    self.fetchers.remove(&conn);
+                } else {
+                    self.server.on_gone(conn);
                 }
             }
         }
     }
 
-    fn advance_fetch(
+    /// Ends the fetch on `conn`, if it is one that has not ended yet:
+    /// closes (or, on a corrupt body, aborts) the connection — a no-op
+    /// once the transport has let go of it — and reports `result` to the
+    /// issuing app, once.
+    fn finish_fetch(
         &mut self,
         ctx: &mut SimContext<'_, XiaPacket>,
-        app_idx: usize,
         conn: ConnId,
-        data: &Bytes,
+        result: FetchResult,
+        abort: bool,
     ) {
         let Some(st) = self.fetchers.get_mut(&conn) else {
             return;
         };
-        if st.done {
+        if std::mem::replace(&mut st.done, true) {
             return;
         }
-        let progress = st.fetcher.on_data(data);
-        match progress {
-            FetchProgress::InProgress => {}
-            FetchProgress::Complete(bytes) => {
-                st.done = true;
-                let (handle, cid) = (st.handle, st.fetcher.cid());
-                if self.meta.cache_fetched {
-                    self.store.insert(cid, bytes.clone());
-                }
-                let mut env = HostEnv {
-                    sim: ctx,
-                    outbox: &mut self.outbox,
-                    pending: &mut self.pending,
-                };
-                let _ = self.mux.close(&mut env, conn);
-                self.with_app(ctx, app_idx, |app, hctx| {
-                    app.on_fetch_complete(hctx, handle, cid, FetchResult::Complete(bytes))
-                });
-            }
-            FetchProgress::NotFound => {
-                st.done = true;
-                let (handle, cid) = (st.handle, st.fetcher.cid());
-                let mut env = HostEnv {
-                    sim: ctx,
-                    outbox: &mut self.outbox,
-                    pending: &mut self.pending,
-                };
-                let _ = self.mux.close(&mut env, conn);
-                self.with_app(ctx, app_idx, |app, hctx| {
-                    app.on_fetch_complete(hctx, handle, cid, FetchResult::NotFound)
-                });
-            }
-            FetchProgress::Corrupt => {
-                st.done = true;
-                let (handle, cid) = (st.handle, st.fetcher.cid());
-                let mut env = HostEnv {
-                    sim: ctx,
-                    outbox: &mut self.outbox,
-                    pending: &mut self.pending,
-                };
-                self.mux.abort(&mut env, conn);
-                self.with_app(ctx, app_idx, |app, hctx| {
-                    app.on_fetch_complete(hctx, handle, cid, FetchResult::Failed)
-                });
-            }
+        let (app_idx, handle, cid) = (st.app_idx, st.handle, st.fetcher.cid());
+        let (mux, mut env) = self.env(ctx);
+        if abort {
+            mux.abort(&mut env, conn);
+        } else {
+            let _ = mux.close(&mut env, conn);
         }
+        self.with_app(ctx, app_idx, |app, hctx| {
+            app.on_fetch_complete(hctx, handle, cid, result)
+        });
     }
 }
 
@@ -627,11 +535,6 @@ impl std::fmt::Debug for Host {
 #[derive(Debug)]
 pub struct EndHost {
     host: Host,
-    /// Packets that arrived but were not for this host.
-    pub stray_packets: u64,
-    /// Packets the stack emitted while no primary link was attached
-    /// (transmitting into a coverage gap).
-    pub dropped_no_link: u64,
     /// Drained outbox buffer, swapped back into the stack at each flush.
     spare_outbox: Vec<XiaPacket>,
 }
@@ -641,8 +544,6 @@ impl EndHost {
     pub fn new(host: Host) -> Self {
         EndHost {
             host,
-            stray_packets: 0,
-            dropped_no_link: 0,
             spare_outbox: Vec::new(),
         }
     }
@@ -657,14 +558,14 @@ impl EndHost {
         &mut self.host
     }
 
-    /// Sends queued stack emissions out the primary link.
+    /// Sends queued stack emissions out the primary link; with none
+    /// attached they are lost (transmitting into a coverage gap).
     fn flush(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
         self.host.swap_outbox(&mut self.spare_outbox);
         let link = self.host.primary_link();
         for pkt in self.spare_outbox.drain(..) {
-            match link {
-                Some(link) => ctx.send(link, pkt),
-                None => self.dropped_no_link += 1,
+            if let Some(link) = link {
+                ctx.send(link, pkt);
             }
         }
     }
@@ -677,11 +578,10 @@ impl Node<XiaPacket> for EndHost {
     }
 
     fn on_packet(&mut self, ctx: &mut SimContext<'_, XiaPacket>, link: LinkId, pkt: XiaPacket) {
+        // Anything else was not for this host.
         if self.host.wants_packet(&pkt) {
             self.host.handle_packet(ctx, link, pkt);
             self.flush(ctx);
-        } else {
-            self.stray_packets += 1;
         }
     }
 

@@ -58,6 +58,30 @@ struct World {
     content: Bytes,
 }
 
+/// Adds `a` and `b` as end hosts of network `nid`, joined by one link.
+fn join(
+    sim: &mut Simulator<XiaPacket>,
+    nid: Xid,
+    [a, b]: [Host; 2],
+    link: LinkConfig,
+) -> (simnet::NodeId, simnet::NodeId, simnet::LinkId) {
+    let a = sim.add_node(Box::new(EndHost::new(a)));
+    let b = sim.add_node(Box::new(EndHost::new(b)));
+    let l = sim.add_link(a, b, link);
+    for node in [a, b] {
+        sim.node_mut::<EndHost>(node)
+            .unwrap()
+            .host_mut()
+            .set_attachment(Some(nid), Some(l));
+    }
+    (a, b, l)
+}
+
+/// The link the tests that do not care about the link use.
+fn lan() -> LinkConfig {
+    LinkConfig::wired(10_000_000, SimDuration::from_millis(1))
+}
+
 fn build_world(content_len: usize, chunk_size: usize, link: LinkConfig) -> World {
     let mut sim = Simulator::new(11);
     let server_hid = Xid::new_random(Principal::Hid, 1);
@@ -81,17 +105,7 @@ fn build_world(content_len: usize, chunk_size: usize, link: LinkConfig) -> World
     let mut client_host = Host::new(HostConfig::new(client_hid));
     client_host.add_app(Box::new(SeqFetcher::new(dags)));
 
-    let server = sim.add_node(Box::new(EndHost::new(server_host)));
-    let client = sim.add_node(Box::new(EndHost::new(client_host)));
-    let l = sim.add_link(client, server, link);
-    sim.node_mut::<EndHost>(server)
-        .unwrap()
-        .host_mut()
-        .set_attachment(Some(nid), Some(l));
-    sim.node_mut::<EndHost>(client)
-        .unwrap()
-        .host_mut()
-        .set_attachment(Some(nid), Some(l));
+    let (server, client, l) = join(&mut sim, nid, [server_host, client_host], link);
     World {
         sim,
         client,
@@ -175,21 +189,7 @@ fn missing_chunk_reports_not_found() {
     let dag = Dag::cid_with_fallback(missing, nid, server_hid);
     let mut client_host = Host::new(HostConfig::new(client_hid));
     client_host.add_app(Box::new(SeqFetcher::new(vec![dag])));
-    let server = sim.add_node(Box::new(EndHost::new(server_host)));
-    let client = sim.add_node(Box::new(EndHost::new(client_host)));
-    let l = sim.add_link(
-        client,
-        server,
-        LinkConfig::wired(10_000_000, SimDuration::from_millis(1)),
-    );
-    sim.node_mut::<EndHost>(server)
-        .unwrap()
-        .host_mut()
-        .set_attachment(Some(nid), Some(l));
-    sim.node_mut::<EndHost>(client)
-        .unwrap()
-        .host_mut()
-        .set_attachment(Some(nid), Some(l));
+    let (_, client, _) = join(&mut sim, nid, [server_host, client_host], lan());
     sim.run();
     let done = completions(&sim, client);
     assert_eq!(done.len(), 1);
@@ -214,21 +214,7 @@ fn client_side_caching_stores_fetched_chunks() {
     config.cache_fetched = true;
     let mut client_host = Host::new(config);
     client_host.add_app(Box::new(SeqFetcher::new(dags)));
-    let server = sim.add_node(Box::new(EndHost::new(server_host)));
-    let client = sim.add_node(Box::new(EndHost::new(client_host)));
-    let l = sim.add_link(
-        client,
-        server,
-        LinkConfig::wired(10_000_000, SimDuration::from_millis(1)),
-    );
-    sim.node_mut::<EndHost>(server)
-        .unwrap()
-        .host_mut()
-        .set_attachment(Some(nid), Some(l));
-    sim.node_mut::<EndHost>(client)
-        .unwrap()
-        .host_mut()
-        .set_attachment(Some(nid), Some(l));
+    let (_, client, _) = join(&mut sim, nid, [server_host, client_host], lan());
     sim.run();
     let client_store = sim.node::<EndHost>(client).unwrap().host().store();
     for cid in &manifest.chunks {
@@ -258,4 +244,67 @@ fn fetch_survives_link_outage() {
     assert!(matches!(done[0].1, FetchResult::Complete(_)));
     // Completion happened after the outage ended.
     assert!(done[0].2 > SimTime::from_micros(3_100_000));
+}
+
+/// Each stack is initiator of one connection and responder of another at
+/// the same instant: which is which is decided per connection, by whether
+/// the stack holds fetch state for it.
+#[test]
+fn a_stack_serves_and_fetches_at_once() {
+    let mut sim = Simulator::new(17);
+    let nid = Xid::new_random(Principal::Nid, 9);
+    let hids = [1, 2].map(|s| Xid::new_random(Principal::Hid, s));
+    let mut hosts = hids.map(|hid| Host::new(HostConfig::new(hid)));
+    let cids = [0usize, 1].map(|i| {
+        let content = Bytes::from(vec![i as u8 + 1; 300_000]);
+        hosts[i].publish_content(&content, 300_000).chunks[0]
+    });
+    for i in [0, 1] {
+        let dag = Dag::cid_with_fallback(cids[1 - i], nid, hids[1 - i]);
+        hosts[i].add_app(Box::new(SeqFetcher::new(vec![dag])));
+    }
+    let (a, b, _) = join(&mut sim, nid, hosts, lan());
+    sim.run();
+    for (node, wanted) in [(a, cids[1]), (b, cids[0])] {
+        let done = completions(&sim, node);
+        assert_eq!(done.len(), 1, "one fetch, one report");
+        assert_eq!(done[0].0, wanted);
+        assert!(
+            matches!(&done[0].1, FetchResult::Complete(bytes) if bytes.len() == 300_000),
+            "fetch ended {:?}",
+            done[0].1
+        );
+        let host = sim.node::<EndHost>(node).unwrap().host();
+        assert_eq!(host.server().served(), 1);
+        assert_eq!(host.active_connections(), 0);
+    }
+}
+
+/// The server dies with the request in flight and never comes back: the
+/// fetcher's transport gives up, and the app hears of it exactly once.
+#[test]
+fn fetch_from_a_host_that_crashed_for_good_fails_once() {
+    let mut sim = Simulator::new(19);
+    let nid = Xid::new_random(Principal::Nid, 9);
+    let server_hid = Xid::new_random(Principal::Hid, 1);
+    let mut server_host = Host::new(HostConfig::new(server_hid));
+    let content = Bytes::from(vec![7u8; 300_000]);
+    let cid = server_host.publish_content(&content, 300_000).chunks[0];
+    let mut config = HostConfig::new(Xid::new_random(Principal::Hid, 2));
+    config.transport.max_consecutive_rtos = 3;
+    let mut client_host = Host::new(config);
+    let dag = Dag::cid_with_fallback(cid, nid, server_hid);
+    client_host.add_app(Box::new(SeqFetcher::new(vec![dag])));
+    let (server, client, _) = join(&mut sim, nid, [server_host, client_host], lan());
+    // SYN out at 0, SYN-ACK back by ~2 ms, request on the wire after it.
+    let mut plan = simnet::FaultPlan::new();
+    plan.crash(server, SimTime::from_micros(2_500), None);
+    plan.apply(&mut sim);
+    sim.run();
+    let done = completions(&sim, client);
+    assert_eq!(done.len(), 1, "reported once: {done:?}");
+    assert_eq!((done[0].0, &done[0].1), (cid, &FetchResult::Failed));
+    assert!(done[0].2 > SimTime::from_micros(1_000_000), "after RTOs");
+    let client = sim.node::<EndHost>(client).unwrap().host();
+    assert_eq!(client.active_connections(), 0);
 }

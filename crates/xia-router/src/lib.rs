@@ -117,8 +117,6 @@ pub struct RouterNode {
     nid: Xid,
     host: Host,
     routes: RoutingTables,
-    /// Learn reverse routes to source HIDs from arriving packets.
-    source_learning: bool,
     stats: RouterStats,
     /// Drained outbox buffer, swapped back into the stack at each flush.
     spare_outbox: Vec<XiaPacket>,
@@ -134,7 +132,6 @@ impl RouterNode {
             nid,
             host,
             routes: RoutingTables::new(),
-            source_learning: true,
             stats: RouterStats::default(),
             spare_outbox: Vec::new(),
         }
@@ -294,10 +291,8 @@ impl RouterNode {
         self.spare_outbox = out;
     }
 
+    /// Learns the reverse route to the packet's source HID.
     fn learn(&mut self, link: LinkId, pkt: &XiaPacket) {
-        if !self.source_learning {
-            return;
-        }
         // The source address of a host is `NID : HID` (intent = HID).
         let src_intent = pkt.src.intent();
         if src_intent.principal() == Principal::Hid && src_intent != self.host.hid() {

@@ -14,6 +14,7 @@ use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
 
 use crate::buffer::SendBuffer;
 use crate::config::TransportConfig;
+use crate::mux::TIMER_TAG;
 use crate::rtt::RttEstimator;
 
 /// Where a connection is in its lifecycle.
@@ -121,18 +122,25 @@ pub struct ConnStats {
     pub rtos: u64,
 }
 
-/// Timer kinds a connection arms (encoded into mux timer keys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TimerKind {
-    Rto,
-    Pace,
-    Migrate,
+// A timer key is `TIMER_TAG | kind << 44 | generation << 24 | mux slot`,
+// and these are the kinds a connection arms.
+const RTO: u64 = 0;
+const PACE: u64 = 1;
+const MIGRATE: u64 = 2;
+const KIND_SHIFT: u32 = 44;
+const GEN_SHIFT: u32 = 24;
+const GEN_MASK: u32 = 0xF_FFFF;
+const UID_MASK: u64 = 0xFF_FFFF;
+
+/// The mux slot a transport timer key was armed from.
+pub(crate) fn timer_uid(key: u64) -> u64 {
+    key & UID_MASK
 }
 
-/// Callback the connection uses to have the mux build a timer key.
-pub(crate) type KeyFn = dyn Fn(TimerKind, u32) -> u64;
-
 pub(crate) struct Connection {
+    /// The mux slot this connection lives in (the low bits of its timer
+    /// keys).
+    uid: u64,
     pub(crate) id: ConnId,
     pub(crate) state: ConnState,
     config: TransportConfig,
@@ -183,27 +191,27 @@ pub(crate) struct Connection {
 }
 
 impl Connection {
-    pub(crate) fn new_initiator(id: ConnId, dst: Dag, src: Dag, config: TransportConfig) -> Self {
-        Connection::new(id, dst, src, config, true, ConnState::SynSent)
-    }
-
-    pub(crate) fn new_responder(id: ConnId, peer: Dag, src: Dag, config: TransportConfig) -> Self {
-        Connection::new(id, peer, src, config, false, ConnState::SynReceived)
-    }
-
-    fn new(
+    /// A connection in mux slot `uid`: the initiator is about to
+    /// [`Connection::start`], the responder to answer in
+    /// [`Connection::on_syn`].
+    pub(crate) fn new(
+        uid: u64,
         id: ConnId,
         peer_dag: Dag,
         src_dag: Dag,
         config: TransportConfig,
         is_initiator: bool,
-        state: ConnState,
     ) -> Self {
         let cwnd = u64::from(config.initial_cwnd_segments) * config.mss as u64;
         let ssthresh = config.initial_ssthresh;
         Connection {
+            uid,
             id,
-            state,
+            state: if is_initiator {
+                ConnState::SynSent
+            } else {
+                ConnState::SynReceived
+            },
             config,
             is_initiator,
             peer_dag,
@@ -240,48 +248,44 @@ impl Connection {
         self.stats
     }
 
-    pub(crate) fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
     /// The cumulative ack this side would send now (for TIME_WAIT replay).
     pub(crate) fn final_ack(&self) -> u64 {
         self.rcv_nxt
     }
 
     /// Initiator: transmit the SYN.
-    pub(crate) fn start(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    pub(crate) fn start(&mut self, env: &mut dyn TransportEnv) {
         debug_assert_eq!(self.state, ConnState::SynSent);
         self.snd_nxt = 1;
         self.emit_segment(env, 0, Bytes::new(), SegFlags::SYN);
-        self.arm_rto(env, key);
+        self.arm_rto(env);
     }
 
     /// Responder: answer the SYN (rcv_nxt becomes 1). The configured
     /// accept delay (per-connection session setup in the user-level
     /// daemon) is charged by pushing back the pacing horizon, delaying the
     /// first response data.
-    pub(crate) fn on_syn(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    pub(crate) fn on_syn(&mut self, env: &mut dyn TransportEnv) {
         debug_assert_eq!(self.state, ConnState::SynReceived);
         self.rcv_nxt = 1;
         self.snd_nxt = 1;
         self.pace_until = env.now() + self.config.accept_delay;
         self.emit_segment(env, 0, Bytes::new(), SegFlags::SYN_ACK);
-        self.arm_rto(env, key);
+        self.arm_rto(env);
     }
 
     /// Queues application data for transmission.
-    pub(crate) fn send(&mut self, env: &mut dyn TransportEnv, key: &KeyFn, data: Bytes) {
+    pub(crate) fn send(&mut self, env: &mut dyn TransportEnv, data: Bytes) {
         debug_assert!(self.fin_seq.is_none(), "send after close");
         self.send_buf.append(data);
-        self.pump(env, key);
+        self.pump(env);
     }
 
     /// Closes the send direction after queued data.
-    pub(crate) fn close(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    pub(crate) fn close(&mut self, env: &mut dyn TransportEnv) {
         if self.fin_seq.is_none() {
             self.fin_seq = Some(self.send_buf.end());
-            self.pump(env, key);
+            self.pump(env);
         }
     }
 
@@ -293,24 +297,41 @@ impl Connection {
 
     /// Pauses for active session migration; after `pause`, resumes from a
     /// new source address with a fresh congestion window.
-    pub(crate) fn migrate(
-        &mut self,
-        env: &mut dyn TransportEnv,
-        key: &KeyFn,
-        new_src: Dag,
-        pause: SimDuration,
-    ) {
+    pub(crate) fn migrate(&mut self, env: &mut dyn TransportEnv, new_src: Dag, pause: SimDuration) {
         if self.finished {
             return;
         }
         self.src_dag = new_src;
         self.state = ConnState::Migrating;
-        self.timer_gen = self.timer_gen.wrapping_add(1);
-        self.migrate_gen = Some(self.timer_gen);
-        env.set_timer(pause, key(TimerKind::Migrate, self.timer_gen));
+        let gen = self.next_gen();
+        self.migrate_gen = Some(gen);
+        env.set_timer(pause, self.timer_key(MIGRATE, gen));
     }
 
-    pub(crate) fn on_migrate_done(&mut self, env: &mut dyn TransportEnv, key: &KeyFn, gen: u32) {
+    /// Packs a key the mux routes back to [`Connection::on_timer`].
+    fn timer_key(&self, kind: u64, gen: u32) -> u64 {
+        TIMER_TAG | (kind << KIND_SHIFT) | (u64::from(gen) << GEN_SHIFT) | (self.uid & UID_MASK)
+    }
+
+    /// The next timer generation. It wraps inside the key's field, so the
+    /// value a key carries back is always the value that was stored.
+    fn next_gen(&mut self) -> u32 {
+        self.timer_gen = (self.timer_gen + 1) & GEN_MASK;
+        self.timer_gen
+    }
+
+    /// Handles one of this connection's timers.
+    pub(crate) fn on_timer(&mut self, env: &mut dyn TransportEnv, key: u64) {
+        let gen = (key >> GEN_SHIFT) as u32 & GEN_MASK;
+        match (key >> KIND_SHIFT) & 0xF {
+            RTO => self.on_rto(env, gen),
+            PACE => self.on_pace(env),
+            MIGRATE => self.on_migrate_done(env, gen),
+            _ => {}
+        }
+    }
+
+    fn on_migrate_done(&mut self, env: &mut dyn TransportEnv, gen: u32) {
         if self.migrate_gen != Some(gen) || self.state != ConnState::Migrating {
             return;
         }
@@ -332,7 +353,7 @@ impl Connection {
         self.dup_acks = 0;
         self.fast_recovery = None;
         self.timed = None;
-        self.go_back_n(env, key);
+        self.go_back_n(env);
         // Probe the peer even if we have nothing in flight: the probe
         // carries our new source address (Snoeren-style migration), so a
         // sender stuck in RTO backoff towards our old locator resumes
@@ -340,15 +361,14 @@ impl Connection {
         if self.snd_una > 0 {
             self.emit_segment(env, self.snd_nxt, Bytes::new(), SegFlags::ACK);
         }
-        self.pump(env, key);
-        self.arm_rto(env, key);
+        self.pump(env);
+        self.arm_rto(env);
     }
 
     /// Handles an arriving segment addressed to this connection.
     pub(crate) fn on_segment(
         &mut self,
         env: &mut dyn TransportEnv,
-        key: &KeyFn,
         seg: Segment,
         packet_src: &Dag,
     ) {
@@ -376,8 +396,8 @@ impl Connection {
                 self.rto_backoff = 0;
                 self.cwnd = u64::from(self.config.initial_cwnd_segments) * self.config.mss as u64;
                 self.fast_recovery = None;
-                self.go_back_n(env, key);
-                self.arm_rto(env, key);
+                self.go_back_n(env);
+                self.arm_rto(env);
             }
         }
         self.peer_window = seg.window;
@@ -402,7 +422,6 @@ impl Connection {
         if seg.flags.ack {
             self.process_ack(
                 env,
-                key,
                 seg.ack,
                 seg.payload.is_empty() && !seg.flags.syn && !seg.flags.fin,
             );
@@ -428,11 +447,11 @@ impl Connection {
 
         self.maybe_finish(env);
         if !self.finished {
-            self.pump(env, key);
+            self.pump(env);
         }
     }
 
-    fn process_ack(&mut self, env: &mut dyn TransportEnv, key: &KeyFn, ack: u64, pure_ack: bool) {
+    fn process_ack(&mut self, env: &mut dyn TransportEnv, ack: u64, pure_ack: bool) {
         if ack > self.snd_nxt {
             if ack <= self.karn_until {
                 // Data from a pre-pull-back flight was delivered after all.
@@ -500,7 +519,7 @@ impl Connection {
                 }
             }
             if self.flight() > 0 {
-                self.arm_rto(env, key);
+                self.arm_rto(env);
             } else {
                 self.rto_gen = None;
             }
@@ -510,8 +529,8 @@ impl Connection {
                 // alive (e.g. the peer's post-handoff probe): stop waiting
                 // out the backed-off timer.
                 self.rto_backoff = 0;
-                self.go_back_n(env, key);
-                self.arm_rto(env, key);
+                self.go_back_n(env);
+                self.arm_rto(env);
                 return;
             }
             self.dup_acks += 1;
@@ -526,7 +545,7 @@ impl Connection {
                 self.cwnd = self.ssthresh + 3 * self.config.mss as u64;
                 self.fast_recovery = Some(self.snd_nxt);
                 self.retransmit_head(env);
-                self.arm_rto(env, key);
+                self.arm_rto(env);
             }
         }
     }
@@ -585,7 +604,7 @@ impl Connection {
     }
 
     /// Sends as much as windows, pacing and state allow.
-    pub(crate) fn pump(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    fn pump(&mut self, env: &mut dyn TransportEnv) {
         if !matches!(self.state, ConnState::Established | ConnState::SynReceived) {
             return;
         }
@@ -610,7 +629,7 @@ impl Connection {
                 if now < self.pace_until {
                     if !self.pace_armed {
                         self.pace_armed = true;
-                        env.set_timer(self.pace_until - now, key(TimerKind::Pace, 0));
+                        env.set_timer(self.pace_until - now, self.timer_key(PACE, 0));
                     }
                     break;
                 }
@@ -641,19 +660,19 @@ impl Connection {
             }
         }
         if !had_flight && self.flight() > 0 {
-            self.arm_rto(env, key);
+            self.arm_rto(env);
         }
     }
 
-    pub(crate) fn on_pace(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    fn on_pace(&mut self, env: &mut dyn TransportEnv) {
         if self.finished {
             return;
         }
         self.pace_armed = false;
-        self.pump(env, key);
+        self.pump(env);
     }
 
-    pub(crate) fn on_rto(&mut self, env: &mut dyn TransportEnv, key: &KeyFn, gen: u32) {
+    fn on_rto(&mut self, env: &mut dyn TransportEnv, gen: u32) {
         if self.finished || self.rto_gen != Some(gen) {
             return;
         }
@@ -677,14 +696,14 @@ impl Connection {
         self.rto_backoff = (self.rto_backoff + 1).min(16);
         self.dup_acks = 0;
         self.timed = None; // Karn's rule.
-        self.go_back_n(env, key);
-        self.arm_rto(env, key);
+        self.go_back_n(env);
+        self.arm_rto(env);
     }
 
     /// Timeout-class recovery (RFC 5681 go-back-N): everything beyond
     /// `snd_una` is presumed lost — pull `snd_nxt` back so the window
     /// refills from the hole as the congestion window reopens.
-    fn go_back_n(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    fn go_back_n(&mut self, env: &mut dyn TransportEnv) {
         if self.snd_una == self.snd_nxt {
             return;
         }
@@ -697,7 +716,7 @@ impl Connection {
         self.snd_nxt = self.snd_una;
         self.stats.retransmits += 1;
         self.timed = None;
-        self.pump(env, key);
+        self.pump(env);
     }
 
     /// Retransmits the segment at `snd_una` (SYN, data, or FIN).
@@ -738,17 +757,17 @@ impl Connection {
         }
     }
 
-    fn arm_rto(&mut self, env: &mut dyn TransportEnv, key: &KeyFn) {
+    fn arm_rto(&mut self, env: &mut dyn TransportEnv) {
         let base = self.rtt.rto(self.config.initial_rto).as_micros().clamp(
             self.config.min_rto.as_micros(),
             self.config.max_rto.as_micros(),
         );
         let backed_off = (base << self.rto_backoff.min(16)).min(self.config.max_rto.as_micros());
-        self.timer_gen = self.timer_gen.wrapping_add(1);
-        self.rto_gen = Some(self.timer_gen);
+        let gen = self.next_gen();
+        self.rto_gen = Some(gen);
         env.set_timer(
             SimDuration::from_micros(backed_off),
-            key(TimerKind::Rto, self.timer_gen),
+            self.timer_key(RTO, gen),
         );
     }
 
@@ -811,5 +830,57 @@ impl std::fmt::Debug for Connection {
             .field("rcv_nxt", &self.rcv_nxt)
             .field("cwnd", &self.cwnd)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xia_addr::{Principal, Xid};
+
+    /// Records the packets a connection emits and the timers it arms.
+    #[derive(Default)]
+    struct Env {
+        now: SimTime,
+        out: Vec<XiaPacket>,
+        timers: Vec<(SimDuration, u64)>,
+    }
+
+    impl TransportEnv for Env {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn emit(&mut self, pkt: XiaPacket) {
+            self.out.push(pkt);
+        }
+        fn set_timer(&mut self, delay: SimDuration, key: u64) {
+            self.timers.push((delay, key));
+        }
+        fn deliver(&mut self, _event: TransportEvent) {}
+    }
+
+    #[test]
+    fn rto_is_honoured_after_the_generation_outgrows_its_key_field() {
+        let hid = Xid::new_random(Principal::Hid, 1);
+        let peer = Dag::direct(Xid::new_random(Principal::Hid, 2));
+        let id = ConnId {
+            initiator: hid,
+            port: 1,
+        };
+        let config = TransportConfig::linux_tcp();
+        let mut conn = Connection::new(7, id, peer, Dag::direct(hid), config, true);
+        // As after 2^20 - 1 re-arms: about 1.47 GB acknowledged at MSS 1400.
+        conn.timer_gen = GEN_MASK;
+        let mut env = Env::default();
+        conn.start(&mut env);
+        let (delay, key) = env.timers.pop().expect("start arms the RTO");
+        assert_eq!(timer_uid(key), 7);
+
+        env.now += delay;
+        env.out.clear();
+        conn.on_timer(&mut env, key);
+        assert_eq!(conn.stats.rtos, 1, "the live RTO was taken for a stale one");
+        assert_eq!(env.out.len(), 1, "the SYN is retransmitted");
+        assert_eq!(env.timers.len(), 1, "and the RTO re-armed");
     }
 }

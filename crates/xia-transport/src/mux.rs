@@ -1,5 +1,6 @@
-//! Connection multiplexer: demultiplexes segments, owns timer keys, and
-//! provides the host-facing transport API.
+//! Connection multiplexer: demultiplexes segments, routes timers back to
+//! the connection that armed them, and provides the host-facing transport
+//! API.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -9,29 +10,12 @@ use xia_addr::{Dag, Xid};
 use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
 
 use crate::config::TransportConfig;
-use crate::conn::{ConnState, ConnStats, Connection, TimerKind, TransportEnv};
+use crate::conn::{timer_uid, ConnState, ConnStats, Connection, TransportEnv};
 
 /// Tag in the upper 16 bits marking a host timer key as belonging to the
 /// transport. Hosts route any timer whose key carries this tag to
 /// [`TransportMux::on_timer`].
 pub const TIMER_TAG: u64 = 0x5452 << 48;
-
-const KIND_SHIFT: u32 = 44;
-const GEN_SHIFT: u32 = 24;
-const GEN_MASK: u64 = 0xF_FFFF;
-const UID_MASK: u64 = 0xFF_FFFF;
-
-fn pack_key(uid: u64, kind: TimerKind, gen: u32) -> u64 {
-    let kind_bits = match kind {
-        TimerKind::Rto => 0u64,
-        TimerKind::Pace => 1,
-        TimerKind::Migrate => 2,
-    };
-    TIMER_TAG
-        | (kind_bits << KIND_SHIFT)
-        | ((u64::from(gen) & GEN_MASK) << GEN_SHIFT)
-        | (uid & UID_MASK)
-}
 
 /// Errors returned by the mux's host-facing API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,11 +83,6 @@ impl TransportMux {
         self.time_wait.clear();
     }
 
-    /// The transport configuration in use.
-    pub fn config(&self) -> &TransportConfig {
-        &self.config
-    }
-
     /// Number of live connections.
     pub fn active_connections(&self) -> usize {
         self.conns.len()
@@ -124,9 +103,8 @@ impl TransportMux {
         self.next_port += 1;
         let uid = self.next_uid;
         self.next_uid += 1;
-        let mut conn = Connection::new_initiator(id, dst, src, self.config.clone());
-        let key = move |kind, gen| pack_key(uid, kind, gen);
-        conn.start(env, &key);
+        let mut conn = Connection::new(uid, id, dst, src, self.config.clone(), true);
+        conn.start(env);
         self.conns.insert(uid, conn);
         self.by_id.insert(id, uid);
         id
@@ -154,8 +132,7 @@ impl TransportMux {
         if matches!(c.state, ConnState::Closed | ConnState::Failed) {
             return Err(TransportError::InvalidState);
         }
-        let key = move |kind, gen| pack_key(uid, kind, gen);
-        c.send(env, &key, data);
+        c.send(env, data);
         Ok(())
     }
 
@@ -177,8 +154,7 @@ impl TransportMux {
             .conns
             .get_mut(&uid)
             .ok_or(TransportError::UnknownConnection)?;
-        let key = move |kind, gen| pack_key(uid, kind, gen);
-        c.close(env, &key);
+        c.close(env);
         self.reap(uid);
         Ok(())
     }
@@ -196,12 +172,8 @@ impl TransportMux {
     /// Migrates every live connection to a new local source address after
     /// an `pause`-long active-session-migration outage (layer-3 handoff).
     pub fn migrate_all(&mut self, env: &mut dyn TransportEnv, new_src: Dag, pause: SimDuration) {
-        let uids: Vec<u64> = self.conns.keys().copied().collect();
-        for uid in uids {
-            if let Some(c) = self.conns.get_mut(&uid) {
-                let key = move |kind, gen| pack_key(uid, kind, gen);
-                c.migrate(env, &key, new_src.clone(), pause);
-            }
+        for c in self.conns.values_mut() {
+            c.migrate(env, new_src.clone(), pause);
         }
     }
 
@@ -219,12 +191,6 @@ impl TransportMux {
         Some(self.conns.get(uid)?.stats())
     }
 
-    /// Smoothed RTT of a live connection.
-    pub fn srtt(&self, conn: ConnId) -> Option<SimDuration> {
-        let uid = self.by_id.get(&conn)?;
-        self.conns.get(uid)?.srtt()
-    }
-
     /// Handles a transport packet addressed to this host.
     ///
     /// SYNs for unknown connections create responder connections and raise
@@ -237,8 +203,7 @@ impl TransportMux {
         };
         if let Some(&uid) = self.by_id.get(&seg.conn) {
             if let Some(c) = self.conns.get_mut(&uid) {
-                let key = move |kind, gen| pack_key(uid, kind, gen);
-                c.on_segment(env, &key, seg, &pkt.src);
+                c.on_segment(env, seg, &pkt.src);
             }
             self.reap(uid);
             return;
@@ -265,14 +230,15 @@ impl TransportMux {
             // New inbound connection.
             let uid = self.next_uid;
             self.next_uid += 1;
-            let mut conn = Connection::new_responder(
+            let mut conn = Connection::new(
+                uid,
                 seg.conn,
                 pkt.src.clone(),
                 local_src,
                 self.config.clone(),
+                false,
             );
-            let key = move |kind, gen| pack_key(uid, kind, gen);
-            conn.on_syn(env, &key);
+            conn.on_syn(env);
             self.by_id.insert(seg.conn, uid);
             self.conns.insert(uid, conn);
             env.deliver(crate::TransportEvent::Incoming {
@@ -303,17 +269,9 @@ impl TransportMux {
         if timer_key & (0xFFFF << 48) != TIMER_TAG {
             return false;
         }
-        let uid = timer_key & UID_MASK;
-        let gen = ((timer_key >> GEN_SHIFT) & GEN_MASK) as u32;
-        let kind = (timer_key >> KIND_SHIFT) & 0xF;
+        let uid = timer_uid(timer_key);
         if let Some(c) = self.conns.get_mut(&uid) {
-            let key = move |kind, gen| pack_key(uid, kind, gen);
-            match kind {
-                0 => c.on_rto(env, &key, gen),
-                1 => c.on_pace(env, &key),
-                2 => c.on_migrate_done(env, &key, gen),
-                _ => {}
-            }
+            c.on_timer(env, timer_key);
             self.reap(uid);
         }
         true

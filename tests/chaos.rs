@@ -312,3 +312,36 @@ fn long_vnf_outage_exhausts_retry_budget_and_degrades_to_xftp() {
         );
     }
 }
+
+/// A crash kills the node's timers even when it is over before they
+/// mature: the rebooted edge advertises on the one chain `on_start`
+/// re-armed, not on that and the pre-crash chain together.
+#[test]
+fn crash_shorter_than_a_beacon_interval_does_not_double_the_beacons() {
+    use softstage_suite::vehicular::BeaconApp;
+    use softstage_suite::xia_router::RouterNode;
+
+    let mut tb = testbed(&small(42));
+    let edge = tb.edges[0];
+    let mut plan = FaultPlan::new();
+    // Down for 30 ms of the 100 ms beacon interval.
+    plan.crash(
+        edge,
+        SimTime::from_micros(5_010_000),
+        Some(SimDuration::from_millis(30)),
+    );
+    plan.apply(&mut tb.sim);
+    let sent = |tb: &Testbed| {
+        let host = tb.sim.node::<RouterNode>(edge).expect("edge router").host();
+        let beacon = (0..2).find_map(|i| host.app::<BeaconApp>(i));
+        beacon.expect("edge advertises").sent
+    };
+    tb.sim.run_until(SimTime::from_micros(6_000_000));
+    let after_restart = sent(&tb);
+    tb.sim.run_until(SimTime::from_micros(16_000_000));
+    let in_ten_seconds = sent(&tb) - after_restart;
+    assert!(
+        (95..=105).contains(&in_ten_seconds),
+        "one beacon per 100 ms, got {in_ten_seconds} in 10 s"
+    );
+}
