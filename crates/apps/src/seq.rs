@@ -55,7 +55,7 @@ impl SeqFetcher {
         self.hash.finish()
     }
 
-    fn fetch_next(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn fetch_next(&mut self, ctx: &mut HostCtx<'_>) {
         if self.in_flight.is_some() {
             return;
         }
@@ -68,17 +68,17 @@ impl SeqFetcher {
 }
 
 impl App for SeqFetcher {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.fetch_next(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, _key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _key: u64) {
         self.fetch_next(ctx);
     }
 
     fn on_fetch_complete(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         handle: u64,
         cid: Xid,
         result: FetchResult,

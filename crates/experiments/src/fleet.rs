@@ -206,7 +206,6 @@ pub fn build(params: &FleetParams) -> FleetWorld {
             .map(|_| EdgeSpec {
                 cache_bytes: params.edge_cache_bytes,
                 vnf: params.staging.then(|| VnfConfig {
-                    chunk_bytes_hint: params.chunk_size as u64,
                     admission: AdmissionPolicy::DeadlineAware,
                     ..VnfConfig::default()
                 }),

@@ -147,7 +147,7 @@ impl<'a, M: Message> Context<'a, M> {
     }
 
     /// Whether a flight-recorder sink is attached. Check before building
-    /// event payloads by hand — `util::trace_event!` does it for you.
+    /// event payloads that are not free to build.
     pub fn tracing(&self) -> bool {
         self.trace.is_some()
     }

@@ -231,8 +231,6 @@ wire_enum! {
     pub enum RejectReason, pub names {
         /// The staging queue reached its configured depth cap.
         QueueDepth = "queue_depth",
-        /// The staging queue reached its configured byte cap.
-        QueueBytes = "queue_bytes",
         /// Admission control predicted the chunk cannot stage in time.
         Deadline = "deadline",
     }
@@ -1136,7 +1134,7 @@ mod tests {
                 2,
                 TraceEvent::StageReject {
                     chunk: Tag(1),
-                    reason: RejectReason::QueueBytes,
+                    reason: RejectReason::QueueDepth,
                     retry_after_us: 0,
                 },
             ),

@@ -22,11 +22,7 @@ fn arb_tag(g: &mut Gen) -> Tag {
     Tag(arb_u63(g))
 }
 
-const REJECT_REASONS: [RejectReason; 3] = [
-    RejectReason::QueueDepth,
-    RejectReason::QueueBytes,
-    RejectReason::Deadline,
-];
+const REJECT_REASONS: [RejectReason; 2] = [RejectReason::QueueDepth, RejectReason::Deadline];
 
 const BREAKER_STATES: [BreakerState; 3] = [
     BreakerState::Closed,

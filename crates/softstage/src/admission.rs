@@ -24,11 +24,11 @@ pub(crate) struct AdmissionSnapshot {
 }
 
 /// Decides whether the VNF takes on one more staging job. Policies run
-/// only below the hard caps, so they refine — never replace —
+/// only below the depth cap, so they refine — never replace —
 /// backpressure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Admits everything below the hard caps.
+    /// Admits everything below the depth cap.
     #[default]
     AlwaysAdmit,
     /// Sheds requests that cannot stage before the client's deadline.

@@ -363,22 +363,19 @@ impl SoftStageClient {
     }
 
     /// Mirrors a breaker state change into the flight recorder.
-    fn emit_breaker(&mut self, ctx: &mut HostCtx<'_, '_>, state: BreakerState) {
+    fn emit_breaker(&mut self, ctx: &mut HostCtx<'_>, state: BreakerState) {
         let Some(edge) = self.breaker_edge else {
             return;
         };
-        util::trace_event!(
-            ctx,
-            TraceEvent::BreakerTransition {
-                edge: tag(&edge),
-                state,
-            }
-        );
+        ctx.trace(TraceEvent::BreakerTransition {
+            edge: tag(&edge),
+            state,
+        });
     }
 
     /// Feeds one failure signal (reject or timeout) to the breaker,
     /// recording the trip if this one opened it.
-    fn note_breaker_failure(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn note_breaker_failure(&mut self, ctx: &mut HostCtx<'_>) {
         let now = ctx.now();
         if let Some(state) = self.breaker.on_failure(now) {
             self.stats.breaker_opens += 1;
@@ -408,7 +405,7 @@ impl SoftStageClient {
         }
     }
 
-    fn start_next_fetch(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn start_next_fetch(&mut self, ctx: &mut HostCtx<'_>) {
         if self.done || self.in_flight.is_some() {
             return;
         }
@@ -422,13 +419,10 @@ impl SoftStageClient {
         let cid = rec.cid;
         let dag = rec.best_dag().clone();
         let handle = ctx.xfetch_chunk(dag);
-        util::trace_event!(
-            ctx,
-            TraceEvent::FetchStart {
-                chunk: tag(&cid),
-                source: source(staged),
-            }
-        );
+        ctx.trace(TraceEvent::FetchStart {
+            chunk: tag(&cid),
+            source: source(staged),
+        });
         self.in_flight = Some(InFlightFetch {
             handle,
             idx: self.next_fetch,
@@ -439,7 +433,7 @@ impl SoftStageClient {
     }
 
     /// The Staging Coordinator: keep the staged-ahead depth at target.
-    fn maybe_stage(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn maybe_stage(&mut self, ctx: &mut HostCtx<'_>) {
         if self.staging_off() || self.done {
             return;
         }
@@ -450,12 +444,9 @@ impl SoftStageClient {
             if self.mode == StagingMode::Active {
                 self.set_mode(ctx.now(), StagingMode::OriginFallback);
                 self.stats.origin_fallbacks += 1;
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::ModeTransition {
-                        mode: ClientMode::OriginFallback,
-                    }
-                );
+                ctx.trace(TraceEvent::ModeTransition {
+                    mode: ClientMode::OriginFallback,
+                });
             }
             return;
         };
@@ -464,12 +455,9 @@ impl SoftStageClient {
             // handoff brought us into a provisioned network.
             self.set_mode(ctx.now(), StagingMode::Active);
             self.stats.vnf_rediscoveries += 1;
-            util::trace_event!(
-                ctx,
-                TraceEvent::ModeTransition {
-                    mode: ClientMode::Active,
-                }
-            );
+            ctx.trace(TraceEvent::ModeTransition {
+                mode: ClientMode::Active,
+            });
         }
         // Health-aware failover: an open breaker keeps staging traffic off
         // the sick edge; fetches keep flowing on origin DAGs meanwhile.
@@ -482,12 +470,9 @@ impl SoftStageClient {
         let depth = self.coordinator.target_depth();
         if depth != self.last_depth {
             self.last_depth = depth;
-            util::trace_event!(
-                ctx,
-                TraceEvent::StageDepth {
-                    depth: u32::try_from(depth).unwrap_or(u32::MAX),
-                }
-            );
+            ctx.trace(TraceEvent::StageDepth {
+                depth: u32::try_from(depth).unwrap_or(u32::MAX),
+            });
         }
         let ahead = self.profile.staged_ahead(self.next_fetch);
         let deficit = self.coordinator.deficit(ahead);
@@ -511,7 +496,7 @@ impl SoftStageClient {
     }
 
     /// The Staging Tracker: sends one staging request for `idxs`.
-    fn stage_chunks(&mut self, ctx: &mut HostCtx<'_, '_>, vnf: &Dag, idxs: &[usize]) {
+    fn stage_chunks(&mut self, ctx: &mut HostCtx<'_>, vnf: &Dag, idxs: &[usize]) {
         if idxs.is_empty() {
             return;
         }
@@ -521,7 +506,7 @@ impl SoftStageClient {
             .map(|r| (r.cid, r.raw_dag.clone()))
             .collect();
         for (cid, _) in &chunks {
-            util::trace_event!(ctx, TraceEvent::StageRequest { chunk: tag(cid) });
+            ctx.trace(TraceEvent::StageRequest { chunk: tag(cid) });
         }
         // RICH-style usefulness deadline: the chunk `k` positions ahead is
         // needed in about `k · L_fetch`. Before a fetch estimate exists the
@@ -548,7 +533,7 @@ impl SoftStageClient {
 
     /// Step ④: pre-stage upcoming chunks into the handoff target's VNF,
     /// signalled through the *current* network.
-    fn prestage_into(&mut self, ctx: &mut HostCtx<'_, '_>, vnf: &Dag) {
+    fn prestage_into(&mut self, ctx: &mut HostCtx<'_>, vnf: &Dag) {
         let from = self.next_fetch + usize::from(self.in_flight.is_some());
         let idxs = self
             .profile
@@ -557,20 +542,17 @@ impl SoftStageClient {
     }
 
     /// Starts the handoff to `target`; `false` when the roamer refuses.
-    fn commit_handoff(&mut self, ctx: &mut HostCtx<'_, '_>, target: Xid) -> bool {
+    fn commit_handoff(&mut self, ctx: &mut HostCtx<'_>, target: Xid) -> bool {
         let started = self.roamer.begin_handoff(ctx, target) != RoamEvent::None;
         if started {
-            util::trace_event!(
-                ctx,
-                TraceEvent::HandoffCommit {
-                    target: tag(&target)
-                }
-            );
+            ctx.trace(TraceEvent::HandoffCommit {
+                target: tag(&target),
+            });
         }
         started
     }
 
-    fn handle_handoff_opportunity(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn handle_handoff_opportunity(&mut self, ctx: &mut HostCtx<'_>) {
         let Some(candidate) = self
             .roamer
             .candidate(ctx.now())
@@ -588,12 +570,9 @@ impl SoftStageClient {
                 if self.in_flight.is_some() {
                     if self.pending_handoff != Some(target) {
                         self.pending_handoff = Some(target);
-                        util::trace_event!(
-                            ctx,
-                            TraceEvent::HandoffDefer {
-                                target: tag(&target)
-                            }
-                        );
+                        ctx.trace(TraceEvent::HandoffDefer {
+                            target: tag(&target),
+                        });
                         if self.config.staging_enabled {
                             if let Some(vnf) = target_vnf {
                                 self.prestage_into(ctx, &vnf);
@@ -607,7 +586,7 @@ impl SoftStageClient {
         }
     }
 
-    fn on_associated(&mut self, ctx: &mut HostCtx<'_, '_>, nid: Xid) {
+    fn on_associated(&mut self, ctx: &mut HostCtx<'_>, nid: Xid) {
         if let Some(detached) = self.detached_at.take() {
             // Reactive content-mobility management: learn how long gaps
             // last and keep the VNF provisioned across them.
@@ -631,11 +610,11 @@ impl SoftStageClient {
 }
 
 impl App for SoftStageClient {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.set_app_timer(self.config.tick, TICK_TIMER as u32);
     }
 
-    fn on_beacon(&mut self, ctx: &mut HostCtx<'_, '_>, link: LinkId, beacon: &Beacon) {
+    fn on_beacon(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, beacon: &Beacon) {
         let _ = self.roamer.on_beacon(ctx, link, beacon);
         // VNF re-discovery: while associated but without a known VNF (it
         // crashed, or never advertised), pick up a newly advertised one
@@ -651,7 +630,7 @@ impl App for SoftStageClient {
         self.handle_handoff_opportunity(ctx);
     }
 
-    fn on_link_event(&mut self, ctx: &mut HostCtx<'_, '_>, link: LinkId, up: bool) {
+    fn on_link_event(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, up: bool) {
         if self.roamer.on_link_event(ctx, link, up) == RoamEvent::Detached {
             // The in-flight fetch (if any) stalls on transport recovery
             // and resumes after the next association + migration.
@@ -659,7 +638,7 @@ impl App for SoftStageClient {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) {
         match key {
             ROAM_ASSOC_TIMER => {
                 if let RoamEvent::Associated(nid) = self.roamer.on_timer(ctx, key) {
@@ -680,12 +659,9 @@ impl App for SoftStageClient {
                             // Retry budget exhausted: stop staging for
                             // good and finish the download as plain Xftp.
                             self.degrade(ctx.now());
-                            util::trace_event!(
-                                ctx,
-                                TraceEvent::ModeTransition {
-                                    mode: ClientMode::Degraded,
-                                }
-                            );
+                            ctx.trace(TraceEvent::ModeTransition {
+                                mode: ClientMode::Degraded,
+                            });
                             break;
                         }
                         self.stage_retry_spent += 1;
@@ -701,7 +677,7 @@ impl App for SoftStageClient {
                         if associated {
                             if let Some(chunk) = chunk {
                                 self.stats.stage_timeouts += 1;
-                                util::trace_event!(ctx, TraceEvent::StageTimeout { chunk });
+                                ctx.trace(TraceEvent::StageTimeout { chunk });
                                 self.note_breaker_failure(ctx);
                             }
                         } else {
@@ -727,7 +703,7 @@ impl App for SoftStageClient {
 
     fn on_control(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         _from: Dag,
         _service: Xid,
         token: u64,
@@ -741,13 +717,10 @@ impl App for SoftStageClient {
                 nid,
                 hid,
             }) => {
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::StageAck {
-                        chunk: tag(&cid),
-                        ok
-                    }
-                );
+                ctx.trace(TraceEvent::StageAck {
+                    chunk: tag(&cid),
+                    ok,
+                });
                 // Any staged reply — success or failure — means the edge
                 // is alive and answering: the breaker heals.
                 if let Some(state) = self.breaker.on_success() {
@@ -778,14 +751,11 @@ impl App for SoftStageClient {
                 // untouched (origin DAG still serves it); the chunk just
                 // re-enters the staging candidate pool later.
                 self.stats.stage_rejects += 1;
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::StageReject {
-                        chunk: tag(&cid),
-                        reason,
-                        retry_after_us,
-                    }
-                );
+                ctx.trace(TraceEvent::StageReject {
+                    chunk: tag(&cid),
+                    reason,
+                    retry_after_us,
+                });
                 if let Some((idx, r)) = self.profile.by_cid(&cid) {
                     // Honor the VNF's advisory, but never come back sooner
                     // than this chunk's own back-off schedule would.
@@ -803,7 +773,7 @@ impl App for SoftStageClient {
 
     fn on_fetch_complete(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         handle: u64,
         cid: Xid,
         result: FetchResult,
@@ -818,15 +788,12 @@ impl App for SoftStageClient {
         match result {
             FetchResult::Complete(bytes) => {
                 self.fetch_attempts = 0;
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::FetchComplete {
-                        chunk: tag(&cid),
-                        bytes: bytes.len() as u64,
-                        source: source(fetch.staged),
-                        ok: true,
-                    }
-                );
+                ctx.trace(TraceEvent::FetchComplete {
+                    chunk: tag(&cid),
+                    bytes: bytes.len() as u64,
+                    source: source(fetch.staged),
+                    ok: true,
+                });
                 let latency = ctx.now() - fetch.started;
                 self.profile.mark_fetched(fetch.idx, latency);
                 if fetch.staged {
@@ -860,15 +827,12 @@ impl App for SoftStageClient {
                 self.maybe_stage(ctx);
             }
             FetchResult::NotFound | FetchResult::Failed => {
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::FetchComplete {
-                        chunk: tag(&cid),
-                        bytes: 0,
-                        source: source(fetch.staged),
-                        ok: false,
-                    }
-                );
+                ctx.trace(TraceEvent::FetchComplete {
+                    chunk: tag(&cid),
+                    bytes: 0,
+                    source: source(fetch.staged),
+                    ok: false,
+                });
                 if fetch.staged {
                     // Fault tolerance: the staged copy is gone (evicted,
                     // cache restarted). Fall back to the origin DAG.

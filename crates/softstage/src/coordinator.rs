@@ -71,7 +71,7 @@ pub struct CoordinatorConfig {
     /// deadline-aware VNF admits them onto any healthy queue but can
     /// still shed them from a backlog too deep to land within the
     /// horizon — without this, a fleet of cold clients is admitted
-    /// without limit up to the hard caps.
+    /// without limit up to the depth cap.
     pub cold_deadline: SimDuration,
 }
 

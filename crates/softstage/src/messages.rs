@@ -202,11 +202,7 @@ mod tests {
 
     #[test]
     fn reject_roundtrip() {
-        for reason in [
-            RejectReason::QueueDepth,
-            RejectReason::QueueBytes,
-            RejectReason::Deadline,
-        ] {
+        for reason in [RejectReason::QueueDepth, RejectReason::Deadline] {
             let msg = StagingMsg::Reject {
                 cid: Xid::for_content(b"z"),
                 reason,

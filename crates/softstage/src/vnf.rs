@@ -7,7 +7,7 @@
 //! per-client session state — only the transient fetch bookkeeping — so
 //! edge networks scale to many clients.
 //!
-//! The staging queue is bounded: a configurable depth/byte cap plus an
+//! The staging queue is bounded: a configurable depth cap plus an
 //! [`AdmissionPolicy`] decide whether one more origin fetch starts. Work
 //! that is not admitted is answered with an explicit
 //! [`StagingMsg::Reject`] (never silently queued), and a `SlowEdge`
@@ -32,14 +32,9 @@ const REPLY_TIMER: u32 = 1;
 pub struct VnfConfig {
     /// Maximum concurrent staging jobs (in-flight origin fetches).
     pub max_depth: usize,
-    /// Maximum estimated bytes in flight from origins.
-    pub max_bytes: u64,
-    /// Per-job byte estimate used against `max_bytes` (chunk sizes are
-    /// unknown until the origin answers).
-    pub chunk_bytes_hint: u64,
     /// Advisory back-off sent with every reject.
     pub retry_after: SimDuration,
-    /// Admission policy applied below the hard caps.
+    /// Admission policy applied below the depth cap.
     pub admission: AdmissionPolicy,
 }
 
@@ -49,8 +44,6 @@ impl Default for VnfConfig {
             // Generous enough that a single well-behaved client (depth
             // coordinator caps at 32) never sees backpressure.
             max_depth: 64,
-            max_bytes: 512 * 1024 * 1024,
-            chunk_bytes_hint: 2 * 1024 * 1024,
             retry_after: SimDuration::from_secs(1),
             admission: AdmissionPolicy::AlwaysAdmit,
         }
@@ -150,7 +143,7 @@ impl StagingVnf {
     }
 
     /// Sends (or, under a `SlowEdge` fault, schedules) one reply.
-    fn send_msg(&mut self, ctx: &mut HostCtx<'_, '_>, to: &Dag, token: u64, msg: &StagingMsg) {
+    fn send_msg(&mut self, ctx: &mut HostCtx<'_>, to: &Dag, token: u64, msg: &StagingMsg) {
         let body = msg.encode();
         if self.service_delay == SimDuration::ZERO {
             ctx.send_control_with_token(to.clone(), self.sid, token, body);
@@ -163,7 +156,7 @@ impl StagingVnf {
 
     fn reply(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         to: &Dag,
         token: u64,
         cid: Xid,
@@ -188,7 +181,7 @@ impl StagingVnf {
 
     fn reject(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         to: &Dag,
         token: u64,
         cid: Xid,
@@ -196,14 +189,11 @@ impl StagingVnf {
     ) {
         self.stats.rejected += 1;
         let retry_after_us = self.config.retry_after.as_micros();
-        util::trace_event!(
-            ctx,
-            TraceEvent::StageReject {
-                chunk: Tag::of(cid.id()),
-                reason,
-                retry_after_us,
-            }
-        );
+        ctx.trace(TraceEvent::StageReject {
+            chunk: Tag::of(cid.id()),
+            reason,
+            retry_after_us,
+        });
         let msg = StagingMsg::Reject {
             cid,
             reason,
@@ -212,15 +202,11 @@ impl StagingVnf {
         self.send_msg(ctx, to, token, &msg);
     }
 
-    /// The hard caps, then the policy. `None` admits.
+    /// The depth cap, then the policy. `None` admits.
     fn admission_verdict(&self, now: SimTime, deadline_us: u64) -> Option<RejectReason> {
         let depth = self.fetches.len();
         if depth >= self.config.max_depth {
             return Some(RejectReason::QueueDepth);
-        }
-        let bytes = depth as u64 * self.config.chunk_bytes_hint;
-        if bytes + self.config.chunk_bytes_hint > self.config.max_bytes {
-            return Some(RejectReason::QueueBytes);
         }
         let snapshot = AdmissionSnapshot {
             depth,
@@ -232,7 +218,7 @@ impl StagingVnf {
     }
 
     /// Flushes every delayed reply due at or before `now`.
-    fn flush_delayed(&mut self, ctx: &mut HostCtx<'_, '_>, now: SimTime) {
+    fn flush_delayed(&mut self, ctx: &mut HostCtx<'_>, now: SimTime) {
         while let Some((due, _, _, _)) = self.delayed.front() {
             if *due > now {
                 break;
@@ -245,11 +231,11 @@ impl StagingVnf {
 }
 
 impl App for StagingVnf {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.register_service(self.sid);
     }
 
-    fn on_fault(&mut self, ctx: &mut HostCtx<'_, '_>, fault: simnet::NodeFault) {
+    fn on_fault(&mut self, ctx: &mut HostCtx<'_>, fault: simnet::NodeFault) {
         match fault {
             simnet::NodeFault::Crash => {
                 // Volatile fetch bookkeeping dies with the process; clients
@@ -272,7 +258,7 @@ impl App for StagingVnf {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) {
         if key == u64::from(REPLY_TIMER) {
             let now = ctx.now();
             self.flush_delayed(ctx, now);
@@ -281,7 +267,7 @@ impl App for StagingVnf {
 
     fn on_control(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         from: Dag,
         service: Xid,
         token: u64,
@@ -304,13 +290,10 @@ impl App for StagingVnf {
                 // recorded as `Staged { bytes: 0 }` so the trace oracle
                 // knows this cache legitimately holds the chunk.
                 self.stats.already_cached += 1;
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::Staged {
-                        chunk: Tag::of(cid.id()),
-                        bytes: 0,
-                    }
-                );
+                ctx.trace(TraceEvent::Staged {
+                    chunk: Tag::of(cid.id()),
+                    bytes: 0,
+                });
                 self.reply(ctx, &from, token, cid, true, 0);
                 continue;
             }
@@ -332,12 +315,9 @@ impl App for StagingVnf {
                 token,
             });
             let handle = ctx.xfetch_chunk(origin);
-            util::trace_event!(
-                ctx,
-                TraceEvent::StageStart {
-                    chunk: Tag::of(cid.id()),
-                }
-            );
+            ctx.trace(TraceEvent::StageStart {
+                chunk: Tag::of(cid.id()),
+            });
             self.fetches.insert(
                 handle,
                 InFlight {
@@ -351,7 +331,7 @@ impl App for StagingVnf {
 
     fn on_fetch_complete(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         handle: u64,
         cid: Xid,
         result: FetchResult,
@@ -378,29 +358,216 @@ impl App for StagingVnf {
                 self.stats.staged += 1;
                 self.stats.bytes_staged += bytes;
                 self.latency.observe(latency);
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::Staged {
-                        chunk: Tag::of(cid.id()),
-                        bytes,
-                    }
-                );
+                ctx.trace(TraceEvent::Staged {
+                    chunk: Tag::of(cid.id()),
+                    bytes,
+                });
                 for w in waiters {
                     self.reply(ctx, &w.requester, w.token, cid, true, latency.as_micros());
                 }
             }
             None => {
                 self.stats.failed += 1;
-                util::trace_event!(
-                    ctx,
-                    TraceEvent::StageFailed {
-                        chunk: Tag::of(cid.id()),
-                    }
-                );
+                ctx.trace(TraceEvent::StageFailed {
+                    chunk: Tag::of(cid.id()),
+                });
                 for w in waiters {
                     self.reply(ctx, &w.requester, w.token, cid, false, latency.as_micros());
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::NodeFault;
+    use xcache::{ChunkStore, EvictionPolicy};
+    use xia_addr::Principal;
+    use xia_host::{Effect, HostView};
+
+    /// An edge's host, as much of one as the VNF can tell: a view, a
+    /// store, and whatever the last callback asked for.
+    struct Edge {
+        view: HostView,
+        store: ChunkStore,
+        vnf: StagingVnf,
+    }
+
+    impl Edge {
+        fn new(cache_bytes: usize, config: VnfConfig) -> Self {
+            let mut view = HostView::new(Xid::new_random(Principal::Hid, 1));
+            view.nid = Some(Xid::new_random(Principal::Nid, 1));
+            Edge {
+                view,
+                store: ChunkStore::new(cache_bytes, EvictionPolicy::Lru),
+                vnf: StagingVnf::with_config(Xid::new_random(Principal::Sid, 1), config),
+            }
+        }
+
+        fn call(&mut self, f: impl FnOnce(&mut StagingVnf, &mut HostCtx<'_>)) -> Vec<Effect> {
+            let mut ctx = HostCtx::new(self.view, &mut self.store, Vec::new());
+            f(&mut self.vnf, &mut ctx);
+            let (view, effects) = ctx.finish();
+            self.view = view;
+            effects
+        }
+
+        /// `client` asks for `cid` under `token`.
+        fn request(&mut self, client: u64, token: u64, cid: Xid) -> Vec<Effect> {
+            let origin = Dag::cid_with_fallback(
+                cid,
+                Xid::new_random(Principal::Nid, 9),
+                Xid::new_random(Principal::Hid, 9),
+            );
+            let body = StagingMsg::Request {
+                chunks: vec![(cid, origin)],
+                deadline_us: 0,
+            }
+            .encode();
+            let from = requester(client);
+            let sid = self.vnf.sid();
+            self.call(|vnf, ctx| vnf.on_control(ctx, from, sid, token, &body))
+        }
+
+        fn complete(&mut self, handle: u64, cid: Xid, result: FetchResult) -> Vec<Effect> {
+            self.call(|vnf, ctx| vnf.on_fetch_complete(ctx, handle, cid, result))
+        }
+    }
+
+    fn requester(client: u64) -> Dag {
+        Dag::host(
+            Xid::new_random(Principal::Nid, 1),
+            Xid::new_random(Principal::Hid, 100 + client),
+        )
+    }
+
+    fn fetch_handles(effects: &[Effect]) -> Vec<u64> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Fetch { handle, .. } => Some(*handle),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `(destination, token, decoded message)` of every reply sent.
+    fn replies(effects: &[Effect]) -> Vec<(Dag, u64, StagingMsg)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Control {
+                    dst, token, body, ..
+                } => StagingMsg::decode(body).map(|m| (dst.clone(), *token, m)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_waiter_hears_what_the_store_said() {
+        let data = Bytes::from_static(&[7; 64]);
+        let cid = Xid::for_content(&data);
+        // (store capacity, ok, staged, failed): a store squeezed below the
+        // chunk refuses the insert, and the reply must say so.
+        for (capacity, ok, staged, failed) in [(1024, true, 1, 0), (16, false, 0, 1)] {
+            let mut edge = Edge::new(capacity, VnfConfig::default());
+            let handles = fetch_handles(&edge.request(0, 41, cid));
+            assert_eq!(handles, [1]);
+            let effects = edge.complete(1, cid, FetchResult::Complete(data.clone()));
+            let sent = replies(&effects);
+            assert_eq!(sent.len(), 1);
+            assert_eq!((&sent[0].0, sent[0].1), (&requester(0), 41));
+            assert!(matches!(sent[0].2, StagingMsg::Staged { ok: said, .. } if said == ok));
+            assert_eq!(edge.store.contains(&cid), ok);
+            let stats = edge.vnf.stats();
+            assert_eq!((stats.staged, stats.failed), (staged, failed));
+            assert_eq!(edge.vnf.queue_depth(), 0);
+        }
+    }
+
+    #[test]
+    fn two_requesters_share_one_origin_fetch() {
+        let cid = Xid::for_content(b"shared");
+        let mut edge = Edge::new(1024, VnfConfig::default());
+        assert_eq!(fetch_handles(&edge.request(0, 5, cid)), [1]);
+        assert!(
+            edge.request(1, 9, cid).is_empty(),
+            "joins the job in flight"
+        );
+        let data = Bytes::from_static(b"shared");
+        let sent = replies(&edge.complete(1, cid, FetchResult::Complete(data)));
+        let to: Vec<_> = sent.iter().map(|(dst, token, _)| (dst, *token)).collect();
+        assert_eq!(to, [(&requester(0), 5), (&requester(1), 9)]);
+    }
+
+    #[test]
+    fn a_rejected_chunk_starts_no_fetch() {
+        let config = VnfConfig {
+            max_depth: 1,
+            ..VnfConfig::default()
+        };
+        let mut edge = Edge::new(1024, config);
+        assert_eq!(
+            fetch_handles(&edge.request(0, 1, Xid::for_content(b"a"))),
+            [1]
+        );
+        let effects = edge.request(0, 2, Xid::for_content(b"b"));
+        assert!(fetch_handles(&effects).is_empty());
+        let sent = replies(&effects);
+        assert!(matches!(
+            sent[..],
+            [(
+                _,
+                2,
+                StagingMsg::Reject {
+                    reason: RejectReason::QueueDepth,
+                    ..
+                }
+            )]
+        ));
+        assert_eq!((edge.vnf.stats().rejected, edge.vnf.queue_depth()), (1, 1));
+    }
+
+    #[test]
+    fn a_crash_forgets_the_waiters() {
+        let cid = Xid::for_content(b"lost");
+        let mut edge = Edge::new(1024, VnfConfig::default());
+        edge.request(0, 1, cid);
+        assert!(edge
+            .call(|vnf, ctx| vnf.on_fault(ctx, NodeFault::Crash))
+            .is_empty());
+        assert_eq!(edge.vnf.queue_depth(), 0);
+        // The answer to a fetch from before the crash reaches nobody.
+        let data = Bytes::from_static(b"lost");
+        assert!(edge
+            .complete(1, cid, FetchResult::Complete(data))
+            .is_empty());
+    }
+
+    #[test]
+    fn a_slow_edge_replies_when_its_timer_fires() {
+        let cid = Xid::for_content(b"slow");
+        let mut edge = Edge::new(1024, VnfConfig::default());
+        edge.store.insert(cid, Bytes::from_static(b"slow"));
+        edge.call(|vnf, ctx| vnf.on_fault(ctx, NodeFault::SlowService { delay_us: 30_000 }));
+        // Already cached: the reply is immediate but for the service delay.
+        let delay = SimDuration::from_micros(30_000);
+        let held = edge.request(0, 3, cid);
+        assert_eq!(
+            held,
+            [Effect::Timer {
+                delay,
+                key: REPLY_TIMER
+            }]
+        );
+        edge.view.now += delay;
+        let sent = replies(&edge.call(|vnf, ctx| vnf.on_timer(ctx, u64::from(REPLY_TIMER))));
+        assert!(matches!(
+            sent[..],
+            [(_, 3, StagingMsg::Staged { ok: true, .. })]
+        ));
     }
 }

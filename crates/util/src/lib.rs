@@ -32,20 +32,3 @@ pub mod check;
 pub mod json;
 pub mod seed;
 pub mod sync;
-
-/// Emits a trace event through a context, paying nothing when tracing is
-/// unavailable.
-///
-/// `$ctx` is any value with `tracing(&self) -> bool` and
-/// `trace(&mut self, event)` methods (simnet's `Context`, xia-host's
-/// `HostCtx`). The event expression is only evaluated when a sink is
-/// actually attached, so hot paths never allocate or format for a
-/// disabled recorder.
-#[macro_export]
-macro_rules! trace_event {
-    ($ctx:expr, $ev:expr) => {
-        if $ctx.tracing() {
-            $ctx.trace($ev);
-        }
-    };
-}

@@ -46,7 +46,7 @@ impl BeaconApp {
         }
     }
 
-    fn rss_now(&self, ctx: &HostCtx<'_, '_>) -> f64 {
+    fn rss_now(&self, ctx: &HostCtx<'_>) -> f64 {
         match &self.rss_model {
             Some((schedule, net)) => schedule.rss(*net, ctx.now()).unwrap_or(-90.0),
             None => -60.0,
@@ -55,11 +55,11 @@ impl BeaconApp {
 }
 
 impl App for BeaconApp {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         ctx.set_app_timer(SimDuration::ZERO, 0);
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, _key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _key: u64) {
         let rss = self.rss_now(ctx);
         for &link in &self.radio_links {
             let beacon = Beacon {

@@ -111,12 +111,7 @@ impl Roamer {
     /// Absorbs a beacon. If the client is detached, association with the
     /// strongest network begins automatically (both the baseline and
     /// SoftStage join whatever they can when uncovered).
-    pub fn on_beacon(
-        &mut self,
-        ctx: &mut HostCtx<'_, '_>,
-        link: LinkId,
-        beacon: &Beacon,
-    ) -> RoamEvent {
+    pub fn on_beacon(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, beacon: &Beacon) -> RoamEvent {
         self.sensor.on_beacon(ctx.now(), link, beacon);
         if self.state == RoamState::Detached {
             if let Some(best) = self.sensor.best(ctx.now()) {
@@ -142,7 +137,7 @@ impl Roamer {
 
     /// Starts (re)association with `target`. The data plane keeps its old
     /// attachment until association completes.
-    pub fn begin_handoff(&mut self, ctx: &mut HostCtx<'_, '_>, target: Xid) -> RoamEvent {
+    pub fn begin_handoff(&mut self, ctx: &mut HostCtx<'_>, target: Xid) -> RoamEvent {
         if matches!(self.state, RoamState::Associating { .. }) {
             return RoamEvent::None;
         }
@@ -156,7 +151,7 @@ impl Roamer {
 
     /// Forwards an app timer; returns the resulting event. Keys other than
     /// [`ROAM_ASSOC_TIMER`] are ignored.
-    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, key: u64) -> RoamEvent {
+    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) -> RoamEvent {
         if key != ROAM_ASSOC_TIMER {
             return RoamEvent::None;
         }
@@ -180,12 +175,7 @@ impl Roamer {
     }
 
     /// Handles a link state change: losing the current data link detaches.
-    pub fn on_link_event(
-        &mut self,
-        ctx: &mut HostCtx<'_, '_>,
-        link: LinkId,
-        up: bool,
-    ) -> RoamEvent {
+    pub fn on_link_event(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, up: bool) -> RoamEvent {
         if up {
             return RoamEvent::None;
         }
@@ -201,5 +191,70 @@ impl Roamer {
             return RoamEvent::Detached;
         }
         RoamEvent::None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xia_addr::Principal;
+    use xia_host::{Effect, Host, HostConfig, HostView};
+
+    /// Hears one beacon (which starts association), lets `elapsed` pass
+    /// and delivers the association timer on a host with `connections`
+    /// live connections. Returns the event and what the timer asked for.
+    fn associate(connections: usize, elapsed: SimDuration) -> (RoamEvent, Vec<Effect>, Beacon) {
+        let beacon = Beacon {
+            nid: Xid::new_random(Principal::Nid, 1),
+            hid: Xid::new_random(Principal::Hid, 1),
+            rss_dbm: -60.0,
+            staging_vnf: None,
+        };
+        // Only for its chunk store: this crate does not name `xcache`.
+        let hid = Xid::new_random(Principal::Hid, 2);
+        let mut stack = Host::new(HostConfig::new(hid));
+        let store = stack.store_mut();
+        let mut view = HostView::new(hid);
+        view.connections = connections;
+        let mut roamer = Roamer::new(RoamConfig::default());
+
+        let mut ctx = HostCtx::new(view, store, Vec::new());
+        let heard = roamer.on_beacon(&mut ctx, LinkId::from_index(3), &beacon);
+        assert_eq!(heard, RoamEvent::Associating(beacon.nid));
+        let (mut view, armed) = ctx.finish();
+        let delay = roamer.config().assoc_delay;
+        let key = ROAM_ASSOC_TIMER as u32;
+        assert_eq!(armed, [Effect::Timer { delay, key }]);
+
+        view.now += elapsed;
+        let mut ctx = HostCtx::new(view, store, Vec::new());
+        let event = roamer.on_timer(&mut ctx, ROAM_ASSOC_TIMER);
+        (event, ctx.finish().1, beacon)
+    }
+
+    #[test]
+    fn association_migrates_exactly_when_a_connection_is_live() {
+        let delay = RoamConfig::default().assoc_delay;
+        for connections in [0, 1] {
+            let (event, effects, beacon) = associate(connections, delay);
+            assert_eq!(event, RoamEvent::Associated(beacon.nid));
+            let mut want = vec![Effect::Attach {
+                nid: Some(beacon.nid),
+                link: Some(LinkId::from_index(3)),
+            }];
+            if connections > 0 {
+                let pause = RoamConfig::default().migration_delay;
+                want.push(Effect::Migrate { pause });
+            }
+            assert_eq!(effects, want);
+        }
+    }
+
+    #[test]
+    fn a_target_that_vanishes_while_associating_detaches() {
+        // The beacon has gone stale by the time the timer is delivered.
+        let (event, effects, _) = associate(1, SimDuration::from_secs(1));
+        assert_eq!(event, RoamEvent::Detached);
+        assert_eq!(effects, []);
     }
 }

@@ -74,7 +74,9 @@ impl ConnectivityTrace {
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON or periods out of order / overlapping.
+    /// Fails on malformed JSON, on periods out of order / overlapping, and
+    /// on a bound the simulator's clock cannot hold (negative, not finite,
+    /// or past `SimTime`'s µs range).
     pub fn from_json(json: &str) -> Result<Self, TraceError> {
         let value = Json::parse(json).map_err(|_| TraceError::Malformed)?;
         let trace = <ConnectivityTrace as FromJson>::from_json(&value)
@@ -106,9 +108,12 @@ impl ConnectivityTrace {
     }
 
     fn validate(&self) -> Result<(), TraceError> {
+        // NaN fails the first comparison, infinity the second.
+        let holds = |s: f64| s >= 0.0 && s * 1e6 < u64::MAX as f64;
         let mut last_end = 0.0f64;
         for p in &self.periods {
-            if p.end_s <= p.start_s || p.start_s < last_end {
+            let ordered = p.start_s < p.end_s && last_end <= p.start_s;
+            if !(ordered && holds(p.start_s) && holds(p.end_s)) {
                 return Err(TraceError::BadPeriods);
             }
             last_end = p.end_s;
@@ -179,7 +184,8 @@ impl FromJson for ConnectivityTrace {
 pub enum TraceError {
     /// The JSON did not parse.
     Malformed,
-    /// Periods overlap, run backwards, or are empty.
+    /// Periods overlap, run backwards, are empty, or have a bound that
+    /// is not a time the simulator can represent.
     BadPeriods,
 }
 
@@ -187,7 +193,7 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             TraceError::Malformed => "malformed trace JSON",
-            TraceError::BadPeriods => "trace periods overlap or are inverted",
+            TraceError::BadPeriods => "trace periods overlap, are inverted or out of range",
         };
         f.write_str(msg)
     }
@@ -289,6 +295,22 @@ mod tests {
             ConnectivityTrace::from_json("not json"),
             Err(TraceError::Malformed)
         );
+    }
+
+    #[test]
+    fn bounds_the_clock_cannot_hold_are_rejected() {
+        // `1e999` parses to infinity, which `duration()` would panic on
+        // and `to_schedule` would saturate; `1e14` s overflows u64 µs.
+        for (start, end) in [("0.0", "1e999"), ("0.0", "1e14"), ("-1.0", "5.0")] {
+            let json = format!(
+                r#"{{"name":"b","periods":[{{"start_s":{start},"end_s":{end},"connected":true}}]}}"#
+            );
+            assert_eq!(
+                ConnectivityTrace::from_json(&json),
+                Err(TraceError::BadPeriods),
+                "{start}..{end}"
+            );
+        }
     }
 
     #[test]

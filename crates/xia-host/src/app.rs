@@ -25,18 +25,20 @@ pub enum FetchResult {
 /// Applications receive upcalls from the host: completions for chunk
 /// fetches they issued, control datagrams, beacons heard on any
 /// interface, link state changes and their own timers. All interaction
-/// with the world goes through the [`HostCtx`] passed to each callback.
+/// with the world goes through the [`HostCtx`] passed to each callback,
+/// which records what the app asks for; the host carries it out, in
+/// order, when the callback returns and before any other app runs.
 /// Apps never hold a transport connection: on a host a connection is a
 /// fetch one of them delegated or a serve the chunk server accepted.
 #[allow(unused_variables)]
 pub trait App: Any {
     /// Called once when the simulation starts.
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {}
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {}
 
     /// A chunk fetch issued with [`HostCtx::xfetch_chunk`] finished.
     fn on_fetch_complete(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         handle: u64,
         cid: Xid,
         result: FetchResult,
@@ -46,7 +48,7 @@ pub trait App: Any {
     /// A control datagram arrived (staging signaling and similar).
     fn on_control(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         from: Dag,
         service: Xid,
         token: u64,
@@ -55,18 +57,18 @@ pub trait App: Any {
     }
 
     /// A network beacon was heard on `link` (the sensor interface).
-    fn on_beacon(&mut self, ctx: &mut HostCtx<'_, '_>, link: LinkId, beacon: &Beacon) {}
+    fn on_beacon(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, beacon: &Beacon) {}
 
     /// An attached link changed state.
-    fn on_link_event(&mut self, ctx: &mut HostCtx<'_, '_>, link: LinkId, up: bool) {}
+    fn on_link_event(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, up: bool) {}
 
     /// A timer armed with [`HostCtx::set_app_timer`] expired.
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, key: u64) {}
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) {}
 
     /// A node-level fault hit the hosting stack (fault injection). On
     /// [`NodeFault::Crash`] apps should drop volatile bookkeeping; the
     /// host re-runs [`App::on_start`] after the matching
     /// [`NodeFault::Restart`], so timers and service registrations come
     /// back by the normal path.
-    fn on_fault(&mut self, ctx: &mut HostCtx<'_, '_>, fault: NodeFault) {}
+    fn on_fault(&mut self, ctx: &mut HostCtx<'_>, fault: NodeFault) {}
 }

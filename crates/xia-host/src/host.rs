@@ -2,17 +2,113 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simnet::{Context as SimContext, LinkId, Node, NodeFault, TimerKey};
+use simnet::{Context as SimContext, LinkId, Node, NodeFault, SimDuration, SimTime, TimerKey};
 use util::bytes::Bytes;
 use xcache::{
-    chunk_content, ChunkServer, ChunkStore, EvictionPolicy, FetchProgress, Manifest, ServerAction,
+    chunk_content, ChunkFetcher, ChunkServer, ChunkStore, EvictionPolicy, FetchProgress, Manifest,
+    ServerAction,
 };
-use xia_addr::{Principal, Xid};
+use xia_addr::{Dag, Principal, Xid};
 use xia_transport::{TransportConfig, TransportEvent, TransportMux};
 use xia_wire::{ConnId, XiaPacket, L4};
 
 use crate::app::{App, FetchResult};
-use crate::ctx::{FetchState, HostCtx, HostEnv, HostMeta, APP_TIMER_TAG};
+use crate::ctx::{Effect, HostCtx, HostView};
+
+/// Tag marking a host timer key as belonging to an application. Below it
+/// the key is `boot epoch << 40 | app index << 32 | the app's own key`.
+const APP_TIMER_TAG: u64 = 0x4150 << 48;
+
+/// State of one in-flight chunk fetch. A connection with a `FetchState`
+/// is a fetch; any other connection the mux knows is one the chunk server
+/// accepted.
+#[derive(Debug)]
+struct FetchState {
+    /// The application that issued the fetch.
+    app_idx: usize,
+    handle: u64,
+    fetcher: ChunkFetcher,
+    /// Terminal result already reported to the app.
+    done: bool,
+}
+
+/// Host identity and attachment state.
+#[derive(Debug)]
+struct HostMeta {
+    hid: Xid,
+    nid: Option<Xid>,
+    /// The locator address for `nid`, rebuilt only when `nid` changes so
+    /// the per-packet paths clone an `Arc` instead of assembling a DAG.
+    local: Dag,
+    primary_link: Option<LinkId>,
+    cache_fetched: bool,
+    services: Vec<Xid>,
+    next_fetch_handle: u64,
+    next_token: u64,
+    /// Bumped at every restart, so a timer armed before a crash is
+    /// recognised, and dropped, when it matures after the reboot.
+    boot_epoch: u8,
+}
+
+impl HostMeta {
+    /// Identity of an unattached host.
+    fn new(hid: Xid, cache_fetched: bool) -> Self {
+        HostMeta {
+            hid,
+            nid: None,
+            local: Dag::direct(hid),
+            primary_link: None,
+            cache_fetched,
+            services: Vec::new(),
+            next_fetch_handle: 1,
+            next_token: 1,
+            boot_epoch: 0,
+        }
+    }
+
+    /// Moves the data plane to `link` inside network `nid`.
+    fn set_attachment(&mut self, nid: Option<Xid>, link: Option<LinkId>) {
+        if nid != self.nid {
+            self.nid = nid;
+            self.local = match nid {
+                Some(nid) => Dag::host(nid, self.hid),
+                None => Dag::direct(self.hid),
+            };
+        }
+        self.primary_link = link;
+    }
+
+    /// The host's current locator address (`NID : HID`), or a bare `HID`
+    /// DAG while unattached.
+    fn local_dag(&self) -> Dag {
+        self.local.clone()
+    }
+}
+
+/// Bridges the transport's environment to the simulator context. All
+/// packet emissions go to the host's outbox; the wrapping node (end host
+/// or router) decides the egress link — a router routes them through its
+/// own forwarding engine.
+struct HostEnv<'a, 'b> {
+    sim: &'a mut SimContext<'b, XiaPacket>,
+    outbox: &'a mut Vec<XiaPacket>,
+    pending: &'a mut VecDeque<TransportEvent>,
+}
+
+impl xia_transport::TransportEnv for HostEnv<'_, '_> {
+    fn now(&self) -> SimTime {
+        self.sim.now()
+    }
+    fn emit(&mut self, pkt: XiaPacket) {
+        self.outbox.push(pkt);
+    }
+    fn set_timer(&mut self, delay: SimDuration, key: u64) {
+        self.sim.set_timer(delay, key);
+    }
+    fn deliver(&mut self, event: TransportEvent) {
+        self.pending.push_back(event);
+    }
+}
 
 /// Configuration of a host stack.
 #[derive(Debug, Clone)]
@@ -52,10 +148,13 @@ pub struct Host {
     mux: TransportMux,
     store: ChunkStore,
     server: ChunkServer,
-    apps: Vec<Option<Box<dyn App>>>,
+    apps: Vec<Box<dyn App>>,
     fetchers: BTreeMap<ConnId, FetchState>,
     pending: VecDeque<TransportEvent>,
     outbox: Vec<XiaPacket>,
+    /// The drained effect log of the last callback, lent to the next one
+    /// so a dispatch in steady state does not allocate.
+    spare_effects: Vec<Effect>,
     /// Crashed and not yet restarted: the stack drops all traffic, timers
     /// and link events until a [`NodeFault::Restart`] arrives.
     down: bool,
@@ -73,25 +172,26 @@ impl Host {
             fetchers: BTreeMap::new(),
             pending: VecDeque::new(),
             outbox: Vec::new(),
+            spare_effects: Vec::new(),
             down: false,
         }
     }
 
     /// Adds an application; returns its index.
     pub fn add_app(&mut self, app: Box<dyn App>) -> usize {
-        self.apps.push(Some(app));
+        self.apps.push(app);
         self.apps.len() - 1
     }
 
     /// Downcast access to an application.
     pub fn app<T: App>(&self, idx: usize) -> Option<&T> {
-        let app = self.apps.get(idx)?.as_deref()?;
+        let app = self.apps.get(idx)?.as_ref();
         (app as &dyn std::any::Any).downcast_ref::<T>()
     }
 
     /// Mutable downcast access to an application.
     pub fn app_mut<T: App>(&mut self, idx: usize) -> Option<&mut T> {
-        let app = self.apps.get_mut(idx)?.as_deref_mut()?;
+        let app = self.apps.get_mut(idx)?.as_mut();
         (app as &mut dyn std::any::Any).downcast_mut::<T>()
     }
 
@@ -324,38 +424,99 @@ impl Host {
         self.drain(ctx);
     }
 
-    /// Runs `f` on app `idx` with a fresh context. Does not drain events.
+    /// Runs `f` on app `idx` against a snapshot of the host, then carries
+    /// out what it asked for, in order. Does not drain events.
     fn with_app(
         &mut self,
         ctx: &mut SimContext<'_, XiaPacket>,
         idx: usize,
-        f: impl FnOnce(&mut dyn App, &mut HostCtx<'_, '_>),
+        f: impl FnOnce(&mut dyn App, &mut HostCtx<'_>),
     ) {
-        let Some(slot) = self.apps.get_mut(idx) else {
+        let Some(app) = self.apps.get_mut(idx) else {
             return;
         };
-        let Some(mut app) = slot.take() else {
-            return; // Reentrant dispatch; skip.
+        let view = HostView {
+            now: ctx.now(),
+            hid: self.meta.hid,
+            nid: self.meta.nid,
+            primary_link: self.meta.primary_link,
+            connections: self.mux.active_connections(),
+            tracing: ctx.tracing(),
+            next_fetch_handle: self.meta.next_fetch_handle,
+            next_token: self.meta.next_token,
         };
-        let mut hctx = HostCtx {
-            sim: ctx,
-            mux: &mut self.mux,
-            store: &mut self.store,
-            meta: &mut self.meta,
-            fetchers: &mut self.fetchers,
-            pending: &mut self.pending,
-            outbox: &mut self.outbox,
-            app_idx: idx,
-        };
+        let spare = std::mem::take(&mut self.spare_effects);
+        let mut hctx = HostCtx::new(view, &mut self.store, spare);
         f(app.as_mut(), &mut hctx);
-        self.apps[idx] = Some(app);
+        let (view, mut effects) = hctx.finish();
+        self.meta.next_fetch_handle = view.next_fetch_handle;
+        self.meta.next_token = view.next_token;
+        for effect in effects.drain(..) {
+            self.apply(ctx, idx, effect);
+        }
+        self.spare_effects = effects;
+    }
+
+    /// Carries out one effect asked for by app `app_idx`.
+    fn apply(&mut self, ctx: &mut SimContext<'_, XiaPacket>, app_idx: usize, effect: Effect) {
+        match effect {
+            Effect::Fetch { handle, dag } => {
+                let cid = dag.intent();
+                let src = self.meta.local_dag();
+                let (mux, mut env) = self.env(ctx);
+                let conn = mux.connect(&mut env, dag, src);
+                self.fetchers.insert(
+                    conn,
+                    FetchState {
+                        app_idx,
+                        handle,
+                        fetcher: ChunkFetcher::new(cid),
+                        done: false,
+                    },
+                );
+            }
+            Effect::Control {
+                dst,
+                service,
+                token,
+                body,
+            } => {
+                let l4 = L4::Control {
+                    service,
+                    token,
+                    body,
+                };
+                self.outbox
+                    .push(XiaPacket::new(dst, self.meta.local_dag(), l4));
+            }
+            Effect::Timer { delay, key } => {
+                let packed = APP_TIMER_TAG
+                    | (u64::from(self.meta.boot_epoch) << 40)
+                    | ((app_idx as u64 & 0xFF) << 32)
+                    | u64::from(key);
+                ctx.set_timer(delay, packed);
+            }
+            Effect::Attach { nid, link } => self.meta.set_attachment(nid, link),
+            Effect::Migrate { pause } => {
+                let new_src = self.meta.local_dag();
+                let (mux, mut env) = self.env(ctx);
+                mux.migrate_all(&mut env, new_src, pause);
+            }
+            Effect::Register { sid } => {
+                if !self.meta.services.contains(&sid) {
+                    self.meta.services.push(sid);
+                }
+            }
+            Effect::SendOnLink { link, pkt } => ctx.send(link, pkt),
+            Effect::Trace(event) => ctx.trace(event),
+        }
     }
 
     /// Runs `f` on every app in index order. Does not drain events.
     fn each_app(
         &mut self,
         ctx: &mut SimContext<'_, XiaPacket>,
-        mut f: impl FnMut(&mut dyn App, &mut HostCtx<'_, '_>),
+        mut f: impl FnMut(&mut dyn App, &mut HostCtx<'_>),
     ) {
         for idx in 0..self.apps.len() {
             self.with_app(ctx, idx, &mut f);
@@ -523,7 +684,7 @@ impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Host")
             .field("hid", &self.meta.hid)
-            .field("nid", &self.meta.nid())
+            .field("nid", &self.meta.nid)
             .field("apps", &self.apps.len())
             .field("connections", &self.mux.active_connections())
             .finish()

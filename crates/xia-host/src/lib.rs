@@ -22,5 +22,5 @@ pub mod ctx;
 pub mod host;
 
 pub use app::{App, FetchResult};
-pub use ctx::HostCtx;
+pub use ctx::{Effect, HostCtx, HostView};
 pub use host::{EndHost, Host, HostConfig};

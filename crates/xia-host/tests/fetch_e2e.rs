@@ -23,7 +23,7 @@ impl SeqFetcher {
         }
     }
 
-    fn fetch_next(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn fetch_next(&mut self, ctx: &mut HostCtx<'_>) {
         if self.next < self.dags.len() {
             let dag = self.dags[self.next].clone();
             self.next += 1;
@@ -33,13 +33,13 @@ impl SeqFetcher {
 }
 
 impl App for SeqFetcher {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.fetch_next(ctx);
     }
 
     fn on_fetch_complete(
         &mut self,
-        ctx: &mut HostCtx<'_, '_>,
+        ctx: &mut HostCtx<'_>,
         _handle: u64,
         cid: Xid,
         result: FetchResult,
@@ -307,4 +307,79 @@ fn fetch_from_a_host_that_crashed_for_good_fails_once() {
     assert!(done[0].2 > SimTime::from_micros(1_000_000), "after RTOs");
     let client = sim.node::<EndHost>(client).unwrap().host();
     assert_eq!(client.active_connections(), 0);
+}
+
+/// What a callback asks for is carried out in the order asked, and before
+/// the next app's callback: a datagram sent after an attachment is
+/// sourced from it, the second app already sees it, and tokens and
+/// handles are numbered per host, not per app.
+#[test]
+fn effects_land_in_order_and_before_the_next_app_runs() {
+    /// Attaches (if told to), writes to `peer`, asks for a chunk, and
+    /// notes what its host looked like when it ran.
+    struct Probe {
+        attach: Option<(Xid, simnet::LinkId)>,
+        peer: Dag,
+        saw_nid: Option<Xid>,
+        token: u64,
+        handle: u64,
+    }
+    impl App for Probe {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            self.saw_nid = ctx.nid();
+            if let Some((nid, link)) = self.attach {
+                ctx.set_attachment(Some(nid), Some(link));
+                assert_eq!(ctx.nid(), Some(nid), "the view reads its own writes");
+            }
+            self.token = ctx.send_control(self.peer.clone(), self.peer.intent(), Bytes::new());
+            self.handle = ctx.xfetch_chunk(Dag::cid_with_fallback(
+                Xid::for_content(b"absent"),
+                self.peer.network().expect("peer has a network"),
+                self.peer.intent(),
+            ));
+            assert_eq!(ctx.active_connection_count(), self.handle as usize);
+        }
+    }
+    /// Records the source address and token of every datagram.
+    #[derive(Default)]
+    struct Inbox(Vec<(Dag, u64)>);
+    impl App for Inbox {
+        fn on_control(&mut self, _: &mut HostCtx<'_>, from: Dag, _: Xid, token: u64, _: &Bytes) {
+            self.0.push((from, token));
+        }
+    }
+
+    let mut sim = Simulator::new(23);
+    let nid = Xid::new_random(Principal::Nid, 9);
+    let (a_hid, b_hid) = (
+        Xid::new_random(Principal::Hid, 1),
+        Xid::new_random(Principal::Hid, 2),
+    );
+    let a = sim.add_node(Box::new(EndHost::new(Host::new(HostConfig::new(a_hid)))));
+    let b = sim.add_node(Box::new(EndHost::new(Host::new(HostConfig::new(b_hid)))));
+    let link = sim.add_link(a, b, lan());
+    let b_host = sim.node_mut::<EndHost>(b).unwrap().host_mut();
+    b_host.set_attachment(Some(nid), Some(link));
+    b_host.add_app(Box::new(Inbox::default()));
+    let a_host = sim.node_mut::<EndHost>(a).unwrap().host_mut();
+    for attach in [Some((nid, link)), None] {
+        a_host.add_app(Box::new(Probe {
+            attach,
+            peer: Dag::host(nid, b_hid),
+            saw_nid: None,
+            token: 0,
+            handle: 0,
+        }));
+    }
+    sim.run_until(SimTime::from_micros(100_000));
+
+    let a_host = sim.node::<EndHost>(a).unwrap().host();
+    let probes: Vec<&Probe> = (0..2).map(|i| a_host.app::<Probe>(i).unwrap()).collect();
+    assert_eq!(probes[0].saw_nid, None);
+    assert_eq!(probes[1].saw_nid, Some(nid), "attached by the first app");
+    assert_eq!((probes[0].token, probes[0].handle), (1, 1));
+    assert_eq!((probes[1].token, probes[1].handle), (2, 2));
+    let inbox = sim.node::<EndHost>(b).unwrap().host().app::<Inbox>(0);
+    let from = Dag::host(nid, a_hid);
+    assert_eq!(inbox.unwrap().0, [(from.clone(), 1), (from, 2)]);
 }

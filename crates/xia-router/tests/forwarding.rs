@@ -21,7 +21,7 @@ impl SeqFetcher {
             completions: Vec::new(),
         }
     }
-    fn fetch_next(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn fetch_next(&mut self, ctx: &mut HostCtx<'_>) {
         if self.next < self.dags.len() {
             let dag = self.dags[self.next].clone();
             self.next += 1;
@@ -31,16 +31,10 @@ impl SeqFetcher {
 }
 
 impl App for SeqFetcher {
-    fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.fetch_next(ctx);
     }
-    fn on_fetch_complete(
-        &mut self,
-        ctx: &mut HostCtx<'_, '_>,
-        _h: u64,
-        cid: Xid,
-        result: FetchResult,
-    ) {
+    fn on_fetch_complete(&mut self, ctx: &mut HostCtx<'_>, _h: u64, cid: Xid, result: FetchResult) {
         self.completions.push((cid, result, ctx.now()));
         self.fetch_next(ctx);
     }

@@ -4,7 +4,11 @@
 # Unpacks <git-ref> with `git archive` into target/same_output/ref, builds
 # `reproduce` from it into its own target directory, runs the four quick
 # targets on both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and
-# `cmp`s the --json files. Offline; touches nothing under benchmark/. Not
+# `cmp`s the --json files. Then builds each tree's benchmark/ into a target
+# directory of its own, runs one traced `ssbench pass` per workload at seed
+# 42 on both and compares what the seed determines (`attempted`, `failed`,
+# `digests`, every `sim` reading), naming each reading that differs; the
+# `host` member is ignored. Offline; writes nothing under benchmark/. Not
 # part of verify.sh: CI checkouts are shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,5 +33,27 @@ status=0
 for f in "$dir"/out/ref/*.json; do
     cmp "$f" "$dir/out/tree/$(basename "$f")" || status=1
 done
+for side in ref tree; do
+    manifest="benchmark/Cargo.toml"
+    [ "$side" = ref ] && manifest="$dir/ref/benchmark/Cargo.toml"
+    CARGO_TARGET_DIR="$dir/bench-$side" cargo build --release --offline --quiet --manifest-path "$manifest"
+    for workload in fleet_skewed fleet_uniform drive_bulk wardrive_replay; do
+        "$dir/bench-$side/release/ssbench" pass --workload "$workload" --seed 42 --trace 1 \
+            >"$dir/out/$side/ssbench-$workload.json"
+    done
+done
+python3 - "$dir/out" <<'PY' || status=1
+import glob, json, os, sys
+out, differs = sys.argv[1], 0
+for ref in sorted(glob.glob(f"{out}/ref/ssbench-*.json")):
+    a, b = (json.load(open(p)) for p in (ref, f"{out}/tree/{os.path.basename(ref)}"))
+    seeded = lambda d: {k: d[k] for k in ("attempted", "failed", "digests")} | d["sim"]
+    a, b = seeded(a), seeded(b)
+    for key in sorted(a.keys() | b.keys()):
+        if a.get(key) != b.get(key):
+            print(f"{os.path.basename(ref)}: {key}: ref {a.get(key)} != tree {b.get(key)}")
+            differs = 1
+sys.exit(differs)
+PY
 [ "$status" = 0 ] && echo "same_output: OK (same as $ref)"
 exit "$status"

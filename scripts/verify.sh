@@ -37,6 +37,10 @@ cargo test -q --offline --release -p softstage-bench --test alloc_regression
 echo "== overload suite (backpressure, admission, exhaustive breaker walk, release) =="
 cargo test -q --offline --release -p softstage-suite --test overload
 
+echo "== client walk, depth 7 (every interleaving of 9 events against a stand-in host, release) =="
+# Tier-1 runs depth 5 (59 049 sequences); this is 4 782 969, ~30 s.
+cargo test -q --offline --release -p softstage --test client_walk -- --ignored
+
 echo "== golden traces (flight recorder + invariant oracle, release) =="
 cargo test -q --offline --release -p softstage-suite --test golden_trace
 
