@@ -44,8 +44,6 @@ fn shallow() -> SoftStageConfig {
         coordinator: CoordinatorConfig {
             initial_depth: 2,
             max_depth: 3,
-            alpha: 0.3,
-            ..CoordinatorConfig::default()
         },
         ..SoftStageConfig::default()
     }
@@ -149,8 +147,6 @@ mod tests {
                 coordinator: CoordinatorConfig {
                     initial_depth: 2,
                     max_depth: 3,
-                    alpha: 0.3,
-                    ..CoordinatorConfig::default()
                 },
                 ..SoftStageConfig::default()
             },

@@ -67,7 +67,7 @@ pub enum Fault {
         loss: f64,
     },
     /// Delivered frames are bit-corrupted with probability `prob` for the
-    /// window; the receiver's wire checksum rejects them before parsing.
+    /// window; the simulator drops them before delivery.
     Corruption {
         /// Affected link.
         link: LinkId,

@@ -9,8 +9,9 @@
 //!   802.11-style link-layer retransmission (ARQ),
 //! - link up/down dynamics (vehicular coverage gaps, handoffs),
 //! - deterministic [`fault`] injection: link flaps, burst loss windows,
-//!   packet corruption (caught by the receiver's wire checksum), node
-//!   crash/restart and cache wipes — all scheduled on the sim clock,
+//!   packet corruption (dropped before delivery, as a link checksum
+//!   would), node crash/restart and cache wipes — all scheduled on the
+//!   sim clock,
 //! - [`Node`]s as event-driven state machines receiving packets, timers and
 //!   link events through a [`Context`],
 //! - a seeded, deterministic random number generator: every simulation is a
@@ -72,7 +73,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use fault::{Fault, FaultPlan};
-pub use link::{ArqConfig, LinkConfig, LinkId};
+pub use link::{LinkConfig, LinkId};
 pub use node::{Context, Message, Node, NodeFault, NodeId, TimerKey};
 pub use pool::BufPool;
 pub use rng::Rng;

@@ -46,25 +46,10 @@ impl fmt::Display for LinkId {
     }
 }
 
-/// Link-layer retransmission (ARQ) configuration, as in 802.11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArqConfig {
-    /// Maximum number of retransmissions after the first attempt.
-    pub max_retries: u32,
-    /// Fixed overhead per retry (backoff + ACK timeout).
-    pub per_retry: SimDuration,
-}
-
-impl Default for ArqConfig {
-    /// 802.11-like default: 7 retries, ~300 µs of contention backoff and
-    /// ACK timeout per retry.
-    fn default() -> Self {
-        ArqConfig {
-            max_retries: 7,
-            per_retry: SimDuration::from_micros(300),
-        }
-    }
-}
+/// Link-layer (ARQ) retransmissions after the first attempt, as in 802.11.
+const ARQ_MAX_RETRIES: u32 = 7;
+/// ARQ overhead per retry: ~300 µs of contention backoff and ACK timeout.
+const ARQ_PER_RETRY: SimDuration = SimDuration::from_micros(300);
 
 /// Static configuration of a [`Link`] (both directions share it). All
 /// fields are plain scalars, so the type is `Copy` — the transmit hot
@@ -77,8 +62,9 @@ pub struct LinkConfig {
     pub latency: SimDuration,
     /// Per-attempt Bernoulli loss probability in `[0, 1]`.
     pub loss: f64,
-    /// Link-layer retransmission; `None` for wired links.
-    pub arq: Option<ArqConfig>,
+    /// Link-layer retransmission (`ARQ_MAX_RETRIES` retries of
+    /// `ARQ_PER_RETRY` each); off for wired links.
+    pub arq: bool,
     /// Transmit queue capacity in bytes (per direction); tail drop beyond.
     pub queue_bytes: usize,
     /// Whether the link starts up.
@@ -92,7 +78,7 @@ impl LinkConfig {
             bandwidth_bps,
             latency,
             loss: 0.0,
-            arq: None,
+            arq: false,
             queue_bytes: 512 * 1024,
             initially_up: true,
         }
@@ -104,7 +90,7 @@ impl LinkConfig {
             bandwidth_bps,
             latency,
             loss,
-            arq: Some(ArqConfig::default()),
+            arq: true,
             queue_bytes: 256 * 1024,
             initially_up: true,
         }
@@ -146,9 +132,9 @@ pub(crate) struct Direction {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum TxOutcome {
     /// Delivered to the far end at the contained time; `attempts` counts
-    /// transmissions (1 = no retries). A `corrupted` delivery arrives with
-    /// flipped bits: the receiver's wire checksum catches it and drops the
-    /// packet before parsing.
+    /// transmissions (1 = no retries). A `corrupted` frame arrives with
+    /// flipped bits: the simulator drops it before delivery, standing in
+    /// for a link checksum.
     Deliver {
         at: SimTime,
         attempts: u32,
@@ -280,8 +266,7 @@ impl Link {
         if tx_start - now + one_tx > max_wait {
             return TxOutcome::DropQueue;
         }
-        let max_attempts = 1 + config.arq.map_or(0, |a| a.max_retries);
-        let per_retry = config.arq.map_or(SimDuration::ZERO, |a| a.per_retry);
+        let max_attempts = if config.arq { 1 + ARQ_MAX_RETRIES } else { 1 };
         let mut attempts = 0;
         let mut delivered = false;
         while attempts < max_attempts {
@@ -293,13 +278,13 @@ impl Link {
         }
         let mut occupancy = one_tx * u64::from(attempts);
         if attempts > 1 {
-            occupancy += per_retry * u64::from(attempts - 1);
+            occupancy += ARQ_PER_RETRY * u64::from(attempts - 1);
         }
         dir.busy_until = tx_start + occupancy;
         if delivered {
-            // Corruption is orthogonal to loss: the frame arrives, but bit
-            // flips make the receiver's checksum reject it. ARQ does not
-            // help because the link-layer ACK covers the frame as sent.
+            // Corruption is orthogonal to loss: the frame arrives with bit
+            // flips and is dropped before delivery. ARQ does not help
+            // because the link-layer ACK covers the frame as sent.
             let corrupted = corrupt > 0.0 && sample() < corrupt;
             TxOutcome::Deliver {
                 at: dir.busy_until + config.latency,

@@ -296,10 +296,9 @@ impl<M: Message> Simulator<M> {
             } => {
                 stats.attempts += u64::from(attempts);
                 if corrupted {
-                    // The frame arrives with flipped bits; the receiver's
-                    // wire checksum rejects it before parsing (see
-                    // `xia_wire::codec`), so from the node's perspective the
-                    // packet simply never existed.
+                    // The frame arrived with flipped bits. Dropping it here,
+                    // before delivery, stands in for a link checksum: from
+                    // the node's perspective the packet never existed.
                     stats.corrupted += 1;
                     emit(
                         &mut self.sink,

@@ -17,8 +17,9 @@ pub struct LinkStats {
     pub dropped_down: u64,
     /// Packets discarded in flight by a down transition.
     pub dropped_in_flight: u64,
-    /// Packets delivered with flipped bits and rejected by the receiver's
-    /// wire checksum (fault injection only; see `simnet::fault`).
+    /// Packets the link marked corrupted and the simulator dropped before
+    /// delivery, standing in for a link checksum (fault injection only;
+    /// see `simnet::fault`).
     pub corrupted: u64,
     /// Total link-layer transmission attempts (≥ offered when ARQ retries).
     pub attempts: u64,

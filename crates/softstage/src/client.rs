@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use simnet::{
     BreakerState, ClientMode, FetchSource, LinkId, SimDuration, SimTime, Tag, TraceEvent,
 };
-use vehicular::{RoamConfig, RoamEvent, RoamState, Roamer, ROAM_ASSOC_TIMER};
+use vehicular::{RoamEvent, RoamState, Roamer, ROAM_ASSOC_TIMER};
 use xia_addr::{Dag, Xid};
 use xia_host::{App, FetchResult, HostCtx};
 use xia_wire::Beacon;
@@ -34,7 +34,7 @@ use xia_wire::Beacon;
 use crate::breaker::{Breaker, BreakerConfig};
 use crate::coordinator::{CoordinatorConfig, StagingCoordinator};
 use crate::messages::StagingMsg;
-use crate::profile::{ChunkProfile, ChunkRecord, RetryProfile, StagingState};
+use crate::profile::{ChunkProfile, ChunkRecord, StagingState};
 
 /// When to hand off to a stronger network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,23 +53,14 @@ pub enum HandoffPolicy {
 pub struct SoftStageConfig {
     /// Handoff policy.
     pub policy: HandoffPolicy,
-    /// Roaming cost model.
-    pub roam: RoamConfig,
     /// Staging-depth rule parameters.
     pub coordinator: CoordinatorConfig,
     /// Staging on/off; off gives the Xftp baseline.
     pub staging_enabled: bool,
-    /// Retry and back-off knobs, as one [`RetryProfile`]
-    /// (staging re-requests follow `stage_retry · 2^attempt` clamped to
-    /// `stage_retry_cap`, bounded by `stage_retry_budget`; origin-fetch
-    /// retries follow `fetch_retry`..`fetch_retry_cap`).
-    pub retry: RetryProfile,
     /// Circuit breaker guarding the active edge's staging path.
     pub breaker: BreakerConfig,
     /// Chunks pre-staged into a handoff target (step ④).
     pub prestage_depth: usize,
-    /// Housekeeping tick period.
-    pub tick: SimDuration,
     /// Identifier stamped into this client's [`ClientStats`]. A
     /// single-client testbed leaves it 0; fleet worlds assign each client
     /// its index so per-client metrics stay attributable after
@@ -81,13 +72,10 @@ impl Default for SoftStageConfig {
     fn default() -> Self {
         SoftStageConfig {
             policy: HandoffPolicy::ChunkAware,
-            roam: RoamConfig::default(),
             coordinator: CoordinatorConfig::default(),
             staging_enabled: true,
-            retry: RetryProfile::default(),
             breaker: BreakerConfig::default(),
             prestage_depth: 4,
-            tick: SimDuration::from_millis(500),
             client_id: 0,
         }
     }
@@ -125,6 +113,19 @@ fn source(staged: bool) -> FetchSource {
     }
 }
 
+/// Base staging re-request back-off (the first retry waits this long).
+const STAGE_RETRY: SimDuration = SimDuration::from_secs(2);
+/// Upper clamp of the staging back-off schedule.
+const STAGE_RETRY_CAP: SimDuration = SimDuration::from_secs(16);
+/// Staging re-requests per session before degrading to plain Xftp.
+const STAGE_RETRY_BUDGET: u32 = 64;
+/// Base origin-fetch retry back-off.
+const FETCH_RETRY: SimDuration = SimDuration::from_millis(500);
+/// Upper clamp of the origin-fetch back-off schedule.
+const FETCH_RETRY_CAP: SimDuration = SimDuration::from_secs(8);
+/// Housekeeping tick period: stale staging requests are re-issued on it.
+const TICK: SimDuration = SimDuration::from_millis(500);
+
 /// Capped exponential back-off with deterministic jitter.
 ///
 /// `base · 2^attempt`, clamped to `cap`, then jittered by ±25 % using an
@@ -149,7 +150,7 @@ fn backoff(base: SimDuration, cap: SimDuration, attempt: u32, salt: u64) -> SimD
 
 /// A chunk's staging re-request back-off, salted by its CID so distinct
 /// chunks keep distinct schedules.
-fn stage_backoff(retry: &RetryProfile, r: &ChunkRecord) -> SimDuration {
+fn stage_backoff(r: &ChunkRecord) -> SimDuration {
     let salt = r
         .cid
         .id()
@@ -157,8 +158,8 @@ fn stage_backoff(retry: &RetryProfile, r: &ChunkRecord) -> SimDuration {
         .take(8)
         .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
     backoff(
-        retry.stage_retry,
-        retry.stage_retry_cap,
+        STAGE_RETRY,
+        STAGE_RETRY_CAP,
         r.stage_attempts.saturating_sub(1),
         salt,
     )
@@ -256,7 +257,7 @@ pub struct SoftStageClient {
     last_depth: usize,
     /// Consecutive failures of the current origin fetch (back-off input).
     fetch_attempts: u32,
-    /// Staging re-requests spent so far (bounded by `stage_retry_budget`).
+    /// Staging re-requests spent so far (bounded by `STAGE_RETRY_BUDGET`).
     stage_retry_spent: u64,
     /// Outstanding staging-request send times by token (RTT measurement).
     sent_tokens: BTreeMap<u64, SimTime>,
@@ -278,7 +279,7 @@ impl SoftStageClient {
         let config_client_id = config.client_id;
         SoftStageClient {
             coordinator: StagingCoordinator::new(config.coordinator),
-            roamer: Roamer::new(config.roam),
+            roamer: Roamer::default(),
             breaker: Breaker::new(config.breaker),
             config,
             profile,
@@ -611,7 +612,7 @@ impl SoftStageClient {
 
 impl App for SoftStageClient {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        ctx.set_app_timer(self.config.tick, TICK_TIMER as u32);
+        ctx.set_app_timer(TICK, TICK_TIMER as u32);
     }
 
     fn on_beacon(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, beacon: &Beacon) {
@@ -648,11 +649,9 @@ impl App for SoftStageClient {
             TICK_TIMER => {
                 // Re-issue staging for requests lost in the air, each
                 // chunk on its own capped-exponential back-off schedule.
-                let stale = self
-                    .profile
-                    .stale_pending_with(ctx.now(), |r| stage_backoff(&self.config.retry, r));
+                let stale = self.profile.stale_pending_with(ctx.now(), stage_backoff);
                 if !stale.is_empty() && !self.staging_off() {
-                    let budget = u64::from(self.config.retry.stage_retry_budget);
+                    let budget = u64::from(STAGE_RETRY_BUDGET);
                     let associated = matches!(self.roamer.state(), RoamState::Associated { .. });
                     for idx in stale {
                         if self.stage_retry_spent >= budget {
@@ -691,7 +690,7 @@ impl App for SoftStageClient {
                 self.maybe_stage(ctx);
                 self.start_next_fetch(ctx);
                 if !self.done {
-                    ctx.set_app_timer(self.config.tick, TICK_TIMER as u32);
+                    ctx.set_app_timer(TICK, TICK_TIMER as u32);
                 }
             }
             FETCH_RETRY_TIMER => {
@@ -759,7 +758,7 @@ impl App for SoftStageClient {
                 if let Some((idx, r)) = self.profile.by_cid(&cid) {
                     // Honor the VNF's advisory, but never come back sooner
                     // than this chunk's own back-off schedule would.
-                    let own = stage_backoff(&self.config.retry, r);
+                    let own = stage_backoff(r);
                     let wait = own.max(SimDuration::from_micros(retry_after_us));
                     self.profile.mark_rejected(idx, ctx.now() + wait);
                 }
@@ -843,8 +842,8 @@ impl App for SoftStageClient {
                     // Origin fetch failed: retry with capped exponential
                     // back-off so a down origin isn't hammered.
                     let delay = backoff(
-                        self.config.retry.fetch_retry,
-                        self.config.retry.fetch_retry_cap,
+                        FETCH_RETRY,
+                        FETCH_RETRY_CAP,
                         self.fetch_attempts,
                         fetch.idx as u64,
                     );
@@ -854,5 +853,52 @@ impl App for SoftStageClient {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xia_addr::Principal;
+
+    /// The staging re-request delays of a chunk named `cid`, for attempts
+    /// 0..=20.
+    fn stage_schedule(cid: Xid) -> Vec<SimDuration> {
+        let mut profile = ChunkProfile::new();
+        profile.register(cid, Dag::direct(cid));
+        (0..=20)
+            .map(|attempt| {
+                let r = profile.get_mut(0).expect("registered");
+                r.stage_attempts = attempt + 1;
+                stage_backoff(r)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retry_schedules_are_capped_exponential_with_quarter_jitter() {
+        let cid = Xid::new_random(Principal::Cid, 1);
+        let other = Xid::new_random(Principal::Cid, 2);
+        assert_ne!(cid.id()[..8], other.id()[..8]);
+        let stage = stage_schedule(cid);
+        let fetch = |attempt| backoff(FETCH_RETRY, FETCH_RETRY_CAP, attempt, 7);
+        for attempt in 0..=20u32 {
+            // (delay, base, cap): the nominal delay is min(base · 2^attempt, cap).
+            let table = [
+                (stage[attempt as usize], SimDuration::from_secs(2), 16),
+                (fetch(attempt), SimDuration::from_millis(500), 8),
+            ];
+            for (delay, base, cap_s) in table {
+                let nominal = (base.as_micros() << attempt).min(cap_s * 1_000_000);
+                let d = delay.as_micros();
+                assert!(
+                    d >= 1 && 4 * d >= 3 * nominal && 4 * d <= 5 * nominal,
+                    "attempt {attempt}: {d} µs against a nominal {nominal} µs"
+                );
+            }
+            assert_eq!(fetch(attempt), fetch(attempt), "attempt {attempt}");
+        }
+        assert_eq!(stage_schedule(cid), stage);
+        assert_ne!(stage_schedule(other), stage, "two chunks share a schedule");
     }
 }

@@ -17,33 +17,24 @@
 
 use simnet::{SimDuration, SimTime};
 
-/// Exponentially weighted moving average over durations.
-#[derive(Debug, Clone, Copy)]
+/// Smoothing factor of every [`Ewma`]: the coordinator's three
+/// estimators and gap model, and the VNF's staging latency.
+const ALPHA: f64 = 0.3;
+
+/// Exponentially weighted moving average over durations, smoothing by
+/// `ALPHA` (0.3).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Ewma {
     value_us: Option<f64>,
-    alpha: f64,
 }
 
 impl Ewma {
-    /// Creates an estimator with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is out of range.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma {
-            value_us: None,
-            alpha,
-        }
-    }
-
     /// Absorbs a sample.
     pub(crate) fn observe(&mut self, sample: SimDuration) {
         let s = sample.as_micros() as f64;
         self.value_us = Some(match self.value_us {
             None => s,
-            Some(v) => v + self.alpha * (s - v),
+            Some(v) => v + ALPHA * (s - v),
         });
     }
 
@@ -54,25 +45,23 @@ impl Ewma {
     }
 }
 
-/// Configuration of the staging coordinator.
+/// Usefulness-deadline horizon used before a fetch estimate exists (the
+/// cold start). A fresh client cannot predict when a staged chunk stops
+/// being useful, so its first requests carry `now + COLD_DEADLINE`
+/// instead of no deadline at all: a deadline-aware VNF admits them onto
+/// any healthy queue but can still shed them from a backlog too deep to
+/// land within the horizon — without this, a fleet of cold clients is
+/// admitted without limit up to the depth cap.
+const COLD_DEADLINE: SimDuration = SimDuration::from_secs(10);
+
+/// Configuration of the staging coordinator: the bounds of its depth rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoordinatorConfig {
-    /// Depth used before any measurements exist.
+    /// Depth used before any measurements exist, and the rule's floor.
     pub initial_depth: usize,
     /// Hard cap on the staged-ahead depth (bounds edge cache use — the
     /// "economical" constraint).
     pub max_depth: usize,
-    /// EWMA smoothing factor for all three estimators.
-    pub alpha: f64,
-    /// Usefulness-deadline horizon used before a fetch estimate exists
-    /// (the cold start). A fresh client cannot predict when a staged
-    /// chunk stops being useful, so its first requests carry
-    /// `now + cold_deadline` instead of no deadline at all: a
-    /// deadline-aware VNF admits them onto any healthy queue but can
-    /// still shed them from a backlog too deep to land within the
-    /// horizon — without this, a fleet of cold clients is admitted
-    /// without limit up to the depth cap.
-    pub cold_deadline: SimDuration,
 }
 
 impl Default for CoordinatorConfig {
@@ -80,8 +69,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             initial_depth: 2,
             max_depth: 32,
-            alpha: 0.3,
-            cold_deadline: SimDuration::from_secs(10),
         }
     }
 }
@@ -102,13 +89,26 @@ pub struct StagingCoordinator {
 
 impl StagingCoordinator {
     /// Creates a coordinator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial_depth` exceeds `max_depth`: the depth rule
+    /// clamps to `[initial_depth, max_depth]`.
     pub fn new(config: CoordinatorConfig) -> Self {
+        let CoordinatorConfig {
+            initial_depth,
+            max_depth,
+        } = config;
+        assert!(
+            initial_depth <= max_depth,
+            "initial_depth {initial_depth} exceeds max_depth {max_depth}"
+        );
         StagingCoordinator {
             config,
-            fetch: Ewma::new(config.alpha),
-            stage: Ewma::new(config.alpha),
-            rtt: Ewma::new(config.alpha),
-            gap: Ewma::new(config.alpha),
+            fetch: Ewma::default(),
+            stage: Ewma::default(),
+            rtt: Ewma::default(),
+            gap: Ewma::default(),
         }
     }
 
@@ -182,14 +182,14 @@ impl StagingCoordinator {
     /// The RICH-style usefulness deadline (µs since sim start) for a
     /// staging request whose furthest chunk sits `ahead` positions past
     /// the fetch cursor: the client will want it in about
-    /// `ahead · L_fetch`. Before a fetch estimate exists the configured
-    /// [`CoordinatorConfig::cold_deadline`] horizon applies — never 0
+    /// `ahead · L_fetch`. Before a fetch estimate exists the
+    /// `COLD_DEADLINE` horizon applies — never 0
     /// ("no deadline"), which would exempt exactly the thundering-herd
     /// moment (a fleet of fresh clients) from deadline-aware admission.
     pub(crate) fn deadline_us_for(&self, now: SimTime, ahead: u64) -> u64 {
         match self.fetch.value() {
             Some(fetch) => (now + fetch * ahead).as_micros(),
-            None => (now + self.config.cold_deadline).as_micros(),
+            None => (now + COLD_DEADLINE).as_micros(),
         }
     }
 }
@@ -200,18 +200,21 @@ mod tests {
 
     #[test]
     fn ewma_first_sample_then_smooths() {
-        let mut e = Ewma::new(0.5);
+        let mut e = Ewma::default();
         assert_eq!(e.value(), None);
         e.observe(SimDuration::from_millis(100));
         assert_eq!(e.value(), Some(SimDuration::from_millis(100)));
         e.observe(SimDuration::from_millis(200));
-        assert_eq!(e.value(), Some(SimDuration::from_millis(150)));
+        assert_eq!(e.value(), Some(SimDuration::from_millis(130)));
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
+    #[should_panic(expected = "initial_depth 5 exceeds max_depth 4")]
+    fn inverted_depth_bounds_are_rejected_at_construction() {
+        let _ = StagingCoordinator::new(CoordinatorConfig {
+            initial_depth: 5,
+            max_depth: 4,
+        });
     }
 
     #[test]
@@ -244,14 +247,16 @@ mod tests {
         let mut c = StagingCoordinator::new(CoordinatorConfig {
             initial_depth: 2,
             max_depth: 4,
-            alpha: 1.0,
-            ..CoordinatorConfig::default()
         });
         c.observe_fetch(SimDuration::from_millis(1));
         c.observe_stage(SimDuration::from_secs(100));
         assert_eq!(c.target_depth(), 4, "clamped at max");
-        c.observe_stage(SimDuration::from_micros(1));
-        c.observe_fetch(SimDuration::from_secs(100));
+        // The estimates smooth: after 20 samples each, staging has fallen
+        // to ~80 ms against a ~100 s fetch.
+        for _ in 0..20 {
+            c.observe_stage(SimDuration::from_micros(1));
+            c.observe_fetch(SimDuration::from_secs(100));
+        }
         assert_eq!(c.target_depth(), 2, "clamped at min");
     }
 
@@ -266,8 +271,8 @@ mod tests {
         assert_ne!(d, 0, "cold start must not disable the deadline");
         assert_eq!(
             d,
-            now.as_micros() + CoordinatorConfig::default().cold_deadline.as_micros(),
-            "cold deadline is the configured horizon from now"
+            now.as_micros() + COLD_DEADLINE.as_micros(),
+            "cold deadline is the fixed horizon from now"
         );
     }
 

@@ -43,5 +43,5 @@ pub use breaker::{Breaker, BreakerConfig};
 pub use client::{ClientStats, HandoffPolicy, SoftStageClient, SoftStageConfig, StagingMode};
 pub use coordinator::{CoordinatorConfig, Ewma, StagingCoordinator};
 pub use messages::StagingMsg;
-pub use profile::{ChunkProfile, ChunkRecord, FetchState, RetryProfile, StagingState};
+pub use profile::{ChunkProfile, ChunkRecord, FetchState, StagingState};
 pub use vnf::{StagingVnf, VnfConfig, VnfStats};

@@ -1,43 +1,11 @@
 //! The Chunk Profile (Table I of the paper): per-chunk staging state, kept
-//! on the client by the Staging Manager — plus the [`RetryProfile`]
-//! holding the Manager's retry and back-off knobs.
+//! on the client by the Staging Manager. Its retry and back-off schedule
+//! is a set of constants in `client.rs`.
 
 use std::collections::BTreeMap;
 
 use simnet::{SimDuration, SimTime};
 use xia_addr::{Dag, Xid};
-
-/// The Staging Manager's retry knobs, as one profile.
-///
-/// Staging retries follow a capped exponential back-off
-/// (`stage_retry · 2^attempt`, clamped to `stage_retry_cap`) bounded by
-/// `stage_retry_budget` total re-requests; origin fetch retries follow
-/// their own `fetch_retry..fetch_retry_cap` schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryProfile {
-    /// Base staging-retry back-off (first retry waits this long).
-    pub stage_retry: SimDuration,
-    /// Upper clamp of the staging back-off schedule.
-    pub stage_retry_cap: SimDuration,
-    /// Total staging re-requests before degrading to plain Xftp.
-    pub stage_retry_budget: u32,
-    /// Base origin-fetch retry back-off.
-    pub fetch_retry: SimDuration,
-    /// Upper clamp of the fetch back-off schedule.
-    pub fetch_retry_cap: SimDuration,
-}
-
-impl Default for RetryProfile {
-    fn default() -> Self {
-        RetryProfile {
-            stage_retry: SimDuration::from_secs(2),
-            stage_retry_cap: SimDuration::from_secs(16),
-            stage_retry_budget: 64,
-            fetch_retry: SimDuration::from_millis(500),
-            fetch_retry_cap: SimDuration::from_secs(8),
-        }
-    }
-}
 
 /// Fetch state of a chunk (Table I: `BLANK`, `DONE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

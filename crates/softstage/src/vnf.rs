@@ -114,7 +114,7 @@ impl StagingVnf {
             config,
             fetches: BTreeMap::new(),
             waiters: BTreeMap::new(),
-            latency: Ewma::new(0.3),
+            latency: Ewma::default(),
             service_delay: SimDuration::ZERO,
             delayed: VecDeque::new(),
             stats: VnfStats::default(),

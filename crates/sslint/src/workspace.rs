@@ -1,8 +1,8 @@
 //! Loads the workspace into the model the rules operate on: one
 //! [`CrateInfo`] per member crate, each holding its parsed manifest and the
 //! lexed, test-masked, item-scanned source files under `src/`, plus a
-//! reference corpus (crate `tests/`/`benches/` dirs and the root
-//! `tests/`/`examples/` dirs) that the cross-reference rules (`dead-pub`,
+//! reference corpus (crate `tests/`/`benches/` dirs, the root
+//! `tests/`/`examples/` dirs and the `benchmark/` harness's sources) that the cross-reference rules (`dead-pub`,
 //! `trace-coverage`) count identifier uses in without auditing it.
 
 use std::fs;
@@ -58,7 +58,7 @@ pub struct Workspace {
     /// Member crates, sorted by directory name.
     pub crates: Vec<CrateInfo>,
     /// Reference corpus: crate `tests/`/`benches/` files plus root
-    /// `tests/`/`examples/` files, sorted by path.
+    /// `tests/`/`examples/` and `benchmark/{src,tests}` files.
     pub ref_files: Vec<RefFile>,
 }
 
@@ -114,7 +114,8 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
             files,
         });
     }
-    for sub in ["tests", "examples"] {
+    // ssbench is its own cargo workspace but calls the crates' pub API.
+    for sub in ["tests", "examples", "benchmark/src", "benchmark/tests"] {
         for (rel, lexed) in lex_dir(root, &root.join(sub))? {
             ref_files.push(RefFile { rel, lexed });
         }

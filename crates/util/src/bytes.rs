@@ -186,11 +186,6 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
-    /// An empty builder.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
     /// An empty builder with pre-reserved capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
@@ -198,30 +193,9 @@ impl BytesMut {
         }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a big-endian `u16`.
-    #[cfg(test)]
-    pub(crate) fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian `u64`.
@@ -237,19 +211,6 @@ impl BytesMut {
     /// Converts the accumulated bytes into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -308,15 +269,10 @@ mod tests {
     fn builder_big_endian_layout() {
         let mut m = BytesMut::with_capacity(32);
         m.put_u8(0xAB);
-        m.put_u16(0x0102);
-        m.put_u32(0x03040506);
-        m.put_u64(0x0708090A0B0C0D0E);
+        m.put_u64(0x0102030405060708);
         m.put_slice(b"xy");
         let b = m.freeze();
-        assert_eq!(
-            &b[..],
-            &[0xAB, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0x0A, 0x0B, 0x0C, 0x0D, 0x0E, b'x', b'y']
-        );
+        assert_eq!(&b[..], &[0xAB, 1, 2, 3, 4, 5, 6, 7, 8, b'x', b'y']);
     }
 
     #[test]

@@ -106,7 +106,8 @@ impl Gen {
     }
 
     /// A uniform float in `[lo, hi)`. Shrinks toward `lo`.
-    pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
         lo + self.f64_unit() * (hi - lo)
     }
 

@@ -27,7 +27,7 @@ pub mod sensor;
 pub mod trace;
 
 pub use beacon::BeaconApp;
-pub use roam::{RoamConfig, RoamEvent, RoamState, Roamer, ROAM_ASSOC_TIMER};
+pub use roam::{RoamEvent, RoamState, Roamer, ROAM_ASSOC_TIMER};
 pub use schedule::{CoverageInterval, CoverageSchedule};
 pub use sensor::{NetworkKnowledge, NetworkSensor};
 pub use trace::{synthesize_wardriving, ConnectivityTrace, TracePeriod, WardrivingParams};

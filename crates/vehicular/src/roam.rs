@@ -19,34 +19,21 @@ use crate::sensor::{NetworkKnowledge, NetworkSensor};
 /// [`Roamer::on_timer`] and avoid using it themselves.
 pub const ROAM_ASSOC_TIMER: u64 = 0xF000_0001;
 
-/// Roaming cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoamConfig {
-    /// RSS advantage (dB) a candidate needs over the current network
-    /// before a handoff is suggested.
-    pub hysteresis_db: f64,
-    /// Layer-2 (re)association + authentication delay. The paper assumes
-    /// this is optimized to near zero by the mobility controller.
-    pub assoc_delay: SimDuration,
-    /// Active session migration cost paid by live transport connections
-    /// after a layer-3 handoff (the paper's "fixed overhead of 1 or 2 s").
-    pub migration_delay: SimDuration,
-}
-
-impl Default for RoamConfig {
-    fn default() -> Self {
-        RoamConfig {
-            hysteresis_db: 3.0,
-            assoc_delay: SimDuration::from_millis(50),
-            migration_delay: SimDuration::from_millis(2000),
-        }
-    }
-}
+/// RSS advantage (dB) a candidate needs over the current network before
+/// a handoff is suggested.
+const HYSTERESIS_DB: f64 = 3.0;
+/// Layer-2 (re)association + authentication delay. The paper assumes this
+/// is optimized to near zero by the mobility controller.
+const ASSOC_DELAY: SimDuration = SimDuration::from_millis(50);
+/// Active session migration cost paid by live transport connections after
+/// a layer-3 handoff (the paper's "fixed overhead of 1 or 2 s").
+const MIGRATION_DELAY: SimDuration = SimDuration::from_millis(2000);
 
 /// Attachment state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoamState {
     /// No usable network.
+    #[default]
     Detached,
     /// Association with `target` in progress.
     Associating {
@@ -73,12 +60,11 @@ pub enum RoamEvent {
     Detached,
 }
 
-/// The roaming state machine.
-#[derive(Debug)]
+/// The roaming state machine; it starts detached.
+#[derive(Debug, Default)]
 pub struct Roamer {
     /// Discovered networks (the paper's Network Sensor).
     pub sensor: NetworkSensor,
-    config: RoamConfig,
     state: RoamState,
     /// Counts completed associations (for experiments).
     pub handoffs: u64,
@@ -87,25 +73,9 @@ pub struct Roamer {
 }
 
 impl Roamer {
-    /// Creates a roamer with the given cost model.
-    pub fn new(config: RoamConfig) -> Self {
-        Roamer {
-            sensor: NetworkSensor::default(),
-            config,
-            state: RoamState::Detached,
-            handoffs: 0,
-            migrations: 0,
-        }
-    }
-
     /// Current attachment state.
     pub fn state(&self) -> RoamState {
         self.state
-    }
-
-    /// The cost model in use.
-    pub fn config(&self) -> RoamConfig {
-        self.config
     }
 
     /// Absorbs a beacon. If the client is detached, association with the
@@ -132,7 +102,7 @@ impl Roamer {
         let current_rss = self.sensor.get(&nid, now).map_or(-95.0, |n| n.rss_dbm);
         self.sensor
             .best(now)
-            .filter(|b| b.nid != nid && b.rss_dbm > current_rss + self.config.hysteresis_db)
+            .filter(|b| b.nid != nid && b.rss_dbm > current_rss + HYSTERESIS_DB)
     }
 
     /// Starts (re)association with `target`. The data plane keeps its old
@@ -145,7 +115,7 @@ impl Roamer {
             return RoamEvent::None;
         }
         self.state = RoamState::Associating { target };
-        ctx.set_app_timer(self.config.assoc_delay, ROAM_ASSOC_TIMER as u32);
+        ctx.set_app_timer(ASSOC_DELAY, ROAM_ASSOC_TIMER as u32);
         RoamEvent::Associating(target)
     }
 
@@ -169,7 +139,7 @@ impl Roamer {
         // Live transport sessions must migrate to the new locator.
         if ctx.active_connection_count() > 0 {
             self.migrations += 1;
-            ctx.migrate_connections(self.config.migration_delay);
+            ctx.migrate_connections(MIGRATION_DELAY);
         }
         RoamEvent::Associated(target)
     }
@@ -216,13 +186,13 @@ mod tests {
         let store = stack.store_mut();
         let mut view = HostView::new(hid);
         view.connections = connections;
-        let mut roamer = Roamer::new(RoamConfig::default());
+        let mut roamer = Roamer::default();
 
         let mut ctx = HostCtx::new(view, store, Vec::new());
         let heard = roamer.on_beacon(&mut ctx, LinkId::from_index(3), &beacon);
         assert_eq!(heard, RoamEvent::Associating(beacon.nid));
         let (mut view, armed) = ctx.finish();
-        let delay = roamer.config().assoc_delay;
+        let delay = ASSOC_DELAY;
         let key = ROAM_ASSOC_TIMER as u32;
         assert_eq!(armed, [Effect::Timer { delay, key }]);
 
@@ -234,17 +204,17 @@ mod tests {
 
     #[test]
     fn association_migrates_exactly_when_a_connection_is_live() {
-        let delay = RoamConfig::default().assoc_delay;
         for connections in [0, 1] {
-            let (event, effects, beacon) = associate(connections, delay);
+            let (event, effects, beacon) = associate(connections, ASSOC_DELAY);
             assert_eq!(event, RoamEvent::Associated(beacon.nid));
             let mut want = vec![Effect::Attach {
                 nid: Some(beacon.nid),
                 link: Some(LinkId::from_index(3)),
             }];
             if connections > 0 {
-                let pause = RoamConfig::default().migration_delay;
-                want.push(Effect::Migrate { pause });
+                want.push(Effect::Migrate {
+                    pause: MIGRATION_DELAY,
+                });
             }
             assert_eq!(effects, want);
         }

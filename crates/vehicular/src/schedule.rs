@@ -1,7 +1,6 @@
 //! Coverage schedules: when the vehicle is inside which network's range.
 
 use simnet::{SimDuration, SimTime};
-use util::json::{FromJson, Json, JsonError, ToJson};
 
 /// One contiguous interval of coverage by one network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,46 +178,6 @@ impl CoverageSchedule {
     }
 }
 
-impl ToJson for CoverageInterval {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("network".into(), self.network.to_json()),
-            ("start_us".into(), self.start_us.to_json()),
-            ("end_us".into(), self.end_us.to_json()),
-            ("peak_rss_dbm".into(), self.peak_rss_dbm.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CoverageInterval {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CoverageInterval {
-            network: usize::from_json(v.field("network")?)?,
-            start_us: u64::from_json(v.field("start_us")?)?,
-            end_us: u64::from_json(v.field("end_us")?)?,
-            peak_rss_dbm: f64::from_json(v.field("peak_rss_dbm")?)?,
-        })
-    }
-}
-
-impl ToJson for CoverageSchedule {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("intervals".into(), self.intervals.to_json()),
-            ("networks".into(), self.networks.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CoverageSchedule {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CoverageSchedule {
-            intervals: Vec::from_json(v.field("intervals")?)?,
-            networks: usize::from_json(v.field("networks")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,18 +259,5 @@ mod tests {
         let tr = s.link_transitions();
         assert_eq!(tr.len(), s.intervals.len() * 2);
         assert!(tr.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let s = CoverageSchedule::alternating(
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(8),
-            2,
-            SimDuration::from_secs(20),
-        );
-        let json = s.to_json().to_string_compact();
-        let back = CoverageSchedule::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, s);
     }
 }

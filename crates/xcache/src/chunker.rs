@@ -1,7 +1,6 @@
 //! Splitting content into self-certifying chunks.
 
 use util::bytes::Bytes;
-use util::json::{FromJson, Json, JsonError, ToJson};
 use xia_addr::{sha1::Sha1, Xid};
 
 /// The content digest: SHA-1 over the 20-byte ids of an object's chunk
@@ -68,26 +67,6 @@ impl Manifest {
             d.push(cid);
         }
         d.finish()
-    }
-}
-
-impl ToJson for Manifest {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("chunks".into(), self.chunks.to_json()),
-            ("chunk_size".into(), self.chunk_size.to_json()),
-            ("total_len".into(), self.total_len.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Manifest {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Manifest {
-            chunks: Vec::from_json(v.field("chunks")?)?,
-            chunk_size: usize::from_json(v.field("chunk_size")?)?,
-            total_len: u64::from_json(v.field("total_len")?)?,
-        })
     }
 }
 

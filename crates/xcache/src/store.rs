@@ -1,4 +1,4 @@
-//! The chunk content store with pluggable eviction.
+//! The chunk content store with LRU eviction.
 
 use std::collections::BTreeMap;
 
@@ -6,16 +6,11 @@ use util::bytes::Bytes;
 use xia_addr::Xid;
 
 /// Eviction policy for unpinned chunks when the store exceeds capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
-    /// Evict the least recently used chunk (default; what XCache's
-    /// opportunistic router cache wants).
-    #[default]
+    /// Evict the least recently used chunk (what XCache's opportunistic
+    /// router cache wants).
     Lru,
-    /// Evict the oldest inserted chunk.
-    Fifo,
-    /// Evict the least frequently used chunk (ties broken by recency).
-    Lfu,
 }
 
 #[derive(Debug, Clone)]
@@ -23,9 +18,9 @@ struct Entry {
     data: Bytes,
     /// Published content is pinned and never evicted.
     pinned: bool,
-    inserted: u64,
+    /// The store clock at the last insert or hit. Every insert and lookup
+    /// ticks the clock, so no two entries share a stamp.
     last_access: u64,
-    hits: u64,
 }
 
 /// Counters describing store behaviour.
@@ -52,7 +47,7 @@ pub struct StoreStats {
 ///
 /// Content providers [`publish`](ChunkStore::publish) chunks (pinned);
 /// routers and staging VNFs [`insert`](ChunkStore::insert) cached copies
-/// that compete for capacity under the configured [`EvictionPolicy`].
+/// that compete for capacity under LRU eviction.
 ///
 /// # Examples
 ///
@@ -70,7 +65,6 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct ChunkStore {
     capacity_bytes: usize,
-    policy: EvictionPolicy,
     entries: BTreeMap<Xid, Entry>,
     used_bytes: usize,
     clock: u64,
@@ -91,10 +85,9 @@ const EVICTED_LOG_CAP: usize = 4096;
 
 impl ChunkStore {
     /// Creates a store holding at most `capacity_bytes` of chunk data.
-    pub fn new(capacity_bytes: usize, policy: EvictionPolicy) -> Self {
+    pub fn new(capacity_bytes: usize, _policy: EvictionPolicy) -> Self {
         ChunkStore {
             capacity_bytes,
-            policy,
             entries: BTreeMap::new(),
             used_bytes: 0,
             clock: 0,
@@ -141,7 +134,6 @@ impl ChunkStore {
         match self.entries.get_mut(cid) {
             Some(e) => {
                 e.last_access = clock;
-                e.hits += 1;
                 self.stats.hits += 1;
                 Some(e.data.clone())
             }
@@ -189,9 +181,7 @@ impl ChunkStore {
             Entry {
                 data,
                 pinned,
-                inserted: self.clock,
                 last_access: self.clock,
-                hits: 0,
             },
         );
     }
@@ -220,7 +210,7 @@ impl ChunkStore {
 
     /// Resizes the store in place — the fault-injection "cache squeeze".
     ///
-    /// Shrinking evicts unpinned chunks per the policy (logged like any
+    /// Shrinking evicts least recently used chunks (logged like any
     /// other eviction) until the cached data fits; pinned content never
     /// goes, so a store holding more pinned bytes than `capacity_bytes`
     /// simply stops caching. Growing takes effect immediately. Returns
@@ -249,18 +239,14 @@ impl ChunkStore {
         Some(e.data)
     }
 
-    /// Evicts one unpinned chunk per the policy. Returns false if nothing
-    /// is evictable.
+    /// Evicts the least recently used unpinned chunk. Returns false if
+    /// nothing is evictable.
     fn evict_one(&mut self) -> bool {
         let victim = self
             .entries
             .iter()
             .filter(|(_, e)| !e.pinned)
-            .min_by_key(|(_, e)| match self.policy {
-                EvictionPolicy::Lru => (e.last_access, e.inserted),
-                EvictionPolicy::Fifo => (e.inserted, e.inserted),
-                EvictionPolicy::Lfu => (e.hits, e.last_access),
-            })
+            .min_by_key(|(_, e)| e.last_access)
             .map(|(cid, _)| *cid);
         match victim.and_then(|cid| self.entries.remove(&cid).map(|e| (cid, e))) {
             Some((cid, e)) => {
@@ -370,39 +356,6 @@ mod tests {
         assert_eq!(s.resize(100), 0);
         let (c4, d4) = chunk(4, 50);
         assert!(s.insert(c4, d4));
-    }
-
-    #[test]
-    fn fifo_evicts_oldest_insertion() {
-        let mut s = ChunkStore::new(30, EvictionPolicy::Fifo);
-        let (c1, d1) = chunk(1, 10);
-        let (c2, d2) = chunk(2, 10);
-        let (c3, d3) = chunk(3, 10);
-        s.insert(c1, d1);
-        s.insert(c2, d2);
-        s.insert(c3, d3);
-        let _ = s.get(&c1); // FIFO ignores recency.
-        let (c4, d4) = chunk(4, 10);
-        s.insert(c4, d4);
-        assert!(!s.contains(&c1), "oldest insertion evicted");
-        assert!(s.contains(&c2));
-    }
-
-    #[test]
-    fn lfu_evicts_least_hit() {
-        let mut s = ChunkStore::new(30, EvictionPolicy::Lfu);
-        let (c1, d1) = chunk(1, 10);
-        let (c2, d2) = chunk(2, 10);
-        let (c3, d3) = chunk(3, 10);
-        s.insert(c1, d1);
-        s.insert(c2, d2);
-        s.insert(c3, d3);
-        let _ = s.get(&c1);
-        let _ = s.get(&c1);
-        let _ = s.get(&c3);
-        let (c4, d4) = chunk(4, 10);
-        s.insert(c4, d4);
-        assert!(!s.contains(&c2), "least-hit chunk evicted");
     }
 
     #[test]

@@ -2,12 +2,10 @@
 
 use util::bytes::Bytes;
 use util::check::check;
-use util::json::{FromJson, Json, ToJson};
-use xcache::{chunk_content, chunker::reassemble, ChunkStore, EvictionPolicy, Manifest};
+use xcache::{chunk_content, chunker::reassemble, ChunkStore, EvictionPolicy};
 use xia_addr::Xid;
 
-/// Chunk + reassemble is the identity for any content and chunk size, and
-/// the manifest survives a JSON round-trip.
+/// Chunk + reassemble is the identity for any content and chunk size.
 #[test]
 fn chunk_reassemble_roundtrip() {
     check("chunk_reassemble_roundtrip", 64, |g| {
@@ -17,9 +15,6 @@ fn chunk_reassemble_roundtrip() {
         let (manifest, chunks) = chunk_content(&content, chunk_size);
         assert_eq!(manifest.total_len, content.len() as u64);
         assert_eq!(manifest.len(), content.len().div_ceil(chunk_size));
-        let text = manifest.to_json().to_string_compact();
-        let back = Manifest::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, manifest);
         let map: std::collections::HashMap<Xid, Bytes> = chunks.into_iter().collect();
         let back = reassemble(&manifest, |cid| map.get(cid).cloned()).unwrap();
         assert_eq!(back, content);
@@ -51,13 +46,8 @@ fn chunk_sizes_exact() {
 fn store_capacity_and_accounting() {
     check("store_capacity_and_accounting", 128, |g| {
         let capacity = g.usize_in(200, 1999);
-        let policy = *g.choose(&[
-            EvictionPolicy::Lru,
-            EvictionPolicy::Fifo,
-            EvictionPolicy::Lfu,
-        ]);
         let ops = g.vec_of(1, 59, |g| (g.u64() as u8, g.usize_in(1, 199), g.bool()));
-        let mut store = ChunkStore::new(capacity, policy);
+        let mut store = ChunkStore::new(capacity, EvictionPolicy::Lru);
         let mut pinned_bytes = 0usize;
         for (tag, len, publish) in ops {
             let data = Bytes::from(vec![tag; len]);

@@ -41,7 +41,6 @@ struct HostMeta {
     /// the per-packet paths clone an `Arc` instead of assembling a DAG.
     local: Dag,
     primary_link: Option<LinkId>,
-    cache_fetched: bool,
     services: Vec<Xid>,
     next_fetch_handle: u64,
     next_token: u64,
@@ -52,13 +51,12 @@ struct HostMeta {
 
 impl HostMeta {
     /// Identity of an unattached host.
-    fn new(hid: Xid, cache_fetched: bool) -> Self {
+    fn new(hid: Xid) -> Self {
         HostMeta {
             hid,
             nid: None,
             local: Dag::direct(hid),
             primary_link: None,
-            cache_fetched,
             services: Vec::new(),
             next_fetch_handle: 1,
             next_token: 1,
@@ -119,20 +117,17 @@ pub struct HostConfig {
     pub transport: TransportConfig,
     /// Local XCache capacity in bytes.
     pub cache_capacity: usize,
-    /// Whether chunks fetched by this host are inserted into its XCache
-    /// for reuse ("clients can optionally store chunks in their XCache").
-    pub cache_fetched: bool,
 }
 
 impl HostConfig {
-    /// A host with defaults suitable for most roles: XIA transport model,
-    /// 256 MiB cache, LRU, no client-side caching of fetched chunks.
+    /// A host with defaults suitable for most roles: XIA transport model
+    /// and a 256 MiB LRU cache. A host does not cache the chunks it
+    /// fetches.
     pub fn new(hid: Xid) -> Self {
         HostConfig {
             hid,
             transport: TransportConfig::xia(),
             cache_capacity: 256 * 1024 * 1024,
-            cache_fetched: false,
         }
     }
 }
@@ -164,7 +159,7 @@ impl Host {
     /// Builds a host from its configuration.
     pub fn new(config: HostConfig) -> Self {
         Host {
-            meta: HostMeta::new(config.hid, config.cache_fetched),
+            meta: HostMeta::new(config.hid),
             mux: TransportMux::new(config.transport, config.hid),
             store: ChunkStore::new(config.cache_capacity, EvictionPolicy::Lru),
             server: ChunkServer::new(),
@@ -615,9 +610,6 @@ impl Host {
                     match st.fetcher.on_data(&data) {
                         FetchProgress::InProgress => {}
                         FetchProgress::Complete(bytes) => {
-                            if self.meta.cache_fetched {
-                                self.store.insert(st.fetcher.cid(), bytes.clone());
-                            }
                             self.finish_fetch(ctx, conn, FetchResult::Complete(bytes), false);
                         }
                         FetchProgress::NotFound => {

@@ -196,32 +196,6 @@ fn missing_chunk_reports_not_found() {
     assert_eq!(done[0].1, FetchResult::NotFound);
 }
 
-#[test]
-fn client_side_caching_stores_fetched_chunks() {
-    let mut sim = Simulator::new(5);
-    let server_hid = Xid::new_random(Principal::Hid, 1);
-    let client_hid = Xid::new_random(Principal::Hid, 2);
-    let nid = Xid::new_random(Principal::Nid, 9);
-    let mut server_host = Host::new(HostConfig::new(server_hid));
-    let content = Bytes::from(vec![42u8; 50_000]);
-    let manifest = server_host.publish_content(&content, 25_000);
-    let dags: Vec<Dag> = manifest
-        .chunks
-        .iter()
-        .map(|c| Dag::cid_with_fallback(*c, nid, server_hid))
-        .collect();
-    let mut config = HostConfig::new(client_hid);
-    config.cache_fetched = true;
-    let mut client_host = Host::new(config);
-    client_host.add_app(Box::new(SeqFetcher::new(dags)));
-    let (_, client, _) = join(&mut sim, nid, [server_host, client_host], lan());
-    sim.run();
-    let client_store = sim.node::<EndHost>(client).unwrap().host().store();
-    for cid in &manifest.chunks {
-        assert!(client_store.contains(cid), "fetched chunk cached locally");
-    }
-}
-
 /// A fetch across a link that dies mid-transfer eventually completes after
 /// the link comes back (transport RTO recovery), exercising the vehicular
 /// disconnection path.

@@ -1,9 +1,10 @@
 //! Transport configuration.
 
 use simnet::SimDuration;
-use xia_wire::MSS;
 
-/// Tuning knobs of the reliable transport.
+/// The settings of the reliable transport that some caller varies; the
+/// rest (segment size, initial window and threshold, RTO bounds, receive
+/// window) are constants in `conn.rs`.
 ///
 /// Two presets matter for the paper's Fig. 5 benchmark:
 /// [`TransportConfig::linux_tcp`] (an idealised kernel TCP, no processing
@@ -12,22 +13,8 @@ use xia_wire::MSS;
 /// link rate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
-    /// Maximum payload bytes per segment.
-    pub mss: usize,
-    /// Initial congestion window, in segments.
-    pub initial_cwnd_segments: u32,
-    /// Initial slow-start threshold in bytes.
-    pub initial_ssthresh: u64,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Upper bound on the retransmission timeout (backoff cap).
-    pub max_rto: SimDuration,
-    /// RTO before any RTT sample exists.
-    pub initial_rto: SimDuration,
     /// Consecutive RTO expirations before the connection fails.
     pub max_consecutive_rtos: u32,
-    /// Receive window advertised to the peer, in bytes.
-    pub receive_window: u64,
     /// Minimum spacing between consecutive data transmissions, modelling
     /// the per-packet cost of a user-level protocol stack. Zero disables
     /// pacing (kernel TCP).
@@ -42,14 +29,7 @@ impl TransportConfig {
     /// An idealised in-kernel TCP: no user-level processing overhead.
     pub fn linux_tcp() -> Self {
         TransportConfig {
-            mss: MSS,
-            initial_cwnd_segments: 4,
-            initial_ssthresh: 256 * 1024,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(10),
-            initial_rto: SimDuration::from_millis(1000),
             max_consecutive_rtos: 40,
-            receive_window: 2 * 1024 * 1024,
             per_packet_overhead: SimDuration::ZERO,
             accept_delay: SimDuration::ZERO,
         }
@@ -66,12 +46,6 @@ impl TransportConfig {
             accept_delay: SimDuration::from_millis(20),
             ..TransportConfig::linux_tcp()
         }
-    }
-
-    /// Builder-style override of the per-packet overhead.
-    pub fn with_overhead(mut self, overhead: SimDuration) -> Self {
-        self.per_packet_overhead = overhead;
-        self
     }
 }
 
@@ -92,8 +66,11 @@ mod tests {
         assert_eq!(tcp.per_packet_overhead, SimDuration::ZERO);
         assert!(xia.per_packet_overhead > SimDuration::ZERO);
         assert!(xia.accept_delay > tcp.accept_delay);
-        let mut aligned = xia.clone().with_overhead(SimDuration::ZERO);
-        aligned.accept_delay = SimDuration::ZERO;
+        let aligned = TransportConfig {
+            per_packet_overhead: SimDuration::ZERO,
+            accept_delay: SimDuration::ZERO,
+            ..xia
+        };
         assert_eq!(aligned, tcp);
     }
 

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use simnet::{SimDuration, SimTime};
 use util::bytes::Bytes;
 use xia_addr::Dag;
-use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
+use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4, MSS};
 
 use crate::buffer::SendBuffer;
 use crate::config::TransportConfig;
@@ -122,6 +122,19 @@ pub struct ConnStats {
     pub rtos: u64,
 }
 
+/// Initial congestion window, in segments.
+const INITIAL_CWND_SEGMENTS: u32 = 4;
+/// Initial slow-start threshold in bytes.
+const INITIAL_SSTHRESH: u64 = 256 * 1024;
+/// Lower bound on the retransmission timeout.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Upper bound on the retransmission timeout (backoff cap).
+const MAX_RTO: SimDuration = SimDuration::from_secs(10);
+/// RTO before any RTT sample exists.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
+/// Receive window advertised to the peer, in bytes.
+pub(crate) const RECEIVE_WINDOW: u64 = 2 * 1024 * 1024;
+
 // A timer key is `TIMER_TAG | kind << 44 | generation << 24 | mux slot`,
 // and these are the kinds a connection arms.
 const RTO: u64 = 0;
@@ -202,8 +215,6 @@ impl Connection {
         config: TransportConfig,
         is_initiator: bool,
     ) -> Self {
-        let cwnd = u64::from(config.initial_cwnd_segments) * config.mss as u64;
-        let ssthresh = config.initial_ssthresh;
         Connection {
             uid,
             id,
@@ -220,8 +231,8 @@ impl Connection {
             snd_una: 0,
             snd_nxt: 0,
             fin_seq: None,
-            cwnd,
-            ssthresh,
+            cwnd: u64::from(INITIAL_CWND_SEGMENTS) * MSS as u64,
+            ssthresh: INITIAL_SSTHRESH,
             peer_window: u64::MAX,
             dup_acks: 0,
             fast_recovery: None,
@@ -347,7 +358,7 @@ impl Connection {
             ConnState::Established
         };
         // Fresh path: restart congestion state and probe immediately.
-        self.cwnd = u64::from(self.config.initial_cwnd_segments) * self.config.mss as u64;
+        self.cwnd = u64::from(INITIAL_CWND_SEGMENTS) * MSS as u64;
         self.rto_backoff = 0;
         self.consecutive_rtos = 0;
         self.dup_acks = 0;
@@ -394,7 +405,7 @@ impl Connection {
             if self.flight() > 0 && !matches!(self.state, ConnState::Migrating) {
                 // The whole old-path flight is gone with the old locator.
                 self.rto_backoff = 0;
-                self.cwnd = u64::from(self.config.initial_cwnd_segments) * self.config.mss as u64;
+                self.cwnd = u64::from(INITIAL_CWND_SEGMENTS) * MSS as u64;
                 self.fast_recovery = None;
                 self.go_back_n(env);
                 self.arm_rto(env);
@@ -500,8 +511,7 @@ impl Connection {
                     // snd_una; retransmit it immediately and deflate.
                     self.stats.fast_retransmits += 1;
                     self.retransmit_head(env);
-                    self.cwnd = self.cwnd.saturating_sub(newly).max(self.config.mss as u64)
-                        + self.config.mss as u64;
+                    self.cwnd = self.cwnd.saturating_sub(newly).max(MSS as u64) + MSS as u64;
                 }
                 Some(_) => {
                     // Full ack: leave fast recovery.
@@ -511,9 +521,9 @@ impl Connection {
                 None => {
                     // Reno window growth, driven by newly acked bytes.
                     if self.cwnd < self.ssthresh {
-                        self.cwnd += newly.min(self.config.mss as u64);
+                        self.cwnd += newly.min(MSS as u64);
                     } else {
-                        let mss = self.config.mss as u64;
+                        let mss = MSS as u64;
                         self.cwnd += (mss * mss / self.cwnd).max(1);
                     }
                 }
@@ -537,12 +547,12 @@ impl Connection {
             if self.fast_recovery.is_some() {
                 // Window inflation: each dup ack means a segment left the
                 // network.
-                self.cwnd += self.config.mss as u64;
+                self.cwnd += MSS as u64;
             } else if self.dup_acks == 3 {
                 self.stats.fast_retransmits += 1;
                 let flight = self.flight();
-                self.ssthresh = (flight / 2).max(2 * self.config.mss as u64);
-                self.cwnd = self.ssthresh + 3 * self.config.mss as u64;
+                self.ssthresh = (flight / 2).max(2 * MSS as u64);
+                self.cwnd = self.ssthresh + 3 * MSS as u64;
                 self.fast_recovery = Some(self.snd_nxt);
                 self.retransmit_head(env);
                 self.arm_rto(env);
@@ -649,7 +659,7 @@ impl Connection {
                     },
                 );
             } else {
-                let take = self.config.mss.min((data_end - self.snd_nxt) as usize);
+                let take = MSS.min((data_end - self.snd_nxt) as usize);
                 let payload = self.send_buf.slice(self.snd_nxt, take);
                 let seq = self.snd_nxt;
                 self.snd_nxt += payload.len() as u64;
@@ -691,8 +701,8 @@ impl Connection {
             return;
         }
         let flight = self.flight();
-        self.ssthresh = (flight / 2).max(2 * self.config.mss as u64);
-        self.cwnd = self.config.mss as u64;
+        self.ssthresh = (flight / 2).max(2 * MSS as u64);
+        self.cwnd = MSS as u64;
         self.rto_backoff = (self.rto_backoff + 1).min(16);
         self.dup_acks = 0;
         self.timed = None; // Karn's rule.
@@ -745,10 +755,7 @@ impl Connection {
                 },
             );
         } else {
-            let take = self
-                .config
-                .mss
-                .min((self.send_buf.end().saturating_sub(una)) as usize);
+            let take = MSS.min((self.send_buf.end().saturating_sub(una)) as usize);
             if take == 0 {
                 return;
             }
@@ -758,11 +765,12 @@ impl Connection {
     }
 
     fn arm_rto(&mut self, env: &mut dyn TransportEnv) {
-        let base = self.rtt.rto(self.config.initial_rto).as_micros().clamp(
-            self.config.min_rto.as_micros(),
-            self.config.max_rto.as_micros(),
-        );
-        let backed_off = (base << self.rto_backoff.min(16)).min(self.config.max_rto.as_micros());
+        let base = self
+            .rtt
+            .rto(INITIAL_RTO)
+            .as_micros()
+            .clamp(MIN_RTO.as_micros(), MAX_RTO.as_micros());
+        let backed_off = (base << self.rto_backoff.min(16)).min(MAX_RTO.as_micros());
         let gen = self.next_gen();
         self.rto_gen = Some(gen);
         env.set_timer(
@@ -809,7 +817,7 @@ impl Connection {
             seq,
             ack: if flags.ack { self.rcv_nxt } else { 0 },
             flags,
-            window: self.config.receive_window,
+            window: RECEIVE_WINDOW,
             payload,
         };
         env.emit(XiaPacket::new(

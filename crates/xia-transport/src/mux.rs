@@ -10,7 +10,7 @@ use xia_addr::{Dag, Xid};
 use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
 
 use crate::config::TransportConfig;
-use crate::conn::{timer_uid, ConnState, ConnStats, Connection, TransportEnv};
+use crate::conn::{timer_uid, ConnState, ConnStats, Connection, TransportEnv, RECEIVE_WINDOW};
 
 /// Tag in the upper 16 bits marking a host timer key as belonging to the
 /// transport. Hosts route any timer whose key carries this tag to
@@ -219,7 +219,7 @@ impl TransportMux {
                     seq: 0,
                     ack: *final_ack,
                     flags: SegFlags::ACK,
-                    window: self.config.receive_window,
+                    window: RECEIVE_WINDOW,
                     payload: Bytes::new(),
                 };
                 env.emit(XiaPacket::new(pkt.src, src.clone(), L4::Segment(ack)));

@@ -471,7 +471,10 @@ fn migration_resumes_transfer() {
 #[test]
 fn pacing_caps_throughput() {
     let overhead = SimDuration::from_micros(200); // 1400 B / 200 µs = 56 Mbps
-    let cfg = TransportConfig::linux_tcp().with_overhead(overhead);
+    let cfg = TransportConfig {
+        per_packet_overhead: overhead,
+        ..TransportConfig::linux_tcp()
+    };
     let mut w = World::new(cfg, SimDuration::from_millis(1));
     let data = payload(2_000_000);
     let conn = {

@@ -20,8 +20,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod codec;
-
 use util::bytes::Bytes;
 use xia_addr::{Dag, Xid};
 

@@ -2,13 +2,16 @@
 # Byte-identity gate: does this tree print what <git-ref> prints?
 #   scripts/same_output.sh <git-ref>        e.g. scripts/same_output.sh HEAD~1
 # Unpacks <git-ref> with `git archive` into target/same_output/ref, builds
-# `reproduce` from it into its own target directory, runs the four quick
-# targets on both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and
-# `cmp`s the --json files. Then builds each tree's benchmark/ into a target
-# directory of its own, runs one traced `ssbench pass` per workload at seed
-# 42 on both and compares what the seed determines (`attempted`, `failed`,
-# `digests`, every `sim` reading), naming each reading that differs; the
-# `host` member is ignored. Offline; writes nothing under benchmark/. Not
+# `reproduce` from it into its own target directory, runs six targets on
+# both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and `cmp`s the
+# --json files: the four quick ones, `fig5` (the only table on
+# `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
+# coordinator's depth bounds and `prestage_depth`). Then builds each tree's
+# benchmark/ into a target directory of its own, runs one traced `ssbench
+# pass` per workload at seed 42 and at the held-out seed 7 on both and
+# compares what the seed determines (`attempted`, `failed`, `digests`,
+# every `sim` reading), naming each reading that differs; the `host`
+# member is ignored. Offline; writes nothing under benchmark/. Not
 # part of verify.sh: CI checkouts are shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,7 +26,7 @@ CARGO_TARGET_DIR="$dir/build" build --manifest-path "$dir/ref/Cargo.toml"
 for side in ref tree; do
     bin="${CARGO_TARGET_DIR:-target}/release/reproduce"
     [ "$side" = ref ] && bin="$dir/build/release/reproduce"
-    for target in smoke overload fleet-smoke handoff; do
+    for target in smoke overload fleet-smoke handoff fig5 ablation; do
         run() { "$bin" "$target" "$@" >/dev/null; }
         run --seed 42 --json "$dir/out/$side/$target-42.json"
         run --seed 7 --seeds 2 --jobs 2 --json "$dir/out/$side/$target-7x2.json"
@@ -38,8 +41,10 @@ for side in ref tree; do
     [ "$side" = ref ] && manifest="$dir/ref/benchmark/Cargo.toml"
     CARGO_TARGET_DIR="$dir/bench-$side" cargo build --release --offline --quiet --manifest-path "$manifest"
     for workload in fleet_skewed fleet_uniform drive_bulk wardrive_replay; do
-        "$dir/bench-$side/release/ssbench" pass --workload "$workload" --seed 42 --trace 1 \
-            >"$dir/out/$side/ssbench-$workload.json"
+        for seed in 42 7; do
+            "$dir/bench-$side/release/ssbench" pass --workload "$workload" --seed "$seed" \
+                --trace 1 >"$dir/out/$side/ssbench-$workload-$seed.json"
+        done
     done
 done
 python3 - "$dir/out" <<'PY' || status=1

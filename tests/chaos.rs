@@ -14,7 +14,7 @@ mod common;
 use softstage_suite::experiments::{build, ExperimentParams, RunResult, Testbed, MB};
 use softstage_suite::simnet::fault::FaultPlan;
 use softstage_suite::simnet::{SimDuration, SimTime};
-use softstage_suite::softstage::{RetryProfile, SoftStageConfig, StagingMode};
+use softstage_suite::softstage::{SoftStageConfig, StagingMode};
 
 use common::{deadline, small, testbed, TRACE_CAPACITY};
 
@@ -269,27 +269,21 @@ fn long_vnf_outage_exhausts_retry_budget_and_degrades_to_xftp() {
             seed,
             ..ExperimentParams::default()
         };
-        let config = SoftStageConfig {
-            retry: RetryProfile {
-                stage_retry: SimDuration::from_millis(250),
-                stage_retry_cap: SimDuration::from_secs(1),
-                stage_retry_budget: 8,
-                ..RetryProfile::default()
-            },
-            ..SoftStageConfig::default()
-        };
         let schedule = p.alternating_schedule(SimDuration::from_secs(2000));
-        let mut tb = build(&p, &schedule, config);
+        let mut tb = build(&p, &schedule, SoftStageConfig::default());
         tb.sim.enable_trace(TRACE_CAPACITY);
         let mut plan = FaultPlan::new();
         for &edge in &tb.edges.clone() {
-            // A 300 s outage: far longer than the budget can bridge, so
-            // staging must be abandoned; the download then finishes as
-            // plain Xftp once the router is back.
+            // The crash lands just after association, with the first
+            // staging requests outstanding (by 2 s some seeds have both
+            // staged and nothing left to retry). Re-requests back off to
+            // 16 s, so the 64-retry budget lasts 600–700 s; a 900 s outage
+            // outlasts it, staging must be abandoned, and the download
+            // finishes as plain Xftp once the router is back.
             plan.crash(
                 edge,
-                SimTime::ZERO + SimDuration::from_secs(2),
-                Some(SimDuration::from_secs(300)),
+                SimTime::ZERO + SimDuration::from_millis(200),
+                Some(SimDuration::from_secs(900)),
             );
         }
         plan.apply(&mut tb.sim);
@@ -307,7 +301,7 @@ fn long_vnf_outage_exhausts_retry_budget_and_degrades_to_xftp() {
         );
         assert_eq!(app.mode(), StagingMode::Degraded);
         assert!(
-            stats.stage_retries <= 8,
+            stats.stage_retries <= 64,
             "retry budget must bound staging retries (seed {seed}): {stats:?}"
         );
     }
