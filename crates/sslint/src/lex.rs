@@ -377,7 +377,7 @@ fn scan_allow_comment(comment: &str, line: u32, out: &mut Lexed) {
     out.allows.entry(line).or_default().extend(rules);
 }
 
-/// Marks which tokens live in test-only code: items under a
+/// Marks which tokens live in test-only code: whatever sits under a
 /// `#[cfg(test)]` or `#[test]` attribute (the whole `mod tests { … }`
 /// block, an individual test fn, or a `use` pulled in for tests).
 ///
@@ -421,6 +421,31 @@ pub fn test_mask(tokens: &[Tok]) -> Vec<bool> {
 /// backward cursor shared by the rule scans.
 pub(crate) fn back(toks: &[Tok], i: usize, n: usize) -> Option<&Tok> {
     i.checked_sub(n).and_then(|k| toks.get(k))
+}
+
+/// Skips a balanced bracket pair starting at `open_at` (which must hold
+/// `open`). Returns the index just past the matching close, or `end`.
+pub(crate) fn skip_balanced(
+    toks: &[Tok],
+    open_at: usize,
+    end: usize,
+    open: &str,
+    close: &str,
+) -> usize {
+    let mut depth = 0usize;
+    let mut i = open_at;
+    while i < end {
+        if toks[i].is_punct(open) {
+            depth += 1;
+        } else if toks[i].is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+        i += 1;
+    }
+    end
 }
 
 /// Scans an attribute's bracketed body starting just past `#[`. Returns

@@ -5,11 +5,11 @@
 //! params, seed) ⇒ byte-identical stats digests and flight-recorder
 //! traces. That contract is easy to break silently — one `HashMap`
 //! iteration, one `Instant::now()`, one registry dependency — so this
-//! crate machine-checks it. A small hand-rolled Rust lexer ([`lex`]),
-//! an item scanner ([`graph`]) and a manifest reader ([`manifest`]) feed
-//! one stateless pass of token rules per file plus the manifest rules;
-//! the per-file item *list* serves the three rules that need to know
-//! which items a file declares. Every member crate is audited:
+//! crate machine-checks it. A small hand-rolled Rust lexer ([`lex`]) and a
+//! manifest reader ([`manifest`]) feed one stateless pass of token rules
+//! per file plus the manifest rules. There is no parser: even the rules
+//! that ask what a file declares (`dead-pub`, `unsafe-contract`,
+//! `trace-coverage`) match token patterns. Every member crate is audited:
 //!
 //! | group | rules |
 //! |-------|-------|
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graph;
 pub mod lex;
 pub mod manifest;
 pub mod rules;

@@ -2,15 +2,16 @@
 //! layering & unsafe (H) and cross-file coverage (G).
 //!
 //! Each rule is a pure function from the lexed workspace model to a list
-//! of [`Finding`]s. Most are token patterns over one file or one
-//! manifest; `dead-pub`, `trace-coverage` and `unsafe-contract` also read
-//! the per-file item list ([`crate::graph`]). All of them
-//! over-approximate — no type information — and the inline
+//! of [`Finding`]s: a token pattern over one file or one manifest, or
+//! (`trace-coverage`, `dead-pub`) an identifier count over the whole
+//! snapshot. The declarations three rules care about are token patterns
+//! too: `pub fn`/`pub const`/`pub static` for `dead-pub`, and the brace
+//! span of an `impl` for `unsafe-contract` and `trace-coverage`. All of
+//! them over-approximate — no type information — and the inline
 //! `// sslint: allow(<rule>) — <reason>` escape hatch covers the rest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::{self, ItemKind, Vis};
 use crate::lex::{self, Tok, TokKind};
 use crate::workspace::{CrateInfo, SrcFile, Workspace};
 
@@ -54,7 +55,8 @@ pub const RULE_RNG_PROVENANCE: &str = "rng-provenance";
 /// Rule G: every declared `TraceEvent` variant must have an emit site and
 /// an oracle/test reference.
 pub const RULE_TRACE_COVERAGE: &str = "trace-coverage";
-/// Rule G: pub items of internal crates with zero cross-crate references.
+/// Rule G: pub fns/consts/statics of internal crates with zero
+/// cross-crate references.
 pub const RULE_DEAD_PUB: &str = "dead-pub";
 /// One rule's catalogue entry, for `--list-rules` and the DESIGN.md §7
 /// sync test.
@@ -402,7 +404,7 @@ fn is_computed_index(toks: &[Tok], open: usize) -> bool {
     if !is_recv {
         return false;
     }
-    let close = graph::skip_balanced(toks, open, toks.len(), "[", "]");
+    let close = lex::skip_balanced(toks, open, toks.len(), "[", "]");
     let inner = toks.get(open + 1..close - 1).unwrap_or_default();
     let lone_token = inner.len() == 1;
     let has_range = inner
@@ -514,6 +516,9 @@ fn unsafe_forbid(krate: &CrateInfo, findings: &mut Vec<Finding>) {
 /// impl-level contract — the trait dictates them.
 fn unsafe_contract(file: &SrcFile, findings: &mut Vec<Finding>) {
     let toks = &file.lexed.tokens;
+    let unsafe_impls = impl_spans(toks, |at, _| {
+        lex::back(toks, at, 1).is_some_and(|p| p.is_ident("unsafe"))
+    });
     for (i, t) in toks.iter().enumerate() {
         if file.mask[i] || !t.is_ident("unsafe") {
             continue;
@@ -525,12 +530,7 @@ fn unsafe_contract(file: &SrcFile, findings: &mut Vec<Finding>) {
             .iter()
             .any(|&s| s <= t.line && t.line - s <= 3);
         let is_required_sig = next.is_some_and(|n| n.is_ident("fn"))
-            && file.items.iter().any(|it| {
-                it.kind == ItemKind::Impl
-                    && it.span.0 <= i
-                    && i < it.span.1
-                    && lex::back(toks, it.span.0, 1).is_some_and(|p| p.is_ident("unsafe"))
-            });
+            && unsafe_impls.iter().any(|&(s, e)| s <= i && i < e);
         if covered || is_required_sig {
             continue;
         }
@@ -551,6 +551,36 @@ fn unsafe_contract(file: &SrcFile, findings: &mut Vec<Finding>) {
             ),
         });
     }
+}
+
+/// Token spans `[impl, past its closing brace)` of the `impl` blocks
+/// whose header — the tokens between `impl` and the body's `{` — `pick`
+/// accepts, given the `impl` token's index.
+fn impl_spans(toks: &[Tok], pick: impl Fn(usize, &[Tok]) -> bool) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    for (at, t) in toks.iter().enumerate() {
+        if !t.is_ident("impl") {
+            continue;
+        }
+        // The body opens at the first `{` outside angle brackets; the `>`
+        // of `->` closes none.
+        let mut angle = 0i32;
+        let mut j = at + 1;
+        while let Some(h) = toks.get(j) {
+            if h.is_punct("<") {
+                angle += 1;
+            } else if h.is_punct(">") && !lex::back(toks, j, 1).is_some_and(|p| p.is_punct("-")) {
+                angle -= 1;
+            } else if angle <= 0 && (h.is_punct("{") || h.is_punct(";")) {
+                break;
+            }
+            j += 1;
+        }
+        if toks.get(j).is_some_and(|h| h.is_punct("{")) && pick(at, &toks[at + 1..j]) {
+            spans.push((at, lex::skip_balanced(toks, j, toks.len(), "{", "}")));
+        }
+    }
+    spans
 }
 
 // ---------------------------------------------------------------------------
@@ -769,12 +799,10 @@ fn trace_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
             // Token ranges of `impl TraceAudit` blocks in the declaring
             // file: variant uses there are the oracle checking, not
             // emitting.
-            let oracle_spans: Vec<(usize, usize)> = if file.rel == decl.file {
-                file.items
-                    .iter()
-                    .filter(|it| it.kind == ItemKind::Impl && it.name == "TraceAudit")
-                    .map(|it| it.span)
-                    .collect()
+            let oracle_spans = if file.rel == decl.file {
+                impl_spans(toks, |_, header| {
+                    header.iter().any(|h| h.is_ident("TraceAudit"))
+                })
             } else {
                 Vec::new()
             };
@@ -839,14 +867,62 @@ fn trace_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Item kinds `dead-pub` audits: callable/value items, which must be
-/// *named* at every use site. Type items (struct/enum/trait/alias) are
-/// skipped — they appear in inferred positions a lexer cannot see
-/// (method receivers, return types), and a pub fn returning a demoted
-/// type would no longer compile (E0446), so zero name-references is not
-/// decisive for them.
-fn dead_pub_audits(kind: ItemKind) -> bool {
-    matches!(kind, ItemKind::Fn | ItemKind::Const | ItemKind::Static)
+/// Words that may stand between `pub` and `fn`, plus `static`: alone,
+/// it and `const` start a value item instead.
+const FN_QUALIFIERS: &[&str] = &["const", "static", "async", "unsafe", "extern", "default"];
+
+/// The non-test `pub` fns, consts and statics `file` declares, as (name,
+/// line of the `fn`/`const`/`static` keyword): `pub` (not `pub(…)`), any
+/// [`FN_QUALIFIERS`], then `fn NAME`; or `pub const NAME` / `pub static
+/// NAME`. `macro_rules!` bodies are templates and are skipped. These are
+/// what `dead-pub` audits because every use site must *name* them; type
+/// items appear in inferred positions a lexer cannot see (method
+/// receivers, return types), and a pub fn returning a demoted type would
+/// no longer compile (E0446), so zero name-references is not decisive for
+/// them. A trait-impl method cannot be written `pub`, so none is matched.
+fn pub_values(file: &SrcFile) -> Vec<(&str, u32)> {
+    let toks = &file.lexed.tokens;
+    let mut out = Vec::new();
+    let mut template_end = 0;
+    for (i, t) in toks.iter().enumerate() {
+        if i < template_end || file.mask[i] {
+            continue;
+        }
+        if t.is_ident("macro_rules") {
+            if let Some(open) = toks[i..].iter().position(|b| b.is_punct("{")) {
+                template_end = lex::skip_balanced(toks, i + open, toks.len(), "{", "}");
+            }
+            continue;
+        }
+        if !t.is_ident("pub") {
+            continue;
+        }
+        let mut k = i + 1;
+        while toks
+            .get(k)
+            .is_some_and(|q| FN_QUALIFIERS.iter().any(|w| q.is_ident(w)))
+        {
+            k += 1;
+        }
+        // `fn` after the qualifiers, else a lone `const`/`static`.
+        let lone_value = k == i + 2
+            && toks
+                .get(i + 1)
+                .is_some_and(|q| q.is_ident("const") || q.is_ident("static"));
+        let keyword = if toks.get(k).is_some_and(|f| f.is_ident("fn")) {
+            k
+        } else if lone_value {
+            i + 1
+        } else {
+            continue;
+        };
+        if let (Some(kw), Some(name)) = (toks.get(keyword), toks.get(keyword + 1)) {
+            if name.kind == TokKind::Ident {
+                out.push((name.text.as_str(), kw.line));
+            }
+        }
+    }
+    out
 }
 
 /// Rule G `dead-pub`: a `pub` item of an *internal* crate (one some other
@@ -873,41 +949,28 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
     // All identifiers referenced outside each crate's own lib: for crate
     // `k` that is every ident in other crates' src, in `k`'s own bin
     // files (separate rustc crates), and in the whole reference corpus.
-    let mut idents_by_crate: Vec<BTreeSet<String>> = Vec::with_capacity(ws.crates.len());
-    for krate in &ws.crates {
-        let mut set = BTreeSet::new();
+    let idents = |toks: &[Tok], set: &mut BTreeSet<String>| {
+        set.extend(
+            toks.iter()
+                .filter(|t| t.kind == TokKind::Ident)
+                .map(|t| t.text.clone()),
+        );
+    };
+    let mut idents_by_crate = vec![BTreeSet::new(); ws.crates.len()];
+    let mut bin_idents_by_crate = vec![BTreeSet::new(); ws.crates.len()];
+    for (ki, krate) in ws.crates.iter().enumerate() {
         for file in &krate.files {
-            if !file.is_bin {
-                for t in &file.lexed.tokens {
-                    if t.kind == TokKind::Ident {
-                        set.insert(t.text.clone());
-                    }
-                }
-            }
+            let by_crate = if file.is_bin {
+                &mut bin_idents_by_crate
+            } else {
+                &mut idents_by_crate
+            };
+            idents(&file.lexed.tokens, &mut by_crate[ki]);
         }
-        idents_by_crate.push(set);
     }
-    let mut bin_idents_by_crate: Vec<BTreeSet<String>> = Vec::with_capacity(ws.crates.len());
-    for krate in &ws.crates {
-        let mut set = BTreeSet::new();
-        for file in &krate.files {
-            if file.is_bin {
-                for t in &file.lexed.tokens {
-                    if t.kind == TokKind::Ident {
-                        set.insert(t.text.clone());
-                    }
-                }
-            }
-        }
-        bin_idents_by_crate.push(set);
-    }
-    let mut ref_idents: BTreeSet<String> = BTreeSet::new();
+    let mut ref_idents = BTreeSet::new();
     for rf in &ws.ref_files {
-        for t in &rf.lexed.tokens {
-            if t.kind == TokKind::Ident {
-                ref_idents.insert(t.text.clone());
-            }
-        }
+        idents(&rf.lexed.tokens, &mut ref_idents);
     }
 
     for &ki in &internal {
@@ -924,25 +987,17 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
             if file.is_bin {
                 continue;
             }
-            for item in &file.items {
-                if item.vis != Vis::Pub
-                    || item.in_test
-                    || item.name.is_empty()
-                    || !dead_pub_audits(item.kind)
-                    || item.is_trait_impl_fn()
-                {
-                    continue;
-                }
-                if !externally_named(&item.name) {
+            for (name, line) in pub_values(file) {
+                if !externally_named(name) {
                     findings.push(Finding {
                         rule: RULE_DEAD_PUB,
                         file: file.rel.clone(),
-                        line: item.line,
+                        line,
                         msg: format!(
-                            "pub item `{}` of internal crate `{}` has no \
+                            "pub item `{name}` of internal crate `{}` has no \
                              cross-crate reference — demote to pub(crate) \
                              or remove",
-                            item.name, krate.dir_name
+                            krate.dir_name
                         ),
                     });
                 }
@@ -1008,12 +1063,10 @@ mod tests {
                    let _ = v[i]; let _ = v[0]; let _ = &v[1..3]; for _ in [i + 1, 2] {}\n\
                    }";
         let lexed = lex::lex(src);
-        let mask = lex::test_mask(&lexed.tokens);
         let file = SrcFile {
             rel: "f.rs".to_string(),
             is_bin: false,
-            items: graph::scan_file(&lexed.tokens, &mask),
-            mask,
+            mask: lex::test_mask(&lexed.tokens),
             lexed,
         };
         let mut findings = Vec::new();

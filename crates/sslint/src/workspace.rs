@@ -1,6 +1,6 @@
 //! Loads the workspace into the model the rules operate on: one
 //! [`CrateInfo`] per member crate, each holding its parsed manifest and the
-//! lexed, test-masked, item-scanned source files under `src/`, plus a
+//! lexed, test-masked source files under `src/`, plus a
 //! reference corpus (crate `tests/`/`benches/` dirs, the root
 //! `tests/`/`examples/` dirs and the `benchmark/` harness's sources) that the cross-reference rules (`dead-pub`,
 //! `trace-coverage`) count identifier uses in without auditing it.
@@ -9,7 +9,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::graph::{self, Item};
 use crate::lex::{self, Lexed};
 use crate::manifest::{self, Manifest};
 
@@ -25,8 +24,6 @@ pub struct SrcFile {
     /// `mask[i]` is true when token `i` sits inside `#[cfg(test)]` /
     /// `#[test]` gated code.
     pub mask: Vec<bool>,
-    /// The file's item list, in source order.
-    pub items: Vec<Item>,
 }
 
 /// One file of the reference corpus: lexed but not audited. Used only to
@@ -93,11 +90,9 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
         let manifest_text = fs::read_to_string(dir.join("Cargo.toml"))?;
         let mut files = Vec::new();
         for (rel, lexed) in lex_dir(root, &dir.join("src"))? {
-            let mask = lex::test_mask(&lexed.tokens);
             files.push(SrcFile {
                 is_bin: rel.contains("/src/bin/") || rel.ends_with("/src/main.rs"),
-                items: graph::scan_file(&lexed.tokens, &mask),
-                mask,
+                mask: lex::test_mask(&lexed.tokens),
                 rel,
                 lexed,
             });

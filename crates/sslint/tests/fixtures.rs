@@ -86,28 +86,50 @@ fn rng_provenance_fixture() {
 #[test]
 fn trace_coverage_fixture() {
     // The rule reads the `trace_events!` table, not the macro that expands
-    // it: the entry with no emit site is named, the emitted one is not.
-    let findings = assert_exactly("trace-coverage", "trace-coverage");
-    let unemitted: Vec<&str> = findings
+    // it. `PacketTx` is emitted but unchecked, `LinkUp` neither, and
+    // `LinkDown`, emitted and named only inside `impl TraceAudit`, is both.
+    let gaps: Vec<String> = assert_exactly("trace-coverage", "trace-coverage")
         .iter()
-        .filter(|f| f.msg.contains("never emitted"))
-        .map(|f| f.msg.as_str())
+        .map(|f| {
+            let variant = f.msg.split('`').nth(1).unwrap_or_default();
+            let gap = if f.msg.contains("never emitted") {
+                "unemitted"
+            } else {
+                "unchecked"
+            };
+            format!("{variant} {gap}")
+        })
         .collect();
-    assert_eq!(unemitted.len(), 1, "{unemitted:?}");
-    assert!(
-        unemitted[0].contains("`TraceEvent::LinkUp`"),
-        "{unemitted:?}"
+    assert_eq!(
+        gaps,
+        [
+            "TraceEvent::PacketTx unchecked",
+            "TraceEvent::LinkUp unemitted",
+            "TraceEvent::LinkUp unchecked",
+        ]
     );
 }
 
 #[test]
 fn dead_pub_fixture() {
-    assert_exactly("dead-pub", "dead-pub");
+    // Fire: `pub` fn, const, static, const fn, unsafe fn and inherent
+    // method nobody else names. Silent: `pub(crate)`, test-only, a field,
+    // a trait-impl method, a `macro_rules!` template, and `used`, which
+    // `xcache` calls.
+    assert_eq!(
+        lines(&assert_exactly("dead-pub", "dead-pub")),
+        [4, 8, 10, 12, 18, 25]
+    );
 }
 
 #[test]
 fn unsafe_contract_fixture() {
-    assert_exactly("unsafe-contract", "unsafe-contract");
+    // The bare `unsafe` block; not `dealloc`, an `unsafe fn` the
+    // `unsafe impl` dictates, though it sits far below its SAFETY comment.
+    assert_eq!(
+        lines(&assert_exactly("unsafe-contract", "unsafe-contract")),
+        [4]
+    );
 }
 
 /// Every bad fixture must make the *binary* exit 1 and name its rule in

@@ -1,1 +1,5 @@
 #![forbid(unsafe_code)]
+
+pub fn one() -> u32 {
+    util::used()
+}

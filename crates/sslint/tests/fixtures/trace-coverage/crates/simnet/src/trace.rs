@@ -12,5 +12,15 @@ trace_events! {
             link: u64,
         },
         LinkUp = "link_up",
+        LinkDown = "link_down",
+    }
+}
+
+/// The oracle: a variant named in its impl is checked there.
+pub struct TraceAudit;
+
+impl TraceAudit {
+    pub fn watches(e: &TraceEvent) -> bool {
+        matches!(e, TraceEvent::LinkDown)
     }
 }

@@ -254,10 +254,13 @@ fn a_stack_serves_and_fetches_at_once() {
     }
 }
 
-/// The server dies with the request in flight and never comes back: the
-/// fetcher's transport gives up, and the app hears of it exactly once.
-#[test]
-fn fetch_from_a_host_that_crashed_for_good_fails_once() {
+/// Fetches one 300 KB chunk over `lan()`, with `max_consecutive_rtos = 3`,
+/// from a server that crashes for good at `crash_at`. Returns the chunk's
+/// CID, what the fetcher was told and when, and how many connections the
+/// client still holds once the world has drained.
+fn fetch_from_a_server_crashing_at(
+    crash_at: SimTime,
+) -> (Xid, Vec<(Xid, FetchResult, SimTime)>, usize) {
     let mut sim = Simulator::new(19);
     let nid = Xid::new_random(Principal::Nid, 9);
     let server_hid = Xid::new_random(Principal::Hid, 1);
@@ -270,17 +273,38 @@ fn fetch_from_a_host_that_crashed_for_good_fails_once() {
     let dag = Dag::cid_with_fallback(cid, nid, server_hid);
     client_host.add_app(Box::new(SeqFetcher::new(vec![dag])));
     let (server, client, _) = join(&mut sim, nid, [server_host, client_host], lan());
-    // SYN out at 0, SYN-ACK back by ~2 ms, request on the wire after it.
     let mut plan = simnet::FaultPlan::new();
-    plan.crash(server, SimTime::from_micros(2_500), None);
+    plan.crash(server, crash_at, None);
     plan.apply(&mut sim);
     sim.run();
-    let done = completions(&sim, client);
+    let done = completions(&sim, client).to_vec();
+    let host = sim.node::<EndHost>(client).unwrap().host();
+    (cid, done, host.active_connections())
+}
+
+/// The server dies with the request in flight and never comes back: the
+/// fetcher's transport gives up, and the app hears of it exactly once.
+#[test]
+fn fetch_from_a_host_that_crashed_for_good_fails_once() {
+    // SYN out at 0, SYN-ACK back by ~2 ms, request on the wire after it.
+    let (cid, done, live) = fetch_from_a_server_crashing_at(SimTime::from_micros(2_500));
     assert_eq!(done.len(), 1, "reported once: {done:?}");
     assert_eq!((done[0].0, &done[0].1), (cid, &FetchResult::Failed));
     assert!(done[0].2 > SimTime::from_micros(1_000_000), "after RTOs");
-    let client = sim.node::<EndHost>(client).unwrap().host();
-    assert_eq!(client.active_connections(), 0);
+    assert_eq!(live, 0);
+}
+
+/// The server dies mid-response, after acknowledging the request, so the
+/// fetcher has nothing in flight and arms no RTO. Only the idle bound —
+/// (3 + 1) × 10 s after it last heard the server — ends the fetch, once.
+#[test]
+fn fetch_whose_server_dies_mid_response_fails_once_within_the_idle_bound() {
+    let (cid, done, live) = fetch_from_a_server_crashing_at(SimTime::from_micros(100_000));
+    assert_eq!(done.len(), 1, "reported once: {done:?}");
+    assert_eq!((done[0].0, &done[0].1), (cid, &FetchResult::Failed));
+    let bound = SimTime::from_micros(40_000_000)..SimTime::from_micros(41_000_000);
+    assert!(bound.contains(&done[0].2), "failed at {}", done[0].2);
+    assert_eq!(live, 0);
 }
 
 /// What a callback asks for is carried out in the order asked, and before

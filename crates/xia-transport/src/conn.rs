@@ -39,7 +39,8 @@ pub enum ConnState {
 pub enum CloseReason {
     /// Peer sent a reset.
     Reset,
-    /// Too many consecutive retransmission timeouts.
+    /// Too many consecutive retransmission timeouts, or nothing heard
+    /// from the peer for as long as those could take.
     TimedOut,
     /// Locally aborted.
     Aborted,
@@ -140,6 +141,7 @@ pub(crate) const RECEIVE_WINDOW: u64 = 2 * 1024 * 1024;
 const RTO: u64 = 0;
 const PACE: u64 = 1;
 const MIGRATE: u64 = 2;
+const IDLE: u64 = 3;
 const KIND_SHIFT: u32 = 44;
 const GEN_SHIFT: u32 = 24;
 const GEN_MASK: u32 = 0xF_FFFF;
@@ -192,6 +194,8 @@ pub(crate) struct Connection {
     out_of_order: BTreeMap<u64, Bytes>,
     peer_fin_seq: Option<u64>,
     peer_closed_delivered: bool,
+    /// When the last segment arrived (or the connection started).
+    last_heard: SimTime,
 
     // --- timers ---
     timer_gen: u32,
@@ -247,6 +251,7 @@ impl Connection {
             out_of_order: BTreeMap::new(),
             peer_fin_seq: None,
             peer_closed_delivered: false,
+            last_heard: SimTime::ZERO,
             timer_gen: 0,
             rto_gen: None,
             migrate_gen: None,
@@ -269,6 +274,7 @@ impl Connection {
         debug_assert_eq!(self.state, ConnState::SynSent);
         self.snd_nxt = 1;
         self.emit_segment(env, 0, Bytes::new(), SegFlags::SYN);
+        self.arm_idle(env);
         self.arm_rto(env);
     }
 
@@ -282,6 +288,7 @@ impl Connection {
         self.snd_nxt = 1;
         self.pace_until = env.now() + self.config.accept_delay;
         self.emit_segment(env, 0, Bytes::new(), SegFlags::SYN_ACK);
+        self.arm_idle(env);
         self.arm_rto(env);
     }
 
@@ -338,7 +345,38 @@ impl Connection {
             RTO => self.on_rto(env, gen),
             PACE => self.on_pace(env),
             MIGRATE => self.on_migrate_done(env, gen),
+            IDLE => self.on_idle(env),
             _ => {}
+        }
+    }
+
+    /// How long a connection may hear nothing before it fails: the
+    /// longest a live peer keeps retransmitting before it gives up itself.
+    fn idle_limit(&self) -> SimDuration {
+        MAX_RTO * (u64::from(self.config.max_consecutive_rtos) + 1)
+    }
+
+    /// Starts the idle clock. The one `IDLE` timer is re-armed lazily in
+    /// [`Connection::on_idle`], so arriving segments cost no timer.
+    fn arm_idle(&mut self, env: &mut dyn TransportEnv) {
+        self.last_heard = env.now();
+        env.set_timer(self.idle_limit(), self.timer_key(IDLE, 0));
+    }
+
+    /// Fails a connection that has heard nothing for the idle limit —
+    /// e.g. a fetch whose request was acknowledged before the server
+    /// died, which has nothing in flight and so arms no RTO — or sleeps
+    /// until the limit counted from the last segment.
+    fn on_idle(&mut self, env: &mut dyn TransportEnv) {
+        if self.finished {
+            return;
+        }
+        let deadline = self.last_heard + self.idle_limit();
+        let now = env.now();
+        if now >= deadline {
+            self.fail(env, CloseReason::TimedOut);
+        } else {
+            env.set_timer(deadline - now, self.timer_key(IDLE, 0));
         }
     }
 
@@ -386,6 +424,7 @@ impl Connection {
         if self.finished {
             return;
         }
+        self.last_heard = env.now();
         if self.state == ConnState::Migrating {
             // Active session migration re-establishes the session binding;
             // until it completes nothing can be verified or processed
@@ -883,6 +922,7 @@ mod tests {
         conn.start(&mut env);
         let (delay, key) = env.timers.pop().expect("start arms the RTO");
         assert_eq!(timer_uid(key), 7);
+        env.timers.clear(); // the idle timer, which this test never fires
 
         env.now += delay;
         env.out.clear();

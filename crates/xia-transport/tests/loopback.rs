@@ -158,6 +158,31 @@ impl World {
         }
     }
 
+    /// Runs for `d` of simulated time. Kept far inside the idle limit, so
+    /// a connection with nothing to do is still open afterwards.
+    fn run_for(&mut self, d: SimDuration) {
+        let deadline = self.inner.borrow().now + d;
+        self.run(deadline);
+    }
+
+    /// When `side` failed with `TimedOut`, if it did.
+    fn timed_out_at(&self, side: usize) -> Option<SimTime> {
+        self.events
+            .borrow()
+            .iter()
+            .find(|(_, s, e)| {
+                *s == side
+                    && matches!(
+                        e,
+                        TransportEvent::Failed {
+                            reason: CloseReason::TimedOut,
+                            ..
+                        }
+                    )
+            })
+            .map(|(t, _, _)| *t)
+    }
+
     fn events(&self) -> Vec<(usize, TransportEvent)> {
         self.events
             .borrow()
@@ -198,7 +223,7 @@ fn handshake_data_and_clean_close() {
         let src = w.addrs[A].clone();
         w.muxes[A].connect(&mut env, dst, src)
     };
-    w.run(far());
+    w.run_for(SimDuration::from_secs(1));
     // B saw the incoming connection.
     let events = w.take_events();
     assert!(events.iter().any(
@@ -216,7 +241,7 @@ fn handshake_data_and_clean_close() {
             .unwrap();
         w.muxes[A].close(&mut env, conn).unwrap();
     }
-    w.run(far());
+    w.run_for(SimDuration::from_secs(1));
     let events = w.take_events();
     assert!(events
         .iter()
@@ -233,7 +258,7 @@ fn handshake_data_and_clean_close() {
             .unwrap();
         w.muxes[B].close(&mut env, conn).unwrap();
     }
-    w.run(far());
+    w.run_for(SimDuration::from_secs(1));
     let events = w.take_events();
     assert!(events
         .iter()
@@ -358,12 +383,31 @@ fn single_loss_uses_fast_retransmit() {
         c
     };
     // Run long enough to finish the transfer body.
-    w.run(far());
+    w.run_for(SimDuration::from_secs(10));
     let stats = w.muxes[A].stats(conn).expect("conn still open (no close)");
     assert_eq!(stats.fast_retransmits, 1, "exactly one fast retransmit");
     assert_eq!(stats.rtos, 0, "no RTO needed");
     let received = collect_received(&w.events(), B);
     assert_eq!(received.len(), data.len());
+
+    // Neither side has anything left to say, so each fails once it has
+    // heard nothing for (max_consecutive_rtos + 1) × MAX_RTO = 41 × 10 s.
+    w.run(far());
+    let idle = SimDuration::from_secs(410);
+    let last = w.last_data_time(B).expect("data arrived");
+    assert_eq!(
+        w.timed_out_at(B),
+        Some(last + idle),
+        "B last heard the data"
+    );
+    let acked = last + SimDuration::from_millis(5);
+    assert_eq!(
+        w.timed_out_at(A),
+        Some(acked + idle),
+        "A last heard its ACK"
+    );
+    assert_eq!(w.muxes[A].active_connections(), 0);
+    assert_eq!(w.muxes[B].active_connections(), 0);
 }
 
 /// Losing the SYN is recovered by the handshake RTO.
@@ -404,7 +448,7 @@ fn unknown_connection_resets() {
             .unwrap();
         c
     };
-    w.run(far());
+    w.run_for(SimDuration::from_secs(1));
     // Forcibly forget the connection on B, then send more data from A.
     {
         let mut env = w.env(B);
@@ -435,7 +479,7 @@ fn migration_resumes_transfer() {
         c
     };
     // Let the handshake finish, then B streams data to A.
-    w.run(far());
+    w.run_for(SimDuration::from_secs(1));
     {
         let mut env = w.env(B);
         w.muxes[B].send(&mut env, conn, data.clone()).unwrap();
@@ -451,7 +495,7 @@ fn migration_resumes_transfer() {
         w.muxes[A].migrate_all(&mut env, new_src.clone(), SimDuration::from_secs(1));
         assert_eq!(w.muxes[A].migrating_connections(), 1);
     }
-    w.run(far());
+    w.run_for(SimDuration::from_secs(10));
     {
         let mut env = w.env(A);
         let _ = w.muxes[A].close(&mut env, conn);

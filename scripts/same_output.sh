@@ -2,25 +2,32 @@
 # Byte-identity gate: does this tree print what <git-ref> prints?
 #   scripts/same_output.sh <git-ref>        e.g. scripts/same_output.sh HEAD~1
 # Unpacks <git-ref> with `git archive` into target/same_output/ref, builds
-# `reproduce` from it into its own target directory, runs six targets on
-# both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and `cmp`s the
-# --json files: the four quick ones, `fig5` (the only table on
+# its `reproduce` and `sslint` into their own target directory, runs six
+# targets on both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and
+# `cmp`s the --json files: the four quick ones, `fig5` (the only table on
 # `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
-# coordinator's depth bounds and `prestage_depth`). Then builds each tree's
-# benchmark/ into a target directory of its own, runs one traced `ssbench
-# pass` per workload at seed 42 and at the held-out seed 7 on both and
-# compares what the seed determines (`attempted`, `failed`, `digests`,
-# every `sim` reading), naming each reading that differs; the `host`
-# member is ignored. Offline; writes nothing under benchmark/. Not
-# part of verify.sh: CI checkouts are shallow.
+# coordinator's depth bounds and `prestage_depth`). Runs both `sslint`
+# binaries, `--format text` and `jsonl`, over this tree, over a copy of it
+# with every `// sslint: allow(` comment neutralised and no `sslint.allow`,
+# and over each rule fixture, and `cmp`s stdout, the stderr summary line
+# and the exit code. Then builds each tree's benchmark/ into a target
+# directory of its own, runs one traced `ssbench pass` per workload at
+# seed 42 and at the held-out seed 7 on both and compares what the seed
+# determines (`attempted`, `failed`, `digests`, every `sim` reading),
+# naming each reading that differs; the `host` member is ignored. Offline;
+# writes nothing under benchmark/. Not part of verify.sh: CI checkouts are
+# shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref="${1:?usage: scripts/same_output.sh <git-ref>}"
 dir="$PWD/target/same_output"
-rm -rf "$dir/ref" "$dir/out"
+rm -rf "$dir/ref" "$dir/out" "$dir/stripped"
 mkdir -p "$dir/ref" "$dir/out/ref" "$dir/out/tree"
 git archive "$ref" | tar -x -C "$dir/ref"
-build() { cargo build --release --offline --quiet -p softstage-experiments --bin reproduce "$@"; }
+build() {
+    cargo build --release --offline --quiet -p softstage-experiments -p sslint \
+        --bin reproduce --bin sslint "$@"
+}
 build
 CARGO_TARGET_DIR="$dir/build" build --manifest-path "$dir/ref/Cargo.toml"
 for side in ref tree; do
@@ -32,8 +39,30 @@ for side in ref tree; do
         run --seed 7 --seeds 2 --jobs 2 --json "$dir/out/$side/$target-7x2.json"
     done
 done
+stripped="$dir/stripped"
+mkdir -p "$stripped/benchmark"
+cp -r Cargo.toml crates tests examples "$stripped/"
+cp -r benchmark/src benchmark/tests "$stripped/benchmark/"
+find "$stripped" -name '*.rs' -exec sed -i 's|// sslint: allow(|// sslint- allow(|g' {} +
+for side in ref tree; do
+    lint="${CARGO_TARGET_DIR:-target}/release/sslint"
+    [ "$side" = ref ] && lint="$dir/build/release/sslint"
+    for root in . "$stripped" crates/sslint/tests/fixtures/*/; do
+        name="fixture-$(basename "$root")"
+        [ "$root" = . ] && name=tree
+        [ "$root" = "$stripped" ] && name=stripped
+        for format in text jsonl; do
+            out="$dir/out/$side/sslint-$name-$format"
+            code=0
+            "$lint" --root "$root" --format "$format" >"$out.stdout" 2>"$out.stderr" || code=$?
+            echo "$code" >"$out.code"
+        done
+    done
+done
+echo "sslint on the tree: $(cat "$dir/out/tree/sslint-tree-text.stderr")"
+echo "sslint with no allows: $(cat "$dir/out/tree/sslint-stripped-text.stderr")"
 status=0
-for f in "$dir"/out/ref/*.json; do
+for f in "$dir"/out/ref/*; do
     cmp "$f" "$dir/out/tree/$(basename "$f")" || status=1
 done
 for side in ref tree; do
