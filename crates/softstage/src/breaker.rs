@@ -143,11 +143,9 @@ impl Breaker {
 
     /// The client switched to a different edge: the new contact starts
     /// with a clean slate. Returns `Some(Closed)` when the breaker was
-    /// not already closed.
+    /// not already closed, exactly as a success would.
     pub fn reset(&mut self) -> Option<BreakerState> {
-        self.consecutive = 0;
-        self.probe_inflight = false;
-        self.transition_to(BreakerState::Closed)
+        self.on_success()
     }
 
     fn transition_to(&mut self, next: BreakerState) -> Option<BreakerState> {

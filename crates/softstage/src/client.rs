@@ -229,7 +229,6 @@ const FETCH_RETRY_TIMER: u64 = 2;
 #[derive(Debug)]
 struct InFlightFetch {
     handle: u64,
-    idx: usize,
     started: SimTime,
     staged: bool,
 }
@@ -242,6 +241,8 @@ pub struct SoftStageClient {
     coordinator: StagingCoordinator,
     /// Roaming (sensor + handoff mechanics).
     pub roamer: Roamer,
+    /// The fetch cursor, and Table I's fetch state: chunks are fetched in
+    /// order, so chunk `i` is `DONE` exactly when `i < next_fetch`.
     next_fetch: usize,
     in_flight: Option<InFlightFetch>,
     pending_handoff: Option<Xid>,
@@ -264,7 +265,6 @@ pub struct SoftStageClient {
     /// When coverage was last lost (for reactive gap measurement).
     detached_at: Option<SimTime>,
     stats: ClientStats,
-    done: bool,
     content_hash: xcache::ContentDigest,
 }
 
@@ -276,11 +276,14 @@ impl SoftStageClient {
         for (cid, dag) in chunks {
             profile.register(cid, dag);
         }
-        let config_client_id = config.client_id;
         SoftStageClient {
             coordinator: StagingCoordinator::new(config.coordinator),
             roamer: Roamer::default(),
             breaker: Breaker::new(config.breaker),
+            stats: ClientStats {
+                client_id: config.client_id,
+                ..ClientStats::default()
+            },
             config,
             profile,
             next_fetch: 0,
@@ -295,11 +298,6 @@ impl SoftStageClient {
             stage_retry_spent: 0,
             sent_tokens: BTreeMap::new(),
             detached_at: None,
-            stats: ClientStats {
-                client_id: config_client_id,
-                ..ClientStats::default()
-            },
-            done: false,
             content_hash: xcache::ContentDigest::new(),
         }
     }
@@ -311,12 +309,12 @@ impl SoftStageClient {
 
     /// Whether the whole session has completed.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.stats.finished.is_some()
     }
 
     /// Chunks fetched so far.
     pub fn fetched_chunks(&self) -> usize {
-        self.profile.fetched()
+        self.next_fetch
     }
 
     /// The Chunk Profile (inspection).
@@ -399,7 +397,7 @@ impl SoftStageClient {
             let pending = self
                 .profile
                 .get(i)
-                .is_some_and(|r| r.staging_state == StagingState::Pending);
+                .is_some_and(|r| matches!(r.staging_state, StagingState::Pending { .. }));
             if pending {
                 self.profile.mark_fallback(i);
             }
@@ -407,7 +405,7 @@ impl SoftStageClient {
     }
 
     fn start_next_fetch(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.done || self.in_flight.is_some() {
+        if self.is_done() || self.in_flight.is_some() {
             return;
         }
         if !matches!(self.roamer.state(), RoamState::Associated { .. }) {
@@ -426,7 +424,6 @@ impl SoftStageClient {
         });
         self.in_flight = Some(InFlightFetch {
             handle,
-            idx: self.next_fetch,
             started: ctx.now(),
             staged,
         });
@@ -435,7 +432,7 @@ impl SoftStageClient {
 
     /// The Staging Coordinator: keep the staged-ahead depth at target.
     fn maybe_stage(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.staging_off() || self.done {
+        if self.staging_off() || self.is_done() {
             return;
         }
         let Some(vnf) = self.current_vnf.clone() else {
@@ -554,14 +551,13 @@ impl SoftStageClient {
     }
 
     fn handle_handoff_opportunity(&mut self, ctx: &mut HostCtx<'_>) {
-        let Some(candidate) = self
+        let Some((target, target_vnf)) = self
             .roamer
             .candidate(ctx.now())
             .map(|c| (c.nid, c.staging_vnf.clone()))
         else {
             return;
         };
-        let (target, target_vnf) = candidate;
         match self.config.policy {
             HandoffPolicy::Default => {
                 // Legacy: switch immediately, even mid-chunk.
@@ -668,7 +664,6 @@ impl App for SoftStageClient {
                         let chunk = self.profile.get(idx).map(|r| tag(&r.cid));
                         if let Some(r) = self.profile.get_mut(idx) {
                             r.staging_state = StagingState::Blank;
-                            r.pending_since = None;
                         }
                         // An unanswered request is a health signal — but
                         // only while the edge was actually reachable:
@@ -689,7 +684,7 @@ impl App for SoftStageClient {
                 }
                 self.maybe_stage(ctx);
                 self.start_next_fetch(ctx);
-                if !self.done {
+                if !self.is_done() {
                     ctx.set_app_timer(TICK, TICK_TIMER as u32);
                 }
             }
@@ -727,7 +722,7 @@ impl App for SoftStageClient {
                 }
                 if ok {
                     let latency = SimDuration::from_micros(staging_latency_us);
-                    if self.profile.mark_ready(&cid, nid, hid, latency).is_some() {
+                    if self.profile.mark_ready(&cid, nid, hid) {
                         if staging_latency_us > 0 {
                             self.coordinator.observe_stage(latency);
                         }
@@ -784,31 +779,32 @@ impl App for SoftStageClient {
             self.in_flight = Some(fetch);
             return;
         }
-        match result {
-            FetchResult::Complete(bytes) => {
+        let len = match result {
+            FetchResult::Complete(bytes) => Some(bytes.len() as u64),
+            FetchResult::NotFound | FetchResult::Failed => None,
+        };
+        ctx.trace(TraceEvent::FetchComplete {
+            chunk: tag(&cid),
+            bytes: len.unwrap_or(0),
+            source: source(fetch.staged),
+            ok: len.is_some(),
+        });
+        match len {
+            Some(len) => {
                 self.fetch_attempts = 0;
-                ctx.trace(TraceEvent::FetchComplete {
-                    chunk: tag(&cid),
-                    bytes: bytes.len() as u64,
-                    source: source(fetch.staged),
-                    ok: true,
-                });
-                let latency = ctx.now() - fetch.started;
-                self.profile.mark_fetched(fetch.idx, latency);
                 if fetch.staged {
-                    self.coordinator.observe_fetch(latency);
+                    self.coordinator.observe_fetch(ctx.now() - fetch.started);
                     self.stats.from_staged += 1;
                 } else {
                     self.stats.from_origin += 1;
                 }
-                self.stats.bytes_fetched += bytes.len() as u64;
+                self.stats.bytes_fetched += len;
                 self.content_hash.push(&cid);
                 self.stats
                     .chunk_completions
-                    .push((ctx.now(), fetch.idx, fetch.staged));
-                self.next_fetch = fetch.idx + 1;
+                    .push((ctx.now(), self.next_fetch, fetch.staged));
+                self.next_fetch += 1;
                 if self.next_fetch >= self.profile.len() {
-                    self.done = true;
                     // Close the dwell-time books for the final mode.
                     self.accrue_dwell(ctx.now());
                     self.stats.finished = Some(ctx.now());
@@ -825,17 +821,11 @@ impl App for SoftStageClient {
                 self.start_next_fetch(ctx);
                 self.maybe_stage(ctx);
             }
-            FetchResult::NotFound | FetchResult::Failed => {
-                ctx.trace(TraceEvent::FetchComplete {
-                    chunk: tag(&cid),
-                    bytes: 0,
-                    source: source(fetch.staged),
-                    ok: false,
-                });
+            None => {
                 if fetch.staged {
                     // Fault tolerance: the staged copy is gone (evicted,
                     // cache restarted). Fall back to the origin DAG.
-                    self.profile.mark_fallback(fetch.idx);
+                    self.profile.mark_fallback(self.next_fetch);
                     self.stats.fallback_refetches += 1;
                     self.start_next_fetch(ctx);
                 } else {
@@ -845,7 +835,7 @@ impl App for SoftStageClient {
                         FETCH_RETRY,
                         FETCH_RETRY_CAP,
                         self.fetch_attempts,
-                        fetch.idx as u64,
+                        self.next_fetch as u64,
                     );
                     self.fetch_attempts = self.fetch_attempts.saturating_add(1);
                     self.stats.fetch_retries += 1;

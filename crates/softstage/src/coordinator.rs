@@ -10,7 +10,7 @@
 //!
 //! i.e. while fetching the already-staged chunks would finish before one
 //! more chunk could be staged. All three quantities are measured online
-//! (EWMA over the Chunk Profile's observations), so a slow Internet
+//! (EWMAs over the client's own measurements), so a slow Internet
 //! (large `L_S→EdgeNet`) automatically deepens staging — the behaviour
 //! behind the paper's 9.9x gain at 15 Mbps — with no mobility prediction
 //! anywhere.
@@ -47,11 +47,11 @@ impl Ewma {
 
 /// Usefulness-deadline horizon used before a fetch estimate exists (the
 /// cold start). A fresh client cannot predict when a staged chunk stops
-/// being useful, so its first requests carry `now + COLD_DEADLINE`
-/// instead of no deadline at all: a deadline-aware VNF admits them onto
-/// any healthy queue but can still shed them from a backlog too deep to
-/// land within the horizon — without this, a fleet of cold clients is
-/// admitted without limit up to the depth cap.
+/// being useful, so its first requests carry `now + COLD_DEADLINE`: a
+/// deadline-aware VNF admits them onto any healthy queue but can still
+/// shed them from a backlog too deep to land within the horizon, so a
+/// fleet of cold clients is not admitted without limit up to the depth
+/// cap.
 const COLD_DEADLINE: SimDuration = SimDuration::from_secs(10);
 
 /// Configuration of the staging coordinator: the bounds of its depth rule.
@@ -95,13 +95,10 @@ impl StagingCoordinator {
     /// Panics if `initial_depth` exceeds `max_depth`: the depth rule
     /// clamps to `[initial_depth, max_depth]`.
     pub fn new(config: CoordinatorConfig) -> Self {
-        let CoordinatorConfig {
-            initial_depth,
-            max_depth,
-        } = config;
+        let (initial, max) = (config.initial_depth, config.max_depth);
         assert!(
-            initial_depth <= max_depth,
-            "initial_depth {initial_depth} exceeds max_depth {max_depth}"
+            initial <= max,
+            "initial_depth {initial} exceeds max_depth {max}"
         );
         StagingCoordinator {
             config,
@@ -183,9 +180,8 @@ impl StagingCoordinator {
     /// staging request whose furthest chunk sits `ahead` positions past
     /// the fetch cursor: the client will want it in about
     /// `ahead · L_fetch`. Before a fetch estimate exists the
-    /// `COLD_DEADLINE` horizon applies — never 0
-    /// ("no deadline"), which would exempt exactly the thundering-herd
-    /// moment (a fleet of fresh clients) from deadline-aware admission.
+    /// `COLD_DEADLINE` horizon applies, so the thundering-herd moment (a
+    /// fleet of fresh clients) still meets deadline-aware admission.
     pub(crate) fn deadline_us_for(&self, now: SimTime, ahead: u64) -> u64 {
         match self.fetch.value() {
             Some(fetch) => (now + fetch * ahead).as_micros(),
@@ -262,15 +258,10 @@ mod tests {
 
     #[test]
     fn cold_start_carries_a_real_deadline() {
-        // Before the cold-start fix this returned 0 ("no deadline"):
-        // a fleet of fresh clients was exempt from deadline-aware
-        // admission at exactly the moment it storms a shared VNF.
         let c = StagingCoordinator::new(CoordinatorConfig::default());
         let now = SimTime::from_micros(3_000_000);
-        let d = c.deadline_us_for(now, 4);
-        assert_ne!(d, 0, "cold start must not disable the deadline");
         assert_eq!(
-            d,
+            c.deadline_us_for(now, 4),
             now.as_micros() + COLD_DEADLINE.as_micros(),
             "cold deadline is the fixed horizon from now"
         );

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod breaker;
 pub mod client;
 pub mod coordinator;
@@ -38,10 +37,48 @@ pub mod messages;
 pub mod profile;
 pub mod vnf;
 
-pub use admission::AdmissionPolicy;
 pub use breaker::{Breaker, BreakerConfig};
 pub use client::{ClientStats, HandoffPolicy, SoftStageClient, SoftStageConfig, StagingMode};
 pub use coordinator::{CoordinatorConfig, Ewma, StagingCoordinator};
 pub use messages::StagingMsg;
-pub use profile::{ChunkProfile, ChunkRecord, FetchState, StagingState};
-pub use vnf::{StagingVnf, VnfConfig, VnfStats};
+pub use profile::{ChunkProfile, ChunkRecord, StagingState};
+pub use vnf::{AdmissionPolicy, StagingVnf, VnfConfig, VnfStats};
+
+/// Admission end to end: the coordinator stamps the deadline, the VNF sheds on it.
+#[cfg(test)]
+mod admission {
+    mod tests {
+        use crate::coordinator::{CoordinatorConfig, StagingCoordinator};
+        use crate::vnf::tests::verdict;
+        use crate::AdmissionPolicy::{AlwaysAdmit, DeadlineAware};
+        use simnet::{RejectReason::Deadline, SimTime};
+
+        #[test]
+        fn always_admit_admits() {
+            // Even past a deadline it has the evidence for.
+            assert_eq!(verdict(AlwaysAdmit, (Some(500_000), 3, 600_000)), None);
+        }
+
+        #[test]
+        fn cold_fleet_is_not_admitted_past_a_hopeless_backlog() {
+            // A fresh client's deadline is the coordinator's cold-start
+            // horizon. Behind 12 jobs of 1.5 s it lands at 19.5 s, past the
+            // 10 s horizon: shed. Behind 2 jobs, at 4.5 s: admit.
+            let cold = StagingCoordinator::new(CoordinatorConfig::default())
+                .deadline_us_for(SimTime::ZERO, 1);
+            let got = [12, 2].map(|n| verdict(DeadlineAware, (Some(1_500_000), n, cold)));
+            assert_eq!(got, [Some(Deadline), None]);
+        }
+
+        #[test]
+        fn deadline_aware_sheds_only_on_evidence() {
+            // No estimate yet: admit, however tight the deadline. An empty
+            // queue lands in one estimate, 0.5 s ≤ 0.6 s: admit. Three jobs
+            // ahead land it at 2 s: shed.
+            let est = Some(500_000);
+            let rows = [(None, 8, 1), (est, 0, 600_000), (est, 3, 600_000)];
+            let got = rows.map(|row| verdict(DeadlineAware, row));
+            assert_eq!(got, [None, None, Some(Deadline)]);
+        }
+    }
+}

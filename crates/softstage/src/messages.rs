@@ -21,8 +21,7 @@ pub enum StagingMsg {
         /// `(cid, origin DAG)` pairs to stage.
         chunks: Vec<(Xid, Dag)>,
         /// Client's RICH-style usefulness deadline, µs of sim time: the
-        /// predicted instant the download will need these chunks. Zero
-        /// means "no deadline" (admission cannot shed on time).
+        /// predicted instant the download will need these chunks.
         deadline_us: u64,
     },
     /// VNF → Manager: one chunk's staging outcome (step ⑥).
@@ -114,14 +113,9 @@ impl FromJson for StagingMsg {
                     Ok((Xid::from_json(&pair[0])?, Dag::from_json(&pair[1])?))
                 })
                 .collect::<Result<Vec<_>, JsonError>>()?;
-            // Older encodings carried no deadline; treat absence as none.
-            let deadline_us = match v.field("deadline_us") {
-                Ok(d) => u64::from_json(d)?,
-                Err(_) => 0,
-            };
             return Ok(StagingMsg::Request {
                 chunks,
-                deadline_us,
+                deadline_us: u64::from_json(v.field("deadline_us")?)?,
             });
         }
         if let Ok(r) = v.field("reject") {
@@ -174,16 +168,13 @@ mod tests {
         );
         let msg = StagingMsg::Request {
             chunks: vec![(cid, dag)],
-            deadline_us: 0,
-        };
-        assert_eq!(StagingMsg::decode(&msg.encode()), Some(msg));
-        let with_deadline = StagingMsg::Request {
-            chunks: vec![],
             deadline_us: 9_500_000,
         };
+        assert_eq!(StagingMsg::decode(&msg.encode()), Some(msg));
         assert_eq!(
-            StagingMsg::decode(&with_deadline.encode()),
-            Some(with_deadline)
+            StagingMsg::decode(br#"{"request":[]}"#),
+            None,
+            "a request without a deadline is dropped"
         );
     }
 

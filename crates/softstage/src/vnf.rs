@@ -12,7 +12,13 @@
 //! that is not admitted is answered with an explicit
 //! [`StagingMsg::Reject`] (never silently queued), and a `SlowEdge`
 //! fault degrades the service rate by delaying every reply.
+//!
+//! Deadline-aware admission is RICH's signal (arXiv 1908.07228): a chunk
+//! that cannot stage before the client's usefulness deadline is shed, not
+//! staged for a vehicle that will have fetched it from the origin (or
+//! driven past) by then.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use simnet::{RejectReason, SimDuration, SimTime, Tag, TraceEvent};
@@ -20,12 +26,28 @@ use util::bytes::Bytes;
 use xia_addr::{Dag, Xid};
 use xia_host::{App, FetchResult, HostCtx};
 
-use crate::admission::{AdmissionPolicy, AdmissionSnapshot};
 use crate::coordinator::Ewma;
 use crate::messages::StagingMsg;
 
 /// Timer key for flushing service-delayed replies.
 const REPLY_TIMER: u32 = 1;
+
+/// Decides whether the VNF takes on one more staging job. Policies run
+/// only below the depth cap, so they refine — never replace —
+/// backpressure.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Admits everything below the depth cap.
+    #[default]
+    AlwaysAdmit,
+    /// Sheds requests that cannot stage before the client's deadline.
+    ///
+    /// The wait for a free slot is approximated as one smoothed staging
+    /// latency per queued job ahead of this one, plus the job's own
+    /// fetch. A VNF without a latency estimate yet always admits — the
+    /// policy only sheds on evidence.
+    DeadlineAware,
+}
 
 /// Bounds and admission configuration of a [`StagingVnf`].
 #[derive(Debug, Clone)]
@@ -57,11 +79,14 @@ struct Waiter {
     token: u64,
 }
 
-/// Bookkeeping for one in-flight origin fetch.
+/// One staging job: the in-flight origin fetch of one chunk and every
+/// client waiting for its outcome.
 #[derive(Debug)]
-struct InFlight {
-    cid: Xid,
+struct Job {
+    /// The origin fetch; a completion under any other handle is stale.
+    handle: u64,
     started: SimTime,
+    waiters: Vec<Waiter>,
 }
 
 /// Counters exposed to experiments.
@@ -88,8 +113,8 @@ pub struct VnfStats {
 pub struct StagingVnf {
     sid: Xid,
     config: VnfConfig,
-    fetches: BTreeMap<u64, InFlight>,
-    waiters: BTreeMap<Xid, Vec<Waiter>>,
+    /// Staging jobs by chunk.
+    jobs: BTreeMap<Xid, Job>,
     /// Smoothed staging latency, feeding deadline-aware admission.
     latency: Ewma,
     /// Added per-reply delay while a `SlowEdge` fault is active.
@@ -112,8 +137,7 @@ impl StagingVnf {
         StagingVnf {
             sid,
             config,
-            fetches: BTreeMap::new(),
-            waiters: BTreeMap::new(),
+            jobs: BTreeMap::new(),
             latency: Ewma::default(),
             service_delay: SimDuration::ZERO,
             delayed: VecDeque::new(),
@@ -133,7 +157,7 @@ impl StagingVnf {
 
     /// Staging jobs currently in flight.
     pub fn queue_depth(&self) -> usize {
-        self.fetches.len()
+        self.jobs.len()
     }
 
     /// The service address to advertise in beacons, given the edge
@@ -202,19 +226,20 @@ impl StagingVnf {
         self.send_msg(ctx, to, token, &msg);
     }
 
-    /// The depth cap, then the policy. `None` admits.
-    fn admission_verdict(&self, now: SimTime, deadline_us: u64) -> Option<RejectReason> {
-        let depth = self.fetches.len();
+    /// The depth cap, then the policy: `None` admits one more job,
+    /// `Some(reason)` sheds it with a typed reject.
+    fn admission_verdict(&self, now: SimTime, deadline: SimTime) -> Option<RejectReason> {
+        let depth = self.jobs.len();
         if depth >= self.config.max_depth {
             return Some(RejectReason::QueueDepth);
         }
-        let snapshot = AdmissionSnapshot {
-            depth,
-            now,
-            deadline: (deadline_us > 0).then(|| SimTime::from_micros(deadline_us)),
-            est_stage: self.latency.value(),
-        };
-        self.config.admission.admit(&snapshot)
+        match (self.config.admission, self.latency.value()) {
+            (AdmissionPolicy::DeadlineAware, Some(est)) => {
+                let landing = now + est * (depth as u64 + 1);
+                (landing > deadline).then_some(RejectReason::Deadline)
+            }
+            _ => None,
+        }
     }
 
     /// Flushes every delayed reply due at or before `now`.
@@ -242,8 +267,7 @@ impl App for StagingVnf {
                 // whose requests were in flight re-request after their
                 // staging timeout. The restart re-registers the SID via
                 // `on_start`.
-                self.fetches.clear();
-                self.waiters.clear();
+                self.jobs.clear();
                 self.delayed.clear();
                 self.service_delay = SimDuration::ZERO;
             }
@@ -283,6 +307,7 @@ impl App for StagingVnf {
         else {
             return;
         };
+        let deadline = SimTime::from_micros(deadline_us);
         self.stats.requests += 1;
         for (cid, origin) in chunks {
             if ctx.store().contains(&cid) {
@@ -297,35 +322,33 @@ impl App for StagingVnf {
                 self.reply(ctx, &from, token, cid, true, 0);
                 continue;
             }
-            if self.waiters.get(&cid).is_some_and(|w| !w.is_empty()) {
+            let waiter = Waiter {
+                requester: from.clone(),
+                token,
+            };
+            if let Some(job) = self.jobs.get_mut(&cid) {
                 // One origin fetch serves all requesters; joining an
                 // in-flight job adds no load, so it bypasses admission.
-                self.waiters.entry(cid).or_default().push(Waiter {
-                    requester: from.clone(),
-                    token,
-                });
+                job.waiters.push(waiter);
                 continue;
             }
-            if let Some(reason) = self.admission_verdict(ctx.now(), deadline_us) {
+            if let Some(reason) = self.admission_verdict(ctx.now(), deadline) {
                 self.reject(ctx, &from, token, cid, reason);
                 continue;
             }
-            self.waiters.entry(cid).or_default().push(Waiter {
-                requester: from.clone(),
-                token,
-            });
             let handle = ctx.xfetch_chunk(origin);
             ctx.trace(TraceEvent::StageStart {
                 chunk: Tag::of(cid.id()),
             });
-            self.fetches.insert(
-                handle,
-                InFlight {
-                    cid,
+            self.jobs.insert(
+                cid,
+                Job {
+                    handle,
                     started: ctx.now(),
+                    waiters: vec![waiter],
                 },
             );
-            self.stats.peak_depth = self.stats.peak_depth.max(self.fetches.len() as u64);
+            self.stats.peak_depth = self.stats.peak_depth.max(self.jobs.len() as u64);
         }
     }
 
@@ -336,12 +359,18 @@ impl App for StagingVnf {
         cid: Xid,
         result: FetchResult,
     ) {
-        let Some(inflight) = self.fetches.remove(&handle) else {
+        // A completion from before a crash, or for a job since replaced,
+        // reaches nobody.
+        let Entry::Occupied(job) = self.jobs.entry(cid) else {
             return;
         };
-        debug_assert_eq!(inflight.cid, cid);
-        let latency = ctx.now() - inflight.started;
-        let waiters = self.waiters.remove(&cid).unwrap_or_default();
+        if job.get().handle != handle {
+            return;
+        }
+        let Job {
+            started, waiters, ..
+        } = job.remove();
+        let latency = ctx.now() - started;
         // A store squeezed below the chunk size refuses the insert: the
         // origin fetch succeeded but nothing is staged, so the waiters
         // must hear `ok: false` and fall back rather than chase a chunk
@@ -353,34 +382,28 @@ impl App for StagingVnf {
             }
             FetchResult::NotFound | FetchResult::Failed => None,
         };
+        let chunk = Tag::of(cid.id());
         match staged_bytes {
             Some(bytes) => {
                 self.stats.staged += 1;
                 self.stats.bytes_staged += bytes;
                 self.latency.observe(latency);
-                ctx.trace(TraceEvent::Staged {
-                    chunk: Tag::of(cid.id()),
-                    bytes,
-                });
-                for w in waiters {
-                    self.reply(ctx, &w.requester, w.token, cid, true, latency.as_micros());
-                }
+                ctx.trace(TraceEvent::Staged { chunk, bytes });
             }
             None => {
                 self.stats.failed += 1;
-                ctx.trace(TraceEvent::StageFailed {
-                    chunk: Tag::of(cid.id()),
-                });
-                for w in waiters {
-                    self.reply(ctx, &w.requester, w.token, cid, false, latency.as_micros());
-                }
+                ctx.trace(TraceEvent::StageFailed { chunk });
             }
+        }
+        let ok = staged_bytes.is_some();
+        for w in waiters {
+            self.reply(ctx, &w.requester, w.token, cid, ok, latency.as_micros());
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use simnet::NodeFault;
     use xcache::{ChunkStore, EvictionPolicy};
@@ -414,8 +437,14 @@ mod tests {
             effects
         }
 
-        /// `client` asks for `cid` under `token`.
+        /// `client` asks for `cid` under `token`, needing it within the hour.
         fn request(&mut self, client: u64, token: u64, cid: Xid) -> Vec<Effect> {
+            let by = self.view.now + SimDuration::from_secs(3600);
+            self.request_by(client, token, cid, by)
+        }
+
+        /// `client` asks for `cid` under `token`, needing it by `by`.
+        fn request_by(&mut self, client: u64, token: u64, cid: Xid, by: SimTime) -> Vec<Effect> {
             let origin = Dag::cid_with_fallback(
                 cid,
                 Xid::new_random(Principal::Nid, 9),
@@ -423,7 +452,7 @@ mod tests {
             );
             let body = StagingMsg::Request {
                 chunks: vec![(cid, origin)],
-                deadline_us: 0,
+                deadline_us: by.as_micros(),
             }
             .encode();
             let from = requester(client);
@@ -534,17 +563,57 @@ mod tests {
     #[test]
     fn a_crash_forgets_the_waiters() {
         let cid = Xid::for_content(b"lost");
+        let data = Bytes::from_static(b"lost");
         let mut edge = Edge::new(1024, VnfConfig::default());
         edge.request(0, 1, cid);
         assert!(edge
             .call(|vnf, ctx| vnf.on_fault(ctx, NodeFault::Crash))
             .is_empty());
         assert_eq!(edge.vnf.queue_depth(), 0);
-        // The answer to a fetch from before the crash reaches nobody.
-        let data = Bytes::from_static(b"lost");
+        // The answer to a fetch from before the crash reaches nobody, even
+        // once the chunk is asked for again under a new handle...
+        assert_eq!(fetch_handles(&edge.request(1, 2, cid)), [2]);
         assert!(edge
-            .complete(1, cid, FetchResult::Complete(data))
+            .complete(1, cid, FetchResult::Complete(data.clone()))
             .is_empty());
+        assert_eq!(edge.vnf.queue_depth(), 1, "the new job survives");
+        // ...whose own answer reaches only the new requester.
+        let sent = replies(&edge.complete(2, cid, FetchResult::Complete(data)));
+        assert!(matches!(
+            &sent[..],
+            [(to, 2, StagingMsg::Staged { ok: true, .. })] if *to == requester(1)
+        ));
+    }
+
+    /// What `on_control` answers a request due in `due` µs, from a VNF
+    /// under `admission` that measured `est` µs of staging latency and has
+    /// `backlog` jobs in flight: `None` when it starts the fetch.
+    pub(crate) fn verdict(
+        admission: AdmissionPolicy,
+        (est, backlog, due): (Option<u64>, u64, u64),
+    ) -> Option<RejectReason> {
+        let config = VnfConfig {
+            admission,
+            ..VnfConfig::default()
+        };
+        let mut edge = Edge::new(1024, config);
+        if let Some(est) = est {
+            let warm = Xid::for_content(b"warm");
+            edge.request(0, 0, warm);
+            edge.view.now += SimDuration::from_micros(est);
+            edge.complete(1, warm, FetchResult::Complete(Bytes::from_static(b"warm")));
+        }
+        for i in 0..backlog {
+            edge.request(0, 0, Xid::new_random(Principal::Cid, i));
+        }
+        let by = edge.view.now + SimDuration::from_micros(due);
+        let effects = edge.request_by(9, 99, Xid::for_content(b"probe"), by);
+        let got = match replies(&effects)[..] {
+            [(_, 99, StagingMsg::Reject { reason, .. })] => Some(reason),
+            _ => None,
+        };
+        assert_eq!(fetch_handles(&effects).len(), usize::from(got.is_none()));
+        got
     }
 
     #[test]

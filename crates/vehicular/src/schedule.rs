@@ -69,6 +69,11 @@ impl CoverageSchedule {
     /// The paper's micro-benchmark pattern: the client alternates between
     /// `networks` edge networks, staying `encounter` in each and spending
     /// `disconnection` out of coverage in between, until `total`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `networks` is zero, or if `encounter + disconnection` is
+    /// zero: the pattern would never advance past time zero.
     pub fn alternating(
         encounter: SimDuration,
         disconnection: SimDuration,
@@ -76,6 +81,10 @@ impl CoverageSchedule {
         total: SimDuration,
     ) -> Self {
         assert!(networks >= 1, "need at least one network");
+        assert!(
+            encounter + disconnection > SimDuration::ZERO,
+            "the encounter/disconnection cycle must be positive"
+        );
         let mut intervals = Vec::new();
         let mut t = 0u64;
         let mut net = 0usize;
@@ -201,6 +210,17 @@ mod tests {
         // Gap: nobody covers t=15s.
         assert!(!s.covered(0, SimTime::from_micros(15_000_000)));
         assert!(!s.covered(1, SimTime::from_micros(15_000_000)));
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle must be positive")]
+    fn alternating_rejects_an_empty_cycle() {
+        let _ = CoverageSchedule::alternating(
+            SimDuration::ZERO,
+            SimDuration::ZERO,
+            2,
+            SimDuration::from_secs(60),
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! XCache "implements XIA's native ICN support on both end hosts and
 //! network appliances" (SoftStage §II-C). This crate provides:
 //!
-//! - [`store::ChunkStore`]: a bounded content store with LRU/FIFO/LFU
-//!   eviction and pinned (published) content,
+//! - [`store::ChunkStore`]: a bounded content store with LRU eviction
+//!   and pinned (published) content,
 //! - [`chunker`]: splitting content objects into self-certifying chunks
 //!   and the [`chunker::Manifest`] clients fetch,
 //! - [`proto`]: the chunk request/response wire protocol,

@@ -30,13 +30,12 @@ use xia_addr::{dag::SOURCE, Principal, Xid};
 use xia_host::Host;
 use xia_wire::{XiaPacket, L4};
 
-/// Per-principal routing tables of one router.
+/// The routing tables of one router. An [`Xid`] carries its principal
+/// and orders by it first, so one map keyed by XID holds XIA's
+/// per-principal tables as contiguous, independent ranges.
 #[derive(Debug, Default)]
 pub struct RoutingTables {
-    nid: BTreeMap<Xid, LinkId>,
-    hid: BTreeMap<Xid, LinkId>,
-    cid: BTreeMap<Xid, LinkId>,
-    sid: BTreeMap<Xid, LinkId>,
+    routes: BTreeMap<Xid, LinkId>,
     /// Where to send packets with no matching route (towards the core).
     default: Option<LinkId>,
 }
@@ -49,13 +48,13 @@ impl RoutingTables {
 
     /// Adds a static route for `xid` out of `link`.
     pub fn add_route(&mut self, xid: Xid, link: LinkId) {
-        self.table_mut(xid.principal()).insert(xid, link);
+        self.routes.insert(xid, link);
     }
 
     /// Removes a route.
     #[cfg(test)]
     pub(crate) fn remove_route(&mut self, xid: &Xid) {
-        self.table_mut(xid.principal()).remove(xid);
+        self.routes.remove(xid);
     }
 
     /// Sets the default (upstream) route.
@@ -67,29 +66,10 @@ impl RoutingTables {
     /// route for NIDs and HIDs (never for CIDs/SIDs, which are
     /// opportunistic).
     pub fn lookup(&self, xid: &Xid) -> Option<LinkId> {
-        let table = self.table(xid.principal());
-        table.get(xid).copied().or(match xid.principal() {
+        self.routes.get(xid).copied().or(match xid.principal() {
             Principal::Nid | Principal::Hid => self.default,
             Principal::Cid | Principal::Sid => None,
         })
-    }
-
-    fn table(&self, p: Principal) -> &BTreeMap<Xid, LinkId> {
-        match p {
-            Principal::Nid => &self.nid,
-            Principal::Hid => &self.hid,
-            Principal::Cid => &self.cid,
-            Principal::Sid => &self.sid,
-        }
-    }
-
-    fn table_mut(&mut self, p: Principal) -> &mut BTreeMap<Xid, LinkId> {
-        match p {
-            Principal::Nid => &mut self.nid,
-            Principal::Hid => &mut self.hid,
-            Principal::Cid => &mut self.cid,
-            Principal::Sid => &mut self.sid,
-        }
     }
 }
 

@@ -203,8 +203,6 @@ pub(crate) struct Connection {
     migrate_gen: Option<u32>,
 
     pub(crate) stats: ConnStats,
-    /// Set when Closed/Failed has been delivered; mux reaps the slot.
-    pub(crate) finished: bool,
 }
 
 impl Connection {
@@ -256,12 +254,16 @@ impl Connection {
             rto_gen: None,
             migrate_gen: None,
             stats: ConnStats::default(),
-            finished: false,
         }
     }
 
     pub(crate) fn stats(&self) -> ConnStats {
         self.stats
+    }
+
+    /// Whether Closed or Failed has been delivered; the mux reaps the slot.
+    pub(crate) fn finished(&self) -> bool {
+        matches!(self.state, ConnState::Closed | ConnState::Failed)
     }
 
     /// The cumulative ack this side would send now (for TIME_WAIT replay).
@@ -316,7 +318,7 @@ impl Connection {
     /// Pauses for active session migration; after `pause`, resumes from a
     /// new source address with a fresh congestion window.
     pub(crate) fn migrate(&mut self, env: &mut dyn TransportEnv, new_src: Dag, pause: SimDuration) {
-        if self.finished {
+        if self.finished() {
             return;
         }
         self.src_dag = new_src;
@@ -368,7 +370,7 @@ impl Connection {
     /// died, which has nothing in flight and so arms no RTO — or sleeps
     /// until the limit counted from the last segment.
     fn on_idle(&mut self, env: &mut dyn TransportEnv) {
-        if self.finished {
+        if self.finished() {
             return;
         }
         let deadline = self.last_heard + self.idle_limit();
@@ -421,7 +423,7 @@ impl Connection {
         seg: Segment,
         packet_src: &Dag,
     ) {
-        if self.finished {
+        if self.finished() {
             return;
         }
         self.last_heard = env.now();
@@ -496,7 +498,7 @@ impl Connection {
         }
 
         self.maybe_finish(env);
-        if !self.finished {
+        if !self.finished() {
             self.pump(env);
         }
     }
@@ -714,7 +716,7 @@ impl Connection {
     }
 
     fn on_pace(&mut self, env: &mut dyn TransportEnv) {
-        if self.finished {
+        if self.finished() {
             return;
         }
         self.pace_armed = false;
@@ -722,7 +724,7 @@ impl Connection {
     }
 
     fn on_rto(&mut self, env: &mut dyn TransportEnv, gen: u32) {
-        if self.finished || self.rto_gen != Some(gen) {
+        if self.finished() || self.rto_gen != Some(gen) {
             return;
         }
         self.rto_gen = None;
@@ -827,23 +829,21 @@ impl Connection {
     }
 
     fn maybe_finish(&mut self, env: &mut dyn TransportEnv) {
-        if self.finished {
+        if self.finished() {
             return;
         }
         let send_done = self.expected_send_end().is_some_and(|e| self.snd_una >= e);
         if send_done && self.peer_closed_delivered {
             self.state = ConnState::Closed;
-            self.finished = true;
             env.deliver(TransportEvent::Closed { conn: self.id });
         }
     }
 
     fn fail(&mut self, env: &mut dyn TransportEnv, reason: CloseReason) {
-        if self.finished {
+        if self.finished() {
             return;
         }
         self.state = ConnState::Failed;
-        self.finished = true;
         env.deliver(TransportEvent::Failed {
             conn: self.id,
             reason,

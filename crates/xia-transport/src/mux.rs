@@ -129,7 +129,7 @@ impl TransportMux {
             .conns
             .get_mut(&uid)
             .ok_or(TransportError::UnknownConnection)?;
-        if matches!(c.state, ConnState::Closed | ConnState::Failed) {
+        if c.finished() {
             return Err(TransportError::InvalidState);
         }
         c.send(env, data);
@@ -279,7 +279,7 @@ impl TransportMux {
 
     /// Removes `uid` if its connection has finished.
     fn reap(&mut self, uid: u64) {
-        if !self.conns.get(&uid).is_some_and(|c| c.finished) {
+        if !self.conns.get(&uid).is_some_and(|c| c.finished()) {
             return;
         }
         let Some(c) = self.conns.remove(&uid) else {
@@ -391,7 +391,7 @@ mod tests {
         fn assert_reaped(&self, side: usize) {
             let mux = &self.mux[side];
             assert!(
-                mux.conns.values().all(|c| !c.finished),
+                mux.conns.values().all(|c| !c.finished()),
                 "a finished connection outlived the call that finished it"
             );
             assert_eq!(mux.by_id.len(), mux.conns.len());

@@ -6,7 +6,9 @@
 # targets on both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and
 # `cmp`s the --json files: the four quick ones, `fig5` (the only table on
 # `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
-# coordinator's depth bounds and `prestage_depth`). Runs both `sslint`
+# coordinator's depth bounds and `prestage_depth`). Also runs `fig6` and
+# `fig7` at seed 42 alone: the single-client tables that take the Chunk
+# Profile through every staging state. Runs both `sslint`
 # binaries, `--format text` and `jsonl`, over this tree, over a copy of it
 # with every `// sslint: allow(` comment neutralised and no `sslint.allow`,
 # and over each rule fixture, and `cmp`s stdout, the stderr summary line
@@ -37,6 +39,9 @@ for side in ref tree; do
         run() { "$bin" "$target" "$@" >/dev/null; }
         run --seed 42 --json "$dir/out/$side/$target-42.json"
         run --seed 7 --seeds 2 --jobs 2 --json "$dir/out/$side/$target-7x2.json"
+    done
+    for target in fig6 fig7; do
+        "$bin" "$target" --seed 42 --json "$dir/out/$side/$target-42.json" >/dev/null
     done
 done
 stripped="$dir/stripped"

@@ -72,17 +72,16 @@ fn profile_reaches_consistent_terminal_state() {
     let result = tb.run(deadline());
     assert!(result.content_ok);
     let app = tb.client_app();
-    let profile = app.profile();
-    assert_eq!(profile.fetched(), 4);
-    for i in 0..profile.len() {
-        let rec = profile.get(i).unwrap();
-        assert_eq!(
-            rec.fetch_state,
-            softstage_suite::softstage::FetchState::Done,
-            "chunk {i} fetched"
-        );
-        assert!(rec.fetch_latency.is_some());
-    }
+    assert!(app.is_done());
+    // Every chunk is DONE: the fetch cursor has passed the whole profile.
+    assert_eq!(app.profile().len(), 4);
+    assert_eq!(app.fetched_chunks(), 4);
+    // That is Table I's fetch state because chunks complete strictly in
+    // order, each once.
+    let stats = app.stats();
+    let order: Vec<usize> = stats.chunk_completions.iter().map(|c| c.1).collect();
+    assert_eq!(order, [0, 1, 2, 3]);
+    assert_eq!(stats.from_staged + stats.from_origin, 4);
 }
 
 #[test]
