@@ -89,6 +89,48 @@ impl Bytes {
         }
     }
 
+    /// `self` followed by `next` as one view, when both are views of the
+    /// same allocation and `next` starts where `self` ends; `None`
+    /// otherwise. An empty side yields the other. O(1): no byte is
+    /// compared or copied.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use util::bytes::Bytes;
+    /// let b = Bytes::from(vec![1u8, 2, 3, 4]);
+    /// assert_eq!(b.slice(..1).join(&b.slice(1..)), Some(b.clone()));
+    /// assert_eq!(b.slice(..1).join(&b.slice(2..)), None); // a gap
+    /// ```
+    pub fn join(&self, next: &Bytes) -> Option<Bytes> {
+        if self.is_empty() {
+            return Some(next.clone());
+        }
+        if next.is_empty() {
+            return Some(self.clone());
+        }
+        match (&self.data, &next.data) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) && self.end == next.start => Some(Bytes {
+                data: self.data.clone(),
+                start: self.start,
+                end: next.end,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The `n` bytes just before this view in its allocation, as a view
+    /// that [`Bytes::join`]s onto this one; `None` when the view starts
+    /// fewer than `n` bytes into its allocation.
+    pub fn preceding(&self, n: usize) -> Option<Bytes> {
+        let start = self.start.checked_sub(n)?;
+        Some(Bytes {
+            data: self.data.clone(),
+            start,
+            end: self.start,
+        })
+    }
+
     /// Copies the view into an owned `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
@@ -253,6 +295,55 @@ mod tests {
     fn slice_out_of_range_panics() {
         let b = Bytes::from(vec![0u8; 3]);
         let _ = b.slice(2..5);
+    }
+
+    #[test]
+    fn join_glues_adjacent_views_of_one_allocation() {
+        let b = Bytes::from((0u8..=99).collect::<Vec<_>>());
+        let (left, right) = (b.slice(10..40), b.slice(40..90));
+        let joined = left.join(&right).expect("adjacent views join");
+        assert_eq!(joined, [&left[..], &right[..]].concat());
+        assert_eq!(joined.as_ptr(), left.as_ptr(), "a view, not a copy");
+        assert_eq!(b.data.as_ref().map(Arc::strong_count), Some(4));
+        assert_eq!(joined.join(&b.slice(90..)), Some(b.slice(10..)));
+    }
+
+    #[test]
+    fn join_refuses_gaps_overlaps_and_other_allocations() {
+        let b = Bytes::from(vec![5u8; 64]);
+        let twin = Bytes::from(vec![5u8; 64]);
+        assert_eq!(b.slice(..10).join(&b.slice(11..20)), None, "gap");
+        assert_eq!(b.slice(..10).join(&b.slice(9..20)), None, "overlap");
+        assert_eq!(b.slice(10..20).join(&b.slice(..10)), None, "reversed");
+        assert_eq!(
+            b.slice(..10).join(&twin.slice(10..20)),
+            None,
+            "equal bytes elsewhere"
+        );
+    }
+
+    #[test]
+    fn join_with_an_empty_side_yields_the_other() {
+        let b = Bytes::from(vec![1u8, 2, 3]);
+        let other = Bytes::from(vec![9u8; 8]);
+        for empty in [Bytes::new(), other.slice(4..4)] {
+            let left = empty.join(&b).expect("empty left");
+            assert_eq!(left.as_ptr(), b.as_ptr());
+            let right = b.join(&empty).expect("empty right");
+            assert_eq!(right.as_ptr(), b.as_ptr());
+        }
+        assert_eq!(Bytes::new().join(&Bytes::new()), Some(Bytes::new()));
+    }
+
+    #[test]
+    fn preceding_reaches_back_into_the_allocation() {
+        let b = Bytes::from((0u8..10).collect::<Vec<_>>());
+        let tail = b.slice(6..);
+        let before = tail.preceding(4).expect("four bytes precede");
+        assert_eq!(&before[..], &[2, 3, 4, 5]);
+        assert_eq!(before.join(&tail), Some(b.slice(2..)));
+        assert_eq!(tail.preceding(7), None, "only six bytes precede");
+        assert_eq!(Bytes::new().preceding(1), None);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! accepted connections and answers from a [`ChunkStore`].
 //! [`ChunkFetcher`] is the client side of one fetch: it produces the
 //! request bytes and consumes the response stream, verifying the chunk's
-//! content hash on completion.
+//! content hash on completion. The body it returns is a view of the bytes
+//! the server sent — for a served chunk, of the server's stored
+//! allocation — not a copy, so a staged chunk shares the publisher's.
 //!
 //! Both are pure state machines — the host stack moves bytes between them
 //! and the transport.
@@ -150,11 +152,23 @@ pub enum FetchProgress {
 }
 
 /// The client side of one chunk fetch over one connection.
+///
+/// The body is kept as the payload views the transport delivered, not
+/// copied into a buffer: a payload that continues the last part in the
+/// same allocation is [`Bytes::join`]ed onto it. A served chunk therefore
+/// arrives as two parts — the first data segment, which the sender copied
+/// because it straddles the response header and the chunk, and one view
+/// of the stored chunk — and completes as a view of the stored chunk
+/// (see [`ChunkFetcher::on_data`]).
 #[derive(Debug)]
 pub struct ChunkFetcher {
     cid: Xid,
-    buf: Vec<u8>,
-    header: Option<ChunkResponseHeader>,
+    /// Response-header bytes, until [`RESPONSE_HDR_LEN`] have arrived.
+    head: Vec<u8>,
+    /// The body length the response header announced.
+    len: Option<u64>,
+    parts: Vec<Bytes>,
+    received: u64,
     done: bool,
 }
 
@@ -163,8 +177,10 @@ impl ChunkFetcher {
     pub fn new(cid: Xid) -> Self {
         ChunkFetcher {
             cid,
-            buf: Vec::new(),
-            header: None,
+            head: Vec::new(),
+            len: None,
+            parts: Vec::new(),
+            received: 0,
             done: false,
         }
     }
@@ -183,57 +199,88 @@ impl ChunkFetcher {
     /// across disconnections).
     #[cfg(test)]
     pub(crate) fn received_bytes(&self) -> usize {
-        if self.header.is_some() {
-            self.buf.len()
-        } else {
-            0
-        }
+        self.received as usize
     }
 
     /// Consumes response bytes; returns the new progress state.
+    ///
+    /// On completion the parts become one `Bytes`: a single part is the
+    /// body; two parts are one view when the first equals the bytes just
+    /// before the second in the second's allocation (the copied first
+    /// segment of a served chunk), compared here, once, at most one
+    /// segment long; anything else is copied once, at the size that
+    /// arrived. The body is then checked against the CID.
     pub fn on_data(&mut self, data: &Bytes) -> FetchProgress {
         if self.done {
             return FetchProgress::Corrupt;
         }
-        self.buf.extend_from_slice(data);
-        if self.header.is_none() {
-            if self.buf.len() < RESPONSE_HDR_LEN {
-                return FetchProgress::InProgress;
-            }
-            match ChunkResponseHeader::decode(&self.buf) {
-                Ok(hdr) => {
-                    if !hdr.found {
+        let mut data = data.clone();
+        let len = match self.len {
+            Some(len) => len,
+            None => {
+                let take = (RESPONSE_HDR_LEN - self.head.len()).min(data.len());
+                self.head.extend_from_slice(&data[..take]);
+                data = data.slice(take..);
+                if self.head.len() < RESPONSE_HDR_LEN {
+                    return FetchProgress::InProgress;
+                }
+                match ChunkResponseHeader::decode(&self.head) {
+                    Ok(hdr) if hdr.found => {
+                        self.len = Some(hdr.len);
+                        hdr.len
+                    }
+                    Ok(_) => {
                         self.done = true;
                         return FetchProgress::NotFound;
                     }
-                    self.buf.drain(..RESPONSE_HDR_LEN);
-                    self.header = Some(hdr);
-                }
-                Err(_) => {
-                    self.done = true;
-                    return FetchProgress::Corrupt;
+                    Err(_) => {
+                        self.done = true;
+                        return FetchProgress::Corrupt;
+                    }
                 }
             }
-        }
-        let Some(hdr) = self.header.as_ref() else {
-            // The block above either stored a header or returned early; a
-            // missing header here means the stream state is unusable.
-            self.done = true;
-            return FetchProgress::Corrupt;
         };
-        if (self.buf.len() as u64) < hdr.len {
+        self.received += data.len() as u64;
+        let last = self.parts.pop().unwrap_or_default();
+        match last.join(&data) {
+            Some(joined) => self.parts.push(joined),
+            None => self.parts.extend([last, data]),
+        }
+        if self.received < len {
             return FetchProgress::InProgress;
         }
         self.done = true;
-        if self.buf.len() as u64 > hdr.len {
+        if self.received > len {
             return FetchProgress::Corrupt;
         }
-        let body = Bytes::from(std::mem::take(&mut self.buf));
+        let body = assemble(&std::mem::take(&mut self.parts));
         if Xid::for_content(&body) != self.cid {
             return FetchProgress::Corrupt;
         }
         FetchProgress::Complete(body)
     }
+}
+
+/// The body parts as one `Bytes` (see [`ChunkFetcher::on_data`]).
+fn assemble(parts: &[Bytes]) -> Bytes {
+    match parts {
+        [body] => return body.clone(),
+        [first, rest] => {
+            let widened = rest
+                .preceding(first.len())
+                .filter(|before| before == first)
+                .and_then(|before| before.join(rest));
+            if let Some(body) = widened {
+                return body;
+            }
+        }
+        _ => {}
+    }
+    let mut body = Vec::with_capacity(parts.iter().map(Bytes::len).sum());
+    for part in parts {
+        body.extend_from_slice(part);
+    }
+    Bytes::from(body)
 }
 
 #[cfg(test)]
@@ -278,8 +325,84 @@ mod tests {
         for piece in wire.chunks(777) {
             progress = fetcher.on_data(&Bytes::copy_from_slice(piece));
         }
-        assert_eq!(progress, FetchProgress::Complete(data));
+        // Seven separate allocations: assembled by one copy.
+        let FetchProgress::Complete(body) = progress else {
+            panic!("expected the chunk, got {progress:?}");
+        };
+        assert_eq!(body, data);
+        assert_ne!(body.as_ptr(), data.as_ptr());
         assert_eq!(server.served(), 1);
+    }
+
+    /// Cuts the server's sends into `MSS` segments the way the transport's
+    /// send buffer does: a segment inside one send is a view of it, and
+    /// one that straddles two sends is a copy.
+    fn segments(actions: &[ServerAction]) -> Vec<Bytes> {
+        let sends: Vec<&Bytes> = actions
+            .iter()
+            .filter_map(|a| match a {
+                ServerAction::Send(_, b) => Some(b),
+                _ => None,
+            })
+            .collect();
+        let wire: Vec<u8> = sends.iter().flat_map(|b| b.iter().copied()).collect();
+        let mut out = Vec::new();
+        let (mut at, mut block, mut block_start) = (0, 0, 0);
+        while at < wire.len() {
+            let end = (at + xia_wire::MSS).min(wire.len());
+            while at >= block_start + sends[block].len() {
+                block_start += sends[block].len();
+                block += 1;
+            }
+            out.push(if end <= block_start + sends[block].len() {
+                sends[block].slice(at - block_start..end - block_start)
+            } else {
+                Bytes::copy_from_slice(&wire[at..end])
+            });
+            at = end;
+        }
+        out
+    }
+
+    fn serve(data: &Bytes) -> (Xid, Vec<Bytes>) {
+        let (mut store, cid) = store_with(data);
+        let mut server = ChunkServer::new();
+        let c = conn(6);
+        server.on_incoming(c);
+        let request = ChunkFetcher::new(cid).request_bytes();
+        (cid, segments(&server.on_data(c, &request, &mut store)))
+    }
+
+    #[test]
+    fn served_chunk_completes_as_a_view_of_the_stored_chunk() {
+        let data = Bytes::from((0..20_000u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+        let (cid, segs) = serve(&data);
+        let mut fetcher = ChunkFetcher::new(cid);
+        let mut progress = FetchProgress::InProgress;
+        for seg in &segs {
+            progress = fetcher.on_data(seg);
+        }
+        let FetchProgress::Complete(body) = progress else {
+            panic!("expected the chunk, got {progress:?}");
+        };
+        assert_eq!(body, data);
+        assert_eq!(body.as_ptr(), data.as_ptr(), "no byte was copied");
+    }
+
+    #[test]
+    fn a_forged_first_segment_is_copied_not_widened_over() {
+        let data = Bytes::from((0..20_000u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+        let (cid, mut segs) = serve(&data);
+        let mut forged = segs[0].to_vec();
+        forged[RESPONSE_HDR_LEN] ^= 1;
+        segs[0] = Bytes::from(forged);
+        let body_of_first = segs[0].slice(RESPONSE_HDR_LEN..);
+        let body = assemble(&[body_of_first.clone(), segs[1].clone()]);
+        assert_eq!(body, [&body_of_first[..], &segs[1][..]].concat());
+        assert_ne!(body.as_ptr(), data.as_ptr());
+        let mut fetcher = ChunkFetcher::new(cid);
+        let progress: Vec<FetchProgress> = segs.iter().map(|s| fetcher.on_data(s)).collect();
+        assert_eq!(progress.last(), Some(&FetchProgress::Corrupt));
     }
 
     #[test]
@@ -358,8 +481,35 @@ mod tests {
             found: true,
             len: 1000,
         };
-        let _ = fetcher.on_data(&hdr.encode());
+        let wire = hdr.encode();
+        let _ = fetcher.on_data(&wire.slice(..10));
+        assert_eq!(fetcher.received_bytes(), 0, "the header is not body");
+        let _ = fetcher.on_data(&wire.slice(10..));
         let _ = fetcher.on_data(&data.slice(0..400));
         assert_eq!(fetcher.received_bytes(), 400);
+        assert_eq!(
+            fetcher.on_data(&data.slice(400..)),
+            FetchProgress::Complete(data.clone())
+        );
+        assert_eq!(fetcher.received_bytes(), 1000);
+        assert_eq!(
+            fetcher.on_data(&data.slice(..1)),
+            FetchProgress::Corrupt,
+            "data after completion"
+        );
+    }
+
+    #[test]
+    fn an_over_long_body_is_corrupt() {
+        let data = Bytes::from(vec![4u8; 100]);
+        let cid = Xid::for_content(&data.slice(..99));
+        let mut fetcher = ChunkFetcher::new(cid);
+        let hdr = ChunkResponseHeader {
+            cid,
+            found: true,
+            len: 99,
+        };
+        assert_eq!(fetcher.on_data(&hdr.encode()), FetchProgress::InProgress);
+        assert_eq!(fetcher.on_data(&data), FetchProgress::Corrupt);
     }
 }

@@ -4,6 +4,10 @@
 # Builds ssbench with frame pointers into target/profile, preloads a SIGPROF
 # sampler (2 ms of CPU per sample, frame-pointer stack walk) and symbolises
 # the samples with `nm`. Needs cc, nm and python3. Not part of verify.sh.
+# The "libc by caller" table books each sample whose leaf is in libc to the
+# first program frame on its stack. libc has no frame pointers, so a leaf
+# memmove/memcmp/malloc leaves the walk its caller's frame pointer: the
+# sample lands on the caller's caller, one frame above the real call site.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/profile.sh <workload> [seed]}"
@@ -86,14 +90,16 @@ def name(pc):
     if obj[1]:  # libc's memcpy and malloc internals are not in its .dynsym
         return f"[{obj[1]}]"
     return syms[max(bisect.bisect_right(starts, pc) - 1, 0)][1]
-self_, incl = collections.Counter(), collections.Counter()
+self_, incl, libc = collections.Counter(), collections.Counter(), collections.Counter()
 for stack in stacks:
     names = [name(pc) for pc in stack]
     self_[names[0]] += 1
     incl.update(set(names))
+    if names[0].startswith("[libc"):
+        libc[next((n for n in names if not n.startswith("[")), "[no program frame]")] += 1
 total = len(stacks)
 print(f"{total} samples, one per 2 ms of CPU; [x.so] = inside that shared object")
-for title, table, rows in (("self", self_, 15), ("self + callees", incl, 40)):
+for title, table, rows in (("self", self_, 15), ("self + callees", incl, 40), ("libc by caller", libc, 15)):
     print(f"\n  {title:>14}   symbol")
     for sym, count in table.most_common(rows):
         print(f"  {100 * count / total:13.1f}%   {sym}")
