@@ -16,41 +16,12 @@ use crate::exec::{Cell, TableSpec};
 use crate::params::{ExperimentParams, MB, MBPS};
 use crate::testbed;
 
-/// Outcome of one gain comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct Gain {
-    /// Xftp download time, seconds.
-    pub xftp_s: f64,
-    /// SoftStage download time, seconds.
-    pub softstage_s: f64,
-}
-
-impl Gain {
-    /// Xftp time divided by SoftStage time.
-    pub fn factor(&self) -> f64 {
-        self.xftp_s / self.softstage_s
-    }
-}
-
-/// Simulated-time budget for one download.
-fn deadline() -> SimTime {
-    SimTime::ZERO + SimDuration::from_secs(4_000)
-}
-
-/// Runs both clients on identical worlds and returns the gain.
-pub(crate) fn compare(params: &ExperimentParams) -> Gain {
-    let horizon = SimDuration::from_secs(4_000);
-    let schedule = params.alternating_schedule(horizon);
-    let soft = testbed::download_secs(params, &schedule, SoftStageConfig::default(), deadline());
-    let base = testbed::download_secs(params, &schedule, SoftStageConfig::baseline(), deadline());
-    Gain {
-        xftp_s: base,
-        softstage_s: soft,
-    }
-}
+/// Simulated-time budget for one download, and the coverage horizon.
+const HORIZON: SimDuration = SimDuration::from_secs(4_000);
 
 /// One sweep-point cell: perturbs the Table III defaults via
-/// `params_for`, then measures the paired gain at the cell's seed.
+/// `params_for`, then runs both clients on identical worlds at the cell's
+/// seed and reports the gain, Xftp time over SoftStage time.
 fn gain_cell(
     id: impl Into<String>,
     label: impl Into<String>,
@@ -58,7 +29,12 @@ fn gain_cell(
     params_for: impl Fn() -> ExperimentParams + Send + Sync + 'static,
 ) -> Cell {
     Cell::new(id, label, paper, move |seed| {
-        compare(&params_for().with_seed(seed)).factor()
+        let params = params_for().with_seed(seed);
+        let schedule = params.alternating_schedule(HORIZON);
+        let secs =
+            |config| testbed::download_secs(&params, &schedule, config, SimTime::ZERO + HORIZON);
+        let softstage = secs(SoftStageConfig::default());
+        secs(SoftStageConfig::baseline()) / softstage
     })
 }
 

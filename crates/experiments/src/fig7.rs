@@ -125,17 +125,3 @@ pub fn spec() -> TableSpec {
     }
     spec
 }
-
-/// A short deterministic smoke variant used by tests: 120 s trace.
-pub fn smoke(seed: u64) -> TraceResult {
-    let trace = synthesize_wardriving(
-        "smoke",
-        WardrivingParams {
-            coverage: 0.8,
-            mean_burst_s: 20.0,
-            total_s: 120.0,
-        },
-        seed,
-    );
-    replay(&trace, seed)
-}

@@ -270,15 +270,15 @@ impl World {
 
     /// Audits every event the run recorded against the invariant oracle,
     /// including the per-link stats cross-check (no violations when
-    /// tracing is off). The handoff-atomicity rule applies only when every
+    /// tracing is off). `HandoffMidChunk` findings count only when every
     /// client runs the chunk-aware policy — the legacy policy
     /// legitimately switches networks mid-chunk.
     pub fn audit_trace(&self) -> Vec<simnet::Violation> {
-        let mut oracle = simnet::TraceOracle::new();
+        let mut violations = self.sim.audit_trace();
         if !self.chunk_aware {
-            oracle = oracle.without_handoff_atomicity();
+            violations.retain(|v| v.kind != simnet::InvariantKind::HandoffMidChunk);
         }
-        self.sim.audit_trace(&oracle)
+        violations
     }
 
     /// Every edge router's host stack (XCache and apps), in edge order.

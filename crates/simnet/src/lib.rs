@@ -82,6 +82,6 @@ pub use stats::{LinkStats, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     BreakerState, ClientMode, DropReason, FetchSource, InvariantKind, RejectReason, Tag,
-    TraceAudit, TraceEvent, TraceOracle, TraceRecord, TraceSink, Violation,
+    TraceAudit, TraceEvent, TraceRecord, TraceSink, Violation,
 };
 pub use wheel::WheelQueue;

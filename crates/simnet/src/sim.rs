@@ -5,7 +5,7 @@ use crate::node::{Action, Context, Message, Node, NodeFault, NodeId, TimerKey};
 use crate::rng::Rng;
 use crate::stats::{LinkStats, SimStats};
 use crate::time::SimTime;
-use crate::trace::{DropReason, TraceEvent, TraceOracle, TraceSink, Violation};
+use crate::trace::{DropReason, TraceEvent, TraceSink, Violation};
 use crate::wheel::WheelQueue;
 
 /// Records `event` into an optional sink.
@@ -102,10 +102,10 @@ impl<M: Message> Simulator<M> {
     /// The streaming audit's verdict on every event recorded so far,
     /// including the per-link cross-check against [`Simulator::stats`] —
     /// independent of the recorder's capacity. Empty when tracing is off.
-    pub fn audit_trace(&self, oracle: &TraceOracle) -> Vec<Violation> {
-        self.sink.as_ref().map_or_else(Vec::new, |sink| {
-            sink.audit().violations(oracle, Some(&self.stats))
-        })
+    pub fn audit_trace(&self) -> Vec<Violation> {
+        self.sink
+            .as_ref()
+            .map_or_else(Vec::new, |sink| sink.audit().violations(Some(&self.stats)))
     }
 
     /// Caps the number of dispatched events; [`Simulator::run`] panics when

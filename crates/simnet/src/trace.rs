@@ -6,31 +6,32 @@
 //! object per record, fixed key order) via `util::json`, so two runs of
 //! the same seeded configuration produce **byte-identical** trace files.
 //! The schema is declared once, in the `trace_events!` table below; the
-//! enum, the JSON writer and the JSON parser are generated from it.
+//! enum and its JSON writer are generated from it.
 //!
 //! [`TraceAudit`] checks each record as the sink receives it — so the
 //! verdict covers the whole run even after the ring has overflowed —
 //! against protocol invariants that aggregate counters cannot express
-//! ([`TraceOracle`] folds a recorded slice through the same rules):
+//! (a recorded slice collected into a `TraceAudit` meets the same rules):
 //!
 //! - sequence numbers strictly increase and timestamps never go backwards
 //!   (globally, hence also per node),
 //! - every delivery has a matching transmission on the same link
 //!   (no orphan deliveries),
 //! - no fetch completes from an edge cache that never staged the chunk,
-//! - no chunk transfer spans a committed handoff (chunk-aware policy),
+//! - no chunk transfer spans a committed handoff (a caller running the
+//!   legacy handoff policy, which commits at once, drops these findings),
 //! - no staging request leaves a node whose circuit breaker is open, and
 //!   a breaker never opens without a preceding reject or timeout,
 //! - per-link event counts and byte totals match [`LinkStats`] exactly.
 //!
 //! Identifiers larger than a machine word (XIA CIDs/NIDs) are folded into
-//! a 63-bit [`Tag`] so every field of a record serializes as a JSON
-//! integer and survives a parse round trip exactly.
+//! a 63-bit [`Tag`] so every field of a record serializes as an exact,
+//! non-negative JSON integer.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use util::json::{FromJson, Json, JsonError, ToJson};
+use util::json::{Json, JsonError, ToJson};
 
 use crate::link::LinkId;
 use crate::node::NodeId;
@@ -40,7 +41,7 @@ use crate::time::SimTime;
 /// A compact 63-bit identity tag for content (CIDs) and networks (NIDs).
 ///
 /// Folds the first eight bytes of an identifier big-endian and masks the
-/// sign bit away, so the tag round-trips exactly through JSON integers
+/// sign bit away, so the tag always exports as an exact JSON integer
 /// (`util::json` has no unsigned type). Collisions are astronomically
 /// unlikely within one run and would only blur a trace, never corrupt
 /// the simulation.
@@ -64,88 +65,51 @@ impl fmt::Display for Tag {
     }
 }
 
-/// Conversion between a typed record field and its JSON value: one impl
-/// per field type the event table uses, so the table names only types.
-trait Wire: Sized {
-    fn to_wire(self) -> Json;
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError>;
-}
-
-impl Wire for u64 {
-    fn to_wire(self) -> Json {
-        Json::Int(self as i64)
-    }
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-        v.field(key)?
-            .as_u64()
-            .ok_or_else(|| JsonError::new(format!("field {key:?} is not an unsigned integer")))
+impl ToJson for Tag {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
     }
 }
 
-impl Wire for u32 {
-    fn to_wire(self) -> Json {
-        u64::from(self).to_wire()
+impl ToJson for LinkId {
+    fn to_json(&self) -> Json {
+        self.index().to_json()
     }
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-        u32::try_from(u64::from_wire(v, key)?)
-            .map_err(|_| JsonError::new(format!("field {key:?} exceeds u32")))
-    }
-}
-
-impl Wire for bool {
-    fn to_wire(self) -> Json {
-        Json::Bool(self)
-    }
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-        v.field(key)?
-            .as_bool()
-            .ok_or_else(|| JsonError::new(format!("field {key:?} is not a bool")))
-    }
-}
-
-impl Wire for f64 {
-    fn to_wire(self) -> Json {
-        Json::Float(self)
-    }
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-        v.field(key)?
-            .as_f64()
-            .ok_or_else(|| JsonError::new(format!("field {key:?} is not a number")))
-    }
-}
-
-impl Wire for LinkId {
-    fn to_wire(self) -> Json {
-        (self.index() as u64).to_wire()
-    }
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-        Ok(LinkId(u64::from_wire(v, key)? as usize))
-    }
-}
-
-impl Wire for Tag {
-    fn to_wire(self) -> Json {
-        self.0.to_wire()
-    }
-    fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-        Ok(Tag(u64::from_wire(v, key)?))
-    }
-}
-
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, JsonError> {
-    v.field(key)?
-        .as_str()
-        .ok_or_else(|| JsonError::new(format!("field {key:?} is not a string")))
 }
 
 /// Declares a field enum that travels as a string: each variant is written
-/// once, next to its wire name, and `name`/`parse`/[`Wire`] are generated
-/// from that one list. The visibility before `names` is that of
-/// `name`/`parse`.
+/// once, next to its wire name, and `name` and [`ToJson`] are generated
+/// from that one list. `, pub parse` after the name also generates
+/// `parse`, for a wire name some other format reads back.
 macro_rules! wire_enum {
     (
         $(#[$meta:meta])*
-        pub enum $name:ident, $nvis:vis names {
+        pub enum $name:ident, pub parse {
+            $( $(#[$vmeta:meta])* $variant:ident = $wire:literal, )+
+        }
+    ) => {
+        wire_enum! {
+            $(#[$meta])*
+            pub enum $name {
+                $( $(#[$vmeta])* $variant = $wire, )+
+            }
+        }
+
+        impl $name {
+            /// Parses a wire name back into the variant.
+            pub fn parse(s: &str) -> Result<Self, JsonError> {
+                match s {
+                    $( $wire => Ok($name::$variant), )+
+                    other => Err(JsonError::new(format!(
+                        "unknown {} {other:?}", stringify!($name)
+                    ))),
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
             $( $(#[$vmeta:meta])* $variant:ident = $wire:literal, )+
         }
     ) => {
@@ -157,29 +121,16 @@ macro_rules! wire_enum {
 
         impl $name {
             /// The variant's wire name.
-            $nvis fn name(self) -> &'static str {
+            pub fn name(self) -> &'static str {
                 match self {
                     $( $name::$variant => $wire, )+
                 }
             }
-
-            /// Parses a wire name back into the variant.
-            $nvis fn parse(s: &str) -> Result<Self, JsonError> {
-                match s {
-                    $( $wire => Ok($name::$variant), )+
-                    other => Err(JsonError::new(format!(
-                        "unknown {} {other:?}", stringify!($name)
-                    ))),
-                }
-            }
         }
 
-        impl Wire for $name {
-            fn to_wire(self) -> Json {
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
                 Json::Str(self.name().to_string())
-            }
-            fn from_wire(v: &Json, key: &str) -> Result<Self, JsonError> {
-                $name::parse(req_str(v, key)?)
             }
         }
     };
@@ -187,7 +138,7 @@ macro_rules! wire_enum {
 
 wire_enum! {
     /// Why a packet never reached the far end.
-    pub enum DropReason, names {
+    pub enum DropReason {
         /// Channel loss exhausted ARQ retries (or no ARQ).
         Loss = "loss",
         /// Tail drop at a full transmit queue.
@@ -203,7 +154,7 @@ wire_enum! {
 
 wire_enum! {
     /// Where a client fetch was directed.
-    pub enum FetchSource, names {
+    pub enum FetchSource {
         /// The in-network staging cache (VNF-fronted edge router).
         EdgeCache = "edge",
         /// The origin server over the wired path.
@@ -213,7 +164,7 @@ wire_enum! {
 
 wire_enum! {
     /// Client staging lifecycle mode, mirrored from `softstage::StagingMode`.
-    pub enum ClientMode, names {
+    pub enum ClientMode {
         /// Staging through the VNF.
         Active = "active",
         /// Fetching straight from the origin DAG.
@@ -226,9 +177,9 @@ wire_enum! {
 wire_enum! {
     /// Why a staging VNF refused to take on a request.
     ///
-    /// The wire names are shared with `softstage`'s reject message, so the
-    /// parse helpers are public.
-    pub enum RejectReason, pub names {
+    /// The wire names are shared with `softstage`'s reject message, which
+    /// reads them back with `parse`.
+    pub enum RejectReason, pub parse {
         /// The staging queue reached its configured depth cap.
         QueueDepth = "queue_depth",
         /// Admission control predicted the chunk cannot stage in time.
@@ -238,7 +189,7 @@ wire_enum! {
 
 wire_enum! {
     /// State of the client's per-edge circuit breaker.
-    pub enum BreakerState, pub names {
+    pub enum BreakerState {
         /// Healthy: staging requests flow normally.
         Closed = "closed",
         /// Tripped: no staging requests until the open window elapses.
@@ -251,8 +202,8 @@ wire_enum! {
 /// Declares [`TraceEvent`] from one table: each entry is a variant, its
 /// wire name (the `"ev"` value) and its typed fields. A field's JSON key
 /// is its identifier and fields serialize in declaration order, so the
-/// enum, `name()`, the JSON writer and the JSON parser cannot disagree —
-/// adding an event kind is one entry here.
+/// enum, `name()` and the JSON writer cannot disagree — adding an event
+/// kind is one entry here.
 macro_rules! trace_events {
     (
         $(#[$meta:meta])*
@@ -286,21 +237,9 @@ macro_rules! trace_events {
                 match self {
                     $(
                         TraceEvent::$variant $({ $($field,)+ })? => {
-                            $($( fields.push((stringify!($field).to_string(), $field.to_wire())); )+)?
+                            $($( fields.push((stringify!($field).to_string(), $field.to_json())); )+)?
                         }
                     )+
-                }
-            }
-
-            /// Parses the payload of the event named `ev` out of `v`.
-            fn parse(ev: &str, v: &Json) -> Result<Self, JsonError> {
-                match ev {
-                    $(
-                        $wire => Ok(TraceEvent::$variant $({
-                            $( $field: Wire::from_wire(v, stringify!($field))?, )+
-                        })?),
-                    )+
-                    other => Err(JsonError::new(format!("unknown event {other:?}"))),
                 }
             }
         }
@@ -518,24 +457,13 @@ pub struct TraceRecord {
 impl ToJson for TraceRecord {
     fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("seq".to_string(), self.seq.to_wire()),
-            ("t".to_string(), self.at.as_micros().to_wire()),
-            ("node".to_string(), (self.node.index() as u64).to_wire()),
-            ("ev".to_string(), Json::Str(self.event.name().to_string())),
+            ("seq".to_string(), self.seq.to_json()),
+            ("t".to_string(), self.at.as_micros().to_json()),
+            ("node".to_string(), self.node.index().to_json()),
+            ("ev".to_string(), self.event.name().to_json()),
         ];
         self.event.push_fields(&mut fields);
         Json::Obj(fields)
-    }
-}
-
-impl FromJson for TraceRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TraceRecord {
-            seq: u64::from_wire(v, "seq")?,
-            at: SimTime::from_micros(u64::from_wire(v, "t")?),
-            node: NodeId(u64::from_wire(v, "node")? as usize),
-            event: TraceEvent::parse(req_str(v, "ev")?, v)?,
-        })
     }
 }
 
@@ -637,21 +565,6 @@ impl TraceSink {
     }
 }
 
-/// Parses a JSON-lines trace produced by [`TraceSink::to_jsonl`].
-///
-/// Blank lines are ignored; any malformed line aborts with an error.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, JsonError> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = Json::parse(line).and_then(|v| TraceRecord::from_json(&v));
-        out.push(record.map_err(|e| JsonError::new(format!("line {}: {e}", i + 1)))?);
-    }
-    Ok(out)
-}
-
 /// Which protocol invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantKind {
@@ -663,7 +576,9 @@ pub enum InvariantKind {
     OrphanDelivery,
     /// A successful edge-cache fetch of a chunk that was never staged.
     UnstagedEdgeFetch,
-    /// A handoff committed while a chunk transfer was in flight.
+    /// A handoff committed while a chunk transfer was in flight. Sound
+    /// for the chunk-aware handoff policy only: the legacy policy commits
+    /// at once and legitimately breaks it.
     HandoffMidChunk,
     /// Trace counts disagree with the simulator's [`SimStats`].
     StatsMismatch,
@@ -705,64 +620,6 @@ pub struct Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] seq {}: {}", self.kind, self.seq, self.detail)
-    }
-}
-
-/// The oracle's configuration: which optional rules a read-out applies.
-/// The rules themselves live in [`TraceAudit`]; [`TraceOracle::audit`]
-/// and [`TraceOracle::audit_with_stats`] fold a recorded slice through
-/// one.
-#[derive(Debug, Clone)]
-pub struct TraceOracle {
-    /// Check that no handoff commits while a chunk fetch is in flight.
-    /// Sound for the chunk-aware handoff policy; the baseline policy
-    /// commits immediately and legitimately violates it.
-    pub check_handoff_atomicity: bool,
-}
-
-impl Default for TraceOracle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceOracle {
-    /// An oracle with every check enabled.
-    pub fn new() -> Self {
-        TraceOracle {
-            check_handoff_atomicity: true,
-        }
-    }
-
-    /// Disables the handoff-atomicity check (builder style); use for runs
-    /// with the immediate baseline handoff policy.
-    pub fn without_handoff_atomicity(mut self) -> Self {
-        self.check_handoff_atomicity = false;
-        self
-    }
-
-    /// Structural audit: ordering, orphan deliveries, unstaged fetches,
-    /// handoff atomicity, breaker discipline. `records` must be a whole
-    /// trace: a slice that starts mid-run can make a delivery look
-    /// orphaned because its transmission precedes the slice.
-    pub fn audit(&self, records: &[TraceRecord]) -> Vec<Violation> {
-        Self::fold(records).violations(self, None)
-    }
-
-    /// Full audit plus accounting against the simulator's counters.
-    ///
-    /// Only meaningful for whole traces of finished runs; in-flight
-    /// packets at the deadline are tolerated (deliveries ≤ transmissions).
-    pub fn audit_with_stats(&self, records: &[TraceRecord], stats: &SimStats) -> Vec<Violation> {
-        Self::fold(records).violations(self, Some(stats))
-    }
-
-    fn fold(records: &[TraceRecord]) -> TraceAudit {
-        let mut audit = TraceAudit::default();
-        for r in records {
-            audit.observe(r);
-        }
-        audit
     }
 }
 
@@ -850,7 +707,10 @@ impl Finding {
 /// checks each record as it arrives against O(nodes + links + staged
 /// chunks) of state, and [`TraceAudit::violations`] reads the verdict
 /// out. [`TraceSink::record`] feeds one, so a simulator's audit never
-/// depends on how many records its ring retained.
+/// depends on how many records its ring retained; a recorded slice is
+/// audited by collecting it into one. The slice must be a whole trace:
+/// one that starts mid-run can make a delivery look orphaned because its
+/// transmission precedes the slice.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAudit {
     prev_seq: Option<u64>,
@@ -861,8 +721,7 @@ pub struct TraceAudit {
     breaker: BTreeMap<usize, BreakerState>,
     health_signals: BTreeMap<usize, u64>,
     /// Every finding so far with its record's sequence number, in record
-    /// order. Handoff-atomicity findings are always collected; the
-    /// read-out drops them when the oracle's switch is off.
+    /// order.
     found: Vec<(u64, Finding)>,
 }
 
@@ -952,17 +811,14 @@ impl TraceAudit {
         }
     }
 
-    /// The violations found so far, in record order. `oracle` selects
-    /// the optional rules; with `stats`, the per-link event counts and
-    /// byte totals seen so far are also checked against the simulator's
-    /// counters (meaningful once the run has finished).
-    pub fn violations(&self, oracle: &TraceOracle, stats: Option<&SimStats>) -> Vec<Violation> {
+    /// The violations found so far, in record order. With `stats`, the
+    /// per-link event counts and byte totals seen so far are also checked
+    /// against the simulator's counters (meaningful once the run has
+    /// finished; packets still in flight at the deadline are tolerated).
+    pub fn violations(&self, stats: Option<&SimStats>) -> Vec<Violation> {
         let mut v: Vec<Violation> = self
             .found
             .iter()
-            .filter(|(_, f)| {
-                oracle.check_handoff_atomicity || f.kind() != InvariantKind::HandoffMidChunk
-            })
             .map(|&(seq, f)| f.violation(seq))
             .collect();
         let Some(stats) = stats else {
@@ -1009,6 +865,16 @@ impl TraceAudit {
     }
 }
 
+impl<'a> FromIterator<&'a TraceRecord> for TraceAudit {
+    fn from_iter<I: IntoIterator<Item = &'a TraceRecord>>(records: I) -> Self {
+        let mut audit = TraceAudit::default();
+        for r in records {
+            audit.observe(r);
+        }
+        audit
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1020,6 +886,10 @@ mod tests {
             node: NodeId(node),
             event,
         }
+    }
+
+    fn audit(records: &[TraceRecord]) -> Vec<Violation> {
+        records.iter().collect::<TraceAudit>().violations(None)
     }
 
     #[test]
@@ -1061,7 +931,7 @@ mod tests {
             s.record(SimTime::from_micros(2 * i + 1), NodeId(1), deliver);
         }
         assert_eq!((s.len(), s.dropped()), (4, 596));
-        let v = s.audit().violations(&TraceOracle::new(), None);
+        let v = s.audit().violations(None);
         assert_eq!(v.len(), 1, "{v:#?}");
         assert_eq!((v[0].kind, v[0].seq), (InvariantKind::OrphanDelivery, 301));
     }
@@ -1081,7 +951,7 @@ mod tests {
             ),
             rec(2, 2, 2, TraceEvent::StageRequest { chunk: Tag(1) }),
         ];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InvariantKind::StageWhileBreakerOpen);
         // A half-open probe is legal: the transition precedes the request.
@@ -1107,7 +977,7 @@ mod tests {
             ),
             rec(3, 3, 2, TraceEvent::StageRequest { chunk: Tag(1) }),
         ];
-        assert!(TraceOracle::new().audit(&records).is_empty());
+        assert!(audit(&records).is_empty());
     }
 
     #[test]
@@ -1121,7 +991,7 @@ mod tests {
                 state: BreakerState::Open,
             },
         )];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InvariantKind::BreakerOpenNoSignal);
         // A reject earlier in the run justifies the open; the signal is
@@ -1166,7 +1036,7 @@ mod tests {
                 },
             ),
         ];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert_eq!(v.len(), 1, "{v:#?}");
         assert_eq!(v[0].kind, InvariantKind::BreakerOpenNoSignal);
         assert_eq!(v[0].seq, 3, "only the unsignalled re-open is flagged");
@@ -1234,7 +1104,7 @@ mod tests {
                 },
             ),
         ];
-        assert!(TraceOracle::new().audit(&records).is_empty());
+        assert!(audit(&records).is_empty());
     }
 
     #[test]
@@ -1248,7 +1118,7 @@ mod tests {
                 bytes: 64,
             },
         )];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InvariantKind::OrphanDelivery);
     }
@@ -1259,7 +1129,7 @@ mod tests {
             rec(5, 100, 0, TraceEvent::NodeCrash),
             rec(5, 90, 0, TraceEvent::NodeRestart),
         ];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert!(v.iter().any(|x| x.kind == InvariantKind::MonotoneSeq));
         assert!(v.iter().any(|x| x.kind == InvariantKind::MonotoneTime));
     }
@@ -1277,7 +1147,7 @@ mod tests {
                 ok: true,
             },
         )];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InvariantKind::UnstagedEdgeFetch);
         // The same completion from the origin is fine.
@@ -1292,7 +1162,7 @@ mod tests {
                 ok: true,
             },
         )];
-        assert!(TraceOracle::new().audit(&records).is_empty());
+        assert!(audit(&records).is_empty());
     }
 
     #[test]
@@ -1309,11 +1179,9 @@ mod tests {
             ),
             rec(1, 5, 2, TraceEvent::HandoffCommit { target: Tag(8) }),
         ];
-        let v = TraceOracle::new().audit(&records);
+        let v = audit(&records);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InvariantKind::HandoffMidChunk);
-        let relaxed = TraceOracle::new().without_handoff_atomicity();
-        assert!(relaxed.audit(&records).is_empty());
     }
 
     #[test]
@@ -1340,11 +1208,10 @@ mod tests {
             bytes_delivered: 10,
             ..Default::default()
         });
-        assert!(TraceOracle::new()
-            .audit_with_stats(&records, &stats)
-            .is_empty());
+        let audit: TraceAudit = records.iter().collect();
+        assert!(audit.violations(Some(&stats)).is_empty());
         stats.links[0].bytes_delivered = 11;
-        let v = TraceOracle::new().audit_with_stats(&records, &stats);
+        let v = audit.violations(Some(&stats));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InvariantKind::StatsMismatch);
     }

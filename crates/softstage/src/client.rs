@@ -137,13 +137,11 @@ fn backoff(base: SimDuration, cap: SimDuration, attempt: u32, salt: u64) -> SimD
         .as_micros()
         .saturating_mul(1u64 << exp)
         .min(cap.as_micros());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in salt.to_be_bytes().iter().chain(&attempt.to_be_bytes()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let mut key = [0u8; 12];
+    key[..8].copy_from_slice(&salt.to_be_bytes());
+    key[8..].copy_from_slice(&attempt.to_be_bytes());
     // Map the hash to [-250, 250] per-mille.
-    let jitter_pm = (h % 501) as i64 - 250;
+    let jitter_pm = (util::seed::fnv1a(&key) % 501) as i64 - 250;
     let jittered = us as i64 + (us as i64 / 1000) * jitter_pm;
     SimDuration::from_micros(jittered.max(1) as u64)
 }

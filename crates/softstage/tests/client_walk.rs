@@ -24,8 +24,7 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 
 use simnet::{
-    LinkId, NodeId, RejectReason, SimStats, SimTime, Tag, TraceAudit, TraceEvent, TraceOracle,
-    TraceRecord,
+    LinkId, NodeId, RejectReason, SimStats, SimTime, Tag, TraceAudit, TraceEvent, TraceRecord,
 };
 use softstage::{SoftStageClient, SoftStageConfig, StagingMsg};
 use util::bytes::Bytes;
@@ -210,7 +209,6 @@ impl StandIn {
 fn walk(depth: usize) -> u64 {
     let (a, b) = (edge(1, -60.0), edge(2, -50.0));
     let delivered = Cell::new(0u64);
-    let oracle = TraceOracle::new();
     let stats = SimStats::default();
     let leaves = util::check::walk(|w| {
         let mut host = StandIn::new();
@@ -243,7 +241,7 @@ fn walk(depth: usize) -> u64 {
                 _ => host.link_down(),
             }
         }
-        let found = host.audit.violations(&oracle, Some(&stats));
+        let found = host.audit.violations(Some(&stats));
         assert!(found.is_empty(), "{found:?}");
         delivered.set(delivered.get() + u64::from(host.client.is_done()));
     });

@@ -25,6 +25,8 @@ use std::sync::{Mutex, PoisonError};
 
 pub use ssmc::{walk, Walk};
 
+use crate::seed;
+
 /// Number of shrink candidates tried after a failure before giving up.
 const SHRINK_BUDGET: usize = 2000;
 
@@ -70,7 +72,8 @@ impl Gen {
                 v
             }
             None => {
-                let v = splitmix64(&mut self.state);
+                let v = seed::splitmix64(self.state);
+                self.state = self.state.wrapping_add(seed::GAMMA);
                 self.tape.push(v);
                 v
             }
@@ -100,15 +103,11 @@ impl Gen {
         lo.wrapping_add(self.u64_in(0, span) as i64)
     }
 
-    /// A uniform float in `[0, 1)`. Shrinks toward `0.0`.
-    pub fn f64_unit(&mut self) -> f64 {
-        (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// A uniform float in `[lo, hi)`. Shrinks toward `lo`.
     #[cfg(test)]
     pub(crate) fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f64_unit() * (hi - lo)
+        let unit = (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        lo + unit * (hi - lo)
     }
 
     /// A fair coin flip. Shrinks toward `false`.
@@ -150,23 +149,6 @@ impl Gen {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Runs `prop` on `cases` generated inputs; on failure, shrinks and panics
 /// with a reproduction report.
 ///
@@ -175,8 +157,8 @@ fn fnv1a(text: &str) -> u64 {
 /// a property with a different stream.
 pub fn check(name: &str, cases: usize, prop: impl Fn(&mut Gen)) {
     let base = match std::env::var("UTIL_CHECK_SEED") {
-        Ok(s) => fnv1a(name) ^ fnv1a(&s),
-        Err(_) => fnv1a(name),
+        Ok(s) => seed::fnv1a(name.as_bytes()) ^ seed::fnv1a(s.as_bytes()),
+        Err(_) => seed::fnv1a(name.as_bytes()),
     };
 
     // A failing property panics below with the guard still held; the
@@ -210,9 +192,7 @@ pub fn replay(tape: &[u64], prop: impl Fn(&mut Gen)) {
 
 fn run_all(base: u64, cases: usize, prop: &impl Fn(&mut Gen)) -> Option<(usize, Vec<u64>, String)> {
     for case in 0..cases {
-        let mut seed_state = base.wrapping_add(case as u64);
-        let seed = splitmix64(&mut seed_state);
-        let mut g = Gen::fresh(seed);
+        let mut g = Gen::fresh(seed::splitmix64(base.wrapping_add(case as u64)));
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| prop(&mut g))) {
             return Some((case, g.tape, panic_message(payload)));
         }
@@ -345,9 +325,7 @@ mod tests {
             let mut vals = Vec::new();
             // Reach into the generator directly — determinism is about
             // the seed derivation, not the harness loop.
-            let mut seed_state = fnv1a("stable").wrapping_add(3);
-            let seed = splitmix64(&mut seed_state);
-            let mut g = Gen::fresh(seed);
+            let mut g = Gen::fresh(seed::splitmix64(seed::fnv1a(b"stable").wrapping_add(3)));
             for _ in 0..8 {
                 vals.push(g.u64());
             }

@@ -16,23 +16,24 @@
 //! function silently shifts every replicated experiment, so it must be
 //! a deliberate, reviewed act.
 
+/// The golden-ratio increment a splitmix64 stream advances its state by.
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The splitmix64 output mix (Steele, Lea & Flood; also xoshiro's
-/// recommended seeder). Bijective over `u64`.
+/// recommended seeder): one step of the stream whose state is `z`.
+/// Bijective over `u64`.
 pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// FNV-1a over `key`'s bytes — a stable, dependency-free string hash.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// FNV-1a (64-bit) over `bytes` — a stable, dependency-free hash.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Derives the seed for one `(cell key, replicate)` pair from `base`.
@@ -45,7 +46,7 @@ pub fn derive(base: u64, key: &str, replicate: u32) -> u64 {
     if replicate == 0 {
         return base;
     }
-    let mixed = splitmix64(base ^ fnv1a(key));
+    let mixed = splitmix64(base ^ fnv1a(key.as_bytes()));
     splitmix64(mixed ^ u64::from(replicate))
 }
 

@@ -19,6 +19,9 @@ use crate::ctx::{Effect, HostCtx, HostView};
 /// the key is `boot epoch << 40 | app index << 32 | the app's own key`.
 const APP_TIMER_TAG: u64 = 0x4150 << 48;
 
+/// Apps one host can run: an app timer key holds the app index in 8 bits.
+const MAX_APPS: usize = 1 << 8;
+
 /// State of one in-flight chunk fetch. A connection with a `FetchState`
 /// is a fetch; any other connection the mux knows is one the chunk server
 /// accepted.
@@ -173,7 +176,16 @@ impl Host {
     }
 
     /// Adds an application; returns its index.
+    ///
+    /// # Panics
+    ///
+    /// If the host already runs 256 apps: a timer key has 8 bits for the
+    /// app index, so a 257th app's timers would reach app 0.
     pub fn add_app(&mut self, app: Box<dyn App>) -> usize {
+        assert!(
+            self.apps.len() < MAX_APPS,
+            "a host runs at most {MAX_APPS} apps"
+        );
         self.apps.push(app);
         self.apps.len() - 1
     }
@@ -487,7 +499,7 @@ impl Host {
             Effect::Timer { delay, key } => {
                 let packed = APP_TIMER_TAG
                     | (u64::from(self.meta.boot_epoch) << 40)
-                    | ((app_idx as u64 & 0xFF) << 32)
+                    | ((app_idx as u64) << 32)
                     | u64::from(key);
                 ctx.set_timer(delay, packed);
             }

@@ -381,3 +381,15 @@ fn effects_land_in_order_and_before_the_next_app_runs() {
     let from = Dag::host(nid, a_hid);
     assert_eq!(inbox.unwrap().0, [(from.clone(), 1), (from, 2)]);
 }
+
+/// An app timer key holds the app index in 8 bits, so a host refuses a
+/// 257th app instead of delivering its timers to app 0.
+#[test]
+#[should_panic(expected = "a host runs at most 256 apps")]
+fn a_257th_app_is_refused() {
+    let mut host = Host::new(HostConfig::new(Xid::new_random(Principal::Hid, 1)));
+    for i in 0..256 {
+        assert_eq!(host.add_app(Box::new(SeqFetcher::new(Vec::new()))), i);
+    }
+    host.add_app(Box::new(SeqFetcher::new(Vec::new())));
+}

@@ -2,13 +2,16 @@
 # Byte-identity gate: does this tree print what <git-ref> prints?
 #   scripts/same_output.sh <git-ref>        e.g. scripts/same_output.sh HEAD~1
 # Unpacks <git-ref> with `git archive` into target/same_output/ref, builds
-# its `reproduce` and `sslint` into their own target directory, runs six
-# targets on both trees (seed 42, and seed 7 with --seeds 2 --jobs 2) and
+# its `reproduce`, `sslint` and `softstage_trace` example into their own
+# target directory, runs six targets on both trees (seed 42, and seed 7
+# with --seeds 2 --jobs 2) and
 # `cmp`s the --json files: the four quick ones, `fig5` (the only table on
 # `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
 # coordinator's depth bounds and `prestage_depth`). Also runs `fig6` and
 # `fig7` at seed 42 alone: the single-client tables that take the Chunk
-# Profile through every staging state. Runs both `sslint`
+# Profile through every staging state. Runs both `softstage_trace`
+# examples at seeds 42 and 7 and `cmp`s their stdout (summary and oracle
+# verdict) and their JSON-lines dumps. Runs both `sslint`
 # binaries, `--format text` and `jsonl`, over this tree, over a copy of it
 # with every `// sslint: allow(` comment neutralised and no `sslint.allow`,
 # and over each rule fixture, and `cmp`s stdout, the stderr summary line
@@ -28,7 +31,7 @@ mkdir -p "$dir/ref" "$dir/out/ref" "$dir/out/tree"
 git archive "$ref" | tar -x -C "$dir/ref"
 build() {
     cargo build --release --offline --quiet -p softstage-experiments -p sslint \
-        --bin reproduce --bin sslint "$@"
+        -p softstage-suite --bin reproduce --bin sslint --example softstage_trace "$@"
 }
 build
 CARGO_TARGET_DIR="$dir/build" build --manifest-path "$dir/ref/Cargo.toml"
@@ -42,6 +45,11 @@ for side in ref tree; do
     done
     for target in fig6 fig7; do
         "$bin" "$target" --seed 42 --json "$dir/out/$side/$target-42.json" >/dev/null
+    done
+    trace="$(realpath "$(dirname "$bin")")/examples/softstage_trace"
+    for seed in 42 7; do
+        # Run inside the output directory so the "wrote <path>" line matches.
+        (cd "$dir/out/$side" && "$trace" "$seed" "trace-$seed.jsonl" >"trace-$seed.stdout")
     done
 done
 stripped="$dir/stripped"

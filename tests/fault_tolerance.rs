@@ -42,7 +42,7 @@ fn severe_internet_loss_is_survivable() {
     let schedule = p.alternating_schedule(SimDuration::from_secs(2000));
     // Both the SoftStage client and the Xftp baseline must survive; the
     // oracle relaxes handoff atomicity for the baseline's legacy policy
-    // automatically (see `Testbed::audit_trace`).
+    // automatically (see `World::audit_trace`).
     for (name, config) in [
         ("softstage", SoftStageConfig::default()),
         ("baseline", SoftStageConfig::baseline()),

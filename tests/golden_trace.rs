@@ -7,9 +7,9 @@
 mod common;
 
 use softstage_suite::experiments::Testbed;
-use softstage_suite::simnet::trace::parse_jsonl;
 use softstage_suite::simnet::{
-    DropReason, FetchSource, InvariantKind, SimDuration, TraceEvent, TraceOracle, TraceRecord,
+    DropReason, FetchSource, InvariantKind, SimDuration, TraceAudit, TraceEvent, TraceRecord,
+    Violation,
 };
 use softstage_suite::softstage::SoftStageConfig;
 use softstage_suite::vehicular::CoverageSchedule;
@@ -59,18 +59,15 @@ fn golden(tb: &Testbed, scenario: &str) -> [u8; 20] {
     common::assert_trace_clean(tb, scenario);
     let jsonl = tb.trace_jsonl();
     assert!(!jsonl.is_empty(), "{scenario}: trace must not be empty");
-    // The export round-trips: parsing it back yields the recorded events.
-    let parsed = parse_jsonl(&jsonl).expect("golden trace parses");
+    // A batch fold over the recorded slice and the streaming audit are
+    // the same rules: same verdict on a real trace, stats cross-check
+    // included.
+    let sink = tb.sim.trace().expect("recorder attached");
     assert_eq!(
-        parsed,
-        tb.sim.trace().expect("recorder attached").to_vec(),
-        "{scenario}: JSONL round-trip"
-    );
-    // The batch fold over the export and the streaming audit are the same
-    // rules: same verdict on a real trace, stats cross-check included.
-    assert_eq!(
-        TraceOracle::new().audit_with_stats(&parsed, tb.sim.stats()),
-        tb.audit_trace(),
+        sink.records()
+            .collect::<TraceAudit>()
+            .violations(Some(tb.sim.stats())),
+        tb.sim.audit_trace(),
         "{scenario}: batch vs streaming audit"
     );
     sha1::sha1(jsonl.as_bytes())
@@ -127,13 +124,16 @@ fn handoff_golden_trace_is_byte_identical_and_oracle_clean() {
     assert!(commits > 0, "handoff run must record committed handoffs");
 }
 
+/// The structural verdict on a (possibly doctored) recorded slice.
+fn audit(records: &[TraceRecord]) -> Vec<Violation> {
+    records.iter().collect::<TraceAudit>().violations(None)
+}
+
 #[test]
 fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
     let tb = staging_run(42);
-    let jsonl = tb.trace_jsonl();
-    let clean = parse_jsonl(&jsonl).expect("golden trace parses");
-    let oracle = TraceOracle::new();
-    assert!(oracle.audit(&clean).is_empty(), "golden trace is clean");
+    let clean = tb.sim.trace().expect("recorder attached").to_vec();
+    assert!(audit(&clean).is_empty(), "golden trace is clean");
 
     // Forgery 1: orphan deliveries — more arrivals on a link than it ever
     // transmitted. A live trace legitimately ends with packets still in
@@ -168,7 +168,7 @@ fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
             event: donor.event,
         });
     }
-    let violations = oracle.audit(&orphaned);
+    let violations = audit(&orphaned);
     assert!(
         violations
             .iter()
@@ -181,7 +181,7 @@ fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
     let mid = reversed.len() / 2;
     assert!(reversed[mid].at.as_micros() > 0, "mid-run event after t=0");
     reversed[mid].at = softstage_suite::simnet::SimTime::ZERO;
-    let violations = oracle.audit(&reversed);
+    let violations = audit(&reversed);
     assert!(
         violations
             .iter()
@@ -192,7 +192,7 @@ fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
     // Forgery 3: a duplicated sequence number.
     let mut reseq = clean.clone();
     reseq[mid].seq = reseq[mid - 1].seq;
-    let violations = oracle.audit(&reseq);
+    let violations = audit(&reseq);
     assert!(
         violations
             .iter()
@@ -209,7 +209,7 @@ fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
             r.event = TraceEvent::CacheWipe;
         }
     }
-    let violations = oracle.audit(&unstaged);
+    let violations = audit(&unstaged);
     assert!(
         violations
             .iter()
