@@ -98,9 +98,14 @@ impl Rng {
 
     /// Fills `dest` with uniform random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
+        let mut words = dest.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
             let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
+            tail.copy_from_slice(&v[..tail.len()]);
         }
     }
 }

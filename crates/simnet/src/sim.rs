@@ -419,7 +419,13 @@ impl<M: Message> Simulator<M> {
                 epoch,
                 msg,
             } => {
-                let bytes = wire32(msg.wire_size());
+                // Only the recorder reads the size, and sizing a message
+                // can walk its addresses.
+                let bytes = if self.sink.is_some() {
+                    wire32(msg.wire_size())
+                } else {
+                    0
+                };
                 let alive = self
                     .links
                     .get(link.0)

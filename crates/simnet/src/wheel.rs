@@ -7,6 +7,12 @@
 //! O(1); pop is amortized O(1) with occasional cascades. Slot buckets are
 //! recycled through a [`BufPool`], so the steady state allocates nothing.
 //!
+//! Buckets hold 24-byte keys, `(at, seq, slot)`, not events: an event's
+//! payload is written once into the wheel's slab at `push` and taken once
+//! at `pop`, so filing, cascades and batch reversal move keys only. The
+//! slab grows to the most events ever pending at once, and a freed cell
+//! is the next one reused, while it is still in cache.
+//!
 //! The ordering contract is pinned by the differential suite
 //! (`crates/simnet/tests/sched_diff.rs`), which drives the wheel against
 //! the contract written literally: a `BTreeMap` keyed by `(at, seq)`.
@@ -33,7 +39,8 @@
 //! order. Equal-timestamp events always converge to the same level-0
 //! bucket in push order — across cascades too, because a cascade
 //! completes before any later push can observe the new cursor. Hence pop
-//! order is exactly `(at, seq)`.
+//! order is exactly `(at, seq)`; which slab cell holds a payload never
+//! enters it.
 
 use crate::pool::BufPool;
 use crate::time::SimTime;
@@ -45,11 +52,15 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so that `LEVELS * LEVEL_BITS >= 64` covers any `u64`.
 const LEVELS: usize = 11;
 
-struct Entry<T> {
+/// What a bucket holds: the event's order key and where its payload is.
+struct Entry {
     at: u64,
     seq: u64,
-    item: T,
+    /// Index of the event's payload in [`WheelQueue::slab`].
+    slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 24);
 
 /// Hierarchical timer wheel; see the [module docs](self) for geometry
 /// and the determinism argument.
@@ -66,12 +77,17 @@ pub struct WheelQueue<T> {
     /// entries. `trailing_zeros` finds the earliest occupied slot.
     occupied: [u64; LEVELS],
     /// `LEVELS * SLOTS` buckets, level-major.
-    slots: Vec<Vec<Entry<T>>>,
+    slots: Vec<Vec<Entry>>,
     /// The level-0 bucket currently being drained, reversed so `pop()`
     /// from the back yields insertion order. All entries share one `at`.
-    current: Vec<Entry<T>>,
+    current: Vec<Entry>,
     /// Recycles drained bucket storage back under fresh pushes.
-    pool: BufPool<Entry<T>>,
+    pool: BufPool<Entry>,
+    /// Payloads of pending events; `Some` exactly at the cells that a
+    /// filed [`Entry::slot`] names.
+    slab: Vec<Option<T>>,
+    /// Empty `slab` cells, last freed on top.
+    vacant: Vec<u32>,
 }
 
 impl<T> WheelQueue<T> {
@@ -85,6 +101,8 @@ impl<T> WheelQueue<T> {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             current: Vec::new(),
             pool: BufPool::new(),
+            slab: Vec::new(),
+            vacant: Vec::new(),
         }
     }
 
@@ -108,7 +126,7 @@ impl<T> WheelQueue<T> {
 
     /// Files `entry` into its bucket relative to the current cursor.
     #[inline]
-    fn file(&mut self, entry: Entry<T>) {
+    fn file(&mut self, entry: Entry) {
         let level = Self::level_for(self.elapsed, entry.at);
         let slot = (entry.at >> (LEVEL_BITS as usize * level)) as usize & (SLOTS - 1);
         let idx = level * SLOTS + slot;
@@ -140,7 +158,22 @@ impl<T> WheelQueue<T> {
         // Clamp for totality: a past timestamp files as "due now", in seq
         // order with whatever else is due.
         let at = at.max(self.elapsed);
-        self.file(Entry { at, seq, item });
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            assert!(
+                self.slab.len() < u32::MAX as usize,
+                "too many pending events"
+            );
+            self.slab.push(None);
+            (self.slab.len() - 1) as u32
+        });
+        // Writing only into a cell seen empty spares the copy of `item`
+        // that dropping a cell's old value first would cost.
+        let cell = self.slab.get_mut(slot as usize);
+        debug_assert!(matches!(cell, Some(None)), "slab cell {slot} is not vacant");
+        if let Some(cell @ None) = cell {
+            *cell = Some(item);
+        }
+        self.file(Entry { at, seq, slot });
         self.len += 1;
     }
 
@@ -153,7 +186,16 @@ impl<T> WheelQueue<T> {
                     let spent = std::mem::take(&mut self.current);
                     self.pool.put(spent);
                 }
-                return Some((SimTime::from_micros(entry.at), entry.seq, entry.item));
+                let item = self
+                    .slab
+                    .get_mut(entry.slot as usize)
+                    .and_then(Option::take);
+                // A filed entry always has its payload; were one missing,
+                // skip the entry rather than free its cell a second time.
+                debug_assert!(item.is_some(), "filed entry without a payload");
+                let Some(item) = item else { continue };
+                self.vacant.push(entry.slot);
+                return Some((SimTime::from_micros(entry.at), entry.seq, item));
             }
             let (level, slot) = self.earliest_bucket()?;
             let idx = level * SLOTS + slot;

@@ -1,5 +1,6 @@
 //! Typed 160-bit XIA identifiers.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use util::json::{FromJson, Json, JsonError, ToJson};
@@ -71,7 +72,9 @@ impl fmt::Display for Principal {
 /// assert_eq!(cid, Xid::for_content(b"chunk bytes"));
 /// assert_ne!(cid, Xid::for_content(b"other bytes"));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// XIDs order by principal, then by the id's bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Xid {
     principal: Principal,
     id: [u8; 20],
@@ -109,6 +112,22 @@ impl Xid {
         &self.id
     }
 
+    /// The id as big-endian words, which compare as the bytes do.
+    #[inline]
+    fn words(&self) -> (u64, u64, u32) {
+        let mut hi = [0u8; 8];
+        let mut mid = [0u8; 8];
+        let mut lo = [0u8; 4];
+        hi.copy_from_slice(&self.id[..8]);
+        mid.copy_from_slice(&self.id[8..16]);
+        lo.copy_from_slice(&self.id[16..]);
+        (
+            u64::from_be_bytes(hi),
+            u64::from_be_bytes(mid),
+            u32::from_be_bytes(lo),
+        )
+    }
+
     /// A short human-readable form: `CID:1a2b3c4d`.
     pub fn short(&self) -> String {
         format!(
@@ -144,6 +163,24 @@ impl Xid {
             *byte = u8::from_str_radix(pair, 16).map_err(|_| ParseXidError)?;
         }
         Ok(Xid::new(principal, id))
+    }
+}
+
+// Every map keyed by XIDs searches with this, so it compares three
+// integers rather than 20 bytes one `memcmp` at a time.
+impl Ord for Xid {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.principal
+            .cmp(&other.principal)
+            .then_with(|| self.words().cmp(&other.words()))
+    }
+}
+
+impl PartialOrd for Xid {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

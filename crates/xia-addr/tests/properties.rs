@@ -25,6 +25,39 @@ fn xid_text_roundtrip() {
     });
 }
 
+/// XIDs order by principal, then by the id's bytes, whatever the
+/// hand-written `Ord` compares. Half the pairs are adversarial: the same
+/// id under another principal, or two ids whose first difference is at
+/// byte 7, 8, 15, 16 (either side of a word boundary) or 19 (the last),
+/// with the bytes after it drawn apart, so a word read in the wrong byte
+/// order mis-orders them.
+#[test]
+fn xid_order_is_byte_order() {
+    check("xid_order_is_byte_order", 1024, |g| {
+        let a = gen_xid(g);
+        let b = if g.bool() {
+            gen_xid(g)
+        } else {
+            let mut id = *a.id();
+            match g.usize_in(0, 5) {
+                5 => Xid::new(gen_principal(g), id),
+                k => {
+                    let first = [7, 8, 15, 16, 19][k];
+                    id[first] ^= g.u64_in(1, 255) as u8;
+                    let rest = g.bytes(19 - first);
+                    id[first + 1..].copy_from_slice(&rest);
+                    Xid::new(a.principal(), id)
+                }
+            }
+        };
+        for (x, y) in [(a, b), (b, a)] {
+            let bytes = (x.principal(), *x.id()).cmp(&(y.principal(), *y.id()));
+            assert_eq!(x.cmp(&y), bytes, "{x} vs {y}");
+            assert_eq!(x.partial_cmp(&y), Some(bytes), "{x} vs {y}");
+        }
+    });
+}
+
 /// CIDs are a pure function of content: equal content, equal CID;
 /// hashing is consistent with the one-shot SHA-1.
 #[test]

@@ -232,11 +232,6 @@ impl Host {
         self.mux.active_connections()
     }
 
-    /// Whether this stack owns transport connection `conn`.
-    pub fn knows_connection(&self, conn: ConnId) -> bool {
-        self.mux.has_connection(conn)
-    }
-
     /// The current primary (data) link, if attached.
     pub fn primary_link(&self) -> Option<LinkId> {
         self.meta.primary_link
@@ -263,7 +258,9 @@ impl Host {
         manifest
     }
 
-    /// Whether this stack should consume `pkt` (local delivery).
+    /// Whether this stack should consume `pkt` (local delivery), judged
+    /// by address only: a segment of a live connection is claimed first,
+    /// by [`Host::deliver_known`].
     pub fn wants_packet(&self, pkt: &XiaPacket) -> bool {
         match &pkt.l4 {
             L4::Beacon(_) => true,
@@ -274,10 +271,7 @@ impl Host {
                 let intent = pkt.dst.intent();
                 self.meta.services.contains(&intent) || intent == self.meta.hid
             }
-            L4::Segment(seg) => {
-                if self.mux.has_connection(seg.conn) {
-                    return true;
-                }
+            L4::Segment(_) => {
                 let intent = pkt.dst.intent();
                 if intent == self.meta.hid {
                     return true;
@@ -289,6 +283,29 @@ impl Host {
                 false
             }
         }
+    }
+
+    /// Feeds a segment of a live transport connection to it, wherever
+    /// the packet was addressed, and processes what that raised. Hands
+    /// back any other packet for [`Host::wants_packet`] or the router's
+    /// DAG walk to judge.
+    ///
+    /// # Errors
+    ///
+    /// `Err(pkt)` when `pkt` is not a segment of a connection this stack
+    /// owns.
+    pub fn deliver_known(
+        &mut self,
+        ctx: &mut SimContext<'_, XiaPacket>,
+        pkt: XiaPacket,
+    ) -> Result<(), XiaPacket> {
+        if self.down {
+            return Err(pkt);
+        }
+        let (mux, mut env) = self.env(ctx);
+        mux.deliver_known(&mut env, pkt)?;
+        self.drain(ctx);
+        Ok(())
     }
 
     /// Delivers the simulation start to all apps.
@@ -743,6 +760,10 @@ impl Node<XiaPacket> for EndHost {
     }
 
     fn on_packet(&mut self, ctx: &mut SimContext<'_, XiaPacket>, link: LinkId, pkt: XiaPacket) {
+        let pkt = match self.host.deliver_known(ctx, pkt) {
+            Ok(()) => return self.flush(ctx),
+            Err(pkt) => pkt,
+        };
         // Anything else was not for this host.
         if self.host.wants_packet(&pkt) {
             self.host.handle_packet(ctx, link, pkt);

@@ -171,9 +171,21 @@ impl RouterNode {
         }
         pkt.hop_limit -= 1;
 
-        // Beacons and control datagrams for locally hosted services are
-        // delivered straight to the stack.
         if let Some(link) = ingress {
+            // Segments of connections this router's stack already owns (an
+            // in-progress staging transfer, or a chunk it is serving) are
+            // local regardless of the DAG pointer. Fresh SYNs go through
+            // the DAG algorithm below so CID interception follows address
+            // semantics.
+            pkt = match self.host.deliver_known(ctx, pkt) {
+                Ok(()) => {
+                    self.stats.delivered_local += 1;
+                    return self.flush(ctx);
+                }
+                Err(pkt) => pkt,
+            };
+            // Beacons and control datagrams for locally hosted services
+            // are delivered straight to the stack.
             match &pkt.l4 {
                 L4::Beacon(_) => {
                     if self.host.wants_packet(&pkt) {
@@ -188,18 +200,7 @@ impl RouterNode {
                         return;
                     }
                 }
-                L4::Segment(seg) => {
-                    // Segments of connections this router's stack already
-                    // owns (an in-progress staging transfer, or a chunk it
-                    // is serving) are local regardless of the DAG pointer.
-                    // Fresh SYNs go through the DAG algorithm below so CID
-                    // interception follows address semantics.
-                    if self.host.knows_connection(seg.conn) {
-                        self.stats.delivered_local += 1;
-                        self.deliver_local(ctx, link, pkt);
-                        return;
-                    }
-                }
+                L4::Segment(_) => {}
             }
         }
 

@@ -2,6 +2,7 @@
 //! the connection that armed them, and provides the host-facing transport
 //! API.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use simnet::SimDuration;
@@ -86,11 +87,6 @@ impl TransportMux {
     /// Number of live connections.
     pub fn active_connections(&self) -> usize {
         self.conns.len()
-    }
-
-    /// Whether `conn` refers to a live connection on this mux.
-    pub fn has_connection(&self, conn: ConnId) -> bool {
-        self.by_id.contains_key(&conn)
     }
 
     /// Opens a connection to `dst`, sourcing packets from `src`.
@@ -191,6 +187,44 @@ impl TransportMux {
         Some(self.conns.get(uid)?.stats())
     }
 
+    /// Feeds `pkt` to the live connection it is a segment of, and reaps
+    /// that connection if the segment finished it. Hands back, untouched,
+    /// any packet that is not a segment of a live connection.
+    ///
+    /// # Errors
+    ///
+    /// `Err(pkt)` when this mux does not own `pkt`.
+    pub fn deliver_known(
+        &mut self,
+        env: &mut dyn TransportEnv,
+        pkt: XiaPacket,
+    ) -> Result<(), XiaPacket> {
+        let uid = match &pkt.l4 {
+            L4::Segment(seg) => self.by_id.get(&seg.conn).copied(),
+            _ => None,
+        };
+        match (uid, pkt) {
+            (
+                Some(uid),
+                XiaPacket {
+                    src,
+                    l4: L4::Segment(seg),
+                    ..
+                },
+            ) => {
+                if let Entry::Occupied(mut c) = self.conns.entry(uid) {
+                    c.get_mut().on_segment(env, seg, &src);
+                    if c.get().finished() {
+                        let c = c.remove();
+                        self.retire(c);
+                    }
+                }
+                Ok(())
+            }
+            (_, pkt) => Err(pkt),
+        }
+    }
+
     /// Handles a transport packet addressed to this host.
     ///
     /// SYNs for unknown connections create responder connections and raise
@@ -198,16 +232,12 @@ impl TransportMux {
     /// new connection answers from (e.g. this host's `NID : HID`, or a
     /// router cache's own address when intercepting a CID request).
     pub fn on_packet(&mut self, env: &mut dyn TransportEnv, pkt: XiaPacket, local_src: Dag) {
+        let Err(pkt) = self.deliver_known(env, pkt) else {
+            return;
+        };
         let L4::Segment(seg) = pkt.l4 else {
             return;
         };
-        if let Some(&uid) = self.by_id.get(&seg.conn) {
-            if let Some(c) = self.conns.get_mut(&uid) {
-                c.on_segment(env, seg, &pkt.src);
-            }
-            self.reap(uid);
-            return;
-        }
         // TIME_WAIT replay: a retransmitted FIN for a reaped connection
         // means our final ACK was lost; replay it.
         if seg.flags.fin {
@@ -279,12 +309,17 @@ impl TransportMux {
 
     /// Removes `uid` if its connection has finished.
     fn reap(&mut self, uid: u64) {
-        if !self.conns.get(&uid).is_some_and(|c| c.finished()) {
-            return;
+        if let Entry::Occupied(c) = self.conns.entry(uid) {
+            if c.get().finished() {
+                let c = c.remove();
+                self.retire(c);
+            }
         }
-        let Some(c) = self.conns.remove(&uid) else {
-            return;
-        };
+    }
+
+    /// Forgets a finished connection, keeping a closed one's final ACK
+    /// for TIME_WAIT replay.
+    fn retire(&mut self, c: Connection) {
         self.by_id.remove(&c.id);
         if c.state == ConnState::Closed {
             if self.time_wait.len() >= Self::TIME_WAIT_CAP {
@@ -428,8 +463,8 @@ mod tests {
         // B's FIN completes the connection at A: exactly that one goes.
         p.deliver(A, fin.clone());
         assert_eq!(p.mux[A].active_connections(), 64);
-        assert!(!p.mux[A].has_connection(conn));
-        assert!(idle.iter().all(|id| p.mux[A].has_connection(*id)));
+        assert!(!p.mux[A].by_id.contains_key(&conn));
+        assert!(idle.iter().all(|id| p.mux[A].by_id.contains_key(id)));
         assert!(p.env[A]
             .events
             .iter()
@@ -448,7 +483,7 @@ mod tests {
         // The replayed ACK completes B's side: again exactly one goes.
         p.deliver(B, replay);
         assert_eq!(p.mux[B].active_connections(), 64);
-        assert!(idle.iter().all(|id| p.mux[B].has_connection(*id)));
+        assert!(idle.iter().all(|id| p.mux[B].by_id.contains_key(id)));
     }
 
     /// Random API calls, deliveries (in any order, with loss and

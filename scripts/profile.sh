@@ -8,6 +8,10 @@
 # first program frame on its stack. libc has no frame pointers, so a leaf
 # memmove/memcmp/malloc leaves the walk its caller's frame pointer: the
 # sample lands on the caller's caller, one frame above the real call site.
+# A second, unsampled pass preloads a shim that wraps memcpy and memcmp and
+# books every call to the symbol holding its return address, the real call
+# site: the "libc calls by caller" table, in millions of calls, with memcpy
+# split by size (<= 32, <= 128, > 128 bytes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/profile.sh <workload> [seed]}"
@@ -67,29 +71,84 @@ __attribute__((destructor)) static void stop(void) {
   fclose(o);
 }
 EOF
-PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$PWD/$dir/sampler.so" \
-    "$dir/release/ssbench" pass --workload "$workload" --seed "${2:-42}" >/dev/null
-python3 - "$dir/samples.txt" "$dir/release/ssbench" <<'EOF'
+cc -shared -fPIC -O2 -o "$dir/calls.so" -x c - -ldl <<'EOF'
+#define _GNU_SOURCE
+#include <dlfcn.h>
+#include <link.h>
+#include <stdio.h>
+#include <stdlib.h>
+#define CAP (1 << 14)
+/* Per call site: memcpy calls of <= 32, <= 128 and > 128 bytes; memcmp calls. */
+static struct { unsigned long site, n[4]; } table[CAP];
+static void book(unsigned long site, int class) {
+  unsigned long i = (site * 0x9E3779B97F4A7C15ul) >> 50;
+  for (;; i = (i + 1) & (CAP - 1)) {
+    unsigned long seen = __atomic_load_n(&table[i].site, __ATOMIC_ACQUIRE);
+    if (!seen && __atomic_compare_exchange_n(&table[i].site, &seen, site, 0,
+                                             __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE))
+      seen = site;
+    if (seen == site) {
+      __atomic_fetch_add(&table[i].n[class], 1, __ATOMIC_RELAXED);
+      return;
+    }
+  }
+}
+/* libc's internal calls bind inside libc: only the program's reach these. */
+void *memcpy(void *d, const void *s, size_t n) {
+  static void *(*real)(void *, const void *, size_t);
+  if (!real) real = dlsym(RTLD_NEXT, "memcpy");
+  book((unsigned long)__builtin_return_address(0) - 1, n <= 32 ? 0 : n <= 128 ? 1 : 2);
+  return real(d, s, n);
+}
+int memcmp(const void *a, const void *b, size_t n) {
+  static int (*real)(const void *, const void *, size_t);
+  if (!real) real = dlsym(RTLD_NEXT, "memcmp");
+  book((unsigned long)__builtin_return_address(0) - 1, 3);
+  return real(a, b, n);
+}
+__attribute__((destructor)) static void stop(void) {
+  FILE *o = fopen(getenv("CALLS_OUT"), "w");
+  if (!o) return;
+  for (struct link_map *l = _r_debug.r_map; l; l = l->l_next)
+    fprintf(o, "map %lx %s\n", (unsigned long)l->l_addr, l->l_name);
+  for (unsigned i = 0; i < CAP; i++)
+    if (table[i].site)
+      fprintf(o, "%lx %lu %lu %lu %lu\n", table[i].site, table[i].n[0], table[i].n[1],
+              table[i].n[2], table[i].n[3]);
+  fclose(o);
+}
+EOF
+pass=("$dir/release/ssbench" pass --workload "$workload" --seed "${2:-42}")
+PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$PWD/$dir/sampler.so" "${pass[@]}" >/dev/null
+CALLS_OUT="$dir/calls.txt" LD_PRELOAD="$PWD/$dir/calls.so" "${pass[@]}" >/dev/null
+python3 - "$dir/samples.txt" "$dir/calls.txt" "$dir/release/ssbench" <<'EOF'
 import bisect, collections, os, re, subprocess, sys
-objs, syms, stacks = [], [], []
-for line in open(sys.argv[1]):
-    if line.startswith("map "):
-        _, bias, path = line.rstrip("\n").split(" ", 2)
-        objs.append((int(bias, 16), os.path.basename(path)))
-    elif line.strip():
-        stacks.append([int(x, 16) for x in line.split()])
-bias = next(b for b, path in objs if not path)  # the unnamed entry is the program
-for row in subprocess.run(["nm", "-C", "--defined-only", sys.argv[2]], capture_output=True, text=True).stdout.splitlines():
+syms = []
+for row in subprocess.run(["nm", "-C", "--defined-only", sys.argv[3]], capture_output=True, text=True).stdout.splitlines():
     p = row.split(" ", 2)
     if len(p) == 3 and p[1] in "tTwW":
-        syms.append((int(p[0], 16) + bias, re.sub(r"::h[0-9a-f]{16}$", "", p[2])))
-objs, syms = sorted(objs), sorted(syms)
+        syms.append((int(p[0], 16), re.sub(r"::h[0-9a-f]{16}$", "", p[2])))
+syms.sort()
 starts = [a for a, _ in syms]
-def name(pc):
-    obj = objs[max(bisect.bisect_right(objs, (pc, "~")) - 1, 0)]
-    if obj[1]:  # libc's memcpy and malloc internals are not in its .dynsym
-        return f"[{obj[1]}]"
-    return syms[max(bisect.bisect_right(starts, pc) - 1, 0)][1]
+def load(path):
+    """The run's load map, as a function naming an address, and its other lines."""
+    objs, rows = [], []
+    for line in open(path):
+        if line.startswith("map "):
+            _, base, obj = line.rstrip("\n").split(" ", 2)
+            objs.append((int(base, 16), os.path.basename(obj)))
+        elif line.strip():
+            rows.append(line.split())
+    objs.sort()
+    bias = next(b for b, obj in objs if not obj)  # the unnamed entry is the program
+    def name(pc):
+        obj = objs[max(bisect.bisect_right(objs, (pc, "~")) - 1, 0)]
+        if obj[1]:  # libc's memcpy and malloc internals are not in its .dynsym
+            return f"[{obj[1]}]"
+        return syms[max(bisect.bisect_right(starts, pc - bias) - 1, 0)][1]
+    return name, rows
+name, rows = load(sys.argv[1])
+stacks = [[int(x, 16) for x in row] for row in rows]
 self_, incl, libc = collections.Counter(), collections.Counter(), collections.Counter()
 for stack in stacks:
     names = [name(pc) for pc in stack]
@@ -103,4 +162,16 @@ for title, table, rows in (("self", self_, 15), ("self + callees", incl, 40), ("
     print(f"\n  {title:>14}   symbol")
     for sym, count in table.most_common(rows):
         print(f"  {100 * count / total:13.1f}%   {sym}")
+name, rows = load(sys.argv[2])
+calls = collections.defaultdict(lambda: [0, 0, 0, 0])
+for site, *counts in rows:
+    booked = calls[name(int(site, 16))]
+    for i, n in enumerate(counts):
+        booked[i] += int(n)
+calls = sorted(calls.items(), key=lambda kv: -sum(kv[1]))
+sums = [sum(c[i] for _, c in calls) for i in range(4)]
+print("\n  libc calls by caller, millions (a separate, unsampled pass)")
+print("  memcpy<=32  <=128   >128  memcmp   symbol")
+for sym, c in [("total", sums)] + calls[:15]:
+    print("  " + " ".join(f"{n / 1e6:{w}.2f}" for n, w in zip(c, (10, 6, 6, 7))) + f"   {sym}")
 EOF
