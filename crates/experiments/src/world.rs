@@ -203,7 +203,9 @@ pub fn build(spec: WorldSpec) -> World {
             digest.push(cid);
         }
         expected.push(digest.finish());
-        let mut app = SoftStageClient::new(chunk_dags, client.config);
+        let chunk_bytes = client.objects.iter().map(|&o| catalog[o].0.chunk_size);
+        let chunk_bytes = chunk_bytes.max().unwrap_or(0);
+        let mut app = SoftStageClient::new(chunk_dags, chunk_bytes, client.config);
         app.roamer.sensor.beacon_timeout = client.beacon_timeout;
         let hid = Xid::new_random(Principal::Hid, client.hid_seed);
         let mut host = Host::new(HostConfig::new(hid));

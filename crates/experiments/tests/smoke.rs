@@ -101,7 +101,8 @@ fn reordered_or_short_downloads_do_not_verify() {
             .expect("client node")
             .host_mut()
             .app_mut::<SoftStageClient>(0)
-            .expect("client app") = SoftStageClient::new(dags, SoftStageConfig::baseline());
+            .expect("client app") =
+            SoftStageClient::new(dags, params.chunk_size, SoftStageConfig::baseline());
         let result = tb.run(deadline());
         assert!(result.completion.is_some(), "{what}: every chunk exists");
         assert!(!result.content_ok, "{what}: must not verify");

@@ -192,7 +192,8 @@ pub struct ClientStats {
     pub fallback_refetches: u64,
     /// Staging request messages sent.
     pub stage_requests: u64,
-    /// Staging requests re-issued after a timeout (back-off retries).
+    /// Staging requests re-issued after a timeout (back-off retries),
+    /// bounded by the session's retry budget.
     pub stage_retries: u64,
     /// Origin fetches retried after a failure (back-off retries).
     pub fetch_retries: u64,
@@ -236,6 +237,9 @@ struct InFlightFetch {
 pub struct SoftStageClient {
     config: SoftStageConfig,
     profile: ChunkProfile,
+    /// Cache bytes one chunk can take (the manifest's nominal chunk
+    /// size), declared in every staging request.
+    chunk_bytes: u64,
     coordinator: StagingCoordinator,
     /// Roaming (sensor + handoff mechanics).
     pub roamer: Roamer,
@@ -256,8 +260,6 @@ pub struct SoftStageClient {
     last_depth: usize,
     /// Consecutive failures of the current origin fetch (back-off input).
     fetch_attempts: u32,
-    /// Staging re-requests spent so far (bounded by `STAGE_RETRY_BUDGET`).
-    stage_retry_spent: u64,
     /// Outstanding staging-request send times by token (RTT measurement).
     sent_tokens: BTreeMap<u64, SimTime>,
     /// When coverage was last lost (for reactive gap measurement).
@@ -268,8 +270,8 @@ pub struct SoftStageClient {
 
 impl SoftStageClient {
     /// Creates a client session downloading `chunks` (in order), each
-    /// given as `(cid, origin DAG)`.
-    pub fn new(chunks: Vec<(Xid, Dag)>, config: SoftStageConfig) -> Self {
+    /// given as `(cid, origin DAG)` and at most `chunk_bytes` long.
+    pub fn new(chunks: Vec<(Xid, Dag)>, chunk_bytes: usize, config: SoftStageConfig) -> Self {
         let mut profile = ChunkProfile::new();
         for (cid, dag) in chunks {
             profile.register(cid, dag);
@@ -284,6 +286,7 @@ impl SoftStageClient {
             },
             config,
             profile,
+            chunk_bytes: chunk_bytes as u64,
             next_fetch: 0,
             in_flight: None,
             pending_handoff: None,
@@ -293,7 +296,6 @@ impl SoftStageClient {
             breaker_edge: None,
             last_depth: 0,
             fetch_attempts: 0,
-            stage_retry_spent: 0,
             sent_tokens: BTreeMap::new(),
             detached_at: None,
             content_hash: xcache::ContentDigest::new(),
@@ -386,27 +388,21 @@ impl SoftStageClient {
         !self.config.staging_enabled || self.mode == StagingMode::Degraded
     }
 
+    /// Whether the client is attached to a network and can be answered.
+    fn associated(&self) -> bool {
+        matches!(self.roamer.state(), RoamState::Associated { .. })
+    }
+
     /// Permanently gives up on staging: every unfetched chunk goes back to
     /// its origin DAG and the client continues as plain Xftp.
     fn degrade(&mut self, now: SimTime) {
         self.set_mode(now, StagingMode::Degraded);
         self.stats.degraded = true;
-        for i in 0..self.profile.len() {
-            let pending = self
-                .profile
-                .get(i)
-                .is_some_and(|r| matches!(r.staging_state, StagingState::Pending { .. }));
-            if pending {
-                self.profile.mark_fallback(i);
-            }
-        }
+        self.profile.replace_pending(StagingState::Fallback);
     }
 
     fn start_next_fetch(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.is_done() || self.in_flight.is_some() {
-            return;
-        }
-        if !matches!(self.roamer.state(), RoamState::Associated { .. }) {
+        if self.is_done() || self.in_flight.is_some() || !self.associated() {
             return;
         }
         let Some(rec) = self.profile.get(self.next_fetch) else {
@@ -429,8 +425,9 @@ impl SoftStageClient {
     }
 
     /// The Staging Coordinator: keep the staged-ahead depth at target.
+    /// Nothing goes out while detached: no link would carry it.
     fn maybe_stage(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.staging_off() || self.is_done() {
+        if self.staging_off() || self.is_done() || !self.associated() {
             return;
         }
         let Some(vnf) = self.current_vnf.clone() else {
@@ -517,6 +514,7 @@ impl SoftStageClient {
         let msg = StagingMsg::Request {
             chunks,
             deadline_us,
+            chunk_bytes: self.chunk_bytes,
         };
         let token = ctx.send_control(vnf.clone(), vnf.intent(), msg.encode());
         self.sent_tokens.insert(token, ctx.now());
@@ -586,6 +584,11 @@ impl SoftStageClient {
             // Reactive content-mobility management: learn how long gaps
             // last and keep the VNF provisioned across them.
             self.coordinator.observe_gap(ctx.now() - detached);
+            // Answers sent during the gap were lost with the link, and
+            // the gap is no fault of the edge's: ask again at once,
+            // uncharged, and free the probe slot for the same reason.
+            self.profile.replace_pending(StagingState::Blank);
+            self.breaker.abort_probe();
         }
         self.current_vnf = self.roamer.sensor.vnf_of(&nid, ctx.now()).cloned();
         if self.breaker_edge != Some(nid) {
@@ -643,12 +646,13 @@ impl App for SoftStageClient {
             TICK_TIMER => {
                 // Re-issue staging for requests lost in the air, each
                 // chunk on its own capped-exponential back-off schedule.
-                let stale = self.profile.stale_pending_with(ctx.now(), stage_backoff);
-                if !stale.is_empty() && !self.staging_off() {
+                // Only while associated: a detached client cannot be
+                // answered, and re-association re-asks what the gap ate.
+                if self.associated() && !self.staging_off() {
+                    let stale = self.profile.stale_pending_with(ctx.now(), stage_backoff);
                     let budget = u64::from(STAGE_RETRY_BUDGET);
-                    let associated = matches!(self.roamer.state(), RoamState::Associated { .. });
                     for idx in stale {
-                        if self.stage_retry_spent >= budget {
+                        if self.stats.stage_retries >= budget {
                             // Retry budget exhausted: stop staging for
                             // good and finish the download as plain Xftp.
                             self.degrade(ctx.now());
@@ -657,26 +661,15 @@ impl App for SoftStageClient {
                             });
                             break;
                         }
-                        self.stage_retry_spent += 1;
                         self.stats.stage_retries += 1;
-                        let chunk = self.profile.get(idx).map(|r| tag(&r.cid));
+                        // An unanswered request to a reachable edge is a
+                        // health signal.
                         if let Some(r) = self.profile.get_mut(idx) {
                             r.staging_state = StagingState::Blank;
-                        }
-                        // An unanswered request is a health signal — but
-                        // only while the edge was actually reachable:
-                        // coverage gaps must not trip the breaker.
-                        if associated {
-                            if let Some(chunk) = chunk {
-                                self.stats.stage_timeouts += 1;
-                                ctx.trace(TraceEvent::StageTimeout { chunk });
-                                self.note_breaker_failure(ctx);
-                            }
-                        } else {
-                            // The coverage gap, not the edge, may have
-                            // eaten the request: unwind any in-flight
-                            // probe so a later one can go out.
-                            self.breaker.abort_probe();
+                            let chunk = tag(&r.cid);
+                            self.stats.stage_timeouts += 1;
+                            ctx.trace(TraceEvent::StageTimeout { chunk });
+                            self.note_breaker_failure(ctx);
                         }
                     }
                 }

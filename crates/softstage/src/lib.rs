@@ -44,14 +44,52 @@ pub use messages::StagingMsg;
 pub use profile::{ChunkProfile, ChunkRecord, StagingState};
 pub use vnf::{AdmissionPolicy, StagingVnf, VnfConfig, VnfStats};
 
-/// Admission end to end: the coordinator stamps the deadline, the VNF sheds on it.
+/// Admission end to end: the client declares the chunk size and the
+/// coordinator stamps the deadline; the VNF declines what its cache cannot
+/// hold and sheds on the deadline.
 #[cfg(test)]
 mod admission {
     mod tests {
         use crate::coordinator::{CoordinatorConfig, StagingCoordinator};
-        use crate::vnf::tests::verdict;
+        use crate::vnf::tests::Already::{Cached, InFlight, Nowhere};
+        use crate::vnf::tests::Answer::{Fetch, Joined, Staged};
+        use crate::vnf::tests::{answer, verdict};
         use crate::AdmissionPolicy::{AlwaysAdmit, DeadlineAware};
         use simnet::{RejectReason::Deadline, SimTime};
+
+        #[test]
+        fn a_job_starts_only_if_the_cache_holds_it_beside_the_jobs_in_flight() {
+            // (capacity, bytes in flight, chunk) → answer.
+            let rows: [(usize, &[u64], u64, _); 5] = [
+                (256, &[], 256, Fetch),
+                (256, &[64, 64], 128, Fetch),
+                (256, &[64, 64], 129, Staged(false)),
+                (256, &[192], 128, Staged(false)),
+                (256, &[128, 64], 64, Fetch),
+            ];
+            for (capacity, in_flight, bytes, want) in rows {
+                let got = answer(capacity, in_flight, bytes, Nowhere);
+                assert_eq!(got, want, "{bytes} B beside {in_flight:?} in {capacity} B");
+            }
+        }
+
+        #[test]
+        fn a_chunk_larger_than_the_cache_is_declined_with_no_fetch() {
+            // `answer` also checks that no fetch started and that the
+            // decline is counted and traced as one, not as a reject.
+            for (capacity, bytes) in [(256, 257), (0, 1)] {
+                assert_eq!(answer(capacity, &[], bytes, Nowhere), Staged(false));
+            }
+        }
+
+        #[test]
+        fn a_join_or_a_cached_chunk_is_never_declined() {
+            // Each would be declined as a new job: the cache is full.
+            assert_eq!(answer(256, &[], 256, InFlight), Joined);
+            assert_eq!(answer(512, &[256], 256, InFlight), Joined);
+            assert_eq!(answer(256, &[64, 192], 256, Cached), Staged(true));
+            assert_eq!(answer(256, &[], 512, Cached), Staged(true));
+        }
 
         #[test]
         fn always_admit_admits() {

@@ -23,6 +23,10 @@ pub enum StagingMsg {
         /// Client's RICH-style usefulness deadline, µs of sim time: the
         /// predicted instant the download will need these chunks.
         deadline_us: u64,
+        /// Bytes one of these chunks can take in the edge cache (the
+        /// manifest's nominal chunk size): the VNF cannot learn a chunk's
+        /// size before it lands, and admits only what its cache can hold.
+        chunk_bytes: u64,
     },
     /// VNF → Manager: one chunk's staging outcome (step ⑥).
     Staged {
@@ -56,6 +60,7 @@ impl ToJson for StagingMsg {
             StagingMsg::Request {
                 chunks,
                 deadline_us,
+                chunk_bytes,
             } => {
                 let chunks = chunks
                     .iter()
@@ -64,6 +69,7 @@ impl ToJson for StagingMsg {
                 Json::Obj(vec![
                     ("request".into(), Json::Arr(chunks)),
                     ("deadline_us".into(), deadline_us.to_json()),
+                    ("chunk_bytes".into(), chunk_bytes.to_json()),
                 ])
             }
             StagingMsg::Staged {
@@ -116,6 +122,7 @@ impl FromJson for StagingMsg {
             return Ok(StagingMsg::Request {
                 chunks,
                 deadline_us: u64::from_json(v.field("deadline_us")?)?,
+                chunk_bytes: u64::from_json(v.field("chunk_bytes")?)?,
             });
         }
         if let Ok(r) = v.field("reject") {
@@ -169,13 +176,19 @@ mod tests {
         let msg = StagingMsg::Request {
             chunks: vec![(cid, dag)],
             deadline_us: 9_500_000,
+            chunk_bytes: 262_144,
         };
         assert_eq!(StagingMsg::decode(&msg.encode()), Some(msg));
-        assert_eq!(
-            StagingMsg::decode(br#"{"request":[]}"#),
-            None,
-            "a request without a deadline is dropped"
-        );
+        for (body, missing) in [
+            (&br#"{"request":[],"chunk_bytes":1}"#[..], "a deadline"),
+            (br#"{"request":[],"deadline_us":1}"#, "a chunk size"),
+        ] {
+            assert_eq!(
+                StagingMsg::decode(body),
+                None,
+                "a request without {missing} is dropped"
+            );
+        }
     }
 
     #[test]

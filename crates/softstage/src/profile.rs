@@ -154,6 +154,15 @@ impl ChunkProfile {
         self.records[idx].staging_state = StagingState::Fallback;
     }
 
+    /// Moves every chunk whose staging answer is outstanding to `state`.
+    pub(crate) fn replace_pending(&mut self, state: StagingState) {
+        for r in &mut self.records {
+            if matches!(r.staging_state, StagingState::Pending { .. }) {
+                r.staging_state = state.clone();
+            }
+        }
+    }
+
     /// Records a VNF reject: the chunk returns to `Blank` (it stays a
     /// staging candidate) but is gated until `not_before`; the attempt
     /// count keeps growing, so its own back-off keeps lengthening too.

@@ -7,11 +7,15 @@
 //! per-client session state — only the transient fetch bookkeeping — so
 //! edge networks scale to many clients.
 //!
-//! The staging queue is bounded: a configurable depth cap plus an
-//! [`AdmissionPolicy`] decide whether one more origin fetch starts. Work
-//! that is not admitted is answered with an explicit
-//! [`StagingMsg::Reject`] (never silently queued), and a `SlowEdge`
-//! fault degrades the service rate by delaying every reply.
+//! The staging queue is bounded. First, the chunks in flight plus the new
+//! one must fit in the edge cache, or the staged copies evict each other
+//! before their clients read them: a chunk that does not fit is declined
+//! with `Staged { ok: false }`, and its client fetches it from the origin.
+//! Then a configurable depth cap plus an [`AdmissionPolicy`] decide
+//! whether one more origin fetch starts. Work they do not admit is
+//! answered with an explicit [`StagingMsg::Reject`] (never silently
+//! queued), and a `SlowEdge` fault degrades the service rate by delaying
+//! every reply.
 //!
 //! Deadline-aware admission is RICH's signal (arXiv 1908.07228): a chunk
 //! that cannot stage before the client's usefulness deadline is shed, not
@@ -86,6 +90,8 @@ struct Job {
     /// The origin fetch; a completion under any other handle is stale.
     handle: u64,
     started: SimTime,
+    /// Cache bytes the chunk will take, as its requester declared them.
+    bytes: u64,
     waiters: Vec<Waiter>,
 }
 
@@ -102,8 +108,12 @@ pub struct VnfStats {
     pub failed: u64,
     /// Bytes brought in from origins.
     pub bytes_staged: u64,
-    /// Chunks shed by backpressure or admission control.
+    /// Chunks shed with a [`StagingMsg::Reject`] by backpressure or
+    /// admission control.
     pub rejected: u64,
+    /// Chunks declined because the cache cannot hold them beside the jobs
+    /// in flight: answered `Staged { ok: false }` with no origin fetch.
+    pub declined: u64,
     /// Highest concurrent staging-job count ever reached.
     pub peak_depth: u64,
 }
@@ -303,6 +313,7 @@ impl App for StagingVnf {
         let Some(StagingMsg::Request {
             chunks,
             deadline_us,
+            chunk_bytes,
         }) = StagingMsg::decode(body)
         else {
             return;
@@ -332,6 +343,19 @@ impl App for StagingVnf {
                 job.waiters.push(waiter);
                 continue;
             }
+            // The chunk must fit beside every job in flight, or the copies
+            // evict each other before their clients read them. A decline
+            // is an answer, not a health signal: the client fetches the
+            // chunk from the origin, with no retry and no breaker trip.
+            let in_flight: u64 = self.jobs.values().map(|job| job.bytes).sum();
+            if in_flight.saturating_add(chunk_bytes) > ctx.store().capacity_bytes() as u64 {
+                self.stats.declined += 1;
+                ctx.trace(TraceEvent::StageFailed {
+                    chunk: Tag::of(cid.id()),
+                });
+                self.reply(ctx, &from, token, cid, false, 0);
+                continue;
+            }
             if let Some(reason) = self.admission_verdict(ctx.now(), deadline) {
                 self.reject(ctx, &from, token, cid, reason);
                 continue;
@@ -345,6 +369,7 @@ impl App for StagingVnf {
                 Job {
                     handle,
                     started: ctx.now(),
+                    bytes: chunk_bytes,
                     waiters: vec![waiter],
                 },
             );
@@ -416,6 +441,8 @@ pub(crate) mod tests {
         view: HostView,
         store: ChunkStore,
         vnf: StagingVnf,
+        /// The chunk size the next requests declare.
+        chunk_bytes: u64,
     }
 
     impl Edge {
@@ -426,6 +453,7 @@ pub(crate) mod tests {
                 view,
                 store: ChunkStore::new(cache_bytes, EvictionPolicy::Lru),
                 vnf: StagingVnf::with_config(Xid::new_random(Principal::Sid, 1), config),
+                chunk_bytes: 64,
             }
         }
 
@@ -453,6 +481,7 @@ pub(crate) mod tests {
             let body = StagingMsg::Request {
                 chunks: vec![(cid, origin)],
                 deadline_us: by.as_micros(),
+                chunk_bytes: self.chunk_bytes,
             }
             .encode();
             let from = requester(client);
@@ -499,12 +528,14 @@ pub(crate) mod tests {
     fn the_waiter_hears_what_the_store_said() {
         let data = Bytes::from_static(&[7; 64]);
         let cid = Xid::for_content(&data);
-        // (store capacity, ok, staged, failed): a store squeezed below the
-        // chunk refuses the insert, and the reply must say so.
+        // (store capacity at landing, ok, staged, failed): a store
+        // squeezed below the chunk while it was in flight refuses the
+        // insert, and the reply must say so.
         for (capacity, ok, staged, failed) in [(1024, true, 1, 0), (16, false, 0, 1)] {
-            let mut edge = Edge::new(capacity, VnfConfig::default());
+            let mut edge = Edge::new(1024, VnfConfig::default());
             let handles = fetch_handles(&edge.request(0, 41, cid));
             assert_eq!(handles, [1]);
+            edge.store.resize(capacity);
             let effects = edge.complete(1, cid, FetchResult::Complete(data.clone()));
             let sent = replies(&effects);
             assert_eq!(sent.len(), 1);
@@ -613,6 +644,76 @@ pub(crate) mod tests {
             _ => None,
         };
         assert_eq!(fetch_handles(&effects).len(), usize::from(got.is_none()));
+        got
+    }
+
+    /// Where the probed chunk already is when its request arrives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Already {
+        /// Neither in flight nor cached.
+        Nowhere,
+        /// A job is fetching it (the first job in flight).
+        InFlight,
+        /// The cache holds it.
+        Cached,
+    }
+
+    /// What the VNF did with a request.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Answer {
+        /// Started an origin fetch.
+        Fetch,
+        /// Answered `Staged { ok }` at once, with no fetch.
+        Staged(bool),
+        /// Sent nothing yet: the request joined the job in flight.
+        Joined,
+    }
+
+    /// How a VNF caching `capacity` bytes, with jobs of `in_flight` bytes
+    /// running, answers a request for a chunk of `bytes` that is
+    /// `already` somewhere. A decline — and only a decline — counts in
+    /// `declined` and is traced as `stage_failed`; nothing is `rejected`.
+    pub(crate) fn answer(
+        capacity: usize,
+        in_flight: &[u64],
+        bytes: u64,
+        already: Already,
+    ) -> Answer {
+        let mut edge = Edge::new(capacity, VnfConfig::default());
+        edge.view.tracing = true;
+        let probe = Xid::for_content(b"probe");
+        let mut jobs = Vec::new();
+        if already == Already::InFlight {
+            jobs.push((probe, bytes));
+        }
+        let others = in_flight.iter().enumerate();
+        jobs.extend(others.map(|(i, &b)| (Xid::new_random(Principal::Cid, i as u64), b)));
+        for (cid, b) in jobs {
+            edge.chunk_bytes = b;
+            assert_eq!(
+                fetch_handles(&edge.request(0, 0, cid)).len(),
+                1,
+                "a job in flight"
+            );
+        }
+        if already == Already::Cached {
+            edge.store.insert(probe, Bytes::from_static(b"probe"));
+        }
+        edge.chunk_bytes = bytes;
+        let effects = edge.request(9, 99, probe);
+        let got = match (&fetch_handles(&effects)[..], &replies(&effects)[..]) {
+            ([_], []) => Answer::Fetch,
+            ([], [(_, 99, StagingMsg::Staged { ok, .. })]) => Answer::Staged(*ok),
+            ([], []) => Answer::Joined,
+            other => panic!("unexpected answer {other:?}"),
+        };
+        let declined = got == Answer::Staged(false);
+        let stats = edge.vnf.stats();
+        assert_eq!((stats.declined, stats.rejected), (u64::from(declined), 0));
+        let failed = effects
+            .iter()
+            .any(|e| matches!(e, Effect::Trace(TraceEvent::StageFailed { .. })));
+        assert_eq!(failed, declined);
         got
     }
 

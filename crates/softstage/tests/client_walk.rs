@@ -14,7 +14,10 @@
 //! interleaving rather than on two golden runs.
 //!
 //! The walk cannot pass vacuously: it asserts its leaf count and that
-//! some sequence delivers all three chunks. Mutation that makes it fail
+//! some sequence delivers all three chunks. Three fixed sequences pin the
+//! retry budget's accounting: a coverage gap spends none of it, and
+//! re-association re-asks at once; an edge that never answers spends it
+//! all, then the client degrades. Mutation that makes it fail
 //! (checked by hand): in `client.rs::handle_handoff_opportunity`, let the
 //! `ChunkAware` arm call `commit_handoff` while `in_flight.is_some()` —
 //! beacon A, association timer, stronger beacon B is then reported as
@@ -26,7 +29,7 @@ use std::collections::{BTreeSet, VecDeque};
 use simnet::{
     LinkId, NodeId, RejectReason, SimStats, SimTime, Tag, TraceAudit, TraceEvent, TraceRecord,
 };
-use softstage::{SoftStageClient, SoftStageConfig, StagingMsg};
+use softstage::{SoftStageClient, SoftStageConfig, StagingMode, StagingMsg};
 use util::bytes::Bytes;
 use xcache::{ChunkStore, EvictionPolicy};
 use xia_addr::{Dag, Principal, Xid};
@@ -95,7 +98,7 @@ impl StandIn {
         let mut host = StandIn {
             view,
             store: ChunkStore::new(0, EvictionPolicy::Lru),
-            client: SoftStageClient::new(chunks, SoftStageConfig::default()),
+            client: SoftStageClient::new(chunks, 1, SoftStageConfig::default()),
             timers: Vec::new(),
             fetches: VecDeque::new(),
             asked: VecDeque::new(),
@@ -259,4 +262,75 @@ fn every_depth_5_interleaving_keeps_the_client_invariants() {
 #[ignore = "4.8 M sequences, ~30 s in release: scripts/verify.sh runs it"]
 fn every_depth_7_interleaving_keeps_the_client_invariants() {
     assert!(walk(7) > 2);
+}
+
+/// Fires armed timers until `done` holds, at most `limit` of them.
+fn fire_until(host: &mut StandIn, limit: usize, done: impl Fn(&StandIn) -> bool) {
+    for _ in 0..limit {
+        if done(host) {
+            return;
+        }
+        host.fire_timer();
+    }
+}
+
+/// Hears edge A and lets the association timer fire: the client is
+/// associated, fetching chunk 0, and has asked A's VNF to stage ahead.
+fn associated() -> (StandIn, Edge) {
+    let a = edge(1, -60.0);
+    let mut host = StandIn::new();
+    host.beacon(&a);
+    host.fire_timer();
+    assert!(host.view.nid.is_some(), "associated");
+    assert!(!host.asked.is_empty(), "staging asked for on association");
+    (host, a)
+}
+
+#[test]
+fn a_detached_client_sends_no_staging_and_spends_no_retries() {
+    let (mut host, _) = associated();
+    let asked = host.asked.len();
+    host.link_down();
+    for _ in 0..10 {
+        host.fire_timer();
+    }
+    assert_eq!(host.asked.len(), asked, "staging asked for while detached");
+    assert_eq!(host.client.stats().stage_retries, 0);
+}
+
+#[test]
+fn re_association_re_asks_what_the_gap_ate_without_waiting() {
+    let (mut host, a) = associated();
+    let asked = host.asked.len();
+    // The chunk being fetched is not staged again; every other one is.
+    let fetching: Vec<Xid> = host.fetches.iter().map(|&(_, cid)| cid).collect();
+    let mut lost: Vec<Xid> = host.asked.iter().map(|q| q.cid).collect();
+    lost.retain(|cid| !fetching.contains(cid));
+    assert!(!lost.is_empty());
+    host.link_down();
+    host.beacon(&a);
+    let before = host.view.now;
+    fire_until(&mut host, 4, |h| h.view.nid.is_some());
+    // Well inside the first staging back-off (2 s, less a quarter).
+    assert!(host.view.now - before < simnet::SimDuration::from_millis(500));
+    let again: Vec<Xid> = host.asked.iter().skip(asked).map(|q| q.cid).collect();
+    assert!(
+        lost.iter().all(|cid| again.contains(cid)),
+        "the gap's requests {lost:?} asked for again: {again:?}"
+    );
+    assert_eq!(host.client.stats().stage_retries, 0, "and not charged");
+}
+
+#[test]
+fn an_edge_that_never_answers_spends_the_whole_budget_then_degrades() {
+    let (mut host, _) = associated();
+    fire_until(&mut host, 100_000, |h| {
+        h.client.mode() == StagingMode::Degraded
+    });
+    let stats = host.client.stats();
+    assert!(stats.degraded, "{stats:?}");
+    // `STAGE_RETRY_BUDGET`: each one a timeout of the associated edge.
+    assert_eq!((stats.stage_retries, stats.stage_timeouts), (64, 64));
+    let found = host.audit.violations(None);
+    assert!(found.is_empty(), "{found:?}");
 }

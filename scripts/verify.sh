@@ -22,6 +22,9 @@ cargo test -q --offline
 echo "== chaos suite (fault injection, single- and multi-client, release) =="
 cargo test -q --offline --release -p softstage-suite --test chaos --test determinism --test fleet
 
+echo "== do no harm: a uniform 1000-client fleet gains >= 0.98 at seeds 42 and 7 (release) =="
+cargo test -q --offline --release -p softstage-suite --test fleet -- --ignored
+
 echo "== scheduler differential suite (wheel vs its (at, seq) contract, release) =="
 # Property tests drive the timer wheel and a BTreeMap keyed by (at, seq)
 # through the same push/pop/peek sequences (equal-timestamp bursts,

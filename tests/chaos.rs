@@ -13,7 +13,7 @@ mod common;
 
 use softstage_suite::experiments::{build, ExperimentParams, RunResult, Testbed, MB};
 use softstage_suite::simnet::fault::FaultPlan;
-use softstage_suite::simnet::{SimDuration, SimTime};
+use softstage_suite::simnet::{SimDuration, SimTime, TraceEvent};
 use softstage_suite::softstage::{SoftStageConfig, StagingMode};
 
 use common::{deadline, small, testbed, TRACE_CAPACITY};
@@ -192,23 +192,34 @@ fn cache_squeezed_below_one_chunk_refuses_staging_without_lying() {
         let (tb, _) = assert_survives(&p, |tb| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
-                // Half a chunk of cache before staging starts: every
-                // insert is refused, so every staging reply must say so.
+                // Half a chunk of cache before staging starts: no chunk
+                // fits, so every staging request must be declined.
                 plan.cache_squeeze(edge, SimTime::ZERO, (MB / 2) as usize);
             }
             plan.apply(&mut tb.sim);
         });
-        // A refused insert told as `ok: true` sends the client to an edge
-        // that does not hold the chunk: NotFound, then a fallback refetch.
+        // No chunk fits, so each is declined before any origin fetch —
+        // and the client is told so, rather than sent to an edge that
+        // does not hold the chunk (NotFound, then a fallback refetch).
         let stats = tb.client_app().stats();
         assert_eq!(
-            stats.fallback_refetches, 0,
+            (stats.from_staged, stats.fallback_refetches),
+            (0, 0),
             "client chased a chunk no edge held (seed {seed}): {stats:?}"
         );
+        let declined = tb
+            .sim
+            .trace()
+            .expect("tracing")
+            .records()
+            .any(|r| matches!(r.event, TraceEvent::StageAck { ok: false, .. }));
+        assert!(declined, "client never heard `ok: false` (seed {seed})");
         let vnf = tb.vnf_stats();
         assert!(
-            vnf.iter().all(|v| v.staged == 0) && vnf.iter().any(|v| v.failed > 0),
-            "refused inserts must count as failed, not staged (seed {seed}): {vnf:?}"
+            vnf.iter()
+                .all(|v| v.peak_depth == 0 && v.staged + v.failed == 0)
+                && vnf.iter().any(|v| v.declined > 0),
+            "a chunk no cache can hold must be declined unfetched (seed {seed}): {vnf:?}"
         );
     }
 }
@@ -259,13 +270,13 @@ fn vnf_unreachable_uses_explicit_origin_fallback() {
 }
 
 #[test]
-fn long_vnf_outage_exhausts_retry_budget_and_degrades_to_xftp() {
+fn long_edge_outage_charges_no_retries_while_detached_and_staging_resumes() {
     for seed in SEEDS {
         let p = ExperimentParams {
-            // One network so the client cannot escape to a healthy VNF.
+            // One network, so the client cannot escape to a healthy VNF.
             edge_networks: 1,
-            file_size: 12 * softstage_suite::experiments::MB,
-            chunk_size: softstage_suite::experiments::MB,
+            file_size: 12 * MB,
+            chunk_size: MB,
             seed,
             ..ExperimentParams::default()
         };
@@ -273,36 +284,43 @@ fn long_vnf_outage_exhausts_retry_budget_and_degrades_to_xftp() {
         let mut tb = build(&p, &schedule, SoftStageConfig::default());
         tb.sim.enable_trace(TRACE_CAPACITY);
         let mut plan = FaultPlan::new();
+        // The crash lands just after association, with the first staging
+        // requests outstanding. Unanswered, they time out through the
+        // rest of that encounter; after it the client cannot associate
+        // (no beacons) and, detached, neither asks nor charges its retry
+        // budget (64 re-requests, 600–700 s of back-off) until the router
+        // is back, 900 s later.
+        let first_gap = SimTime::ZERO + p.encounter;
+        let (crash, outage) = (SimTime::from_micros(200_000), SimDuration::from_secs(900));
+        let back = crash + outage;
         for &edge in &tb.edges.clone() {
-            // The crash lands just after association, with the first
-            // staging requests outstanding (by 2 s some seeds have both
-            // staged and nothing left to retry). Re-requests back off to
-            // 16 s, so the 64-retry budget lasts 600–700 s; a 900 s outage
-            // outlasts it, staging must be abandoned, and the download
-            // finishes as plain Xftp once the router is back.
-            plan.crash(
-                edge,
-                SimTime::ZERO + SimDuration::from_millis(200),
-                Some(SimDuration::from_secs(900)),
-            );
+            plan.crash(edge, crash, Some(outage));
         }
         plan.apply(&mut tb.sim);
         let result = tb.run(deadline());
         assert!(
             result.content_ok,
-            "degraded run must still complete intact (seed {seed}): {result:?}"
+            "the run must complete intact (seed {seed}): {result:?}"
         );
         common::assert_trace_clean(&tb, &format!("long-outage seed {seed}"));
         let app = tb.client_app();
         let stats = app.stats();
+        let trace = tb.sim.trace().expect("tracing");
+        let detached_timeout = trace.records().any(|r| {
+            matches!(r.event, TraceEvent::StageTimeout { .. }) && r.at > first_gap && r.at < back
+        });
+        // Every retry charged is a timeout of an associated edge.
         assert!(
-            stats.degraded,
-            "budget exhaustion must be recorded (seed {seed}): {stats:?}"
+            !detached_timeout && stats.stage_retries == stats.stage_timeouts && !stats.degraded,
+            "the outage charged retries while detached (seed {seed}): {stats:?}"
         );
-        assert_eq!(app.mode(), StagingMode::Degraded);
+        assert_eq!(app.mode(), StagingMode::Active);
         assert!(
-            stats.stage_retries <= 64,
-            "retry budget must bound staging retries (seed {seed}): {stats:?}"
+            result
+                .chunk_completions
+                .iter()
+                .any(|&(at, _, staged)| staged && at > back),
+            "staging must resume after the outage (seed {seed}): {stats:?}"
         );
     }
 }

@@ -260,3 +260,28 @@ fn platoon_traces_are_byte_identical() {
     };
     assert_eq!(digest(), digest(), "same-seed platoon traces differ");
 }
+
+#[test]
+#[ignore = "four 1000-client worlds, ~10 s in release: scripts/verify.sh runs it"]
+fn uniform_thousand_client_fleet_never_loses_to_not_staging() {
+    // Flat popularity over 2 MiB edge caches: the case where staged
+    // copies used to evict each other unread. A VNF now stages only what
+    // its cache can hold, so staging must at worst break even.
+    for seed in [42, 7] {
+        let fleet = |staging| {
+            summary(&FleetParams {
+                clients: 1000,
+                zipf_skew: 0.0,
+                staging,
+                seed,
+                ..FleetParams::default()
+            })
+        };
+        let (staged, baseline) = (fleet(true), fleet(false));
+        let gain = baseline.p50_s / staged.p50_s;
+        assert!(
+            gain >= 0.98 && staged.origin_offload >= 0.0,
+            "seed {seed}: gain {gain:.3}, staged {staged:?}"
+        );
+    }
+}
