@@ -72,7 +72,7 @@ impl App for SeqFetcher {
         self.fetch_next(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _key: u8) {
         self.fetch_next(ctx);
     }
 

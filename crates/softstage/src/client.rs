@@ -222,8 +222,8 @@ pub struct ClientStats {
 }
 
 /// Timer keys (app-local).
-const TICK_TIMER: u64 = 1;
-const FETCH_RETRY_TIMER: u64 = 2;
+const TICK_TIMER: u8 = 1;
+const FETCH_RETRY_TIMER: u8 = 2;
 
 #[derive(Debug)]
 struct InFlightFetch {
@@ -609,7 +609,7 @@ impl SoftStageClient {
 
 impl App for SoftStageClient {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        ctx.set_app_timer(TICK, TICK_TIMER as u32);
+        ctx.set_app_timer(TICK, TICK_TIMER);
     }
 
     fn on_beacon(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, beacon: &Beacon) {
@@ -636,7 +636,7 @@ impl App for SoftStageClient {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u8) {
         match key {
             ROAM_ASSOC_TIMER => {
                 if let RoamEvent::Associated(nid) = self.roamer.on_timer(ctx, key) {
@@ -676,7 +676,7 @@ impl App for SoftStageClient {
                 self.maybe_stage(ctx);
                 self.start_next_fetch(ctx);
                 if !self.is_done() {
-                    ctx.set_app_timer(TICK, TICK_TIMER as u32);
+                    ctx.set_app_timer(TICK, TICK_TIMER);
                 }
             }
             FETCH_RETRY_TIMER => {
@@ -830,7 +830,7 @@ impl App for SoftStageClient {
                     );
                     self.fetch_attempts = self.fetch_attempts.saturating_add(1);
                     self.stats.fetch_retries += 1;
-                    ctx.set_app_timer(delay, FETCH_RETRY_TIMER as u32);
+                    ctx.set_app_timer(delay, FETCH_RETRY_TIMER);
                 }
             }
         }

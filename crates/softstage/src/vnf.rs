@@ -34,7 +34,7 @@ use crate::coordinator::Ewma;
 use crate::messages::StagingMsg;
 
 /// Timer key for flushing service-delayed replies.
-const REPLY_TIMER: u32 = 1;
+const REPLY_TIMER: u8 = 1;
 
 /// Decides whether the VNF takes on one more staging job. Policies run
 /// only below the depth cap, so they refine — never replace —
@@ -292,8 +292,8 @@ impl App for StagingVnf {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) {
-        if key == u64::from(REPLY_TIMER) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u8) {
+        if key == REPLY_TIMER {
             let now = ctx.now();
             self.flush_delayed(ctx, now);
         }
@@ -734,7 +734,7 @@ pub(crate) mod tests {
             }]
         );
         edge.view.now += delay;
-        let sent = replies(&edge.call(|vnf, ctx| vnf.on_timer(ctx, u64::from(REPLY_TIMER))));
+        let sent = replies(&edge.call(|vnf, ctx| vnf.on_timer(ctx, REPLY_TIMER)));
         assert!(matches!(
             sent[..],
             [(_, 3, StagingMsg::Staged { ok: true, .. })]

@@ -74,7 +74,7 @@ struct StandIn {
     store: ChunkStore,
     client: SoftStageClient,
     /// `(due, key)` in arming order.
-    timers: Vec<(SimTime, u32)>,
+    timers: Vec<(SimTime, u8)>,
     /// `(handle, cid)` of fetches asked for and not yet answered.
     fetches: VecDeque<(u64, Xid)>,
     asked: VecDeque<Asked>,
@@ -172,7 +172,7 @@ impl StandIn {
         };
         let (due, key) = self.timers.remove(first);
         self.view.now = self.view.now.max(due);
-        self.call(|app, ctx| app.on_timer(ctx, u64::from(key)));
+        self.call(|app, ctx| app.on_timer(ctx, key));
     }
 
     /// The asked VNF answers the oldest outstanding chunk.

@@ -59,7 +59,7 @@ impl App for BeaconApp {
         ctx.set_app_timer(SimDuration::ZERO, 0);
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _key: u64) {
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _key: u8) {
         let rss = self.rss_now(ctx);
         for &link in &self.radio_links {
             let beacon = Beacon {

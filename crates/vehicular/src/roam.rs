@@ -17,7 +17,7 @@ use crate::sensor::{NetworkKnowledge, NetworkSensor};
 /// App-timer key used by the roamer for association completion. Owning
 /// apps must forward this key from their `on_timer` to
 /// [`Roamer::on_timer`] and avoid using it themselves.
-pub const ROAM_ASSOC_TIMER: u64 = 0xF000_0001;
+pub const ROAM_ASSOC_TIMER: u8 = 0xF0;
 
 /// RSS advantage (dB) a candidate needs over the current network before
 /// a handoff is suggested.
@@ -115,13 +115,13 @@ impl Roamer {
             return RoamEvent::None;
         }
         self.state = RoamState::Associating { target };
-        ctx.set_app_timer(ASSOC_DELAY, ROAM_ASSOC_TIMER as u32);
+        ctx.set_app_timer(ASSOC_DELAY, ROAM_ASSOC_TIMER);
         RoamEvent::Associating(target)
     }
 
     /// Forwards an app timer; returns the resulting event. Keys other than
     /// [`ROAM_ASSOC_TIMER`] are ignored.
-    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) -> RoamEvent {
+    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u8) -> RoamEvent {
         if key != ROAM_ASSOC_TIMER {
             return RoamEvent::None;
         }
@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(heard, RoamEvent::Associating(beacon.nid));
         let (mut view, armed) = ctx.finish();
         let delay = ASSOC_DELAY;
-        let key = ROAM_ASSOC_TIMER as u32;
+        let key = ROAM_ASSOC_TIMER;
         assert_eq!(armed, [Effect::Timer { delay, key }]);
 
         view.now += elapsed;

@@ -63,7 +63,7 @@ pub trait App: Any {
     fn on_link_event(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, up: bool) {}
 
     /// A timer armed with [`HostCtx::set_app_timer`] expired.
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u64) {}
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u8) {}
 
     /// A node-level fault hit the hosting stack (fault injection). On
     /// [`NodeFault::Crash`] apps should drop volatile bookkeeping; the

@@ -82,7 +82,7 @@ pub enum Effect {
         /// Time until it fires.
         delay: SimDuration,
         /// Key handed back to [`crate::App::on_timer`].
-        key: u32,
+        key: u8,
     },
     /// Move the data plane to `link` inside network `nid`.
     Attach {
@@ -234,7 +234,7 @@ impl<'a> HostCtx<'a> {
 
     /// Arms an application timer; `key` returns via
     /// [`crate::App::on_timer`].
-    pub fn set_app_timer(&mut self, delay: SimDuration, key: u32) {
+    pub fn set_app_timer(&mut self, delay: SimDuration, key: u8) {
         self.effects.push(Effect::Timer { delay, key });
     }
 

@@ -15,12 +15,36 @@ use xia_wire::{ConnId, XiaPacket, L4};
 use crate::app::{App, FetchResult};
 use crate::ctx::{Effect, HostCtx, HostView};
 
-/// Tag marking a host timer key as belonging to an application. Below it
-/// the key is `boot epoch << 40 | app index << 32 | the app's own key`.
-const APP_TIMER_TAG: u64 = 0x4150 << 48;
+/// Whose a host timer is: the transport's, or app `idx`'s `key` armed in
+/// boot `epoch`. The simulator carries it as [`HostTimer::key`]: bit 63
+/// set is an app's `epoch << 24 | idx << 8 | key`, clear is the
+/// transport's own key, whose layout is private to `xia-transport`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HostTimer {
+    Transport(u64),
+    App { idx: u16, epoch: u32, key: u8 },
+}
 
-/// Apps one host can run: an app timer key holds the app index in 8 bits.
-const MAX_APPS: usize = 1 << 8;
+impl HostTimer {
+    const APP: TimerKey = 1 << 63;
+
+    fn key(self) -> TimerKey {
+        match self {
+            HostTimer::Transport(key) => key,
+            HostTimer::App { idx, epoch, key } => {
+                Self::APP | u64::from(epoch) << 24 | u64::from(idx) << 8 | u64::from(key)
+            }
+        }
+    }
+
+    fn from_key(key: TimerKey) -> Self {
+        if key & Self::APP == 0 {
+            return HostTimer::Transport(key);
+        }
+        let (epoch, idx, key) = ((key >> 24) as u32, (key >> 8) as u16, key as u8);
+        HostTimer::App { idx, epoch, key }
+    }
+}
 
 /// State of one in-flight chunk fetch. A connection with a `FetchState`
 /// is a fetch; any other connection the mux knows is one the chunk server
@@ -49,7 +73,7 @@ struct HostMeta {
     next_token: u64,
     /// Bumped at every restart, so a timer armed before a crash is
     /// recognised, and dropped, when it matures after the reboot.
-    boot_epoch: u8,
+    boot_epoch: u32,
 }
 
 impl HostMeta {
@@ -104,7 +128,7 @@ impl xia_transport::TransportEnv for HostEnv<'_, '_> {
         self.outbox.push(pkt);
     }
     fn set_timer(&mut self, delay: SimDuration, key: u64) {
-        self.sim.set_timer(delay, key);
+        self.sim.set_timer(delay, HostTimer::Transport(key).key());
     }
     fn deliver(&mut self, event: TransportEvent) {
         self.pending.push_back(event);
@@ -179,12 +203,11 @@ impl Host {
     ///
     /// # Panics
     ///
-    /// If the host already runs 256 apps: a timer key has 8 bits for the
-    /// app index, so a 257th app's timers would reach app 0.
+    /// If the host already runs 65,536 apps, the most a timer key can name.
     pub fn add_app(&mut self, app: Box<dyn App>) -> usize {
         assert!(
-            self.apps.len() < MAX_APPS,
-            "a host runs at most {MAX_APPS} apps"
+            self.apps.len() <= usize::from(u16::MAX),
+            "a host runs at most 65536 apps"
         );
         self.apps.push(app);
         self.apps.len() - 1
@@ -406,32 +429,26 @@ impl Host {
         self.drain(ctx);
     }
 
-    /// Handles a timer belonging to this stack. Returns `false` if the key
-    /// is not recognized.
-    pub fn handle_timer(&mut self, ctx: &mut SimContext<'_, XiaPacket>, key: TimerKey) -> bool {
+    /// Handles a timer this stack armed.
+    pub fn handle_timer(&mut self, ctx: &mut SimContext<'_, XiaPacket>, key: TimerKey) {
         if self.down {
             // A crashed node's timers die with it; on_start re-arms app
             // timers after the restart.
-            return true;
+            return;
         }
-        if key & (0xFFFF << 48) == xia_transport::TIMER_TAG {
-            let (mux, mut env) = self.env(ctx);
-            mux.on_timer(&mut env, key);
-            self.drain(ctx);
-            return true;
-        }
-        if key & (0xFFFF << 48) == APP_TIMER_TAG {
+        match HostTimer::from_key(key) {
+            HostTimer::Transport(key) => {
+                let (mux, mut env) = self.env(ctx);
+                mux.on_timer(&mut env, key);
+            }
             // A timer armed before the last crash died with the node,
             // even when it matures after the restart.
-            if (key >> 40) as u8 == self.meta.boot_epoch {
-                let idx = ((key >> 32) & 0xFF) as usize;
-                let payload = key as u32 as u64;
-                self.with_app(ctx, idx, |app, hctx| app.on_timer(hctx, payload));
-                self.drain(ctx);
+            HostTimer::App { idx, epoch, key } if epoch == self.meta.boot_epoch => {
+                self.with_app(ctx, usize::from(idx), |app, hctx| app.on_timer(hctx, key));
             }
-            return true;
+            HostTimer::App { .. } => return,
         }
-        false
+        self.drain(ctx);
     }
 
     /// Forwards a link state change to all apps.
@@ -514,11 +531,8 @@ impl Host {
                     .push(XiaPacket::new(dst, self.meta.local_dag(), l4));
             }
             Effect::Timer { delay, key } => {
-                let packed = APP_TIMER_TAG
-                    | (u64::from(self.meta.boot_epoch) << 40)
-                    | ((app_idx as u64) << 32)
-                    | u64::from(key);
-                ctx.set_timer(delay, packed);
+                let (idx, epoch) = (app_idx as u16, self.meta.boot_epoch);
+                ctx.set_timer(delay, HostTimer::App { idx, epoch, key }.key());
             }
             Effect::Attach { nid, link } => self.meta.set_attachment(nid, link),
             Effect::Migrate { pause } => {
@@ -772,7 +786,7 @@ impl Node<XiaPacket> for EndHost {
     }
 
     fn on_timer(&mut self, ctx: &mut SimContext<'_, XiaPacket>, key: TimerKey) {
-        let _ = self.host.handle_timer(ctx, key);
+        self.host.handle_timer(ctx, key);
         self.flush(ctx);
     }
 
@@ -784,5 +798,27 @@ impl Node<XiaPacket> for EndHost {
     fn on_fault(&mut self, ctx: &mut SimContext<'_, XiaPacket>, fault: NodeFault) {
         self.host.handle_fault(ctx, fault);
         self.flush(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::HostTimer;
+    use util::check::check;
+
+    #[test]
+    fn a_host_timer_decodes_to_what_was_encoded() {
+        check("host_timer_round_trips", 1024, |g| {
+            // All bits clear, all set, or drawn: every field meets its edges.
+            let drawn = g.u64();
+            let v = *g.choose(&[0, u64::MAX, drawn]);
+            let timer = if g.bool() {
+                HostTimer::Transport(v >> 1)
+            } else {
+                let (idx, epoch, key) = (v as u16, (v >> 16) as u32, (v >> 48) as u8);
+                HostTimer::App { idx, epoch, key }
+            };
+            assert_eq!(HostTimer::from_key(timer.key()), timer);
+        });
     }
 }

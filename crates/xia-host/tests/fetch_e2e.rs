@@ -382,14 +382,65 @@ fn effects_land_in_order_and_before_the_next_app_runs() {
     assert_eq!(inbox.unwrap().0, [(from.clone(), 1), (from, 2)]);
 }
 
-/// An app timer key holds the app index in 8 bits, so a host refuses a
-/// 257th app instead of delivering its timers to app 0.
-#[test]
-#[should_panic(expected = "a host runs at most 256 apps")]
-fn a_257th_app_is_refused() {
-    let mut host = Host::new(HostConfig::new(Xid::new_random(Principal::Hid, 1)));
-    for i in 0..256 {
-        assert_eq!(host.add_app(Box::new(SeqFetcher::new(Vec::new()))), i);
+/// Arms its `(key, delay)` timer at first boot only, and notes every
+/// timer it hears and when.
+struct Alarm(Option<(u8, SimDuration)>, Vec<(u8, SimTime)>);
+
+impl App for Alarm {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        if let Some((key, delay)) = self.0.take() {
+            ctx.set_app_timer(delay, key);
+        }
     }
-    host.add_app(Box::new(SeqFetcher::new(Vec::new())));
+
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u8) {
+        self.1.push((key, ctx.now()));
+    }
+}
+
+/// Runs one host with an `Alarm` per entry of `arms` under the faults
+/// `plan` adds; returns what each alarm heard and when the run ended.
+fn run_alarms(
+    arms: &[(u8, SimDuration)],
+    plan: impl FnOnce(simnet::NodeId, &mut simnet::FaultPlan),
+) -> (Vec<Vec<(u8, SimTime)>>, SimTime) {
+    let mut host = Host::new(HostConfig::new(Xid::new_random(Principal::Hid, 1)));
+    for &arm in arms {
+        host.add_app(Box::new(Alarm(Some(arm), Vec::new())));
+    }
+    let mut sim = Simulator::new(29);
+    let node = sim.add_node(Box::new(EndHost::new(host)));
+    let mut faults = simnet::FaultPlan::new();
+    plan(node, &mut faults);
+    faults.apply(&mut sim);
+    sim.run();
+    let host = sim.node::<EndHost>(node).unwrap().host();
+    let heard = (0..arms.len()).map(|i| host.app::<Alarm>(i).unwrap().1.clone());
+    (heard.collect(), sim.now())
+}
+
+/// A timer dies with the node that armed it, however many restarts
+/// later it matures: the 256th does not bring it back.
+#[test]
+fn a_timer_armed_256_crashes_ago_never_fires() {
+    let (heard, end) = run_alarms(&[(7, SimDuration::from_secs(1000))], |node, plan| {
+        for i in 0..256 {
+            let at = SimTime::from_micros((2 * i + 1) * 1_000_000);
+            plan.crash(node, at, Some(SimDuration::from_secs(1)));
+        }
+    });
+    assert_eq!(end, SimTime::from_micros(1_000_000_000), "it matured");
+    assert_eq!(heard[0], []);
+}
+
+/// 300 apps on one host each hear exactly their own timer.
+#[test]
+fn a_257th_app_is_accepted() {
+    let arms: Vec<(u8, SimDuration)> = (0..300u64)
+        .map(|i| (i as u8, SimDuration::from_millis(i + 1)))
+        .collect();
+    let (heard, _) = run_alarms(&arms, |_, _| {});
+    for (heard, &(key, delay)) in heard.iter().zip(&arms) {
+        assert_eq!(heard[..], [(key, SimTime::ZERO + delay)]);
+    }
 }

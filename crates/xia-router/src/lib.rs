@@ -294,7 +294,7 @@ impl Node<XiaPacket> for RouterNode {
     }
 
     fn on_timer(&mut self, ctx: &mut SimContext<'_, XiaPacket>, key: TimerKey) {
-        let _ = self.host.handle_timer(ctx, key);
+        self.host.handle_timer(ctx, key);
         self.flush(ctx);
     }
 

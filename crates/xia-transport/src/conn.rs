@@ -14,7 +14,6 @@ use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4, MSS};
 
 use crate::buffer::SendBuffer;
 use crate::config::TransportConfig;
-use crate::mux::TIMER_TAG;
 use crate::rtt::RttEstimator;
 
 /// Where a connection is in its lifecycle.
@@ -136,16 +135,26 @@ const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
 /// Receive window advertised to the peer, in bytes.
 pub(crate) const RECEIVE_WINDOW: u64 = 2 * 1024 * 1024;
 
-// A timer key is `TIMER_TAG | kind << 44 | generation << 24 | mux slot`,
-// and these are the kinds a connection arms.
+// A timer key is `kind << 61 | generation << 41 | mux slot`, bit 63 left
+// clear for the host, and these are the kinds a connection arms.
 const RTO: u64 = 0;
 const PACE: u64 = 1;
 const MIGRATE: u64 = 2;
 const IDLE: u64 = 3;
-const KIND_SHIFT: u32 = 44;
-const GEN_SHIFT: u32 = 24;
+const KIND_SHIFT: u32 = 61;
+const GEN_SHIFT: u32 = 41;
 const GEN_MASK: u32 = 0xF_FFFF;
-const UID_MASK: u64 = 0xFF_FFFF;
+const UID_MASK: u64 = (1 << GEN_SHIFT) - 1;
+
+/// Packs a key the mux routes back to [`Connection::on_timer`].
+fn timer_key(kind: u64, gen: u32, uid: u64) -> u64 {
+    (kind << KIND_SHIFT) | (u64::from(gen) << GEN_SHIFT) | (uid & UID_MASK)
+}
+
+/// The kind and generation a timer key carries.
+fn timer_kind_gen(key: u64) -> (u64, u32) {
+    (key >> KIND_SHIFT, (key >> GEN_SHIFT) as u32 & GEN_MASK)
+}
 
 /// The mux slot a transport timer key was armed from.
 pub(crate) fn timer_uid(key: u64) -> u64 {
@@ -325,12 +334,7 @@ impl Connection {
         self.state = ConnState::Migrating;
         let gen = self.next_gen();
         self.migrate_gen = Some(gen);
-        env.set_timer(pause, self.timer_key(MIGRATE, gen));
-    }
-
-    /// Packs a key the mux routes back to [`Connection::on_timer`].
-    fn timer_key(&self, kind: u64, gen: u32) -> u64 {
-        TIMER_TAG | (kind << KIND_SHIFT) | (u64::from(gen) << GEN_SHIFT) | (self.uid & UID_MASK)
+        env.set_timer(pause, timer_key(MIGRATE, gen, self.uid));
     }
 
     /// The next timer generation. It wraps inside the key's field, so the
@@ -342,8 +346,8 @@ impl Connection {
 
     /// Handles one of this connection's timers.
     pub(crate) fn on_timer(&mut self, env: &mut dyn TransportEnv, key: u64) {
-        let gen = (key >> GEN_SHIFT) as u32 & GEN_MASK;
-        match (key >> KIND_SHIFT) & 0xF {
+        let (kind, gen) = timer_kind_gen(key);
+        match kind {
             RTO => self.on_rto(env, gen),
             PACE => self.on_pace(env),
             MIGRATE => self.on_migrate_done(env, gen),
@@ -362,7 +366,7 @@ impl Connection {
     /// [`Connection::on_idle`], so arriving segments cost no timer.
     fn arm_idle(&mut self, env: &mut dyn TransportEnv) {
         self.last_heard = env.now();
-        env.set_timer(self.idle_limit(), self.timer_key(IDLE, 0));
+        env.set_timer(self.idle_limit(), timer_key(IDLE, 0, self.uid));
     }
 
     /// Fails a connection that has heard nothing for the idle limit —
@@ -378,7 +382,7 @@ impl Connection {
         if now >= deadline {
             self.fail(env, CloseReason::TimedOut);
         } else {
-            env.set_timer(deadline - now, self.timer_key(IDLE, 0));
+            env.set_timer(deadline - now, timer_key(IDLE, 0, self.uid));
         }
     }
 
@@ -680,7 +684,7 @@ impl Connection {
                 if now < self.pace_until {
                     if !self.pace_armed {
                         self.pace_armed = true;
-                        env.set_timer(self.pace_until - now, self.timer_key(PACE, 0));
+                        env.set_timer(self.pace_until - now, timer_key(PACE, 0, self.uid));
                     }
                     break;
                 }
@@ -816,7 +820,7 @@ impl Connection {
         self.rto_gen = Some(gen);
         env.set_timer(
             SimDuration::from_micros(backed_off),
-            self.timer_key(RTO, gen),
+            timer_key(RTO, gen, self.uid),
         );
     }
 
@@ -883,6 +887,7 @@ impl std::fmt::Debug for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use util::check::check;
     use xia_addr::{Principal, Xid};
 
     /// Records the packets a connection emits and the timers it arms.
@@ -930,5 +935,18 @@ mod tests {
         assert_eq!(conn.stats.rtos, 1, "the live RTO was taken for a stale one");
         assert_eq!(env.out.len(), 1, "the SYN is retransmitted");
         assert_eq!(env.timers.len(), 1, "and the RTO re-armed");
+    }
+
+    #[test]
+    fn a_timer_key_leaves_bit_63_clear_and_decodes_to_what_was_packed() {
+        check("transport_timer_key_round_trips", 1024, |g| {
+            // Both fields zero, both at their largest, or both drawn.
+            let drawn = (g.u64() as u32 & GEN_MASK, g.u64() & UID_MASK);
+            let (gen, uid) = *g.choose(&[(0, 0), (GEN_MASK, UID_MASK), drawn]);
+            let kind = g.u64_in(RTO, IDLE);
+            let key = timer_key(kind, gen, uid);
+            assert_eq!(key >> 63, 0, "bit 63 is the host's");
+            assert_eq!((timer_kind_gen(key), timer_uid(key)), ((kind, gen), uid));
+        });
     }
 }

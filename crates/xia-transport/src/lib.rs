@@ -34,5 +34,5 @@ pub mod rtt;
 
 pub use config::TransportConfig;
 pub use conn::{CloseReason, ConnStats, TransportEnv, TransportEvent};
-pub use mux::{TransportError, TransportMux, TIMER_TAG};
+pub use mux::{TransportError, TransportMux};
 pub use rtt::RttEstimator;

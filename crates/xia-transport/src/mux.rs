@@ -13,11 +13,6 @@ use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
 use crate::config::TransportConfig;
 use crate::conn::{timer_uid, ConnState, ConnStats, Connection, TransportEnv, RECEIVE_WINDOW};
 
-/// Tag in the upper 16 bits marking a host timer key as belonging to the
-/// transport. Hosts route any timer whose key carries this tag to
-/// [`TransportMux::on_timer`].
-pub const TIMER_TAG: u64 = 0x5452 << 48;
-
 /// Errors returned by the mux's host-facing API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
@@ -293,18 +288,14 @@ impl TransportMux {
         }
     }
 
-    /// Routes a host timer back to the owning connection. Returns `true`
-    /// if the key belonged to the transport (even if stale).
-    pub fn on_timer(&mut self, env: &mut dyn TransportEnv, timer_key: u64) -> bool {
-        if timer_key & (0xFFFF << 48) != TIMER_TAG {
-            return false;
-        }
+    /// Routes a timer this mux armed back to the owning connection, if it
+    /// is still live. Bit 63 of every key the mux arms is clear.
+    pub fn on_timer(&mut self, env: &mut dyn TransportEnv, timer_key: u64) {
         let uid = timer_uid(timer_key);
         if let Some(c) = self.conns.get_mut(&uid) {
             c.on_timer(env, timer_key);
             self.reap(uid);
         }
-        true
     }
 
     /// Removes `uid` if its connection has finished.
@@ -486,6 +477,24 @@ mod tests {
         assert!(idle.iter().all(|id| p.mux[B].by_id.contains_key(id)));
     }
 
+    /// A connection in slot 2²⁴ hears its own timers, not slot 0's: its
+    /// lost SYN goes out again when the RTO fires.
+    #[test]
+    fn a_lost_syn_is_resent_from_a_slot_past_two_to_the_24() {
+        let mut p = Pair::new();
+        p.mux[A].next_uid = 1 << 24;
+        let conn = p.connect(A);
+        p.env[A].out.clear();
+        let mut timers = std::mem::take(&mut p.env[A].timers);
+        timers.sort();
+        for (at, key) in timers {
+            p.env[A].now = at;
+            p.mux[A].on_timer(&mut p.env[A], key);
+        }
+        let syn = segment(p.env[A].out.first().expect("the SYN is resent"));
+        assert!(syn.flags.syn && syn.conn == conn);
+    }
+
     /// Random API calls, deliveries (in any order, with loss and
     /// duplication) and timer firings on two muxes.
     fn random_walk(g: &mut Gen) {
@@ -523,7 +532,7 @@ mod tests {
                     if let Some(i) = (0..timers.len()).min_by_key(|&i| timers[i]) {
                         let (at, key) = timers.swap_remove(i);
                         p.env[side].now = p.env[side].now.max(at);
-                        assert!(p.mux[side].on_timer(&mut p.env[side], key));
+                        p.mux[side].on_timer(&mut p.env[side], key);
                     }
                 }
                 // Deliver, duplicate or lose a packet this side emitted.

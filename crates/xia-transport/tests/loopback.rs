@@ -3,7 +3,8 @@
 //! The harness implements [`TransportEnv`] with a shared time wheel, a
 //! configurable one-way latency and a scripted per-packet drop function, so
 //! every congestion-control and lifecycle behaviour can be exercised
-//! deterministically without the full network simulator.
+//! deterministically without the full network simulator — scripted, or
+//! under `util::check`-drawn loss masks and payloads.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -12,8 +13,11 @@ use std::rc::Rc;
 
 use simnet::{SimDuration, SimTime};
 use util::bytes::Bytes;
+use util::check::check;
 use xia_addr::{Dag, Principal, Xid};
-use xia_transport::{CloseReason, TransportConfig, TransportEnv, TransportEvent, TransportMux};
+use xia_transport::{
+    CloseReason, RttEstimator, TransportConfig, TransportEnv, TransportEvent, TransportMux,
+};
 use xia_wire::XiaPacket;
 
 const A: usize = 0;
@@ -127,8 +131,9 @@ impl World {
     }
 
     /// Runs until the queue drains or `deadline` passes. Returns sim time.
+    /// Panics after 500k steps: nothing here takes that many.
     fn run(&mut self, deadline: SimTime) -> SimTime {
-        loop {
+        for _ in 0..500_000 {
             let next = {
                 let mut w = self.inner.borrow_mut();
                 match w.queue.pop() {
@@ -156,6 +161,7 @@ impl World {
                 }
             }
         }
+        panic!("livelock in the loopback world");
     }
 
     /// Runs for `d` of simulated time. Kept far inside the idle limit, so
@@ -576,6 +582,67 @@ fn concurrent_connections_are_isolated() {
     }
     assert_eq!(got1, d1.to_vec());
     assert_eq!(got2, d2.to_vec());
+}
+
+/// Sends `payload` A→B over 3 ms, losing the `i`th packet either side
+/// emits where `loss_mask[i]` is set; returns what B received.
+fn transfer(payload: &[u8], loss_mask: Vec<bool>) -> Vec<u8> {
+    let mut sent = 0;
+    let drop = move |_: usize, _: u64, _: &XiaPacket| {
+        sent += 1;
+        loss_mask.get(sent - 1).copied().unwrap_or(false)
+    };
+    let mut w = World::with_drops(
+        TransportConfig::linux_tcp(),
+        SimDuration::from_millis(3),
+        drop,
+    );
+    {
+        let mut env = w.env(A);
+        let (dst, src) = (w.addrs[B].clone(), w.addrs[A].clone());
+        let c = w.muxes[A].connect(&mut env, dst, src);
+        let data = Bytes::from(payload.to_vec());
+        w.muxes[A].send(&mut env, c, data).expect("send queues");
+        w.muxes[A].close(&mut env, c).expect("close queues");
+    }
+    w.run(far());
+    collect_received(&w.events(), B)
+}
+
+/// Any payload survives any (finite) loss prefix intact: the transport
+/// delivers exactly the sent bytes, in order.
+#[test]
+fn delivery_is_exact_under_arbitrary_loss() {
+    check("delivery_is_exact_under_arbitrary_loss", 24, |g| {
+        let len = g.usize_in(1, 39_999);
+        let payload = g.bytes(len);
+        let mut mask = g.vec_of(0, 95, |g| g.bool());
+        // Never drop more than 2 of any 3 consecutive packets, so the
+        // handshake cannot be starved beyond the RTO budget.
+        for i in 0..mask.len() {
+            if i >= 2 && mask[i - 1] && mask[i - 2] {
+                mask[i] = false;
+            }
+        }
+        let got = transfer(&payload, mask);
+        assert_eq!(got, payload);
+    });
+}
+
+/// The RTT estimator's RTO always dominates the latest smoothed RTT
+/// and never panics, for any sample sequence.
+#[test]
+fn rto_bounds() {
+    check("rto_bounds", 256, |g| {
+        let samples = g.vec_of(1, 199, |g| g.u64_in(1, 9_999_999));
+        let mut e = RttEstimator::new();
+        for s in samples {
+            e.sample(SimDuration::from_micros(s));
+            let srtt = e.srtt().expect("sampled");
+            let rto = e.rto(SimDuration::ZERO);
+            assert!(rto >= srtt, "rto {rto} < srtt {srtt}");
+        }
+    });
 }
 
 /// Sending on a closed connection is an error, as is sending on a bogus id.
