@@ -3,12 +3,15 @@
 //! [`Bytes`] is an immutable, reference-counted view into a shared
 //! allocation: cloning or slicing never copies payload bytes, which keeps
 //! multi-megabyte chunks cheap to pass between the cache, transport and
-//! applications. [`BytesMut`] is a growable builder with big-endian
+//! applications. The allocation also remembers a digest per range
+//! ([`Bytes::memo_digest`]), so bytes that travel as views of one buffer
+//! are hashed once. [`BytesMut`] is a growable builder with big-endian
 //! integer appends that freezes into a [`Bytes`].
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// An immutable, cheaply cloneable slice view of shared bytes.
 ///
@@ -23,15 +26,24 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Default)]
 pub struct Bytes {
-    // Arc<Vec<u8>> rather than Arc<[u8]> so `From<Vec<u8>>` is a move:
-    // converting a Vec into Arc<[u8]> would re-copy the payload to place
-    // it inline with the refcount header, and chunk construction on the
-    // transmit path does this for every multi-kilobyte buffer. `None` is
+    // The allocation holds a Vec<u8> rather than a [u8] so
+    // `From<Vec<u8>>` is a move: converting a Vec into Arc<[u8]> would
+    // re-copy the payload to place it inline with the refcount header,
+    // and chunk construction on the transmit path does this for every
+    // multi-kilobyte buffer. `None` is
     // the empty buffer: every pure ACK carries one, so `Bytes::new()` must
     // not touch the heap.
-    data: Option<Arc<Vec<u8>>>,
+    data: Option<Arc<Shared>>,
     start: usize,
     end: usize,
+}
+
+/// The allocation behind every view of it. `bytes` is never mutated, so a
+/// digest stored for a range is the digest of that range for as long as
+/// the allocation lives, and the memo dies with it.
+struct Shared {
+    bytes: Vec<u8>,
+    digests: Mutex<BTreeMap<(usize, usize), [u8; 20]>>,
 }
 
 impl Bytes {
@@ -131,6 +143,28 @@ impl Bytes {
         })
     }
 
+    /// The digest `compute` gives this view's bytes, stored in the
+    /// allocation under the view's exact range: a later call on any view
+    /// of the same `start..end` returns the stored answer without calling
+    /// `compute`. Every caller must pass the same pure function, so the
+    /// workspace has exactly one (`Xid::for_bytes`, SHA-1). The empty
+    /// [`Bytes::new`] has no allocation and always computes.
+    pub fn memo_digest(&self, compute: impl FnOnce(&[u8]) -> [u8; 20]) -> [u8; 20] {
+        let Some(data) = &self.data else {
+            return compute(&[]);
+        };
+        let key = (self.start, self.end);
+        // `compute` runs unlocked, so no panic interrupts an update and a
+        // poisoned memo is still a valid one.
+        let memo = || data.digests.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(digest) = memo().get(&key) {
+            return *digest;
+        }
+        let digest = compute(self);
+        memo().insert(key, digest);
+        digest
+    }
+
     /// Copies the view into an owned `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
@@ -141,7 +175,7 @@ impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         match &self.data {
-            Some(data) => &data[self.start..self.end],
+            Some(data) => &data.bytes[self.start..self.end],
             None => &[],
         }
     }
@@ -156,8 +190,12 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
+        let shared = Shared {
+            bytes: v,
+            digests: Mutex::default(),
+        };
         Bytes {
-            data: Some(Arc::new(v)),
+            data: Some(Arc::new(shared)),
             start: 0,
             end,
         }
@@ -344,6 +382,57 @@ mod tests {
         assert_eq!(before.join(&tail), Some(b.slice(2..)));
         assert_eq!(tail.preceding(7), None, "only six bytes precede");
         assert_eq!(Bytes::new().preceding(1), None);
+    }
+
+    /// A stand-in for SHA-1 (which lives above this crate): any pure
+    /// function of the bytes serves.
+    fn digest(bytes: &[u8]) -> [u8; 20] {
+        let mut d = [0u8; 20];
+        d[..8].copy_from_slice(&crate::seed::fnv1a(bytes).to_be_bytes());
+        d[8..16].copy_from_slice(&(bytes.len() as u64).to_be_bytes());
+        d
+    }
+
+    #[test]
+    fn memo_digest_computes_each_range_of_each_allocation_once() {
+        crate::check::check("memo_digest_once_per_range", 128, |g| {
+            // Twin allocations holding equal bytes, often repeating ones,
+            // so distinct ranges frequently have equal digests.
+            let len = g.usize_in(0, 48);
+            let fill: Vec<u8> = (0..len).map(|_| g.u64_in(0, 2) as u8).collect();
+            let twins = [Bytes::from(fill.clone()), Bytes::from(fill)];
+            let mut seen = std::collections::BTreeSet::new();
+            for _ in 0..g.usize_in(1, 40) {
+                let which = g.usize_in(0, 1);
+                let lo = g.usize_in(0, len);
+                let hi = g.usize_in(lo, len);
+                // Reach the range through an outer view, as fetches do.
+                let at = g.usize_in(0, lo);
+                let view = twins[which].slice(at..).slice(lo - at..hi - at);
+                let calls = std::cell::Cell::new(0);
+                let got = view.memo_digest(|b| {
+                    calls.set(calls.get() + 1);
+                    digest(b)
+                });
+                assert_eq!(got, digest(&view), "{which}: {lo}..{hi}");
+                let first_time = seen.insert((which, lo, hi));
+                assert_eq!(calls.get(), usize::from(first_time), "{which}: {lo}..{hi}");
+            }
+        });
+    }
+
+    #[test]
+    fn memo_digest_of_the_empty_buffer_computes_and_allocates_nothing() {
+        let e = Bytes::new();
+        for _ in 0..2 {
+            let calls = std::cell::Cell::new(0);
+            let got = e.memo_digest(|b| {
+                calls.set(calls.get() + 1);
+                digest(b)
+            });
+            assert_eq!((got, calls.get()), (digest(&[]), 1));
+        }
+        assert!(e.data.is_none());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! slices of third-party functionality the workspace actually uses:
 //!
 //! - [`bytes`]: a cheap-clone, reference-counted byte buffer
-//!   ([`bytes::Bytes`]) and a growable builder ([`bytes::BytesMut`]),
-//!   replacing the `bytes` crate,
+//!   ([`bytes::Bytes`]) whose allocation remembers the digest of each
+//!   range hashed through it, and a growable builder
+//!   ([`bytes::BytesMut`]), replacing the `bytes` crate,
 //! - [`json`]: a minimal JSON value model, writer and parser, replacing
 //!   `serde`/`serde_json` for trace files, staging messages and experiment
 //!   reports,

@@ -95,7 +95,7 @@ pub fn chunk_content(content: &Bytes, chunk_size: usize) -> (Manifest, Vec<(Xid,
     while offset < content.len() {
         let end = (offset + chunk_size).min(content.len());
         let payload = content.slice(offset..end);
-        let cid = Xid::for_content(&payload);
+        let cid = Xid::for_bytes(&payload);
         chunks.push((cid, payload));
         offset = end;
     }

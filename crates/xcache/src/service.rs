@@ -209,7 +209,9 @@ impl ChunkFetcher {
     /// before the second in the second's allocation (the copied first
     /// segment of a served chunk), compared here, once, at most one
     /// segment long; anything else is copied once, at the size that
-    /// arrived. The body is then checked against the CID.
+    /// arrived. The body is then checked against the CID
+    /// ([`Xid::for_bytes`]): a body that is a view of a range its
+    /// publisher hashed reads that digest, and a copy is hashed in full.
     pub fn on_data(&mut self, data: &Bytes) -> FetchProgress {
         if self.done {
             return FetchProgress::Corrupt;
@@ -254,7 +256,7 @@ impl ChunkFetcher {
             return FetchProgress::Corrupt;
         }
         let body = assemble(&std::mem::take(&mut self.parts));
-        if Xid::for_content(&body) != self.cid {
+        if Xid::for_bytes(&body) != self.cid {
             return FetchProgress::Corrupt;
         }
         FetchProgress::Complete(body)
@@ -298,7 +300,7 @@ mod tests {
 
     fn store_with(data: &Bytes) -> (ChunkStore, Xid) {
         let mut s = ChunkStore::new(1 << 20, EvictionPolicy::Lru);
-        let cid = Xid::for_content(data);
+        let cid = Xid::for_bytes(data);
         s.publish(cid, data.clone());
         (s, cid)
     }
@@ -373,20 +375,63 @@ mod tests {
         (cid, segments(&server.on_data(c, &request, &mut store)))
     }
 
-    #[test]
-    fn served_chunk_completes_as_a_view_of_the_stored_chunk() {
-        let data = Bytes::from((0..20_000u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
-        let (cid, segs) = serve(&data);
+    fn fetch(cid: Xid, segs: impl IntoIterator<Item = Bytes>) -> FetchProgress {
         let mut fetcher = ChunkFetcher::new(cid);
         let mut progress = FetchProgress::InProgress;
-        for seg in &segs {
-            progress = fetcher.on_data(seg);
+        for seg in segs {
+            progress = fetcher.on_data(&seg);
         }
+        progress
+    }
+
+    #[test]
+    fn served_chunk_completes_as_a_view_of_the_stored_chunk() {
+        // Chunks of one allocation and the whole of it: ranges that share
+        // an allocation, and two that share a start.
+        let content = Bytes::from((0..40_000u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+        let (_, mut chunks) = crate::chunk_content(&content, 16_000);
+        chunks.push((Xid::for_bytes(&content), content.clone()));
+        for (published, data) in chunks {
+            assert_eq!(published, Xid::for_content(&data), "the publisher's CID");
+            let (cid, segs) = serve(&data);
+            let progress = fetch(cid, segs);
+            let FetchProgress::Complete(body) = progress else {
+                panic!("expected the chunk, got {progress:?}");
+            };
+            assert_eq!(body, data);
+            assert_eq!(body.as_ptr(), data.as_ptr(), "no byte was copied");
+            let digest = body.memo_digest(|_| unreachable!("the publisher hashed these bytes"));
+            assert_eq!(digest, *cid.id());
+        }
+    }
+
+    #[test]
+    fn a_copied_body_with_one_flipped_byte_is_corrupt() {
+        let data = Bytes::from((0..20_000u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+        let (cid, segs) = serve(&data);
+        let copied = |flip: Option<usize>| {
+            segs.iter().enumerate().map(move |(i, seg)| {
+                let mut copy = seg.to_vec();
+                if flip == Some(i) {
+                    let mid = copy.len() / 2;
+                    copy[mid] ^= 1;
+                }
+                Bytes::from(copy)
+            })
+        };
+        let progress = fetch(cid, copied(None));
         let FetchProgress::Complete(body) = progress else {
             panic!("expected the chunk, got {progress:?}");
         };
         assert_eq!(body, data);
-        assert_eq!(body.as_ptr(), data.as_ptr(), "no byte was copied");
+        assert_ne!(body.as_ptr(), data.as_ptr(), "a copy");
+        for i in 0..segs.len() {
+            assert_eq!(
+                fetch(cid, copied(Some(i))),
+                FetchProgress::Corrupt,
+                "segment {i}"
+            );
+        }
     }
 
     #[test]

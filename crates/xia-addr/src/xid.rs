@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use util::bytes::Bytes;
 use util::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::sha1;
@@ -89,6 +90,14 @@ impl Xid {
     /// Derives a CID from chunk content, exactly as XCache does.
     pub fn for_content(content: &[u8]) -> Self {
         Xid::new(Principal::Cid, sha1::sha1(content))
+    }
+
+    /// [`Xid::for_content`] of a shared buffer, hashing each range of its
+    /// allocation at most once ([`Bytes::memo_digest`]). This is the memo's
+    /// only caller, so every stored digest is SHA-1 and the CID returned is
+    /// always that of exactly these bytes.
+    pub fn for_bytes(content: &Bytes) -> Self {
+        Xid::new(Principal::Cid, content.memo_digest(sha1::sha1))
     }
 
     /// Derives a deterministic pseudo-random XID from a seed.
