@@ -170,14 +170,14 @@ fn wheel_buckets_recycle_instead_of_allocating() {
     let mut lcg = 1u64;
     for seq in 0..4_096u64 {
         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
-        q.push(SimTime::from_micros(now + (lcg >> 33) % 10_000), seq, seq);
+        q.push(SimTime::from_micros(now + (lcg >> 33) % 10_000), seq);
     }
     for seq in 4_096..65_536u64 {
-        if let Some((at, _, _)) = q.pop() {
+        if let Some((at, _)) = q.pop() {
             now = at.as_micros();
         }
         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
-        q.push(SimTime::from_micros(now + (lcg >> 33) % 10_000), seq, seq);
+        q.push(SimTime::from_micros(now + (lcg >> 33) % 10_000), seq);
     }
     let (recycled, fresh) = q.pool_stats();
     assert!(

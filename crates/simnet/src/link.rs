@@ -155,9 +155,10 @@ pub struct Link {
     pub(crate) b: NodeId,
     pub(crate) config: LinkConfig,
     pub(crate) up: bool,
-    /// Incremented on every down transition; stale in-flight arrivals are
-    /// discarded when popped.
-    pub(crate) epoch: u64,
+    /// Advanced (wrapping) on every down transition; stale in-flight
+    /// arrivals are discarded when popped. The same width as the epoch an
+    /// arrival carries, so the two compare as they are.
+    pub(crate) epoch: u32,
     pub(crate) dir_ab: Direction,
     pub(crate) dir_ba: Direction,
     /// Current per-attempt loss probability. Starts at `config.loss`; fault
@@ -304,7 +305,7 @@ impl Link {
         self.up = up;
         if !up {
             // Anything in flight is lost; reset transmitter state.
-            self.epoch += 1;
+            self.epoch = self.epoch.wrapping_add(1);
             self.dir_ab = Direction::default();
             self.dir_ba = Direction::default();
         }

@@ -25,12 +25,14 @@ fn wire32(wire: usize) -> u32 {
 /// What happens when a scheduled event fires.
 #[derive(Debug)]
 enum EventKind<M> {
-    /// A packet arrives at `node` via `link`; `epoch` guards against
-    /// delivery across a link-down transition.
+    /// A packet arrives at node `node` via link `link` (their indices:
+    /// `add_node` and `add_link` mint none past `u32::MAX`); `epoch`, the
+    /// link's [`Link::epoch`] at sending, guards against delivery across a
+    /// link-down transition.
     Arrival {
-        node: NodeId,
-        link: LinkId,
-        epoch: u64,
+        node: u32,
+        link: u32,
+        epoch: u32,
         msg: M,
     },
     /// A node timer expires.
@@ -53,7 +55,6 @@ enum EventKind<M> {
 /// See the [crate documentation](crate) for an end-to-end example.
 pub struct Simulator<M: Message> {
     time: SimTime,
-    seq: u64,
     queue: WheelQueue<EventKind<M>>,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     links: Vec<Link>,
@@ -71,11 +72,16 @@ pub struct Simulator<M: Message> {
 }
 
 impl<M: Message> Simulator<M> {
+    /// Bytes the wheel hands back per event: its time and what fires.
+    /// Every event is moved at least twice, and a move of up to 128 bytes
+    /// is inlined rather than a `memcpy` call, so message types assert
+    /// this against 128.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<Option<(SimTime, EventKind<M>)>>();
+
     /// Creates a simulator whose randomness derives entirely from `seed`.
     pub fn new(seed: u64) -> Self {
         Simulator {
             time: SimTime::ZERO,
-            seq: 0,
             queue: WheelQueue::new(),
             nodes: Vec::new(),
             links: Vec::new(),
@@ -115,8 +121,14 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Adds a node and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator already has `u32::MAX + 1` nodes: an event
+    /// names its node in 32 bits.
     pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
         let id = NodeId(self.nodes.len());
+        assert!(u32::try_from(id.0).is_ok(), "node ids end at u32::MAX");
         self.nodes.push(Some(node));
         id
     }
@@ -125,11 +137,14 @@ impl<M: Message> Simulator<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `a == b` or either node does not exist.
+    /// Panics if `a == b`, either node does not exist, or the simulator
+    /// already has `u32::MAX + 1` links: an event names its link in 32
+    /// bits.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> LinkId {
         assert_ne!(a, b, "self-links are not allowed");
         assert!(a.0 < self.nodes.len() && b.0 < self.nodes.len());
         let id = LinkId(self.links.len());
+        assert!(u32::try_from(id.0).is_ok(), "link ids end at u32::MAX");
         self.links.push(Link::new(a, b, config));
         self.stats.links.push(LinkStats::default());
         id
@@ -209,9 +224,7 @@ impl<M: Message> Simulator<M> {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, kind);
+        self.queue.push(at, kind);
     }
 
     /// Delivers `on_start` to every node (once).
@@ -324,11 +337,13 @@ impl<M: Message> Simulator<M> {
                         attempts,
                     },
                 );
+                // Both ids indexed this simulator's tables above, so both
+                // are below its counts, which stop at `u32::MAX + 1`.
                 self.push(
                     at,
                     EventKind::Arrival {
-                        node: to,
-                        link: link_id,
+                        node: to.0 as u32,
+                        link: link_id.0 as u32,
                         epoch,
                         msg,
                     },
@@ -401,7 +416,7 @@ impl<M: Message> Simulator<M> {
     /// heap operations per event, traced or not.
     pub(crate) fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((at, _seq, kind)) = self.queue.pop() else {
+        let Some((at, kind)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.time, "time must be monotonic");
@@ -419,6 +434,7 @@ impl<M: Message> Simulator<M> {
                 epoch,
                 msg,
             } => {
+                let (node, link) = (NodeId(node as usize), LinkId(link as usize));
                 // Only the recorder reads the size, and sizing a message
                 // can walk its addresses.
                 let bytes = if self.sink.is_some() {
@@ -739,6 +755,35 @@ mod tests {
         sim.run();
         assert!(sim.node::<Echo>(b).unwrap().log.is_empty());
         assert_eq!(sim.stats().links[l.index()].dropped_in_flight, 1);
+    }
+
+    #[test]
+    fn a_down_transition_at_the_top_epoch_still_drops_in_flight() {
+        let (mut sim, _, b, l) = build();
+        sim.enable_trace(64);
+        // The link went down u32::MAX times already: the next down wraps
+        // its epoch to 0. It is back up before the first packet lands at
+        // 11 ms, so the epoch alone must drop it.
+        sim.links[l.0].epoch = u32::MAX;
+        sim.schedule_link_state(SimTime::from_micros(5_000), l, false);
+        sim.schedule_link_state(SimTime::from_micros(6_000), l, true);
+        sim.run();
+        assert_eq!(sim.links[l.0].epoch, 0);
+        assert!(sim.node::<Echo>(b).unwrap().log.is_empty());
+        assert_eq!(sim.stats().links[l.index()].dropped_in_flight, 1);
+        let drops: Vec<_> = sim
+            .trace()
+            .unwrap()
+            .records()
+            .filter_map(|r| match r.event {
+                TraceEvent::PacketDrop { reason, .. } => Some((r.at, reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            drops,
+            vec![(SimTime::from_micros(11_000), DropReason::InFlight)]
+        );
     }
 
     #[test]

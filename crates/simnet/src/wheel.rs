@@ -1,13 +1,13 @@
 //! The simulator's event queue: a hierarchical timer wheel.
 //!
-//! The simulator dispatches events in `(time, seq)` order — `seq` is the
-//! global insertion counter, so ties at equal timestamps resolve FIFO.
+//! The simulator dispatches events in `(time, push order)` order: ties at
+//! equal timestamps resolve FIFO.
 //! [`WheelQueue`] is a hierarchical timer wheel (calendar queue) with
 //! 64-slot levels covering the full `u64` microsecond range. Push is
 //! O(1); pop is amortized O(1) with occasional cascades. Slot buckets are
 //! recycled through a [`BufPool`], so the steady state allocates nothing.
 //!
-//! Buckets hold 24-byte keys, `(at, seq, slot)`, not events: an event's
+//! Buckets hold 16-byte keys, `(at, slot)`, not events: an event's
 //! payload is written once into the wheel's slab at `push` and taken once
 //! at `pop`, so filing, cascades and batch reversal move keys only. The
 //! slab grows to the most events ever pending at once, and a freed cell
@@ -15,7 +15,8 @@
 //!
 //! The ordering contract is pinned by the differential suite
 //! (`crates/simnet/tests/sched_diff.rs`), which drives the wheel against
-//! the contract written literally: a `BTreeMap` keyed by `(at, seq)`.
+//! the contract written literally: a `BTreeMap` keyed by `(at, seq)`,
+//! where `seq` counts pushes and rides in each payload.
 //!
 //! # Wheel geometry
 //!
@@ -39,8 +40,8 @@
 //! order. Equal-timestamp events always converge to the same level-0
 //! bucket in push order — across cascades too, because a cascade
 //! completes before any later push can observe the new cursor. Hence pop
-//! order is exactly `(at, seq)`; which slab cell holds a payload never
-//! enters it.
+//! order is exactly `(at, push order)`; which slab cell holds a payload
+//! never enters it, and no sequence number is needed to keep it.
 
 use crate::pool::BufPool;
 use crate::time::SimTime;
@@ -52,15 +53,15 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so that `LEVELS * LEVEL_BITS >= 64` covers any `u64`.
 const LEVELS: usize = 11;
 
-/// What a bucket holds: the event's order key and where its payload is.
+/// What a bucket holds: the event's time and where its payload is. Its
+/// place in the bucket is its place among events at the same time.
 struct Entry {
     at: u64,
-    seq: u64,
     /// Index of the event's payload in [`WheelQueue::slab`].
     slot: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// Hierarchical timer wheel; see the [module docs](self) for geometry
 /// and the determinism argument.
@@ -150,12 +151,12 @@ impl<T> WheelQueue<T> {
         Some((level, slot))
     }
 
-    /// Enqueues `item` to fire at `at`. `seq` is the caller's global
-    /// insertion counter; callers must pass strictly increasing values.
-    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
+    /// Enqueues `item` to fire at `at`, after everything already pushed
+    /// for the same time.
+    pub fn push(&mut self, at: SimTime, item: T) {
         let at = at.as_micros();
         debug_assert!(at >= self.elapsed, "scheduled into the wheel's past");
-        // Clamp for totality: a past timestamp files as "due now", in seq
+        // Clamp for totality: a past timestamp files as "due now", in push
         // order with whatever else is due.
         let at = at.max(self.elapsed);
         let slot = self.vacant.pop().unwrap_or_else(|| {
@@ -173,12 +174,15 @@ impl<T> WheelQueue<T> {
         if let Some(cell @ None) = cell {
             *cell = Some(item);
         }
-        self.file(Entry { at, seq, slot });
+        self.file(Entry { at, slot });
         self.len += 1;
     }
 
-    /// Removes and returns the earliest event (lowest `(at, seq)`).
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    /// Removes and returns the earliest event: the lowest `at`, and of
+    /// those the first pushed. The pair is what the simulator moves per
+    /// event, so it stays within the 128 bytes a move is inlined at.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
         loop {
             if let Some(entry) = self.current.pop() {
                 self.len -= 1;
@@ -195,7 +199,7 @@ impl<T> WheelQueue<T> {
                 debug_assert!(item.is_some(), "filed entry without a payload");
                 let Some(item) = item else { continue };
                 self.vacant.push(entry.slot);
-                return Some((SimTime::from_micros(entry.at), entry.seq, item));
+                return Some((SimTime::from_micros(entry.at), item));
             }
             let (level, slot) = self.earliest_bucket()?;
             let idx = level * SLOTS + slot;
@@ -290,9 +294,10 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn drain(q: &mut WheelQueue<u32>) -> Vec<(u64, u64, u32)> {
+    /// Pops everything; the payloads are `(seq, item)` pairs.
+    fn drain(q: &mut WheelQueue<(u64, u32)>) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
-        while let Some((at, seq, item)) = q.pop() {
+        while let Some((at, (seq, item))) = q.pop() {
             out.push((at.as_micros(), seq, item));
         }
         out
@@ -300,11 +305,11 @@ mod tests {
 
     #[test]
     fn fifo_ties_at_equal_timestamps() {
-        let mut q: WheelQueue<u32> = WheelQueue::new();
-        q.push(SimTime::from_micros(5), 0, 10);
-        q.push(SimTime::from_micros(5), 1, 11);
-        q.push(SimTime::from_micros(1), 2, 12);
-        q.push(SimTime::from_micros(5), 3, 13);
+        let mut q = WheelQueue::new();
+        q.push(SimTime::from_micros(5), (0, 10));
+        q.push(SimTime::from_micros(5), (1, 11));
+        q.push(SimTime::from_micros(1), (2, 12));
+        q.push(SimTime::from_micros(5), (3, 13));
         assert_eq!(
             drain(&mut q),
             vec![(1, 2, 12), (5, 0, 10), (5, 1, 11), (5, 3, 13)]
@@ -313,11 +318,11 @@ mod tests {
 
     #[test]
     fn far_future_events_cascade_across_levels() {
-        let mut q: WheelQueue<u32> = WheelQueue::new();
+        let mut q = WheelQueue::new();
         // One event per wheel level, pushed far-to-near.
         let times: Vec<u64> = (0..10).rev().map(|l| 3u64 << (6 * l)).collect();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i as u64, i as u32);
+            q.push(SimTime::from_micros(t), (i as u64, i as u32));
         }
         let popped = drain(&mut q);
         let ats: Vec<u64> = popped.iter().map(|&(at, _, _)| at).collect();
@@ -330,7 +335,7 @@ mod tests {
     fn interleaved_push_pop_stays_sorted() {
         // A deterministic LCG drives pushes mixed with pops; compare the
         // wheel to an ordered map keyed by `(at, seq)` at every step.
-        let mut wheel: WheelQueue<u32> = WheelQueue::new();
+        let mut wheel = WheelQueue::new();
         let mut reference: BTreeMap<(u64, u64), u32> = BTreeMap::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut seq = 0u64;
@@ -340,11 +345,11 @@ mod tests {
             let delay = (state >> 33) % 1000;
             // Occasional far-future outliers exercise high levels.
             let delay = if state % 17 == 0 { delay << 40 } else { delay };
-            wheel.push(SimTime::from_micros(now + delay), seq, round as u32);
+            wheel.push(SimTime::from_micros(now + delay), (seq, round as u32));
             reference.insert((now + delay, seq), round as u32);
             seq += 1;
             if state % 3 == 0 {
-                let w = wheel.pop().map(|(at, s, i)| (at.as_micros(), s, i));
+                let w = wheel.pop().map(|(at, (s, i))| (at.as_micros(), s, i));
                 let r = reference.pop_first().map(|((at, s), i)| (at, s, i));
                 assert_eq!(w, r);
                 if let Some((at, _, _)) = w {
@@ -367,34 +372,32 @@ mod tests {
     #[test]
     fn next_at_does_not_mutate() {
         let mut q: WheelQueue<u32> = WheelQueue::new();
-        q.push(SimTime::from_micros(1 << 30), 0, 1);
+        q.push(SimTime::from_micros(1 << 30), 1);
         assert_eq!(q.next_at(), Some(SimTime::from_micros(1 << 30)));
         // A later, earlier-timestamp push must still be representable
         // and pop first.
-        q.push(SimTime::from_micros(7), 1, 2);
+        q.push(SimTime::from_micros(7), 2);
         assert_eq!(q.next_at(), Some(SimTime::from_micros(7)));
-        assert_eq!(q.pop().map(|(_, _, i)| i), Some(2));
-        assert_eq!(q.pop().map(|(_, _, i)| i), Some(1));
+        assert_eq!(q.pop().map(|(_, i)| i), Some(2));
+        assert_eq!(q.pop().map(|(_, i)| i), Some(1));
     }
 
     #[test]
     fn max_timestamp_is_representable() {
         let mut q: WheelQueue<u32> = WheelQueue::new();
-        q.push(SimTime::MAX, 0, 1);
-        q.push(SimTime::ZERO, 1, 2);
-        assert_eq!(q.pop().map(|(at, _, i)| (at, i)), Some((SimTime::ZERO, 2)));
-        assert_eq!(q.pop().map(|(at, _, i)| (at, i)), Some((SimTime::MAX, 1)));
+        q.push(SimTime::MAX, 1);
+        q.push(SimTime::ZERO, 2);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 2)));
+        assert_eq!(q.pop(), Some((SimTime::MAX, 1)));
         assert!(q.is_empty());
     }
 
     #[test]
     fn buckets_recycle_through_the_pool() {
         let mut q: WheelQueue<u32> = WheelQueue::new();
-        let mut seq = 0;
         for round in 0..100u64 {
             for i in 0..8 {
-                q.push(SimTime::from_micros(round * 100), seq, i);
-                seq += 1;
+                q.push(SimTime::from_micros(round * 100), i);
             }
             while q.pop().is_some() {}
         }

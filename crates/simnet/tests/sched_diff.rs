@@ -1,8 +1,10 @@
 //! Differential tests: the timer-wheel scheduler against its contract.
 //!
-//! The contract is "pop in ascending `(at, seq)` order", so the reference
-//! is that sentence written literally: a `BTreeMap` keyed by `(at, seq)`
-//! with `insert` / `pop_first` / `first_key_value`. Every test drives the
+//! The contract is "pop in ascending `(at, seq)` order", `seq` counting
+//! pushes, so the reference is that sentence written literally: a
+//! `BTreeMap` keyed by `(at, seq)` with `insert` / `pop_first` /
+//! `first_key_value`. The wheel keeps push order without numbering it, so
+//! each payload carries its `seq` beside the item. Every test drives the
 //! [`WheelQueue`] and the map with the *same* operation sequence and
 //! asserts they agree — on each pop, on each non-mutating peek, and on
 //! the final drain. Seeded generators (`util::check` + `util::seed`)
@@ -22,9 +24,10 @@ use util::seed;
 /// One observable pop result.
 type Popped = (SimTime, u64, u64);
 
-/// The wheel and its reference, driven in lock step.
+/// The wheel and its reference, driven in lock step. A wheel payload is
+/// `(seq, item)`.
 struct Pair {
-    wheel: WheelQueue<u64>,
+    wheel: WheelQueue<(u64, u64)>,
     reference: BTreeMap<(SimTime, u64), u64>,
     seq: u64,
 }
@@ -40,14 +43,14 @@ impl Pair {
 
     fn push(&mut self, at: u64, item: u64) {
         let at = SimTime::from_micros(at);
-        self.wheel.push(at, self.seq, item);
+        self.wheel.push(at, (self.seq, item));
         self.reference.insert((at, self.seq), item);
         self.seq += 1;
     }
 
     /// Pops both once and asserts byte-for-byte agreement.
     fn pop(&mut self) -> Option<Popped> {
-        let w = self.wheel.pop();
+        let w = self.wheel.pop().map(|(at, (seq, item))| (at, seq, item));
         let r = self
             .reference
             .pop_first()
@@ -184,16 +187,16 @@ fn derived_seed_schedules_are_reproducible() {
     // wheel alone — the scheduler itself adds no hidden state.
     let run = |seed_val: u64| {
         let mut rng = Rng::seed_from_u64(seed_val);
-        let mut wheel: WheelQueue<u64> = WheelQueue::new();
+        let mut wheel = WheelQueue::new();
         let mut out = Vec::new();
         let mut now = 0u64;
         for seq in 0..500u64 {
             let delay = rng.gen_range_f64(0.0, 5_000.0) as u64;
-            wheel.push(SimTime::from_micros(now + delay), seq, seq);
+            wheel.push(SimTime::from_micros(now + delay), seq);
             if seq % 3 == 0 {
-                if let Some((at, s, item)) = wheel.pop() {
+                if let Some((at, s)) = wheel.pop() {
                     now = at.as_micros();
-                    out.push((at, s, item));
+                    out.push((at, s));
                 }
             }
         }

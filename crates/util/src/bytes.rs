@@ -34,16 +34,21 @@ pub struct Bytes {
     // the empty buffer: every pure ACK carries one, so `Bytes::new()` must
     // not touch the heap.
     data: Option<Arc<Shared>>,
-    start: usize,
-    end: usize,
+    // `u32` offsets keep a view at 16 bytes, so a segment carrying one
+    // fits the simulator's 128-byte event; `From<Vec<u8>>` refuses an
+    // allocation the offsets cannot address.
+    start: u32,
+    end: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Bytes>() == 16);
 
 /// The allocation behind every view of it. `bytes` is never mutated, so a
 /// digest stored for a range is the digest of that range for as long as
 /// the allocation lives, and the memo dies with it.
 struct Shared {
     bytes: Vec<u8>,
-    digests: Mutex<BTreeMap<(usize, usize), [u8; 20]>>,
+    digests: Mutex<BTreeMap<(u32, u32), [u8; 20]>>,
 }
 
 impl Bytes {
@@ -65,7 +70,7 @@ impl Bytes {
 
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the view is empty.
@@ -94,10 +99,11 @@ impl Bytes {
             lo <= hi && hi <= len,
             "slice {lo}..{hi} out of range for length {len}"
         );
+        // In range of this view, so in range of `u32` too.
         Bytes {
             data: self.data.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
         }
     }
 
@@ -135,7 +141,7 @@ impl Bytes {
     /// that [`Bytes::join`]s onto this one; `None` when the view starts
     /// fewer than `n` bytes into its allocation.
     pub fn preceding(&self, n: usize) -> Option<Bytes> {
-        let start = self.start.checked_sub(n)?;
+        let start = self.start.checked_sub(u32::try_from(n).ok()?)?;
         Some(Bytes {
             data: self.data.clone(),
             start,
@@ -175,7 +181,7 @@ impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         match &self.data {
-            Some(data) => &data.bytes[self.start..self.end],
+            Some(data) => &data.bytes[self.start as usize..self.end as usize],
             None => &[],
         }
     }
@@ -188,8 +194,20 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Moves `v` into a shared allocation without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is longer than `u32::MAX` bytes, which a view's
+    /// offsets cannot address (chunks are megabytes).
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
+        let Ok(end) = u32::try_from(v.len()) else {
+            // sslint: allow(panic) — documented contract: a view addresses at most u32::MAX bytes, and truncating the length would serve the wrong bytes
+            panic!(
+                "{} bytes: a Bytes allocation holds at most u32::MAX",
+                v.len()
+            );
+        };
         let shared = Shared {
             bytes: v,
             digests: Mutex::default(),
@@ -453,6 +471,13 @@ mod tests {
         m.put_slice(b"xy");
         let b = m.freeze();
         assert_eq!(&b[..], &[0xAB, 1, 2, 3, 4, 5, 6, 7, 8, b'x', b'y']);
+    }
+
+    #[test]
+    #[should_panic(expected = "4294967296 bytes: a Bytes allocation holds at most u32::MAX")]
+    fn an_allocation_past_u32_offsets_panics_rather_than_truncates() {
+        // Zeroed pages are mapped lazily, so this touches almost nothing.
+        let _ = Bytes::from(vec![0u8; u32::MAX as usize + 1]);
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub enum DagError {
     Empty,
     /// No intent node (a node with no out-edges) exists.
     NoIntent,
+    /// More than [`Dag::MAX_NODES`] nodes.
+    TooLarge,
 }
 
 impl fmt::Display for DagError {
@@ -52,6 +54,7 @@ impl fmt::Display for DagError {
             DagError::Cyclic => "address graph contains a cycle",
             DagError::Empty => "address graph has no nodes",
             DagError::NoIntent => "address graph has no sink (intent) node",
+            DagError::TooLarge => "address graph has more nodes than a packet can point to",
         };
         f.write_str(msg)
     }
@@ -105,6 +108,11 @@ impl std::hash::Hash for Dag {
 }
 
 impl Dag {
+    /// Most nodes a DAG may have. A packet's pointer into its destination
+    /// is one byte, as in XIA's header, with one value kept for the
+    /// source.
+    pub const MAX_NODES: usize = 255;
+
     /// Wraps validated parts in the shared representation.
     fn assemble(nodes: Vec<DagNode>, entry: Vec<usize>, intent: usize) -> Self {
         Dag {
@@ -123,11 +131,15 @@ impl Dag {
     ///
     /// # Errors
     ///
-    /// Returns a [`DagError`] if the graph is empty, has dangling edges,
-    /// contains a cycle, or has no sink node.
+    /// Returns a [`DagError`] if the graph is empty, has more than
+    /// [`Dag::MAX_NODES`] nodes or dangling edges, contains a cycle, or has
+    /// no sink node.
     pub fn from_parts(nodes: Vec<DagNode>, entry: Vec<usize>) -> Result<Self, DagError> {
         if nodes.is_empty() {
             return Err(DagError::Empty);
+        }
+        if nodes.len() > Dag::MAX_NODES {
+            return Err(DagError::TooLarge);
         }
         for e in entry
             .iter()
@@ -479,6 +491,25 @@ mod tests {
             Dag::from_parts(nodes, vec![0]),
             Err(DagError::EdgeOutOfRange)
         );
+    }
+
+    /// A chain of `n` nodes, entered at its head: node `i` leads to `i + 1`.
+    fn chain(n: usize) -> Result<Dag, DagError> {
+        let (cid, _, _) = xids();
+        let nodes = (0..n)
+            .map(|i| DagNode {
+                xid: cid,
+                edges: if i + 1 < n { vec![i + 1] } else { vec![] },
+            })
+            .collect();
+        Dag::from_parts(nodes, vec![0])
+    }
+
+    #[test]
+    fn node_count_stops_where_a_one_byte_pointer_does() {
+        let longest = chain(Dag::MAX_NODES).expect("MAX_NODES nodes assemble");
+        assert_eq!(longest.intent_index(), Dag::MAX_NODES - 1);
+        assert_eq!(chain(Dag::MAX_NODES + 1), Err(DagError::TooLarge));
     }
 
     #[test]

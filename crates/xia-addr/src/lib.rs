@@ -10,7 +10,9 @@
 //! - [`Dag`]: a DAG address with fallback edges, including the simplified
 //!   `CID|NID:HID` form used throughout the SoftStage paper,
 //! - [`sha1`]: a self-contained SHA-1 used to derive CIDs from content and
-//!   HIDs/SIDs from (mock) public keys.
+//!   HIDs/SIDs from (mock) public keys,
+//! - [`ProbeTable`]: the one-probe table that forwarding and connection
+//!   lookups key by XID.
 //!
 //! # Examples
 //!
@@ -34,8 +36,10 @@
 #![warn(missing_docs)]
 
 pub mod dag;
+pub mod probe;
 pub mod sha1;
 pub mod xid;
 
 pub use dag::{Dag, DagError, DagNode};
+pub use probe::{ProbeKey, ProbeTable};
 pub use xid::{Principal, Xid};

@@ -23,19 +23,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
-
 use simnet::{Context as SimContext, LinkId, Node, NodeFault, TimerKey};
-use xia_addr::{dag::SOURCE, Principal, Xid};
+use xia_addr::{dag::SOURCE, Principal, ProbeTable, Xid};
 use xia_host::Host;
 use xia_wire::{XiaPacket, L4};
 
-/// The routing tables of one router. An [`Xid`] carries its principal
-/// and orders by it first, so one map keyed by XID holds XIA's
-/// per-principal tables as contiguous, independent ranges.
+/// The routing tables of one router. An [`Xid`] carries its principal,
+/// so one table keyed by XID holds XIA's per-principal tables as
+/// independent key sets; adding, refreshing or finding a route is one
+/// probe.
 #[derive(Debug, Default)]
 pub struct RoutingTables {
-    routes: BTreeMap<Xid, LinkId>,
+    routes: ProbeTable<Xid, LinkId>,
     /// Where to send packets with no matching route (towards the core).
     default: Option<LinkId>,
 }
@@ -205,7 +204,7 @@ impl RouterNode {
         }
 
         // Greedily advance the DAG pointer over locally satisfied nodes.
-        let mut ptr = pkt.dst_ptr;
+        let mut ptr = pkt.dst_ptr();
         'advance: loop {
             for &e in pkt.dst.out_edges(ptr) {
                 if self.is_local(&pkt.dst.xid(e)) {
@@ -215,7 +214,7 @@ impl RouterNode {
             }
             break;
         }
-        pkt.dst_ptr = ptr;
+        pkt.set_dst_ptr(ptr);
 
         let at_intent = ptr == pkt.dst.intent_index();
         let at_own_hid = ptr != SOURCE && pkt.dst.xid(ptr) == self.host.hid();

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use simnet::SimDuration;
 use util::bytes::Bytes;
-use xia_addr::{Dag, Xid};
+use xia_addr::{Dag, ProbeTable, Xid};
 use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
 
 use crate::config::TransportConfig;
@@ -44,8 +44,10 @@ pub struct TransportMux {
     local_hid: Xid,
     next_port: u64,
     next_uid: u64,
+    /// Live connections by uid; `migrate_all` walks them in uid order.
     conns: BTreeMap<u64, Connection>,
-    by_id: BTreeMap<ConnId, u64>,
+    /// The uid of each live connection, one probe from its [`ConnId`].
+    by_id: ProbeTable<ConnId, u64>,
     /// TIME_WAIT-style memory of recently closed connections so a lost
     /// final ACK does not strand the peer: maps the connection to the final
     /// ack value and the local source address for the replayed ACK.
@@ -64,7 +66,7 @@ impl TransportMux {
             next_port: 1,
             next_uid: 1,
             conns: BTreeMap::new(),
-            by_id: BTreeMap::new(),
+            by_id: ProbeTable::new(),
             time_wait: VecDeque::new(),
         }
     }
@@ -420,8 +422,12 @@ mod tests {
                 mux.conns.values().all(|c| !c.finished()),
                 "a finished connection outlived the call that finished it"
             );
+            // Each connection is found under its own id, and the tables
+            // hold equally many, so `by_id` names no other connection.
             assert_eq!(mux.by_id.len(), mux.conns.len());
-            assert!(mux.by_id.iter().all(|(id, uid)| mux.conns[uid].id == *id));
+            for (uid, c) in &mux.conns {
+                assert_eq!(mux.by_id.get(&c.id), Some(uid), "{:?} is lost", c.id);
+            }
         }
     }
 
@@ -454,8 +460,8 @@ mod tests {
         // B's FIN completes the connection at A: exactly that one goes.
         p.deliver(A, fin.clone());
         assert_eq!(p.mux[A].active_connections(), 64);
-        assert!(!p.mux[A].by_id.contains_key(&conn));
-        assert!(idle.iter().all(|id| p.mux[A].by_id.contains_key(id)));
+        assert!(p.mux[A].by_id.get(&conn).is_none());
+        assert!(idle.iter().all(|id| p.mux[A].by_id.get(id).is_some()));
         assert!(p.env[A]
             .events
             .iter()
@@ -474,7 +480,7 @@ mod tests {
         // The replayed ACK completes B's side: again exactly one goes.
         p.deliver(B, replay);
         assert_eq!(p.mux[B].active_connections(), 64);
-        assert!(idle.iter().all(|id| p.mux[B].by_id.contains_key(id)));
+        assert!(idle.iter().all(|id| p.mux[B].by_id.get(id).is_some()));
     }
 
     /// A connection in slot 2²⁴ hears its own timers, not slot 0's: its

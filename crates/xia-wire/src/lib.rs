@@ -21,7 +21,7 @@
 #![warn(unreachable_pub)]
 
 use util::bytes::Bytes;
-use xia_addr::{Dag, Xid};
+use xia_addr::{dag::SOURCE, Dag, ProbeKey, Xid};
 
 /// Conventional maximum transport payload per packet (bytes), chosen so a
 /// full segment plus XIA headers fits a 1500-byte Ethernet frame budget
@@ -45,6 +45,16 @@ pub struct ConnId {
     pub initiator: Xid,
     /// Initiator-local port, unique per connection.
     pub port: u64,
+}
+
+impl ProbeKey for ConnId {
+    /// The initiator's bits with the port spread over them by an odd
+    /// multiplier, so one initiator's consecutive ports take distinct
+    /// slots.
+    #[inline]
+    fn probe_hash(&self) -> u64 {
+        self.initiator.probe_hash() ^ self.port.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
 }
 
 /// Transport segment flags.
@@ -152,21 +162,31 @@ pub enum L4 {
     Beacon(Beacon),
 }
 
+/// [`XiaPacket::dst_ptr`]'s byte for [`SOURCE`]. As in XIA's header the
+/// pointer is one byte, and no [`Dag`] has a node with this index.
+const PTR_SOURCE: u8 = u8::MAX;
+
+const _: () = assert!(Dag::MAX_NODES <= PTR_SOURCE as usize);
+
 /// An XIA network-layer packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct XiaPacket {
     /// Destination address.
     pub dst: Dag,
-    /// Index of the last reached DAG node ([`xia_addr::dag::SOURCE`] if
-    /// none yet). Routers advance this as the packet makes progress.
-    pub dst_ptr: usize,
     /// Source address for replies.
     pub src: Dag,
+    /// The last reached node of `dst`, [`PTR_SOURCE`] if none yet.
+    dst_ptr: u8,
     /// Remaining hops before the packet is discarded.
     pub hop_limit: u8,
     /// Transport payload.
     pub l4: L4,
 }
+
+// A packet in flight is the bulk of a simulator event, which must fit in
+// the 128 bytes a move is inlined at (`Simulator::EVENT_BYTES`).
+const _: () = assert!(std::mem::size_of::<XiaPacket>() <= 104);
+const _: () = assert!(simnet::Simulator::<XiaPacket>::EVENT_BYTES <= 128);
 
 impl XiaPacket {
     /// Default hop limit for new packets.
@@ -176,11 +196,36 @@ impl XiaPacket {
     pub fn new(dst: Dag, src: Dag, l4: L4) -> Self {
         XiaPacket {
             dst,
-            dst_ptr: xia_addr::dag::SOURCE,
             src,
+            dst_ptr: PTR_SOURCE,
             hop_limit: Self::DEFAULT_HOP_LIMIT,
             l4,
         }
+    }
+
+    /// Index of the last reached node of `dst` ([`SOURCE`] if none yet).
+    /// Routers advance it as the packet makes progress.
+    pub fn dst_ptr(&self) -> usize {
+        match self.dst_ptr {
+            PTR_SOURCE => SOURCE,
+            ptr => usize::from(ptr),
+        }
+    }
+
+    /// Records `ptr`, a node index of `dst` or [`SOURCE`], as the last
+    /// reached node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ptr` is any other index at or past [`Dag::MAX_NODES`],
+    /// which no node of a [`Dag`] has.
+    pub fn set_dst_ptr(&mut self, ptr: usize) {
+        let byte = u8::try_from(ptr).unwrap_or(PTR_SOURCE);
+        assert!(
+            byte != PTR_SOURCE || ptr == SOURCE,
+            "DAG pointer {ptr} is past the last node any address has"
+        );
+        self.dst_ptr = byte;
     }
 
     /// The final intent of the destination address.
@@ -273,9 +318,35 @@ mod tests {
                 body: Bytes::from_static(b"{}"),
             },
         );
-        assert_eq!(pkt.dst_ptr, xia_addr::dag::SOURCE);
+        assert_eq!(pkt.dst_ptr(), SOURCE);
         assert_eq!(pkt.hop_limit, XiaPacket::DEFAULT_HOP_LIMIT);
         assert_eq!(pkt.intent(), dst.intent());
+    }
+
+    #[test]
+    fn dst_ptr_holds_every_node_index_and_the_source() {
+        let (dst, src) = addrs();
+        let mut pkt = XiaPacket::new(dst, src, L4::Beacon(beacon()));
+        for ptr in [0, 1, Dag::MAX_NODES - 1, SOURCE] {
+            pkt.set_dst_ptr(ptr);
+            assert_eq!(pkt.dst_ptr(), ptr);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "DAG pointer 255")]
+    fn dst_ptr_past_the_last_node_panics_rather_than_reads_as_the_source() {
+        let (dst, src) = addrs();
+        XiaPacket::new(dst, src, L4::Beacon(beacon())).set_dst_ptr(Dag::MAX_NODES);
+    }
+
+    fn beacon() -> Beacon {
+        Beacon {
+            nid: Xid::new_random(Principal::Nid, 1),
+            hid: Xid::new_random(Principal::Hid, 2),
+            rss_dbm: -60.0,
+            staging_vnf: None,
+        }
     }
 
     #[test]

@@ -8,6 +8,9 @@
 # first program frame on its stack. libc has no frame pointers, so a leaf
 # memmove/memcmp/malloc leaves the walk its caller's frame pointer: the
 # sample lands on the caller's caller, one frame above the real call site.
+# The "callers" table splits each of the top 5 self-time symbols by the
+# first program frame outside its module (its first two path segments), so
+# a std container's search is booked to the lookup that ran it.
 # A second, unsampled pass preloads a shim that wraps memcpy and memcmp and
 # books every call to the symbol holding its return address, the real call
 # site: the "libc calls by caller" table, in millions of calls, with memcpy
@@ -148,10 +151,9 @@ def load(path):
         return syms[max(bisect.bisect_right(starts, pc - bias) - 1, 0)][1]
     return name, rows
 name, rows = load(sys.argv[1])
-stacks = [[int(x, 16) for x in row] for row in rows]
+stacks = [[name(int(x, 16)) for x in row] for row in rows]
 self_, incl, libc = collections.Counter(), collections.Counter(), collections.Counter()
-for stack in stacks:
-    names = [name(pc) for pc in stack]
+for names in stacks:
     self_[names[0]] += 1
     incl.update(set(names))
     if names[0].startswith("[libc"):
@@ -162,6 +164,21 @@ for title, table, rows in (("self", self_, 15), ("self + callees", incl, 40), ("
     print(f"\n  {title:>14}   symbol")
     for sym, count in table.most_common(rows):
         print(f"  {100 * count / total:13.1f}%   {sym}")
+def module(sym):
+    """A symbol's first two path segments: `simnet::wheel`, `alloc::collections`."""
+    m = re.search(r"[A-Za-z_]\w*(::[A-Za-z_]\w*)?", re.sub(r"^<(impl )?", "", sym))
+    return m.group(0) if m else sym
+callers = {sym: collections.Counter() for sym, _ in self_.most_common(5)}
+for names in stacks:
+    if names[0] in callers:
+        home = module(names[0])
+        outside = (n for n in names[1:] if not n.startswith("[") and module(n) != home)
+        callers[names[0]][next(outside, "[no caller outside its module]")] += 1
+print("\n  callers of the top 5 self symbols: the first program frame outside the symbol's module")
+for sym, table in callers.items():
+    print(f"  {100 * self_[sym] / total:13.1f}%   {sym}")
+    for caller, count in table.most_common(5):
+        print(f"  {100 * count / total:17.1f}%   {caller}")
 name, rows = load(sys.argv[2])
 calls = collections.defaultdict(lambda: [0, 0, 0, 0])
 for site, *counts in rows:
