@@ -37,6 +37,10 @@ impl PlaybackModel {
     /// # Panics
     ///
     /// Panics if `completions` is empty or `startup_chunks` is zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the asserts make completions non-empty and startup_chunks >= 1, so start_idx < completions.len()"
+    )]
     pub fn analyze(&self, completions: &[SimTime]) -> PlaybackReport {
         assert!(!completions.is_empty(), "no chunks completed");
         assert!(self.startup_chunks >= 1, "startup buffer must be positive");

@@ -36,6 +36,10 @@ thread_local! {
 /// Bumps a thread-local counter, tolerating TLS teardown (allocations
 /// during thread destruction are simply not counted).
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "allocation counters are per-thread so parallel test threads do not see each other's heap traffic; they measure, and never feed, a run"
+)]
 fn bump(cell: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
     let _ = cell.try_with(|c| c.set(c.get() + by));
 }
@@ -44,10 +48,13 @@ fn bump(cell: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
 /// through to [`System`].
 pub struct CountingAlloc;
 
+#[expect(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; counting allocations needs an allocator"
+)]
 // SAFETY: every method forwards verbatim to `System`, which upholds the
 // GlobalAlloc contract; the counter bumps touch only thread-local Cells
 // and never allocate.
-#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS, 1);
@@ -104,6 +111,10 @@ impl AllocSnapshot {
 
 /// Reads this thread's counters. Only meaningful when [`CountingAlloc`]
 /// is installed as the `#[global_allocator]`; otherwise all zeros.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reads the per-thread allocation counters bump() writes; they measure, and never feed, a run"
+)]
 pub fn snapshot() -> AllocSnapshot {
     let read =
         |cell: &'static std::thread::LocalKey<Cell<u64>>| cell.try_with(Cell::get).unwrap_or(0);

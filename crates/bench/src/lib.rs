@@ -7,8 +7,8 @@
 //! That wrapper is the one place in the workspace outside `xia-addr`'s
 //! SHA-NI module that needs `unsafe` (the `GlobalAlloc` trait itself is
 //! unsafe), so this crate does not carry `#![forbid(unsafe_code)]`; the
-//! module below re-establishes `#![deny(unsafe_code)]` everywhere except
-//! the two-line trait impl.
+//! workspace lints deny `unsafe_code` everywhere except the trait impl,
+//! which carries an `#[expect(unsafe_code)]`.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]

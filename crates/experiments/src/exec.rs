@@ -21,8 +21,8 @@
 //!
 //! Threads are confined to [`util::sync::parallel_map`], whose workers
 //! share nothing but a ticket cursor (DESIGN.md §8): simulation crates
-//! stay single-threaded (sslint's `wall-clock` rule rejects
-//! `std::thread` there), and a panicking cell — figure drivers assert on
+//! stay single-threaded (`clippy::disallowed_methods` rejects
+//! `std::thread` in library code), and a panicking cell — figure drivers assert on
 //! invalid runs — reaches the caller with its own message and aborts
 //! the reproduction, exactly like the serial loop.
 
@@ -63,6 +63,10 @@ pub struct Values<'a> {
 
 impl Values<'_> {
     /// The `k`-th value cell `cell` published this replicate.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "like slice indexing: a derived row names cells of its own table, so a bad index is a table-definition bug"
+    )]
     pub fn at(&self, cell: usize, k: usize) -> f64 {
         self.cells[cell][k]
     }
@@ -71,6 +75,10 @@ impl Values<'_> {
 impl std::ops::Index<usize> for Values<'_> {
     type Output = f64;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Index panics out of range by contract; a derived row names cells of its own table"
+    )]
     fn index(&self, cell: usize) -> &f64 {
         &self.cells[cell][0]
     }
@@ -223,6 +231,10 @@ pub(crate) fn runnable_cells(specs: &[TableSpec], seeds: u32) -> usize {
 /// pessimization (scheduler churn on few-core hosts), and more
 /// workers than cells can never help; an explicit `--jobs N` still
 /// overrides this.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the core count sizes the worker pool only; --jobs 1 and --jobs N write identical output"
+)]
 pub fn default_jobs(specs: &[TableSpec], seeds: u32) -> usize {
     let cores = std::thread::available_parallelism().ok().map(usize::from);
     default_jobs_with(cores, specs, seeds)
@@ -239,6 +251,10 @@ pub(crate) fn default_jobs_with(cores: Option<usize>, specs: &[TableSpec], seeds
 /// `config.jobs` scoped threads and merges the values into [`Table`]s in
 /// declared order. Output is a pure function of `(specs, seeds,
 /// base_seed)` — worker count only changes wall-clock.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "work items index the specs they were built from, parallel_map calls back with i < items.len(), and every cell publishes its primary value first"
+)]
 pub fn execute(specs: &[TableSpec], config: &ExecConfig) -> Vec<Table> {
     let reps = config.seeds.max(1);
     // Flattened work list: (spec, cell, replicate) → result slot.

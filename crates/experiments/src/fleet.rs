@@ -24,6 +24,11 @@
 //! fetch them, and staging's origin traffic turns from investment into
 //! overhead. [`spec`] sweeps fleet size × Zipf skew to find the point
 //! where the edge-vs-origin gain row drops through 1.0.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "fleet-topology wiring errors are programmer errors; a mis-built fleet must abort, not simulate garbage; sweep-array and per-client indexing is construction-guarded"
+)]
 
 use std::ops::{Deref, DerefMut};
 
@@ -272,7 +277,7 @@ impl FleetWorld {
             if first_unfinished == self.clients.len() || stop >= self.horizon {
                 break;
             }
-            next = next + slice;
+            next += slice;
         }
         self.summarize()
     }

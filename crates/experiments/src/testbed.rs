@@ -80,6 +80,10 @@ pub fn build(
 /// Builds the testbed with per-edge VNF queue bounds and admission
 /// policies: `make_vnf(i)` configures the VNF on edge network `i`
 /// (overload experiments pinch selected edges this way).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "spec() declares exactly one client, and world::build builds every declared client"
+)]
 pub fn build_with_vnf(
     params: &ExperimentParams,
     schedule: &CoverageSchedule,

@@ -79,6 +79,10 @@ impl ZipfCatalog {
 ///
 /// Panics if `count` exceeds the catalog size (the stream could never
 /// terminate).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ZipfCatalog::sample returns an index below catalog.len()"
+)]
 pub(crate) fn client_objects(
     catalog: &ZipfCatalog,
     base_seed: u64,

@@ -15,6 +15,11 @@
 //! hearing every edge along a coverage schedule) and [`crate::fleet`] (N
 //! parked clients, one edge each) are parameterisations of it that add
 //! only their stop rule and result type.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "experiment-topology wiring errors are programmer errors; a mis-built world must abort, not simulate garbage"
+)]
 
 use simnet::{LinkConfig, LinkId, NodeId, SimDuration, SimTime, Simulator};
 use softstage::{HandoffPolicy, SoftStageClient, SoftStageConfig, StagingVnf, VnfConfig, VnfStats};

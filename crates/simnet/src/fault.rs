@@ -218,7 +218,6 @@ impl FaultPlan {
     /// `seed`, uniformly over `[window_start, window_end)`, each lasting
     /// `down_for`. Useful for chaos tests that want "some" churn without
     /// hand-placing every event.
-    #[allow(clippy::too_many_arguments)]
     pub fn random_flaps(
         &mut self,
         link: LinkId,

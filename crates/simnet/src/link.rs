@@ -226,13 +226,16 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `node` is not an endpoint.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: callers must pass an endpoint; wrong topology wiring cannot be recovered here"
+    )]
     pub(crate) fn peer_of(&self, node: NodeId) -> NodeId {
         if node == self.a {
             self.b
         } else if node == self.b {
             self.a
         } else {
-            // sslint: allow(panic) — documented contract: callers must pass an endpoint; wrong topology wiring cannot be recovered here
             panic!("{node} is not an endpoint of this link");
         }
     }

@@ -141,8 +141,11 @@ impl<'a, M: Message> Context<'a, M> {
     /// # Panics
     ///
     /// Panics if this node is not an endpoint of `link`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented contract: the panic is the point"
+    )]
     pub fn peer(&self, link: LinkId) -> NodeId {
-        // sslint: allow(panic) — documented contract: the panic is the point
         self.links[link.index()].peer_of(self.node)
     }
 

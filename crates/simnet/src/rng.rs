@@ -105,7 +105,9 @@ impl Rng {
         let tail = words.into_remainder();
         if !tail.is_empty() {
             let v = self.next_u64().to_le_bytes();
-            tail.copy_from_slice(&v[..tail.len()]);
+            for (d, s) in tail.iter_mut().zip(v) {
+                *d = s;
+            }
         }
     }
 }

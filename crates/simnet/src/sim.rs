@@ -160,8 +160,11 @@ impl<M: Message> Simulator<M> {
     /// # Panics
     ///
     /// Panics if `id` was not returned by [`Simulator::add_link`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented contract: LinkIds are minted by add_link"
+    )]
     pub fn link(&self, id: LinkId) -> &Link {
-        // sslint: allow(panic) — documented contract: LinkIds are minted by add_link
         &self.links[id.0]
     }
 
@@ -239,13 +242,16 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Runs `f` on a node with a fresh context, then applies its actions.
+    #[expect(
+        clippy::panic,
+        reason = "reentrant dispatch is a scheduler bug; continuing would corrupt the event order the traces attest to"
+    )]
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>)) {
         let mut node = self
             .nodes
             .get_mut(id.0)
             .and_then(Option::take)
             .unwrap_or_else(|| {
-                // sslint: allow(panic) — reentrant dispatch is a scheduler bug; continuing would corrupt the event order the traces attest to
                 panic!("reentrant dispatch on node {id}");
             });
         let mut ctx = Context {
@@ -279,14 +285,16 @@ impl<M: Message> Simulator<M> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "LinkIds are minted by add_link, which grows links and their stats together; a node sending on a foreign id is a wiring bug that must stop the run"
+    )]
     fn transmit(&mut self, from: NodeId, link_id: LinkId, msg: M) {
         let wire = msg.wire_size();
         let bytes = wire32(wire);
         let now = self.time;
-        // sslint: allow(panic) — LinkIds are minted by add_link; a node sending on a foreign id is a wiring bug that must stop the run
         let stats = &mut self.stats.links[link_id.0];
         stats.offered += 1;
-        // sslint: allow(panic) — same add_link invariant as the stats index above
         let link = &mut self.links[link_id.0];
         let to = link.peer_of(from);
         let rng = &mut self.rng;

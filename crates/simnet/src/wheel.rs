@@ -127,6 +127,10 @@ impl<T> WheelQueue<T> {
 
     /// Files `entry` into its bucket relative to the current cursor.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS (a u64 time has LEVELS six-bit digits) and slot < SLOTS, so level * SLOTS + slot < slots.len(); the hot path keeps plain indexing"
+    )]
     fn file(&mut self, entry: Entry) {
         let level = Self::level_for(self.elapsed, entry.at);
         let slot = (entry.at >> (LEVEL_BITS as usize * level)) as usize & (SLOTS - 1);
@@ -142,6 +146,10 @@ impl<T> WheelQueue<T> {
 
     /// Lowest non-empty `(level, slot)` pair, if any entry is filed.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS (a u64 time has LEVELS six-bit digits) and slot < SLOTS, so level * SLOTS + slot < slots.len(); the hot path keeps plain indexing"
+    )]
     fn earliest_bucket(&self) -> Option<(usize, usize)> {
         if self.levels == 0 {
             return None;
@@ -182,6 +190,10 @@ impl<T> WheelQueue<T> {
     /// those the first pushed. The pair is what the simulator moves per
     /// event, so it stays within the 128 bytes a move is inlined at.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS (a u64 time has LEVELS six-bit digits) and slot < SLOTS, so level * SLOTS + slot < slots.len(); the hot path keeps plain indexing"
+    )]
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         loop {
             if let Some(entry) = self.current.pop() {
@@ -241,6 +253,10 @@ impl<T> WheelQueue<T> {
     }
 
     /// The timestamp of the earliest pending event, without dequeuing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "level < LEVELS (a u64 time has LEVELS six-bit digits) and slot < SLOTS, so level * SLOTS + slot < slots.len(); the hot path keeps plain indexing"
+    )]
     pub fn next_at(&self) -> Option<SimTime> {
         // Deliberately non-mutating: peeking must not advance the
         // cursor, because callers may push new (earlier) events between

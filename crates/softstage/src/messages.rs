@@ -111,12 +111,9 @@ impl FromJson for StagingMsg {
                 .as_arr()
                 .ok_or_else(|| JsonError::new("request must be an array"))?
                 .iter()
-                .map(|pair| {
-                    let pair = pair
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| JsonError::new("chunk entry must be a [cid, dag] pair"))?;
-                    Ok((Xid::from_json(&pair[0])?, Dag::from_json(&pair[1])?))
+                .map(|pair| match pair.as_arr() {
+                    Some([cid, dag]) => Ok((Xid::from_json(cid)?, Dag::from_json(dag)?)),
+                    _ => Err(JsonError::new("chunk entry must be a [cid, dag] pair")),
                 })
                 .collect::<Result<Vec<_>, JsonError>>()?;
             return Ok(StagingMsg::Request {

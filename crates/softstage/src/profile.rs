@@ -126,23 +126,27 @@ impl ChunkProfile {
     /// Looks up a record by CID.
     pub(crate) fn by_cid(&self, cid: &Xid) -> Option<(usize, &ChunkRecord)> {
         let idx = *self.by_cid.get(cid)?;
-        Some((idx, &self.records[idx]))
+        Some((idx, self.records.get(idx)?))
     }
 
     /// Marks a staging request sent for the chunk.
     pub(crate) fn mark_pending(&mut self, idx: usize, now: SimTime) {
-        let r = &mut self.records[idx];
-        r.staging_state = StagingState::Pending { since: now };
-        r.stage_attempts = r.stage_attempts.saturating_add(1);
+        if let Some(r) = self.records.get_mut(idx) {
+            r.staging_state = StagingState::Pending { since: now };
+            r.stage_attempts = r.stage_attempts.saturating_add(1);
+        }
     }
 
     /// Records a successful staging reply for `cid`: its fetches now go
     /// to the edge network `(nid, hid)`. `false` if `cid` is unknown.
     pub(crate) fn mark_ready(&mut self, cid: &Xid, nid: Xid, hid: Xid) -> bool {
-        let Some(&idx) = self.by_cid.get(cid) else {
+        let Some(r) = self
+            .by_cid
+            .get(cid)
+            .and_then(|&idx| self.records.get_mut(idx))
+        else {
             return false;
         };
-        let r = &mut self.records[idx];
         r.staging_state = StagingState::Ready {
             dag: r.raw_dag.with_fallback(nid, hid),
         };
@@ -151,7 +155,9 @@ impl ChunkProfile {
 
     /// Marks a chunk as never-to-be-staged (no VNF, or staging failed).
     pub(crate) fn mark_fallback(&mut self, idx: usize) {
-        self.records[idx].staging_state = StagingState::Fallback;
+        if let Some(r) = self.records.get_mut(idx) {
+            r.staging_state = StagingState::Fallback;
+        }
     }
 
     /// Moves every chunk whose staging answer is outstanding to `state`.
@@ -167,17 +173,19 @@ impl ChunkProfile {
     /// staging candidate) but is gated until `not_before`; the attempt
     /// count keeps growing, so its own back-off keeps lengthening too.
     pub(crate) fn mark_rejected(&mut self, idx: usize, not_before: SimTime) {
-        let r = &mut self.records[idx];
-        r.staging_state = StagingState::Blank;
-        r.not_before = Some(not_before);
+        if let Some(r) = self.records.get_mut(idx) {
+            r.staging_state = StagingState::Blank;
+            r.not_before = Some(not_before);
+        }
     }
 
     /// Chunks at/after the fetch cursor `from` whose staging is underway
     /// or complete — the paper's *N*, the staged-ahead depth the Staging
     /// Coordinator controls.
     pub(crate) fn staged_ahead(&self, from: usize) -> usize {
-        self.records[from.min(self.records.len())..]
+        self.records
             .iter()
+            .skip(from)
             .filter(|r| {
                 matches!(
                     r.staging_state,
@@ -196,7 +204,7 @@ impl ChunkProfile {
             .enumerate()
             .skip(from.min(self.records.len()))
             .filter(|(_, r)| {
-                r.staging_state == StagingState::Blank && r.not_before.map_or(true, |t| t <= now)
+                r.staging_state == StagingState::Blank && r.not_before.is_none_or(|t| t <= now)
             })
             .take(take)
             .map(|(i, _)| i)

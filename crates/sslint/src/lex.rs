@@ -29,9 +29,7 @@ pub enum TokKind {
 pub struct Tok {
     /// Token class.
     pub kind: TokKind,
-    /// The token text. For [`TokKind::Literal`] this is the raw source
-    /// spelling, which lets the panic rule distinguish `.expect("…")`
-    /// from a domain method like `.expect(b'x')`.
+    /// The token text; for [`TokKind::Literal`], the raw source spelling.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -60,9 +58,6 @@ pub struct Lexed {
     pub allows: BTreeMap<u32, Vec<String>>,
     /// Lines carrying an allow comment with an empty reason.
     pub reasonless_allows: Vec<u32>,
-    /// Lines of `// SAFETY: …` comments (the unsafe-contract rule
-    /// requires one adjacent to every `unsafe` construct).
-    pub safety_comments: Vec<u32>,
 }
 
 /// Scans `src` into tokens. The scanner never fails: unexpected bytes
@@ -73,8 +68,7 @@ pub fn lex(src: &str) -> Lexed {
     let mut out = Lexed::default();
     let mut i = 0usize;
     let mut line = 1u32;
-    while i < b.len() {
-        let c = b[i];
+    while let Some(&c) = b.get(i) {
         match c {
             b'\n' => {
                 line += 1;
@@ -83,7 +77,7 @@ pub fn lex(src: &str) -> Lexed {
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if b.get(i + 1) == Some(&b'/') => {
                 let start = i + 2;
-                while i < b.len() && b[i] != b'\n' {
+                while b.get(i).is_some_and(|&c| c != b'\n') {
                     i += 1;
                 }
                 let comment = &src[start..i];
@@ -93,18 +87,22 @@ pub fn lex(src: &str) -> Lexed {
                 // Nested block comment.
                 let mut depth = 1usize;
                 i += 2;
-                while i < b.len() && depth > 0 {
-                    if b[i] == b'\n' {
-                        line += 1;
-                        i += 1;
-                    } else if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
+                while depth > 0 {
+                    match b.get(i..) {
+                        None | Some([]) => break,
+                        Some([b'\n', ..]) => {
+                            line += 1;
+                            i += 1;
+                        }
+                        Some([b'/', b'*', ..]) => {
+                            depth += 1;
+                            i += 2;
+                        }
+                        Some([b'*', b'/', ..]) => {
+                            depth -= 1;
+                            i += 2;
+                        }
+                        Some(_) => i += 1,
                     }
                 }
             }
@@ -129,7 +127,7 @@ pub fn lex(src: &str) -> Lexed {
                 if is_lifetime {
                     let start = i + 1;
                     i += 1;
-                    while i < b.len() && ident_continue(b[i]) {
+                    while b.get(i).copied().is_some_and(ident_continue) {
                         i += 1;
                     }
                     out.tokens.push(Tok {
@@ -140,8 +138,8 @@ pub fn lex(src: &str) -> Lexed {
                 } else {
                     let start = i;
                     i += 1;
-                    while i < b.len() && b[i] != b'\'' {
-                        if b[i] == b'\\' {
+                    while let Some(&c) = b.get(i).filter(|&&c| c != b'\'') {
+                        if c == b'\\' {
                             i += 1;
                         }
                         if b.get(i) == Some(&b'\n') {
@@ -168,7 +166,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             _ if ident_start(c) => {
                 let start = i;
-                while i < b.len() && ident_continue(b[i]) {
+                while b.get(i).copied().is_some_and(ident_continue) {
                     i += 1;
                 }
                 out.tokens.push(Tok {
@@ -182,10 +180,9 @@ pub fn lex(src: &str) -> Lexed {
                 // and a decimal point only when followed by a digit (so
                 // `1..n` and `1.method()` keep their punctuation).
                 let start = i;
-                while i < b.len()
-                    && (ident_continue(b[i])
-                        || (b[i] == b'.' && b.get(i + 1).is_some_and(|d| d.is_ascii_digit())))
-                {
+                while b.get(i).is_some_and(|&d| {
+                    ident_continue(d) || (d == b'.' && b.get(i + 1).is_some_and(u8::is_ascii_digit))
+                }) {
                     i += 1;
                 }
                 out.tokens.push(Tok {
@@ -219,24 +216,17 @@ pub fn lex(src: &str) -> Lexed {
 /// prefixes starting at `i`. Returns whether a prefixed *literal* starts
 /// here (raw idents return false and lex as identifiers).
 fn raw_or_byte_literal(b: &[u8], i: usize) -> bool {
-    let mut j = i;
+    let rest = b.get(i..).unwrap_or_default();
     // Longest prefixes first: br, cr, b, c, r.
-    if (b[j] == b'b' || b[j] == b'c') && b.get(j + 1) == Some(&b'r') {
-        j += 2;
-    } else if b[j] == b'b' || b[j] == b'c' || b[j] == b'r' {
-        j += 1;
-    }
-    match b.get(j) {
-        Some(&b'"') => true,
-        Some(&b'#') => {
-            // `r#"…"#` is a raw string; `r#name` is a raw identifier.
-            let mut k = j;
-            while b.get(k) == Some(&b'#') {
-                k += 1;
-            }
-            b.get(k) == Some(&b'"')
-        }
-        Some(&b'\'') => b[i] == b'b', // b'x' byte char
+    let body = match rest {
+        [b'b' | b'c', b'r', body @ ..] | [b'b' | b'c' | b'r', body @ ..] => body,
+        _ => rest,
+    };
+    match body {
+        [b'"', ..] => true,
+        // `r#"…"#` is a raw string; `r#name` is a raw identifier.
+        [b'#', ..] => body.iter().find(|&&c| c != b'#') == Some(&b'"'),
+        [b'\'', ..] => rest.first() == Some(&b'b'), // b'x' byte char
         _ => false,
     }
 }
@@ -244,37 +234,34 @@ fn raw_or_byte_literal(b: &[u8], i: usize) -> bool {
 /// Skips a possibly-raw, possibly-byte string or byte-char literal whose
 /// prefix starts at `i`. Returns the index just past the literal.
 fn skip_prefixed_literal(b: &[u8], mut i: usize, line: &mut u32) -> usize {
-    let mut raw = false;
-    if b[i] == b'b' || b[i] == b'c' {
+    let at = |i: usize| b.get(i).copied();
+    if matches!(at(i), Some(b'b' | b'c')) {
         i += 1;
     }
-    if i < b.len() && b[i] == b'r' {
-        raw = true;
+    let raw = at(i) == Some(b'r');
+    if raw {
         i += 1;
     }
     let mut hashes = 0usize;
-    while i < b.len() && b[i] == b'#' {
+    while at(i) == Some(b'#') {
         hashes += 1;
         i += 1;
     }
-    if i < b.len() && b[i] == b'\'' {
+    if at(i) == Some(b'\'') {
         // b'x' or b'\n'
         i += 1;
-        while i < b.len() && b[i] != b'\'' {
-            if b[i] == b'\\' {
+        while let Some(c) = at(i).filter(|&c| c != b'\'') {
+            if c == b'\\' {
                 i += 1;
             }
             i += 1;
         }
         return (i + 1).min(b.len());
     }
-    if i < b.len() && b[i] == b'"' {
+    if at(i) == Some(b'"') {
         i += 1;
-        loop {
-            if i >= b.len() {
-                return i;
-            }
-            match b[i] {
+        while let Some(c) = at(i) {
+            match c {
                 b'\n' => {
                     *line += 1;
                     i += 1;
@@ -286,7 +273,7 @@ fn skip_prefixed_literal(b: &[u8], mut i: usize, line: &mut u32) -> usize {
                         return i;
                     }
                     let mut h = 0usize;
-                    while h < hashes && b.get(i + h) == Some(&b'#') {
+                    while h < hashes && at(i + h) == Some(b'#') {
                         h += 1;
                     }
                     if h == hashes {
@@ -302,8 +289,8 @@ fn skip_prefixed_literal(b: &[u8], mut i: usize, line: &mut u32) -> usize {
 
 /// Skips a plain `"…"` string whose opening quote is already consumed.
 fn skip_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
-    while i < b.len() {
-        match b[i] {
+    while let Some(&c) = b.get(i) {
+        match c {
             b'"' => return i + 1,
             // Clamp so a backslash as the final byte can't push the
             // cursor past the buffer (and past valid slice bounds).
@@ -326,27 +313,10 @@ fn ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
 }
 
-/// Parses the one sslint line-comment directive — `sslint: allow(rule[,
-/// rule…]) — reason` — plus plain `SAFETY:` contract comments.
+/// Parses the one sslint line-comment directive: `sslint: allow(rule[,
+/// rule…]) — reason`.
 fn scan_allow_comment(comment: &str, line: u32, out: &mut Lexed) {
-    let t = comment.trim_start();
-    // `// SAFETY: …` contract comments, plus the rustdoc `# Safety`
-    // section header conventionally carried by `unsafe fn` docs.
-    if t.starts_with("SAFETY:")
-        || t.trim_start_matches('/')
-            .trim_start()
-            .starts_with("# Safety")
-    {
-        out.safety_comments.push(line);
-        return;
-    }
-    // A line comment directly under a SAFETY line continues the block, so
-    // multi-line contracts keep the whole run adjacent to the construct.
-    if out.safety_comments.last() == Some(&(line - 1)) && !t.starts_with("sslint:") {
-        out.safety_comments.push(line);
-        return;
-    }
-    let Some(rest) = t.strip_prefix("sslint:") else {
+    let Some(rest) = comment.trim_start().strip_prefix("sslint:") else {
         return;
     };
     let Some(rest) = rest.trim_start().strip_prefix("allow") else {
@@ -389,16 +359,13 @@ pub fn test_mask(tokens: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
-        if tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
+        if opens_attr(tokens, i) {
             let (attr_end, is_test) = scan_attr(tokens, i + 2);
             if is_test {
                 // Swallow any further attributes between this one and the
                 // item itself (`#[cfg(test)] #[allow(…)] mod t { … }`).
                 let mut j = attr_end;
-                while j < tokens.len()
-                    && tokens[j].is_punct("#")
-                    && tokens.get(j + 1).is_some_and(|t| t.is_punct("["))
-                {
+                while opens_attr(tokens, j) {
                     let (e, _) = scan_attr(tokens, j + 2);
                     j = e;
                 }
@@ -417,6 +384,11 @@ pub fn test_mask(tokens: &[Tok]) -> Vec<bool> {
     mask
 }
 
+/// Whether an attribute's `#[` starts at token `i`.
+fn opens_attr(tokens: &[Tok], i: usize) -> bool {
+    matches!(tokens.get(i..i + 2), Some([h, o]) if h.is_punct("#") && o.is_punct("["))
+}
+
 /// The token `n` positions before `i`, if it exists — the guarded
 /// backward cursor shared by the rule scans.
 pub(crate) fn back(toks: &[Tok], i: usize, n: usize) -> Option<&Tok> {
@@ -433,17 +405,15 @@ pub(crate) fn skip_balanced(
     close: &str,
 ) -> usize {
     let mut depth = 0usize;
-    let mut i = open_at;
-    while i < end {
-        if toks[i].is_punct(open) {
+    for (i, t) in toks.iter().enumerate().take(end).skip(open_at) {
+        if t.is_punct(open) {
             depth += 1;
-        } else if toks[i].is_punct(close) {
+        } else if t.is_punct(close) {
             depth -= 1;
             if depth == 0 {
                 return i + 1;
             }
         }
-        i += 1;
     }
     end
 }
@@ -464,8 +434,7 @@ fn scan_attr(tokens: &[Tok], mut i: usize) -> (usize, bool) {
             has_cfg_or_test = true;
         }
     }
-    while i < tokens.len() && depth > 0 {
-        let t = &tokens[i];
+    while let Some(t) = tokens.get(i).filter(|_| depth > 0) {
         if t.is_punct("[") {
             depth += 1;
         } else if t.is_punct("]") {
@@ -486,28 +455,16 @@ fn scan_attr(tokens: &[Tok], mut i: usize) -> (usize, bool) {
 
 /// Skips one item starting at `i`: everything up to and including the
 /// first balanced `{…}` block, or the first `;` seen before any block.
-fn skip_item(tokens: &[Tok], mut i: usize) -> usize {
-    while i < tokens.len() {
-        let t = &tokens[i];
+fn skip_item(tokens: &[Tok], i: usize) -> usize {
+    for (k, t) in tokens.iter().enumerate().skip(i) {
         if t.is_punct(";") {
-            return i + 1;
+            return k + 1;
         }
         if t.is_punct("{") {
-            let mut depth = 1usize;
-            i += 1;
-            while i < tokens.len() && depth > 0 {
-                if tokens[i].is_punct("{") {
-                    depth += 1;
-                } else if tokens[i].is_punct("}") {
-                    depth -= 1;
-                }
-                i += 1;
-            }
-            return i;
+            return skip_balanced(tokens, k, tokens.len(), "{", "}");
         }
-        i += 1;
     }
-    i
+    tokens.len().max(i)
 }
 
 #[cfg(test)]
@@ -547,11 +504,11 @@ mod tests {
     #[test]
     fn allow_comments_need_a_reason() {
         let src =
-            "x(); // sslint: allow(panic) — exit paths may panic\ny(); // sslint: allow(panic)\n";
+            "x(); // sslint: allow(dead-pub) — a doctest calls it\ny(); // sslint: allow(dead-pub)\n";
         let l = lex(src);
         assert_eq!(
             l.allows.get(&1).map(|v| v.as_slice()),
-            Some(&["panic".to_string()][..])
+            Some(&["dead-pub".to_string()][..])
         );
         assert!(l.allows.get(&2).is_none());
         assert_eq!(l.reasonless_allows, vec![2]);
@@ -602,15 +559,6 @@ mod tests {
             .map(|(_, m)| *m)
             .collect();
         assert_eq!(unwraps, [false, true]);
-    }
-
-    #[test]
-    fn safety_comments_are_collected() {
-        let src = "// SAFETY: ptr is in bounds\n\
-                   unsafe { x() }\n";
-        let l = lex(src);
-        assert_eq!(l.safety_comments, vec![1]);
-        assert!(l.allows.is_empty());
     }
 
     #[test]

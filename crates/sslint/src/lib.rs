@@ -1,21 +1,20 @@
 //! `sslint` — the SoftStage workspace's in-tree determinism & hygiene
-//! auditor.
+//! auditor, for the rules that need the whole workspace.
 //!
 //! The workspace's headline guarantee is reproducibility: same (topology,
 //! params, seed) ⇒ byte-identical stats digests and flight-recorder
-//! traces. That contract is easy to break silently — one `HashMap`
-//! iteration, one `Instant::now()`, one registry dependency — so this
-//! crate machine-checks it. A small hand-rolled Rust lexer ([`lex`]) and a
-//! manifest reader ([`manifest`]) feed one stateless pass of token rules
-//! per file plus the manifest rules. There is no parser: even the rules
-//! that ask what a file declares (`dead-pub`, `unsafe-contract`,
-//! `trace-coverage`) match token patterns. Every member crate is audited:
+//! traces. Rules that read one token — no wall clock, no hash order, no
+//! panics or undocumented `unsafe` in library code — are rustc's and
+//! clippy's (`[workspace.lints]` in the root `Cargo.toml`, plus
+//! `clippy.toml`). What stays here needs more than one file or a manifest:
+//! a small hand-rolled Rust lexer ([`lex`]) and a manifest reader
+//! ([`manifest`]) feed the manifest rules, one stateless pass of token
+//! rules per file, and two identifier counts over the whole workspace.
+//! There is no parser. Every member crate is audited:
 //!
 //! | group | rules |
 //! |-------|-------|
-//! | D — determinism | `wall-clock`, `hash-iter` |
-//! | P — panic hygiene | `panic` |
-//! | H — hermeticity, layering & unsafe | `dep-hermetic`, `layering`, `unsafe-forbid`, `unsafe-contract` |
+//! | H — hermeticity & layering | `dep-hermetic`, `layering`, `lints-inherit` |
 //! | G — seed provenance & coverage | `rng-provenance`, `trace-coverage`, `dead-pub` |
 //! | hygiene | `allow-reason`, `allowlist-unused` |
 //!
@@ -73,7 +72,7 @@ pub fn parse_allowlist(text: &str) -> (Vec<AllowEntry>, Vec<u32>) {
         let mut parts = line.splitn(3, char::is_whitespace);
         match (parts.next(), parts.next(), parts.next()) {
             (Some(rule), Some(path), Some(reason))
-                if rules::ALL_RULES.contains(&rule) && !reason.trim().is_empty() =>
+                if rules::RULES.iter().any(|r| r.id == rule) && !reason.trim().is_empty() =>
             {
                 entries.push(AllowEntry {
                     rule: rule.to_string(),
@@ -124,7 +123,7 @@ fn allow_extent(toks: &[lex::Tok], line: u32) -> u32 {
     };
     let mut depth = 0i32;
     let mut last_line = line;
-    for t in &toks[start..] {
+    for t in toks.iter().skip(start) {
         if t.is_punct("(") || t.is_punct("[") {
             depth += 1;
         } else if t.is_punct("{") {
@@ -145,6 +144,9 @@ fn allow_extent(toks: &[lex::Tok], line: u32) -> u32 {
     last_line
 }
 
+/// One inline allow's coverage: (first line, last line, rule ids).
+type AllowSpan<'a> = (u32, u32, &'a [String]);
+
 /// Runs the full audit over the workspace rooted at `root`, applying the
 /// allowlist at `allowlist_path` (workspace-relative) if it exists.
 pub fn run(root: &Path, allowlist_path: &str) -> io::Result<Report> {
@@ -158,12 +160,12 @@ pub fn run(root: &Path, allowlist_path: &str) -> io::Result<Report> {
     let ws = workspace::load(root)?;
     let raw = rules::run_all(&ws);
 
-    // Inline allow map: file → (first, last, rules) coverage intervals.
+    // Inline allow map: file → coverage intervals.
     // An allow comment covers its own line plus the statement that starts
     // after it (however many lines it spans), so a trailing comment, a
     // comment above a one-liner, and a comment above a multi-line
     // expression all work.
-    let mut inline: BTreeMap<&str, Vec<(u32, u32, &[String])>> = BTreeMap::new();
+    let mut inline: BTreeMap<&str, Vec<AllowSpan>> = BTreeMap::new();
     let mut files_audited = 0usize;
     for krate in &ws.crates {
         for file in &krate.files {
@@ -192,9 +194,9 @@ pub fn run(root: &Path, allowlist_path: &str) -> io::Result<Report> {
                 }
             }
         }
-        for (i, e) in entries.iter().enumerate() {
+        for (e, used) in entries.iter().zip(&mut entry_used) {
             if e.rule == f.rule && e.path == f.file {
-                entry_used[i] = true;
+                *used = true;
                 suppressed_allowlist += 1;
                 continue 'next;
             }
@@ -212,8 +214,8 @@ pub fn run(root: &Path, allowlist_path: &str) -> io::Result<Report> {
                 .to_string(),
         });
     }
-    for (i, e) in entries.iter().enumerate() {
-        if !entry_used[i] {
+    for (e, used) in entries.iter().zip(&entry_used) {
+        if !used {
             findings.push(Finding {
                 rule: rules::RULE_ALLOWLIST_UNUSED,
                 file: allowlist_path.to_string(),
@@ -244,14 +246,14 @@ mod tests {
     fn allowlist_parsing() {
         let (entries, malformed) = parse_allowlist(
             "# comment\n\
-             panic crates/util/src/check.rs the harness must abort on contract violation\n\
+             dead-pub crates/simnet/src/fault.rs the doctest is its caller\n\
              \n\
              not-a-rule crates/x.rs whatever\n\
-             panic onlytwo\n",
+             dead-pub onlytwo\n",
         );
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].rule, "panic");
-        assert_eq!(entries[0].path, "crates/util/src/check.rs");
+        assert_eq!(entries[0].rule, "dead-pub");
+        assert_eq!(entries[0].path, "crates/simnet/src/fault.rs");
         assert_eq!(entries[0].line, 2);
         assert_eq!(malformed, vec![4, 5]);
     }
@@ -261,7 +263,7 @@ mod tests {
         // Nothing follows the allow comment: the extent must still cover
         // the comment's own line (regression: the scan used to look for a
         // next token and cover nothing).
-        let src = "fn f() {}\n// sslint: allow(panic) — trailing note";
+        let src = "fn f() {}\n// sslint: allow(dead-pub) — trailing note";
         let lexed = lex::lex(src);
         let (&line, _) = lexed.allows.iter().next().expect("allow parsed");
         assert_eq!(allow_extent(&lexed.tokens, line), line);
@@ -273,7 +275,7 @@ mod tests {
         // lines; the extent must reach the statement's final line, not
         // stop at the first (regression: off-by-one on the closing line).
         let src = "fn f() {\n\
-                   // sslint: allow(panic) — spanning\n\
+                   // sslint: allow(dead-pub) — spanning\n\
                    let x = some_call(\n\
                        1,\n\
                        2,\n\
@@ -291,7 +293,7 @@ mod tests {
         // The statement after the allow ends on its own line; the next
         // statement must NOT be covered.
         let src = "fn f() {\n\
-                   // sslint: allow(panic) — one stmt only\n\
+                   // sslint: allow(dead-pub) — one stmt only\n\
                    a();\n\
                    b();\n\
                    }\n";
@@ -305,7 +307,7 @@ mod tests {
         // A `for`/`if` header opens a block: the allow covers the header
         // line, not the whole body.
         let src = "fn f() {\n\
-                   // sslint: allow(panic) — header only\n\
+                   // sslint: allow(dead-pub) — header only\n\
                    for i in 0..3 {\n\
                        body(i);\n\
                    }\n\
@@ -318,13 +320,13 @@ mod tests {
     #[test]
     fn finding_serializes_to_json() {
         let f = Finding {
-            rule: rules::RULE_PANIC,
+            rule: rules::RULE_DEAD_PUB,
             file: "crates/demo/src/lib.rs".to_string(),
             line: 7,
             msg: "msg".to_string(),
         };
         let j = f.to_json().to_string_compact();
-        assert!(j.contains("\"rule\":\"panic\""), "{j}");
+        assert!(j.contains("\"rule\":\"dead-pub\""), "{j}");
         assert!(j.contains("\"line\":7"), "{j}");
     }
 }

@@ -1,4 +1,5 @@
-//! A minimal `Cargo.toml` reader for the hermeticity and layering rules.
+//! A minimal `Cargo.toml` reader for the hermeticity, layering and
+//! lint-inheritance rules.
 //!
 //! Understands exactly the manifest shapes this workspace uses: `[section]`
 //! headers, `key = value` lines, and one-line inline tables. That is all
@@ -41,6 +42,8 @@ pub struct Manifest {
     pub deps: Vec<DepEntry>,
     /// Whether the manifest declares a `[workspace]` table.
     pub is_workspace_root: bool,
+    /// Whether a `[lints]` table says `workspace = true`.
+    pub inherits_lints: bool,
 }
 
 /// Parses the manifest text. Never fails: unrecognized lines are ignored
@@ -68,6 +71,9 @@ pub fn parse(text: &str) -> Manifest {
         let (key, value) = (key.trim(), value.trim());
         if section == "package" && key == "name" {
             m.package_name = Some(value.trim_matches('"').to_string());
+        }
+        if section == "lints" && key == "workspace" && value == "true" {
+            m.inherits_lints = true;
         }
         if section.contains("dependencies") {
             m.deps.push(DepEntry {
@@ -99,10 +105,14 @@ table-ext = { version = "0.3", features = ["x"] }
 
 [dev-dependencies]
 helper = { path = "../helper" }
+
+[lints]
+workspace = true
 "#;
         let m = parse(text);
         assert_eq!(m.package_name.as_deref(), Some("demo"));
         assert!(!m.is_workspace_root);
+        assert!(m.inherits_lints);
         assert_eq!(m.deps.len(), 5);
         let by_name = |n: &str| m.deps.iter().find(|d| d.name == n).unwrap();
         assert!(by_name("util").is_in_tree());
@@ -116,6 +126,7 @@ helper = { path = "../helper" }
     fn workspace_root_detected() {
         let m = parse("[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.dependencies]\nutil = { path = \"crates/util\" }\n");
         assert!(m.is_workspace_root);
+        assert!(!m.inherits_lints);
         assert_eq!(m.deps.len(), 1);
         assert!(m.deps[0].is_in_tree());
     }

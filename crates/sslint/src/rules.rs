@@ -1,14 +1,16 @@
-//! The rule engine: determinism (D), panic hygiene (P), hermeticity,
-//! layering & unsafe (H) and cross-file coverage (G).
+//! The rule engine: hermeticity & layering (H), seed provenance and
+//! cross-file coverage (G), and the hygiene of sslint's own escape hatches.
 //!
 //! Each rule is a pure function from the lexed workspace model to a list
-//! of [`Finding`]s: a token pattern over one file or one manifest, or
-//! (`trace-coverage`, `dead-pub`) an identifier count over the whole
-//! snapshot. The declarations three rules care about are token patterns
-//! too: `pub fn`/`pub const`/`pub static` for `dead-pub`, and the brace
-//! span of an `impl` for `unsafe-contract` and `trace-coverage`. All of
-//! them over-approximate — no type information — and the inline
-//! `// sslint: allow(<rule>) — <reason>` escape hatch covers the rest.
+//! of [`Finding`]s: a pattern over one manifest, a token pattern over one
+//! file, or (`trace-coverage`, `dead-pub`) an identifier count over the
+//! whole snapshot. The declarations two rules care about are token
+//! patterns too: `pub fn`/`pub const`/`pub static` for `dead-pub`, and the
+//! brace span of an `impl` for `trace-coverage`. Both over-approximate —
+//! no type information — and the inline `// sslint: allow(<rule>) —
+//! <reason>` escape hatch covers the rest. Rules that read one token at a
+//! time (wall clock, hash order, panics, unsafe) are clippy's: see the
+//! root `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,28 +30,18 @@ pub struct Finding {
     pub msg: String,
 }
 
-/// Rule D: no wall-clock, thread or process-environment access in
-/// simulation crates.
-pub const RULE_WALL_CLOCK: &str = "wall-clock";
-/// Rule D: no hash-ordered collection types in simulation crates.
-pub const RULE_HASH_ITER: &str = "hash-iter";
-/// Rule P: no `unwrap`/`expect`/`panic!`/`todo!`/computed indexing in
-/// non-test library code.
-pub const RULE_PANIC: &str = "panic";
 /// Rule H: all dependencies must resolve in-tree (path or workspace).
 pub const RULE_DEP_HERMETIC: &str = "dep-hermetic";
 /// Rule H: in-tree dependencies must respect the layering DAG.
 pub const RULE_LAYERING: &str = "layering";
-/// Rule H: every library crate must carry `#![forbid(unsafe_code)]`.
-pub const RULE_UNSAFE_FORBID: &str = "unsafe-forbid";
-/// Rule H: every non-test `unsafe` construct needs an adjacent
-/// `// SAFETY:` comment.
-pub const RULE_UNSAFE_CONTRACT: &str = "unsafe-contract";
+/// Rule H: every member manifest inherits the workspace lint table, so
+/// clippy's determinism, panic and unsafe lints reach every crate.
+pub const RULE_LINTS_INHERIT: &str = "lints-inherit";
 /// Hygiene of the hygiene tool: allow comments must carry a reason.
 pub const RULE_ALLOW_REASON: &str = "allow-reason";
 /// Allowlist-file entries that matched nothing are stale and must go.
 pub const RULE_ALLOWLIST_UNUSED: &str = "allowlist-unused";
-/// Rule G: RNG constructions in sim crates must flow from a named seed
+/// Rule G: RNG constructions must flow from a named seed
 /// (the `util::seed` chain or a parameter), never a literal or the clock.
 pub const RULE_RNG_PROVENANCE: &str = "rng-provenance";
 /// Rule G: every declared `TraceEvent` variant must have an emit site and
@@ -64,8 +56,8 @@ pub const RULE_DEAD_PUB: &str = "dead-pub";
 pub struct RuleInfo {
     /// Stable rule identifier.
     pub id: &'static str,
-    /// Rule group: `D` determinism, `P` panic hygiene, `H` hermeticity &
-    /// layering, `G` cross-file coverage, `hygiene`.
+    /// Rule group: `H` hermeticity & layering, `G` seed provenance &
+    /// cross-file coverage, `hygiene`.
     pub group: &'static str,
     /// One-line description.
     pub desc: &'static str,
@@ -73,21 +65,6 @@ pub struct RuleInfo {
 
 /// The full rule catalogue, in display order.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: RULE_WALL_CLOCK,
-        group: "D",
-        desc: "no SystemTime/Instant/std::thread/std::env in simulation crates",
-    },
-    RuleInfo {
-        id: RULE_HASH_ITER,
-        group: "D",
-        desc: "no HashMap/HashSet in simulation crates",
-    },
-    RuleInfo {
-        id: RULE_PANIC,
-        group: "P",
-        desc: "no unwrap/expect(\"…\")/panic!/todo!/computed indexing in non-test library code",
-    },
     RuleInfo {
         id: RULE_DEP_HERMETIC,
         group: "H",
@@ -99,14 +76,9 @@ pub const RULES: &[RuleInfo] = &[
         desc: "in-tree dependencies strictly descend the layering DAG",
     },
     RuleInfo {
-        id: RULE_UNSAFE_FORBID,
+        id: RULE_LINTS_INHERIT,
         group: "H",
-        desc: "every library crate carries #![forbid(unsafe_code)]",
-    },
-    RuleInfo {
-        id: RULE_UNSAFE_CONTRACT,
-        group: "H",
-        desc: "every non-test unsafe construct carries an adjacent SAFETY: comment",
+        desc: "every member Cargo.toml has `[lints] workspace = true`",
     },
     RuleInfo {
         id: RULE_ALLOW_REASON,
@@ -121,7 +93,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: RULE_RNG_PROVENANCE,
         group: "G",
-        desc: "sim-crate RNGs are seeded from the derived seed chain, never literals or the clock",
+        desc: "RNGs are seeded from a named seed, never literals or the clock",
     },
     RuleInfo {
         id: RULE_TRACE_COVERAGE,
@@ -133,22 +105,6 @@ pub const RULES: &[RuleInfo] = &[
         group: "G",
         desc: "no pub item of an internal crate with zero cross-crate references",
     },
-];
-
-/// Every rule id, for `--help` and allowlist validation.
-pub const ALL_RULES: &[&str] = &[
-    RULE_WALL_CLOCK,
-    RULE_HASH_ITER,
-    RULE_PANIC,
-    RULE_DEP_HERMETIC,
-    RULE_LAYERING,
-    RULE_UNSAFE_FORBID,
-    RULE_UNSAFE_CONTRACT,
-    RULE_ALLOW_REASON,
-    RULE_ALLOWLIST_UNUSED,
-    RULE_RNG_PROVENANCE,
-    RULE_TRACE_COVERAGE,
-    RULE_DEAD_PUB,
 ];
 
 /// The layering DAG: each crate's layer number; a crate may only depend
@@ -190,12 +146,6 @@ fn layer_of(name: &str) -> Option<u32> {
     LAYERS.iter().find(|(n, _)| *n == c).map(|(_, l)| *l)
 }
 
-/// Whether a crate directory holds simulation logic subject to rule D.
-pub fn is_sim_crate(dir_name: &str) -> bool {
-    matches!(dir_name, "simnet" | "softstage" | "xcache" | "vehicular")
-        || dir_name.starts_with("xia-")
-}
-
 /// Runs every rule over the workspace: the manifest rules, the per-file
 /// token rules, then the two cross-file coverage rules.
 pub fn run_all(ws: &Workspace) -> Vec<Finding> {
@@ -203,17 +153,10 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     hermeticity(ws, &mut findings);
     for krate in &ws.crates {
         layering(krate, &mut findings);
-        unsafe_forbid(krate, &mut findings);
+        lints_inherit(krate, &mut findings);
         for file in &krate.files {
             allow_hygiene(file, &mut findings);
-            unsafe_contract(file, &mut findings);
-            if is_sim_crate(&krate.dir_name) {
-                determinism(file, &mut findings);
-                rng_provenance(file, &mut findings);
-            }
-            if !file.is_bin {
-                panic_hygiene(file, &mut findings);
-            }
+            rng_provenance(file, &mut findings);
         }
     }
     trace_coverage(ws, &mut findings);
@@ -223,199 +166,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule D — determinism
-// ---------------------------------------------------------------------------
-
-const WALL_CLOCK_TYPES: &[&str] = &["SystemTime", "Instant"];
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-const FORBIDDEN_STD_MODULES: &[&str] = &["thread", "env"];
-
-/// Rules D `wall-clock` and `hash-iter`, one scan: both are bans on
-/// naming a type (or `std` module) in a simulation crate's non-test code.
-/// `hash-iter` bans the *type*, not iteration over it — `RandomState` is
-/// seeded per instance, so any iteration, float fold or `Debug` print of
-/// a hash collection differs run to run, and a ban on the identifier
-/// catches every one of them, `use … as` aliases included (the alias
-/// declaration has to name the type).
-fn determinism(file: &SrcFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if WALL_CLOCK_TYPES.contains(&t.text.as_str()) {
-            findings.push(Finding {
-                rule: RULE_WALL_CLOCK,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: format!(
-                    "`{}` in a simulation crate — simulated time must come \
-                     from `simnet::SimTime`",
-                    t.text
-                ),
-            });
-        }
-        if HASH_TYPES.contains(&t.text.as_str()) {
-            findings.push(Finding {
-                rule: RULE_HASH_ITER,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: format!(
-                    "`{}` in a simulation crate — hash order differs run to \
-                     run; use BTreeMap/BTreeSet",
-                    t.text
-                ),
-            });
-        }
-        if t.text == "std" && toks.get(i + 1).is_some_and(|n| n.is_punct("::")) {
-            // `std::thread` / `std::env`, plus the braced form
-            // `use std::{thread, env}`.
-            let mut hits: Vec<(&Tok, &str)> = Vec::new();
-            if let Some(n) = toks.get(i + 2) {
-                if n.kind == TokKind::Ident && FORBIDDEN_STD_MODULES.contains(&n.text.as_str()) {
-                    hits.push((n, n.text.as_str()));
-                }
-                if n.is_punct("{") {
-                    let mut j = i + 3;
-                    let mut depth = 1usize;
-                    while let Some(m) = toks.get(j) {
-                        if m.is_punct("{") {
-                            depth += 1;
-                        } else if m.is_punct("}") {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        } else if m.kind == TokKind::Ident
-                            && FORBIDDEN_STD_MODULES.contains(&m.text.as_str())
-                        {
-                            hits.push((m, m.text.as_str()));
-                        }
-                        j += 1;
-                    }
-                }
-            }
-            for (tok, module) in hits {
-                findings.push(Finding {
-                    rule: RULE_WALL_CLOCK,
-                    file: file.rel.clone(),
-                    line: tok.line,
-                    msg: format!(
-                        "`std::{module}` in a simulation crate — threads and \
-                         process environment break reproducibility"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule P — panic hygiene
-// ---------------------------------------------------------------------------
-
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
-
-/// Keywords that can directly precede a `[` opening an array literal,
-/// slice pattern or array type — never an indexed receiver.
-const NOT_A_RECEIVER: &[&str] = &[
-    "as", "break", "const", "dyn", "else", "for", "if", "impl", "in", "let", "match", "move",
-    "mut", "ref", "return", "where", "while", "yield",
-];
-
-fn panic_hygiene(file: &SrcFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] {
-            continue;
-        }
-        if t.is_punct("[") && is_computed_index(toks, i) {
-            findings.push(Finding {
-                rule: RULE_PANIC,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: "computed index in library code (can panic on \
-                      out-of-range) — guard the input, use `.get(…)`, or \
-                      justify with an sslint allow comment"
-                    .to_string(),
-            });
-        }
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_is_dot = lex::back(toks, i, 1).is_some_and(|p| p.is_punct("."));
-        if t.text == "unwrap" && prev_is_dot && toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            findings.push(Finding {
-                rule: RULE_PANIC,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: "`.unwrap()` in library code — return a Result, \
-                      restructure, or justify with an sslint allow comment"
-                    .to_string(),
-            });
-        }
-        if t.text == "expect"
-            && prev_is_dot
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-            && toks.get(i + 2).is_some_and(|n| {
-                n.kind == TokKind::Literal && n.text.contains('"') && !n.text.starts_with('b')
-            })
-        {
-            findings.push(Finding {
-                rule: RULE_PANIC,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: "`.expect(\"…\")` in library code — return a Result, \
-                      restructure, or justify with an sslint allow comment"
-                    .to_string(),
-            });
-        }
-        if PANIC_MACROS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-        {
-            findings.push(Finding {
-                rule: RULE_PANIC,
-                file: file.rel.clone(),
-                line: t.line,
-                msg: format!(
-                    "`{}!` in library code — return an error, restructure, \
-                     or justify with an sslint allow comment",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// Whether the `[` at `open` indexes a receiver with a *computed*
-/// expression — arithmetic, field access, nested calls. The receiver must
-/// end in an ident, `)` or `]`. Three index shapes are exempt as the
-/// workspace's guarded idioms: lone literals (`buf[0]`, length-checked by
-/// convention), lone identifiers (`toks[i]`, a loop-bounded cursor) and
-/// ranges (`buf[2..22]`, slicing). The unguarded hazard this flags is the
-/// derived index nobody bounds-checked: `nodes[id.0]`, `v[i + 1]`,
-/// `heap[k % n]`.
-fn is_computed_index(toks: &[Tok], open: usize) -> bool {
-    let is_recv = lex::back(toks, open, 1).is_some_and(|recv| {
-        recv.kind == TokKind::Ident && !NOT_A_RECEIVER.contains(&recv.text.as_str())
-            || recv.is_punct(")")
-            || recv.is_punct("]")
-    });
-    if !is_recv {
-        return false;
-    }
-    let close = lex::skip_balanced(toks, open, toks.len(), "[", "]");
-    let inner = toks.get(open + 1..close - 1).unwrap_or_default();
-    let lone_token = inner.len() == 1;
-    let has_range = inner
-        .windows(2)
-        .any(|w| w[0].is_punct(".") && w[1].is_punct("."));
-    let has_ident = inner.iter().any(|x| x.kind == TokKind::Ident);
-    !lone_token && !has_range && has_ident
-}
-
-// ---------------------------------------------------------------------------
-// Rule H — hermeticity, layering & unsafe
+// Rule H — hermeticity & layering
 // ---------------------------------------------------------------------------
 
 fn hermeticity(ws: &Workspace, findings: &mut Vec<Finding>) {
@@ -485,69 +236,19 @@ fn layering(krate: &CrateInfo, findings: &mut Vec<Finding>) {
     }
 }
 
-fn unsafe_forbid(krate: &CrateInfo, findings: &mut Vec<Finding>) {
-    let Some(lib) = krate.files.iter().find(|f| f.rel.ends_with("src/lib.rs")) else {
-        return; // Binary-only crates have no lib surface to audit.
-    };
-    let toks = &lib.lexed.tokens;
-    let has = toks.windows(4).any(|w| {
-        w[0].is_ident("forbid")
-            && w[1].is_punct("(")
-            && w[2].is_ident("unsafe_code")
-            && w[3].is_punct(")")
-    });
-    if !has {
+/// Rule H `lints-inherit`: rustc and clippy enforce only the lints a
+/// crate opts into, so a member that does not inherit the workspace table
+/// would silently escape every lint the table denies.
+fn lints_inherit(krate: &CrateInfo, findings: &mut Vec<Finding>) {
+    if !krate.manifest.inherits_lints {
         findings.push(Finding {
-            rule: RULE_UNSAFE_FORBID,
-            file: lib.rel.clone(),
+            rule: RULE_LINTS_INHERIT,
+            file: krate.manifest_rel.clone(),
             line: 1,
             msg: format!(
-                "crate `{}` lacks `#![forbid(unsafe_code)]` in src/lib.rs",
+                "crate `{}` does not inherit the workspace lints — add \
+                 `[lints]` with `workspace = true`",
                 krate.dir_name
-            ),
-        });
-    }
-}
-
-/// Rule H `unsafe-contract`: every non-test `unsafe` block/fn/impl needs
-/// a `// SAFETY:` comment (or rustdoc `# Safety` section) within the
-/// three preceding lines; multi-line SAFETY comments extend the window,
-/// and `unsafe fn` signatures *inside* an `unsafe impl` inherit the
-/// impl-level contract — the trait dictates them.
-fn unsafe_contract(file: &SrcFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    let unsafe_impls = impl_spans(toks, |at, _| {
-        lex::back(toks, at, 1).is_some_and(|p| p.is_ident("unsafe"))
-    });
-    for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || !t.is_ident("unsafe") {
-            continue;
-        }
-        let next = toks.get(i + 1);
-        let covered = file
-            .lexed
-            .safety_comments
-            .iter()
-            .any(|&s| s <= t.line && t.line - s <= 3);
-        let is_required_sig = next.is_some_and(|n| n.is_ident("fn"))
-            && unsafe_impls.iter().any(|&(s, e)| s <= i && i < e);
-        if covered || is_required_sig {
-            continue;
-        }
-        let what = match next {
-            Some(n) if n.is_punct("{") => "unsafe block",
-            Some(n) if n.is_ident("fn") => "unsafe fn",
-            Some(n) if n.is_ident("impl") => "unsafe impl",
-            Some(n) if n.is_ident("trait") => "unsafe trait",
-            _ => "unsafe construct",
-        };
-        findings.push(Finding {
-            rule: RULE_UNSAFE_CONTRACT,
-            file: file.rel.clone(),
-            line: t.line,
-            msg: format!(
-                "{what} without an adjacent `// SAFETY:` comment — state \
-                 the invariant that makes it sound"
             ),
         });
     }
@@ -576,7 +277,9 @@ fn impl_spans(toks: &[Tok], pick: impl Fn(usize, &[Tok]) -> bool) -> Vec<(usize,
             }
             j += 1;
         }
-        if toks.get(j).is_some_and(|h| h.is_punct("{")) && pick(at, &toks[at + 1..j]) {
+        if toks.get(j).is_some_and(|h| h.is_punct("{"))
+            && toks.get(at + 1..j).is_some_and(|header| pick(at, header))
+        {
             spans.push((at, lex::skip_balanced(toks, j, toks.len(), "{", "}")));
         }
     }
@@ -613,22 +316,22 @@ fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
         .iter()
         .find(|f| f.rel.ends_with("src/trace.rs"))?;
     let toks = &trace.lexed.tokens;
-    let table = toks
-        .windows(3)
-        .position(|w| w[0].is_ident("trace_events") && w[1].is_punct("!") && w[2].is_punct("{"))?
-        + 3;
+    let table = toks.windows(3).position(|w| {
+        matches!(w, [m, b, o] if m.is_ident("trace_events") && b.is_punct("!") && o.is_punct("{"))
+    })? + 3;
     let start = table
         + toks.get(table..)?.windows(3).position(|w| {
-            w[0].is_ident("enum") && w[1].is_ident("TraceEvent") && w[2].is_punct("{")
+            matches!(w, [e, n, o] if e.is_ident("enum") && n.is_ident("TraceEvent") && o.is_punct("{"))
         })?
         + 3;
     let mut names = BTreeSet::new();
     let mut lines = BTreeMap::new();
     let mut depth = 1usize;
-    let mut i = start;
     let mut at_variant_start = true;
-    while i < toks.len() && depth > 0 {
-        let t = &toks[i];
+    for t in toks.iter().skip(start) {
+        if depth == 0 {
+            break;
+        }
         if t.is_punct("{") || t.is_punct("(") {
             depth += 1;
         } else if t.is_punct("}") || t.is_punct(")") {
@@ -643,7 +346,6 @@ fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
             lines.insert(t.text.clone(), t.line);
             at_variant_start = false;
         }
-        i += 1;
     }
     Some(TraceDecl {
         file: trace.rel.clone(),
@@ -690,7 +392,7 @@ const SEED_NON_SOURCE_IDENTS: &[&str] = &[
     "rotate_right",
 ];
 
-/// Rule G `rng-provenance`: in sim crates every RNG construction must
+/// Rule G `rng-provenance`: every RNG construction must
 /// flow from a *named* seed — the `util::seed` derivation chain or a
 /// function parameter. `seed_from_u64(<literal arithmetic>)` is a
 /// literal-seeded RNG, a time-source ident in the argument is a
@@ -700,7 +402,7 @@ const SEED_NON_SOURCE_IDENTS: &[&str] = &[
 fn rng_provenance(file: &SrcFile, findings: &mut Vec<Finding>) {
     let toks = &file.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
-        if file.mask[i] || t.kind != TokKind::Ident {
+        if file.in_test(i) || t.kind != TokKind::Ident {
             continue;
         }
         // `<T>Rng::default()` — an RNG with no seed lineage at all.
@@ -729,12 +431,10 @@ fn rng_provenance(file: &SrcFile, findings: &mut Vec<Finding>) {
             continue;
         }
         // Classify the argument span between the balanced parens.
-        let mut j = i + 1;
         let mut depth = 0usize;
         let mut named_source = false;
         let mut time_source: Option<&Tok> = None;
-        while j < toks.len() {
-            let a = &toks[j];
+        for a in toks.iter().skip(i + 1) {
             if a.is_punct("(") {
                 depth += 1;
             } else if a.is_punct(")") {
@@ -749,7 +449,6 @@ fn rng_provenance(file: &SrcFile, findings: &mut Vec<Finding>) {
                     named_source = true;
                 }
             }
-            j += 1;
         }
         if let Some(src) = time_source {
             findings.push(Finding {
@@ -816,9 +515,7 @@ fn trace_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
                 let Some(name) = toks.get(i + 2).map(|n| n.text.as_str()) else {
                     continue;
                 };
-                if file.mask[i] {
-                    record(&mut checked, name);
-                } else if oracle_spans.iter().any(|&(s, e)| s <= i && i < e) {
+                if file.in_test(i) || oracle_spans.iter().any(|&(s, e)| s <= i && i < e) {
                     record(&mut checked, name);
                 } else if file.rel != decl.file {
                     record(&mut emitted, name);
@@ -885,11 +582,11 @@ fn pub_values(file: &SrcFile) -> Vec<(&str, u32)> {
     let mut out = Vec::new();
     let mut template_end = 0;
     for (i, t) in toks.iter().enumerate() {
-        if i < template_end || file.mask[i] {
+        if i < template_end || file.in_test(i) {
             continue;
         }
         if t.is_ident("macro_rules") {
-            if let Some(open) = toks[i..].iter().position(|b| b.is_punct("{")) {
+            if let Some(open) = toks.iter().skip(i).position(|b| b.is_punct("{")) {
                 template_end = lex::skip_balanced(toks, i + open, toks.len(), "{", "}");
             }
             continue;
@@ -956,16 +653,11 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
                 .map(|t| t.text.clone()),
         );
     };
-    let mut idents_by_crate = vec![BTreeSet::new(); ws.crates.len()];
-    let mut bin_idents_by_crate = vec![BTreeSet::new(); ws.crates.len()];
-    for (ki, krate) in ws.crates.iter().enumerate() {
+    let mut lib_idents = vec![BTreeSet::new(); ws.crates.len()];
+    let mut bin_idents = vec![BTreeSet::new(); ws.crates.len()];
+    for ((krate, lib), bin) in ws.crates.iter().zip(&mut lib_idents).zip(&mut bin_idents) {
         for file in &krate.files {
-            let by_crate = if file.is_bin {
-                &mut bin_idents_by_crate
-            } else {
-                &mut idents_by_crate
-            };
-            idents(&file.lexed.tokens, &mut by_crate[ki]);
+            idents(&file.lexed.tokens, if file.is_bin { bin } else { lib });
         }
     }
     let mut ref_idents = BTreeSet::new();
@@ -973,12 +665,14 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
         idents(&rf.lexed.tokens, &mut ref_idents);
     }
 
-    for &ki in &internal {
-        let krate = &ws.crates[ki];
+    for (ki, (krate, bins)) in ws.crates.iter().zip(&bin_idents).enumerate() {
+        if !internal.contains(&ki) {
+            continue;
+        }
         let externally_named = |name: &str| {
             ref_idents.contains(name)
-                || bin_idents_by_crate[ki].contains(name)
-                || idents_by_crate
+                || bins.contains(name)
+                || lib_idents
                     .iter()
                     .enumerate()
                     .any(|(other, set)| other != ki && set.contains(name))
@@ -1034,50 +728,6 @@ mod tests {
         }
         assert_eq!(layer_of("softstage-apps"), layer_of("apps"));
         assert_eq!(layer_of("no-such-crate"), None);
-    }
-
-    #[test]
-    fn sim_crate_classification() {
-        for c in [
-            "simnet",
-            "softstage",
-            "xcache",
-            "vehicular",
-            "xia-host",
-            "xia-wire",
-        ] {
-            assert!(is_sim_crate(c), "{c}");
-        }
-        for c in ["util", "apps", "experiments", "bench", "suite", "sslint"] {
-            assert!(!is_sim_crate(c), "{c}");
-        }
-    }
-
-    #[test]
-    fn panic_sites_cover_all_four_kinds() {
-        let src = "fn f(v: &[u32], i: usize) {\n\
-                   v.get(0).unwrap();\n\
-                   v.get(0).expect(\"x\");\n\
-                   panic!(\"y\");\n\
-                   let _ = v[i + 1];\n\
-                   let _ = v[i]; let _ = v[0]; let _ = &v[1..3]; for _ in [i + 1, 2] {}\n\
-                   }";
-        let lexed = lex::lex(src);
-        let file = SrcFile {
-            rel: "f.rs".to_string(),
-            is_bin: false,
-            mask: lex::test_mask(&lexed.tokens),
-            lexed,
-        };
-        let mut findings = Vec::new();
-        panic_hygiene(&file, &mut findings);
-        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
-        assert_eq!(
-            lines,
-            [2, 3, 4, 5],
-            "lone-literal, lone-ident and range indexing and array \
-             literals must not count: {findings:?}"
-        );
     }
 
     /// trace-coverage is only as good as its reading of the live

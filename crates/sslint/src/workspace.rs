@@ -17,13 +17,21 @@ pub struct SrcFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
     /// Whether the file lives under `src/bin/` or is `src/main.rs` — CLI
-    /// entry points, exempt from the library panic rules.
+    /// entry points, each its own rustc crate, so `dead-pub` counts their
+    /// references to the library as cross-crate.
     pub is_bin: bool,
     /// The token stream plus allow-comment annotations.
     pub lexed: Lexed,
     /// `mask[i]` is true when token `i` sits inside `#[cfg(test)]` /
     /// `#[test]` gated code.
-    pub mask: Vec<bool>,
+    mask: Vec<bool>,
+}
+
+impl SrcFile {
+    /// Whether token `i` sits inside `#[cfg(test)]` / `#[test]` gated code.
+    pub fn in_test(&self, i: usize) -> bool {
+        self.mask.get(i).copied().unwrap_or(false)
+    }
 }
 
 /// One file of the reference corpus: lexed but not audited. Used only to

@@ -36,24 +36,6 @@ fn lines(findings: &[sslint::Finding]) -> Vec<u32> {
 }
 
 #[test]
-fn wall_clock_fixture() {
-    assert_exactly("wall-clock", "wall-clock");
-}
-
-#[test]
-fn hash_iter_fixture() {
-    // The `use … as M` alias and the never-iterated field are flagged;
-    // the `#[cfg(test)]` HashSet is not.
-    assert_eq!(lines(&assert_exactly("hash-iter", "hash-iter")), [2, 12]);
-}
-
-#[test]
-fn panic_fixture() {
-    // The `.unwrap()` and the computed index `v[i + 1]`.
-    assert_eq!(lines(&assert_exactly("panic", "panic")), [4, 8]);
-}
-
-#[test]
 fn dep_hermetic_fixture() {
     assert_exactly("dep-hermetic", "dep-hermetic");
 }
@@ -64,8 +46,8 @@ fn layering_fixture() {
 }
 
 #[test]
-fn unsafe_forbid_fixture() {
-    assert_exactly("unsafe-forbid", "unsafe-forbid");
+fn lints_inherit_fixture() {
+    assert_exactly("lints-inherit", "lints-inherit");
 }
 
 #[test]
@@ -122,33 +104,19 @@ fn dead_pub_fixture() {
     );
 }
 
-#[test]
-fn unsafe_contract_fixture() {
-    // The bare `unsafe` block; not `dealloc`, an `unsafe fn` the
-    // `unsafe impl` dictates, though it sits far below its SAFETY comment.
-    assert_eq!(
-        lines(&assert_exactly("unsafe-contract", "unsafe-contract")),
-        [4]
-    );
-}
-
 /// Every bad fixture must make the *binary* exit 1 and name its rule in
 /// the JSONL output — the exact contract CI relies on.
 #[test]
 fn binary_exits_nonzero_on_every_fixture() {
     for rule in [
-        "wall-clock",
-        "hash-iter",
-        "panic",
         "dep-hermetic",
         "layering",
-        "unsafe-forbid",
+        "lints-inherit",
         "allow-reason",
         "allowlist-unused",
         "rng-provenance",
         "trace-coverage",
         "dead-pub",
-        "unsafe-contract",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sslint"))
             .args(["--root"])

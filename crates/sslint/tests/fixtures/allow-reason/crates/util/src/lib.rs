@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 
-// sslint: allow(panic)
+// sslint: allow(dead-pub)
 pub fn id(x: u32) -> u32 {
     x
 }

@@ -27,7 +27,7 @@ fn lexer_invariants_on_token_soup() {
         "fn f() {",
         "}",
         "let x = v[i + 1];",
-        "// sslint: allow(panic) — reason",
+        "// sslint: allow(dead-pub) — reason",
         "// plain comment",
         "/* block\ncomment */",
         "\"string with // no comment\"",

@@ -179,6 +179,10 @@ impl Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "start <= end <= bytes.len() holds for every view: from() covers the whole allocation and slice() checks its range against the view"
+    )]
     fn deref(&self) -> &[u8] {
         match &self.data {
             Some(data) => &data.bytes[self.start as usize..self.end as usize],
@@ -200,9 +204,12 @@ impl From<Vec<u8>> for Bytes {
     ///
     /// Panics if `v` is longer than `u32::MAX` bytes, which a view's
     /// offsets cannot address (chunks are megabytes).
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: a view addresses at most u32::MAX bytes, and truncating the length would serve the wrong bytes"
+    )]
     fn from(v: Vec<u8>) -> Self {
         let Ok(end) = u32::try_from(v.len()) else {
-            // sslint: allow(panic) — documented contract: a view addresses at most u32::MAX bytes, and truncating the length would serve the wrong bytes
             panic!(
                 "{} bytes: a Bytes allocation holds at most u32::MAX",
                 v.len()

@@ -19,6 +19,11 @@
 //! Random sampling suits large input spaces. For one small enough to
 //! visit completely, [`walk`] runs a body once per leaf of the decision
 //! tree its [`Walk::choice`] calls span.
+#![expect(
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "the property-test harness reports failures by panicking, like assert!; callers opt in by running properties; choose's index is assert-guarded one line above, and shrink indexes the tape within its own length"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
@@ -155,6 +160,10 @@ impl Gen {
 /// The case stream is a pure function of `name`, so a failure seen in CI
 /// reproduces locally with no extra state. Set `UTIL_CHECK_SEED` to probe
 /// a property with a different stream.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UTIL_CHECK_SEED chooses which property cases a test draws, never what a simulation outputs"
+)]
 pub fn check(name: &str, cases: usize, prop: impl Fn(&mut Gen)) {
     let base = match std::env::var("UTIL_CHECK_SEED") {
         Ok(s) => seed::fnv1a(name.as_bytes()) ^ seed::fnv1a(s.as_bytes()),

@@ -179,11 +179,10 @@ fn write_value(out: &mut String, v: &Json, indent: Option<usize>, level: usize) 
         Json::Int(n) => out.push_str(&n.to_string()),
         Json::Float(x) => write_float(out, *x),
         Json::Str(s) => write_string(out, s),
-        Json::Arr(items) => write_seq(out, items.len(), indent, level, '[', ']', |out, i, lvl| {
-            write_value(out, &items[i], indent, lvl)
+        Json::Arr(items) => write_seq(out, items, indent, level, '[', ']', |out, v, lvl| {
+            write_value(out, v, indent, lvl)
         }),
-        Json::Obj(pairs) => write_seq(out, pairs.len(), indent, level, '{', '}', |out, i, lvl| {
-            let (k, val) = &pairs[i];
+        Json::Obj(pairs) => write_seq(out, pairs, indent, level, '{', '}', |out, (k, val), lvl| {
             write_string(out, k);
             out.push(':');
             if indent.is_some() {
@@ -194,21 +193,21 @@ fn write_value(out: &mut String, v: &Json, indent: Option<usize>, level: usize) 
     }
 }
 
-fn write_seq(
+fn write_seq<T>(
     out: &mut String,
-    len: usize,
+    items: &[T],
     indent: Option<usize>,
     level: usize,
     open: char,
     close: char,
-    mut item: impl FnMut(&mut String, usize, usize),
+    mut item: impl FnMut(&mut String, &T, usize),
 ) {
     out.push(open);
-    if len == 0 {
+    if items.is_empty() {
         out.push(close);
         return;
     }
-    for i in 0..len {
+    for (i, it) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -218,7 +217,7 @@ fn write_seq(
                 out.push(' ');
             }
         }
-        item(out, i, level + 1);
+        item(out, it, level + 1);
     }
     if let Some(width) = indent {
         out.push('\n');
@@ -283,6 +282,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The unread input.
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
+    /// The input read since position `start`.
+    fn since(&self, start: usize) -> &'a [u8] {
+        self.bytes.get(start..self.pos).unwrap_or_default()
+    }
+
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -293,7 +302,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.rest().starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -388,7 +397,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
+                let chunk = std::str::from_utf8(self.since(start))
                     .map_err(|_| self.err("invalid utf-8 in string"))?;
                 s.push_str(chunk);
             }
@@ -472,8 +481,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("malformed number"))?;
+        let text =
+            std::str::from_utf8(self.since(start)).map_err(|_| self.err("malformed number"))?;
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)

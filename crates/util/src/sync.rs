@@ -19,6 +19,10 @@ use std::thread;
 /// `jobs == 1` path, which runs inline without spawning. `jobs` is
 /// clamped to `1..=len`. A panic in `f` reaches the caller with its own
 /// payload once the other workers have drained the remaining indices.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "whole runs fan out across threads; results merge by index, so the output is the same for every worker count"
+)]
 pub fn parallel_map<T, F>(len: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,

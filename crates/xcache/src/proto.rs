@@ -42,15 +42,13 @@ impl ChunkRequest {
     /// Returns [`ProtoError`] on a bad tag, unknown principal, or short
     /// frame.
     pub fn decode(buf: &[u8]) -> Result<Self, ProtoError> {
-        if buf.len() < REQUEST_LEN {
-            return Err(ProtoError::Truncated);
-        }
-        if buf[0] != TAG_REQUEST {
+        let [tag, code, id @ ..] = *buf
+            .first_chunk::<REQUEST_LEN>()
+            .ok_or(ProtoError::Truncated)?;
+        if tag != TAG_REQUEST {
             return Err(ProtoError::BadTag);
         }
-        let principal = principal_from_code(buf[1]).ok_or(ProtoError::BadPrincipal)?;
-        let mut id = [0u8; 20];
-        id.copy_from_slice(&buf[2..22]);
+        let principal = principal_from_code(code).ok_or(ProtoError::BadPrincipal)?;
         Ok(ChunkRequest {
             cid: Xid::new(principal, id),
         })
@@ -88,23 +86,20 @@ impl ChunkResponseHeader {
     /// Returns [`ProtoError`] on a bad tag, unknown principal, or short
     /// frame.
     pub fn decode(buf: &[u8]) -> Result<Self, ProtoError> {
-        if buf.len() < RESPONSE_HDR_LEN {
-            return Err(ProtoError::Truncated);
-        }
-        if buf[0] != TAG_RESPONSE {
+        let (&[tag, found, code], rest) =
+            buf.split_first_chunk::<3>().ok_or(ProtoError::Truncated)?;
+        let (&id, rest) = rest
+            .split_first_chunk::<20>()
+            .ok_or(ProtoError::Truncated)?;
+        let &len = rest.first_chunk::<8>().ok_or(ProtoError::Truncated)?;
+        if tag != TAG_RESPONSE {
             return Err(ProtoError::BadTag);
         }
-        let found = buf[1] != 0;
-        let principal = principal_from_code(buf[2]).ok_or(ProtoError::BadPrincipal)?;
-        let mut id = [0u8; 20];
-        id.copy_from_slice(&buf[3..23]);
-        let len = buf[23..31]
-            .iter()
-            .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+        let principal = principal_from_code(code).ok_or(ProtoError::BadPrincipal)?;
         Ok(ChunkResponseHeader {
             cid: Xid::new(principal, id),
-            found,
-            len,
+            found: found != 0,
+            len: u64::from_be_bytes(len),
         })
     }
 }
@@ -207,6 +202,12 @@ mod tests {
                 cid: Xid::new_random(p, 5),
             };
             assert_eq!(ChunkRequest::decode(&req.encode()).unwrap(), req);
+            let hdr = ChunkResponseHeader {
+                cid: req.cid,
+                found: true,
+                len: 0x0102_0304_0506_0708,
+            };
+            assert_eq!(ChunkResponseHeader::decode(&hdr.encode()).unwrap(), hdr);
         }
     }
 }

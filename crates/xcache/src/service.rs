@@ -221,7 +221,8 @@ impl ChunkFetcher {
             Some(len) => len,
             None => {
                 let take = (RESPONSE_HDR_LEN - self.head.len()).min(data.len());
-                self.head.extend_from_slice(&data[..take]);
+                self.head
+                    .extend_from_slice(data.get(..take).unwrap_or_default());
                 data = data.slice(take..);
                 if self.head.len() < RESPONSE_HDR_LEN {
                     return FetchProgress::InProgress;

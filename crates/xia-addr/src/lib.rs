@@ -29,10 +29,9 @@
 //! assert_eq!(dag.fallback_host(), Some(hid));
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is sha1's
-// SHA-NI fast path, which needs `core::arch` intrinsics and re-allows
-// `unsafe_code` locally (see sslint.allow).
-#![deny(unsafe_code)]
+// No `#![forbid(unsafe_code)]`: the workspace lints deny it, and sha1's
+// SHA-NI fast path, which needs `core::arch` intrinsics, is the one
+// item-level `#[expect(unsafe_code)]`.
 #![warn(missing_docs)]
 
 pub mod dag;

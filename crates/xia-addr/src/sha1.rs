@@ -86,6 +86,10 @@ impl Sha1 {
     }
 
     /// Feeds `data` into the hasher.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buffer_len < 64, take <= 64 - buffer_len and take <= input.len(), and full <= input.len(); hot path, so the bounds stay checks rather than branches"
+    )]
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
@@ -113,6 +117,10 @@ impl Sha1 {
     }
 
     /// Consumes the hasher and returns the digest.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "five state words fill exactly the 20 digest bytes"
+    )]
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
@@ -130,10 +138,12 @@ impl Sha1 {
     }
 
     /// `update` without touching `total_len` (used for padding only).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buffer_len < 64 is re-established two lines below every time it reaches the block size"
+    )]
     fn update_padding(&mut self, data: &[u8]) {
         for &b in data {
-            // sslint: allow(panic) — buffer_len < 64 is re-established
-            // two lines below every time it reaches the block size
             self.buffer[self.buffer_len] = b;
             self.buffer_len += 1;
             if self.buffer_len == 64 {
@@ -170,14 +180,16 @@ impl Sha1 {
     /// (the classic `(a,b,c,d,e) → (e,a,b,c,d)` argument cycle) instead
     /// of shuffled through moves, and the boolean functions use their
     /// minimal-op forms.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schedule offsets are const-bounded (i >= 16, so i-16 >= 0; i < 80 into [u32; 80]) and 64 bytes make 16 four-byte words"
+    )]
     fn process_block(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 16..80 {
-            // sslint: allow(panic) — schedule offsets are const-bounded
-            // (i ≥ 16, so i-16 ≥ 0; i < 80 into [u32; 80])
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
         let [mut a, mut b, mut c, mut d, mut e] = self.state;
@@ -191,8 +203,6 @@ impl Sha1 {
                     .wrapping_add($a.rotate_left(5))
                     .wrapping_add($d ^ ($b & ($c ^ $d)))
                     .wrapping_add(0x5A82_7999u32)
-                    // sslint: allow(panic) — $i is a literal round
-                    // index, always < 80
                     .wrapping_add(w[$i]);
                 $b = $b.rotate_left(30);
             }};
@@ -203,8 +213,6 @@ impl Sha1 {
                     .wrapping_add($a.rotate_left(5))
                     .wrapping_add($b ^ $c ^ $d)
                     .wrapping_add($k)
-                    // sslint: allow(panic) — $i is a literal round
-                    // index, always < 80
                     .wrapping_add(w[$i]);
                 $b = $b.rotate_left(30);
             }};
@@ -215,8 +223,6 @@ impl Sha1 {
                     .wrapping_add($a.rotate_left(5))
                     .wrapping_add(($b & $c) | ($d & ($b | $c)))
                     .wrapping_add(0x8F1B_BCDCu32)
-                    // sslint: allow(panic) — $i is a literal round
-                    // index, always < 80
                     .wrapping_add(w[$i]);
                 $b = $b.rotate_left(30);
             }};
@@ -320,7 +326,10 @@ impl Sha1 {
 /// portable path computes the identical function, so results never
 /// depend on the host.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the SHA-NI intrinsics are unsafe fns; callers hold a ShaNi token proving CPUID support, and tests cross-check against the portable path"
+)]
 mod shani {
     use std::arch::x86_64::{
         _mm_add_epi32, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x,

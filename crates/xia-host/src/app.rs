@@ -30,7 +30,10 @@ pub enum FetchResult {
 /// order, when the callback returns and before any other app runs.
 /// Apps never hold a transport connection: on a host a connection is a
 /// fetch one of them delegated or a serve the chunk server accepted.
-#[allow(unused_variables)]
+#[expect(
+    unused_variables,
+    reason = "the default callbacks ignore their arguments; the names document the signature for implementors"
+)]
 pub trait App: Any {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {}

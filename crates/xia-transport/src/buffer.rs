@@ -40,13 +40,13 @@ impl SendBuffer {
     }
 
     /// Number of buffered bytes.
-    #[allow(dead_code)] // exercised by unit tests
+    #[cfg(test)]
     pub(crate) fn len(&self) -> u64 {
         self.end - self.start
     }
 
     /// Whether the buffer holds no bytes.
-    #[allow(dead_code)] // exercised by unit tests
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -120,13 +120,13 @@ impl SendBuffer {
         }
         // Crosses block boundaries: copy.
         let mut out = Vec::with_capacity(want);
-        out.extend_from_slice(&block[offset..]);
+        out.extend_from_slice(block.get(offset..).unwrap_or_default());
         for b in iter {
             if out.len() >= want {
                 break;
             }
             let take = (want - out.len()).min(b.len());
-            out.extend_from_slice(&b[..take]);
+            out.extend_from_slice(b.get(..take).unwrap_or_default());
         }
         Bytes::from(out)
     }

@@ -1,4 +1,6 @@
-#![forbid(unsafe_code)]
+//! Former sslint fixture `hash-iter`: hash-ordered collections, one of
+//! them behind an alias.
+
 use std::collections::HashMap as M;
 
 /// Iteration through an alias: no `HashMap` token here, so the ban has to
@@ -9,15 +11,5 @@ pub fn it(m: &M<u8, u8>) -> usize {
 
 /// A bare field, never iterated: the type itself is the finding.
 pub struct Store {
-    entries: std::collections::HashMap<u64, u64>,
-}
-
-#[cfg(test)]
-mod tests {
-    use std::collections::HashSet;
-
-    #[test]
-    fn scratch_sets_are_fine_in_tests() {
-        assert!(HashSet::<u8>::new().is_empty());
-    }
+    pub entries: std::collections::HashMap<u64, u64>,
 }

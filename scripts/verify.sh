@@ -16,6 +16,43 @@ echo "== sslint (determinism & hygiene audit) =="
 # fails verify.
 target/release/sslint
 
+echo "== clippy (panic, unsafe and determinism lints; config in Cargo.toml and clippy.toml) =="
+cargo clippy --offline --workspace --lib -- -D warnings
+
+echo "== lint probes: each former sslint per-token fixture fails clippy =="
+# The five rules sslint used to check token by token now live in the lint
+# config. Each scripts/lint_probes/<rule>.rs becomes a module of xia-addr
+# (a crate without its own unsafe attribute) in a copy of the tree under
+# target/, with the tree's own Cargo.toml and clippy.toml, and
+# `cargo clippy --lib` must fail naming the expected lints.
+probe_dir="$PWD/target/lint-probe"
+rm -rf "$probe_dir/tree"
+mkdir -p "$probe_dir/tree"
+cp -r Cargo.toml Cargo.lock clippy.toml crates "$probe_dir/tree/"
+echo "pub mod lint_probe;" >> "$probe_dir/tree/crates/xia-addr/src/lib.rs"
+probe() {
+    local rule=$1
+    shift
+    cp "scripts/lint_probes/$rule.rs" "$probe_dir/tree/crates/xia-addr/src/lint_probe.rs"
+    if (cd "$probe_dir/tree" && CARGO_TARGET_DIR="$probe_dir/target" cargo clippy \
+        --offline --quiet --lib -p xia-addr --message-format=json) >"$probe_dir/$rule.json" 2>/dev/null; then
+        echo "probe $rule: clippy passed, expected $*" >&2
+        return 1
+    fi
+    for lint in "$@"; do
+        if ! grep -q "\"code\":\"$lint\"" "$probe_dir/$rule.json"; then
+            echo "probe $rule: clippy failed without naming $lint (see $probe_dir/$rule.json)" >&2
+            return 1
+        fi
+    done
+    echo "probe $rule: fails with $*"
+}
+probe wall-clock clippy::disallowed_types clippy::disallowed_methods
+probe hash-iter clippy::disallowed_types
+probe panic clippy::unwrap_used clippy::indexing_slicing
+probe unsafe-forbid unsafe_code
+probe unsafe-contract clippy::undocumented_unsafe_blocks
+
 echo "== tier-1: workspace tests =="
 cargo test -q --offline
 
