@@ -7,8 +7,7 @@
 //!   idles through disconnections,
 //! - **pre-staging into handoff targets** (step ④),
 //! - **chunk-aware handoff** (vs the legacy policy),
-//! - **staging itself** (the Xftp baseline),
-//! - **edge cache eviction policy** under a constrained cache.
+//! - **staging itself** (the Xftp baseline).
 
 use simnet::{SimDuration, SimTime};
 use softstage::{CoordinatorConfig, HandoffPolicy, SoftStageConfig};

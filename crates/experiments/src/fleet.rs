@@ -42,8 +42,17 @@ use crate::params::{MB, MBPS};
 use crate::workload::{client_objects, ZipfCatalog};
 use crate::world::{self, client_on, ClientSpec, EdgeSpec, World, WorldSpec};
 
-/// Everything that defines one fleet world. Results are a pure function
-/// of this struct.
+/// Edge-to-core backhaul bandwidth.
+const BACKHAUL_BW_BPS: u64 = 1000 * MBPS;
+/// The shared origin uplink bandwidth (core to server).
+const ORIGIN_BW_BPS: u64 = 200 * MBPS;
+/// Origin round-trip time.
+const ORIGIN_RTT: SimDuration = SimDuration::from_millis(50);
+/// Edge beacon period.
+const BEACON_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Everything that defines one fleet world, beside the constants above.
+/// Results are a pure function of this struct.
 #[derive(Debug, Clone)]
 pub struct FleetParams {
     /// Concurrent clients in the world.
@@ -67,14 +76,6 @@ pub struct FleetParams {
     pub staging: bool,
     /// Per-client radio bandwidth.
     pub wireless_bw_bps: u64,
-    /// Edge-to-core backhaul bandwidth.
-    pub backhaul_bw_bps: u64,
-    /// The shared origin uplink bandwidth (core to server).
-    pub origin_bw_bps: u64,
-    /// Origin round-trip time.
-    pub origin_rtt: SimDuration,
-    /// Edge beacon period.
-    pub beacon_interval: SimDuration,
     /// Client arrivals are staggered uniformly across this window.
     pub arrival_window: SimDuration,
     /// Hard stop; unfinished clients are censored at this horizon.
@@ -99,10 +100,6 @@ impl Default for FleetParams {
             edge_cache_bytes: 2 * MB,
             staging: true,
             wireless_bw_bps: 25 * MBPS,
-            backhaul_bw_bps: 1000 * MBPS,
-            origin_bw_bps: 200 * MBPS,
-            origin_rtt: SimDuration::from_millis(50),
-            beacon_interval: SimDuration::from_secs(1),
             arrival_window: SimDuration::from_secs(10),
             horizon: SimDuration::from_secs(300),
             verify_content: false,
@@ -214,7 +211,7 @@ pub fn build(params: &FleetParams) -> FleetWorld {
                     admission: AdmissionPolicy::DeadlineAware,
                     ..VnfConfig::default()
                 }),
-                beacon_interval: params.beacon_interval,
+                beacon_interval: BEACON_INTERVAL,
                 rss_model: None,
             })
             .collect(),
@@ -235,13 +232,13 @@ pub fn build(params: &FleetParams) -> FleetWorld {
                 // Fleet beacons are slow (event economy); stretch the
                 // sensor's liveness window to match or edges flap "gone"
                 // between beacons.
-                beacon_timeout: params.beacon_interval * 3,
+                beacon_timeout: BEACON_INTERVAL * 3,
                 radios: vec![i % params.edges],
                 transitions: vec![(up, 0, true)],
             })
             .collect(),
-        internet: LinkConfig::wired(params.origin_bw_bps, params.origin_rtt / 2),
-        backhaul: LinkConfig::wired(params.backhaul_bw_bps, SimDuration::from_millis(1)),
+        internet: LinkConfig::wired(ORIGIN_BW_BPS, ORIGIN_RTT / 2),
+        backhaul: LinkConfig::wired(BACKHAUL_BW_BPS, SimDuration::from_millis(1)),
         radio: LinkConfig::wireless(params.wireless_bw_bps, SimDuration::from_millis(2), 0.0),
     });
     FleetWorld {

@@ -92,8 +92,6 @@ pub struct World {
     pub sim: Simulator<XiaPacket>,
     /// The origin server node.
     pub origin: NodeId,
-    /// The core router node.
-    pub core: NodeId,
     /// Edge router nodes, in [`WorldSpec::edges`] order.
     pub edges: Vec<NodeId>,
     /// Client nodes, in [`WorldSpec::clients`] order.
@@ -235,7 +233,6 @@ pub fn build(spec: WorldSpec) -> World {
     World {
         sim,
         origin,
-        core,
         edges,
         clients,
         radio_links,

@@ -9,7 +9,7 @@
 //! seed, same outcome.
 //!
 //! ```
-//! use simnet::fault::FaultPlan;
+//! use simnet::fault::{Fault, FaultPlan};
 //! use simnet::{SimDuration, SimTime};
 //!
 //! # let (link, node) = {
@@ -27,9 +27,22 @@
 //! #     (l, a)
 //! # };
 //! let mut plan = FaultPlan::new();
-//! plan.flap(link, SimTime::from_micros(5_000_000), SimDuration::from_millis(800))
-//!     .burst_loss(link, SimTime::from_micros(9_000_000), SimDuration::from_millis(500), 0.9)
-//!     .crash(node, SimTime::from_micros(12_000_000), Some(SimDuration::from_millis(2_000)));
+//! plan.push(Fault::LinkFlap {
+//!     link,
+//!     at: SimTime::from_micros(5_000_000),
+//!     down_for: SimDuration::from_millis(800),
+//! })
+//! .push(Fault::BurstLoss {
+//!     link,
+//!     at: SimTime::from_micros(9_000_000),
+//!     lasting: SimDuration::from_millis(500),
+//!     loss: 0.9,
+//! })
+//! .push(Fault::Crash {
+//!     node,
+//!     at: SimTime::from_micros(12_000_000),
+//!     restart_after: Some(SimDuration::from_millis(2_000)),
+//! });
 //! ```
 //!
 //! The plan is applied with [`FaultPlan::apply`], which expands each fault
@@ -137,83 +150,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a [`Fault::LinkFlap`].
-    pub fn flap(&mut self, link: LinkId, at: SimTime, down_for: SimDuration) -> &mut Self {
-        self.push(Fault::LinkFlap { link, at, down_for })
-    }
-
-    /// Adds a [`Fault::BurstLoss`].
-    pub fn burst_loss(
-        &mut self,
-        link: LinkId,
-        at: SimTime,
-        lasting: SimDuration,
-        loss: f64,
-    ) -> &mut Self {
-        self.push(Fault::BurstLoss {
-            link,
-            at,
-            lasting,
-            loss,
-        })
-    }
-
-    /// Adds a [`Fault::Corruption`].
-    pub fn corruption(
-        &mut self,
-        link: LinkId,
-        at: SimTime,
-        lasting: SimDuration,
-        prob: f64,
-    ) -> &mut Self {
-        self.push(Fault::Corruption {
-            link,
-            at,
-            lasting,
-            prob,
-        })
-    }
-
-    /// Adds a [`Fault::Crash`] (with optional restart).
-    pub fn crash(
-        &mut self,
-        node: NodeId,
-        at: SimTime,
-        restart_after: Option<SimDuration>,
-    ) -> &mut Self {
-        self.push(Fault::Crash {
-            node,
-            at,
-            restart_after,
-        })
-    }
-
-    /// Adds a [`Fault::CacheWipe`].
-    pub fn cache_wipe(&mut self, node: NodeId, at: SimTime) -> &mut Self {
-        self.push(Fault::CacheWipe { node, at })
-    }
-
-    /// Adds a [`Fault::CacheSqueeze`].
-    pub fn cache_squeeze(&mut self, node: NodeId, at: SimTime, capacity: usize) -> &mut Self {
-        self.push(Fault::CacheSqueeze { node, at, capacity })
-    }
-
-    /// Adds a [`Fault::SlowEdge`].
-    pub fn slow_edge(
-        &mut self,
-        node: NodeId,
-        at: SimTime,
-        lasting: SimDuration,
-        delay: SimDuration,
-    ) -> &mut Self {
-        self.push(Fault::SlowEdge {
-            node,
-            at,
-            lasting,
-            delay,
-        })
-    }
-
     /// Adds `count` link flaps at times drawn deterministically from
     /// `seed`, uniformly over `[window_start, window_end)`, each lasting
     /// `down_for`. Useful for chaos tests that want "some" churn without
@@ -232,7 +168,7 @@ impl FaultPlan {
         let hi = window_end.as_micros().max(lo + 1);
         for _ in 0..count {
             let at = SimTime::from_micros(rng.gen_range_u64(lo, hi));
-            self.flap(link, at, down_for);
+            self.push(Fault::LinkFlap { link, at, down_for });
         }
         self
     }
@@ -386,11 +322,11 @@ mod tests {
         let mut plan = FaultPlan::new();
         // Down from 250 ms to 450 ms: ticks at 250..=440 ms are dropped
         // (the sender transmits into a dead link).
-        plan.flap(
-            l,
-            SimTime::from_micros(245_000),
-            SimDuration::from_millis(200),
-        );
+        plan.push(Fault::LinkFlap {
+            link: l,
+            at: SimTime::from_micros(245_000),
+            down_for: SimDuration::from_millis(200),
+        });
         plan.apply(&mut sim);
         sim.run();
         let got = sim.node::<Chatter>(b).unwrap().got;
@@ -403,12 +339,12 @@ mod tests {
     fn burst_loss_window_restores_configured_loss() {
         let (mut sim, _, b, l) = build();
         let mut plan = FaultPlan::new();
-        plan.burst_loss(
-            l,
-            SimTime::from_micros(200_000),
-            SimDuration::from_millis(300),
-            1.0,
-        );
+        plan.push(Fault::BurstLoss {
+            link: l,
+            at: SimTime::from_micros(200_000),
+            lasting: SimDuration::from_millis(300),
+            loss: 1.0,
+        });
         plan.apply(&mut sim);
         sim.run();
         let got = sim.node::<Chatter>(b).unwrap().got;
@@ -423,12 +359,12 @@ mod tests {
     fn corruption_window_counts_checksum_drops() {
         let (mut sim, _, b, l) = build();
         let mut plan = FaultPlan::new();
-        plan.corruption(
-            l,
-            SimTime::from_micros(0),
-            SimDuration::from_millis(2_000),
-            1.0,
-        );
+        plan.push(Fault::Corruption {
+            link: l,
+            at: SimTime::from_micros(0),
+            lasting: SimDuration::from_millis(2_000),
+            prob: 1.0,
+        });
         plan.apply(&mut sim);
         sim.run();
         assert_eq!(sim.node::<Chatter>(b).unwrap().got, 0);
@@ -439,12 +375,15 @@ mod tests {
     fn crash_restart_and_wipe_reach_the_node() {
         let (mut sim, _, b, _) = build();
         let mut plan = FaultPlan::new();
-        plan.crash(
-            b,
-            SimTime::from_micros(100_000),
-            Some(SimDuration::from_millis(50)),
-        )
-        .cache_wipe(b, SimTime::from_micros(300_000));
+        plan.push(Fault::Crash {
+            node: b,
+            at: SimTime::from_micros(100_000),
+            restart_after: Some(SimDuration::from_millis(50)),
+        })
+        .push(Fault::CacheWipe {
+            node: b,
+            at: SimTime::from_micros(300_000),
+        });
         plan.apply(&mut sim);
         sim.run();
         assert_eq!(
@@ -462,13 +401,17 @@ mod tests {
     fn squeeze_and_slow_edge_reach_the_node() {
         let (mut sim, _, b, _) = build();
         let mut plan = FaultPlan::new();
-        plan.cache_squeeze(b, SimTime::from_micros(100_000), 4096)
-            .slow_edge(
-                b,
-                SimTime::from_micros(200_000),
-                SimDuration::from_millis(150),
-                SimDuration::from_millis(40),
-            );
+        plan.push(Fault::CacheSqueeze {
+            node: b,
+            at: SimTime::from_micros(100_000),
+            capacity: 4096,
+        })
+        .push(Fault::SlowEdge {
+            node: b,
+            at: SimTime::from_micros(200_000),
+            lasting: SimDuration::from_millis(150),
+            delay: SimDuration::from_millis(40),
+        });
         plan.apply(&mut sim);
         sim.run();
         assert_eq!(

@@ -353,8 +353,8 @@ trace_events! {
         },
         /// The node's bounded evicted-CID log overflowed between flushes:
         /// `dropped` evictions happened whose `ChunkEvicted` records were
-        /// lost. Oracle rules that count evictions treat the trace as
-        /// lower-bounded from this record on.
+        /// lost, so from this record on the trace's `chunk_evicted` lines
+        /// undercount the node's evictions.
         EvictOverflow = "evict_overflow" {
             /// Evictions whose individual records were dropped.
             dropped: u64,

@@ -5,10 +5,7 @@
 //! a text search — strings (including raw and byte strings), char
 //! literals vs lifetimes, nested block comments — and yields a flat
 //! stream of identifiers, punctuation and literal placeholders with line
-//! numbers. `// sslint: allow(<rule>) — <reason>` comments are collected
-//! on the side so rules can honour inline suppressions.
-
-use std::collections::BTreeMap;
+//! numbers. Comments are dropped like whitespace.
 
 /// What a scanned token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,25 +44,12 @@ impl Tok {
     }
 }
 
-/// A lexed source file: code tokens plus inline-allow annotations.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// The code tokens in source order (comments and whitespace removed).
-    pub tokens: Vec<Tok>,
-    /// `line -> rule ids` from `// sslint: allow(rule) — reason` comments.
-    /// An allow with no reason text is ignored (and reported by the
-    /// driver), which keeps suppressions honest.
-    pub allows: BTreeMap<u32, Vec<String>>,
-    /// Lines carrying an allow comment with an empty reason.
-    pub reasonless_allows: Vec<u32>,
-}
-
 /// Scans `src` into tokens. The scanner never fails: unexpected bytes
 /// become single-character punctuation, which at worst produces a finding
 /// a human will look at.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while let Some(&c) = b.get(i) {
@@ -76,12 +60,9 @@ pub fn lex(src: &str) -> Lexed {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                let start = i + 2;
                 while b.get(i).is_some_and(|&c| c != b'\n') {
                     i += 1;
                 }
-                let comment = &src[start..i];
-                scan_allow_comment(comment, line, &mut out);
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
                 // Nested block comment.
@@ -109,7 +90,7 @@ pub fn lex(src: &str) -> Lexed {
             b'"' => {
                 let start = i;
                 i = skip_string(b, i + 1, &mut line);
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[start..i].to_string(),
                     line,
@@ -130,7 +111,7 @@ pub fn lex(src: &str) -> Lexed {
                     while b.get(i).copied().is_some_and(ident_continue) {
                         i += 1;
                     }
-                    out.tokens.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Lifetime,
                         text: src[start..i].to_string(),
                         line,
@@ -148,7 +129,7 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                     i = (i + 1).min(b.len());
-                    out.tokens.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Literal,
                         text: src[start..i.min(src.len())].to_string(),
                         line,
@@ -158,7 +139,7 @@ pub fn lex(src: &str) -> Lexed {
             b'r' | b'b' | b'c' if raw_or_byte_literal(b, i) => {
                 let start = i;
                 i = skip_prefixed_literal(b, i, &mut line);
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[start..i].to_string(),
                     line,
@@ -169,7 +150,7 @@ pub fn lex(src: &str) -> Lexed {
                 while b.get(i).copied().is_some_and(ident_continue) {
                     i += 1;
                 }
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Ident,
                     text: src[start..i].to_string(),
                     line,
@@ -185,14 +166,14 @@ pub fn lex(src: &str) -> Lexed {
                 }) {
                     i += 1;
                 }
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Literal,
                     text: src[start..i].to_string(),
                     line,
                 });
             }
             b':' if b.get(i + 1) == Some(&b':') => {
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Punct,
                     text: "::".to_string(),
                     line,
@@ -200,7 +181,7 @@ pub fn lex(src: &str) -> Lexed {
                 i += 2;
             }
             _ => {
-                out.tokens.push(Tok {
+                out.push(Tok {
                     kind: TokKind::Punct,
                     text: (c as char).to_string(),
                     line,
@@ -311,40 +292,6 @@ fn ident_start(c: u8) -> bool {
 
 fn ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
-}
-
-/// Parses the one sslint line-comment directive: `sslint: allow(rule[,
-/// rule…]) — reason`.
-fn scan_allow_comment(comment: &str, line: u32, out: &mut Lexed) {
-    let Some(rest) = comment.trim_start().strip_prefix("sslint:") else {
-        return;
-    };
-    let Some(rest) = rest.trim_start().strip_prefix("allow") else {
-        return;
-    };
-    let rest = rest.trim_start();
-    let Some(rest) = rest.strip_prefix('(') else {
-        return;
-    };
-    let Some(close) = rest.find(')') else {
-        return;
-    };
-    let rules: Vec<String> = rest[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    let reason = rest[close + 1..]
-        .trim_start_matches([' ', '\t', '—', '-', '–'])
-        .trim();
-    if rules.is_empty() {
-        return;
-    }
-    if reason.is_empty() {
-        out.reasonless_allows.push(line);
-        return;
-    }
-    out.allows.entry(line).or_default().extend(rules);
 }
 
 /// Marks which tokens live in test-only code: whatever sits under a
@@ -473,7 +420,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone())
@@ -488,7 +434,6 @@ mod tests {
         assert!(!ids.contains(&"ident".to_string()), "{ids:?}");
         assert!(!ids.contains(&"quote".to_string()));
         let lt: Vec<_> = lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokKind::Lifetime)
             .collect();
@@ -502,31 +447,17 @@ mod tests {
     }
 
     #[test]
-    fn allow_comments_need_a_reason() {
-        let src =
-            "x(); // sslint: allow(dead-pub) — a doctest calls it\ny(); // sslint: allow(dead-pub)\n";
-        let l = lex(src);
-        assert_eq!(
-            l.allows.get(&1).map(|v| v.as_slice()),
-            Some(&["dead-pub".to_string()][..])
-        );
-        assert!(l.allows.get(&2).is_none());
-        assert_eq!(l.reasonless_allows, vec![2]);
-    }
-
-    #[test]
     fn double_colon_is_one_token() {
         let toks = lex("std::thread");
-        assert!(toks.tokens[1].is_punct("::"));
+        assert!(toks[1].is_punct("::"));
     }
 
     #[test]
     fn test_mask_covers_cfg_test_mod() {
         let src = "fn live() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }\nfn live2() {}";
         let l = lex(src);
-        let mask = test_mask(&l.tokens);
+        let mask = test_mask(&l);
         let unwraps: Vec<bool> = l
-            .tokens
             .iter()
             .zip(&mask)
             .filter(|(t, _)| t.is_ident("unwrap"))
@@ -534,7 +465,6 @@ mod tests {
             .collect();
         assert_eq!(unwraps, [false, true]);
         let live2 = l
-            .tokens
             .iter()
             .zip(&mask)
             .find(|(t, _)| t.is_ident("live2"))
@@ -550,9 +480,8 @@ mod tests {
         let src = "#[cfg(any(test, feature = \"x\"))]\nmod m { fn f() { a.unwrap(); } }\n\
                    #[cfg(all(test, feature = \"x\"))]\nmod t { fn g() { b.unwrap(); } }";
         let l = lex(src);
-        let mask = test_mask(&l.tokens);
+        let mask = test_mask(&l);
         let unwraps: Vec<bool> = l
-            .tokens
             .iter()
             .zip(&mask)
             .filter(|(t, _)| t.is_ident("unwrap"))
@@ -564,7 +493,7 @@ mod tests {
     #[test]
     fn numeric_ranges_keep_their_dots() {
         let toks = lex("for i in 0..n {}");
-        let dots = toks.tokens.iter().filter(|t| t.is_punct(".")).count();
+        let dots = toks.iter().filter(|t| t.is_punct(".")).count();
         assert_eq!(dots, 2);
     }
 }

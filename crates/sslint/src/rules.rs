@@ -1,5 +1,5 @@
 //! The rule engine: hermeticity & layering (H), seed provenance and
-//! cross-file coverage (G), and the hygiene of sslint's own escape hatches.
+//! cross-file coverage (G).
 //!
 //! Each rule is a pure function from the lexed workspace model to a list
 //! of [`Finding`]s: a pattern over one manifest, a token pattern over one
@@ -7,10 +7,10 @@
 //! whole snapshot. The declarations two rules care about are token
 //! patterns too: `pub fn`/`pub const`/`pub static` for `dead-pub`, and the
 //! brace span of an `impl` for `trace-coverage`. Both over-approximate —
-//! no type information — and the inline `// sslint: allow(<rule>) —
-//! <reason>` escape hatch covers the rest. Rules that read one token at a
-//! time (wall clock, hash order, panics, unsafe) are clippy's: see the
-//! root `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`.
+//! no type information — so a false positive is fixed in the rule, with a
+//! fixture that pins it, never silenced at the site. Rules that read one
+//! token at a time (wall clock, hash order, panics, unsafe) are clippy's:
+//! see the root `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,7 +20,7 @@ use crate::workspace::{CrateInfo, SrcFile, Workspace};
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (what allow comments name).
+    /// Stable rule identifier.
     pub rule: &'static str,
     /// Path relative to the workspace root, `/`-separated.
     pub file: String,
@@ -37,10 +37,6 @@ pub const RULE_LAYERING: &str = "layering";
 /// Rule H: every member manifest inherits the workspace lint table, so
 /// clippy's determinism, panic and unsafe lints reach every crate.
 pub const RULE_LINTS_INHERIT: &str = "lints-inherit";
-/// Hygiene of the hygiene tool: allow comments must carry a reason.
-pub const RULE_ALLOW_REASON: &str = "allow-reason";
-/// Allowlist-file entries that matched nothing are stale and must go.
-pub const RULE_ALLOWLIST_UNUSED: &str = "allowlist-unused";
 /// Rule G: RNG constructions must flow from a named seed
 /// (the `util::seed` chain or a parameter), never a literal or the clock.
 pub const RULE_RNG_PROVENANCE: &str = "rng-provenance";
@@ -50,61 +46,16 @@ pub const RULE_TRACE_COVERAGE: &str = "trace-coverage";
 /// Rule G: pub fns/consts/statics of internal crates with zero
 /// cross-crate references.
 pub const RULE_DEAD_PUB: &str = "dead-pub";
-/// One rule's catalogue entry, for `--list-rules` and the DESIGN.md §7
-/// sync test.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleInfo {
-    /// Stable rule identifier.
-    pub id: &'static str,
-    /// Rule group: `H` hermeticity & layering, `G` seed provenance &
-    /// cross-file coverage, `hygiene`.
-    pub group: &'static str,
-    /// One-line description.
-    pub desc: &'static str,
-}
 
-/// The full rule catalogue, in display order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: RULE_DEP_HERMETIC,
-        group: "H",
-        desc: "every dependency resolves in-tree (path or workspace)",
-    },
-    RuleInfo {
-        id: RULE_LAYERING,
-        group: "H",
-        desc: "in-tree dependencies strictly descend the layering DAG",
-    },
-    RuleInfo {
-        id: RULE_LINTS_INHERIT,
-        group: "H",
-        desc: "every member Cargo.toml has `[lints] workspace = true`",
-    },
-    RuleInfo {
-        id: RULE_ALLOW_REASON,
-        group: "hygiene",
-        desc: "inline allow comments must carry a reason",
-    },
-    RuleInfo {
-        id: RULE_ALLOWLIST_UNUSED,
-        group: "hygiene",
-        desc: "allowlist entries that match no finding are stale",
-    },
-    RuleInfo {
-        id: RULE_RNG_PROVENANCE,
-        group: "G",
-        desc: "RNGs are seeded from a named seed, never literals or the clock",
-    },
-    RuleInfo {
-        id: RULE_TRACE_COVERAGE,
-        group: "G",
-        desc: "every declared TraceEvent variant has an emit site and an oracle/test reference",
-    },
-    RuleInfo {
-        id: RULE_DEAD_PUB,
-        group: "G",
-        desc: "no pub item of an internal crate with zero cross-crate references",
-    },
+/// Every rule id. DESIGN.md §7 documents each one, and
+/// `tests/fixtures/<id>/` triggers it.
+pub const RULES: &[&str] = &[
+    RULE_DEP_HERMETIC,
+    RULE_LAYERING,
+    RULE_LINTS_INHERIT,
+    RULE_RNG_PROVENANCE,
+    RULE_TRACE_COVERAGE,
+    RULE_DEAD_PUB,
 ];
 
 /// The layering DAG: each crate's layer number; a crate may only depend
@@ -155,7 +106,6 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
         layering(krate, &mut findings);
         lints_inherit(krate, &mut findings);
         for file in &krate.files {
-            allow_hygiene(file, &mut findings);
             rng_provenance(file, &mut findings);
         }
     }
@@ -315,7 +265,7 @@ fn declared_trace_variants(ws: &Workspace) -> Option<TraceDecl> {
         .files
         .iter()
         .find(|f| f.rel.ends_with("src/trace.rs"))?;
-    let toks = &trace.lexed.tokens;
+    let toks = &trace.tokens;
     let table = toks.windows(3).position(|w| {
         matches!(w, [m, b, o] if m.is_ident("trace_events") && b.is_punct("!") && o.is_punct("{"))
     })? + 3;
@@ -400,7 +350,7 @@ const SEED_NON_SOURCE_IDENTS: &[&str] = &[
 /// all three make replication seed-dependent in ways the experiment
 /// registry cannot replay.
 fn rng_provenance(file: &SrcFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
+    let toks = &file.tokens;
     for (i, t) in toks.iter().enumerate() {
         if file.in_test(i) || t.kind != TokKind::Ident {
             continue;
@@ -494,7 +444,7 @@ fn trace_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
 
     for krate in &ws.crates {
         for file in &krate.files {
-            let toks = &file.lexed.tokens;
+            let toks = &file.tokens;
             // Token ranges of `impl TraceAudit` blocks in the declaring
             // file: variant uses there are the oracle checking, not
             // emitting.
@@ -524,7 +474,7 @@ fn trace_coverage(ws: &Workspace, findings: &mut Vec<Finding>) {
         }
     }
     for rf in &ws.ref_files {
-        let toks = &rf.lexed.tokens;
+        let toks = &rf.tokens;
         for (i, t) in toks.iter().enumerate() {
             if t.is_ident("TraceEvent")
                 && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
@@ -578,7 +528,7 @@ const FN_QUALIFIERS: &[&str] = &["const", "static", "async", "unsafe", "extern",
 /// no longer compile (E0446), so zero name-references is not decisive for
 /// them. A trait-impl method cannot be written `pub`, so none is matched.
 fn pub_values(file: &SrcFile) -> Vec<(&str, u32)> {
-    let toks = &file.lexed.tokens;
+    let toks = &file.tokens;
     let mut out = Vec::new();
     let mut template_end = 0;
     for (i, t) in toks.iter().enumerate() {
@@ -657,12 +607,12 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
     let mut bin_idents = vec![BTreeSet::new(); ws.crates.len()];
     for ((krate, lib), bin) in ws.crates.iter().zip(&mut lib_idents).zip(&mut bin_idents) {
         for file in &krate.files {
-            idents(&file.lexed.tokens, if file.is_bin { bin } else { lib });
+            idents(&file.tokens, if file.is_bin { bin } else { lib });
         }
     }
     let mut ref_idents = BTreeSet::new();
     for rf in &ws.ref_files {
-        idents(&rf.lexed.tokens, &mut ref_idents);
+        idents(&rf.tokens, &mut ref_idents);
     }
 
     for (ki, (krate, bins)) in ws.crates.iter().zip(&bin_idents).enumerate() {
@@ -697,23 +647,6 @@ fn dead_pub(ws: &Workspace, findings: &mut Vec<Finding>) {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Allow hygiene
-// ---------------------------------------------------------------------------
-
-fn allow_hygiene(file: &SrcFile, findings: &mut Vec<Finding>) {
-    for &line in &file.lexed.reasonless_allows {
-        findings.push(Finding {
-            rule: RULE_ALLOW_REASON,
-            file: file.rel.clone(),
-            line,
-            msg: "sslint allow comment without a reason — write \
-                  `// sslint: allow(<rule>) — <why this is sound>`"
-                .to_string(),
-        });
     }
 }
 

@@ -9,7 +9,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::lex::{self, Lexed};
+use crate::lex::{self, Tok};
 use crate::manifest::{self, Manifest};
 
 /// One lexed source file.
@@ -20,8 +20,8 @@ pub struct SrcFile {
     /// entry points, each its own rustc crate, so `dead-pub` counts their
     /// references to the library as cross-crate.
     pub is_bin: bool,
-    /// The token stream plus allow-comment annotations.
-    pub lexed: Lexed,
+    /// The token stream.
+    pub tokens: Vec<Tok>,
     /// `mask[i]` is true when token `i` sits inside `#[cfg(test)]` /
     /// `#[test]` gated code.
     mask: Vec<bool>,
@@ -41,7 +41,7 @@ pub struct RefFile {
     /// Path relative to the workspace root, `/`-separated.
     pub rel: String,
     /// The token stream.
-    pub lexed: Lexed,
+    pub tokens: Vec<Tok>,
 }
 
 /// One workspace member crate.
@@ -97,17 +97,17 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
             .unwrap_or_default();
         let manifest_text = fs::read_to_string(dir.join("Cargo.toml"))?;
         let mut files = Vec::new();
-        for (rel, lexed) in lex_dir(root, &dir.join("src"))? {
+        for (rel, tokens) in lex_dir(root, &dir.join("src"))? {
             files.push(SrcFile {
                 is_bin: rel.contains("/src/bin/") || rel.ends_with("/src/main.rs"),
-                mask: lex::test_mask(&lexed.tokens),
+                mask: lex::test_mask(&tokens),
                 rel,
-                lexed,
+                tokens,
             });
         }
         for sub in ["tests", "benches"] {
-            for (rel, lexed) in lex_dir(root, &dir.join(sub))? {
-                ref_files.push(RefFile { rel, lexed });
+            for (rel, tokens) in lex_dir(root, &dir.join(sub))? {
+                ref_files.push(RefFile { rel, tokens });
             }
         }
         crates.push(CrateInfo {
@@ -119,8 +119,8 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
     }
     // ssbench is its own cargo workspace but calls the crates' pub API.
     for sub in ["tests", "examples", "benchmark/src", "benchmark/tests"] {
-        for (rel, lexed) in lex_dir(root, &root.join(sub))? {
-            ref_files.push(RefFile { rel, lexed });
+        for (rel, tokens) in lex_dir(root, &root.join(sub))? {
+            ref_files.push(RefFile { rel, tokens });
         }
     }
 
@@ -133,7 +133,7 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
 
 /// Lexes every `.rs` file under `dir` (none when `dir` is absent), in
 /// sorted path order, paired with its root-relative path.
-fn lex_dir(root: &Path, dir: &Path) -> io::Result<Vec<(String, Lexed)>> {
+fn lex_dir(root: &Path, dir: &Path) -> io::Result<Vec<(String, Vec<Tok>)>> {
     let mut paths = Vec::new();
     if dir.is_dir() {
         collect_rs(dir, &mut paths)?;

@@ -274,7 +274,11 @@ fn fetch_from_a_server_crashing_at(
     client_host.add_app(Box::new(SeqFetcher::new(vec![dag])));
     let (server, client, _) = join(&mut sim, nid, [server_host, client_host], lan());
     let mut plan = simnet::FaultPlan::new();
-    plan.crash(server, crash_at, None);
+    plan.push(simnet::Fault::Crash {
+        node: server,
+        at: crash_at,
+        restart_after: None,
+    });
     plan.apply(&mut sim);
     sim.run();
     let done = completions(&sim, client).to_vec();
@@ -426,7 +430,11 @@ fn a_timer_armed_256_crashes_ago_never_fires() {
     let (heard, end) = run_alarms(&[(7, SimDuration::from_secs(1000))], |node, plan| {
         for i in 0..256 {
             let at = SimTime::from_micros((2 * i + 1) * 1_000_000);
-            plan.crash(node, at, Some(SimDuration::from_secs(1)));
+            plan.push(simnet::Fault::Crash {
+                node,
+                at,
+                restart_after: Some(SimDuration::from_secs(1)),
+            });
         }
     });
     assert_eq!(end, SimTime::from_micros(1_000_000_000), "it matured");

@@ -8,7 +8,7 @@
 //! ```
 
 use softstage_suite::experiments::{build, ExperimentParams, MB};
-use softstage_suite::simnet::fault::FaultPlan;
+use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{SimDuration, SimTime};
 use softstage_suite::softstage::SoftStageConfig;
 
@@ -45,20 +45,23 @@ fn main() {
             SimDuration::from_millis(1200),
             p.seed ^ (i as u64 + 1),
         );
-        plan.burst_loss(
+        plan.push(Fault::BurstLoss {
             link,
-            SimTime::ZERO + SimDuration::from_secs(6),
-            SimDuration::from_secs(2),
-            0.9,
-        );
+            at: SimTime::ZERO + SimDuration::from_secs(6),
+            lasting: SimDuration::from_secs(2),
+            loss: 0.9,
+        });
     }
     for &edge in &tb.edges.clone() {
-        plan.crash(
-            edge,
-            SimTime::ZERO + SimDuration::from_secs(2),
-            Some(SimDuration::from_secs(5)),
-        );
-        plan.cache_wipe(edge, SimTime::ZERO + SimDuration::from_secs(9));
+        plan.push(Fault::Crash {
+            node: edge,
+            at: SimTime::ZERO + SimDuration::from_secs(2),
+            restart_after: Some(SimDuration::from_secs(5)),
+        });
+        plan.push(Fault::CacheWipe {
+            node: edge,
+            at: SimTime::ZERO + SimDuration::from_secs(9),
+        });
     }
     println!("faults:  {} scheduled", plan.faults().len());
     plan.apply(&mut tb.sim);

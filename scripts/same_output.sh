@@ -2,36 +2,32 @@
 # Byte-identity gate: does this tree print what <git-ref> prints?
 #   scripts/same_output.sh <git-ref>        e.g. scripts/same_output.sh HEAD~1
 # Unpacks <git-ref> with `git archive` into target/same_output/ref, builds
-# its `reproduce`, `sslint` and `softstage_trace` example into their own
-# target directory, runs six targets on both trees (seed 42, and seed 7
-# with --seeds 2 --jobs 2) and
+# its `reproduce` and `softstage_trace` example into their own target
+# directory, runs six targets on both trees (seed 42, and seed 7 with
+# --seeds 2 --jobs 2) and
 # `cmp`s the --json files: the four quick ones, `fig5` (the only table on
 # `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
 # coordinator's depth bounds and `prestage_depth`). Also runs `fig6` and
 # `fig7` at seed 42 alone: the single-client tables that take the Chunk
 # Profile through every staging state. Runs both `softstage_trace`
 # examples at seeds 42 and 7 and `cmp`s their stdout (summary and oracle
-# verdict) and their JSON-lines dumps. Runs both `sslint`
-# binaries, `--format text` and `jsonl`, over this tree, over a copy of it
-# with every `// sslint: allow(` comment neutralised and no `sslint.allow`,
-# and over each rule fixture, and `cmp`s stdout, the stderr summary line
-# and the exit code. Then builds each tree's benchmark/ into a target
-# directory of its own, runs one traced `ssbench pass` per workload at
-# seed 42 and at the held-out seed 7 on both and compares what the seed
-# determines (`attempted`, `failed`, `digests`, every `sim` reading),
-# naming each reading that differs; the `host` member is ignored. Offline;
-# writes nothing under benchmark/. Not part of verify.sh: CI checkouts are
-# shallow.
+# verdict) and their JSON-lines dumps. Then builds each tree's benchmark/
+# into a target directory of its own, runs one traced `ssbench pass` per
+# workload named in BENCHMARK.json at seed 42 and at the held-out seed 7
+# on both and compares what the seed determines (`attempted`, `failed`,
+# `digests`, every `sim` reading), naming each reading that differs; the
+# `host` member is ignored. Offline; writes nothing under benchmark/. Not
+# part of verify.sh: CI checkouts are shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref="${1:?usage: scripts/same_output.sh <git-ref>}"
 dir="$PWD/target/same_output"
-rm -rf "$dir/ref" "$dir/out" "$dir/stripped"
+rm -rf "$dir/ref" "$dir/out"
 mkdir -p "$dir/ref" "$dir/out/ref" "$dir/out/tree"
 git archive "$ref" | tar -x -C "$dir/ref"
 build() {
-    cargo build --release --offline --quiet -p softstage-experiments -p sslint \
-        -p softstage-suite --bin reproduce --bin sslint --example softstage_trace "$@"
+    cargo build --release --offline --quiet -p softstage-experiments \
+        -p softstage-suite --bin reproduce --example softstage_trace "$@"
 }
 build
 CARGO_TARGET_DIR="$dir/build" build --manifest-path "$dir/ref/Cargo.toml"
@@ -52,37 +48,18 @@ for side in ref tree; do
         (cd "$dir/out/$side" && "$trace" "$seed" "trace-$seed.jsonl" >"trace-$seed.stdout")
     done
 done
-stripped="$dir/stripped"
-mkdir -p "$stripped/benchmark"
-cp -r Cargo.toml crates tests examples "$stripped/"
-cp -r benchmark/src benchmark/tests "$stripped/benchmark/"
-find "$stripped" -name '*.rs' -exec sed -i 's|// sslint: allow(|// sslint- allow(|g' {} +
-for side in ref tree; do
-    lint="${CARGO_TARGET_DIR:-target}/release/sslint"
-    [ "$side" = ref ] && lint="$dir/build/release/sslint"
-    for root in . "$stripped" crates/sslint/tests/fixtures/*/; do
-        name="fixture-$(basename "$root")"
-        [ "$root" = . ] && name=tree
-        [ "$root" = "$stripped" ] && name=stripped
-        for format in text jsonl; do
-            out="$dir/out/$side/sslint-$name-$format"
-            code=0
-            "$lint" --root "$root" --format "$format" >"$out.stdout" 2>"$out.stderr" || code=$?
-            echo "$code" >"$out.code"
-        done
-    done
-done
-echo "sslint on the tree: $(cat "$dir/out/tree/sslint-tree-text.stderr")"
-echo "sslint with no allows: $(cat "$dir/out/tree/sslint-stripped-text.stderr")"
 status=0
 for f in "$dir"/out/ref/*; do
     cmp "$f" "$dir/out/tree/$(basename "$f")" || status=1
 done
+workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json)
+: "${workloads:?BENCHMARK.json names no workloads}"
 for side in ref tree; do
     manifest="benchmark/Cargo.toml"
     [ "$side" = ref ] && manifest="$dir/ref/benchmark/Cargo.toml"
     CARGO_TARGET_DIR="$dir/bench-$side" cargo build --release --offline --quiet --manifest-path "$manifest"
-    for workload in fleet_skewed fleet_uniform drive_bulk wardrive_replay; do
+    for workload in $workloads; do
         for seed in 42 7; do
             "$dir/bench-$side/release/ssbench" pass --workload "$workload" --seed "$seed" \
                 --trace 1 >"$dir/out/$side/ssbench-$workload-$seed.json"

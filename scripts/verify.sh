@@ -12,9 +12,9 @@ echo "== tier-1: release build =="
 cargo build --release --offline
 
 echo "== sslint (determinism & hygiene audit) =="
-# The release build above produced the binary; any finding exits 1 and
-# fails verify.
-target/release/sslint
+# sslint is a library; its test suite runs it on every rule fixture and on
+# this workspace, and any finding fails `live_workspace_is_clean`.
+cargo test -q --offline -p sslint
 
 echo "== clippy (panic, unsafe and determinism lints; config in Cargo.toml and clippy.toml) =="
 cargo clippy --offline --workspace --lib -- -D warnings

@@ -12,7 +12,7 @@
 mod common;
 
 use softstage_suite::experiments::{build, ExperimentParams, RunResult, Testbed, MB};
-use softstage_suite::simnet::fault::FaultPlan;
+use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{SimDuration, SimTime, TraceEvent};
 use softstage_suite::softstage::{SoftStageConfig, StagingMode};
 
@@ -20,13 +20,15 @@ use common::{deadline, small, testbed, TRACE_CAPACITY};
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
 
-/// Runs the scenario and asserts the core chaos invariants: completion,
-/// content integrity, bounded slowdown versus the fault-free twin, and an
-/// oracle-clean trace on both runs. Returns the faulted testbed with its
+/// Runs the scenario and asserts the core chaos invariants: the fault
+/// fired, completion, content integrity, bounded slowdown versus the
+/// fault-free twin, and an oracle-clean trace on both runs. `inject` gets
+/// the fault-free run's completion time: the run stops at completion, so
+/// a fault timed later never fires. Returns the faulted testbed with its
 /// result so scenarios can assert on post-run node state.
 fn assert_survives(
     params: &ExperimentParams,
-    inject: impl Fn(&mut Testbed),
+    inject: impl Fn(&mut Testbed, SimDuration),
 ) -> (Testbed, RunResult) {
     let mut clean_tb = testbed(params);
     clean_tb.sim.enable_trace(TRACE_CAPACITY);
@@ -37,8 +39,24 @@ fn assert_survives(
 
     let mut tb = testbed(params);
     tb.sim.enable_trace(TRACE_CAPACITY);
-    inject(&mut tb);
+    inject(&mut tb, clean_t - SimTime::ZERO);
     let result = tb.run(deadline());
+    let fired = tb.sim.trace().expect("tracing").records().any(|r| {
+        matches!(
+            r.event,
+            TraceEvent::LinkDown { .. }
+                | TraceEvent::FaultOnset { .. }
+                | TraceEvent::NodeCrash
+                | TraceEvent::CacheWipe
+                | TraceEvent::CacheResize { .. }
+                | TraceEvent::ServiceDegrade { .. }
+        )
+    });
+    assert!(
+        fired,
+        "no fault fired before completion (seed {})",
+        params.seed
+    );
     assert!(
         result.content_ok,
         "download must complete with intact content under faults \
@@ -62,14 +80,14 @@ fn assert_survives(
 fn link_flaps_mid_download_are_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        assert_survives(&p, |tb| {
+        assert_survives(&p, |tb, clean| {
             let mut plan = FaultPlan::new();
             for (i, &link) in tb.radio_links.clone().iter().enumerate() {
                 plan.random_flaps(
                     link,
                     4,
-                    SimTime::ZERO + SimDuration::from_secs(2),
-                    SimTime::ZERO + SimDuration::from_secs(60),
+                    SimTime::ZERO + clean / 8,
+                    SimTime::ZERO + clean,
                     SimDuration::from_millis(1500),
                     seed ^ (i as u64 + 1),
                 );
@@ -83,17 +101,17 @@ fn link_flaps_mid_download_are_survivable() {
 fn burst_loss_windows_are_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        assert_survives(&p, |tb| {
+        assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &link in &tb.radio_links.clone() {
                 // Near-total loss for 5 s right in the middle of the
                 // first encounters.
-                plan.burst_loss(
+                plan.push(Fault::BurstLoss {
                     link,
-                    SimTime::ZERO + SimDuration::from_secs(4),
-                    SimDuration::from_secs(5),
-                    0.95,
-                );
+                    at: SimTime::ZERO + SimDuration::from_secs(4),
+                    lasting: SimDuration::from_secs(5),
+                    loss: 0.95,
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -104,15 +122,15 @@ fn burst_loss_windows_are_survivable() {
 fn wire_corruption_is_dropped_by_checksum_and_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        let (_, result) = assert_survives(&p, |tb| {
+        let (_, result) = assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &link in &tb.radio_links.clone() {
-                plan.corruption(
+                plan.push(Fault::Corruption {
                     link,
-                    SimTime::ZERO + SimDuration::from_secs(3),
-                    SimDuration::from_secs(4),
-                    0.5,
-                );
+                    at: SimTime::ZERO + SimDuration::from_secs(3),
+                    lasting: SimDuration::from_secs(4),
+                    prob: 0.5,
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -124,17 +142,18 @@ fn wire_corruption_is_dropped_by_checksum_and_survivable() {
 fn vnf_crash_and_restart_is_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        assert_survives(&p, |tb| {
+        assert_survives(&p, |tb, clean| {
             let mut plan = FaultPlan::new();
             // Both edge routers crash (staging state, caches and beacons
-            // die) and come back 8 s later; the client must ride out the
-            // silence and re-stage after the restart.
+            // die) a third of the way in and come back 8 s later; the
+            // client must ride out the silence and re-stage after the
+            // restart.
             for &edge in &tb.edges.clone() {
-                plan.crash(
-                    edge,
-                    SimTime::ZERO + SimDuration::from_secs(6),
-                    Some(SimDuration::from_secs(8)),
-                );
+                plan.push(Fault::Crash {
+                    node: edge,
+                    at: SimTime::ZERO + clean / 3,
+                    restart_after: Some(SimDuration::from_secs(8)),
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -145,13 +164,19 @@ fn vnf_crash_and_restart_is_survivable() {
 fn cache_wipe_falls_back_to_origin_and_is_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        assert_survives(&p, |tb| {
+        assert_survives(&p, |tb, clean| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
                 // Wipe staged chunks twice, mid-encounter: staged fetches
                 // miss and must re-fetch from the origin.
-                plan.cache_wipe(edge, SimTime::ZERO + SimDuration::from_secs(5));
-                plan.cache_wipe(edge, SimTime::ZERO + SimDuration::from_secs(25));
+                plan.push(Fault::CacheWipe {
+                    node: edge,
+                    at: SimTime::ZERO + clean / 3,
+                });
+                plan.push(Fault::CacheWipe {
+                    node: edge,
+                    at: SimTime::ZERO + clean * 2 / 3,
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -162,17 +187,17 @@ fn cache_wipe_falls_back_to_origin_and_is_survivable() {
 fn cache_squeeze_evicts_staged_chunks_and_is_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        let (tb, _) = assert_survives(&p, |tb| {
+        let (tb, _) = assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
                 // Squeeze each edge cache to two chunks' worth mid-run:
                 // staged chunks are evicted under pressure, so fetches
                 // that miss must re-stage or fall back to the origin.
-                plan.cache_squeeze(
-                    edge,
-                    SimTime::ZERO + SimDuration::from_secs(4),
-                    (2 * MB) as usize,
-                );
+                plan.push(Fault::CacheSqueeze {
+                    node: edge,
+                    at: SimTime::ZERO + SimDuration::from_secs(4),
+                    capacity: (2 * MB) as usize,
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -189,12 +214,16 @@ fn cache_squeeze_evicts_staged_chunks_and_is_survivable() {
 fn cache_squeezed_below_one_chunk_refuses_staging_without_lying() {
     for seed in SEEDS {
         let p = small(seed);
-        let (tb, _) = assert_survives(&p, |tb| {
+        let (tb, _) = assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
                 // Half a chunk of cache before staging starts: no chunk
                 // fits, so every staging request must be declined.
-                plan.cache_squeeze(edge, SimTime::ZERO, (MB / 2) as usize);
+                plan.push(Fault::CacheSqueeze {
+                    node: edge,
+                    at: SimTime::ZERO,
+                    capacity: (MB / 2) as usize,
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -228,18 +257,18 @@ fn cache_squeezed_below_one_chunk_refuses_staging_without_lying() {
 fn slow_edge_service_degradation_is_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        assert_survives(&p, |tb| {
+        assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
                 // Every staging reply is held 1.5 s for a 20 s window:
                 // acks land late — some after the client's back-off fires —
                 // and the download must absorb the jitter.
-                plan.slow_edge(
-                    edge,
-                    SimTime::ZERO + SimDuration::from_secs(2),
-                    SimDuration::from_secs(20),
-                    SimDuration::from_millis(1500),
-                );
+                plan.push(Fault::SlowEdge {
+                    node: edge,
+                    at: SimTime::ZERO + SimDuration::from_secs(2),
+                    lasting: SimDuration::from_secs(20),
+                    delay: SimDuration::from_millis(1500),
+                });
             }
             plan.apply(&mut tb.sim);
         });
@@ -294,7 +323,11 @@ fn long_edge_outage_charges_no_retries_while_detached_and_staging_resumes() {
         let (crash, outage) = (SimTime::from_micros(200_000), SimDuration::from_secs(900));
         let back = crash + outage;
         for &edge in &tb.edges.clone() {
-            plan.crash(edge, crash, Some(outage));
+            plan.push(Fault::Crash {
+                node: edge,
+                at: crash,
+                restart_after: Some(outage),
+            });
         }
         plan.apply(&mut tb.sim);
         let result = tb.run(deadline());
@@ -337,11 +370,11 @@ fn crash_shorter_than_a_beacon_interval_does_not_double_the_beacons() {
     let edge = tb.edges[0];
     let mut plan = FaultPlan::new();
     // Down for 30 ms of the 100 ms beacon interval.
-    plan.crash(
-        edge,
-        SimTime::from_micros(5_010_000),
-        Some(SimDuration::from_millis(30)),
-    );
+    plan.push(Fault::Crash {
+        node: edge,
+        at: SimTime::from_micros(5_010_000),
+        restart_after: Some(SimDuration::from_millis(30)),
+    });
     plan.apply(&mut tb.sim);
     let sent = |tb: &Testbed| {
         let host = tb.sim.node::<RouterNode>(edge).expect("edge router").host();

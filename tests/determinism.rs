@@ -10,7 +10,7 @@
 
 mod common;
 
-use softstage_suite::simnet::fault::FaultPlan;
+use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{SimDuration, SimTime};
 
 /// Runs one download and folds every observable statistic — including the
@@ -30,15 +30,18 @@ fn run_digest(seed: u64, faults: bool) -> [u8; 20] {
                 SimDuration::from_millis(1200),
                 seed ^ (i as u64 + 1),
             );
-            plan.burst_loss(
+            plan.push(Fault::BurstLoss {
                 link,
-                SimTime::ZERO + SimDuration::from_secs(10),
-                SimDuration::from_secs(3),
-                0.9,
-            );
+                at: SimTime::ZERO + SimDuration::from_secs(10),
+                lasting: SimDuration::from_secs(3),
+                loss: 0.9,
+            });
         }
         for &edge in &tb.edges.clone() {
-            plan.cache_wipe(edge, SimTime::ZERO + SimDuration::from_secs(8));
+            plan.push(Fault::CacheWipe {
+                node: edge,
+                at: SimTime::ZERO + SimDuration::from_secs(8),
+            });
         }
         plan.apply(&mut tb.sim);
     }

@@ -15,7 +15,7 @@ use softstage_suite::experiments::world::{self, client_on, ClientSpec};
 use softstage_suite::experiments::{
     execute, testbed, Cell, DerivedRow, ExecConfig, ExperimentParams, TableSpec, MB, MBPS,
 };
-use softstage_suite::simnet::fault::FaultPlan;
+use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{SimDuration, SimTime};
 use softstage_suite::softstage::{SoftStageClient, SoftStageConfig, VnfConfig};
 use softstage_suite::xia_addr::sha1;
@@ -160,17 +160,17 @@ fn faulted_fleet_completes_without_a_retry_storm() {
         );
         world.sim.enable_trace(common::TRACE_CAPACITY);
         let mut plan = FaultPlan::new();
-        plan.cache_squeeze(
-            world.edges[0],
-            SimTime::ZERO + SimDuration::from_millis(800),
-            32 * 1024,
-        );
+        plan.push(Fault::CacheSqueeze {
+            node: world.edges[0],
+            at: SimTime::ZERO + SimDuration::from_millis(800),
+            capacity: 32 * 1024,
+        });
         for &edge in &world.edges.clone() {
-            plan.crash(
-                edge,
-                SimTime::ZERO + SimDuration::from_millis(1500),
-                Some(SimDuration::from_secs(8)),
-            );
+            plan.push(Fault::Crash {
+                node: edge,
+                at: SimTime::ZERO + SimDuration::from_millis(1500),
+                restart_after: Some(SimDuration::from_secs(8)),
+            });
         }
         plan.apply(&mut world.sim);
         let s = world.run();

@@ -20,7 +20,7 @@ mod common;
 
 use softstage_suite::experiments::overload::{pinched_vnf, storm_client, storm_params};
 use softstage_suite::experiments::{build_with_vnf, ExperimentParams, RunResult, Testbed, MB};
-use softstage_suite::simnet::fault::FaultPlan;
+use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{BreakerState, SimDuration, SimTime};
 use softstage_suite::softstage::{Breaker, BreakerConfig, VnfConfig};
 
@@ -361,12 +361,12 @@ fn slow_edge_trips_breaker_and_download_survives() {
         tb.sim.enable_trace(TRACE_CAPACITY);
         let mut plan = FaultPlan::new();
         for &edge in &tb.edges.clone() {
-            plan.slow_edge(
-                edge,
-                SimTime::ZERO + SimDuration::from_millis(500),
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(30),
-            );
+            plan.push(Fault::SlowEdge {
+                node: edge,
+                at: SimTime::ZERO + SimDuration::from_millis(500),
+                lasting: SimDuration::from_secs(10),
+                delay: SimDuration::from_secs(30),
+            });
         }
         plan.apply(&mut tb.sim);
         let result = tb.run(deadline());
