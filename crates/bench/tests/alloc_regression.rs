@@ -3,12 +3,12 @@
 //! The simulator's pooling claim is that a steady-state link
 //! transmit/deliver cycle performs **zero** heap operations per event:
 //! wheel buckets recycle through a [`simnet::BufPool`] free list, the
-//! wheel's payload slab reuses freed cells, and the action scratch vector
-//! is handed from one dispatch to the next. The
+//! simulator's payload slab reuses freed cells, and the action scratch
+//! vector is handed from one dispatch to the next. The
 //! claim covers the per-event paths the bare ping-pong does not drive
 //! too — the flight recorder with its streaming audit, and timer filing —
-//! and the host stack's receive path above the simulator (two `EndHost`s
-//! moving a chunk).
+//! and two host stacks above the simulator: the receive path (two
+//! `EndHost`s moving a chunk) and an edge beaconing on its radio links.
 //! These tests install the counting global allocator from
 //! [`softstage_bench::alloc_counter`] and assert that claim exactly, so
 //! any future change that sneaks an allocation back into the inner loop
@@ -20,6 +20,7 @@ use simnet::{
 };
 use softstage_apps::{build_origin, SeqFetcher};
 use softstage_bench::alloc_counter::{snapshot, CountingAlloc};
+use vehicular::BeaconApp;
 use xia_addr::{Principal, Xid};
 use xia_host::{EndHost, Host, HostConfig};
 use xia_wire::{XiaPacket, MSS};
@@ -205,10 +206,10 @@ fn wheel_buckets_recycle_instead_of_allocating() {
 /// view of the origin's stored chunk, so the bytes allocated from
 /// connecting to the end of the run are budgeted at a quarter of the
 /// chunk's size, which any copy of the body would overrun alone.
-/// Measured: 0.7 MB, the re-grown wheel buckets (24-byte keys, up to 2048
-/// a bucket) and the wheel's payload slab growing to the stale timers'
-/// high-water mark. Filing whole 168-byte events in the buckets made it
-/// 2.6 MB; a body buffer that grows by doubling, 14 MB.
+/// Measured: 0.47 MB, mostly the re-grown wheel buckets (24-byte entries,
+/// up to 2048 a bucket; stale timers are filed whole, not in the payload
+/// slab). Filing whole 168-byte events in the buckets made it 2.6 MB; a
+/// body buffer that grows by doubling, 14 MB.
 #[test]
 fn steady_state_chunk_receive_path_allocates_nothing_per_segment() {
     const CHUNK: usize = 4 << 20;
@@ -270,4 +271,57 @@ fn steady_state_chunk_receive_path_allocates_nothing_per_segment() {
         .and_then(|n| n.host().app::<SeqFetcher>(0))
         .is_some_and(|f| f.is_done() && f.bytes == CHUNK as u64);
     assert!(done, "the chunk must arrive whole");
+}
+
+/// Drops every packet it hears: the far end of a beacon's radio link.
+struct Deaf;
+impl Node<XiaPacket> for Deaf {
+    fn on_packet(&mut self, _ctx: &mut Context<'_, XiaPacket>, _link: LinkId, _msg: XiaPacket) {}
+}
+
+/// An edge advertising itself: an `EndHost` running a [`BeaconApp`] on 4
+/// radio links. Every beacon names the edge twice (source and
+/// destination); building that address per packet cost 8 heap operations
+/// per event, so the address is built once and cloned. Budgeted at one
+/// heap operation per thousand events.
+#[test]
+fn steady_state_beaconing_allocates_nothing_per_packet() {
+    const EVENTS: u64 = 10_000;
+    let mut host = Host::new(HostConfig::new(Xid::new_random(Principal::Hid, 1)));
+    let beacon = host.add_app(Box::new(BeaconApp::new(
+        Xid::new_random(Principal::Nid, 1),
+        Xid::new_random(Principal::Hid, 1),
+        SimDuration::from_micros(200),
+    )));
+    let mut sim: Simulator<XiaPacket> = Simulator::new(7);
+    let edge = sim.add_node(Box::new(EndHost::new(host)));
+    let links: Vec<LinkId> = (0..4)
+        .map(|_| {
+            let car = sim.add_node(Box::new(Deaf));
+            sim.add_link(
+                edge,
+                car,
+                LinkConfig::wired(100_000_000, SimDuration::from_micros(50)),
+            )
+        })
+        .collect();
+    sim.node_mut::<EndHost>(edge)
+        .and_then(|n| n.host_mut().app_mut::<BeaconApp>(beacon))
+        .expect("beacon app")
+        .radio_links = links;
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= EVENTS);
+    let before = snapshot();
+    sim.run_while(SimTime::MAX, |s| s.stats().events >= 2 * EVENTS);
+    let delta = snapshot().since(before);
+    assert!(
+        sim.stats().packets >= EVENTS * 3 / 2,
+        "the beacons must reach the cars"
+    );
+    assert!(
+        delta.heap_ops() * 1_000 <= EVENTS,
+        "beaconing for {EVENTS} events touched the heap {} times ({} allocs, {} reallocs)",
+        delta.heap_ops(),
+        delta.allocs,
+        delta.reallocs,
+    );
 }

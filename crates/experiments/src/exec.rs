@@ -22,7 +22,10 @@
 //! Threads are confined to [`util::sync::parallel_map`], whose workers
 //! share nothing but a ticket cursor (DESIGN.md §8): simulation crates
 //! stay single-threaded (`clippy::disallowed_methods` rejects
-//! `std::thread` in library code), and a panicking cell — figure drivers assert on
+//! `std::thread` in library code), a cell builds and runs its world inside
+//! its job and returns numbers only (a world's `Dag`s and `Bytes` are
+//! `Rc`, so the compiler keeps them on the thread that made them), and a
+//! panicking cell — figure drivers assert on
 //! invalid runs — reaches the caller with its own message and aborts
 //! the reproduction, exactly like the serial loop.
 

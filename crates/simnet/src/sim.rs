@@ -22,7 +22,22 @@ fn wire32(wire: usize) -> u32 {
     u32::try_from(wire).unwrap_or(u32::MAX)
 }
 
-/// What happens when a scheduled event fires.
+/// What the wheel files for an event. A timer is small enough to file
+/// whole; anything else waits in [`Simulator::slab`] and is filed as the
+/// index of its cell, so the wheel's entries stay 24 bytes and the
+/// packet-sized cells hold no timers (most pending events are timers).
+#[derive(Clone, Copy, Debug)]
+enum Ev {
+    /// Node `node`'s timer `key` expires (`add_node` mints no index past
+    /// `u32::MAX`).
+    Timer { node: u32, key: TimerKey },
+    /// The event whose payload is in this slab cell.
+    Slot(u32),
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+/// What happens when an event filed as an [`Ev::Slot`] fires.
 #[derive(Debug)]
 enum EventKind<M> {
     /// A packet arrives at node `node` via link `link` (their indices:
@@ -35,8 +50,6 @@ enum EventKind<M> {
         epoch: u32,
         msg: M,
     },
-    /// A node timer expires.
-    Timer { node: NodeId, key: TimerKey },
     /// An externally scripted link state change.
     LinkState { link: LinkId, up: bool },
     /// A scheduled link-quality override (burst loss / corruption window);
@@ -55,7 +68,14 @@ enum EventKind<M> {
 /// See the [crate documentation](crate) for an end-to-end example.
 pub struct Simulator<M: Message> {
     time: SimTime,
-    queue: WheelQueue<EventKind<M>>,
+    queue: WheelQueue<Ev>,
+    /// Payloads of pending non-timer events; `Some` exactly at the cells
+    /// that a filed [`Ev::Slot`] names. It grows to the most such events
+    /// ever pending at once, and a freed cell is the next one reused,
+    /// while it is still in cache.
+    slab: Vec<Option<EventKind<M>>>,
+    /// Empty `slab` cells, last freed on top.
+    vacant: Vec<u32>,
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     links: Vec<Link>,
     rng: Rng,
@@ -72,17 +92,18 @@ pub struct Simulator<M: Message> {
 }
 
 impl<M: Message> Simulator<M> {
-    /// Bytes the wheel hands back per event: its time and what fires.
-    /// Every event is moved at least twice, and a move of up to 128 bytes
-    /// is inlined rather than a `memcpy` call, so message types assert
-    /// this against 128.
-    pub const EVENT_BYTES: usize = std::mem::size_of::<Option<(SimTime, EventKind<M>)>>();
+    /// Bytes taken out of the slab per packet, link or fault event. A
+    /// move of up to 128 bytes is inlined rather than a `memcpy` call, so
+    /// message types assert this against 128.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<Option<EventKind<M>>>();
 
     /// Creates a simulator whose randomness derives entirely from `seed`.
     pub fn new(seed: u64) -> Self {
         Simulator {
             time: SimTime::ZERO,
             queue: WheelQueue::new(),
+            slab: Vec::new(),
+            vacant: Vec::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             rng: Rng::seed_from_u64(seed),
@@ -226,8 +247,26 @@ impl<M: Message> Simulator<M> {
         self.push(at, EventKind::NodeFault { node, fault });
     }
 
+    /// Files `kind` at `at` behind everything already filed for that
+    /// time, timers included: both go through the one wheel, so dispatch
+    /// order is `(at, push order)` whichever store holds the payload.
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        self.queue.push(at, kind);
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            assert!(
+                self.slab.len() < u32::MAX as usize,
+                "too many pending events"
+            );
+            self.slab.push(None);
+            (self.slab.len() - 1) as u32
+        });
+        // Writing only into a cell seen empty spares the copy of `kind`
+        // that dropping a cell's old value first would cost.
+        let cell = self.slab.get_mut(slot as usize);
+        debug_assert!(matches!(cell, Some(None)), "slab cell {slot} is not vacant");
+        if let Some(cell @ None) = cell {
+            *cell = Some(kind);
+        }
+        self.queue.push(at, Ev::Slot(slot));
     }
 
     /// Delivers `on_start` to every node (once).
@@ -279,8 +318,9 @@ impl<M: Message> Simulator<M> {
         match action {
             Action::Send { link, msg } => self.transmit(from, link, msg),
             Action::Timer { delay, key } => {
-                let at = self.time + delay;
-                self.push(at, EventKind::Timer { node: from, key });
+                // `from` indexed `nodes`, whose count stops at `u32::MAX + 1`.
+                let node = from.0 as u32;
+                self.queue.push(self.time + delay, Ev::Timer { node, key });
             }
         }
     }
@@ -424,7 +464,7 @@ impl<M: Message> Simulator<M> {
     /// heap operations per event, traced or not.
     pub(crate) fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((at, kind)) = self.queue.pop() else {
+        let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.time, "time must be monotonic");
@@ -435,6 +475,20 @@ impl<M: Message> Simulator<M> {
             "event limit exceeded at {} (possible protocol livelock)",
             self.time
         );
+        let slot = match ev {
+            Ev::Timer { node, key } => {
+                self.stats.timers += 1;
+                self.with_node(NodeId(node as usize), |n, ctx| n.on_timer(ctx, key));
+                return true;
+            }
+            Ev::Slot(slot) => slot,
+        };
+        let kind = self.slab.get_mut(slot as usize).and_then(Option::take);
+        // A filed slot always has its payload; were one missing, skip the
+        // event rather than free its cell a second time.
+        debug_assert!(kind.is_some(), "filed slot {slot} without a payload");
+        let Some(kind) = kind else { return true };
+        self.vacant.push(slot);
         match kind {
             EventKind::Arrival {
                 node,
@@ -479,10 +533,6 @@ impl<M: Message> Simulator<M> {
                     TraceEvent::PacketDeliver { link, bytes },
                 );
                 self.with_node(node, |n, ctx| n.on_packet(ctx, link, msg));
-            }
-            EventKind::Timer { node, key } => {
-                self.stats.timers += 1;
-                self.with_node(node, |n, ctx| n.on_timer(ctx, key));
             }
             EventKind::LinkState { link, up } => self.apply_link_state(link, up),
             EventKind::LinkQuality {
@@ -842,6 +892,84 @@ mod tests {
         let n = sim.add_node(Box::new(T { fired: vec![] }));
         sim.run();
         assert_eq!(sim.node::<T>(n).unwrap().fired, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn timers_and_slab_events_due_together_dispatch_in_push_order() {
+        // Timers are filed whole and every other event through the slab;
+        // at one µs, dispatch must follow push order across both stores.
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<String>>>;
+        const T: SimTime = SimTime::from_micros(10_000);
+        const KICK: TimerKey = 9;
+        struct Hub {
+            links: Vec<LinkId>,
+            log: Log,
+        }
+        impl Node<Num> for Hub {
+            fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
+                ctx.set_timer(T - SimTime::ZERO, 0);
+                // 1 ms serialization + 9 ms propagation: due at T.
+                ctx.send(self.links[0], Num(1));
+                ctx.set_timer(SimDuration::from_micros(1), KICK);
+            }
+            fn on_packet(&mut self, _: &mut Context<'_, Num>, _: LinkId, _: Num) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, Num>, key: TimerKey) {
+                if key == KICK {
+                    ctx.set_timer(T - ctx.now(), 3);
+                    // Sent 1 µs later on a link 1 µs shorter: due at T.
+                    ctx.send(self.links[1], Num(2));
+                } else {
+                    self.log.borrow_mut().push(format!("timer {key}"));
+                }
+            }
+            fn on_link_event(&mut self, _: &mut Context<'_, Num>, _: LinkId, up: bool) {
+                self.log.borrow_mut().push(format!("hub sees up={up}"));
+            }
+        }
+        struct Far {
+            log: Log,
+        }
+        impl Node<Num> for Far {
+            fn on_packet(&mut self, ctx: &mut Context<'_, Num>, _: LinkId, msg: Num) {
+                assert_eq!(ctx.now(), T);
+                self.log.borrow_mut().push(format!("packet {}", msg.0));
+            }
+            fn on_link_event(&mut self, _: &mut Context<'_, Num>, _: LinkId, up: bool) {
+                self.log.borrow_mut().push(format!("far sees up={up}"));
+            }
+        }
+        let log = Log::default();
+        let mut sim: Simulator<Num> = Simulator::new(0);
+        let hub = sim.add_node(Box::new(Hub {
+            links: vec![],
+            log: log.clone(),
+        }));
+        let far = sim.add_node(Box::new(Far { log: log.clone() }));
+        let links: Vec<LinkId> = [9_000, 8_999, 0]
+            .map(|us| {
+                let latency = SimDuration::from_micros(us);
+                sim.add_link(hub, far, LinkConfig::wired(8_000_000, latency))
+            })
+            .to_vec();
+        sim.node_mut::<Hub>(hub).unwrap().links = links.clone();
+        // Starts the nodes: timer 0, packet 1 and the kick are filed.
+        sim.run_until(SimTime::ZERO);
+        sim.schedule_link_state(T, links[2], false);
+        // At 1 µs the kick files timer 3, then packet 2.
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            [
+                "timer 0",
+                "packet 1",
+                "hub sees up=false",
+                "far sees up=false",
+                "timer 3",
+                "packet 2"
+            ]
+        );
+        assert_eq!(sim.now(), T);
+        assert_eq!((sim.stats().timers, sim.stats().packets), (3, 2));
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! O(1); pop is amortized O(1) with occasional cascades. Slot buckets are
 //! recycled through a [`BufPool`], so the steady state allocates nothing.
 //!
-//! Buckets hold 16-byte keys, `(at, slot)`, not events: an event's
-//! payload is written once into the wheel's slab at `push` and taken once
-//! at `pop`, so filing, cascades and batch reversal move keys only. The
-//! slab grows to the most events ever pending at once, and a freed cell
-//! is the next one reused, while it is still in cache.
+//! Buckets hold whole entries, `(at, item)`: a cascade or a batch
+//! reversal moves each entry, so `T` should be small. The simulator files
+//! a timer inline and every other event as the index of its payload in
+//! its own slab (`sim.rs`), so an entry is 24 bytes either way.
 //!
 //! The ordering contract is pinned by the differential suite
 //! (`crates/simnet/tests/sched_diff.rs`), which drives the wheel against
@@ -40,8 +39,8 @@
 //! order. Equal-timestamp events always converge to the same level-0
 //! bucket in push order — across cascades too, because a cascade
 //! completes before any later push can observe the new cursor. Hence pop
-//! order is exactly `(at, push order)`; which slab cell holds a payload
-//! never enters it, and no sequence number is needed to keep it.
+//! order is exactly `(at, push order)`, whatever an item holds, and no
+//! sequence number is needed to keep it.
 
 use crate::pool::BufPool;
 use crate::time::SimTime;
@@ -53,15 +52,12 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so that `LEVELS * LEVEL_BITS >= 64` covers any `u64`.
 const LEVELS: usize = 11;
 
-/// What a bucket holds: the event's time and where its payload is. Its
-/// place in the bucket is its place among events at the same time.
-struct Entry {
+/// What a bucket holds: the event's time and the event. Its place in the
+/// bucket is its place among events at the same time.
+struct Entry<T> {
     at: u64,
-    /// Index of the event's payload in [`WheelQueue::slab`].
-    slot: u32,
+    item: T,
 }
-
-const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
 /// Hierarchical timer wheel; see the [module docs](self) for geometry
 /// and the determinism argument.
@@ -78,17 +74,12 @@ pub struct WheelQueue<T> {
     /// entries. `trailing_zeros` finds the earliest occupied slot.
     occupied: [u64; LEVELS],
     /// `LEVELS * SLOTS` buckets, level-major.
-    slots: Vec<Vec<Entry>>,
+    slots: Vec<Vec<Entry<T>>>,
     /// The level-0 bucket currently being drained, reversed so `pop()`
     /// from the back yields insertion order. All entries share one `at`.
-    current: Vec<Entry>,
+    current: Vec<Entry<T>>,
     /// Recycles drained bucket storage back under fresh pushes.
-    pool: BufPool<Entry>,
-    /// Payloads of pending events; `Some` exactly at the cells that a
-    /// filed [`Entry::slot`] names.
-    slab: Vec<Option<T>>,
-    /// Empty `slab` cells, last freed on top.
-    vacant: Vec<u32>,
+    pool: BufPool<Entry<T>>,
 }
 
 impl<T> WheelQueue<T> {
@@ -102,8 +93,6 @@ impl<T> WheelQueue<T> {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             current: Vec::new(),
             pool: BufPool::new(),
-            slab: Vec::new(),
-            vacant: Vec::new(),
         }
     }
 
@@ -131,7 +120,7 @@ impl<T> WheelQueue<T> {
         clippy::indexing_slicing,
         reason = "level < LEVELS (a u64 time has LEVELS six-bit digits) and slot < SLOTS, so level * SLOTS + slot < slots.len(); the hot path keeps plain indexing"
     )]
-    fn file(&mut self, entry: Entry) {
+    fn file(&mut self, entry: Entry<T>) {
         let level = Self::level_for(self.elapsed, entry.at);
         let slot = (entry.at >> (LEVEL_BITS as usize * level)) as usize & (SLOTS - 1);
         let idx = level * SLOTS + slot;
@@ -167,28 +156,12 @@ impl<T> WheelQueue<T> {
         // Clamp for totality: a past timestamp files as "due now", in push
         // order with whatever else is due.
         let at = at.max(self.elapsed);
-        let slot = self.vacant.pop().unwrap_or_else(|| {
-            assert!(
-                self.slab.len() < u32::MAX as usize,
-                "too many pending events"
-            );
-            self.slab.push(None);
-            (self.slab.len() - 1) as u32
-        });
-        // Writing only into a cell seen empty spares the copy of `item`
-        // that dropping a cell's old value first would cost.
-        let cell = self.slab.get_mut(slot as usize);
-        debug_assert!(matches!(cell, Some(None)), "slab cell {slot} is not vacant");
-        if let Some(cell @ None) = cell {
-            *cell = Some(item);
-        }
-        self.file(Entry { at, slot });
+        self.file(Entry { at, item });
         self.len += 1;
     }
 
     /// Removes and returns the earliest event: the lowest `at`, and of
-    /// those the first pushed. The pair is what the simulator moves per
-    /// event, so it stays within the 128 bytes a move is inlined at.
+    /// those the first pushed.
     #[inline]
     #[expect(
         clippy::indexing_slicing,
@@ -202,16 +175,7 @@ impl<T> WheelQueue<T> {
                     let spent = std::mem::take(&mut self.current);
                     self.pool.put(spent);
                 }
-                let item = self
-                    .slab
-                    .get_mut(entry.slot as usize)
-                    .and_then(Option::take);
-                // A filed entry always has its payload; were one missing,
-                // skip the entry rather than free its cell a second time.
-                debug_assert!(item.is_some(), "filed entry without a payload");
-                let Some(item) = item else { continue };
-                self.vacant.push(entry.slot);
-                return Some((SimTime::from_micros(entry.at), item));
+                return Some((SimTime::from_micros(entry.at), entry.item));
             }
             let (level, slot) = self.earliest_bucket()?;
             let idx = level * SLOTS + slot;

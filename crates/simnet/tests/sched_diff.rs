@@ -4,7 +4,9 @@
 //! pushes, so the reference is that sentence written literally: a
 //! `BTreeMap` keyed by `(at, seq)` with `insert` / `pop_first` /
 //! `first_key_value`. The wheel keeps push order without numbering it, so
-//! each payload carries its `seq` beside the item. Every test drives the
+//! each payload, filed whole in its bucket, carries its `seq` beside the
+//! item. (The simulator's split of timers from slab-held events is
+//! checked in `sim.rs`.) Every test drives the
 //! [`WheelQueue`] and the map with the *same* operation sequence and
 //! asserts they agree — on each pop, on each non-mutating peek, and on
 //! the final drain. Seeded generators (`util::check` + `util::seed`)

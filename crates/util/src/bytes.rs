@@ -8,10 +8,11 @@
 //! are hashed once. [`BytesMut`] is a growable builder with big-endian
 //! integer appends that freezes into a [`Bytes`].
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::rc::Rc;
 
 /// An immutable, cheaply cloneable slice view of shared bytes.
 ///
@@ -27,13 +28,17 @@ use std::sync::{Arc, Mutex, PoisonError};
 #[derive(Clone, Default)]
 pub struct Bytes {
     // The allocation holds a Vec<u8> rather than a [u8] so
-    // `From<Vec<u8>>` is a move: converting a Vec into Arc<[u8]> would
+    // `From<Vec<u8>>` is a move: converting a Vec into Rc<[u8]> would
     // re-copy the payload to place it inline with the refcount header,
     // and chunk construction on the transmit path does this for every
     // multi-kilobyte buffer. `None` is
     // the empty buffer: every pure ACK carries one, so `Bytes::new()` must
     // not touch the heap.
-    data: Option<Arc<Shared>>,
+    //
+    // The count is an `Rc`'s: views never cross a thread (a world is
+    // built and run inside one job), so a clone or drop is a plain
+    // increment, not an atomic one.
+    data: Option<Rc<Shared>>,
     // `u32` offsets keep a view at 16 bytes, so a segment carrying one
     // fits the simulator's 128-byte event; `From<Vec<u8>>` refuses an
     // allocation the offsets cannot address.
@@ -48,7 +53,7 @@ const _: () = assert!(std::mem::size_of::<Bytes>() == 16);
 /// the allocation lives, and the memo dies with it.
 struct Shared {
     bytes: Vec<u8>,
-    digests: Mutex<BTreeMap<(u32, u32), [u8; 20]>>,
+    digests: RefCell<BTreeMap<(u32, u32), [u8; 20]>>,
 }
 
 impl Bytes {
@@ -128,7 +133,7 @@ impl Bytes {
             return Some(self.clone());
         }
         match (&self.data, &next.data) {
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) && self.end == next.start => Some(Bytes {
+            (Some(a), Some(b)) if Rc::ptr_eq(a, b) && self.end == next.start => Some(Bytes {
                 data: self.data.clone(),
                 start: self.start,
                 end: next.end,
@@ -160,14 +165,13 @@ impl Bytes {
             return compute(&[]);
         };
         let key = (self.start, self.end);
-        // `compute` runs unlocked, so no panic interrupts an update and a
-        // poisoned memo is still a valid one.
-        let memo = || data.digests.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(digest) = memo().get(&key) {
+        // `compute` runs outside the borrow, so it may itself read any
+        // view's memo.
+        if let Some(digest) = data.digests.borrow().get(&key) {
             return *digest;
         }
         let digest = compute(self);
-        memo().insert(key, digest);
+        data.digests.borrow_mut().insert(key, digest);
         digest
     }
 
@@ -217,10 +221,10 @@ impl From<Vec<u8>> for Bytes {
         };
         let shared = Shared {
             bytes: v,
-            digests: Mutex::default(),
+            digests: RefCell::default(),
         };
         Bytes {
-            data: Some(Arc::new(shared)),
+            data: Some(Rc::new(shared)),
             start: 0,
             end,
         }
@@ -332,7 +336,7 @@ mod tests {
         assert_eq!(tail.len(), 5);
         assert_eq!(tail[0], 15);
         // The clone is a pointer bump, not a copy.
-        assert_eq!(b.data.as_ref().map(Arc::strong_count), Some(3));
+        assert_eq!(b.data.as_ref().map(Rc::strong_count), Some(3));
     }
 
     #[test]
@@ -367,7 +371,7 @@ mod tests {
         let joined = left.join(&right).expect("adjacent views join");
         assert_eq!(joined, [&left[..], &right[..]].concat());
         assert_eq!(joined.as_ptr(), left.as_ptr(), "a view, not a copy");
-        assert_eq!(b.data.as_ref().map(Arc::strong_count), Some(4));
+        assert_eq!(b.data.as_ref().map(Rc::strong_count), Some(4));
         assert_eq!(joined.join(&b.slice(90..)), Some(b.slice(10..)));
     }
 

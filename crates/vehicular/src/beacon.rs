@@ -19,6 +19,9 @@ use crate::schedule::CoverageSchedule;
 pub struct BeaconApp {
     nid: Xid,
     hid: Xid,
+    /// `nid:hid`, built once: every beacon carries it as both source and
+    /// destination, and cloning it allocates nothing.
+    addr: Dag,
     /// Radio links to advertise on (set after links are created).
     pub radio_links: Vec<LinkId>,
     /// Advertised staging VNF address, if this network deploys one.
@@ -38,6 +41,7 @@ impl BeaconApp {
         BeaconApp {
             nid,
             hid,
+            addr: Dag::host(nid, hid),
             radio_links: Vec::new(),
             staging_vnf: None,
             interval,
@@ -70,11 +74,7 @@ impl App for BeaconApp {
             };
             // Beacons are link-local broadcasts: destination is the
             // advertising network itself; receivers never route them.
-            let pkt = XiaPacket::new(
-                Dag::host(self.nid, self.hid),
-                Dag::host(self.nid, self.hid),
-                L4::Beacon(beacon),
-            );
+            let pkt = XiaPacket::new(self.addr.clone(), self.addr.clone(), L4::Beacon(beacon));
             ctx.send_on_link(link, pkt);
             self.sent += 1;
         }

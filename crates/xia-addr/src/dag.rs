@@ -13,7 +13,7 @@
 //! work.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use util::json::{FromJson, Json, JsonError, ToJson};
 
@@ -75,14 +75,16 @@ impl std::error::Error for DagError {}
 /// assert_eq!(dag.to_string(), format!("{} | {} : {}", cid, nid, hid));
 /// ```
 /// A DAG is immutable once assembled, so the representation lives behind
-/// an [`Arc`]: cloning an address — which happens for every packet's
-/// `(dst, src)` pair on the simulator hot path — is a reference-count
-/// bump instead of three `Vec` deep-copies. Equality and hashing remain
+/// an [`Rc`]: cloning an address — which happens for every packet's
+/// `(dst, src)` pair on the simulator hot path — is a plain (not atomic)
+/// reference-count bump instead of three `Vec` deep-copies. A world
+/// never crosses a thread (each experiment job builds and runs its own),
+/// and the compiler holds every address to that. Equality and hashing remain
 /// structural (with a pointer-identity fast path), so two independently
 /// built equal addresses still compare and hash equal.
 #[derive(Clone)]
 pub struct Dag {
-    repr: Arc<DagRepr>,
+    repr: Rc<DagRepr>,
 }
 
 struct DagRepr {
@@ -95,7 +97,7 @@ struct DagRepr {
 
 impl PartialEq for Dag {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.repr, &other.repr)
+        Rc::ptr_eq(&self.repr, &other.repr)
             || (self.repr.nodes == other.repr.nodes && self.repr.entry == other.repr.entry)
     }
 }
@@ -116,7 +118,7 @@ impl Dag {
     /// Wraps validated parts in the shared representation.
     fn assemble(nodes: Vec<DagNode>, entry: Vec<usize>, intent: usize) -> Self {
         Dag {
-            repr: Arc::new(DagRepr {
+            repr: Rc::new(DagRepr {
                 nodes,
                 entry,
                 intent,

@@ -65,7 +65,7 @@ struct HostMeta {
     hid: Xid,
     nid: Option<Xid>,
     /// The locator address for `nid`, rebuilt only when `nid` changes so
-    /// the per-packet paths clone an `Arc` instead of assembling a DAG.
+    /// the per-packet paths clone an `Rc` instead of assembling a DAG.
     local: Dag,
     primary_link: Option<LinkId>,
     services: Vec<Xid>,

@@ -15,6 +15,12 @@
 # books every call to the symbol holding its return address, the real call
 # site: the "libc calls by caller" table, in millions of calls, with memcpy
 # split by size (<= 32, <= 128, > 128 bytes).
+# A third pass preloads a shim that wraps malloc and realloc, samples one
+# call in 8, walks its frame pointers and books it to the first program
+# frame outside alloc, core and std: the "heap calls by caller" table, in
+# thousands of calls (sampled counts times 8). A heap call's return
+# address is always inside alloc's raw_vec or box code, so only the walk
+# finds who asked for the memory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/profile.sh <workload> [seed]}"
@@ -121,10 +127,80 @@ __attribute__((destructor)) static void stop(void) {
   fclose(o);
 }
 EOF
+cc -shared -fPIC -O2 -fno-omit-frame-pointer -o "$dir/heap.so" -x c - <<'EOF'
+#define _GNU_SOURCE
+#include <link.h>
+#include <stdio.h>
+#include <stdlib.h>
+#define DEPTH 24
+#define CAP (1 << 14)
+#define EVERY 8
+extern void *__libc_stack_end;
+extern void *__libc_malloc(size_t);
+extern void *__libc_realloc(void *, size_t);
+/* One row per distinct (kind, stack); kind 0 is malloc, 1 is realloc. */
+static struct { unsigned long n, kind, pc[DEPTH]; } table[CAP];
+static unsigned long calls, lost;
+static char busy;
+static void book(unsigned long kind) {
+  if (__atomic_fetch_add(&calls, 1, __ATOMIC_RELAXED) % EVERY) return;
+  unsigned long pc[DEPTH] = {0}, h = kind, top = (unsigned long)__libc_stack_end;
+  unsigned long fp = (unsigned long)__builtin_frame_address(0), sp = (unsigned long)pc;
+  /* Follow saved frame pointers while they stay inside the main stack. */
+  for (int d = 0; d < DEPTH && fp >= sp && fp + 16 <= top && !(fp & 7); d++) {
+    unsigned long *f = (unsigned long *)fp;
+    if (!f[1]) break;
+    pc[d] = f[1] - 1; /* inside the call instruction, not after it */
+    h = (h ^ pc[d]) * 0x100000001B3ul;
+    if (f[0] <= fp) break;
+    fp = f[0];
+  }
+  while (__atomic_test_and_set(&busy, __ATOMIC_ACQUIRE)) {}
+  unsigned long i = h & (CAP - 1), probes = 0;
+  for (; probes < CAP; i = (i + 1) & (CAP - 1), probes++) {
+    int same = table[i].n && table[i].kind == kind;
+    for (int d = 0; same && d < DEPTH; d++) same = table[i].pc[d] == pc[d];
+    if (same || !table[i].n) break;
+  }
+  if (probes == CAP) {
+    lost++;
+  } else {
+    if (!table[i].n)
+      for (int d = 0; d < DEPTH; d++) table[i].pc[d] = pc[d];
+    table[i].kind = kind;
+    table[i].n++;
+  }
+  __atomic_clear(&busy, __ATOMIC_RELEASE);
+}
+/* The walk allocates nothing, so the real functions never re-enter it. */
+void *malloc(size_t n) {
+  book(0);
+  return __libc_malloc(n);
+}
+void *realloc(void *p, size_t n) {
+  book(1);
+  return __libc_realloc(p, n);
+}
+__attribute__((destructor)) static void stop(void) {
+  FILE *o = fopen(getenv("HEAP_OUT"), "w");
+  if (!o) return;
+  for (struct link_map *l = _r_debug.r_map; l; l = l->l_next)
+    fprintf(o, "map %lx %s\n", (unsigned long)l->l_addr, l->l_name);
+  fprintf(o, "calls %lu every %d lost %lu\n", calls, EVERY, lost);
+  for (unsigned i = 0; i < CAP; i++) {
+    if (!table[i].n) continue;
+    fprintf(o, "%lu %lu", table[i].kind, table[i].n);
+    for (int d = 0; d < DEPTH && table[i].pc[d]; d++) fprintf(o, " %lx", table[i].pc[d]);
+    fputc('\n', o);
+  }
+  fclose(o);
+}
+EOF
 pass=("$dir/release/ssbench" pass --workload "$workload" --seed "${2:-42}")
 PROFILE_OUT="$dir/samples.txt" LD_PRELOAD="$PWD/$dir/sampler.so" "${pass[@]}" >/dev/null
 CALLS_OUT="$dir/calls.txt" LD_PRELOAD="$PWD/$dir/calls.so" "${pass[@]}" >/dev/null
-python3 - "$dir/samples.txt" "$dir/calls.txt" "$dir/release/ssbench" <<'EOF'
+HEAP_OUT="$dir/heap.txt" LD_PRELOAD="$PWD/$dir/heap.so" "${pass[@]}" >/dev/null
+python3 - "$dir/samples.txt" "$dir/calls.txt" "$dir/release/ssbench" "$dir/heap.txt" <<'EOF'
 import bisect, collections, os, re, subprocess, sys
 syms = []
 for row in subprocess.run(["nm", "-C", "--defined-only", sys.argv[3]], capture_output=True, text=True).stdout.splitlines():
@@ -191,4 +267,20 @@ print("\n  libc calls by caller, millions (a separate, unsampled pass)")
 print("  memcpy<=32  <=128   >128  memcmp   symbol")
 for sym, c in [("total", sums)] + calls[:15]:
     print("  " + " ".join(f"{n / 1e6:{w}.2f}" for n, w in zip(c, (10, 6, 6, 7))) + f"   {sym}")
+name, rows = load(sys.argv[4])
+_, total_calls, _, every, _, lost = next(r for r in rows if r[0] == "calls")
+every = int(every)
+def asker(sym):
+    """Whether `sym` is program code rather than libc, the shim or alloc/core/std."""
+    return not sym.startswith(("[", "__r")) and module(sym).split("::")[0] not in ("alloc", "core", "std")
+heap = collections.defaultdict(lambda: [0, 0])
+for kind, n, *pcs in (r for r in rows if r[0] != "calls"):
+    names = (name(int(pc, 16)) for pc in pcs)
+    heap[next((x for x in names if asker(x)), "[no program frame]")][int(kind)] += int(n) * every
+heap = sorted(heap.items(), key=lambda kv: -sum(kv[1]))
+sums = [sum(c[i] for _, c in heap) for i in range(2)]
+print(f"\n  heap calls by caller, thousands (1 in {every} sampled; {int(total_calls) / 1e6:.2f} M calls, {lost} samples lost)")
+print("    malloc  realloc   symbol")
+for sym, c in [("total", sums)] + heap[:15]:
+    print("  " + " ".join(f"{n / 1e3:{w}.1f}" for n, w in zip(c, (8, 8))) + f"   {sym}")
 EOF
