@@ -21,6 +21,7 @@ use std::fmt;
 
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::DropReason;
 
 /// Identifier of a link in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -128,26 +129,6 @@ pub(crate) struct Direction {
     pub busy_until: SimTime,
 }
 
-/// Outcome of offering one packet to a link direction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum TxOutcome {
-    /// Delivered to the far end at the contained time; `attempts` counts
-    /// transmissions (1 = no retries). A `corrupted` frame arrives with
-    /// flipped bits: the simulator drops it before delivery, standing in
-    /// for a link checksum.
-    Deliver {
-        at: SimTime,
-        attempts: u32,
-        corrupted: bool,
-    },
-    /// Dropped: transmit queue full.
-    DropQueue,
-    /// Dropped: channel loss exhausted ARQ retries (or no ARQ).
-    DropLoss { attempts: u32 },
-    /// Dropped: link is down.
-    DropDown,
-}
-
 /// A point-to-point link between nodes `a` and `b`.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -242,15 +223,18 @@ impl Link {
 
     /// Offers one packet of `wire_bytes` for transmission from `from` at
     /// `now`; `sample` draws uniform `[0,1)` values for loss decisions.
+    /// Returns the packet's fate: when it reaches the far end and the
+    /// transmissions that took (1 = no retries), or why it was lost and
+    /// the transmissions spent on it (none for a queue or down drop).
     pub(crate) fn transmit(
         &mut self,
         from: NodeId,
         wire_bytes: usize,
         now: SimTime,
         mut sample: impl FnMut() -> f64,
-    ) -> TxOutcome {
+    ) -> Result<(SimTime, u32), (DropReason, u32)> {
         if !self.up {
-            return TxOutcome::DropDown;
+            return Err((DropReason::Down, 0));
         }
         let config = self.config;
         let loss = self.loss;
@@ -268,7 +252,7 @@ impl Link {
         // full packet beyond `queue_bytes`.
         let max_wait = SimDuration::transmission(config.queue_bytes, config.bandwidth_bps);
         if tx_start - now + one_tx > max_wait {
-            return TxOutcome::DropQueue;
+            return Err((DropReason::Queue, 0));
         }
         let max_attempts = if config.arq { 1 + ARQ_MAX_RETRIES } else { 1 };
         let mut attempts = 0;
@@ -285,19 +269,17 @@ impl Link {
             occupancy += ARQ_PER_RETRY * u64::from(attempts - 1);
         }
         dir.busy_until = tx_start + occupancy;
-        if delivered {
-            // Corruption is orthogonal to loss: the frame arrives with bit
-            // flips and is dropped before delivery. ARQ does not help
-            // because the link-layer ACK covers the frame as sent.
-            let corrupted = corrupt > 0.0 && sample() < corrupt;
-            TxOutcome::Deliver {
-                at: dir.busy_until + config.latency,
-                attempts,
-                corrupted,
-            }
-        } else {
-            TxOutcome::DropLoss { attempts }
+        if !delivered {
+            return Err((DropReason::Loss, attempts));
         }
+        // Corruption is orthogonal to loss: the frame arrives with bit
+        // flips and the simulator drops it before delivery, standing in
+        // for a link checksum. ARQ does not help because the link-layer
+        // ACK covers the frame as sent.
+        if corrupt > 0.0 && sample() < corrupt {
+            return Err((DropReason::Corrupt, attempts));
+        }
+        Ok((dir.busy_until + config.latency, attempts))
     }
 
     /// Administratively sets link state; returns true if the state changed.
@@ -329,14 +311,7 @@ mod tests {
         // 1500 B at 12 Mbps = 1 ms serialization + 5 ms propagation.
         let mut l = mk(LinkConfig::wired(12_000_000, SimDuration::from_millis(5)));
         let out = l.transmit(NodeId(0), 1500, SimTime::ZERO, || 0.9);
-        assert_eq!(
-            out,
-            TxOutcome::Deliver {
-                at: SimTime::ZERO + SimDuration::from_millis(6),
-                attempts: 1,
-                corrupted: false,
-            }
-        );
+        assert_eq!(out, Ok((SimTime::ZERO + SimDuration::from_millis(6), 1)));
     }
 
     #[test]
@@ -344,8 +319,7 @@ mod tests {
         let mut l = mk(LinkConfig::wired(12_000_000, SimDuration::ZERO));
         let o1 = l.transmit(NodeId(0), 1500, SimTime::ZERO, || 0.9);
         let o2 = l.transmit(NodeId(0), 1500, SimTime::ZERO, || 0.9);
-        let (TxOutcome::Deliver { at: t1, .. }, TxOutcome::Deliver { at: t2, .. }) = (o1, o2)
-        else {
+        let (Ok((t1, _)), Ok((t2, _))) = (o1, o2) else {
             panic!("expected deliveries");
         };
         assert_eq!(t2 - t1, SimDuration::from_millis(1));
@@ -356,8 +330,7 @@ mod tests {
         let mut l = mk(LinkConfig::wired(12_000_000, SimDuration::ZERO));
         let o1 = l.transmit(NodeId(0), 1500, SimTime::ZERO, || 0.9);
         let o2 = l.transmit(NodeId(1), 1500, SimTime::ZERO, || 0.9);
-        let (TxOutcome::Deliver { at: t1, .. }, TxOutcome::Deliver { at: t2, .. }) = (o1, o2)
-        else {
+        let (Ok((t1, _)), Ok((t2, _))) = (o1, o2) else {
             panic!("expected deliveries");
         };
         assert_eq!(t1, t2);
@@ -368,15 +341,12 @@ mod tests {
         let mut l = mk(LinkConfig::wired(8_000, SimDuration::ZERO).with_queue_bytes(1000));
         // Each 1000 B packet takes 1 s to serialize; queue holds 1 s worth,
         // and the first packet's own serialization fills it exactly.
-        assert!(matches!(
-            l.transmit(NodeId(0), 1000, SimTime::ZERO, || 0.9),
-            TxOutcome::Deliver { .. }
-        ));
+        assert!(l.transmit(NodeId(0), 1000, SimTime::ZERO, || 0.9).is_ok());
         // Second packet's backlog would be 1 s of residual + its own 1 s of
         // serialization > 1 s of queue: dropped.
         assert_eq!(
             l.transmit(NodeId(0), 1000, SimTime::ZERO, || 0.9),
-            TxOutcome::DropQueue
+            Err((DropReason::Queue, 0))
         );
     }
 
@@ -389,21 +359,16 @@ mod tests {
         // third, one full packet beyond capacity.
         let mut l = mk(LinkConfig::wired(8_000, SimDuration::ZERO).with_queue_bytes(2000));
         for _ in 0..2 {
-            assert!(matches!(
-                l.transmit(NodeId(0), 1000, SimTime::ZERO, || 0.9),
-                TxOutcome::Deliver { .. }
-            ));
+            assert!(l.transmit(NodeId(0), 1000, SimTime::ZERO, || 0.9).is_ok());
         }
         assert_eq!(
             l.transmit(NodeId(0), 1000, SimTime::ZERO, || 0.9),
-            TxOutcome::DropQueue
+            Err((DropReason::Queue, 0))
         );
         // Draining restores admission: at t = 1 s one packet's worth has
         // serialized, so one more fits.
-        assert!(matches!(
-            l.transmit(NodeId(0), 1000, SimTime::from_micros(1_000_000), || 0.9),
-            TxOutcome::Deliver { .. }
-        ));
+        let later = SimTime::from_micros(1_000_000);
+        assert!(l.transmit(NodeId(0), 1000, later, || 0.9).is_ok());
     }
 
     #[test]
@@ -411,7 +376,7 @@ mod tests {
         let mut l = mk(LinkConfig::wired(1_000_000, SimDuration::ZERO).with_loss(1.0));
         assert_eq!(
             l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.5),
-            TxOutcome::DropLoss { attempts: 1 }
+            Err((DropReason::Loss, 1))
         );
     }
 
@@ -421,19 +386,18 @@ mod tests {
         // First two attempts lose (sample 0.4 < 0.5), third succeeds.
         let mut samples = [0.4, 0.4, 0.9].into_iter();
         let out = l.transmit(NodeId(0), 1500, SimTime::ZERO, || samples.next().unwrap());
-        let TxOutcome::Deliver { at, attempts, .. } = out else {
-            panic!("expected delivery");
-        };
-        assert_eq!(attempts, 3);
         // 3 serializations of 1 ms + 2 retry overheads of 300 µs.
-        assert_eq!(at, SimTime::ZERO + SimDuration::from_micros(3_600));
+        assert_eq!(
+            out,
+            Ok((SimTime::ZERO + SimDuration::from_micros(3_600), 3))
+        );
     }
 
     #[test]
     fn arq_exhaustion_drops() {
         let mut l = mk(LinkConfig::wireless(12_000_000, SimDuration::ZERO, 1.0));
         let out = l.transmit(NodeId(0), 1500, SimTime::ZERO, || 0.0);
-        assert_eq!(out, TxOutcome::DropLoss { attempts: 8 });
+        assert_eq!(out, Err((DropReason::Loss, 8)));
     }
 
     #[test]
@@ -444,12 +408,11 @@ mod tests {
         assert!(!l.set_up(false), "no-op transition reports false");
         assert_eq!(
             l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.9),
-            TxOutcome::DropDown
+            Err((DropReason::Down, 0))
         );
         assert!(l.set_up(true));
         // Transmitter state was reset by the down transition.
-        let out = l.transmit(NodeId(0), 100, SimTime::from_micros(0), || 0.9);
-        assert!(matches!(out, TxOutcome::Deliver { .. }));
+        assert!(l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.9).is_ok());
         assert_eq!(l.epoch, 1);
     }
 
@@ -459,33 +422,23 @@ mod tests {
         assert_eq!(l.current_loss(), 0.0);
         assert_eq!(l.current_corruption(), 0.0);
 
-        // Full corruption: frames arrive flagged corrupted.
+        // Full corruption: frames arrive with flipped bits and are dropped.
         l.set_quality(None, Some(1.0));
-        let out = l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.9);
-        assert!(matches!(
-            out,
-            TxOutcome::Deliver {
-                corrupted: true,
-                ..
-            }
-        ));
+        assert_eq!(
+            l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.9),
+            Err((DropReason::Corrupt, 1))
+        );
 
         // Burst loss override drops everything.
         l.set_quality(Some(1.0), None);
-        assert!(matches!(
+        assert_eq!(
             l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.5),
-            TxOutcome::DropLoss { .. }
-        ));
+            Err((DropReason::Loss, 1))
+        );
 
         // Restoring returns the link to clean delivery.
         l.set_quality(Some(0.0), Some(0.0));
-        assert!(matches!(
-            l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.5),
-            TxOutcome::Deliver {
-                corrupted: false,
-                ..
-            }
-        ));
+        assert!(l.transmit(NodeId(0), 100, SimTime::ZERO, || 0.5).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The event scheduler and simulation driver.
 
-use crate::link::{Link, LinkConfig, LinkId, TxOutcome};
+use crate::link::{Link, LinkConfig, LinkId};
 use crate::node::{Action, Context, Message, Node, NodeFault, NodeId, TimerKey};
 use crate::rng::Rng;
 use crate::stats::{LinkStats, SimStats};
@@ -325,6 +325,16 @@ impl<M: Message> Simulator<M> {
         }
     }
 
+    /// Writes a packet record: folds it into link `link`'s counters and
+    /// hands it to the flight recorder, if one is attached. The counters
+    /// and the audit so read every packet's fate from the same record.
+    fn record(&mut self, node: NodeId, link: LinkId, event: TraceEvent) {
+        if let Some(stats) = self.stats.links.get_mut(link.0) {
+            stats.count(&event);
+        }
+        emit(&mut self.sink, self.time, node, event);
+    }
+
     #[expect(
         clippy::indexing_slicing,
         reason = "LinkIds are minted by add_link, which grows links and their stats together; a node sending on a foreign id is a wiring bug that must stop the run"
@@ -332,59 +342,26 @@ impl<M: Message> Simulator<M> {
     fn transmit(&mut self, from: NodeId, link_id: LinkId, msg: M) {
         let wire = msg.wire_size();
         let bytes = wire32(wire);
-        let now = self.time;
-        let stats = &mut self.stats.links[link_id.0];
-        stats.offered += 1;
         let link = &mut self.links[link_id.0];
         let to = link.peer_of(from);
         let rng = &mut self.rng;
-        let outcome = link.transmit(from, wire, now, || rng.next_f64());
+        let fate = link.transmit(from, wire, self.time, || rng.next_f64());
         let epoch = link.epoch;
-        emit(
-            &mut self.sink,
-            now,
-            from,
-            TraceEvent::PacketEnqueue {
-                link: link_id,
-                bytes,
-            },
-        );
-        match outcome {
-            TxOutcome::Deliver {
-                at,
-                attempts,
-                corrupted,
-            } => {
-                stats.attempts += u64::from(attempts);
-                if corrupted {
-                    // The frame arrived with flipped bits. Dropping it here,
-                    // before delivery, stands in for a link checksum: from
-                    // the node's perspective the packet never existed.
-                    stats.corrupted += 1;
-                    emit(
-                        &mut self.sink,
-                        now,
-                        from,
-                        TraceEvent::PacketDrop {
-                            link: link_id,
-                            bytes,
-                            reason: DropReason::Corrupt,
-                        },
-                    );
-                    return;
-                }
-                stats.delivered += 1;
-                stats.bytes_delivered += wire as u64;
-                emit(
-                    &mut self.sink,
-                    now,
-                    from,
-                    TraceEvent::PacketTx {
-                        link: link_id,
-                        bytes,
-                        attempts,
-                    },
-                );
+        let (Ok((_, attempts)) | Err((_, attempts))) = fate;
+        self.stats.links[link_id.0].attempts += u64::from(attempts);
+        let enqueue = TraceEvent::PacketEnqueue {
+            link: link_id,
+            bytes,
+        };
+        self.record(from, link_id, enqueue);
+        match fate {
+            Ok((at, _)) => {
+                let tx = TraceEvent::PacketTx {
+                    link: link_id,
+                    bytes,
+                    attempts,
+                };
+                self.record(from, link_id, tx);
                 // Both ids indexed this simulator's tables above, so both
                 // are below its counts, which stop at `u32::MAX + 1`.
                 self.push(
@@ -397,45 +374,15 @@ impl<M: Message> Simulator<M> {
                     },
                 );
             }
-            TxOutcome::DropLoss { attempts } => {
-                stats.attempts += u64::from(attempts);
-                stats.lost += 1;
-                emit(
-                    &mut self.sink,
-                    now,
-                    from,
-                    TraceEvent::PacketDrop {
-                        link: link_id,
-                        bytes,
-                        reason: DropReason::Loss,
-                    },
-                );
-            }
-            TxOutcome::DropQueue => {
-                stats.dropped_queue += 1;
-                emit(
-                    &mut self.sink,
-                    now,
-                    from,
-                    TraceEvent::PacketDrop {
-                        link: link_id,
-                        bytes,
-                        reason: DropReason::Queue,
-                    },
-                );
-            }
-            TxOutcome::DropDown => {
-                stats.dropped_down += 1;
-                emit(
-                    &mut self.sink,
-                    now,
-                    from,
-                    TraceEvent::PacketDrop {
-                        link: link_id,
-                        bytes,
-                        reason: DropReason::Down,
-                    },
-                );
+            // A corrupt frame is dropped here, before delivery: from the
+            // node's perspective it never existed.
+            Err((reason, _)) => {
+                let drop = TraceEvent::PacketDrop {
+                    link: link_id,
+                    bytes,
+                    reason,
+                };
+                self.record(from, link_id, drop);
             }
         }
     }
@@ -510,28 +457,17 @@ impl<M: Message> Simulator<M> {
                     .is_some_and(|l| l.epoch == epoch && l.up);
                 if !alive {
                     // Lost to a down transition while in flight.
-                    if let Some(ls) = self.stats.links.get_mut(link.0) {
-                        ls.dropped_in_flight += 1;
-                    }
-                    emit(
-                        &mut self.sink,
-                        self.time,
-                        node,
-                        TraceEvent::PacketDrop {
-                            link,
-                            bytes,
-                            reason: DropReason::InFlight,
-                        },
-                    );
+                    let reason = DropReason::InFlight;
+                    let drop = TraceEvent::PacketDrop {
+                        link,
+                        bytes,
+                        reason,
+                    };
+                    self.record(node, link, drop);
                     return true;
                 }
                 self.stats.packets += 1;
-                emit(
-                    &mut self.sink,
-                    self.time,
-                    node,
-                    TraceEvent::PacketDeliver { link, bytes },
-                );
+                self.record(node, link, TraceEvent::PacketDeliver { link, bytes });
                 self.with_node(node, |n, ctx| n.on_packet(ctx, link, msg));
             }
             EventKind::LinkState { link, up } => self.apply_link_state(link, up),
@@ -584,18 +520,7 @@ impl<M: Message> Simulator<M> {
     /// Runs until the queue drains or simulated time reaches `deadline`
     /// (events at exactly `deadline` are processed).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.ensure_started();
-        loop {
-            match self.queue.next_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        if self.time < deadline {
-            self.time = deadline;
-        }
+        self.run_while(deadline, |_| false);
     }
 
     /// Runs while `predicate` returns false, up to `deadline`. Returns true
@@ -769,6 +694,84 @@ mod tests {
         let done = sim.run_while(deadline, |s| !s.node::<Echo>(b).unwrap().log.is_empty());
         assert!(done);
         assert_eq!(sim.now(), SimTime::from_micros(11_000));
+    }
+
+    #[test]
+    fn each_fate_feeds_exactly_its_counters() {
+        // One 1000 B packet per link, each link built for one fate: a
+        // delivery, then a queue, down, loss, corruption and in-flight
+        // drop. Every counter of every link is pinned.
+        struct Sender {
+            links: Vec<LinkId>,
+        }
+        impl Node<Num> for Sender {
+            fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
+                for &l in &self.links {
+                    ctx.send(l, Num(0));
+                }
+            }
+            fn on_packet(&mut self, _: &mut Context<'_, Num>, _: LinkId, _: Num) {}
+        }
+        let mut sim: Simulator<Num> = Simulator::new(0);
+        sim.enable_trace(64);
+        let a = sim.add_node(Box::new(Sender { links: vec![] }));
+        let b = sim.add_node(Box::new(Sender { links: vec![] }));
+        let wired = LinkConfig::wired(8_000_000, SimDuration::from_millis(10));
+        let links: Vec<LinkId> = [
+            wired,
+            // Serializing the packet takes longer than the queue holds.
+            LinkConfig::wired(8_000, SimDuration::ZERO).with_queue_bytes(500),
+            wired.starting_down(),
+            // Every ARQ attempt is lost.
+            LinkConfig::wireless(8_000_000, SimDuration::ZERO, 1.0),
+            wired,
+            wired,
+        ]
+        .map(|config| sim.add_link(a, b, config))
+        .to_vec();
+        sim.links[links[4].0].set_quality(None, Some(1.0));
+        // The packet arrives at 11 ms; its link goes down at 5 ms.
+        sim.schedule_link_state(SimTime::from_micros(5_000), links[5], false);
+        sim.node_mut::<Sender>(a).unwrap().links = links.clone();
+        sim.run();
+        let sent = LinkStats {
+            offered: 1,
+            ..LinkStats::default()
+        };
+        let tx = LinkStats {
+            delivered: 1,
+            bytes_delivered: 1000,
+            attempts: 1,
+            ..sent
+        };
+        let expected = [
+            tx,
+            LinkStats {
+                dropped_queue: 1,
+                ..sent
+            },
+            LinkStats {
+                dropped_down: 1,
+                ..sent
+            },
+            LinkStats {
+                lost: 1,
+                attempts: 8,
+                ..sent
+            },
+            LinkStats {
+                corrupted: 1,
+                attempts: 1,
+                ..sent
+            },
+            LinkStats {
+                dropped_in_flight: 1,
+                ..tx
+            },
+        ];
+        assert_eq!(sim.stats().links, expected);
+        assert_eq!(sim.stats().packets, 1, "only the delivery arrives");
+        assert_eq!(sim.audit_trace(), vec![]);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Counters collected during a simulation run.
 
+use crate::trace::{DropReason, TraceEvent};
+
 /// Per-link counters (both directions combined).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
@@ -26,13 +28,27 @@ pub struct LinkStats {
 }
 
 impl LinkStats {
-    /// Fraction of offered packets that were delivered.
-    #[cfg(test)]
-    pub(crate) fn delivery_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
+    /// Folds one record into the counters: the one place a packet's fate
+    /// becomes a count, shared by the simulator and its
+    /// [`crate::TraceAudit`]. An enqueue is offered, a transmission
+    /// delivered, a drop counts under its reason, and every other record
+    /// counts nothing (`attempts` is not traced).
+    pub(crate) fn count(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::PacketEnqueue { .. } => self.offered += 1,
+            TraceEvent::PacketTx { bytes, .. } => {
+                self.delivered += 1;
+                self.bytes_delivered += u64::from(bytes);
+            }
+            TraceEvent::PacketDrop { reason, .. } => match reason {
+                DropReason::Loss => self.lost += 1,
+                DropReason::Queue => self.dropped_queue += 1,
+                DropReason::Down => self.dropped_down += 1,
+                DropReason::InFlight => self.dropped_in_flight += 1,
+                DropReason::Corrupt => self.corrupted += 1,
+            },
+            _ => {}
         }
-        self.delivered as f64 / self.offered as f64
     }
 }
 
@@ -49,61 +65,4 @@ pub struct SimStats {
     pub faults: u64,
     /// Per-link counters, indexed by link id.
     pub links: Vec<LinkStats>,
-}
-
-impl SimStats {
-    /// Sum of delivered bytes over all links.
-    #[cfg(test)]
-    pub(crate) fn total_bytes_delivered(&self) -> u64 {
-        self.links.iter().map(|l| l.bytes_delivered).sum()
-    }
-
-    /// Sum of lost packets over all links.
-    #[cfg(test)]
-    pub(crate) fn total_lost(&self) -> u64 {
-        self.links
-            .iter()
-            .map(|l| l.lost + l.dropped_queue + l.dropped_down + l.dropped_in_flight + l.corrupted)
-            .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delivery_ratio_handles_zero() {
-        let s = LinkStats::default();
-        assert_eq!(s.delivery_ratio(), 0.0);
-        let s = LinkStats {
-            offered: 4,
-            delivered: 3,
-            ..LinkStats::default()
-        };
-        assert!((s.delivery_ratio() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn totals_aggregate_all_drop_kinds() {
-        let stats = SimStats {
-            links: vec![
-                LinkStats {
-                    bytes_delivered: 10,
-                    lost: 1,
-                    dropped_queue: 2,
-                    ..LinkStats::default()
-                },
-                LinkStats {
-                    bytes_delivered: 5,
-                    dropped_down: 3,
-                    dropped_in_flight: 4,
-                    ..LinkStats::default()
-                },
-            ],
-            ..SimStats::default()
-        };
-        assert_eq!(stats.total_bytes_delivered(), 15);
-        assert_eq!(stats.total_lost(), 10);
-    }
 }

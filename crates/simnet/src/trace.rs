@@ -163,13 +163,19 @@ wire_enum! {
 }
 
 wire_enum! {
-    /// Client staging lifecycle mode, mirrored from `softstage::StagingMode`.
+    /// Staging-path state of a SoftStage client (fault model, §recovery).
+    ///
+    /// The paper's prototype falls back to the origin DAG silently when no
+    /// Staging VNF answers; here the fallback is an explicit, observable
+    /// state so experiments can count how often the recovery paths run.
     pub enum ClientMode {
-        /// Staging through the VNF.
+        /// A Staging VNF is known and staging requests flow normally.
         Active = "active",
-        /// Fetching straight from the origin DAG.
+        /// No reachable Staging VNF: fetches use origin DAGs until beacons
+        /// re-advertise a VNF (e.g. after a VNF restart).
         OriginFallback = "origin_fallback",
-        /// Retry budget exhausted; plain Xftp for the rest of the run.
+        /// The session's staging retry budget is exhausted: staging is off
+        /// for good and the client behaves exactly like plain Xftp.
         Degraded = "degraded",
     }
 }
@@ -633,76 +639,6 @@ struct LinkTally {
     arrivals: u64,
 }
 
-impl LinkTally {
-    /// The finding, if more packets have left the wire than entered it.
-    fn orphan(&self, link: LinkId) -> Option<Finding> {
-        let (arrivals, tx) = (self.arrivals, self.stats.delivered);
-        (arrivals > tx).then_some(Finding::Orphan(link.index(), arrivals, tx))
-    }
-}
-
-/// A violation as [`TraceAudit::observe`] keeps it: the rule broken and
-/// the numbers its message needs. The message is only built at read-out,
-/// so the recording path never formats a string.
-#[derive(Debug, Clone, Copy)]
-enum Finding {
-    /// (previous sequence number)
-    Seq(u64),
-    /// (the record's time, the latest time before it)
-    Time(SimTime, SimTime),
-    /// (link, its arrivals so far, its transmissions so far)
-    Orphan(usize, u64, u64),
-    /// (chunk)
-    UnstagedEdgeFetch(Tag),
-    /// (handoff target, chunk in flight)
-    HandoffMidChunk(Tag, Tag),
-    /// (node, chunk)
-    StageWhileBreakerOpen(usize, Tag),
-    /// (node)
-    BreakerOpenNoSignal(usize),
-}
-
-impl Finding {
-    fn kind(self) -> InvariantKind {
-        match self {
-            Finding::Seq(..) => InvariantKind::MonotoneSeq,
-            Finding::Time(..) => InvariantKind::MonotoneTime,
-            Finding::Orphan(..) => InvariantKind::OrphanDelivery,
-            Finding::UnstagedEdgeFetch(..) => InvariantKind::UnstagedEdgeFetch,
-            Finding::HandoffMidChunk(..) => InvariantKind::HandoffMidChunk,
-            Finding::StageWhileBreakerOpen(..) => InvariantKind::StageWhileBreakerOpen,
-            Finding::BreakerOpenNoSignal(..) => InvariantKind::BreakerOpenNoSignal,
-        }
-    }
-
-    fn violation(self, seq: u64) -> Violation {
-        let kind = self.kind();
-        let detail = match self {
-            Finding::Seq(prev) => format!("sequence {seq} follows {prev}"),
-            Finding::Time(at, prev) => {
-                let (at, prev) = (at.as_micros(), prev.as_micros());
-                format!("time went backwards: {at} µs after {prev} µs")
-            }
-            Finding::Orphan(link, arrivals, tx) => {
-                format!("link {link}: arrival #{arrivals} exceeds {tx} transmissions")
-            }
-            Finding::UnstagedEdgeFetch(chunk) => {
-                format!("chunk {chunk} completed from the edge cache but was never staged")
-            }
-            Finding::HandoffMidChunk(target, chunk) => {
-                format!("handoff to {target} committed while chunk {chunk} in flight")
-            }
-            Finding::StageWhileBreakerOpen(node, chunk) => {
-                format!("node {node} requested staging of chunk {chunk} with its breaker open")
-            }
-            Finding::BreakerOpenNoSignal(node) => {
-                format!("node {node} opened its breaker without a reject or timeout before it")
-            }
-        };
-        Violation { kind, seq, detail }
-    }
-}
-
 /// The invariant oracle as a streaming fold: [`TraceAudit::observe`]
 /// checks each record as it arrives against O(nodes + links + staged
 /// chunks) of state, and [`TraceAudit::violations`] reads the verdict
@@ -720,54 +656,54 @@ pub struct TraceAudit {
     in_flight: BTreeMap<usize, Tag>,
     breaker: BTreeMap<usize, BreakerState>,
     health_signals: BTreeMap<usize, u64>,
-    /// Every finding so far with its record's sequence number, in record
-    /// order.
-    found: Vec<(u64, Finding)>,
+    /// Every violation so far, in record order. Only a broken run formats
+    /// one, so a clean run's recording path never allocates here.
+    found: Vec<Violation>,
 }
 
 impl TraceAudit {
     /// Checks one record against everything observed before it.
     pub fn observe(&mut self, r: &TraceRecord) {
         let node = r.node.index();
-        let mut found = |f: Finding| self.found.push((r.seq, f));
+        let seq = r.seq;
+        let mut found = |kind, detail| self.found.push(Violation { kind, seq, detail });
         if let Some(prev) = self.prev_seq.filter(|&prev| r.seq <= prev) {
-            found(Finding::Seq(prev));
+            found(
+                InvariantKind::MonotoneSeq,
+                format!("sequence {seq} follows {prev}"),
+            );
         }
         self.prev_seq = Some(r.seq);
         // One global clock: a per-node reversal is a global one too.
         if r.at < self.prev_time {
-            found(Finding::Time(r.at, self.prev_time));
+            let (at, prev) = (r.at.as_micros(), self.prev_time.as_micros());
+            let detail = format!("time went backwards: {at} µs after {prev} µs");
+            found(InvariantKind::MonotoneTime, detail);
         }
         self.prev_time = self.prev_time.max(r.at);
         match r.event {
-            TraceEvent::PacketEnqueue { link, .. } => {
-                self.links.entry(link.index()).or_default().stats.offered += 1;
-            }
-            TraceEvent::PacketTx { link, bytes, .. } => {
+            TraceEvent::PacketEnqueue { link, .. }
+            | TraceEvent::PacketTx { link, .. }
+            | TraceEvent::PacketDeliver { link, .. }
+            | TraceEvent::PacketDrop { link, .. } => {
                 let t = self.links.entry(link.index()).or_default();
-                t.stats.delivered += 1;
-                t.stats.bytes_delivered += u64::from(bytes);
-            }
-            TraceEvent::PacketDeliver { link, .. } => {
-                let t = self.links.entry(link.index()).or_default();
-                t.arrivals += 1;
-                if let Some(orphan) = t.orphan(link) {
-                    found(orphan);
-                }
-            }
-            TraceEvent::PacketDrop { link, reason, .. } => {
-                let t = self.links.entry(link.index()).or_default();
-                match reason {
-                    DropReason::Loss => t.stats.lost += 1,
-                    DropReason::Queue => t.stats.dropped_queue += 1,
-                    DropReason::Down => t.stats.dropped_down += 1,
-                    DropReason::Corrupt => t.stats.corrupted += 1,
-                    DropReason::InFlight => {
-                        t.stats.dropped_in_flight += 1;
-                        t.arrivals += 1;
-                        if let Some(orphan) = t.orphan(link) {
-                            found(orphan);
+                t.stats.count(&r.event);
+                let arrived = matches!(
+                    r.event,
+                    TraceEvent::PacketDeliver { .. }
+                        | TraceEvent::PacketDrop {
+                            reason: DropReason::InFlight,
+                            ..
                         }
+                );
+                if arrived {
+                    t.arrivals += 1;
+                    let (arrivals, tx) = (t.arrivals, t.stats.delivered);
+                    if arrivals > tx {
+                        let link = link.index();
+                        let detail =
+                            format!("link {link}: arrival #{arrivals} exceeds {tx} transmissions");
+                        found(InvariantKind::OrphanDelivery, detail);
                     }
                 }
             }
@@ -782,18 +718,24 @@ impl TraceAudit {
             } => {
                 self.in_flight.remove(&node);
                 if ok && source == FetchSource::EdgeCache && !self.staged.contains(&chunk.0) {
-                    found(Finding::UnstagedEdgeFetch(chunk));
+                    let detail =
+                        format!("chunk {chunk} completed from the edge cache but was never staged");
+                    found(InvariantKind::UnstagedEdgeFetch, detail);
                 }
             }
             TraceEvent::HandoffCommit { target } => {
                 if let Some(&chunk) = self.in_flight.get(&node) {
-                    found(Finding::HandoffMidChunk(target, chunk));
+                    let detail =
+                        format!("handoff to {target} committed while chunk {chunk} in flight");
+                    found(InvariantKind::HandoffMidChunk, detail);
                 }
             }
             TraceEvent::StageRequest { chunk }
                 if self.breaker.get(&node) == Some(&BreakerState::Open) =>
             {
-                found(Finding::StageWhileBreakerOpen(node, chunk));
+                let detail =
+                    format!("node {node} requested staging of chunk {chunk} with its breaker open");
+                found(InvariantKind::StageWhileBreakerOpen, detail);
             }
             TraceEvent::StageReject { .. } | TraceEvent::StageTimeout { .. } => {
                 *self.health_signals.entry(node).or_insert(0) += 1;
@@ -802,7 +744,10 @@ impl TraceAudit {
                 if state == BreakerState::Open
                     && self.health_signals.get(&node).copied().unwrap_or(0) == 0
                 {
-                    found(Finding::BreakerOpenNoSignal(node));
+                    let detail = format!(
+                        "node {node} opened its breaker without a reject or timeout before it"
+                    );
+                    found(InvariantKind::BreakerOpenNoSignal, detail);
                 }
                 self.breaker.insert(node, state);
                 self.health_signals.insert(node, 0);
@@ -816,11 +761,7 @@ impl TraceAudit {
     /// against the simulator's counters (meaningful once the run has
     /// finished; packets still in flight at the deadline are tolerated).
     pub fn violations(&self, stats: Option<&SimStats>) -> Vec<Violation> {
-        let mut v: Vec<Violation> = self
-            .found
-            .iter()
-            .map(|&(seq, f)| f.violation(seq))
-            .collect();
+        let mut v = self.found.clone();
         let Some(stats) = stats else {
             return v;
         };

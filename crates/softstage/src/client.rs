@@ -57,8 +57,6 @@ pub struct SoftStageConfig {
     pub coordinator: CoordinatorConfig,
     /// Staging on/off; off gives the Xftp baseline.
     pub staging_enabled: bool,
-    /// Circuit breaker guarding the active edge's staging path.
-    pub breaker: BreakerConfig,
     /// Chunks pre-staged into a handoff target (step ④).
     pub prestage_depth: usize,
     /// Identifier stamped into this client's [`ClientStats`]. A
@@ -74,29 +72,10 @@ impl Default for SoftStageConfig {
             policy: HandoffPolicy::ChunkAware,
             coordinator: CoordinatorConfig::default(),
             staging_enabled: true,
-            breaker: BreakerConfig::default(),
             prestage_depth: 4,
             client_id: 0,
         }
     }
-}
-
-/// Staging-path state of the client (fault model, §recovery).
-///
-/// The paper's prototype falls back to the origin DAG silently when no
-/// Staging VNF answers; here the fallback is an explicit, observable state
-/// so experiments can count how often the recovery paths run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StagingMode {
-    /// A Staging VNF is known and staging requests flow normally.
-    #[default]
-    Active,
-    /// No reachable Staging VNF: fetches use origin DAGs until beacons
-    /// re-advertise a VNF (e.g. after a VNF restart).
-    OriginFallback,
-    /// The session's staging retry budget is exhausted: staging is off for
-    /// good and the client behaves exactly like plain Xftp.
-    Degraded,
 }
 
 /// Flight-recorder tag for an XID.
@@ -197,11 +176,11 @@ pub struct ClientStats {
     pub stage_retries: u64,
     /// Origin fetches retried after a failure (back-off retries).
     pub fetch_retries: u64,
-    /// Transitions into [`StagingMode::OriginFallback`] (no reachable VNF).
+    /// Transitions into [`ClientMode::OriginFallback`] (no reachable VNF).
     pub origin_fallbacks: u64,
     /// Times a VNF was re-discovered after a fallback (e.g. VNF restart).
     pub vnf_rediscoveries: u64,
-    /// Whether the staging retry budget ran out ([`StagingMode::Degraded`]).
+    /// Whether the staging retry budget ran out ([`ClientMode::Degraded`]).
     pub degraded: bool,
     /// Staging requests the VNF explicitly rejected (backpressure or
     /// admission control).
@@ -211,11 +190,11 @@ pub struct ClientStats {
     pub stage_timeouts: u64,
     /// Times the circuit breaker opened against the active edge.
     pub breaker_opens: u64,
-    /// Time spent with the staging path in [`StagingMode::Active`], in µs.
+    /// Time spent with the staging path in [`ClientMode::Active`], in µs.
     pub dwell_active_us: u64,
-    /// Time spent in [`StagingMode::OriginFallback`], in µs.
+    /// Time spent in [`ClientMode::OriginFallback`], in µs.
     pub dwell_fallback_us: u64,
-    /// Time spent in [`StagingMode::Degraded`], in µs.
+    /// Time spent in [`ClientMode::Degraded`], in µs.
     pub dwell_degraded_us: u64,
     /// Payload bytes downloaded.
     pub bytes_fetched: u64,
@@ -249,7 +228,7 @@ pub struct SoftStageClient {
     in_flight: Option<InFlightFetch>,
     pending_handoff: Option<Xid>,
     current_vnf: Option<Dag>,
-    mode: StagingMode,
+    mode: ClientMode,
     /// When the current mode was entered (dwell-time accounting).
     mode_since: SimTime,
     /// Health of the active edge's staging path.
@@ -279,7 +258,7 @@ impl SoftStageClient {
         SoftStageClient {
             coordinator: StagingCoordinator::new(config.coordinator),
             roamer: Roamer::default(),
-            breaker: Breaker::new(config.breaker),
+            breaker: Breaker::new(BreakerConfig::default()),
             stats: ClientStats {
                 client_id: config.client_id,
                 ..ClientStats::default()
@@ -291,7 +270,7 @@ impl SoftStageClient {
             in_flight: None,
             pending_handoff: None,
             current_vnf: None,
-            mode: StagingMode::Active,
+            mode: ClientMode::Active,
             mode_since: SimTime::ZERO,
             breaker_edge: None,
             last_depth: 0,
@@ -333,7 +312,7 @@ impl SoftStageClient {
     }
 
     /// Current staging-path state.
-    pub fn mode(&self) -> StagingMode {
+    pub fn mode(&self) -> ClientMode {
         self.mode
     }
 
@@ -346,19 +325,25 @@ impl SoftStageClient {
     fn accrue_dwell(&mut self, now: SimTime) {
         let elapsed = (now - self.mode_since).as_micros();
         match self.mode {
-            StagingMode::Active => self.stats.dwell_active_us += elapsed,
-            StagingMode::OriginFallback => self.stats.dwell_fallback_us += elapsed,
-            StagingMode::Degraded => self.stats.dwell_degraded_us += elapsed,
+            ClientMode::Active => self.stats.dwell_active_us += elapsed,
+            ClientMode::OriginFallback => self.stats.dwell_fallback_us += elapsed,
+            ClientMode::Degraded => self.stats.dwell_degraded_us += elapsed,
         }
         self.mode_since = now;
     }
 
-    /// Switches staging mode, accruing dwell time for the mode left.
-    fn set_mode(&mut self, now: SimTime, mode: StagingMode) {
-        if self.mode != mode {
-            self.accrue_dwell(now);
-            self.mode = mode;
+    /// Enters staging mode `mode`: accrues dwell time for the mode left,
+    /// counts the transition and records it.
+    fn enter_mode(&mut self, ctx: &mut HostCtx<'_>, mode: ClientMode) {
+        debug_assert_ne!(self.mode, mode, "a transition changes the mode");
+        self.accrue_dwell(ctx.now());
+        self.mode = mode;
+        match mode {
+            ClientMode::Active => self.stats.vnf_rediscoveries += 1,
+            ClientMode::OriginFallback => self.stats.origin_fallbacks += 1,
+            ClientMode::Degraded => self.stats.degraded = true,
         }
+        ctx.trace(TraceEvent::ModeTransition { mode });
     }
 
     /// Mirrors a breaker state change into the flight recorder.
@@ -385,20 +370,12 @@ impl SoftStageClient {
     /// Staging is off for this session: either configured off (Xftp
     /// baseline) or degraded after exhausting the retry budget.
     fn staging_off(&self) -> bool {
-        !self.config.staging_enabled || self.mode == StagingMode::Degraded
+        !self.config.staging_enabled || self.mode == ClientMode::Degraded
     }
 
     /// Whether the client is attached to a network and can be answered.
     fn associated(&self) -> bool {
         matches!(self.roamer.state(), RoamState::Associated { .. })
-    }
-
-    /// Permanently gives up on staging: every unfetched chunk goes back to
-    /// its origin DAG and the client continues as plain Xftp.
-    fn degrade(&mut self, now: SimTime) {
-        self.set_mode(now, StagingMode::Degraded);
-        self.stats.degraded = true;
-        self.profile.replace_pending(StagingState::Fallback);
     }
 
     fn start_next_fetch(&mut self, ctx: &mut HostCtx<'_>) {
@@ -434,23 +411,15 @@ impl SoftStageClient {
             // Fault tolerance: no Staging VNF reachable here. Enter the
             // explicit origin-fallback state; fetches use raw DAGs until a
             // beacon re-advertises a VNF.
-            if self.mode == StagingMode::Active {
-                self.set_mode(ctx.now(), StagingMode::OriginFallback);
-                self.stats.origin_fallbacks += 1;
-                ctx.trace(TraceEvent::ModeTransition {
-                    mode: ClientMode::OriginFallback,
-                });
+            if self.mode == ClientMode::Active {
+                self.enter_mode(ctx, ClientMode::OriginFallback);
             }
             return;
         };
-        if self.mode == StagingMode::OriginFallback {
+        if self.mode == ClientMode::OriginFallback {
             // A VNF came (back) into reach — e.g. it restarted, or a
             // handoff brought us into a provisioned network.
-            self.set_mode(ctx.now(), StagingMode::Active);
-            self.stats.vnf_rediscoveries += 1;
-            ctx.trace(TraceEvent::ModeTransition {
-                mode: ClientMode::Active,
-            });
+            self.enter_mode(ctx, ClientMode::Active);
         }
         // Health-aware failover: an open breaker keeps staging traffic off
         // the sick edge; fetches keep flowing on origin DAGs meanwhile.
@@ -654,11 +623,10 @@ impl App for SoftStageClient {
                     for idx in stale {
                         if self.stats.stage_retries >= budget {
                             // Retry budget exhausted: stop staging for
-                            // good and finish the download as plain Xftp.
-                            self.degrade(ctx.now());
-                            ctx.trace(TraceEvent::ModeTransition {
-                                mode: ClientMode::Degraded,
-                            });
+                            // good and finish the download as plain Xftp,
+                            // every unfetched chunk on its origin DAG.
+                            self.enter_mode(ctx, ClientMode::Degraded);
+                            self.profile.replace_pending(StagingState::Fallback);
                             break;
                         }
                         self.stats.stage_retries += 1;

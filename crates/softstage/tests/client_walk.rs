@@ -27,9 +27,10 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 
 use simnet::{
-    LinkId, NodeId, RejectReason, SimStats, SimTime, Tag, TraceAudit, TraceEvent, TraceRecord,
+    ClientMode, LinkId, NodeId, RejectReason, SimStats, SimTime, Tag, TraceAudit, TraceEvent,
+    TraceRecord,
 };
-use softstage::{SoftStageClient, SoftStageConfig, StagingMode, StagingMsg};
+use softstage::{SoftStageClient, SoftStageConfig, StagingMsg};
 use util::bytes::Bytes;
 use xcache::{ChunkStore, EvictionPolicy};
 use xia_addr::{Dag, Principal, Xid};
@@ -325,7 +326,7 @@ fn re_association_re_asks_what_the_gap_ate_without_waiting() {
 fn an_edge_that_never_answers_spends_the_whole_budget_then_degrades() {
     let (mut host, _) = associated();
     fire_until(&mut host, 100_000, |h| {
-        h.client.mode() == StagingMode::Degraded
+        h.client.mode() == ClientMode::Degraded
     });
     let stats = host.client.stats();
     assert!(stats.degraded, "{stats:?}");

@@ -174,12 +174,9 @@ impl Sha1 {
         }
     }
 
-    /// The compression function. Hot: this is where CID derivation and
-    /// per-chunk integrity checks spend their time, so the 80 rounds are
-    /// fully unrolled with the working variables rotated *by renaming*
-    /// (the classic `(a,b,c,d,e) → (e,a,b,c,d)` argument cycle) instead
-    /// of shuffled through moves, and the boolean functions use their
-    /// minimal-op forms.
+    /// The FIPS 180-1 compression function, round by round: the path on
+    /// hosts without SHA-NI, and the reference the hardware path is
+    /// checked against.
     #[expect(
         clippy::indexing_slicing,
         reason = "schedule offsets are const-bounded (i >= 16, so i-16 >= 0; i < 80 into [u32; 80]) and 64 bytes make 16 four-byte words"
@@ -193,125 +190,24 @@ impl Sha1 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
         let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        // Each round macro updates $e in place and rotates $b; the caller
-        // cycles the argument order so no values ever move between
-        // variables. Ch(b,c,d) is the one-xor select form and Maj(b,c,d)
-        // the three-op form.
-        macro_rules! r0 {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $i:expr) => {{
-                $e = $e
-                    .wrapping_add($a.rotate_left(5))
-                    .wrapping_add($d ^ ($b & ($c ^ $d)))
-                    .wrapping_add(0x5A82_7999u32)
-                    .wrapping_add(w[$i]);
-                $b = $b.rotate_left(30);
-            }};
+        for (i, wi) in w.into_iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | (!b & d), 0x5A82_7999),
+                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
+                _ => (b ^ c ^ d, 0xCA62_C1D6),
+            };
+            let t = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            (e, d, c, b, a) = (d, c, b.rotate_left(30), a, t);
         }
-        macro_rules! r1 {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $k:expr, $i:expr) => {{
-                $e = $e
-                    .wrapping_add($a.rotate_left(5))
-                    .wrapping_add($b ^ $c ^ $d)
-                    .wrapping_add($k)
-                    .wrapping_add(w[$i]);
-                $b = $b.rotate_left(30);
-            }};
+        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
         }
-        macro_rules! r2 {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $i:expr) => {{
-                $e = $e
-                    .wrapping_add($a.rotate_left(5))
-                    .wrapping_add(($b & $c) | ($d & ($b | $c)))
-                    .wrapping_add(0x8F1B_BCDCu32)
-                    .wrapping_add(w[$i]);
-                $b = $b.rotate_left(30);
-            }};
-        }
-        r0!(a, b, c, d, e, 0);
-        r0!(e, a, b, c, d, 1);
-        r0!(d, e, a, b, c, 2);
-        r0!(c, d, e, a, b, 3);
-        r0!(b, c, d, e, a, 4);
-        r0!(a, b, c, d, e, 5);
-        r0!(e, a, b, c, d, 6);
-        r0!(d, e, a, b, c, 7);
-        r0!(c, d, e, a, b, 8);
-        r0!(b, c, d, e, a, 9);
-        r0!(a, b, c, d, e, 10);
-        r0!(e, a, b, c, d, 11);
-        r0!(d, e, a, b, c, 12);
-        r0!(c, d, e, a, b, 13);
-        r0!(b, c, d, e, a, 14);
-        r0!(a, b, c, d, e, 15);
-        r0!(e, a, b, c, d, 16);
-        r0!(d, e, a, b, c, 17);
-        r0!(c, d, e, a, b, 18);
-        r0!(b, c, d, e, a, 19);
-        r1!(a, b, c, d, e, 0x6ED9_EBA1u32, 20);
-        r1!(e, a, b, c, d, 0x6ED9_EBA1u32, 21);
-        r1!(d, e, a, b, c, 0x6ED9_EBA1u32, 22);
-        r1!(c, d, e, a, b, 0x6ED9_EBA1u32, 23);
-        r1!(b, c, d, e, a, 0x6ED9_EBA1u32, 24);
-        r1!(a, b, c, d, e, 0x6ED9_EBA1u32, 25);
-        r1!(e, a, b, c, d, 0x6ED9_EBA1u32, 26);
-        r1!(d, e, a, b, c, 0x6ED9_EBA1u32, 27);
-        r1!(c, d, e, a, b, 0x6ED9_EBA1u32, 28);
-        r1!(b, c, d, e, a, 0x6ED9_EBA1u32, 29);
-        r1!(a, b, c, d, e, 0x6ED9_EBA1u32, 30);
-        r1!(e, a, b, c, d, 0x6ED9_EBA1u32, 31);
-        r1!(d, e, a, b, c, 0x6ED9_EBA1u32, 32);
-        r1!(c, d, e, a, b, 0x6ED9_EBA1u32, 33);
-        r1!(b, c, d, e, a, 0x6ED9_EBA1u32, 34);
-        r1!(a, b, c, d, e, 0x6ED9_EBA1u32, 35);
-        r1!(e, a, b, c, d, 0x6ED9_EBA1u32, 36);
-        r1!(d, e, a, b, c, 0x6ED9_EBA1u32, 37);
-        r1!(c, d, e, a, b, 0x6ED9_EBA1u32, 38);
-        r1!(b, c, d, e, a, 0x6ED9_EBA1u32, 39);
-        r2!(a, b, c, d, e, 40);
-        r2!(e, a, b, c, d, 41);
-        r2!(d, e, a, b, c, 42);
-        r2!(c, d, e, a, b, 43);
-        r2!(b, c, d, e, a, 44);
-        r2!(a, b, c, d, e, 45);
-        r2!(e, a, b, c, d, 46);
-        r2!(d, e, a, b, c, 47);
-        r2!(c, d, e, a, b, 48);
-        r2!(b, c, d, e, a, 49);
-        r2!(a, b, c, d, e, 50);
-        r2!(e, a, b, c, d, 51);
-        r2!(d, e, a, b, c, 52);
-        r2!(c, d, e, a, b, 53);
-        r2!(b, c, d, e, a, 54);
-        r2!(a, b, c, d, e, 55);
-        r2!(e, a, b, c, d, 56);
-        r2!(d, e, a, b, c, 57);
-        r2!(c, d, e, a, b, 58);
-        r2!(b, c, d, e, a, 59);
-        r1!(a, b, c, d, e, 0xCA62_C1D6u32, 60);
-        r1!(e, a, b, c, d, 0xCA62_C1D6u32, 61);
-        r1!(d, e, a, b, c, 0xCA62_C1D6u32, 62);
-        r1!(c, d, e, a, b, 0xCA62_C1D6u32, 63);
-        r1!(b, c, d, e, a, 0xCA62_C1D6u32, 64);
-        r1!(a, b, c, d, e, 0xCA62_C1D6u32, 65);
-        r1!(e, a, b, c, d, 0xCA62_C1D6u32, 66);
-        r1!(d, e, a, b, c, 0xCA62_C1D6u32, 67);
-        r1!(c, d, e, a, b, 0xCA62_C1D6u32, 68);
-        r1!(b, c, d, e, a, 0xCA62_C1D6u32, 69);
-        r1!(a, b, c, d, e, 0xCA62_C1D6u32, 70);
-        r1!(e, a, b, c, d, 0xCA62_C1D6u32, 71);
-        r1!(d, e, a, b, c, 0xCA62_C1D6u32, 72);
-        r1!(c, d, e, a, b, 0xCA62_C1D6u32, 73);
-        r1!(b, c, d, e, a, 0xCA62_C1D6u32, 74);
-        r1!(a, b, c, d, e, 0xCA62_C1D6u32, 75);
-        r1!(e, a, b, c, d, 0xCA62_C1D6u32, 76);
-        r1!(d, e, a, b, c, 0xCA62_C1D6u32, 77);
-        r1!(c, d, e, a, b, 0xCA62_C1D6u32, 78);
-        r1!(b, c, d, e, a, 0xCA62_C1D6u32, 79);
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
     }
 }
 

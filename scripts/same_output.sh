@@ -2,22 +2,25 @@
 # Byte-identity gate: does this tree print what <git-ref> prints?
 #   scripts/same_output.sh <git-ref>        e.g. scripts/same_output.sh HEAD~1
 # Unpacks <git-ref> with `git archive` into target/same_output/ref, builds
-# its `reproduce` and `softstage_trace` example into their own target
-# directory, runs six targets on both trees (seed 42, and seed 7 with
-# --seeds 2 --jobs 2) and
-# `cmp`s the --json files: the four quick ones, `fig5` (the only table on
+# its `reproduce` binary and `softstage_trace` and `fault_injection`
+# examples into their own target directory, runs six targets on both trees
+# (seed 42, and seed 7 with --seeds 2 --jobs 2) and `cmp`s the --json
+# files: the four quick ones, `fig5` (the only table on
 # `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
 # coordinator's depth bounds and `prestage_depth`). Also runs `fig6` and
 # `fig7` at seed 42 alone: the single-client tables that take the Chunk
 # Profile through every staging state. Runs both `softstage_trace`
 # examples at seeds 42 and 7 and `cmp`s their stdout (summary and oracle
-# verdict) and their JSON-lines dumps. Then builds each tree's benchmark/
-# into a target directory of its own, runs one traced `ssbench pass` per
-# workload named in BENCHMARK.json at seed 42 and at the held-out seed 7
-# on both and compares what the seed determines (`attempted`, `failed`,
-# `digests`, every `sim` reading), naming each reading that differs; the
-# `host` member is ignored. Offline; writes nothing under benchmark/. Not
-# part of verify.sh: CI checkouts are shallow.
+# verdict) and their JSON-lines dumps, and `cmp`s the stdout of both
+# `fault_injection` examples: the one run that crashes and restarts a
+# node, wipes a cache and opens a burst-loss window. Then builds each
+# tree's benchmark/ into a target directory of its own, runs one traced
+# `ssbench pass` per workload named in BENCHMARK.json at seed 42 and at
+# the held-out seed 7 on both and compares what the seed determines
+# (`attempted`, `failed`, `digests`, every `sim` reading), naming each
+# reading that differs; the `host` member is ignored. Offline; writes
+# nothing under benchmark/. Not part of verify.sh: CI checkouts are
+# shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref="${1:?usage: scripts/same_output.sh <git-ref>}"
@@ -27,7 +30,8 @@ mkdir -p "$dir/ref" "$dir/out/ref" "$dir/out/tree"
 git archive "$ref" | tar -x -C "$dir/ref"
 build() {
     cargo build --release --offline --quiet -p softstage-experiments \
-        -p softstage-suite --bin reproduce --example softstage_trace "$@"
+        -p softstage-suite --bin reproduce --example softstage_trace \
+        --example fault_injection "$@"
 }
 build
 CARGO_TARGET_DIR="$dir/build" build --manifest-path "$dir/ref/Cargo.toml"
@@ -42,11 +46,13 @@ for side in ref tree; do
     for target in fig6 fig7; do
         "$bin" "$target" --seed 42 --json "$dir/out/$side/$target-42.json" >/dev/null
     done
-    trace="$(realpath "$(dirname "$bin")")/examples/softstage_trace"
+    examples="$(realpath "$(dirname "$bin")")/examples"
+    trace="$examples/softstage_trace"
     for seed in 42 7; do
         # Run inside the output directory so the "wrote <path>" line matches.
         (cd "$dir/out/$side" && "$trace" "$seed" "trace-$seed.jsonl" >"trace-$seed.stdout")
     done
+    "$examples/fault_injection" >"$dir/out/$side/fault_injection.stdout"
 done
 status=0
 for f in "$dir"/out/ref/*; do

@@ -13,8 +13,8 @@ mod common;
 
 use softstage_suite::experiments::{build, ExperimentParams, RunResult, Testbed, MB};
 use softstage_suite::simnet::fault::{Fault, FaultPlan};
-use softstage_suite::simnet::{SimDuration, SimTime, TraceEvent};
-use softstage_suite::softstage::{SoftStageConfig, StagingMode};
+use softstage_suite::simnet::{ClientMode, SimDuration, SimTime, TraceEvent};
+use softstage_suite::softstage::SoftStageConfig;
 
 use common::{deadline, small, testbed, TRACE_CAPACITY};
 
@@ -294,7 +294,7 @@ fn vnf_unreachable_uses_explicit_origin_fallback() {
             "origin-DAG fallback must be recorded: {:?}",
             app.stats()
         );
-        assert_eq!(app.mode(), StagingMode::OriginFallback);
+        assert_eq!(app.mode(), ClientMode::OriginFallback);
     }
 }
 
@@ -347,7 +347,7 @@ fn long_edge_outage_charges_no_retries_while_detached_and_staging_resumes() {
             !detached_timeout && stats.stage_retries == stats.stage_timeouts && !stats.degraded,
             "the outage charged retries while detached (seed {seed}): {stats:?}"
         );
-        assert_eq!(app.mode(), StagingMode::Active);
+        assert_eq!(app.mode(), ClientMode::Active);
         assert!(
             result
                 .chunk_completions
