@@ -9,8 +9,8 @@
 //! - [`PlaybackModel`]: video-on-demand analysis over chunk completion
 //!   times (startup delay, rebuffering), supporting the paper's §V
 //!   extension discussion,
-//! - [`build_origin`]: an origin content server in one call
-//!   ([`origin_host`] plus one [`publish`] per object, for a catalog).
+//! - [`build_origin`]: an origin content server for one object in one
+//!   call, and [`origin_host`], an empty one a catalog is published on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,4 +22,4 @@ pub mod server;
 
 pub use playback::{PlaybackModel, PlaybackReport};
 pub use seq::SeqFetcher;
-pub use server::{build_origin, origin_host, publish};
+pub use server::{build_origin, origin_host};

@@ -33,13 +33,17 @@ pub fn build_origin(
     transport: xia_transport::TransportConfig,
 ) -> (Host, Manifest, Vec<(Xid, Dag)>) {
     let mut host = origin_host(hid, nid, transport);
-    let (manifest, dags) = publish(&mut host, nid, content, chunk_size);
+    let manifest = host.publish_content(content, chunk_size);
+    let dags = manifest
+        .chunks
+        .iter()
+        .map(|cid| (*cid, Dag::cid_with_fallback(*cid, nid, hid)))
+        .collect();
     (host, manifest, dags)
 }
 
 /// An origin server host with nothing published yet: an unbounded pinned
-/// store, attached to network `nid`. [`publish`] fills it, one call per
-/// object of a catalog.
+/// store, attached to network `nid`.
 pub fn origin_host(hid: Xid, nid: Xid, transport: xia_transport::TransportConfig) -> Host {
     let mut config = HostConfig::new(hid);
     config.cache_capacity = usize::MAX;
@@ -47,23 +51,4 @@ pub fn origin_host(hid: Xid, nid: Xid, transport: xia_transport::TransportConfig
     let mut host = Host::new(config);
     host.set_attachment(Some(nid), None);
     host
-}
-
-/// Publishes `content` on an [`origin_host`] of network `nid` as
-/// `chunk_size` chunks and returns its manifest and ready-to-fetch chunk
-/// DAGs (`CID | NID : HID` with the origin as fallback).
-pub fn publish(
-    host: &mut Host,
-    nid: Xid,
-    content: &Bytes,
-    chunk_size: usize,
-) -> (Manifest, Vec<(Xid, Dag)>) {
-    let hid = host.hid();
-    let manifest = host.publish_content(content, chunk_size);
-    let dags = manifest
-        .chunks
-        .iter()
-        .map(|cid| (*cid, Dag::cid_with_fallback(*cid, nid, hid)))
-        .collect();
-    (manifest, dags)
 }

@@ -19,8 +19,10 @@
 //!   trace) share a [`Cell::seed_key`], guaranteeing both sides of a
 //!   ratio simulate the same world at every replicate.
 //!
-//! Threads are confined to [`util::sync::parallel_map`], whose workers
-//! share nothing but a ticket cursor (DESIGN.md §8): simulation crates
+//! Threads are confined to `util::sync` (DESIGN.md §8). Cells fan out
+//! through [`util::sync::parallel_map`], whose workers share nothing but a
+//! ticket cursor, and a world's catalog is hashed on one
+//! `pipelined_map` worker before the world exists: simulation crates
 //! stay single-threaded (`clippy::disallowed_methods` rejects
 //! `std::thread` in library code), a cell builds and runs its world inside
 //! its job and returns numbers only (a world's `Dag`s and `Bytes` are

@@ -18,8 +18,7 @@
 )]
 
 use simnet::{LinkConfig, SimDuration, SimTime, Simulator};
-use softstage_apps::{build_origin, SeqFetcher};
-use util::bytes::Bytes;
+use softstage_apps::{origin_host, SeqFetcher};
 use xia_addr::{Principal, Xid};
 use xia_host::{EndHost, Host, HostConfig};
 use xia_transport::TransportConfig;
@@ -27,7 +26,7 @@ use xia_wire::XiaPacket;
 
 use crate::exec::{Cell, TableSpec};
 use crate::params::{MB, MBPS};
-use crate::world::generate_content;
+use crate::world::publish_catalog;
 
 /// Protocols measured in Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,17 +71,15 @@ fn throughput(proto: Proto, segment: Segment, seed: u64) -> f64 {
     let nid = Xid::new_random(Principal::Nid, 1);
     let hid_client = Xid::new_random(Principal::Hid, 2);
 
-    let content: Bytes = generate_content(total, seed);
-    let (server_host, _manifest, dags) =
-        build_origin(hid_server, nid, &content, chunk, transport.clone());
-    drop(content);
+    let mut server_host = origin_host(hid_server, nid, transport.clone());
+    let catalog = publish_catalog(&mut server_host, nid, &[(total, seed)], chunk);
+    let dags = catalog.into_iter().flat_map(|(_, dags)| dags);
+    let dags = dags.map(|(_, dag)| dag).collect();
 
     let mut client_config = HostConfig::new(hid_client);
     client_config.transport = transport;
     let mut client_host = Host::new(client_config);
-    client_host.add_app(Box::new(SeqFetcher::new(
-        dags.into_iter().map(|(_, d)| d).collect(),
-    )));
+    client_host.add_app(Box::new(SeqFetcher::new(dags)));
 
     let server = sim.add_node(Box::new(EndHost::new(server_host)));
     let client = sim.add_node(Box::new(EndHost::new(client_host)));

@@ -23,11 +23,12 @@
 
 use simnet::{LinkConfig, LinkId, NodeId, SimDuration, SimTime, Simulator};
 use softstage::{HandoffPolicy, SoftStageClient, SoftStageConfig, StagingVnf, VnfConfig, VnfStats};
-use softstage_apps::{origin_host, publish};
+use softstage_apps::origin_host;
 use util::bytes::Bytes;
+use util::sync::pipelined_map;
 use vehicular::{BeaconApp, CoverageSchedule};
 use xcache::{ContentDigest, Manifest};
-use xia_addr::{Dag, Principal, Xid};
+use xia_addr::{sha1, Dag, Principal, Xid};
 use xia_host::{EndHost, Host, HostConfig};
 use xia_router::RouterNode;
 use xia_transport::TransportConfig;
@@ -69,8 +70,7 @@ pub struct ClientSpec {
 pub struct WorldSpec {
     /// Simulator seed.
     pub seed: u64,
-    /// The objects the origin publishes, as `(bytes, content seed)`: each
-    /// is generated, published and dropped in turn.
+    /// The objects the origin publishes, as `(bytes, content seed)`.
     pub contents: Vec<(usize, u64)>,
     /// Bytes per chunk, for every object.
     pub chunk_size: usize,
@@ -110,12 +110,99 @@ pub struct World {
     chunk_aware: bool,
 }
 
-/// Deterministic pseudo-random content of `len` bytes.
-pub(crate) fn generate_content(len: usize, seed: u64) -> Bytes {
-    let mut rng = simnet::Rng::seed_from_u64(seed ^ 0xC0FFEE);
-    let mut data = vec![0u8; len];
-    rng.fill_bytes(&mut data);
-    Bytes::from(data)
+/// One object's deterministic pseudo-random bytes, handed out in pieces:
+/// the pieces joined are one `Rng::fill_bytes` over the whole object.
+struct ContentStream {
+    rng: simnet::Rng,
+    /// The word a piece ended inside of; its last `spare` bytes start the
+    /// next piece.
+    word: [u8; 8],
+    spare: usize,
+}
+
+impl ContentStream {
+    fn new(seed: u64) -> Self {
+        ContentStream {
+            rng: simnet::Rng::seed_from_u64(seed ^ 0xC0FFEE),
+            word: [0; 8],
+            spare: 0,
+        }
+    }
+
+    /// The stream's next `len` bytes, in a buffer of their own.
+    fn take(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        let carried = len.min(self.spare);
+        let from = 8 - self.spare;
+        buf[..carried].copy_from_slice(&self.word[from..from + carried]);
+        self.spare -= carried;
+        let rest = &mut buf[carried..];
+        let (words, tail) = rest.split_at_mut(rest.len() & !7);
+        self.rng.fill_bytes(words);
+        if !tail.is_empty() {
+            self.rng.fill_bytes(&mut self.word);
+            tail.copy_from_slice(&self.word[..tail.len()]);
+            self.spare = 8 - tail.len();
+        }
+        buf
+    }
+}
+
+/// Generates the objects `contents` names, as `(bytes, content seed)`,
+/// and publishes each on `host`, the origin of network `nid`, as
+/// `chunk_size` chunks. Returns each object's manifest and ready-to-fetch
+/// chunk DAGs (`CID | NID : HID` with the origin as fallback).
+///
+/// Every chunk is its own allocation. The calling thread generates the
+/// next chunk while one worker SHA-1s the last ([`pipelined_map`]); each
+/// digest is then recorded in its chunk's memo, so naming and every later
+/// fetch of a published chunk read it rather than hash again.
+///
+/// # Panics
+///
+/// Panics if `chunk_size` is zero.
+pub(crate) fn publish_catalog(
+    host: &mut Host,
+    nid: Xid,
+    contents: &[(usize, u64)],
+    chunk_size: usize,
+) -> Vec<(Manifest, Vec<(Xid, Dag)>)> {
+    assert!(chunk_size > 0, "chunk size must be positive");
+    let chunks = contents.iter().flat_map(|&(len, seed)| {
+        let mut stream = ContentStream::new(seed);
+        (0..len)
+            .step_by(chunk_size)
+            .map(move |at| stream.take(chunk_size.min(len - at)))
+    });
+    let mut hashed = pipelined_map(chunks, |chunk| {
+        let digest = sha1::sha1(&chunk);
+        (chunk, digest)
+    })
+    .into_iter();
+    let hid = host.hid();
+    let store = host.store_mut();
+    contents
+        .iter()
+        .map(|&(len, _)| {
+            let dags: Vec<(Xid, Dag)> = hashed
+                .by_ref()
+                .take(len.div_ceil(chunk_size))
+                .map(|(chunk, digest)| {
+                    let chunk = Bytes::from(chunk);
+                    chunk.memo_digest(|_| digest);
+                    let cid = Xid::for_bytes(&chunk);
+                    store.publish(cid, chunk);
+                    (cid, Dag::cid_with_fallback(cid, nid, hid))
+                })
+                .collect();
+            let manifest = Manifest {
+                chunks: dags.iter().map(|&(cid, _)| cid).collect(),
+                chunk_size,
+                total_len: len as u64,
+            };
+            (manifest, dags)
+        })
+        .collect()
 }
 
 /// The SoftStage application on client node `node`, if it is one.
@@ -136,14 +223,12 @@ pub fn build(spec: WorldSpec) -> World {
     let hid_origin = Xid::new_random(Principal::Hid, 1_000);
     let nid_origin = Xid::new_random(Principal::Nid, 1_000);
     let mut origin_host = origin_host(hid_origin, nid_origin, TransportConfig::xia());
-    let catalog: Vec<_> = spec
-        .contents
-        .iter()
-        .map(|&(len, seed)| {
-            let content = generate_content(len, seed);
-            publish(&mut origin_host, nid_origin, &content, spec.chunk_size)
-        })
-        .collect();
+    let catalog = publish_catalog(
+        &mut origin_host,
+        nid_origin,
+        &spec.contents,
+        spec.chunk_size,
+    );
     let origin = sim.add_node(Box::new(EndHost::new(origin_host)));
     let hid_core = Xid::new_random(Principal::Hid, 2_000);
     let nid_core = Xid::new_random(Principal::Nid, 2_000);
@@ -322,17 +407,125 @@ impl World {
 
 #[cfg(test)]
 mod tests {
-    use xia_addr::sha1;
+    use super::*;
+    use softstage_apps::origin_host;
+    use xia_addr::sha1::Sha1;
+
+    fn origin() -> (Host, Xid) {
+        let hid = Xid::new_random(Principal::Hid, 1);
+        let nid = Xid::new_random(Principal::Nid, 1);
+        (origin_host(hid, nid, TransportConfig::xia()), nid)
+    }
+
+    /// The published chunks of `manifest`, in order.
+    fn chunks_of(host: &mut Host, manifest: &Manifest) -> Vec<Bytes> {
+        let store = host.store_mut();
+        let chunk = |cid| store.get(cid).expect("published");
+        manifest.chunks.iter().map(chunk).collect()
+    }
+
+    /// Publishes `contents` and checks each object against the
+    /// whole-object generator: its chunks joined are one
+    /// `Rng::fill_bytes` over the object, and its manifest is
+    /// `chunk_content`'s of that buffer.
+    fn assert_catalog_is_whole_objects(contents: &[(usize, u64)], chunk_size: usize) {
+        let (mut host, nid) = origin();
+        let catalog = publish_catalog(&mut host, nid, contents, chunk_size);
+        assert_eq!(catalog.len(), contents.len());
+        for (&(len, seed), (manifest, dags)) in contents.iter().zip(&catalog) {
+            let mut whole = vec![0u8; len];
+            simnet::Rng::seed_from_u64(seed ^ 0xC0FFEE).fill_bytes(&mut whole);
+            let chunks = chunks_of(&mut host, manifest);
+            let joined: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
+            assert!(joined == whole, "len {len} seed {seed} chunk {chunk_size}");
+            let (expected, _) = xcache::chunk_content(&Bytes::from(whole), chunk_size);
+            assert_eq!(*manifest, expected, "len {len} chunk {chunk_size}");
+            let cids: Vec<Xid> = dags.iter().map(|&(cid, _)| cid).collect();
+            assert_eq!(cids, manifest.chunks);
+        }
+    }
+
+    #[test]
+    fn catalog_chunks_are_one_stream_per_object() {
+        util::check::check("catalog_chunks_are_one_stream_per_object", 64, |g| {
+            let chunk_size = if g.bool() {
+                *g.choose(&[1, 3, 7, 13])
+            } else {
+                g.usize_in(1, 64)
+            };
+            let contents = g.vec_of(0, 3, |g| (g.usize_in(0, 300), g.u64()));
+            assert_catalog_is_whole_objects(&contents, chunk_size);
+        });
+    }
+
+    #[test]
+    fn catalog_splits_words_across_megabyte_chunks() {
+        let chunk_size = (1 << 20) + 5;
+        let contents = [
+            (0, 1),
+            (1_000, 2),
+            (2 * chunk_size + 13, 3),
+            (chunk_size, 4),
+        ];
+        assert_catalog_is_whole_objects(&contents, chunk_size);
+    }
 
     /// Content is a pure function of its seed: the hash pins the bytes
-    /// earlier builds generated, so how `Rng::fill_bytes` writes them
-    /// must not move it. The odd length ends in a partial word.
+    /// earlier builds generated, so neither how `Rng::fill_bytes` writes
+    /// them nor where the catalog cuts chunks may move it. The odd length
+    /// ends in a partial word, and the odd chunk size splits words.
     #[test]
     fn generated_content_is_pinned() {
-        let content = super::generate_content((1 << 20) + 5, 42);
+        let (mut host, nid) = origin();
+        let catalog = publish_catalog(&mut host, nid, &[((1 << 20) + 5, 42)], (64 << 10) + 3);
+        let mut content = Sha1::new();
+        for chunk in chunks_of(&mut host, &catalog[0].0) {
+            content.update(&chunk);
+        }
         assert_eq!(
-            sha1::to_hex(&sha1::sha1(&content)),
+            sha1::to_hex(&content.finalize()),
             "70129d90f9b1fd090fa0df5a02d4d8806b97677d"
         );
+    }
+
+    /// Building a world hashes each chunk once, on the catalog's worker:
+    /// naming a published chunk, whole or as a full-range view, reads the
+    /// recorded digest, and that digest is the chunk's SHA-1.
+    #[test]
+    fn published_chunks_carry_their_digest() {
+        let link = LinkConfig::wired(1_000_000, SimDuration::from_millis(1));
+        let mut world = build(WorldSpec {
+            seed: 7,
+            contents: vec![(100_003, 1), (5, 2), (0, 3), (65_536, 1)],
+            chunk_size: 8_191,
+            edges: Vec::new(),
+            clients: Vec::new(),
+            internet: link,
+            backhaul: link,
+            radio: link,
+        });
+        let origin = world.origin;
+        let host = world
+            .sim
+            .node_mut::<EndHost>(origin)
+            .expect("origin")
+            .host_mut();
+        let mut published = 0;
+        for (manifest, _) in &world.catalog {
+            for (cid, chunk) in manifest.chunks.iter().zip(chunks_of(host, manifest)) {
+                let unhashed =
+                    |_: &[u8]| -> [u8; 20] { unreachable!("a published chunk is hashed again") };
+                let digest = chunk.memo_digest(unhashed);
+                assert_eq!(
+                    digest,
+                    sha1::sha1(&chunk),
+                    "the recorded digest is the chunk's SHA-1"
+                );
+                assert_eq!(chunk.slice(..).memo_digest(unhashed), digest);
+                assert_eq!(cid.id(), &digest);
+                published += 1;
+            }
+        }
+        assert_eq!(published, 13 + 1 + 0 + 9);
     }
 }

@@ -157,8 +157,10 @@ impl Bytes {
     /// The digest `compute` gives this view's bytes, stored in the
     /// allocation under the view's exact range: a later call on any view
     /// of the same `start..end` returns the stored answer without calling
-    /// `compute`. Every caller must pass the same pure function, so the
-    /// workspace has exactly one (`Xid::for_bytes`, SHA-1). The empty
+    /// `compute`. Every caller must give the same pure function of the
+    /// bytes, and the workspace's two give SHA-1: `Xid::for_bytes` hashes,
+    /// and the experiment catalog records, in a chunk's fresh allocation,
+    /// the SHA-1 another thread computed of its buffer. The empty
     /// [`Bytes::new`] has no allocation and always computes.
     pub fn memo_digest(&self, compute: impl FnOnce(&[u8]) -> [u8; 20]) -> [u8; 20] {
         let Some(data) = &self.data else {

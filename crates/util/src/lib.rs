@@ -18,8 +18,9 @@
 //!   completely,
 //! - [`seed`]: splitmix64-based seed derivation for replicated
 //!   experiment grids (one base seed, per-cell/per-replicate streams),
-//! - [`sync`]: [`sync::parallel_map`], the index-keyed worker pool behind
-//!   `reproduce --jobs` and the workspace's only threaded code.
+//! - [`sync`]: the workspace's only threaded code: [`sync::parallel_map`],
+//!   the index-keyed worker pool behind `reproduce --jobs`, and
+//!   [`sync::pipelined_map`], one worker mapping what the caller produces.
 //!
 //! Everything here is deterministic where it matters: the property harness
 //! derives its cases from a fixed per-property seed, so CI failures

@@ -93,9 +93,9 @@ impl Xid {
     }
 
     /// [`Xid::for_content`] of a shared buffer, hashing each range of its
-    /// allocation at most once ([`Bytes::memo_digest`]). This is the memo's
-    /// only caller, so every stored digest is SHA-1 and the CID returned is
-    /// always that of exactly these bytes.
+    /// allocation at most once ([`Bytes::memo_digest`]). Every digest the
+    /// memo stores is SHA-1 of its range, so the CID returned is always
+    /// that of exactly these bytes.
     pub fn for_bytes(content: &Bytes) -> Self {
         Xid::new(Principal::Cid, content.memo_digest(sha1::sha1))
     }
