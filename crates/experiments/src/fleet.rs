@@ -528,6 +528,24 @@ mod tests {
     }
 
     #[test]
+    fn the_counters_do_not_depend_on_the_recorder() {
+        // Client and VNF counters are folds of the records each emits, and
+        // the fold runs whether or not a recorder is attached.
+        let mut plain = build(&tiny(42));
+        let mut traced = build(&tiny(42));
+        traced.sim.enable_trace(1 << 16);
+        assert_eq!(plain.run().digest, traced.run().digest);
+        let clients = |w: &FleetWorld| {
+            w.client_apps()
+                .map(|c| c.stats().clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(clients(&plain), clients(&traced));
+        assert_eq!(plain.vnf_stats(), traced.vnf_stats());
+        assert!(plain.vnf_stats().iter().any(|v| v.staged > 0));
+    }
+
+    #[test]
     fn baseline_fleet_never_touches_edge_caches() {
         let s = build(&FleetParams {
             staging: false,

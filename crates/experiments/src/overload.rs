@@ -74,7 +74,7 @@ fn storm_cell(seed: u64, max_depth: usize) -> [f64; 2] {
     let result = storm_run(seed, max_depth);
     [
         result.completion.map_or(f64::INFINITY, |t| t.as_secs_f64()),
-        result.stage_rejects as f64,
+        result.stats.stage_rejects as f64,
     ]
 }
 

@@ -7,7 +7,7 @@
 use std::ops::{Deref, DerefMut};
 
 use simnet::{LinkConfig, NodeId, SimDuration, SimTime};
-use softstage::{SoftStageClient, SoftStageConfig, VnfConfig};
+use softstage::{ClientStats, SoftStageClient, SoftStageConfig, VnfConfig};
 use vehicular::{CoverageSchedule, NetworkSensor};
 
 use crate::params::{ExperimentParams, MB};
@@ -45,23 +45,12 @@ pub struct RunResult {
     pub completion: Option<SimTime>,
     /// Chunks fetched.
     pub chunks_fetched: usize,
-    /// Chunks fetched from staged edge copies.
-    pub from_staged: u64,
-    /// Chunks fetched from the origin.
-    pub from_origin: u64,
     /// Handoffs performed.
     pub handoffs: u64,
     /// Active session migrations paid.
     pub migrations: u64,
-    /// `(time, chunk index, from_staged)` completions.
-    pub chunk_completions: Vec<(SimTime, usize, bool)>,
-    /// Staging requests the VNFs rejected, as observed by the client.
-    pub stage_rejects: u64,
-    /// Times the client's circuit breaker opened against an edge.
-    pub breaker_opens: u64,
-    /// Time the staging path spent in each mode, in µs:
-    /// `(Active, OriginFallback, Degraded)`.
-    pub mode_dwell_us: (u64, u64, u64),
+    /// The client's counters at the end of the run.
+    pub stats: ClientStats,
     /// Whether the delivered content digest matches the manifest's.
     pub content_ok: bool,
 }
@@ -176,22 +165,12 @@ impl Testbed {
             client_on(sim, client).is_some_and(SoftStageClient::is_done)
         });
         let app = self.client_app();
-        let stats = app.stats().clone();
         RunResult {
-            completion: stats.finished,
+            completion: app.stats().finished,
             chunks_fetched: app.fetched_chunks(),
-            from_staged: stats.from_staged,
-            from_origin: stats.from_origin,
             handoffs: app.roamer.handoffs,
             migrations: app.roamer.migrations,
-            chunk_completions: stats.chunk_completions.clone(),
-            stage_rejects: stats.stage_rejects,
-            breaker_opens: stats.breaker_opens,
-            mode_dwell_us: (
-                stats.dwell_active_us,
-                stats.dwell_fallback_us,
-                stats.dwell_degraded_us,
-            ),
+            stats: app.stats().clone(),
             content_ok: self.content_ok(0),
         }
     }

@@ -34,7 +34,7 @@ fn softstage_downloads_with_staging() {
     );
     assert_eq!(result.chunks_fetched, 8);
     assert!(
-        result.from_staged > 0,
+        result.stats.from_staged > 0,
         "some chunks came from edge caches: {result:?}"
     );
 }
@@ -47,8 +47,11 @@ fn xftp_baseline_downloads_everything_from_origin() {
     let result = tb.run(deadline());
     assert!(result.completion.is_some(), "download finished");
     assert!(result.content_ok);
-    assert_eq!(result.from_staged, 0, "baseline never uses staged copies");
-    assert_eq!(result.from_origin, 8);
+    assert_eq!(
+        result.stats.from_staged, 0,
+        "baseline never uses staged copies"
+    );
+    assert_eq!(result.stats.from_origin, 8);
 }
 
 #[test]
@@ -73,7 +76,7 @@ fn no_vnf_falls_back_to_origin() {
         "fault tolerance: still completes"
     );
     assert!(result.content_ok);
-    assert_eq!(result.from_staged, 0);
+    assert_eq!(result.stats.from_staged, 0);
 }
 
 /// The digest is over the ordered CIDs the fetches verified, so a client

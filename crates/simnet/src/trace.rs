@@ -168,8 +168,11 @@ wire_enum! {
     /// The paper's prototype falls back to the origin DAG silently when no
     /// Staging VNF answers; here the fallback is an explicit, observable
     /// state so experiments can count how often the recovery paths run.
+    #[derive(Default)]
     pub enum ClientMode {
-        /// A Staging VNF is known and staging requests flow normally.
+        /// A Staging VNF is known and staging requests flow normally; every
+        /// session starts here.
+        #[default]
         Active = "active",
         /// No reachable Staging VNF: fetches use origin DAGs until beacons
         /// re-advertise a VNF (e.g. after a VNF restart).

@@ -154,8 +154,9 @@ impl SoftStageConfig {
     }
 }
 
-/// Download progress and diagnostics.
-#[derive(Debug, Clone, Default)]
+/// Download progress and diagnostics. What a client record can express is
+/// counted by [`ClientStats::count`] alone.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClientStats {
     /// The owning client's [`SoftStageConfig::client_id`].
     pub client_id: u32,
@@ -178,10 +179,6 @@ pub struct ClientStats {
     pub fetch_retries: u64,
     /// Transitions into [`ClientMode::OriginFallback`] (no reachable VNF).
     pub origin_fallbacks: u64,
-    /// Times a VNF was re-discovered after a fallback (e.g. VNF restart).
-    pub vnf_rediscoveries: u64,
-    /// Whether the staging retry budget ran out ([`ClientMode::Degraded`]).
-    pub degraded: bool,
     /// Staging requests the VNF explicitly rejected (backpressure or
     /// admission control).
     pub stage_rejects: u64,
@@ -198,6 +195,62 @@ pub struct ClientStats {
     pub dwell_degraded_us: u64,
     /// Payload bytes downloaded.
     pub bytes_fetched: u64,
+    /// The staging mode the last `mode` record entered.
+    mode: ClientMode,
+    /// The instant dwell time has been charged up to.
+    charged_until: SimTime,
+}
+
+impl ClientStats {
+    /// Folds one of the client's own records into the counters. `mode`
+    /// charges dwell to the mode left; a delivered `fetch_complete` counts
+    /// by its source. A `breaker` record counts an `Open`: only
+    /// `Breaker::on_failure` returns one, and only once `on_associated` has
+    /// named the breaker's edge, so every trip is recorded. No record
+    /// expresses `stage_requests`, `stage_retries`, `fetch_retries`,
+    /// `fallback_refetches`, `chunk_completions`, `finished` or the dwell
+    /// charged at the last chunk: the client writes those where it acts.
+    pub(crate) fn count(&mut self, at: SimTime, event: &TraceEvent) {
+        match *event {
+            TraceEvent::ModeTransition { mode } => {
+                self.charge_dwell(at);
+                self.mode = mode;
+                if mode == ClientMode::OriginFallback {
+                    self.origin_fallbacks += 1;
+                }
+            }
+            TraceEvent::BreakerTransition {
+                state: BreakerState::Open,
+                ..
+            } => self.breaker_opens += 1,
+            TraceEvent::StageTimeout { .. } => self.stage_timeouts += 1,
+            TraceEvent::StageReject { .. } => self.stage_rejects += 1,
+            TraceEvent::FetchComplete {
+                ok: true,
+                source,
+                bytes,
+                ..
+            } => {
+                match source {
+                    FetchSource::EdgeCache => self.from_staged += 1,
+                    FetchSource::Origin => self.from_origin += 1,
+                }
+                self.bytes_fetched += bytes;
+            }
+            _ => {}
+        }
+    }
+
+    /// Charges the time since the last charge to the current mode.
+    fn charge_dwell(&mut self, at: SimTime) {
+        let dwell = match self.mode {
+            ClientMode::Active => &mut self.dwell_active_us,
+            ClientMode::OriginFallback => &mut self.dwell_fallback_us,
+            ClientMode::Degraded => &mut self.dwell_degraded_us,
+        };
+        *dwell += (at - self.charged_until).as_micros();
+        self.charged_until = at;
+    }
 }
 
 /// Timer keys (app-local).
@@ -228,9 +281,6 @@ pub struct SoftStageClient {
     in_flight: Option<InFlightFetch>,
     pending_handoff: Option<Xid>,
     current_vnf: Option<Dag>,
-    mode: ClientMode,
-    /// When the current mode was entered (dwell-time accounting).
-    mode_since: SimTime,
     /// Health of the active edge's staging path.
     breaker: Breaker,
     /// The edge the breaker's signals belong to; switching edges resets it.
@@ -270,8 +320,6 @@ impl SoftStageClient {
             in_flight: None,
             pending_handoff: None,
             current_vnf: None,
-            mode: ClientMode::Active,
-            mode_since: SimTime::ZERO,
             breaker_edge: None,
             last_depth: 0,
             fetch_attempts: 0,
@@ -313,7 +361,7 @@ impl SoftStageClient {
 
     /// Current staging-path state.
     pub fn mode(&self) -> ClientMode {
-        self.mode
+        self.stats.mode
     }
 
     /// The circuit breaker's current state (inspection).
@@ -321,56 +369,37 @@ impl SoftStageClient {
         self.breaker.state()
     }
 
-    /// Folds the time spent in the current mode into its dwell counter.
-    fn accrue_dwell(&mut self, now: SimTime) {
-        let elapsed = (now - self.mode_since).as_micros();
-        match self.mode {
-            ClientMode::Active => self.stats.dwell_active_us += elapsed,
-            ClientMode::OriginFallback => self.stats.dwell_fallback_us += elapsed,
-            ClientMode::Degraded => self.stats.dwell_degraded_us += elapsed,
-        }
-        self.mode_since = now;
+    /// Emits a record: counts it, then traces it (a no-op untraced).
+    fn note(&mut self, ctx: &mut HostCtx<'_>, event: TraceEvent) {
+        self.stats.count(ctx.now(), &event);
+        ctx.trace(event);
     }
 
-    /// Enters staging mode `mode`: accrues dwell time for the mode left,
-    /// counts the transition and records it.
+    /// Enters staging mode `mode`; the fold charges the dwell of the mode
+    /// left and counts the transition.
     fn enter_mode(&mut self, ctx: &mut HostCtx<'_>, mode: ClientMode) {
-        debug_assert_ne!(self.mode, mode, "a transition changes the mode");
-        self.accrue_dwell(ctx.now());
-        self.mode = mode;
-        match mode {
-            ClientMode::Active => self.stats.vnf_rediscoveries += 1,
-            ClientMode::OriginFallback => self.stats.origin_fallbacks += 1,
-            ClientMode::Degraded => self.stats.degraded = true,
-        }
-        ctx.trace(TraceEvent::ModeTransition { mode });
+        debug_assert_ne!(self.mode(), mode, "a transition changes the mode");
+        self.note(ctx, TraceEvent::ModeTransition { mode });
     }
 
-    /// Mirrors a breaker state change into the flight recorder.
-    fn emit_breaker(&mut self, ctx: &mut HostCtx<'_>, state: BreakerState) {
-        let Some(edge) = self.breaker_edge else {
-            return;
-        };
-        ctx.trace(TraceEvent::BreakerTransition {
-            edge: tag(&edge),
-            state,
-        });
+    /// Records a breaker state change, if there was one.
+    fn emit_breaker(&mut self, ctx: &mut HostCtx<'_>, state: Option<BreakerState>) {
+        if let (Some(edge), Some(state)) = (self.breaker_edge.as_ref().map(tag), state) {
+            self.note(ctx, TraceEvent::BreakerTransition { edge, state });
+        }
     }
 
     /// Feeds one failure signal (reject or timeout) to the breaker,
     /// recording the trip if this one opened it.
     fn note_breaker_failure(&mut self, ctx: &mut HostCtx<'_>) {
-        let now = ctx.now();
-        if let Some(state) = self.breaker.on_failure(now) {
-            self.stats.breaker_opens += 1;
-            self.emit_breaker(ctx, state);
-        }
+        let state = self.breaker.on_failure(ctx.now());
+        self.emit_breaker(ctx, state);
     }
 
     /// Staging is off for this session: either configured off (Xftp
     /// baseline) or degraded after exhausting the retry budget.
     fn staging_off(&self) -> bool {
-        !self.config.staging_enabled || self.mode == ClientMode::Degraded
+        !self.config.staging_enabled || self.mode() == ClientMode::Degraded
     }
 
     /// Whether the client is attached to a network and can be answered.
@@ -389,10 +418,8 @@ impl SoftStageClient {
         let cid = rec.cid;
         let dag = rec.best_dag().clone();
         let handle = ctx.xfetch_chunk(dag);
-        ctx.trace(TraceEvent::FetchStart {
-            chunk: tag(&cid),
-            source: source(staged),
-        });
+        let (chunk, source) = (tag(&cid), source(staged));
+        self.note(ctx, TraceEvent::FetchStart { chunk, source });
         self.in_flight = Some(InFlightFetch {
             handle,
             started: ctx.now(),
@@ -411,30 +438,28 @@ impl SoftStageClient {
             // Fault tolerance: no Staging VNF reachable here. Enter the
             // explicit origin-fallback state; fetches use raw DAGs until a
             // beacon re-advertises a VNF.
-            if self.mode == ClientMode::Active {
+            if self.mode() == ClientMode::Active {
                 self.enter_mode(ctx, ClientMode::OriginFallback);
             }
             return;
         };
-        if self.mode == ClientMode::OriginFallback {
+        if self.mode() == ClientMode::OriginFallback {
             // A VNF came (back) into reach — e.g. it restarted, or a
             // handoff brought us into a provisioned network.
             self.enter_mode(ctx, ClientMode::Active);
         }
         // Health-aware failover: an open breaker keeps staging traffic off
         // the sick edge; fetches keep flowing on origin DAGs meanwhile.
-        if let Some(state) = self.breaker.poll(ctx.now()) {
-            self.emit_breaker(ctx, state);
-        }
+        let state = self.breaker.poll(ctx.now());
+        self.emit_breaker(ctx, state);
         if !self.breaker.can_request() {
             return;
         }
         let depth = self.coordinator.target_depth();
         if depth != self.last_depth {
             self.last_depth = depth;
-            ctx.trace(TraceEvent::StageDepth {
-                depth: u32::try_from(depth).unwrap_or(u32::MAX),
-            });
+            let depth = u32::try_from(depth).unwrap_or(u32::MAX);
+            self.note(ctx, TraceEvent::StageDepth { depth });
         }
         let ahead = self.profile.staged_ahead(self.next_fetch);
         let deficit = self.coordinator.deficit(ahead);
@@ -468,7 +493,7 @@ impl SoftStageClient {
             .map(|r| (r.cid, r.raw_dag.clone()))
             .collect();
         for (cid, _) in &chunks {
-            ctx.trace(TraceEvent::StageRequest { chunk: tag(cid) });
+            self.note(ctx, TraceEvent::StageRequest { chunk: tag(cid) });
         }
         // RICH-style usefulness deadline: the chunk `k` positions ahead is
         // needed in about `k · L_fetch`. Before a fetch estimate exists the
@@ -508,9 +533,8 @@ impl SoftStageClient {
     fn commit_handoff(&mut self, ctx: &mut HostCtx<'_>, target: Xid) -> bool {
         let started = self.roamer.begin_handoff(ctx, target) != RoamEvent::None;
         if started {
-            ctx.trace(TraceEvent::HandoffCommit {
-                target: tag(&target),
-            });
+            let target = tag(&target);
+            self.note(ctx, TraceEvent::HandoffCommit { target });
         }
         started
     }
@@ -532,9 +556,8 @@ impl SoftStageClient {
                 if self.in_flight.is_some() {
                     if self.pending_handoff != Some(target) {
                         self.pending_handoff = Some(target);
-                        ctx.trace(TraceEvent::HandoffDefer {
-                            target: tag(&target),
-                        });
+                        let target = tag(&target);
+                        self.note(ctx, TraceEvent::HandoffDefer { target });
                         if self.config.staging_enabled {
                             if let Some(vnf) = target_vnf {
                                 self.prestage_into(ctx, &vnf);
@@ -564,9 +587,8 @@ impl SoftStageClient {
             // A different edge: its health record starts clean. The breaker
             // tracks one edge at a time — the active one.
             self.breaker_edge = Some(nid);
-            if let Some(state) = self.breaker.reset() {
-                self.emit_breaker(ctx, state);
-            }
+            let state = self.breaker.reset();
+            self.emit_breaker(ctx, state);
         }
         if self.pending_handoff == Some(nid) {
             self.pending_handoff = None;
@@ -635,8 +657,7 @@ impl App for SoftStageClient {
                         if let Some(r) = self.profile.get_mut(idx) {
                             r.staging_state = StagingState::Blank;
                             let chunk = tag(&r.cid);
-                            self.stats.stage_timeouts += 1;
-                            ctx.trace(TraceEvent::StageTimeout { chunk });
+                            self.note(ctx, TraceEvent::StageTimeout { chunk });
                             self.note_breaker_failure(ctx);
                         }
                     }
@@ -670,15 +691,12 @@ impl App for SoftStageClient {
                 nid,
                 hid,
             }) => {
-                ctx.trace(TraceEvent::StageAck {
-                    chunk: tag(&cid),
-                    ok,
-                });
+                let chunk = tag(&cid);
+                self.note(ctx, TraceEvent::StageAck { chunk, ok });
                 // Any staged reply — success or failure — means the edge
                 // is alive and answering: the breaker heals.
-                if let Some(state) = self.breaker.on_success() {
-                    self.emit_breaker(ctx, state);
-                }
+                let state = self.breaker.on_success();
+                self.emit_breaker(ctx, state);
                 if ok {
                     let latency = SimDuration::from_micros(staging_latency_us);
                     if self.profile.mark_ready(&cid, nid, hid) {
@@ -703,12 +721,12 @@ impl App for SoftStageClient {
                 // Backpressure: the VNF shed this chunk. The fetch path is
                 // untouched (origin DAG still serves it); the chunk just
                 // re-enters the staging candidate pool later.
-                self.stats.stage_rejects += 1;
-                ctx.trace(TraceEvent::StageReject {
+                let reject = TraceEvent::StageReject {
                     chunk: tag(&cid),
                     reason,
                     retry_after_us,
-                });
+                };
+                self.note(ctx, reject);
                 if let Some((idx, r)) = self.profile.by_cid(&cid) {
                     // Honor the VNF's advisory, but never come back sooner
                     // than this chunk's own back-off schedule would.
@@ -742,30 +760,26 @@ impl App for SoftStageClient {
             FetchResult::Complete(bytes) => Some(bytes.len() as u64),
             FetchResult::NotFound | FetchResult::Failed => None,
         };
-        ctx.trace(TraceEvent::FetchComplete {
+        let complete = TraceEvent::FetchComplete {
             chunk: tag(&cid),
             bytes: len.unwrap_or(0),
             source: source(fetch.staged),
             ok: len.is_some(),
-        });
+        };
+        self.note(ctx, complete);
         match len {
-            Some(len) => {
+            Some(_) => {
                 self.fetch_attempts = 0;
                 if fetch.staged {
                     self.coordinator.observe_fetch(ctx.now() - fetch.started);
-                    self.stats.from_staged += 1;
-                } else {
-                    self.stats.from_origin += 1;
                 }
-                self.stats.bytes_fetched += len;
                 self.content_hash.push(&cid);
                 self.stats
                     .chunk_completions
                     .push((ctx.now(), self.next_fetch, fetch.staged));
                 self.next_fetch += 1;
                 if self.next_fetch >= self.profile.len() {
-                    // Close the dwell-time books for the final mode.
-                    self.accrue_dwell(ctx.now());
+                    self.stats.charge_dwell(ctx.now());
                     self.stats.finished = Some(ctx.now());
                     return;
                 }
@@ -806,9 +820,163 @@ impl App for SoftStageClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use simnet::{DropReason, RejectReason};
     use xia_addr::Principal;
+
+    /// One record of every kind except the `counted` ones. Where a fold
+    /// counts some records of a kind and not others, the sample is one it
+    /// does not count: a half-open breaker, a failed fetch.
+    pub(crate) fn every_kind_but(counted: &[&str]) -> Vec<TraceEvent> {
+        let (link, chunk, target) = (LinkId::from_index(0), Tag(7), Tag(9));
+        let all = [
+            TraceEvent::PacketEnqueue { link, bytes: 1500 },
+            TraceEvent::PacketTx {
+                link,
+                bytes: 1500,
+                attempts: 2,
+            },
+            TraceEvent::PacketDeliver { link, bytes: 1500 },
+            TraceEvent::PacketDrop {
+                link,
+                bytes: 1500,
+                reason: DropReason::Loss,
+            },
+            TraceEvent::LinkUp { link },
+            TraceEvent::LinkDown { link },
+            TraceEvent::FaultOnset {
+                link,
+                loss: 0.5,
+                corrupt: 0.0,
+            },
+            TraceEvent::FaultClear { link },
+            TraceEvent::NodeCrash,
+            TraceEvent::NodeRestart,
+            TraceEvent::CacheWipe,
+            TraceEvent::StageRequest { chunk },
+            TraceEvent::StageAck { chunk, ok: true },
+            TraceEvent::StageStart { chunk },
+            TraceEvent::Staged { chunk, bytes: 4096 },
+            TraceEvent::StageFailed { chunk },
+            TraceEvent::ChunkEvicted { chunk },
+            TraceEvent::EvictOverflow { dropped: 3 },
+            TraceEvent::ChunkServed { chunk, bytes: 4096 },
+            TraceEvent::FetchStart {
+                chunk,
+                source: FetchSource::EdgeCache,
+            },
+            TraceEvent::FetchComplete {
+                chunk,
+                bytes: 0,
+                source: FetchSource::Origin,
+                ok: false,
+            },
+            TraceEvent::HandoffDefer { target },
+            TraceEvent::HandoffCommit { target },
+            TraceEvent::ModeTransition {
+                mode: ClientMode::OriginFallback,
+            },
+            TraceEvent::StageDepth { depth: 4 },
+            TraceEvent::StageReject {
+                chunk,
+                reason: RejectReason::QueueDepth,
+                retry_after_us: 1_000_000,
+            },
+            TraceEvent::StageTimeout { chunk },
+            TraceEvent::BreakerTransition {
+                edge: target,
+                state: BreakerState::HalfOpen,
+            },
+            TraceEvent::CacheResize { capacity: 1 << 20 },
+            TraceEvent::ServiceDegrade { delay_us: 30_000 },
+        ];
+        let kinds: std::collections::BTreeSet<_> = all.iter().map(TraceEvent::name).collect();
+        // simnet's `trace_events!` declares 30 kinds.
+        assert_eq!(
+            (kinds.len(), all.len()),
+            (30, 30),
+            "one record of each kind"
+        );
+        all.into_iter()
+            .filter(|e| !counted.contains(&e.name()))
+            .collect()
+    }
+
+    #[test]
+    fn each_record_feeds_exactly_its_counters() {
+        let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+        let chunk = Tag(7);
+        let fetched = |source, bytes| TraceEvent::FetchComplete {
+            chunk,
+            bytes,
+            source,
+            ok: true,
+        };
+        let mode = |mode| TraceEvent::ModeTransition { mode };
+        let breaker = |state| TraceEvent::BreakerTransition {
+            edge: Tag(9),
+            state,
+        };
+        let reject = TraceEvent::StageReject {
+            chunk,
+            reason: RejectReason::Deadline,
+            retry_after_us: 0,
+        };
+        // (seconds, record, the fields it moves), fed in order to one
+        // fold; every field is compared after each record.
+        let script: [(u64, TraceEvent, fn(&mut ClientStats)); 9] = [
+            (1, TraceEvent::StageTimeout { chunk }, |s| {
+                s.stage_timeouts = 1;
+            }),
+            (1, reject, |s| s.stage_rejects = 1),
+            (1, breaker(BreakerState::Open), |s| s.breaker_opens = 1),
+            (1, breaker(BreakerState::Closed), |_| {}),
+            (2, fetched(FetchSource::EdgeCache, 300), |s| {
+                s.from_staged = 1;
+                s.bytes_fetched = 300;
+            }),
+            (2, fetched(FetchSource::Origin, 200), |s| {
+                s.from_origin = 1;
+                s.bytes_fetched = 500;
+            }),
+            // Dwell across Active → OriginFallback → Active → Degraded:
+            // each transition charges the mode it leaves.
+            (3, mode(ClientMode::OriginFallback), |s| {
+                s.dwell_active_us = 3_000_000;
+                s.origin_fallbacks = 1;
+                s.mode = ClientMode::OriginFallback;
+                s.charged_until = SimTime::from_micros(3_000_000);
+            }),
+            (7, mode(ClientMode::Active), |s| {
+                s.dwell_fallback_us = 4_000_000;
+                s.mode = ClientMode::Active;
+                s.charged_until = SimTime::from_micros(7_000_000);
+            }),
+            (12, mode(ClientMode::Degraded), |s| {
+                s.dwell_active_us = 8_000_000;
+                s.mode = ClientMode::Degraded;
+                s.charged_until = SimTime::from_micros(12_000_000);
+            }),
+        ];
+        let mut stats = ClientStats::default();
+        let mut want = ClientStats::default();
+        for (secs, record, moves) in script {
+            stats.count(at(secs), &record);
+            moves(&mut want);
+            assert_eq!(stats, want, "after {record:?}");
+        }
+        // Every other kind, and the near misses above, count nothing.
+        for record in every_kind_but(&["mode", "stage_reject", "stage_timeout"]) {
+            stats.count(at(15), &record);
+            assert_eq!(stats, want, "after {record:?}");
+        }
+        // The last chunk charges the final mode.
+        stats.charge_dwell(at(20));
+        want.dwell_degraded_us = 8_000_000;
+        want.charged_until = at(20);
+        assert_eq!(stats, want);
+    }
 
     /// The staging re-request delays of a chunk named `cid`, for attempts
     /// 0..=20.

@@ -95,11 +95,10 @@ struct Job {
     waiters: Vec<Waiter>,
 }
 
-/// Counters exposed to experiments.
+/// Counters exposed to experiments. What a VNF record can express is
+/// counted by [`VnfStats::count`] alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VnfStats {
-    /// Staging requests received (messages, not chunks).
-    pub requests: u64,
     /// Chunks staged from an origin.
     pub staged: u64,
     /// Chunks answered from cache without an origin fetch.
@@ -116,6 +115,25 @@ pub struct VnfStats {
     pub declined: u64,
     /// Highest concurrent staging-job count ever reached.
     pub peak_depth: u64,
+}
+
+impl VnfStats {
+    /// Folds one of the VNF's own records into the counters. A `staged`
+    /// of 0 bytes was answered from cache; any other landed. No publisher
+    /// makes an empty chunk (`chunk_content` and `publish_catalog` loop
+    /// only while bytes remain). `declined` and `failed` are both recorded
+    /// as `stage_failed`, so the VNF counts those, and `peak_depth`, itself.
+    pub(crate) fn count(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::StageReject { .. } => self.rejected += 1,
+            TraceEvent::Staged { bytes: 0, .. } => self.already_cached += 1,
+            TraceEvent::Staged { bytes, .. } => {
+                self.staged += 1;
+                self.bytes_staged += bytes;
+            }
+            _ => {}
+        }
+    }
 }
 
 /// The Staging VNF application, deployed on an edge router's host stack.
@@ -176,6 +194,12 @@ impl StagingVnf {
         Dag::service_with_fallback(self.sid, nid, hid)
     }
 
+    /// Emits a record: counts it, then traces it (a no-op untraced).
+    fn note(&mut self, ctx: &mut HostCtx<'_>, event: TraceEvent) {
+        self.stats.count(&event);
+        ctx.trace(event);
+    }
+
     /// Sends (or, under a `SlowEdge` fault, schedules) one reply.
     fn send_msg(&mut self, ctx: &mut HostCtx<'_>, to: &Dag, token: u64, msg: &StagingMsg) {
         let body = msg.encode();
@@ -221,13 +245,13 @@ impl StagingVnf {
         cid: Xid,
         reason: RejectReason,
     ) {
-        self.stats.rejected += 1;
         let retry_after_us = self.config.retry_after.as_micros();
-        ctx.trace(TraceEvent::StageReject {
+        let record = TraceEvent::StageReject {
             chunk: Tag::of(cid.id()),
             reason,
             retry_after_us,
-        });
+        };
+        self.note(ctx, record);
         let msg = StagingMsg::Reject {
             cid,
             reason,
@@ -319,17 +343,13 @@ impl App for StagingVnf {
             return;
         };
         let deadline = SimTime::from_micros(deadline_us);
-        self.stats.requests += 1;
         for (cid, origin) in chunks {
+            let chunk = Tag::of(cid.id());
             if ctx.store().contains(&cid) {
                 // Idempotent: already staged (or being served) here. Still
                 // recorded as `Staged { bytes: 0 }` so the trace oracle
                 // knows this cache legitimately holds the chunk.
-                self.stats.already_cached += 1;
-                ctx.trace(TraceEvent::Staged {
-                    chunk: Tag::of(cid.id()),
-                    bytes: 0,
-                });
+                self.note(ctx, TraceEvent::Staged { chunk, bytes: 0 });
                 self.reply(ctx, &from, token, cid, true, 0);
                 continue;
             }
@@ -350,9 +370,7 @@ impl App for StagingVnf {
             let in_flight: u64 = self.jobs.values().map(|job| job.bytes).sum();
             if in_flight.saturating_add(chunk_bytes) > ctx.store().capacity_bytes() as u64 {
                 self.stats.declined += 1;
-                ctx.trace(TraceEvent::StageFailed {
-                    chunk: Tag::of(cid.id()),
-                });
+                self.note(ctx, TraceEvent::StageFailed { chunk });
                 self.reply(ctx, &from, token, cid, false, 0);
                 continue;
             }
@@ -361,9 +379,7 @@ impl App for StagingVnf {
                 continue;
             }
             let handle = ctx.xfetch_chunk(origin);
-            ctx.trace(TraceEvent::StageStart {
-                chunk: Tag::of(cid.id()),
-            });
+            self.note(ctx, TraceEvent::StageStart { chunk });
             self.jobs.insert(
                 cid,
                 Job {
@@ -410,14 +426,12 @@ impl App for StagingVnf {
         let chunk = Tag::of(cid.id());
         match staged_bytes {
             Some(bytes) => {
-                self.stats.staged += 1;
-                self.stats.bytes_staged += bytes;
                 self.latency.observe(latency);
-                ctx.trace(TraceEvent::Staged { chunk, bytes });
+                self.note(ctx, TraceEvent::Staged { chunk, bytes });
             }
             None => {
                 self.stats.failed += 1;
-                ctx.trace(TraceEvent::StageFailed { chunk });
+                self.note(ctx, TraceEvent::StageFailed { chunk });
             }
         }
         let ok = staged_bytes.is_some();
@@ -522,6 +536,41 @@ pub(crate) mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn each_record_feeds_exactly_its_counters() {
+        let chunk = Tag(7);
+        let staged = |bytes| TraceEvent::Staged { chunk, bytes };
+        let reject = TraceEvent::StageReject {
+            chunk,
+            reason: RejectReason::Deadline,
+            retry_after_us: 0,
+        };
+        // (record, the fields it moves), fed in order to one fold; every
+        // field is compared after each record.
+        let script: [(TraceEvent, fn(&mut VnfStats)); 4] = [
+            (reject, |s| s.rejected = 1),
+            (staged(0), |s| s.already_cached = 1),
+            (staged(4096), |s| {
+                s.staged = 1;
+                s.bytes_staged = 4096;
+            }),
+            (staged(0), |s| s.already_cached = 2),
+        ];
+        let mut stats = VnfStats::default();
+        let mut want = VnfStats::default();
+        for (record, moves) in script {
+            stats.count(&record);
+            moves(&mut want);
+            assert_eq!(stats, want, "after {record:?}");
+        }
+        // Every other kind counts nothing: `stage_failed` is both a
+        // decline and a failure, so neither is the fold's to count.
+        for record in crate::client::tests::every_kind_but(&["stage_reject", "staged"]) {
+            stats.count(&record);
+            assert_eq!(stats, want, "after {record:?}");
+        }
     }
 
     #[test]

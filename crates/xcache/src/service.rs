@@ -22,9 +22,12 @@ use crate::proto::{ChunkRequest, ChunkResponseHeader, REQUEST_LEN, RESPONSE_HDR_
 use crate::store::ChunkStore;
 
 /// Output of the server state machine: what the host should do on which
-/// connection.
+/// connection, and what it served.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerAction {
+    /// A chunk of this many bytes was answered from the store; the host
+    /// records it.
+    Served(Xid, u64),
     /// Send bytes on the connection.
     Send(ConnId, Bytes),
     /// Close the send direction of the connection.
@@ -39,14 +42,7 @@ pub struct ChunkServer {
     inbox: BTreeMap<ConnId, Vec<u8>>,
     served: u64,
     not_found: u64,
-    /// (CID, bytes) pairs served since the last [`ChunkServer::take_served`],
-    /// bounded by [`SERVED_LOG_CAP`].
-    served_log: Vec<(Xid, u64)>,
 }
-
-/// Upper bound on the pending served-chunk log (drained by the host's
-/// flight-recorder flush; entries beyond the cap are silently dropped).
-const SERVED_LOG_CAP: usize = 4096;
 
 impl ChunkServer {
     /// Creates an idle server.
@@ -96,15 +92,14 @@ impl ChunkServer {
         match store.get(&req.cid) {
             Some(chunk) => {
                 self.served += 1;
-                if self.served_log.len() < SERVED_LOG_CAP {
-                    self.served_log.push((req.cid, chunk.len() as u64));
-                }
+                let len = chunk.len() as u64;
                 let hdr = ChunkResponseHeader {
                     cid: req.cid,
                     found: true,
-                    len: chunk.len() as u64,
+                    len,
                 };
                 vec![
+                    ServerAction::Served(req.cid, len),
                     ServerAction::Send(conn, hdr.encode()),
                     ServerAction::Send(conn, chunk),
                     ServerAction::Close(conn),
@@ -128,13 +123,6 @@ impl ChunkServer {
     /// Forgets a connection that closed or failed.
     pub fn on_gone(&mut self, conn: ConnId) {
         self.inbox.remove(&conn);
-    }
-
-    /// Drains the (CID, bytes) pairs served since the last call, in serve
-    /// order. Costs nothing when nothing was served. The host flushes this
-    /// into the flight recorder after each dispatch.
-    pub fn take_served(&mut self) -> Vec<(Xid, u64)> {
-        std::mem::take(&mut self.served_log)
     }
 }
 
@@ -315,8 +303,13 @@ mod tests {
         let c = conn(1);
         server.on_incoming(c);
         let actions = server.on_data(c, &fetcher.request_bytes(), &mut store);
-        assert_eq!(actions.len(), 3);
-        assert!(matches!(actions[2], ServerAction::Close(_)));
+        assert_eq!(actions.len(), 4);
+        assert_eq!(
+            actions[0],
+            ServerAction::Served(cid, 5000),
+            "reported first"
+        );
+        assert!(matches!(actions[3], ServerAction::Close(_)));
         // Stream server sends into the fetcher, fragmented arbitrarily.
         let mut wire = Vec::new();
         for a in &actions {
@@ -479,7 +472,8 @@ mod tests {
         let first = server.on_data(c, &req.slice(0..10), &mut store);
         assert!(first.is_empty(), "waits for the full frame");
         let rest = server.on_data(c, &req.slice(10..), &mut store);
-        assert_eq!(rest.len(), 3);
+        assert_eq!(rest.len(), 4);
+        assert_eq!(rest[0], ServerAction::Served(cid, 100));
     }
 
     #[test]

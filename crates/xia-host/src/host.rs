@@ -2,7 +2,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use simnet::{Context as SimContext, LinkId, Node, NodeFault, SimDuration, SimTime, TimerKey};
+use simnet::{
+    Context as SimContext, LinkId, Node, NodeFault, SimDuration, SimTime, Tag, TimerKey, TraceEvent,
+};
 use util::bytes::Bytes;
 use xcache::{
     chunk_content, ChunkFetcher, ChunkServer, ChunkStore, EvictionPolicy, FetchProgress, Manifest,
@@ -382,11 +384,10 @@ impl Host {
         match fault {
             NodeFault::Crash => {
                 // No drain: anything apps tried to emit died with the
-                // node, and so did the cache/server trace logs.
+                // node, and so did the cache's evicted log.
                 self.pending.clear();
                 self.outbox.clear();
                 let _ = self.store.take_evicted();
-                let _ = self.server.take_served();
             }
             NodeFault::Restart => self.start(ctx),
             // Draining flushes a squeeze's evictions into the trace.
@@ -582,6 +583,10 @@ impl Host {
         let (mux, mut env) = self.env(ctx);
         for action in actions {
             match action {
+                ServerAction::Served(cid, bytes) => {
+                    let chunk = Tag::of(cid.id());
+                    env.sim.trace(TraceEvent::ChunkServed { chunk, bytes });
+                }
                 ServerAction::Send(conn, data) => {
                     let _ = mux.send(&mut env, conn, data);
                 }
@@ -601,15 +606,12 @@ impl Host {
         self.flush_trace(ctx);
     }
 
-    /// Flushes the store's and server's pending trace logs into the
-    /// flight recorder. The take-calls are cheap no-ops when the logs are
-    /// empty (the common case) and keep the logs bounded even when
-    /// tracing is off.
+    /// Flushes the store's evicted log into the flight recorder. The
+    /// take-calls are cheap no-ops when the log is empty (the common case)
+    /// and keep it bounded even when tracing is off.
     fn flush_trace(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
-        use simnet::{Tag, TraceEvent};
         let evicted = self.store.take_evicted();
         let evicted_dropped = self.store.take_evicted_dropped();
-        let served = self.server.take_served();
         if !ctx.tracing() {
             return;
         }
@@ -623,12 +625,6 @@ impl Host {
             // be drained; surface the shortfall instead of losing it.
             ctx.trace(TraceEvent::EvictOverflow {
                 dropped: evicted_dropped,
-            });
-        }
-        for (cid, bytes) in served {
-            ctx.trace(TraceEvent::ChunkServed {
-                chunk: Tag::of(cid.id()),
-                bytes,
             });
         }
     }

@@ -28,8 +28,8 @@ fn main() {
     println!(
         "clean:   done in {:.2} s, {} staged / {} origin, content ok: {}",
         (clean_t - SimTime::ZERO).as_secs_f64(),
-        clean.from_staged,
-        clean.from_origin,
+        clean.stats.from_staged,
+        clean.stats.from_origin,
         clean.content_ok,
     );
 
@@ -71,8 +71,8 @@ fn main() {
     println!(
         "faulted: done in {:.2} s, {} staged / {} origin, content ok: {}",
         (faulted_t - SimTime::ZERO).as_secs_f64(),
-        faulted.from_staged,
-        faulted.from_origin,
+        faulted.stats.from_staged,
+        faulted.stats.from_origin,
         faulted.content_ok,
     );
     println!(
@@ -95,7 +95,7 @@ fn main() {
     println!(
         "no VNF:  done in {:.2} s, all {} chunks from origin, mode {:?}, fallbacks recorded {}",
         (no_vnf.completion.expect("completes") - SimTime::ZERO).as_secs_f64(),
-        no_vnf.from_origin,
+        no_vnf.stats.from_origin,
         app.mode(),
         app.stats().origin_fallbacks,
     );

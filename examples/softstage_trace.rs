@@ -1,61 +1,90 @@
-//! softstage-trace: run a seeded SoftStage download with the flight
-//! recorder attached, audit the trace against the invariant oracle, and
-//! dump the trace as JSON lines.
+//! softstage-trace: run a seeded SoftStage world with the flight recorder
+//! attached, audit the trace against the invariant oracle, and dump the
+//! trace as JSON lines.
 //!
 //! ```text
-//! cargo run --release --example softstage_trace [seed] [out.jsonl]
+//! cargo run --release --example softstage_trace [fleet] [seed] [out.jsonl]
 //! ```
 //!
-//! With no output path the per-event-type summary and the oracle verdict
-//! print to stdout and the JSON lines are suppressed; pass a path (or `-`
-//! for stdout) to get the trace. The verdict comes from the streaming
-//! audit and covers every event of the run; the ring only bounds how much
-//! of it the JSON-lines dump (and the summary) can still show.
+//! By default the world is one client downloading along an alternating
+//! coverage schedule; with a leading `fleet` it is the `fleet-smoke` world
+//! instead: 200 clients sharing four staged edges. With no output path
+//! the per-event-type summary and the oracle verdict print to stdout and
+//! the JSON lines are suppressed; pass a path (or `-` for stdout) to get
+//! the trace. The verdict comes from the streaming audit and covers every
+//! event of the run; the ring only bounds how much of it the JSON-lines
+//! dump (and the summary) can still show.
 
 use std::collections::BTreeMap;
 
+use softstage_suite::experiments::fleet::{self, FleetParams};
+use softstage_suite::experiments::world::World;
 use softstage_suite::experiments::{build, ExperimentParams, MB};
 use softstage_suite::simnet::{SimDuration, SimTime};
 use softstage_suite::softstage::SoftStageConfig;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let fleet = args.first().is_some_and(|a| a == "fleet");
+    if fleet {
+        args.remove(0);
+    }
+    let seed: u64 = args
+        .first()
         .map(|s| s.parse().expect("seed must be an integer"))
         .unwrap_or(42);
-    let out = std::env::args().nth(2);
+    let out = args.get(1).map(String::as_str);
+    if fleet {
+        let mut world = fleet::build(&FleetParams {
+            seed,
+            ..FleetParams::default()
+        });
+        world.sim.enable_trace(1 << 22);
+        let s = world.run();
+        let headline = format!(
+            "seed {seed}: fleet of {} clients, {} finished, p50 {:.2} s, p99 {:.2} s, {} stage rejects, digest {}",
+            s.clients, s.completed, s.p50_s, s.p99_s, s.stage_rejects, s.digest
+        );
+        report(&world, &headline, out);
+    } else {
+        let params = ExperimentParams {
+            file_size: 6 * MB,
+            chunk_size: MB,
+            seed,
+            ..ExperimentParams::default()
+        };
+        let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
+        let mut tb = build(&params, &schedule, SoftStageConfig::default());
+        tb.sim.enable_trace(1 << 20);
+        let result = tb.run(SimTime::ZERO + SimDuration::from_secs(2000));
+        let stats = tb.client_app().stats();
+        let headline = format!(
+            "seed {seed}: {} chunks in {}, {} staged / {} origin, content {}",
+            result.chunks_fetched,
+            result
+                .completion
+                .map_or("DNF".to_string(), |t| format!("{:.2} s", t.as_secs_f64())),
+            stats.from_staged,
+            stats.from_origin,
+            if result.content_ok {
+                "verified"
+            } else {
+                "FAILED"
+            },
+        );
+        report(&tb, &headline, out);
+    }
+}
 
-    let params = ExperimentParams {
-        file_size: 6 * MB,
-        chunk_size: MB,
-        seed,
-        ..ExperimentParams::default()
-    };
-    let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
-    let mut tb = build(&params, &schedule, SoftStageConfig::default());
-    tb.sim.enable_trace(1 << 20);
-    let result = tb.run(SimTime::ZERO + SimDuration::from_secs(2000));
-
-    let sink = tb.sim.trace().expect("recorder attached");
+/// Prints the headline, the per-event histogram and the oracle verdict
+/// (exiting 1 on a violation), then writes the JSON lines to `out`.
+fn report(world: &World, headline: &str, out: Option<&str>) {
+    let sink = world.sim.trace().expect("recorder attached");
     let mut by_event: BTreeMap<&'static str, u64> = BTreeMap::new();
     for r in sink.records() {
         *by_event.entry(r.event.name()).or_default() += 1;
     }
-
-    println!(
-        "seed {seed}: {} chunks in {}, {} staged / {} origin, content {}",
-        result.chunks_fetched,
-        result
-            .completion
-            .map_or("DNF".to_string(), |t| format!("{:.2} s", t.as_secs_f64())),
-        result.from_staged,
-        result.from_origin,
-        if result.content_ok {
-            "verified"
-        } else {
-            "FAILED"
-        },
-    );
+    println!("{headline}");
     println!(
         "trace: {} records in the ring ({} older ones dropped from the dump)",
         sink.len(),
@@ -65,7 +94,7 @@ fn main() {
         println!("  {name:<16} {count}");
     }
 
-    let violations = tb.audit_trace();
+    let violations = world.audit_trace();
     if violations.is_empty() {
         println!("oracle: clean");
     } else {
@@ -76,11 +105,11 @@ fn main() {
         std::process::exit(1);
     }
 
-    match out.as_deref() {
+    match out {
         None => {}
-        Some("-") => print!("{}", tb.trace_jsonl()),
+        Some("-") => print!("{}", world.trace_jsonl()),
         Some(path) => {
-            std::fs::write(path, tb.trace_jsonl()).expect("writable output path");
+            std::fs::write(path, world.trace_jsonl()).expect("writable output path");
             println!("wrote {path}");
         }
     }

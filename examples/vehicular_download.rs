@@ -33,11 +33,11 @@ fn main() {
     println!("\n              download   staged  origin  handoffs  migrations");
     println!(
         "softstage   {s:>8.1} s   {:>6}  {:>6}  {:>8}  {:>10}",
-        soft.from_staged, soft.from_origin, soft.handoffs, soft.migrations
+        soft.stats.from_staged, soft.stats.from_origin, soft.handoffs, soft.migrations
     );
     println!(
         "xftp        {b:>8.1} s   {:>6}  {:>6}  {:>8}  {:>10}",
-        base.from_staged, base.from_origin, base.handoffs, base.migrations
+        base.stats.from_staged, base.stats.from_origin, base.handoffs, base.migrations
     );
     println!(
         "\ngain: {:.2}x (paper reports 1.77x at these defaults)",

@@ -39,6 +39,7 @@ fn main() {
         let result = build(&params, &schedule, config).run(deadline);
         assert!(result.content_ok, "{name} must finish and verify");
         let completions: Vec<SimTime> = result
+            .stats
             .chunk_completions
             .iter()
             .map(|(t, _, _)| *t)

@@ -10,17 +10,21 @@
 # coordinator's depth bounds and `prestage_depth`). Also runs `fig6` and
 # `fig7` at seed 42 alone: the single-client tables that take the Chunk
 # Profile through every staging state. Runs both `softstage_trace`
-# examples at seeds 42 and 7 and `cmp`s their stdout (summary and oracle
-# verdict) and their JSON-lines dumps, and `cmp`s the stdout of both
-# `fault_injection` examples: the one run that crashes and restarts a
-# node, wipes a cache and opens a burst-loss window. Then builds each
-# tree's benchmark/ into a target directory of its own, runs one traced
-# `ssbench pass` per workload named in BENCHMARK.json at seed 42 and at
-# the held-out seed 7 on both and compares what the seed determines
-# (`attempted`, `failed`, `digests`, every `sim` reading), naming each
-# reading that differs; the `host` member is ignored. Offline; writes
-# nothing under benchmark/. Not part of verify.sh: CI checkouts are
-# shallow.
+# examples at seeds 42 and 7, on the single-client drive and on the
+# `fleet-smoke` world (200 clients at four shared edges, where cache,
+# server and VNF records interleave), and `cmp`s their stdout (summary
+# and oracle verdict) and their JSON-lines dumps (about 250 MB per fleet
+# run). A <git-ref> whose `softstage_trace` predates the `fleet` argument
+# is built with this tree's copy of the example instead. Also `cmp`s the
+# stdout of both `fault_injection` examples: the one run that crashes and
+# restarts a node, wipes a cache and opens a burst-loss window. Then
+# builds each tree's benchmark/ into a target directory of its own, runs
+# one traced `ssbench pass` per workload named in BENCHMARK.json at seed
+# 42 and at the held-out seed 7 on both and compares what the seed
+# determines (`attempted`, `failed`, `digests`, every `sim` reading),
+# naming each reading that differs; the `host` member is ignored.
+# Offline; writes nothing under benchmark/. Not part of verify.sh: CI
+# checkouts are shallow.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref="${1:?usage: scripts/same_output.sh <git-ref>}"
@@ -28,6 +32,8 @@ dir="$PWD/target/same_output"
 rm -rf "$dir/ref" "$dir/out"
 mkdir -p "$dir/ref" "$dir/out/ref" "$dir/out/tree"
 git archive "$ref" | tar -x -C "$dir/ref"
+grep -q '"fleet"' "$dir/ref/examples/softstage_trace.rs" ||
+    cp examples/softstage_trace.rs "$dir/ref/examples/softstage_trace.rs"
 build() {
     cargo build --release --offline --quiet -p softstage-experiments \
         -p softstage-suite --bin reproduce --example softstage_trace \
@@ -51,6 +57,7 @@ for side in ref tree; do
     for seed in 42 7; do
         # Run inside the output directory so the "wrote <path>" line matches.
         (cd "$dir/out/$side" && "$trace" "$seed" "trace-$seed.jsonl" >"trace-$seed.stdout")
+        (cd "$dir/out/$side" && "$trace" fleet "$seed" "fleet-$seed.jsonl" >"fleet-$seed.stdout")
     done
     "$examples/fault_injection" >"$dir/out/$side/fault_injection.stdout"
 done

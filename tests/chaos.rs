@@ -286,7 +286,7 @@ fn vnf_unreachable_uses_explicit_origin_fallback() {
         tb.sim.enable_trace(TRACE_CAPACITY);
         let result = tb.run(deadline());
         assert!(result.content_ok, "no-VNF run (seed {seed}): {result:?}");
-        assert_eq!(result.from_staged, 0);
+        assert_eq!(result.stats.from_staged, 0);
         common::assert_trace_clean(&tb, &format!("no-VNF seed {seed}"));
         let app = tb.client_app();
         assert!(
@@ -344,12 +344,13 @@ fn long_edge_outage_charges_no_retries_while_detached_and_staging_resumes() {
         });
         // Every retry charged is a timeout of an associated edge.
         assert!(
-            !detached_timeout && stats.stage_retries == stats.stage_timeouts && !stats.degraded,
+            !detached_timeout && stats.stage_retries == stats.stage_timeouts,
             "the outage charged retries while detached (seed {seed}): {stats:?}"
         );
         assert_eq!(app.mode(), ClientMode::Active);
         assert!(
             result
+                .stats
                 .chunk_completions
                 .iter()
                 .any(|&(at, _, staged)| staged && at > back),

@@ -37,8 +37,8 @@ fn identical_seeds_are_bit_for_bit_reproducible() {
     let one = build(&p, &schedule, SoftStageConfig::default()).run(deadline());
     let two = build(&p, &schedule, SoftStageConfig::default()).run(deadline());
     assert_eq!(one.completion, two.completion);
-    assert_eq!(one.chunk_completions, two.chunk_completions);
-    assert_eq!(one.from_staged, two.from_staged);
+    assert_eq!(one.stats.chunk_completions, two.stats.chunk_completions);
+    assert_eq!(one.stats.from_staged, two.stats.from_staged);
     assert_eq!(one.handoffs, two.handoffs);
 }
 
@@ -56,7 +56,7 @@ fn different_seeds_differ_but_both_succeed() {
     assert!(one.content_ok && two.content_ok);
     // Different seeds generate different content and loss patterns; the
     // exact timeline differs.
-    assert_ne!(one.chunk_completions, two.chunk_completions);
+    assert_ne!(one.stats.chunk_completions, two.stats.chunk_completions);
 }
 
 #[test]
@@ -65,8 +65,8 @@ fn softstage_fetches_mostly_from_edges_and_wins() {
     let schedule = p.alternating_schedule(SimDuration::from_secs(600));
     let soft = build(&p, &schedule, SoftStageConfig::default()).run(deadline());
     let base = build(&p, &schedule, SoftStageConfig::baseline()).run(deadline());
-    assert!(soft.from_staged > soft.from_origin, "{soft:?}");
-    assert_eq!(base.from_staged, 0);
+    assert!(soft.stats.from_staged > soft.stats.from_origin, "{soft:?}");
+    assert_eq!(base.stats.from_staged, 0);
     assert!(
         soft.completion.unwrap() <= base.completion.unwrap(),
         "softstage {:?} <= xftp {:?}",

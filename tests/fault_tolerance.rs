@@ -26,8 +26,8 @@ fn no_vnf_deployed_falls_back_to_origin_everywhere() {
     tb.sim.enable_trace(TRACE_CAPACITY);
     let result = tb.run(deadline());
     assert!(result.content_ok, "completes without any VNF: {result:?}");
-    assert_eq!(result.from_staged, 0);
-    assert_eq!(result.from_origin, 6);
+    assert_eq!(result.stats.from_staged, 0);
+    assert_eq!(result.stats.from_origin, 6);
     common::assert_trace_clean(&tb, "no VNF deployed");
 }
 

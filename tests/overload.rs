@@ -28,13 +28,19 @@ use common::{deadline, TRACE_CAPACITY};
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
 
-/// Builds the storm testbed with every VNF capped at `max_depth` jobs.
-fn storm_testbed(seed: u64, max_depth: usize) -> Testbed {
+/// Builds the storm testbed with every VNF capped at `max_depth` jobs and
+/// no flight recorder.
+fn untraced_storm(seed: u64, max_depth: usize) -> Testbed {
     let params = storm_params(seed);
     let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
-    let mut tb = build_with_vnf(&params, &schedule, storm_client(), |_| {
+    build_with_vnf(&params, &schedule, storm_client(), |_| {
         pinched_vnf(max_depth)
-    });
+    })
+}
+
+/// The storm testbed with the flight recorder attached.
+fn storm_testbed(seed: u64, max_depth: usize) -> Testbed {
+    let mut tb = untraced_storm(seed, max_depth);
     tb.sim.enable_trace(TRACE_CAPACITY);
     tb
 }
@@ -75,13 +81,13 @@ fn storm_stays_within_queue_cap_and_loses_nothing() {
         // (Replies can still be in flight at completion, so the client may
         // have seen fewer — never more — rejects than the VNFs sent.)
         assert!(
-            result.stage_rejects <= total_rejected,
+            result.stats.stage_rejects <= total_rejected,
             "client cannot see more rejects than were sent (seed {seed}): \
              client {} vs vnf {total_rejected}",
-            result.stage_rejects
+            result.stats.stage_rejects
         );
         assert!(
-            result.stage_rejects > 0,
+            result.stats.stage_rejects > 0,
             "the client must observe the backpressure (seed {seed}): {result:?}"
         );
         // Backpressure sheds load, it does not strand it: once the
@@ -110,6 +116,30 @@ fn storm_runs_are_byte_identical_per_seed() {
 }
 
 #[test]
+fn the_counters_do_not_depend_on_the_recorder() {
+    // Client and VNF counters are folds of the records each emits, and
+    // the fold runs whether or not a recorder is attached: a storm run
+    // with one counts what the same run without one counts.
+    // with one counts what the same run without one counts. The storm
+    // sheds and trips breakers; the slow edge times requests out.
+    let (mut rejects, mut timeouts, mut opens) = (0, 0, 0);
+    for seed in SEEDS {
+        for world in [|seed| untraced_storm(seed, 2), untraced_slow_edge] {
+            let mut traced = world(seed);
+            traced.sim.enable_trace(TRACE_CAPACITY);
+            let mut plain = world(seed);
+            let stats = traced.run(deadline()).stats;
+            assert_eq!(plain.run(deadline()).stats, stats, "seed {seed}");
+            assert_eq!(plain.vnf_stats(), traced.vnf_stats(), "seed {seed}");
+            rejects += stats.stage_rejects;
+            timeouts += stats.stage_timeouts;
+            opens += stats.breaker_opens;
+        }
+    }
+    assert!(rejects > 0 && timeouts > 0 && opens > 0);
+}
+
+#[test]
 fn unpinched_vnf_sees_no_backpressure() {
     // The generous default bounds must keep existing workloads reject-free:
     // overload protection is inert until something is actually overloaded.
@@ -118,16 +148,16 @@ fn unpinched_vnf_sees_no_backpressure() {
         assert!(result.content_ok, "seed {seed}: {result:?}");
         common::assert_trace_clean(&tb, &format!("unpinched seed {seed}"));
         assert_eq!(
-            result.stage_rejects, 0,
+            result.stats.stage_rejects, 0,
             "no rejects under generous bounds (seed {seed}): {result:?}"
         );
         assert_eq!(
-            result.breaker_opens, 0,
+            result.stats.breaker_opens, 0,
             "breaker must stay closed on a healthy edge (seed {seed}): {result:?}"
         );
         assert_eq!(tb.client_app().breaker_state(), BreakerState::Closed);
         assert!(
-            result.mode_dwell_us.0 > 0,
+            result.stats.dwell_active_us > 0,
             "the staging path must dwell Active (seed {seed}): {result:?}"
         );
         // A healthy run feeds both latency estimators (they drive the
@@ -338,6 +368,30 @@ fn breaker_walks_the_full_state_machine() {
     );
 }
 
+/// A storm-sized client on default VNFs whose replies are all held back
+/// 30 s from 0.5 s to 10.5 s, with no flight recorder.
+fn untraced_slow_edge(seed: u64) -> Testbed {
+    let params = ExperimentParams {
+        file_size: 24 * MB,
+        chunk_size: MB,
+        seed,
+        ..ExperimentParams::default()
+    };
+    let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
+    let mut tb = build_with_vnf(&params, &schedule, storm_client(), |_| VnfConfig::default());
+    let mut plan = FaultPlan::new();
+    for &edge in &tb.edges.clone() {
+        plan.push(Fault::SlowEdge {
+            node: edge,
+            at: SimTime::ZERO + SimDuration::from_millis(500),
+            lasting: SimDuration::from_secs(10),
+            delay: SimDuration::from_secs(30),
+        });
+    }
+    plan.apply(&mut tb.sim);
+    tb
+}
+
 #[test]
 fn slow_edge_trips_breaker_and_download_survives() {
     // A `SlowEdge` fault stalls every VNF's replies for 10 s (each held
@@ -350,25 +404,8 @@ fn slow_edge_trips_breaker_and_download_survives() {
     // shut, and staging resumes. The download is twice the storm size so
     // the run outlives the fault window with room for the recovery.
     for seed in SEEDS {
-        let params = ExperimentParams {
-            file_size: 24 * MB,
-            chunk_size: MB,
-            seed,
-            ..ExperimentParams::default()
-        };
-        let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
-        let mut tb = build_with_vnf(&params, &schedule, storm_client(), |_| VnfConfig::default());
+        let mut tb = untraced_slow_edge(seed);
         tb.sim.enable_trace(TRACE_CAPACITY);
-        let mut plan = FaultPlan::new();
-        for &edge in &tb.edges.clone() {
-            plan.push(Fault::SlowEdge {
-                node: edge,
-                at: SimTime::ZERO + SimDuration::from_millis(500),
-                lasting: SimDuration::from_secs(10),
-                delay: SimDuration::from_secs(30),
-            });
-        }
-        plan.apply(&mut tb.sim);
         let result = tb.run(deadline());
         assert!(
             result.content_ok,
@@ -376,7 +413,7 @@ fn slow_edge_trips_breaker_and_download_survives() {
         );
         common::assert_trace_clean(&tb, &format!("slow-edge seed {seed}"));
         assert!(
-            result.breaker_opens > 0,
+            result.stats.breaker_opens > 0,
             "repeated staging timeouts must trip the breaker (seed {seed}): {result:?}"
         );
         let app = tb.client_app();

@@ -33,7 +33,7 @@ fn vnf_stages_and_serves_chunks() {
     assert!(staged_total > 0, "VNFs staged chunks from the origin");
     assert!(intercepts > 0, "edge caches intercepted CID fetches");
     // Staged fetches dominate.
-    assert!(result.from_staged >= result.from_origin);
+    assert!(result.stats.from_staged >= result.stats.from_origin);
 }
 
 #[test]
