@@ -140,6 +140,11 @@ pub struct FleetSummary {
     pub origin_offload: f64,
     /// Staging requests shed by VNF backpressure or admission control.
     pub stage_rejects: u64,
+    /// Fetches started while their chunk's staging answer was
+    /// outstanding: each pulls the chunk from the origin beside its stage.
+    pub pending_fetches: u64,
+    /// Mean time a client's fetches waited for staging answers, seconds.
+    pub stage_wait_s: f64,
     /// Chunks evicted across all edge caches.
     pub evictions: u64,
     /// Evicted-CID log records dropped past the bounded log's capacity.
@@ -286,6 +291,7 @@ impl FleetWorld {
         let mut completed = 0usize;
         let mut content_ok = true;
         let (mut staged, mut origin_direct, mut rejects) = (0u64, 0u64, 0u64);
+        let (mut pending_fetches, mut stage_wait_us) = (0u64, 0u64);
         for (i, app) in self.client_apps().enumerate() {
             let stats = app.stats();
             let up = self.up_times[i];
@@ -300,6 +306,8 @@ impl FleetWorld {
             staged += stats.from_staged;
             origin_direct += stats.from_origin;
             rejects += stats.stage_rejects;
+            pending_fetches += stats.pending_fetches;
+            stage_wait_us += stats.stage_wait_us;
             content_ok &= !self.verify_content || self.content_ok(i);
             for v in [
                 u64::from(stats.client_id),
@@ -358,6 +366,8 @@ impl FleetWorld {
             cache_hit_ratio: edge_hits as f64 / total_chunks,
             origin_offload: 1.0 - origin_hits as f64 / total_chunks,
             stage_rejects: rejects,
+            pending_fetches,
+            stage_wait_s: stage_wait_us as f64 / 1e6 / n as f64,
             evictions,
             evict_log_dropped: dropped,
             peak_edge_bytes: peak,
@@ -379,20 +389,25 @@ type Metric = (&'static str, fn(&FleetSummary) -> f64);
 
 /// What each sweep cell publishes, in order: p50 (the cell's own row),
 /// then the metric rows read off the staged world of each combo.
-const METRICS: [Metric; 6] = [
+const METRICS: [Metric; 8] = [
     ("p50 (s)", |s| s.p50_s),
     ("p99 staged (s)", |s| s.p99_s),
     ("edge cache hit ratio", |s| s.cache_hit_ratio),
     ("origin offload", |s| s.origin_offload),
     ("stage rejects (count)", |s| s.stage_rejects as f64),
+    ("fetches on pending chunks (count)", |s| {
+        s.pending_fetches as f64
+    }),
+    ("stage wait per client (s)", |s| s.stage_wait_s),
     ("completed clients (count)", |s| s.completed as f64),
 ];
 
 /// Builds the fleet table over `sizes` × `skews`: per combo a staged and
 /// a baseline p50 cell (paired worlds), then derived rows — the staged
-/// world's other metrics (p99, hit ratio, origin offload, rejects,
-/// completions), the edge gain per combo and the client total. One world
-/// is simulated per cell; every other row reads what it published.
+/// world's other metrics (p99, hit ratio, origin offload, rejects, fetches
+/// on pending chunks, stage wait, completions), the edge gain per combo
+/// and the client total. One world is simulated per cell; every other
+/// row reads what it published.
 fn sweep_spec(id: &str, title: &str, sizes: &[usize], skews: &[f64]) -> TableSpec {
     let mut spec = TableSpec::new(id, title, "s / x / ratio / count");
     let combos: Vec<(usize, f64)> = sizes

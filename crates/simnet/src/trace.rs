@@ -381,6 +381,13 @@ trace_events! {
             chunk: Tag,
             /// Where the fetch is directed.
             source: FetchSource,
+            /// Whether the chunk's staging answer was still outstanding
+            /// (at a VNF other than the attached edge's): the fetch races
+            /// that stage.
+            pending: bool,
+            /// How long the fetch waited for a staging answer before it
+            /// started, µs (0 if it did not wait).
+            waited_us: u64,
         },
         /// Client finished (or abandoned) fetching a chunk.
         FetchComplete = "fetch_complete" {
@@ -1034,6 +1041,8 @@ mod tests {
                 TraceEvent::FetchStart {
                     chunk: Tag(7),
                     source: FetchSource::EdgeCache,
+                    pending: false,
+                    waited_us: 0,
                 },
             ),
             rec(
@@ -1119,6 +1128,8 @@ mod tests {
                 TraceEvent::FetchStart {
                     chunk: Tag(1),
                     source: FetchSource::Origin,
+                    pending: false,
+                    waited_us: 0,
                 },
             ),
             rec(1, 5, 2, TraceEvent::HandoffCommit { target: Tag(8) }),

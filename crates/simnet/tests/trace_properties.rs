@@ -65,6 +65,8 @@ fn one_of_each() -> [TraceEvent; KINDS] {
         TraceEvent::FetchStart {
             chunk,
             source: FetchSource::EdgeCache,
+            pending: true,
+            waited_us: 250_000,
         },
         TraceEvent::FetchComplete {
             chunk,
@@ -128,7 +130,7 @@ fn pinned(e: &TraceEvent) -> &'static str {
             r#""ev":"chunk_served","chunk":9223372036854775807,"bytes":1048576}"#
         }
         TraceEvent::FetchStart { .. } => {
-            r#""ev":"fetch_start","chunk":9223372036854775807,"source":"edge"}"#
+            r#""ev":"fetch_start","chunk":9223372036854775807,"source":"edge","pending":true,"waited_us":250000}"#
         }
         TraceEvent::FetchComplete { .. } => {
             r#""ev":"fetch_complete","chunk":9223372036854775807,"bytes":0,"source":"origin","ok":false}"#
@@ -219,8 +221,13 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
         TraceEvent::Staged { chunk, bytes } | TraceEvent::ChunkServed { chunk, bytes } => {
             (*chunk, *bytes) = (tag, n63)
         }
-        TraceEvent::FetchStart { chunk, source } => {
-            *chunk = tag;
+        TraceEvent::FetchStart {
+            chunk,
+            source,
+            pending,
+            waited_us,
+        } => {
+            (*chunk, *pending, *waited_us) = (tag, g.bool(), n63);
             *source = *g.choose(&[FetchSource::EdgeCache, FetchSource::Origin]);
         }
         TraceEvent::FetchComplete {

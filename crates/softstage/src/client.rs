@@ -142,6 +142,13 @@ fn stage_backoff(r: &ChunkRecord) -> SimDuration {
     )
 }
 
+/// The longest a fetch can wait on `r`'s outstanding staging request
+/// before TICK finds it stale: the request's back-off, plus the tick that
+/// notices.
+pub fn stage_wait_bound(r: &ChunkRecord) -> SimDuration {
+    stage_backoff(r) + TICK
+}
+
 impl SoftStageConfig {
     /// The Xftp baseline: identical stack and roaming, no staging, legacy
     /// handoff policy.
@@ -195,6 +202,14 @@ pub struct ClientStats {
     pub dwell_degraded_us: u64,
     /// Payload bytes downloaded.
     pub bytes_fetched: u64,
+    /// Fetches started while the chunk's staging answer was outstanding
+    /// at a VNF other than the attached edge's (the request went out
+    /// before a handoff): each fetches from the origin what that VNF may
+    /// be fetching too.
+    pub pending_fetches: u64,
+    /// Time fetches waited for a staging answer before they started, in
+    /// µs.
+    pub stage_wait_us: u64,
     /// The staging mode the last `mode` record entered.
     mode: ClientMode,
     /// The instant dwell time has been charged up to.
@@ -203,10 +218,12 @@ pub struct ClientStats {
 
 impl ClientStats {
     /// Folds one of the client's own records into the counters. `mode`
-    /// charges dwell to the mode left; a delivered `fetch_complete` counts
-    /// by its source. A `breaker` record counts an `Open`: only
-    /// `Breaker::on_failure` returns one, and only once `on_associated` has
-    /// named the breaker's edge, so every trip is recorded. No record
+    /// charges dwell to the mode left; a `fetch_start` counts a race with
+    /// its own stage and the time it waited for one; a delivered
+    /// `fetch_complete` counts by its source. A `breaker` record counts an
+    /// `Open`: only `Breaker::on_failure` returns one, and only once
+    /// `on_associated` has named the breaker's edge, so every trip is
+    /// recorded. No record
     /// expresses `stage_requests`, `stage_retries`, `fetch_retries`,
     /// `fallback_refetches`, `chunk_completions`, `finished` or the dwell
     /// charged at the last chunk: the client writes those where it acts.
@@ -225,6 +242,12 @@ impl ClientStats {
             } => self.breaker_opens += 1,
             TraceEvent::StageTimeout { .. } => self.stage_timeouts += 1,
             TraceEvent::StageReject { .. } => self.stage_rejects += 1,
+            TraceEvent::FetchStart {
+                pending, waited_us, ..
+            } => {
+                self.pending_fetches += u64::from(pending);
+                self.stage_wait_us += waited_us;
+            }
             TraceEvent::FetchComplete {
                 ok: true,
                 source,
@@ -289,6 +312,9 @@ pub struct SoftStageClient {
     last_depth: usize,
     /// Consecutive failures of the current origin fetch (back-off input).
     fetch_attempts: u32,
+    /// Since when the fetch cursor has waited for its chunk's staging
+    /// answer instead of fetching it from the origin.
+    waiting_since: Option<SimTime>,
     /// Outstanding staging-request send times by token (RTT measurement).
     sent_tokens: BTreeMap<u64, SimTime>,
     /// When coverage was last lost (for reactive gap measurement).
@@ -323,6 +349,7 @@ impl SoftStageClient {
             breaker_edge: None,
             last_depth: 0,
             fetch_attempts: 0,
+            waiting_since: None,
             sent_tokens: BTreeMap::new(),
             detached_at: None,
             content_hash: xcache::ContentDigest::new(),
@@ -407,6 +434,17 @@ impl SoftStageClient {
         matches!(self.roamer.state(), RoamState::Associated { .. })
     }
 
+    /// Whether the fetch of `rec` waits for its stage rather than race it
+    /// over the same origin path: its staging answer is outstanding at the
+    /// attached edge's VNF. The wait ends at the chunk's answer or reject,
+    /// or when TICK finds the request stale.
+    fn waits_for_stage(&self, rec: &ChunkRecord) -> bool {
+        let StagingState::Pending { vnf, .. } = rec.staging_state else {
+            return false;
+        };
+        self.current_vnf.as_ref().map(Dag::intent) == Some(vnf)
+    }
+
     fn start_next_fetch(&mut self, ctx: &mut HostCtx<'_>) {
         if self.is_done() || self.in_flight.is_some() || !self.associated() {
             return;
@@ -414,15 +452,31 @@ impl SoftStageClient {
         let Some(rec) = self.profile.get(self.next_fetch) else {
             return;
         };
+        let now = ctx.now();
+        if self.waits_for_stage(rec) {
+            self.waiting_since.get_or_insert(now);
+            return;
+        }
         let staged = rec.uses_staged();
+        let pending = matches!(rec.staging_state, StagingState::Pending { .. });
         let cid = rec.cid;
         let dag = rec.best_dag().clone();
         let handle = ctx.xfetch_chunk(dag);
         let (chunk, source) = (tag(&cid), source(staged));
-        self.note(ctx, TraceEvent::FetchStart { chunk, source });
+        let waited_us = self
+            .waiting_since
+            .take()
+            .map_or(0, |since| (now - since).as_micros());
+        let start = TraceEvent::FetchStart {
+            chunk,
+            source,
+            pending,
+            waited_us,
+        };
+        self.note(ctx, start);
         self.in_flight = Some(InFlightFetch {
             handle,
-            started: ctx.now(),
+            started: now,
             staged,
         });
         self.maybe_stage(ctx);
@@ -514,9 +568,21 @@ impl SoftStageClient {
         self.sent_tokens.insert(token, ctx.now());
         let now = ctx.now();
         for &i in idxs {
-            self.profile.mark_pending(i, now);
+            self.profile.mark_pending(i, now, vnf.intent());
         }
         self.stats.stage_requests += 1;
+    }
+
+    /// An answer for the chunk at the fetch cursor ends any wait for it:
+    /// the fetch starts from wherever the chunk now is.
+    fn wake_if_cursor(&mut self, ctx: &mut HostCtx<'_>, cid: &Xid) {
+        if self
+            .profile
+            .by_cid(cid)
+            .is_some_and(|(idx, _)| idx == self.next_fetch)
+        {
+            self.start_next_fetch(ctx);
+        }
     }
 
     /// Step ④: pre-stage upcoming chunks into the handoff target's VNF,
@@ -622,8 +688,10 @@ impl App for SoftStageClient {
     fn on_link_event(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, up: bool) {
         if self.roamer.on_link_event(ctx, link, up) == RoamEvent::Detached {
             // The in-flight fetch (if any) stalls on transport recovery
-            // and resumes after the next association + migration.
+            // and resumes after the next association + migration. A wait
+            // for a stage ends: the gap is a wait for coverage.
             self.detached_at = Some(ctx.now());
+            self.waiting_since = None;
         }
     }
 
@@ -653,7 +721,13 @@ impl App for SoftStageClient {
                         }
                         self.stats.stage_retries += 1;
                         // An unanswered request to a reachable edge is a
-                        // health signal.
+                        // health signal. The chunk is asked for again below
+                        // unless the breaker has opened, and a fetch waiting
+                        // on it waits on the new request. Each wait is
+                        // bounded by `stage_wait_bound`; at an edge that
+                        // answers nothing the breaker opens within
+                        // `BreakerConfig::threshold` cuts and the fetch
+                        // starts, and the retry budget bounds the rest.
                         if let Some(r) = self.profile.get_mut(idx) {
                             r.staging_state = StagingState::Blank;
                             let chunk = tag(&r.cid);
@@ -711,6 +785,7 @@ impl App for SoftStageClient {
                 } else if let Some((idx, _)) = self.profile.by_cid(&cid) {
                     self.profile.mark_fallback(idx);
                 }
+                self.wake_if_cursor(ctx, &cid);
                 self.maybe_stage(ctx);
             }
             Some(StagingMsg::Reject {
@@ -737,6 +812,7 @@ impl App for SoftStageClient {
                 // An explicit reject is a health signal: the edge is up
                 // but shedding load — back off from it.
                 self.note_breaker_failure(ctx);
+                self.wake_if_cursor(ctx, &cid);
             }
             _ => {}
         }
@@ -865,6 +941,8 @@ pub(crate) mod tests {
             TraceEvent::FetchStart {
                 chunk,
                 source: FetchSource::EdgeCache,
+                pending: false,
+                waited_us: 0,
             },
             TraceEvent::FetchComplete {
                 chunk,
@@ -925,13 +1003,21 @@ pub(crate) mod tests {
         };
         // (seconds, record, the fields it moves), fed in order to one
         // fold; every field is compared after each record.
-        let script: [(u64, TraceEvent, fn(&mut ClientStats)); 9] = [
+        let started = |pending, waited_us| TraceEvent::FetchStart {
+            chunk,
+            source: FetchSource::Origin,
+            pending,
+            waited_us,
+        };
+        let script: [(u64, TraceEvent, fn(&mut ClientStats)); 11] = [
             (1, TraceEvent::StageTimeout { chunk }, |s| {
                 s.stage_timeouts = 1;
             }),
             (1, reject, |s| s.stage_rejects = 1),
             (1, breaker(BreakerState::Open), |s| s.breaker_opens = 1),
             (1, breaker(BreakerState::Closed), |_| {}),
+            (2, started(true, 0), |s| s.pending_fetches = 1),
+            (2, started(false, 700_000), |s| s.stage_wait_us = 700_000),
             (2, fetched(FetchSource::EdgeCache, 300), |s| {
                 s.from_staged = 1;
                 s.bytes_fetched = 300;

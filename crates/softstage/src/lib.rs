@@ -38,7 +38,7 @@ pub mod profile;
 pub mod vnf;
 
 pub use breaker::{Breaker, BreakerConfig};
-pub use client::{ClientStats, HandoffPolicy, SoftStageClient, SoftStageConfig};
+pub use client::{stage_wait_bound, ClientStats, HandoffPolicy, SoftStageClient, SoftStageConfig};
 pub use coordinator::{CoordinatorConfig, Ewma, StagingCoordinator};
 pub use messages::StagingMsg;
 pub use profile::{ChunkProfile, ChunkRecord, StagingState};

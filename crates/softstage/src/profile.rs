@@ -3,8 +3,8 @@
 //!
 //! Table I gives each chunk a staging state (`BLANK`, `PENDING`, `READY`)
 //! and a fetch state (`BLANK`, `DONE`). The staging state is
-//! [`StagingState`], which carries its own data: when a `Pending` request
-//! went out, and the edge DAG of a `Ready` chunk. The fetch state is the
+//! [`StagingState`], which carries its own data: when and to which VNF a
+//! `Pending` request went out, and the edge DAG of a `Ready` chunk. The fetch state is the
 //! client's fetch cursor: chunks are fetched strictly in order, so chunk
 //! `i` is `DONE` exactly when `i` is below the cursor. The retry and
 //! back-off schedule is a set of constants in `client.rs`.
@@ -25,6 +25,8 @@ pub enum StagingState {
     Pending {
         /// When the outstanding staging request was sent.
         since: SimTime,
+        /// The service ID of the VNF asked.
+        vnf: Xid,
     },
     /// Staged at an edge network.
     Ready {
@@ -129,10 +131,10 @@ impl ChunkProfile {
         Some((idx, self.records.get(idx)?))
     }
 
-    /// Marks a staging request sent for the chunk.
-    pub(crate) fn mark_pending(&mut self, idx: usize, now: SimTime) {
+    /// Marks a staging request sent for the chunk to the VNF `vnf`.
+    pub(crate) fn mark_pending(&mut self, idx: usize, now: SimTime, vnf: Xid) {
         if let Some(r) = self.records.get_mut(idx) {
-            r.staging_state = StagingState::Pending { since: now };
+            r.staging_state = StagingState::Pending { since: now, vnf };
             r.stage_attempts = r.stage_attempts.saturating_add(1);
         }
     }
@@ -223,7 +225,7 @@ impl ChunkProfile {
             .iter()
             .enumerate()
             .filter(|(_, r)| match r.staging_state {
-                StagingState::Pending { since } => now - since > timeout_for(r),
+                StagingState::Pending { since, .. } => now - since > timeout_for(r),
                 _ => false,
             })
             .map(|(i, _)| i)
@@ -241,6 +243,11 @@ mod tests {
         let nid = Xid::new_random(Principal::Nid, 100);
         let hid = Xid::new_random(Principal::Hid, 100);
         (cid, Dag::cid_with_fallback(cid, nid, hid))
+    }
+
+    /// The service ID of the VNF every test asks.
+    fn vnf() -> Xid {
+        Xid::new_random(Principal::Sid, 100)
     }
 
     /// A profile of `n` registered chunks.
@@ -270,10 +277,13 @@ mod tests {
         let (c1, d1) = dag(1);
         p.register(c1, d1);
         let t = SimTime::from_micros(10);
-        p.mark_pending(0, t);
+        p.mark_pending(0, t, vnf());
         assert_eq!(
             p.get(0).unwrap().staging_state,
-            StagingState::Pending { since: t }
+            StagingState::Pending {
+                since: t,
+                vnf: vnf()
+            }
         );
         let edge_nid = Xid::new_random(Principal::Nid, 7);
         let edge_hid = Xid::new_random(Principal::Hid, 7);
@@ -300,10 +310,10 @@ mod tests {
     fn staged_ahead_counts_pending_and_ready_unfetched() {
         let mut p = profile(5);
         let t = SimTime::from_micros(0);
-        p.mark_pending(1, t);
-        p.mark_pending(2, t);
+        p.mark_pending(1, t, vnf());
+        p.mark_pending(2, t, vnf());
         let c3 = p.get(3).unwrap().cid;
-        p.mark_pending(3, t);
+        p.mark_pending(3, t, vnf());
         p.mark_ready(
             &c3,
             Xid::new_random(Principal::Nid, 9),
@@ -318,7 +328,7 @@ mod tests {
     fn candidates_skip_fetched_and_staged() {
         let mut p = profile(6);
         // Chunk 0 fetched (the cursor is at 1).
-        p.mark_pending(1, SimTime::from_micros(0));
+        p.mark_pending(1, SimTime::from_micros(0), vnf());
         p.mark_fallback(2);
         let now = SimTime::from_micros(0);
         assert_eq!(p.staging_candidates(1, 10, now), vec![3, 4, 5]);
@@ -329,7 +339,7 @@ mod tests {
     #[test]
     fn rejected_chunks_are_gated_until_retry_after() {
         let mut p = profile(3);
-        p.mark_pending(0, SimTime::from_micros(0));
+        p.mark_pending(0, SimTime::from_micros(0), vnf());
         p.mark_rejected(0, SimTime::from_micros(2_000_000));
         let r = p.get(0).unwrap();
         assert_eq!(r.staging_state, StagingState::Blank);
@@ -346,7 +356,7 @@ mod tests {
         let mut p = ChunkProfile::new();
         let (c, d) = dag(1);
         p.register(c, d);
-        p.mark_pending(0, SimTime::from_micros(0));
+        p.mark_pending(0, SimTime::from_micros(0), vnf());
         let soon = SimTime::from_micros(500_000);
         let late = SimTime::from_micros(3_000_000);
         let timeout = |_: &ChunkRecord| SimDuration::from_secs(1);

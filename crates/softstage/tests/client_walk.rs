@@ -13,15 +13,37 @@
 //! through `simnet::TraceAudit`, so the oracle's invariants hold on every
 //! interleaving rather than on two golden runs.
 //!
-//! The walk cannot pass vacuously: it asserts its leaf count and that
-//! some sequence delivers all three chunks. Three fixed sequences pin the
-//! retry budget's accounting: a coverage gap spends none of it, and
-//! re-association re-asks at once; an edge that never answers spends it
-//! all, then the client degrades. Mutation that makes it fail
-//! (checked by hand): in `client.rs::handle_handoff_opportunity`, let the
-//! `ChunkAware` arm call `commit_handoff` while `in_flight.is_some()` —
-//! beacon A, association timer, stronger beacon B is then reported as
-//! `HandoffMidChunk` within the first few hundred sequences.
+//! The wait for a stage is checked the same way. After every step, an
+//! associated client with no fetch out and no origin retry pending must
+//! be waiting on its cursor chunk's outstanding staging request. At every
+//! leaf, such a client is left on a quiet network with its timers firing.
+//! Each request it waits on must leave `Pending` within
+//! `softstage::stage_wait_bound` (the request's back-off plus the tick
+//! that finds it stale); a stale chunk is asked for again and the fetch
+//! waits on the new request, but a fetch must start before the chunk has
+//! been asked for more than `BreakerConfig::threshold` times, since each
+//! unanswered request trips the breaker once. An idle client's "complete
+//! a fetch" is a no-op, so every prefix that ends waiting is also a leaf
+//! state, and the leaves cover every prefix.
+//!
+//! The walk cannot pass vacuously: it asserts its leaf count, how many
+//! sequences fetch one chunk, how many wait, how many of those waits
+//! outlive their first request and the most requests one wait spans. A
+//! chunk costs at least an answer and a completion, so no depth-5
+//! sequence fetches a second chunk; depth 7 does, and a fixed sequence
+//! delivers all three. Three more pin the retry budget's accounting: a
+//! coverage gap spends none of it, and re-association re-asks at once;
+//! an edge that never answers spends it all, then the client degrades.
+//! Mutations that make the depth-5 walk fail (checked by hand): in
+//! `client.rs::handle_handoff_opportunity`, let the `ChunkAware` arm call
+//! `commit_handoff` while `in_flight.is_some()` — beacon A, association
+//! timer, positive answer, stronger beacon B is then reported as
+//! `HandoffMidChunk`; in `client.rs::on_control`, drop the
+//! `wake_if_cursor` call after a `Staged` answer — beacon A, association
+//! timer, a positive answer then leaves the client idle on a `Ready`
+//! chunk; and in the TICK handler, drop `note_breaker_failure` for a
+//! stale request — the breaker never opens on a quiet network and the
+//! cursor chunk is asked for a sixth time with no fetch started.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
@@ -30,8 +52,11 @@ use simnet::{
     ClientMode, LinkId, NodeId, RejectReason, SimStats, SimTime, Tag, TraceAudit, TraceEvent,
     TraceRecord,
 };
-use softstage::{SoftStageClient, SoftStageConfig, StagingMsg};
+use softstage::{
+    stage_wait_bound, BreakerConfig, SoftStageClient, SoftStageConfig, StagingMsg, StagingState,
+};
 use util::bytes::Bytes;
+use vehicular::RoamState;
 use xcache::{ChunkStore, EvictionPolicy};
 use xia_addr::{Dag, Principal, Xid};
 use xia_host::{App, Effect, FetchResult, HostCtx, HostView};
@@ -80,6 +105,9 @@ struct StandIn {
     fetches: VecDeque<(u64, Xid)>,
     asked: VecDeque<Asked>,
     handles: BTreeSet<u64>,
+    /// An origin fetch failed and no fetch has started since: the client
+    /// is in its retry back-off.
+    retrying: bool,
     audit: TraceAudit,
     seq: u64,
 }
@@ -104,6 +132,7 @@ impl StandIn {
             fetches: VecDeque::new(),
             asked: VecDeque::new(),
             handles: BTreeSet::new(),
+            retrying: false,
             audit: TraceAudit::default(),
             seq: 0,
         };
@@ -135,6 +164,7 @@ impl StandIn {
                     assert!(attached, "fetch {handle} asked for while unattached");
                     assert!(self.handles.insert(handle), "handle {handle} reused");
                     self.fetches.push_back((handle, dag.intent()));
+                    self.retrying = false;
                 }
                 Effect::Control {
                     dst, token, body, ..
@@ -160,6 +190,72 @@ impl StandIn {
             self.client.is_done(),
             self.client.fetched_chunks() == CHUNKS
         );
+        if let Some(cursor) = self.idle() {
+            let state = self.staging_state(cursor);
+            assert!(
+                matches!(state, StagingState::Pending { .. }),
+                "idle on chunk {cursor}, staging state {state:?}"
+            );
+        }
+    }
+
+    /// The fetch cursor, when the client could fetch and is not: it is
+    /// associated, unfinished, has no fetch out and no origin retry
+    /// pending.
+    fn idle(&self) -> Option<usize> {
+        let associated = matches!(self.client.roamer.state(), RoamState::Associated { .. });
+        let busy = self.client.is_done() || !self.fetches.is_empty() || self.retrying;
+        (associated && !busy).then(|| self.client.fetched_chunks())
+    }
+
+    fn staging_state(&self, idx: usize) -> StagingState {
+        let profile = self.client.profile();
+        profile
+            .get(idx)
+            .expect("cursor in range")
+            .staging_state
+            .clone()
+    }
+
+    /// Leaves a client waiting on a stage on a quiet network: only its
+    /// timers fire, and no edge answers. Each request the fetch waits on
+    /// must leave `Pending` within `stage_wait_bound` of going out; a cut
+    /// chunk may be asked for again, but the breaker opens after at most
+    /// `threshold` unanswered requests, so a fetch must start before the
+    /// cursor chunk has been asked for more often than that. Returns how
+    /// many requests the fetch waited on.
+    fn wait_ends_in_time(&mut self) -> u32 {
+        let Some(cursor) = self.idle() else {
+            return 0;
+        };
+        let threshold = BreakerConfig::default().threshold;
+        let mut awaited: Option<SimTime> = None;
+        let mut requests = 0u32;
+        let mut bound = SimTime::ZERO;
+        while self.fetches.is_empty() {
+            // `call` checks that an idle client waits on a `Pending` chunk.
+            let StagingState::Pending { since, .. } = self.staging_state(cursor) else {
+                return requests;
+            };
+            if awaited != Some(since) {
+                awaited = Some(since);
+                requests += 1;
+                assert!(
+                    requests <= threshold,
+                    "chunk {cursor} asked for {requests} times with no fetch started"
+                );
+                let record = self.client.profile().get(cursor).expect("cursor in range");
+                bound = since + stage_wait_bound(record);
+            }
+            assert!(
+                self.view.now <= bound,
+                "chunk {cursor} waited on the request of {since:?} until {:?}, past {bound:?}",
+                self.view.now
+            );
+            assert!(!self.timers.is_empty(), "a waiting client arms no timer");
+            self.fire_timer();
+        }
+        requests
     }
 
     fn beacon(&mut self, edge: &Edge) {
@@ -198,6 +294,7 @@ impl StandIn {
             return;
         };
         self.view.connections -= 1;
+        self.retrying = matches!(result, FetchResult::Failed);
         self.call(|app, ctx| app.on_fetch_complete(ctx, handle, cid, result));
     }
 
@@ -208,11 +305,25 @@ impl StandIn {
     }
 }
 
-/// Walks every event sequence of length `depth`; returns how many
-/// delivered all the chunks.
-fn walk(depth: usize) -> u64 {
+/// What the leaves of a walk reached.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Leaves {
+    /// Leaves by chunks fetched: `fetched[k]` fetched exactly `k`.
+    fetched: [u64; CHUNKS + 1],
+    /// Leaves whose client waits on its cursor chunk's stage.
+    waiting: u64,
+    /// Waiting leaves whose fetch waited on more than one request: the
+    /// first was cut as stale and the chunk asked for again.
+    rewaited: u64,
+    /// The most requests one leaf's fetch waited on.
+    most_requests: u32,
+}
+
+/// Walks every event sequence of length `depth`, then lets each leaf's
+/// wait for a stage run out on a quiet network.
+fn walk(depth: usize) -> Leaves {
     let (a, b) = (edge(1, -60.0), edge(2, -50.0));
-    let delivered = Cell::new(0u64);
+    let reached = Cell::new(Leaves::default());
     let stats = SimStats::default();
     let leaves = util::check::walk(|w| {
         let mut host = StandIn::new();
@@ -245,24 +356,67 @@ fn walk(depth: usize) -> u64 {
                 _ => host.link_down(),
             }
         }
+        let mut leaf = reached.get();
+        leaf.fetched[host.client.fetched_chunks()] += 1;
+        leaf.waiting += u64::from(host.idle().is_some());
+        let requests = host.wait_ends_in_time();
+        leaf.rewaited += u64::from(requests > 1);
+        leaf.most_requests = leaf.most_requests.max(requests);
+        reached.set(leaf);
         let found = host.audit.violations(Some(&stats));
         assert!(found.is_empty(), "{found:?}");
-        delivered.set(delivered.get() + u64::from(host.client.is_done()));
     });
     assert_eq!(leaves, (EVENTS as u64).pow(depth as u32));
-    delivered.get()
+    reached.get()
 }
 
 #[test]
 fn every_depth_5_interleaving_keeps_the_client_invariants() {
-    // A beacon from either edge, the association timer, three completions.
-    assert_eq!(walk(5), 2);
+    // A beacon, the association timer, an answer and a completion fetch
+    // one chunk; two answers put the second in flight. A client that
+    // heard its edge and nothing else waits.
+    let leaves = walk(5);
+    assert_eq!(leaves.fetched[1..], [216, 0, 0], "{leaves:?}");
+    assert_eq!(leaves.waiting, 5825, "{leaves:?}");
+    // No edge answers a waiting leaf, so every wait outlives its first
+    // request; the breaker opens before the fifth.
+    assert_eq!(leaves.rewaited, 5825, "{leaves:?}");
+    assert_eq!(leaves.most_requests, 4, "{leaves:?}");
 }
 
 #[test]
-#[ignore = "4.8 M sequences, ~30 s in release: scripts/verify.sh runs it"]
+#[ignore = "4.8 M sequences, ~90 s in release: scripts/verify.sh runs it"]
 fn every_depth_7_interleaving_keeps_the_client_invariants() {
-    assert!(walk(7) > 2);
+    let leaves = walk(7);
+    assert!(leaves.fetched[2] > 0, "{leaves:?}");
+}
+
+#[test]
+fn a_client_whose_stages_all_land_waits_for_each_and_finishes() {
+    let (mut host, _) = associated();
+    let mut steps = 0;
+    while !host.client.is_done() {
+        steps += 1;
+        assert!(steps < 20, "stuck: {:?}", host.client.stats());
+        if host.fetches.is_empty() {
+            assert!(host.idle().is_some(), "neither fetching nor waiting");
+            host.answer(|cid, nid, hid| StagingMsg::Staged {
+                cid,
+                ok: true,
+                staging_latency_us: 40_000,
+                nid,
+                hid,
+            });
+        } else {
+            host.finish_fetch(FetchResult::Complete(Bytes::from_static(b"x")));
+        }
+    }
+    let stats = host.client.stats();
+    // Every chunk waited for its stage and came from the edge: no fetch
+    // raced its own stage.
+    assert_eq!((stats.from_staged, stats.pending_fetches), (3, 0));
+    let found = host.audit.violations(None);
+    assert!(found.is_empty(), "{found:?}");
 }
 
 /// Fires armed timers until `done` holds, at most `limit` of them.
@@ -276,7 +430,7 @@ fn fire_until(host: &mut StandIn, limit: usize, done: impl Fn(&StandIn) -> bool)
 }
 
 /// Hears edge A and lets the association timer fire: the client is
-/// associated, fetching chunk 0, and has asked A's VNF to stage ahead.
+/// associated, has asked A's VNF to stage ahead, and waits for chunk 0.
 fn associated() -> (StandIn, Edge) {
     let a = edge(1, -60.0);
     let mut host = StandIn::new();
@@ -284,6 +438,7 @@ fn associated() -> (StandIn, Edge) {
     host.fire_timer();
     assert!(host.view.nid.is_some(), "associated");
     assert!(!host.asked.is_empty(), "staging asked for on association");
+    assert_eq!(host.idle(), Some(0), "waiting for chunk 0's stage");
     (host, a)
 }
 

@@ -5,7 +5,8 @@
 # its `reproduce` binary and `softstage_trace` and `fault_injection`
 # examples into their own target directory, runs six targets on both trees
 # (seed 42, and seed 7 with --seeds 2 --jobs 2) and `cmp`s the --json
-# files: the four quick ones, `fig5` (the only table on
+# files, printing every moved cell as `table/cell: ref → tree`: the four
+# quick ones, `fig5` (the only table on
 # `TransportConfig::linux_tcp`) and `ablation` (the only one that sets the
 # coordinator's depth bounds and `prestage_depth`). Also runs `fig6` and
 # `fig7` at seed 42 alone: the single-client tables that take the Chunk
@@ -61,9 +62,36 @@ for side in ref tree; do
     done
     "$examples/fault_injection" >"$dir/out/$side/fault_injection.stdout"
 done
+# Prints every table cell that moved between two `reproduce --json` files
+# as `file: table/cell: ref → tree` (a row's spread over seeds as
+# `table/cell [min]` and `[max]`); a row on one side only reads `absent`.
+moved_cells() {
+    python3 - "$@" <<'PY'
+import json, os, sys
+ref, tree = (json.load(open(p)) for p in sys.argv[1:3])
+cells = lambda tables: {(t["id"], r["label"]): r for t in tables for r in t["rows"]}
+a, b = cells(ref), cells(tree)
+keys = list(a) + [k for k in b if k not in a]
+name = os.path.basename(sys.argv[1])
+for key in keys:
+    ra, rb = a.get(key, {}), b.get(key, {})
+    fields = ("measured", "min", "max", "seeds", "paper") if ra and rb else ("measured",)
+    for field in fields:
+        va, vb = ra.get(field, "absent"), rb.get(field, "absent")
+        if va != vb:
+            at = "" if field == "measured" else f" [{field}]"
+            print(f"{name}: {key[0]}/{key[1]}{at}: {va} → {vb}")
+PY
+}
 status=0
 for f in "$dir"/out/ref/*; do
-    cmp "$f" "$dir/out/tree/$(basename "$f")" || status=1
+    t="$dir/out/tree/$(basename "$f")"
+    cmp -s "$f" "$t" && continue
+    status=1
+    case "$f" in
+    *.jsonl | *.stdout) cmp "$f" "$t" || true ;;
+    *) moved_cells "$f" "$t" ;;
+    esac
 done
 workloads=$(python3 -c 'import json, sys
 print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json)

@@ -59,7 +59,7 @@ cargo test -q --offline
 echo "== chaos suite (fault injection, single- and multi-client, release) =="
 cargo test -q --offline --release -p softstage-suite --test chaos --test determinism --test fleet
 
-echo "== do no harm: a uniform 1000-client fleet gains >= 0.98 at seeds 42 and 7 (release) =="
+echo "== do no harm: a uniform 1000-client fleet gains >= 0.98 at seeds 42 and 7; fleet-smoke gains >= 0.98 at five seeds, median >= 1 (release) =="
 cargo test -q --offline --release -p softstage-suite --test fleet -- --ignored
 
 echo "== scheduler differential suite (wheel vs its (at, seq) contract, release) =="
@@ -78,7 +78,7 @@ echo "== overload suite (backpressure, admission, exhaustive breaker walk, relea
 cargo test -q --offline --release -p softstage-suite --test overload
 
 echo "== client walk, depth 7 (every interleaving of 9 events against a stand-in host, release) =="
-# Tier-1 runs depth 5 (59 049 sequences); this is 4 782 969, ~30 s.
+# Tier-1 runs depth 5 (59 049 sequences); this is 4 782 969, ~90 s (each waiting leaf also runs its timers out until a fetch starts).
 cargo test -q --offline --release -p softstage --test client_walk -- --ignored
 
 echo "== golden traces (flight recorder + invariant oracle, release) =="

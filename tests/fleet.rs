@@ -285,3 +285,34 @@ fn uniform_thousand_client_fleet_never_loses_to_not_staging() {
         );
     }
 }
+
+#[test]
+#[ignore = "ten 200-client worlds, ~4 s in release: scripts/verify.sh runs it"]
+fn fleet_smoke_staging_does_no_harm_at_moderate_load() {
+    // `reproduce fleet-smoke`'s world: 200 clients, Zipf 0.8. A fetch
+    // that races its own stage pulls the chunk from the origin a second
+    // time, which at this load is enough to push origin offload below 0;
+    // waiting for the staged copy must keep staging at least even.
+    let gains: Vec<f64> = [42, 7, 1, 2, 3]
+        .into_iter()
+        .map(|seed| {
+            let fleet = |staging| {
+                summary(&FleetParams {
+                    staging,
+                    seed,
+                    ..FleetParams::default()
+                })
+            };
+            let (staged, baseline) = (fleet(true), fleet(false));
+            let gain = baseline.p50_s / staged.p50_s;
+            assert!(
+                gain >= 0.98 && staged.origin_offload >= 0.0,
+                "seed {seed}: gain {gain:.3}, staged {staged:?}"
+            );
+            gain
+        })
+        .collect();
+    let mut sorted = gains.clone();
+    sorted.sort_by(f64::total_cmp);
+    assert!(sorted[2] >= 1.0, "median gain below 1: {gains:?}");
+}
