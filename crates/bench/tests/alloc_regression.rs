@@ -6,7 +6,8 @@
 //! simulator's payload slab reuses freed cells, and the action scratch
 //! vector is handed from one dispatch to the next. The
 //! claim covers the per-event paths the bare ping-pong does not drive
-//! too — the flight recorder with its streaming audit, and timer filing —
+//! too — the flight recorder with its streaming audit, its JSON-lines
+//! dump (each record written straight to the output), and timer filing —
 //! and two host stacks above the simulator: the receive path (two
 //! `EndHost`s moving a chunk) and an edge beaconing on its radio links.
 //! These tests install the counting global allocator from
@@ -95,7 +96,7 @@ fn pingpong() -> Simulator<Ball> {
 
 /// Warms `sim` up for 10k events, then asserts the next 50k perform no
 /// heap operation at all.
-fn assert_steady_state_allocates_nothing(mut sim: Simulator<Ball>, what: &str) {
+fn assert_steady_state_allocates_nothing(sim: &mut Simulator<Ball>, what: &str) {
     sim.run_while(SimTime::MAX, |s| s.stats().events >= 10_000);
     let before = snapshot();
     let target = sim.stats().events + 50_000;
@@ -115,14 +116,16 @@ fn assert_steady_state_allocates_nothing(mut sim: Simulator<Ball>, what: &str) {
 /// allocation-free (the wheel recycles buckets through its pool).
 #[test]
 fn steady_state_transmit_cycle_allocates_nothing() {
-    assert_steady_state_allocates_nothing(pingpong(), "transmit cycle");
+    assert_steady_state_allocates_nothing(&mut pingpong(), "transmit cycle");
 }
 
 /// The same guarantee with the flight recorder attached and a periodic
 /// timer re-arming: every event passes through `TraceSink::record` →
 /// `TraceAudit::observe` (the ring is small enough to wrap during
 /// warm-up, so eviction is on the measured path) and every tick files a
-/// timer through `WheelQueue::push`.
+/// timer through `WheelQueue::push`. Streaming the wrapped ring out then
+/// costs what its first line costs, the growth of the one line buffer,
+/// and no heap operation for any record after it.
 #[test]
 fn steady_state_traced_cycle_with_timers_allocates_nothing() {
     let mut sim = pingpong();
@@ -134,7 +137,29 @@ fn steady_state_traced_cycle_with_timers_allocates_nothing() {
         "the ring must wrap during warm-up"
     );
     assert!(sim.stats().timers > 1_000, "the ticker must be ticking");
-    assert_steady_state_allocates_nothing(sim, "traced transmit/timer cycle");
+    assert_steady_state_allocates_nothing(&mut sim, "traced transmit/timer cycle");
+
+    let sink = sim.trace().expect("recorder attached");
+    let mut first = String::new();
+    let before = snapshot();
+    sink.records()
+        .next()
+        .expect("a full ring")
+        .write_line(&mut first);
+    let first_line = snapshot().since(before).heap_ops();
+    let before = snapshot();
+    sink.write_jsonl(&mut std::io::sink())
+        .expect("io::sink takes every byte");
+    let dump = snapshot().since(before);
+    assert_eq!(
+        dump.heap_ops(),
+        first_line,
+        "streaming {} records allocated beyond the first line's buffer \
+         ({} allocs, {} reallocs; the first line alone: {first_line})",
+        sink.records().len(),
+        dump.allocs,
+        dump.reallocs,
+    );
 }
 
 /// The pool itself: capacity survives round trips, fresh allocations stop

@@ -349,14 +349,6 @@ impl World {
         app.is_done() && app.content_digest() == self.expected[i]
     }
 
-    /// The recorded trace as JSON lines (empty when tracing is off).
-    pub fn trace_jsonl(&self) -> String {
-        self.sim
-            .trace()
-            .map(simnet::TraceSink::to_jsonl)
-            .unwrap_or_default()
-    }
-
     /// Audits every event the run recorded against the invariant oracle,
     /// including the per-link stats cross-check (no violations when
     /// tracing is off). `HandoffMidChunk` findings count only when every

@@ -2,11 +2,12 @@
 //!
 //! Every layer of the stack can emit typed [`TraceEvent`]s into a bounded
 //! ring-buffer [`TraceSink`] owned by the simulator. A record is a `Copy`
-//! struct — recording never formats. The sink exports JSON lines (one
-//! object per record, fixed key order) via `util::json`, so two runs of
-//! the same seeded configuration produce **byte-identical** trace files.
-//! The schema is declared once, in the `trace_events!` table below; the
-//! enum and its JSON writer are generated from it.
+//! struct — recording never formats. [`TraceSink::write_jsonl`] streams
+//! the ring as JSON lines (one object per record, fixed key order), each
+//! record writing its own line into one reused buffer, so two runs of the
+//! same seeded configuration produce **byte-identical** trace files. The
+//! schema is declared once, in the `trace_events!` table below; the enum
+//! and its line writer are generated from it.
 //!
 //! [`TraceAudit`] checks each record as the sink receives it — so the
 //! verdict covers the whole run even after the ring has overflowed —
@@ -29,9 +30,10 @@
 //! non-negative JSON integer.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::io;
 
-use util::json::{Json, JsonError, ToJson};
+use util::json::JsonError;
 
 use crate::link::LinkId;
 use crate::node::NodeId;
@@ -41,10 +43,10 @@ use crate::time::SimTime;
 /// A compact 63-bit identity tag for content (CIDs) and networks (NIDs).
 ///
 /// Folds the first eight bytes of an identifier big-endian and masks the
-/// sign bit away, so the tag always exports as an exact JSON integer
-/// (`util::json` has no unsigned type). Collisions are astronomically
-/// unlikely within one run and would only blur a trace, never corrupt
-/// the simulation.
+/// sign bit away, so the tag always exports as an exact JSON integer (a
+/// `u64` above `i64::MAX` is written as a float). Collisions are
+/// astronomically unlikely within one run and would only blur a trace,
+/// never corrupt the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(pub u64);
 
@@ -65,22 +67,49 @@ impl fmt::Display for Tag {
     }
 }
 
-impl ToJson for Tag {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
+/// A field value as a trace line writes it.
+trait LineValue {
+    fn write(self, line: &mut String);
 }
 
-impl ToJson for LinkId {
-    fn to_json(&self) -> Json {
-        self.index().to_json()
-    }
+/// The line format's value rules, one row per field type (`type =>
+/// |value, w| body` writes `value` to the line `w`), written once:
+/// integers in decimal, a `u64` above `i64::MAX` as a float (as
+/// `util::json` writes one), floats as `{:?}` and non-finite ones as
+/// `null`, wire names quoted (plain identifiers: nothing to escape).
+macro_rules! line_values {
+    ($($t:ty => |$v:ident, $w:ident| $body:expr,)+) => {$(
+        impl LineValue for $t {
+            fn write(self, $w: &mut String) {
+                let $v = self;
+                $body;
+            }
+        }
+    )+};
+}
+
+line_values! {
+    u64 => |n, w| if n > i64::MAX as u64 { (n as f64).write(w) } else { let _ = write!(w, "{n}"); },
+    f64 => |x, w| if x.is_finite() { let _ = write!(w, "{x:?}"); } else { w.push_str("null") },
+    bool => |b, w| w.push_str(if b { "true" } else { "false" }),
+    &str => |name, w| { let _ = write!(w, "\"{name}\""); },
+    u32 => |n, w| u64::from(n).write(w),
+    Tag => |t, w| t.0.write(w),
+    LinkId => |l, w| (l.index() as u64).write(w),
+}
+
+/// Appends `,"key":value` to a line.
+fn write_field(line: &mut String, key: &str, value: impl LineValue) {
+    line.push_str(",\"");
+    line.push_str(key);
+    line.push_str("\":");
+    value.write(line);
 }
 
 /// Declares a field enum that travels as a string: each variant is written
-/// once, next to its wire name, and `name` and [`ToJson`] are generated
-/// from that one list. `, pub parse` after the name also generates
-/// `parse`, for a wire name some other format reads back.
+/// once, next to its wire name, and `name` and [`LineValue`] are
+/// generated from that one list. `, pub parse` after the name also
+/// generates `parse`, for a wire name some other format reads back.
 macro_rules! wire_enum {
     (
         $(#[$meta:meta])*
@@ -128,10 +157,8 @@ macro_rules! wire_enum {
             }
         }
 
-        impl ToJson for $name {
-            fn to_json(&self) -> Json {
-                Json::Str(self.name().to_string())
-            }
+        line_values! {
+            $name => |v, w| v.name().write(w),
         }
     };
 }
@@ -210,8 +237,8 @@ wire_enum! {
 
 /// Declares [`TraceEvent`] from one table: each entry is a variant, its
 /// wire name (the `"ev"` value) and its typed fields. A field's JSON key
-/// is its identifier and fields serialize in declaration order, so the
-/// enum, `name()` and the JSON writer cannot disagree — adding an event
+/// is its identifier and fields are written in declaration order, so the
+/// enum, `name()` and the line writer cannot disagree — adding an event
 /// kind is one entry here.
 macro_rules! trace_events {
     (
@@ -241,12 +268,12 @@ macro_rules! trace_events {
                 }
             }
 
-            /// Appends the payload fields as `(key, value)` pairs.
-            fn push_fields(self, fields: &mut Vec<(String, Json)>) {
+            /// Appends the payload fields to a line, `,"key":value` each.
+            fn write_fields(self, line: &mut String) {
                 match self {
                     $(
                         TraceEvent::$variant $({ $($field,)+ })? => {
-                            $($( fields.push((stringify!($field).to_string(), $field.to_json())); )+)?
+                            $($( write_field(line, stringify!($field), $field); )+)?
                         }
                     )+
                 }
@@ -470,16 +497,18 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-impl ToJson for TraceRecord {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("seq".to_string(), self.seq.to_json()),
-            ("t".to_string(), self.at.as_micros().to_json()),
-            ("node".to_string(), self.node.index().to_json()),
-            ("ev".to_string(), self.event.name().to_json()),
-        ];
-        self.event.push_fields(&mut fields);
-        Json::Obj(fields)
+impl TraceRecord {
+    /// Appends the record's JSON line, newline included, to `line`: the
+    /// header `seq`, `t` (µs), `node` and `ev`, then the event's fields in
+    /// declaration order.
+    pub fn write_line(&self, line: &mut String) {
+        line.push_str("{\"seq\":");
+        self.seq.write(line);
+        write_field(line, "t", self.at.as_micros());
+        write_field(line, "node", self.node.index() as u64);
+        write_field(line, "ev", self.event.name());
+        self.event.write_fields(line);
+        line.push_str("}\n");
     }
 }
 
@@ -490,7 +519,7 @@ impl ToJson for TraceRecord {
 /// bounded no matter how long the run. Every record also passes through
 /// a [`TraceAudit`] on its way in, so the oracle's verdict covers the
 /// whole run whatever the ring retained; `dropped()` only says how much
-/// of the run [`TraceSink::to_jsonl`] can still show.
+/// of the run [`TraceSink::write_jsonl`] can still show.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     records: VecDeque<TraceRecord>,
@@ -537,21 +566,6 @@ impl TraceSink {
         &self.audit
     }
 
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the sink holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Ring capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records evicted by ring overflow (0 means the retained window is
     /// the complete trace).
     pub fn dropped(&self) -> u64 {
@@ -559,25 +573,21 @@ impl TraceSink {
     }
 
     /// Iterates the retained records oldest-first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &TraceRecord> + '_ {
         self.records.iter()
     }
 
-    /// Copies the retained records into a `Vec`, oldest-first.
-    pub fn to_vec(&self) -> Vec<TraceRecord> {
-        self.records.iter().copied().collect()
-    }
-
-    /// Serializes the retained records as JSON lines, one object per
-    /// record, in a fixed key order — byte-identical across runs of the
-    /// same seeded configuration.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+    /// Streams the retained records to `w` as JSON lines, byte-identical
+    /// across runs of the same seeded configuration. Every line goes
+    /// through one reused buffer; give a file a `BufWriter`.
+    pub fn write_jsonl(&self, w: &mut dyn io::Write) -> io::Result<()> {
+        let mut line = String::new();
         for r in &self.records {
-            out.push_str(&r.to_json().to_string_compact());
-            out.push('\n');
+            line.clear();
+            r.write_line(&mut line);
+            w.write_all(line.as_bytes())?;
         }
-        out
+        Ok(())
     }
 }
 
@@ -857,11 +867,9 @@ mod tests {
         for i in 0..5 {
             s.record(SimTime::from_micros(i), NodeId(0), TraceEvent::NodeCrash);
         }
-        assert_eq!(s.len(), 2);
         assert_eq!(s.dropped(), 3);
-        let v = s.to_vec();
-        assert_eq!(v[0].seq, 3);
-        assert_eq!(v[1].seq, 4);
+        let seqs: Vec<u64> = s.records().map(|r| r.seq).collect();
+        assert_eq!(seqs, [3, 4]);
     }
 
     #[test]
@@ -881,7 +889,7 @@ mod tests {
             let deliver = TraceEvent::PacketDeliver { link, bytes };
             s.record(SimTime::from_micros(2 * i + 1), NodeId(1), deliver);
         }
-        assert_eq!((s.len(), s.dropped()), (4, 596));
+        assert_eq!((s.records().len(), s.dropped()), (4, 596));
         let v = s.audit().violations(None);
         assert_eq!(v.len(), 1, "{v:#?}");
         assert_eq!((v[0].kind, v[0].seq), (InvariantKind::OrphanDelivery, 301));

@@ -1,6 +1,8 @@
 //! The flight recorder's export and oracle: one record of every event
-//! kind exports exactly its pinned JSON line, random records of every
-//! kind export lines that read back as the same JSON, and the invariant
+//! kind exports exactly its pinned JSON line, a random record of any kind
+//! writes the line its reference `Json` tree renders to (integers beyond
+//! `i64::MAX` and non-finite floats included), and that line reads back
+//! to itself; and the invariant
 //! oracle has real detection power — forged traces (orphan deliveries, time and
 //! sequence reversals, fetches from caches that never staged) are
 //! rejected no matter where the forgery lands.
@@ -161,23 +163,32 @@ fn every_event_kind_exports_its_pinned_line() {
             node: NodeId::from_index(12),
             event,
         };
-        let line = record.to_json().to_string_compact();
-        assert_eq!(line, format!("{HEADER}{}", pinned(&event)), "{event:?}");
+        let mut line = String::new();
+        record.write_line(&mut line);
+        assert_eq!(line, format!("{HEADER}{}\n", pinned(&event)), "{event:?}");
     }
 }
 
-/// Payload integers ride in JSON `Int(i64)` fields, so the export caps
-/// them at `i64::MAX`.
-fn arb_u63(g: &mut Gen) -> u64 {
-    g.u64() & i64::MAX as u64
+/// A float the export must write exactly as `Json::Float` renders it:
+/// a fraction, an integral value (`1.0`, not `1`), an exponent form, or
+/// a non-finite value (`null`).
+fn arb_f64(g: &mut Gen) -> f64 {
+    let unit = (g.u64() >> 11) as f64 / (1u64 << 53) as f64;
+    let special = [0.0, 1.0, 1e-7, 1e300, f64::NAN, f64::INFINITY];
+    if g.bool() {
+        unit
+    } else {
+        *g.choose(&special)
+    }
 }
 
 /// A random kind's sample from `one_of_each`, with its payload redrawn.
+/// Half the 64-bit draws lie above `i64::MAX`.
 fn arb_event(g: &mut Gen) -> TraceEvent {
     let link = LinkId::from_index(g.usize_in(0, 7));
-    let tag = Tag(arb_u63(g));
+    let tag = Tag(g.u64());
     let n32 = g.u64_in(0, u64::from(u32::MAX)) as u32;
-    let n63 = arb_u63(g);
+    let n64 = g.u64();
     let mut event = one_of_each()[g.usize_in(0, KINDS - 1)];
     match &mut event {
         TraceEvent::PacketEnqueue { link: l, bytes }
@@ -206,8 +217,7 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
             corrupt,
         } => {
             *l = link;
-            *loss = (g.u64() >> 11) as f64 / (1u64 << 53) as f64;
-            *corrupt = (g.u64() >> 11) as f64 / (1u64 << 53) as f64;
+            (*loss, *corrupt) = (arb_f64(g), arb_f64(g));
         }
         TraceEvent::NodeCrash | TraceEvent::NodeRestart | TraceEvent::CacheWipe => {}
         TraceEvent::StageRequest { chunk }
@@ -219,7 +229,7 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
         | TraceEvent::HandoffCommit { target: chunk } => *chunk = tag,
         TraceEvent::StageAck { chunk, ok } => (*chunk, *ok) = (tag, g.bool()),
         TraceEvent::Staged { chunk, bytes } | TraceEvent::ChunkServed { chunk, bytes } => {
-            (*chunk, *bytes) = (tag, n63)
+            (*chunk, *bytes) = (tag, n64)
         }
         TraceEvent::FetchStart {
             chunk,
@@ -227,7 +237,7 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
             pending,
             waited_us,
         } => {
-            (*chunk, *pending, *waited_us) = (tag, g.bool(), n63);
+            (*chunk, *pending, *waited_us) = (tag, g.bool(), n64);
             *source = *g.choose(&[FetchSource::EdgeCache, FetchSource::Origin]);
         }
         TraceEvent::FetchComplete {
@@ -236,7 +246,7 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
             source,
             ok,
         } => {
-            (*chunk, *bytes, *ok) = (tag, n63, g.bool());
+            (*chunk, *bytes, *ok) = (tag, n64, g.bool());
             *source = *g.choose(&[FetchSource::EdgeCache, FetchSource::Origin]);
         }
         TraceEvent::ModeTransition { mode } => {
@@ -252,7 +262,7 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
             reason,
             retry_after_us,
         } => {
-            (*chunk, *retry_after_us) = (tag, n63);
+            (*chunk, *retry_after_us) = (tag, n64);
             *reason = *g.choose(&[RejectReason::QueueDepth, RejectReason::Deadline]);
         }
         TraceEvent::BreakerTransition { edge, state } => {
@@ -265,7 +275,7 @@ fn arb_event(g: &mut Gen) -> TraceEvent {
         }
         TraceEvent::EvictOverflow { dropped: n }
         | TraceEvent::CacheResize { capacity: n }
-        | TraceEvent::ServiceDegrade { delay_us: n } => *n = n63,
+        | TraceEvent::ServiceDegrade { delay_us: n } => *n = n64,
     }
     event
 }
@@ -281,27 +291,137 @@ fn generator_covers_every_kind() {
     });
 }
 
-/// Every exported line is a JSON document that reads back as the value
-/// written and re-renders to the same bytes, whatever the payload.
+/// The index a test id was made from: `index()` is crate-private, and
+/// the tests draw ids below 16.
+fn index_of<T: PartialEq>(id: T, from_index: fn(usize) -> T) -> usize {
+    (0..16)
+        .find(|&i| from_index(i) == id)
+        .expect("a test id is below 16")
+}
+
+/// The record as a `Json` tree, key by key, rendered by `util::json`:
+/// the reference every written line must match byte for byte.
+fn reference(r: &TraceRecord) -> String {
+    let link = |l: LinkId| index_of(l, LinkId::from_index).to_json();
+    let tag = |t: Tag| t.0.to_json();
+    let name = |s: &str| Json::Str(s.to_string());
+    let fields = match r.event {
+        TraceEvent::PacketEnqueue { link: l, bytes }
+        | TraceEvent::PacketDeliver { link: l, bytes } => {
+            vec![("link", link(l)), ("bytes", bytes.to_json())]
+        }
+        TraceEvent::PacketTx {
+            link: l,
+            bytes,
+            attempts,
+        } => vec![
+            ("link", link(l)),
+            ("bytes", bytes.to_json()),
+            ("attempts", attempts.to_json()),
+        ],
+        TraceEvent::PacketDrop {
+            link: l,
+            bytes,
+            reason,
+        } => vec![
+            ("link", link(l)),
+            ("bytes", bytes.to_json()),
+            ("reason", name(reason.name())),
+        ],
+        TraceEvent::LinkUp { link: l }
+        | TraceEvent::LinkDown { link: l }
+        | TraceEvent::FaultClear { link: l } => vec![("link", link(l))],
+        TraceEvent::FaultOnset {
+            link: l,
+            loss,
+            corrupt,
+        } => vec![
+            ("link", link(l)),
+            ("loss", loss.to_json()),
+            ("corrupt", corrupt.to_json()),
+        ],
+        TraceEvent::NodeCrash | TraceEvent::NodeRestart | TraceEvent::CacheWipe => vec![],
+        TraceEvent::StageRequest { chunk }
+        | TraceEvent::StageStart { chunk }
+        | TraceEvent::StageFailed { chunk }
+        | TraceEvent::ChunkEvicted { chunk }
+        | TraceEvent::StageTimeout { chunk } => vec![("chunk", tag(chunk))],
+        TraceEvent::StageAck { chunk, ok } => vec![("chunk", tag(chunk)), ("ok", ok.to_json())],
+        TraceEvent::Staged { chunk, bytes } | TraceEvent::ChunkServed { chunk, bytes } => {
+            vec![("chunk", tag(chunk)), ("bytes", bytes.to_json())]
+        }
+        TraceEvent::EvictOverflow { dropped } => vec![("dropped", dropped.to_json())],
+        TraceEvent::FetchStart {
+            chunk,
+            source,
+            pending,
+            waited_us,
+        } => vec![
+            ("chunk", tag(chunk)),
+            ("source", name(source.name())),
+            ("pending", pending.to_json()),
+            ("waited_us", waited_us.to_json()),
+        ],
+        TraceEvent::FetchComplete {
+            chunk,
+            bytes,
+            source,
+            ok,
+        } => vec![
+            ("chunk", tag(chunk)),
+            ("bytes", bytes.to_json()),
+            ("source", name(source.name())),
+            ("ok", ok.to_json()),
+        ],
+        TraceEvent::HandoffDefer { target } | TraceEvent::HandoffCommit { target } => {
+            vec![("target", tag(target))]
+        }
+        TraceEvent::ModeTransition { mode } => vec![("mode", name(mode.name()))],
+        TraceEvent::StageDepth { depth } => vec![("depth", depth.to_json())],
+        TraceEvent::StageReject {
+            chunk,
+            reason,
+            retry_after_us,
+        } => vec![
+            ("chunk", tag(chunk)),
+            ("reason", name(reason.name())),
+            ("retry_after_us", retry_after_us.to_json()),
+        ],
+        TraceEvent::BreakerTransition { edge, state } => {
+            vec![("edge", tag(edge)), ("state", name(state.name()))]
+        }
+        TraceEvent::CacheResize { capacity } => vec![("capacity", capacity.to_json())],
+        TraceEvent::ServiceDegrade { delay_us } => vec![("delay_us", delay_us.to_json())],
+    };
+    let header = [
+        ("seq", r.seq.to_json()),
+        ("t", r.at.as_micros().to_json()),
+        ("node", index_of(r.node, NodeId::from_index).to_json()),
+        ("ev", name(r.event.name())),
+    ];
+    let pairs = header.into_iter().chain(fields);
+    Json::Obj(pairs.map(|(k, v)| (k.to_string(), v)).collect()).to_string_compact()
+}
+
+/// Every written line is its record's reference rendering plus a
+/// newline, and a JSON document that re-renders to the same bytes,
+/// whatever the payload.
 #[test]
 fn serialization_round_trips_every_event_shape() {
     check("trace_jsonl_round_trip", 128, |g| {
-        let mut seq = 0u64;
-        let mut t = 0u64;
+        let mut line = String::new();
         for _ in 0..g.usize_in(1, 40) {
-            seq += g.u64_in(1, 3);
-            t += g.u64_in(0, 1_000_000);
-            let value = TraceRecord {
-                seq,
-                at: SimTime::from_micros(t),
+            let record = TraceRecord {
+                seq: g.u64(),
+                at: SimTime::from_micros(g.u64()),
                 node: NodeId::from_index(g.usize_in(0, 9)),
                 event: arb_event(g),
-            }
-            .to_json();
-            let line = value.to_string_compact();
+            };
+            line.clear();
+            record.write_line(&mut line);
+            assert_eq!(line, format!("{}\n", reference(&record)));
             let parsed = Json::parse(&line).expect("exported line is JSON");
-            assert_eq!(parsed, value, "{line}");
-            assert_eq!(parsed.to_string_compact(), line);
+            assert_eq!(format!("{}\n", parsed.to_string_compact()), line);
         }
     });
 }

@@ -538,12 +538,6 @@ impl ToJson for bool {
     }
 }
 
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())

@@ -13,9 +13,14 @@
 //! the JSON lines are suppressed; pass a path (or `-` for stdout) to get
 //! the trace. The verdict comes from the streaming audit and covers every
 //! event of the run; the ring only bounds how much of it the JSON-lines
-//! dump (and the summary) can still show.
+//! dump (and the summary) can still show. A bad seed or an output file
+//! that cannot be created fails with exit 2 before anything is
+//! simulated; a reader that closes stdout early (`| head`) ends the
+//! program quietly.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
 use softstage_suite::experiments::fleet::{self, FleetParams};
 use softstage_suite::experiments::world::World;
@@ -29,11 +34,16 @@ fn main() {
     if fleet {
         args.remove(0);
     }
-    let seed: u64 = args
-        .first()
-        .map(|s| s.parse().expect("seed must be an integer"))
-        .unwrap_or(42);
+    let seed: u64 = args.first().map_or(42, |s| {
+        s.parse()
+            .unwrap_or_else(|_| fail(&format!("seed must be an integer, not {s:?}")))
+    });
     let out = args.get(1).map(String::as_str);
+    // Open the output up front: an unwritable path must fail with a
+    // diagnostic before the run, not a panic after it.
+    let file = out.filter(|&path| path != "-").map(|path| {
+        File::create(path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")))
+    });
     if fleet {
         let mut world = fleet::build(&FleetParams {
             seed,
@@ -45,7 +55,7 @@ fn main() {
             "seed {seed}: fleet of {} clients, {} finished, p50 {:.2} s, p99 {:.2} s, {} stage rejects, digest {}",
             s.clients, s.completed, s.p50_s, s.p99_s, s.stage_rejects, s.digest
         );
-        report(&world, &headline, out);
+        finish(report(&world, &headline, out, file));
     } else {
         let params = ExperimentParams {
             file_size: 6 * MB,
@@ -72,45 +82,73 @@ fn main() {
                 "FAILED"
             },
         );
-        report(&tb, &headline, out);
+        finish(report(&tb, &headline, out, file));
     }
 }
 
-/// Prints the headline, the per-event histogram and the oracle verdict
-/// (exiting 1 on a violation), then writes the JSON lines to `out`.
-fn report(world: &World, headline: &str, out: Option<&str>) {
+/// Exits 1 on an oracle violation, quietly on a closed stdout, and 2 on
+/// any other output error.
+fn finish(reported: io::Result<bool>) {
+    match reported {
+        Ok(clean) => std::process::exit(if clean { 0 } else { 1 }),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail(&format!("cannot write the trace: {e}")),
+    }
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Prints the headline, the per-event histogram and the oracle verdict,
+/// then streams the JSON lines to `file` (or to stdout for `-`). Returns
+/// whether the oracle found the run clean.
+fn report(
+    world: &World,
+    headline: &str,
+    out: Option<&str>,
+    file: Option<File>,
+) -> io::Result<bool> {
     let sink = world.sim.trace().expect("recorder attached");
     let mut by_event: BTreeMap<&'static str, u64> = BTreeMap::new();
     for r in sink.records() {
         *by_event.entry(r.event.name()).or_default() += 1;
     }
-    println!("{headline}");
-    println!(
+    let mut stdout = BufWriter::new(io::stdout().lock());
+    writeln!(stdout, "{headline}")?;
+    writeln!(
+        stdout,
         "trace: {} records in the ring ({} older ones dropped from the dump)",
-        sink.len(),
+        sink.records().len(),
         sink.dropped()
-    );
+    )?;
     for (name, count) in &by_event {
-        println!("  {name:<16} {count}");
+        writeln!(stdout, "  {name:<16} {count}")?;
     }
 
     let violations = world.audit_trace();
     if violations.is_empty() {
-        println!("oracle: clean");
+        writeln!(stdout, "oracle: clean")?;
     } else {
-        println!("oracle: {} violation(s)", violations.len());
+        writeln!(stdout, "oracle: {} violation(s)", violations.len())?;
         for v in &violations {
-            println!("  {v}");
+            writeln!(stdout, "  {v}")?;
         }
-        std::process::exit(1);
+        stdout.flush()?;
+        return Ok(false);
     }
 
-    match out {
-        None => {}
-        Some("-") => print!("{}", world.trace_jsonl()),
-        Some(path) => {
-            std::fs::write(path, world.trace_jsonl()).expect("writable output path");
-            println!("wrote {path}");
+    match (out, file) {
+        (Some(path), Some(file)) => {
+            let mut w = BufWriter::new(file);
+            sink.write_jsonl(&mut w)?;
+            w.flush()?;
+            writeln!(stdout, "wrote {path}")?;
         }
+        (Some(_), None) => sink.write_jsonl(&mut stdout)?,
+        _ => {}
     }
+    stdout.flush()?;
+    Ok(true)
 }

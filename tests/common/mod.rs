@@ -4,6 +4,7 @@
 
 use std::fmt::Write as _;
 
+use softstage_suite::experiments::world::World;
 use softstage_suite::experiments::{build, ExperimentParams, RunResult, Testbed, MB};
 use softstage_suite::simnet::{SimDuration, SimTime};
 use softstage_suite::softstage::SoftStageConfig;
@@ -63,5 +64,15 @@ pub fn digest_of(tb: &Testbed, label: &str, result: &RunResult) -> [u8; 20] {
 /// SHA-1 over the recorded trace's JSON-lines export (the all-zero digest
 /// of the empty string when tracing is off).
 pub fn trace_digest(tb: &Testbed) -> [u8; 20] {
-    sha1::sha1(tb.trace_jsonl().as_bytes())
+    sha1::sha1(&jsonl(tb))
+}
+
+/// The JSON lines the world's flight recorder streams from its ring
+/// (none when tracing is off).
+pub fn jsonl(world: &World) -> Vec<u8> {
+    let mut out = Vec::new();
+    if let Some(sink) = world.sim.trace() {
+        sink.write_jsonl(&mut out).expect("a Vec takes every byte");
+    }
+    out
 }

@@ -62,14 +62,14 @@ fn thousand_client_traces_are_byte_identical() {
         world.sim.enable_trace(common::TRACE_CAPACITY);
         world.run();
         assert_eq!(world.sim.trace().map_or(0, |t| t.dropped()), 0);
-        world.trace_jsonl()
+        common::jsonl(&world)
     };
     let a = jsonl(42);
     let b = jsonl(42);
     assert!(!a.is_empty(), "fleet run must record events");
     assert_eq!(
-        sha1::sha1(a.as_bytes()),
-        sha1::sha1(b.as_bytes()),
+        sha1::sha1(&a),
+        sha1::sha1(&b),
         "golden fleet trace differs between identical runs"
     );
 }
@@ -256,7 +256,7 @@ fn platoon_traces_are_byte_identical() {
     let digest = || {
         let world = platoon(42);
         assert_eq!(world.sim.trace().map_or(0, |t| t.dropped()), 0);
-        sha1::sha1(world.trace_jsonl().as_bytes())
+        sha1::sha1(&common::jsonl(&world))
     };
     assert_eq!(digest(), digest(), "same-seed platoon traces differ");
 }

@@ -57,7 +57,7 @@ fn handoff_run(seed: u64) -> Testbed {
 
 fn golden(tb: &Testbed, scenario: &str) -> [u8; 20] {
     common::assert_trace_clean(tb, scenario);
-    let jsonl = tb.trace_jsonl();
+    let jsonl = common::jsonl(tb);
     assert!(!jsonl.is_empty(), "{scenario}: trace must not be empty");
     // A batch fold over the recorded slice and the streaming audit are
     // the same rules: same verdict on a real trace, stats cross-check
@@ -70,7 +70,7 @@ fn golden(tb: &Testbed, scenario: &str) -> [u8; 20] {
         tb.sim.audit_trace(),
         "{scenario}: batch vs streaming audit"
     );
-    sha1::sha1(jsonl.as_bytes())
+    sha1::sha1(&jsonl)
 }
 
 #[test]
@@ -84,13 +84,13 @@ fn staging_golden_trace_is_byte_identical_and_oracle_clean() {
         "same-seed staging traces must serialize byte-identically"
     );
     // The golden trace actually exercises the staging path.
-    let records = a.sim.trace().expect("recorder attached").to_vec();
-    let staged = records
-        .iter()
+    let sink = a.sim.trace().expect("recorder attached");
+    let staged = sink
+        .records()
         .filter(|r| matches!(r.event, TraceEvent::Staged { .. }))
         .count();
-    let edge_fetches = records
-        .iter()
+    let edge_fetches = sink
+        .records()
         .filter(|r| {
             matches!(
                 r.event,
@@ -116,9 +116,11 @@ fn handoff_golden_trace_is_byte_identical_and_oracle_clean() {
         digest_a, digest_b,
         "same-seed handoff traces must serialize byte-identically"
     );
-    let records = a.sim.trace().expect("recorder attached").to_vec();
-    let commits = records
-        .iter()
+    let commits = a
+        .sim
+        .trace()
+        .expect("recorder attached")
+        .records()
         .filter(|r| matches!(r.event, TraceEvent::HandoffCommit { .. }))
         .count();
     assert!(commits > 0, "handoff run must record committed handoffs");
@@ -132,7 +134,13 @@ fn audit(records: &[TraceRecord]) -> Vec<Violation> {
 #[test]
 fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
     let tb = staging_run(42);
-    let clean = tb.sim.trace().expect("recorder attached").to_vec();
+    let clean: Vec<TraceRecord> = tb
+        .sim
+        .trace()
+        .expect("recorder attached")
+        .records()
+        .copied()
+        .collect();
     assert!(audit(&clean).is_empty(), "golden trace is clean");
 
     // Forgery 1: orphan deliveries — more arrivals on a link than it ever
