@@ -3,9 +3,10 @@
 use std::any::Any;
 use std::fmt;
 
-use crate::link::{Link, LinkId};
+use crate::link::LinkId;
+use crate::sim::Core;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 
 /// Identifier of a node in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,34 +99,29 @@ pub enum NodeFault {
     },
 }
 
-/// An action requested by a node during a callback, applied by the
-/// simulator immediately after the callback returns (in order).
-#[derive(Debug)]
-pub(crate) enum Action<M> {
-    Send { link: LinkId, msg: M },
-    Timer { delay: SimDuration, key: TimerKey },
-}
-
 /// The window through which a [`Node`] observes and affects the simulation.
+///
+/// It borrows the simulator's core (clock, event queue, links, RNG,
+/// counters, recorder) but not its nodes, so what a callback asks for
+/// happens at the call: [`Context::send`] runs the link model and files the
+/// arrival, [`Context::set_timer`] files the expiry. Pushes, RNG draws and
+/// packet records so keep the callback's own order.
 pub struct Context<'a, M: Message> {
-    pub(crate) now: SimTime,
+    pub(crate) core: &'a mut Core<M>,
     pub(crate) node: NodeId,
-    pub(crate) links: &'a [Link],
-    pub(crate) actions: Vec<Action<M>>,
-    pub(crate) trace: Option<&'a mut TraceSink>,
 }
 
 impl<'a, M: Message> Context<'a, M> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.time
     }
 
     /// Sends `msg` out on `link`. Delivery (or loss) is decided by the link
     /// model; sending on a downed link silently drops the packet, exactly
     /// like transmitting into a coverage gap.
     pub fn send(&mut self, link: LinkId, msg: M) {
-        self.actions.push(Action::Send { link, msg });
+        self.core.transmit(self.node, link, msg);
     }
 
     /// Arms a timer that fires [`Node::on_timer`] with `key` after `delay`.
@@ -133,7 +129,7 @@ impl<'a, M: Message> Context<'a, M> {
     /// Timers cannot be cancelled; nodes should carry a generation counter
     /// in `key` (or in their own state) to ignore stale expirations.
     pub fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
-        self.actions.push(Action::Timer { delay, key });
+        self.core.set_timer(self.node, delay, key);
     }
 
     /// The node at the far end of `link` from this node.
@@ -146,50 +142,90 @@ impl<'a, M: Message> Context<'a, M> {
         reason = "documented contract: the panic is the point"
     )]
     pub fn peer(&self, link: LinkId) -> NodeId {
-        self.links[link.index()].peer_of(self.node)
+        self.core.links[link.index()].peer_of(self.node)
     }
 
     /// Whether a flight-recorder sink is attached. Check before building
     /// event payloads that are not free to build.
     pub fn tracing(&self) -> bool {
-        self.trace.is_some()
+        self.core.sink.is_some()
     }
 
     /// Records `event` against this node at the current time; a no-op
     /// when no sink is attached.
     pub fn trace(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.trace.as_deref_mut() {
-            sink.record(self.now, self.node, event);
-        }
+        self.core.emit(self.node, event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkConfig;
+    use crate::sim::Simulator;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
+    /// Sizeless, so a zero-latency link delivers it in the µs it is sent.
     #[derive(Clone, Debug)]
-    struct Msg;
+    struct Msg(u64);
     impl Message for Msg {
         fn wire_size(&self) -> usize {
-            1
+            0
+        }
+    }
+
+    type Log = Rc<RefCell<Vec<u64>>>;
+
+    /// Interleaves sends and zero-delay timers in one callback; logs
+    /// every timer it hears.
+    struct Caller {
+        link: Option<LinkId>,
+        log: Log,
+    }
+    impl Node<Msg> for Caller {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            let Some(link) = self.link else { return };
+            for i in (0..6).step_by(2) {
+                ctx.send(link, Msg(i));
+                ctx.set_timer(SimDuration::ZERO, i + 1);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Context<'_, Msg>, _: LinkId, _: Msg) {}
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, key: TimerKey) {
+            self.log.borrow_mut().push(key);
+        }
+    }
+
+    /// Logs every packet it hears.
+    struct Hearer {
+        log: Log,
+    }
+    impl Node<Msg> for Hearer {
+        fn on_packet(&mut self, _: &mut Context<'_, Msg>, _: LinkId, msg: Msg) {
+            self.log.borrow_mut().push(msg.0);
         }
     }
 
     #[test]
-    fn context_accumulates_actions_in_order() {
-        let links = vec![];
-        let mut ctx: Context<'_, Msg> = Context {
-            now: SimTime::ZERO,
-            node: NodeId(0),
-            links: &links,
-            actions: vec![],
-            trace: None,
-        };
-        ctx.set_timer(SimDuration::from_micros(5), 42);
-        ctx.send(LinkId(0), Msg);
-        assert_eq!(ctx.actions.len(), 2);
-        assert!(matches!(ctx.actions[0], Action::Timer { key: 42, .. }));
-        assert!(matches!(ctx.actions[1], Action::Send { .. }));
+    fn sends_and_timers_dispatch_in_call_order() {
+        // Everything one callback asks for is due at t = 0; each call
+        // files its event as it is made, so dispatch follows call order
+        // across packets and timers.
+        let log = Log::default();
+        let mut sim: Simulator<Msg> = Simulator::new(0);
+        let a = sim.add_node(Box::new(Caller {
+            link: None,
+            log: log.clone(),
+        }));
+        let b = sim.add_node(Box::new(Hearer { log: log.clone() }));
+        let link = sim.add_link(a, b, LinkConfig::wired(1_000, SimDuration::ZERO));
+        if let Some(caller) = sim.node_mut::<Caller>(a) {
+            caller.link = Some(link);
+        }
+        sim.run();
+        assert_eq!(*log.borrow(), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!((sim.stats().packets, sim.stats().timers), (3, 3));
     }
 }

@@ -1,20 +1,12 @@
 //! The event scheduler and simulation driver.
 
 use crate::link::{Link, LinkConfig, LinkId};
-use crate::node::{Action, Context, Message, Node, NodeFault, NodeId, TimerKey};
+use crate::node::{Context, Message, Node, NodeFault, NodeId, TimerKey};
 use crate::rng::Rng;
 use crate::stats::{LinkStats, SimStats};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, TraceEvent, TraceSink, Violation};
 use crate::wheel::WheelQueue;
-
-/// Records `event` into an optional sink.
-#[inline]
-fn emit(sink: &mut Option<TraceSink>, at: SimTime, node: NodeId, event: TraceEvent) {
-    if let Some(s) = sink {
-        s.record(at, node, event);
-    }
-}
 
 /// Clamps a wire size into the `u32` carried by packet trace events.
 #[inline]
@@ -23,7 +15,7 @@ fn wire32(wire: usize) -> u32 {
 }
 
 /// What the wheel files for an event. A timer is small enough to file
-/// whole; anything else waits in [`Simulator::slab`] and is filed as the
+/// whole; anything else waits in [`Core::slab`] and is filed as the
 /// index of its cell, so the wheel's entries stay 24 bytes and the
 /// packet-sized cells hold no timers (most pending events are timers).
 #[derive(Clone, Copy, Debug)]
@@ -67,7 +59,18 @@ enum EventKind<M> {
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 pub struct Simulator<M: Message> {
-    time: SimTime,
+    nodes: Vec<Box<dyn Node<M>>>,
+    core: Core<M>,
+    started: bool,
+    /// Hard cap on dispatched events, to catch runaway protocols.
+    event_limit: u64,
+}
+
+/// Everything of a [`Simulator`] but its nodes: what a node's [`Context`]
+/// borrows while the node itself is borrowed apart, so a callback's sends
+/// and timers take effect at the call and no callback can reach a node.
+pub(crate) struct Core<M: Message> {
+    pub(crate) time: SimTime,
     queue: WheelQueue<Ev>,
     /// Payloads of pending non-timer events; `Some` exactly at the cells
     /// that a filed [`Ev::Slot`] names. It grows to the most such events
@@ -76,175 +79,22 @@ pub struct Simulator<M: Message> {
     slab: Vec<Option<EventKind<M>>>,
     /// Empty `slab` cells, last freed on top.
     vacant: Vec<u32>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
-    links: Vec<Link>,
+    pub(crate) links: Vec<Link>,
     rng: Rng,
     stats: SimStats,
-    started: bool,
-    /// Hard cap on dispatched events, to catch runaway protocols.
-    event_limit: u64,
     /// Flight recorder; `None` (the default) records nothing and keeps
     /// every hot path a single branch.
-    sink: Option<TraceSink>,
-    /// Recycled action buffer handed to each node callback's [`Context`],
-    /// so steady-state dispatch does not allocate per event.
-    spare_actions: Vec<Action<M>>,
+    pub(crate) sink: Option<TraceSink>,
 }
 
-impl<M: Message> Simulator<M> {
-    /// Bytes taken out of the slab per packet, link or fault event. A
-    /// move of up to 128 bytes is inlined rather than a `memcpy` call, so
-    /// message types assert this against 128.
-    pub const EVENT_BYTES: usize = std::mem::size_of::<Option<EventKind<M>>>();
-
-    /// Creates a simulator whose randomness derives entirely from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Simulator {
-            time: SimTime::ZERO,
-            queue: WheelQueue::new(),
-            slab: Vec::new(),
-            vacant: Vec::new(),
-            nodes: Vec::new(),
-            links: Vec::new(),
-            rng: Rng::seed_from_u64(seed),
-            stats: SimStats::default(),
-            started: false,
-            event_limit: u64::MAX,
-            sink: None,
-            spare_actions: Vec::new(),
+impl<M: Message> Core<M> {
+    /// Records `event` against `node` at the current time, if a sink is
+    /// attached.
+    #[inline]
+    pub(crate) fn emit(&mut self, node: NodeId, event: TraceEvent) {
+        if let Some(s) = &mut self.sink {
+            s.record(self.time, node, event);
         }
-    }
-
-    /// Attaches (or replaces) a flight recorder holding at most
-    /// `capacity` records.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.sink = Some(TraceSink::new(capacity));
-    }
-
-    /// Read access to the flight record, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
-    /// The streaming audit's verdict on every event recorded so far,
-    /// including the per-link cross-check against [`Simulator::stats`] —
-    /// independent of the recorder's capacity. Empty when tracing is off.
-    pub fn audit_trace(&self) -> Vec<Violation> {
-        self.sink
-            .as_ref()
-            .map_or_else(Vec::new, |sink| sink.audit().violations(Some(&self.stats)))
-    }
-
-    /// Caps the number of dispatched events; [`Simulator::run`] panics when
-    /// exceeded. Useful in tests to catch protocol livelock.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
-    }
-
-    /// Adds a node and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator already has `u32::MAX + 1` nodes: an event
-    /// names its node in 32 bits.
-    pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        assert!(u32::try_from(id.0).is_ok(), "node ids end at u32::MAX");
-        self.nodes.push(Some(node));
-        id
-    }
-
-    /// Adds a link between `a` and `b` and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b`, either node does not exist, or the simulator
-    /// already has `u32::MAX + 1` links: an event names its link in 32
-    /// bits.
-    pub fn add_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> LinkId {
-        assert_ne!(a, b, "self-links are not allowed");
-        assert!(a.0 < self.nodes.len() && b.0 < self.nodes.len());
-        let id = LinkId(self.links.len());
-        assert!(u32::try_from(id.0).is_ok(), "link ids end at u32::MAX");
-        self.links.push(Link::new(a, b, config));
-        self.stats.links.push(LinkStats::default());
-        id
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.time
-    }
-
-    /// Read access to a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by [`Simulator::add_link`].
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented contract: LinkIds are minted by add_link"
-    )]
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.0]
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Statistics collected so far.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Downcasts node `id` to its concrete type.
-    pub fn node<T: Node<M>>(&self, id: NodeId) -> Option<&T> {
-        let node = self.nodes.get(id.0)?.as_deref()?;
-        (node as &dyn std::any::Any).downcast_ref::<T>()
-    }
-
-    /// Mutable downcast of node `id` to its concrete type.
-    pub fn node_mut<T: Node<M>>(&mut self, id: NodeId) -> Option<&mut T> {
-        let node = self.nodes.get_mut(id.0)?.as_deref_mut()?;
-        (node as &mut dyn std::any::Any).downcast_mut::<T>()
-    }
-
-    /// Schedules a scripted link-state change at absolute time `at`.
-    ///
-    /// This is how mobility schedules (coverage gaps, encounters) are laid
-    /// onto the topology before the run starts.
-    pub fn schedule_link_state(&mut self, at: SimTime, link: LinkId, up: bool) {
-        self.push(at, EventKind::LinkState { link, up });
-    }
-
-    /// Schedules a link-quality override at absolute time `at`: `loss`
-    /// and/or `corrupt` replace the link's current probabilities (`None`
-    /// leaves a parameter unchanged). Schedule a second event with the
-    /// original values to close a burst window — [`crate::fault::FaultPlan`]
-    /// does both ends for you.
-    pub(crate) fn schedule_link_quality(
-        &mut self,
-        at: SimTime,
-        link: LinkId,
-        loss: Option<f64>,
-        corrupt: Option<f64>,
-    ) {
-        self.push(
-            at,
-            EventKind::LinkQuality {
-                link,
-                loss,
-                corrupt,
-            },
-        );
-    }
-
-    /// Schedules a node fault at absolute time `at`. The node's
-    /// [`Node::on_fault`] decides what state is lost.
-    pub(crate) fn schedule_node_fault(&mut self, at: SimTime, node: NodeId, fault: NodeFault) {
-        self.push(at, EventKind::NodeFault { node, fault });
     }
 
     /// Files `kind` at `at` behind everything already filed for that
@@ -269,60 +119,11 @@ impl<M: Message> Simulator<M> {
         self.queue.push(at, Ev::Slot(slot));
     }
 
-    /// Delivers `on_start` to every node (once).
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            self.with_node(NodeId(i), |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// Runs `f` on a node with a fresh context, then applies its actions.
-    #[expect(
-        clippy::panic,
-        reason = "reentrant dispatch is a scheduler bug; continuing would corrupt the event order the traces attest to"
-    )]
-    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>)) {
-        let mut node = self
-            .nodes
-            .get_mut(id.0)
-            .and_then(Option::take)
-            .unwrap_or_else(|| {
-                panic!("reentrant dispatch on node {id}");
-            });
-        let mut ctx = Context {
-            now: self.time,
-            node: id,
-            links: &self.links,
-            // Recycled scratch buffer: empty here, emptied again below.
-            actions: std::mem::take(&mut self.spare_actions),
-            trace: self.sink.as_mut(),
-        };
-        f(node.as_mut(), &mut ctx);
-        let mut actions = ctx.actions;
-        if let Some(slot) = self.nodes.get_mut(id.0) {
-            *slot = Some(node);
-        }
-        for action in actions.drain(..) {
-            self.apply(id, action);
-        }
-        // apply() never re-enters with_node, so the drained buffer can be
-        // parked for the next callback without racing a nested borrow.
-        self.spare_actions = actions;
-    }
-
-    fn apply(&mut self, from: NodeId, action: Action<M>) {
-        match action {
-            Action::Send { link, msg } => self.transmit(from, link, msg),
-            Action::Timer { delay, key } => {
-                // `from` indexed `nodes`, whose count stops at `u32::MAX + 1`.
-                let node = from.0 as u32;
-                self.queue.push(self.time + delay, Ev::Timer { node, key });
-            }
-        }
+    /// Files node `node`'s timer `key` to fire after `delay`.
+    pub(crate) fn set_timer(&mut self, node: NodeId, delay: SimDuration, key: TimerKey) {
+        // `node` indexed `nodes`, whose count stops at `u32::MAX + 1`.
+        let node = node.0 as u32;
+        self.queue.push(self.time + delay, Ev::Timer { node, key });
     }
 
     /// Writes a packet record: folds it into link `link`'s counters and
@@ -332,14 +133,14 @@ impl<M: Message> Simulator<M> {
         if let Some(stats) = self.stats.links.get_mut(link.0) {
             stats.count(&event);
         }
-        emit(&mut self.sink, self.time, node, event);
+        self.emit(node, event);
     }
 
     #[expect(
         clippy::indexing_slicing,
         reason = "LinkIds are minted by add_link, which grows links and their stats together; a node sending on a foreign id is a wiring bug that must stop the run"
     )]
-    fn transmit(&mut self, from: NodeId, link_id: LinkId, msg: M) {
+    pub(crate) fn transmit(&mut self, from: NodeId, link_id: LinkId, msg: M) {
         let wire = msg.wire_size();
         let bytes = wire32(wire);
         let link = &mut self.links[link_id.0];
@@ -386,9 +187,194 @@ impl<M: Message> Simulator<M> {
             }
         }
     }
+}
+
+impl<M: Message> Simulator<M> {
+    /// Bytes taken out of the slab per packet, link or fault event. A
+    /// move of up to 128 bytes is inlined rather than a `memcpy` call, so
+    /// message types assert this against 128.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<Option<EventKind<M>>>();
+
+    /// Creates a simulator whose randomness derives entirely from `seed`.
+    pub fn new(seed: u64) -> Self {
+        Simulator {
+            nodes: Vec::new(),
+            core: Core {
+                time: SimTime::ZERO,
+                queue: WheelQueue::new(),
+                slab: Vec::new(),
+                vacant: Vec::new(),
+                links: Vec::new(),
+                rng: Rng::seed_from_u64(seed),
+                stats: SimStats::default(),
+                sink: None,
+            },
+            started: false,
+            event_limit: u64::MAX,
+        }
+    }
+
+    /// Attaches (or replaces) a flight recorder holding at most
+    /// `capacity` records.
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.core.sink = Some(TraceSink::new(capacity));
+    }
+
+    /// Read access to the flight record, if tracing is enabled.
+    pub fn trace(&self) -> Option<&TraceSink> {
+        self.core.sink.as_ref()
+    }
+
+    /// The streaming audit's verdict on every event recorded so far,
+    /// including the per-link cross-check against [`Simulator::stats`] —
+    /// independent of the recorder's capacity. Empty when tracing is off.
+    pub fn audit_trace(&self) -> Vec<Violation> {
+        self.core.sink.as_ref().map_or_else(Vec::new, |sink| {
+            sink.audit().violations(Some(&self.core.stats))
+        })
+    }
+
+    /// Caps the number of dispatched events; [`Simulator::run`] panics when
+    /// exceeded. Useful in tests to catch protocol livelock.
+    pub fn set_event_limit(&mut self, limit: u64) {
+        self.event_limit = limit;
+    }
+
+    /// Adds a node and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator already has `u32::MAX + 1` nodes: an event
+    /// names its node in 32 bits.
+    pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
+        let id = NodeId(self.nodes.len());
+        assert!(u32::try_from(id.0).is_ok(), "node ids end at u32::MAX");
+        self.nodes.push(node);
+        id
+    }
+
+    /// Adds a link between `a` and `b` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b`, either node does not exist, or the simulator
+    /// already has `u32::MAX + 1` links: an event names its link in 32
+    /// bits.
+    pub fn add_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> LinkId {
+        assert_ne!(a, b, "self-links are not allowed");
+        assert!(a.0 < self.nodes.len() && b.0 < self.nodes.len());
+        let links = &mut self.core.links;
+        let id = LinkId(links.len());
+        assert!(u32::try_from(id.0).is_ok(), "link ids end at u32::MAX");
+        links.push(Link::new(a, b, config));
+        self.core.stats.links.push(LinkStats::default());
+        id
+    }
+
+    /// The current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.core.time
+    }
+
+    /// Read access to a link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not returned by [`Simulator::add_link`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented contract: LinkIds are minted by add_link"
+    )]
+    pub fn link(&self, id: LinkId) -> &Link {
+        &self.core.links[id.0]
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Statistics collected so far.
+    pub fn stats(&self) -> &SimStats {
+        &self.core.stats
+    }
+
+    /// Downcasts node `id` to its concrete type.
+    pub fn node<T: Node<M>>(&self, id: NodeId) -> Option<&T> {
+        let node = self.nodes.get(id.0)?.as_ref();
+        (node as &dyn std::any::Any).downcast_ref::<T>()
+    }
+
+    /// Mutable downcast of node `id` to its concrete type.
+    pub fn node_mut<T: Node<M>>(&mut self, id: NodeId) -> Option<&mut T> {
+        let node = self.nodes.get_mut(id.0)?.as_mut();
+        (node as &mut dyn std::any::Any).downcast_mut::<T>()
+    }
+
+    /// Schedules a scripted link-state change at absolute time `at`.
+    ///
+    /// This is how mobility schedules (coverage gaps, encounters) are laid
+    /// onto the topology before the run starts.
+    pub fn schedule_link_state(&mut self, at: SimTime, link: LinkId, up: bool) {
+        self.core.push(at, EventKind::LinkState { link, up });
+    }
+
+    /// Schedules a link-quality override at absolute time `at`: `loss`
+    /// and/or `corrupt` replace the link's current probabilities (`None`
+    /// leaves a parameter unchanged). Schedule a second event with the
+    /// original values to close a burst window — [`crate::fault::FaultPlan`]
+    /// does both ends for you.
+    pub(crate) fn schedule_link_quality(
+        &mut self,
+        at: SimTime,
+        link: LinkId,
+        loss: Option<f64>,
+        corrupt: Option<f64>,
+    ) {
+        self.core.push(
+            at,
+            EventKind::LinkQuality {
+                link,
+                loss,
+                corrupt,
+            },
+        );
+    }
+
+    /// Schedules a node fault at absolute time `at`. The node's
+    /// [`Node::on_fault`] decides what state is lost.
+    pub(crate) fn schedule_node_fault(&mut self, at: SimTime, node: NodeId, fault: NodeFault) {
+        self.core.push(at, EventKind::NodeFault { node, fault });
+    }
+
+    /// Delivers `on_start` to every node (once).
+    fn ensure_started(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        for i in 0..self.nodes.len() {
+            self.with_node(NodeId(i), |node, ctx| node.on_start(ctx));
+        }
+    }
+
+    /// Runs `f` on a node with a context on the core. The node and the
+    /// core are disjoint fields, so the callback acts on the core at each
+    /// call and cannot reach any node.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "NodeIds are minted by add_node and events name only those; a foreign id is a wiring bug that must stop the run"
+    )]
+    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>)) {
+        let mut ctx = Context {
+            core: &mut self.core,
+            node: id,
+        };
+        f(self.nodes[id.0].as_mut(), &mut ctx);
+    }
 
     fn apply_link_state(&mut self, link_id: LinkId, up: bool) {
-        let Some(link) = self.links.get_mut(link_id.0) else {
+        let Some(link) = self.core.links.get_mut(link_id.0) else {
             return;
         };
         if !link.set_up(up) {
@@ -401,7 +387,7 @@ impl<M: Message> Simulator<M> {
         } else {
             TraceEvent::LinkDown { link: link_id }
         };
-        emit(&mut self.sink, self.time, a, ev);
+        self.core.emit(a, ev);
         self.with_node(a, |node, ctx| node.on_link_event(ctx, link_id, up));
         self.with_node(b, |node, ctx| node.on_link_event(ctx, link_id, up));
     }
@@ -411,31 +397,32 @@ impl<M: Message> Simulator<M> {
     /// heap operations per event, traced or not.
     pub(crate) fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((at, ev)) = self.queue.pop() else {
+        let core = &mut self.core;
+        let Some((at, ev)) = core.queue.pop() else {
             return false;
         };
-        debug_assert!(at >= self.time, "time must be monotonic");
-        self.time = at;
-        self.stats.events += 1;
+        debug_assert!(at >= core.time, "time must be monotonic");
+        core.time = at;
+        core.stats.events += 1;
         assert!(
-            self.stats.events <= self.event_limit,
+            core.stats.events <= self.event_limit,
             "event limit exceeded at {} (possible protocol livelock)",
-            self.time
+            core.time
         );
         let slot = match ev {
             Ev::Timer { node, key } => {
-                self.stats.timers += 1;
+                core.stats.timers += 1;
                 self.with_node(NodeId(node as usize), |n, ctx| n.on_timer(ctx, key));
                 return true;
             }
             Ev::Slot(slot) => slot,
         };
-        let kind = self.slab.get_mut(slot as usize).and_then(Option::take);
+        let kind = core.slab.get_mut(slot as usize).and_then(Option::take);
         // A filed slot always has its payload; were one missing, skip the
         // event rather than free its cell a second time.
         debug_assert!(kind.is_some(), "filed slot {slot} without a payload");
         let Some(kind) = kind else { return true };
-        self.vacant.push(slot);
+        core.vacant.push(slot);
         match kind {
             EventKind::Arrival {
                 node,
@@ -446,12 +433,12 @@ impl<M: Message> Simulator<M> {
                 let (node, link) = (NodeId(node as usize), LinkId(link as usize));
                 // Only the recorder reads the size, and sizing a message
                 // can walk its addresses.
-                let bytes = if self.sink.is_some() {
+                let bytes = if core.sink.is_some() {
                     wire32(msg.wire_size())
                 } else {
                     0
                 };
-                let alive = self
+                let alive = core
                     .links
                     .get(link.0)
                     .is_some_and(|l| l.epoch == epoch && l.up);
@@ -463,11 +450,11 @@ impl<M: Message> Simulator<M> {
                         bytes,
                         reason,
                     };
-                    self.record(node, link, drop);
+                    core.record(node, link, drop);
                     return true;
                 }
-                self.stats.packets += 1;
-                self.record(node, link, TraceEvent::PacketDeliver { link, bytes });
+                core.stats.packets += 1;
+                core.record(node, link, TraceEvent::PacketDeliver { link, bytes });
                 self.with_node(node, |n, ctx| n.on_packet(ctx, link, msg));
             }
             EventKind::LinkState { link, up } => self.apply_link_state(link, up),
@@ -476,7 +463,7 @@ impl<M: Message> Simulator<M> {
                 loss,
                 corrupt,
             } => {
-                if let Some(l) = self.links.get_mut(link.0) {
+                if let Some(l) = core.links.get_mut(link.0) {
                     l.set_quality(loss, corrupt);
                     let (a, _) = l.endpoints();
                     // At-baseline quality means the fault window closed.
@@ -491,11 +478,11 @@ impl<M: Message> Simulator<M> {
                             corrupt: l.current_corruption(),
                         }
                     };
-                    emit(&mut self.sink, self.time, a, ev);
+                    core.emit(a, ev);
                 }
             }
             EventKind::NodeFault { node, fault } => {
-                self.stats.faults += 1;
+                core.stats.faults += 1;
                 let ev = match fault {
                     NodeFault::Crash => TraceEvent::NodeCrash,
                     NodeFault::Restart => TraceEvent::NodeRestart,
@@ -505,7 +492,7 @@ impl<M: Message> Simulator<M> {
                     },
                     NodeFault::SlowService { delay_us } => TraceEvent::ServiceDegrade { delay_us },
                 };
-                emit(&mut self.sink, self.time, node, ev);
+                core.emit(node, ev);
                 self.with_node(node, |n, ctx| n.on_fault(ctx, fault));
             }
         }
@@ -540,7 +527,7 @@ impl<M: Message> Simulator<M> {
             if predicate(self) {
                 return true;
             }
-            match self.queue.next_at() {
+            match self.core.queue.next_at() {
                 Some(at) if at <= deadline => {
                     self.step();
                 }
@@ -550,8 +537,8 @@ impl<M: Message> Simulator<M> {
         if predicate(self) {
             return true;
         }
-        if self.time < deadline {
-            self.time = deadline;
+        if self.core.time < deadline {
+            self.core.time = deadline;
         }
         false
     }
@@ -560,10 +547,10 @@ impl<M: Message> Simulator<M> {
 impl<M: Message> std::fmt::Debug for Simulator<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("time", &self.time)
+            .field("time", &self.core.time)
             .field("nodes", &self.nodes.len())
-            .field("links", &self.links.len())
-            .field("pending_events", &self.queue.len())
+            .field("links", &self.core.links.len())
+            .field("pending_events", &self.core.queue.len())
             .finish()
     }
 }
@@ -571,7 +558,6 @@ impl<M: Message> std::fmt::Debug for Simulator<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Num(u64);
@@ -729,7 +715,7 @@ mod tests {
         ]
         .map(|config| sim.add_link(a, b, config))
         .to_vec();
-        sim.links[links[4].0].set_quality(None, Some(1.0));
+        sim.core.links[links[4].0].set_quality(None, Some(1.0));
         // The packet arrives at 11 ms; its link goes down at 5 ms.
         sim.schedule_link_state(SimTime::from_micros(5_000), links[5], false);
         sim.node_mut::<Sender>(a).unwrap().links = links.clone();
@@ -825,11 +811,11 @@ mod tests {
         // The link went down u32::MAX times already: the next down wraps
         // its epoch to 0. It is back up before the first packet lands at
         // 11 ms, so the epoch alone must drop it.
-        sim.links[l.0].epoch = u32::MAX;
+        sim.core.links[l.0].epoch = u32::MAX;
         sim.schedule_link_state(SimTime::from_micros(5_000), l, false);
         sim.schedule_link_state(SimTime::from_micros(6_000), l, true);
         sim.run();
-        assert_eq!(sim.links[l.0].epoch, 0);
+        assert_eq!(sim.core.links[l.0].epoch, 0);
         assert!(sim.node::<Echo>(b).unwrap().log.is_empty());
         assert_eq!(sim.stats().links[l.index()].dropped_in_flight, 1);
         let drops: Vec<_> = sim

@@ -11,7 +11,7 @@ use xcache::{
     ServerAction,
 };
 use xia_addr::{Dag, Principal, Xid};
-use xia_transport::{TransportConfig, TransportEvent, TransportMux};
+use xia_transport::{Owner, TransportConfig, TransportEvent, TransportMux};
 use xia_wire::{ConnId, XiaPacket, L4};
 
 use crate::app::{App, FetchResult};
@@ -285,7 +285,7 @@ impl Host {
 
     /// Whether this stack should consume `pkt` (local delivery), judged
     /// by address only: a segment of a live connection is claimed first,
-    /// by [`Host::deliver_known`].
+    /// by [`Host::owner`].
     pub fn wants_packet(&self, pkt: &XiaPacket) -> bool {
         match &pkt.l4 {
             L4::Beacon(_) => true,
@@ -310,27 +310,29 @@ impl Host {
         }
     }
 
-    /// Feeds a segment of a live transport connection to it, wherever
-    /// the packet was addressed, and processes what that raised. Hands
-    /// back any other packet for [`Host::wants_packet`] or the router's
+    /// The live connection of this stack `pkt` is a segment of, if any,
+    /// wherever the packet was addressed; `None` while the stack is down.
+    /// One probe, judged by reference: a packet this stack does not own
+    /// stays with the caller, for [`Host::wants_packet`] or the router's
     /// DAG walk to judge.
-    ///
-    /// # Errors
-    ///
-    /// `Err(pkt)` when `pkt` is not a segment of a connection this stack
-    /// owns.
+    pub fn owner(&self, pkt: &XiaPacket) -> Option<Owner> {
+        if self.down {
+            return None;
+        }
+        self.mux.owner(pkt)
+    }
+
+    /// Feeds `pkt` to `owner`, the connection [`Host::owner`] found it is
+    /// a segment of, and processes what that raised.
     pub fn deliver_known(
         &mut self,
         ctx: &mut SimContext<'_, XiaPacket>,
+        owner: Owner,
         pkt: XiaPacket,
-    ) -> Result<(), XiaPacket> {
-        if self.down {
-            return Err(pkt);
-        }
+    ) {
         let (mux, mut env) = self.env(ctx);
-        mux.deliver_known(&mut env, pkt)?;
+        mux.deliver_known(&mut env, owner, pkt);
         self.drain(ctx);
-        Ok(())
     }
 
     /// Delivers the simulation start to all apps.
@@ -770,10 +772,10 @@ impl Node<XiaPacket> for EndHost {
     }
 
     fn on_packet(&mut self, ctx: &mut SimContext<'_, XiaPacket>, link: LinkId, pkt: XiaPacket) {
-        let pkt = match self.host.deliver_known(ctx, pkt) {
-            Ok(()) => return self.flush(ctx),
-            Err(pkt) => pkt,
-        };
+        if let Some(owner) = self.host.owner(&pkt) {
+            self.host.deliver_known(ctx, owner, pkt);
+            return self.flush(ctx);
+        }
         // Anything else was not for this host.
         if self.host.wants_packet(&pkt) {
             self.host.handle_packet(ctx, link, pkt);

@@ -176,13 +176,12 @@ impl RouterNode {
             // local regardless of the DAG pointer. Fresh SYNs go through
             // the DAG algorithm below so CID interception follows address
             // semantics.
-            pkt = match self.host.deliver_known(ctx, pkt) {
-                Ok(()) => {
-                    self.stats.delivered_local += 1;
-                    return self.flush(ctx);
-                }
-                Err(pkt) => pkt,
-            };
+            // The test is by reference, so a packet to forward stays here.
+            if let Some(owner) = self.host.owner(&pkt) {
+                self.host.deliver_known(ctx, owner, pkt);
+                self.stats.delivered_local += 1;
+                return self.flush(ctx);
+            }
             // Beacons and control datagrams for locally hosted services
             // are delivered straight to the stack.
             match &pkt.l4 {

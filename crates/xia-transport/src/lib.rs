@@ -34,5 +34,5 @@ pub mod rtt;
 
 pub use config::TransportConfig;
 pub use conn::{CloseReason, ConnStats, TransportEnv, TransportEvent};
-pub use mux::{TransportError, TransportMux};
+pub use mux::{Owner, TransportError, TransportMux};
 pub use rtt::RttEstimator;

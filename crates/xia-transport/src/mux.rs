@@ -34,6 +34,12 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// A live connection of a [`TransportMux`], as [`TransportMux::owner`]
+/// found it: the connection's uid. Uids are never reused, so an `Owner`
+/// kept past the reaping of its connection delivers nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Owner(u64);
+
 /// The host-side transport endpoint: a set of connections sharing one
 /// local identity.
 ///
@@ -184,41 +190,34 @@ impl TransportMux {
         Some(self.conns.get(uid)?.stats())
     }
 
-    /// Feeds `pkt` to the live connection it is a segment of, and reaps
-    /// that connection if the segment finished it. Hands back, untouched,
-    /// any packet that is not a segment of a live connection.
-    ///
-    /// # Errors
-    ///
-    /// `Err(pkt)` when this mux does not own `pkt`.
-    pub fn deliver_known(
-        &mut self,
-        env: &mut dyn TransportEnv,
-        pkt: XiaPacket,
-    ) -> Result<(), XiaPacket> {
-        let uid = match &pkt.l4 {
-            L4::Segment(seg) => self.by_id.get(&seg.conn).copied(),
+    /// The live connection `pkt` is a segment of, if any: one probe of
+    /// `by_id`, judged by reference, so a packet this mux does not own is
+    /// never moved.
+    pub fn owner(&self, pkt: &XiaPacket) -> Option<Owner> {
+        match &pkt.l4 {
+            L4::Segment(seg) => self.by_id.get(&seg.conn).copied().map(Owner),
             _ => None,
+        }
+    }
+
+    /// Feeds `pkt` to `owner`, the connection [`TransportMux::owner`]
+    /// found it is a segment of, and reaps that connection if the segment
+    /// finished it.
+    pub fn deliver_known(&mut self, env: &mut dyn TransportEnv, owner: Owner, pkt: XiaPacket) {
+        let XiaPacket {
+            src,
+            l4: L4::Segment(seg),
+            ..
+        } = pkt
+        else {
+            return;
         };
-        match (uid, pkt) {
-            (
-                Some(uid),
-                XiaPacket {
-                    src,
-                    l4: L4::Segment(seg),
-                    ..
-                },
-            ) => {
-                if let Entry::Occupied(mut c) = self.conns.entry(uid) {
-                    c.get_mut().on_segment(env, seg, &src);
-                    if c.get().finished() {
-                        let c = c.remove();
-                        self.retire(c);
-                    }
-                }
-                Ok(())
+        if let Entry::Occupied(mut c) = self.conns.entry(owner.0) {
+            c.get_mut().on_segment(env, seg, &src);
+            if c.get().finished() {
+                let c = c.remove();
+                self.retire(c);
             }
-            (_, pkt) => Err(pkt),
         }
     }
 
@@ -229,9 +228,9 @@ impl TransportMux {
     /// new connection answers from (e.g. this host's `NID : HID`, or a
     /// router cache's own address when intercepting a CID request).
     pub fn on_packet(&mut self, env: &mut dyn TransportEnv, pkt: XiaPacket, local_src: Dag) {
-        let Err(pkt) = self.deliver_known(env, pkt) else {
-            return;
-        };
+        if let Some(owner) = self.owner(&pkt) {
+            return self.deliver_known(env, owner, pkt);
+        }
         let L4::Segment(seg) = pkt.l4 else {
             return;
         };
@@ -293,10 +292,12 @@ impl TransportMux {
     /// Routes a timer this mux armed back to the owning connection, if it
     /// is still live. Bit 63 of every key the mux arms is clear.
     pub fn on_timer(&mut self, env: &mut dyn TransportEnv, timer_key: u64) {
-        let uid = timer_uid(timer_key);
-        if let Some(c) = self.conns.get_mut(&uid) {
-            c.on_timer(env, timer_key);
-            self.reap(uid);
+        if let Entry::Occupied(mut c) = self.conns.entry(timer_uid(timer_key)) {
+            c.get_mut().on_timer(env, timer_key);
+            if c.get().finished() {
+                let c = c.remove();
+                self.retire(c);
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 #   scripts/profile.sh <workload> [seed]        e.g. scripts/profile.sh fleet_skewed 42
 # Builds ssbench with frame pointers into target/profile, preloads a SIGPROF
 # sampler (2 ms of CPU per sample, frame-pointer stack walk) and symbolises
-# the samples with `nm`. Needs cc, nm and python3. Not part of verify.sh.
+# the samples with `nm` and `addr2line`. Needs cc, nm, addr2line and
+# python3. Not part of verify.sh.
 # The "libc by caller" table books each sample whose leaf is in libc to the
 # first program frame on its stack. libc has no frame pointers, so a leaf
 # memmove/memcmp/malloc leaves the walk its caller's frame pointer: the
@@ -21,6 +22,10 @@
 # thousands of calls (sampled counts times 8). A heap call's return
 # address is always inside alloc's raw_vec or box code, so only the walk
 # finds who asked for the memory.
+# The last table, "lines", books each sample whose leaf is program code to
+# the innermost inlined function at that PC and its file:line (`addr2line
+# -f -i -C`): at function level an inlined callee's time reads as its
+# caller's self time, so a move or a copy inside a hot function shows here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload="${1:?usage: scripts/profile.sh <workload> [seed]}"
@@ -225,9 +230,10 @@ def load(path):
         if obj[1]:  # libc's memcpy and malloc internals are not in its .dynsym
             return f"[{obj[1]}]"
         return syms[max(bisect.bisect_right(starts, pc - bias) - 1, 0)][1]
-    return name, rows
-name, rows = load(sys.argv[1])
+    return name, rows, bias
+name, rows, bias = load(sys.argv[1])
 stacks = [[name(int(x, 16)) for x in row] for row in rows]
+leaves = collections.Counter(int(row[0], 16) for row in rows)
 self_, incl, libc = collections.Counter(), collections.Counter(), collections.Counter()
 for names in stacks:
     self_[names[0]] += 1
@@ -255,7 +261,27 @@ for sym, table in callers.items():
     print(f"  {100 * self_[sym] / total:13.1f}%   {sym}")
     for caller, count in table.most_common(5):
         print(f"  {100 * count / total:17.1f}%   {caller}")
-name, rows = load(sys.argv[2])
+pcs = [pc for pc in leaves if not name(pc).startswith("[")]
+a2l = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", sys.argv[3]],
+                     input="\n".join(f"{pc - bias:x}" for pc in pcs), capture_output=True, text=True)
+records = []  # per PC, its inline chain from the innermost frame out: (function, file:line)
+for row in a2l.stdout.splitlines():
+    if row.startswith("0x"):
+        records.append([])
+    else:
+        records[-1].append(row)
+def frame(func, place):
+    """A frame as `function  file:line`, paths cut to their crate or std library."""
+    place = re.sub(r".*/(crates|library)/", "", place.split(" (discriminator")[0])
+    return f"{re.sub(r'::h[0-9a-f]{16}$', '', func)}  {place}"
+lines = collections.Counter()
+for pc, rec in zip(pcs, records):
+    chain = list(zip(rec[0::2], rec[1::2]))
+    # A std frame is named with the program frame it was inlined into.
+    home = next(((f, p) for f, p in chain if "/crates/" in p), None)
+    where = frame(*chain[0]) + (f"  in {frame(*home)}" if home and home != chain[0] else "")
+    lines[where] += leaves[pc]
+name, rows, _ = load(sys.argv[2])
 calls = collections.defaultdict(lambda: [0, 0, 0, 0])
 for site, *counts in rows:
     booked = calls[name(int(site, 16))]
@@ -267,7 +293,7 @@ print("\n  libc calls by caller, millions (a separate, unsampled pass)")
 print("  memcpy<=32  <=128   >128  memcmp   symbol")
 for sym, c in [("total", sums)] + calls[:15]:
     print("  " + " ".join(f"{n / 1e6:{w}.2f}" for n, w in zip(c, (10, 6, 6, 7))) + f"   {sym}")
-name, rows = load(sys.argv[4])
+name, rows, _ = load(sys.argv[4])
 _, total_calls, _, every, _, lost = next(r for r in rows if r[0] == "calls")
 every = int(every)
 def asker(sym):
@@ -283,4 +309,8 @@ print(f"\n  heap calls by caller, thousands (1 in {every} sampled; {int(total_ca
 print("    malloc  realloc   symbol")
 for sym, c in [("total", sums)] + heap[:15]:
     print("  " + " ".join(f"{n / 1e3:{w}.1f}" for n, w in zip(c, (8, 8))) + f"   {sym}")
+print("\n  lines: each program leaf booked to its innermost inlined function and file:line,")
+print("  and a std function to the innermost program function it was inlined into")
+for where, count in lines.most_common(25):
+    print(f"  {100 * count / total:13.1f}%   {where}")
 EOF
