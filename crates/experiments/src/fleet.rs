@@ -548,7 +548,7 @@ mod tests {
         // the fold runs whether or not a recorder is attached.
         let mut plain = build(&tiny(42));
         let mut traced = build(&tiny(42));
-        traced.sim.enable_trace(1 << 16);
+        traced.sim.enable_trace(|_| {});
         assert_eq!(plain.run().digest, traced.run().digest);
         let clients = |w: &FleetWorld| {
             w.client_apps()

@@ -16,9 +16,10 @@
 //!   link events through a [`Context`],
 //! - a seeded, deterministic random number generator: every simulation is a
 //!   pure function of (topology, parameters, seed),
-//! - an optional [`trace`] flight recorder: typed per-event records in a
-//!   bounded ring buffer, JSON-lines export, and a streaming
-//!   [`TraceAudit`] that checks protocol invariants as records arrive.
+//! - an optional [`trace`] flight recorder: typed per-event records handed
+//!   to one consumer as they are recorded, a JSON-lines writer, and a
+//!   streaming [`TraceAudit`] that checks protocol invariants as records
+//!   arrive.
 //!
 //! Time is integer microseconds ([`SimTime`]); ties are broken by insertion
 //! order, so runs are exactly reproducible.
@@ -82,6 +83,6 @@ pub use stats::{LinkStats, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     BreakerState, ClientMode, DropReason, FetchSource, InvariantKind, RejectReason, Tag,
-    TraceAudit, TraceEvent, TraceRecord, TraceSink, Violation,
+    TraceAudit, TraceEvent, TraceRecord, Violation,
 };
 pub use wheel::WheelQueue;

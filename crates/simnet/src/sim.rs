@@ -5,7 +5,7 @@ use crate::node::{Context, Message, Node, NodeFault, NodeId, TimerKey};
 use crate::rng::Rng;
 use crate::stats::{LinkStats, SimStats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DropReason, TraceEvent, TraceSink, Violation};
+use crate::trace::{DropReason, TraceEvent, TraceRecord, TraceSink, Violation};
 use crate::wheel::WheelQueue;
 
 /// Clamps a wire size into the `u32` carried by packet trace events.
@@ -214,20 +214,17 @@ impl<M: Message> Simulator<M> {
         }
     }
 
-    /// Attaches (or replaces) a flight recorder holding at most
-    /// `capacity` records.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.sink = Some(TraceSink::new(capacity));
-    }
-
-    /// Read access to the flight record, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.core.sink.as_ref()
+    /// Attaches (or replaces) a flight recorder that hands each record to
+    /// `consumer` as it is recorded, once per record in `seq` order, right
+    /// after the streaming audit has checked it. The recorder keeps
+    /// nothing: whatever the consumer does not keep is gone.
+    pub fn enable_trace(&mut self, consumer: impl FnMut(&TraceRecord) + 'static) {
+        self.core.sink = Some(TraceSink::new(consumer));
     }
 
     /// The streaming audit's verdict on every event recorded so far,
-    /// including the per-link cross-check against [`Simulator::stats`] —
-    /// independent of the recorder's capacity. Empty when tracing is off.
+    /// including the per-link cross-check against [`Simulator::stats`].
+    /// Empty when tracing is off.
     pub fn audit_trace(&self) -> Vec<Violation> {
         self.core.sink.as_ref().map_or_else(Vec::new, |sink| {
             sink.audit().violations(Some(&self.core.stats))
@@ -557,6 +554,9 @@ impl<M: Message> std::fmt::Debug for Simulator<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -699,7 +699,7 @@ mod tests {
             fn on_packet(&mut self, _: &mut Context<'_, Num>, _: LinkId, _: Num) {}
         }
         let mut sim: Simulator<Num> = Simulator::new(0);
-        sim.enable_trace(64);
+        sim.enable_trace(|_| {});
         let a = sim.add_node(Box::new(Sender { links: vec![] }));
         let b = sim.add_node(Box::new(Sender { links: vec![] }));
         let wired = LinkConfig::wired(8_000_000, SimDuration::from_millis(10));
@@ -807,7 +807,13 @@ mod tests {
     #[test]
     fn a_down_transition_at_the_top_epoch_still_drops_in_flight() {
         let (mut sim, _, b, l) = build();
-        sim.enable_trace(64);
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let out = Rc::clone(&drops);
+        sim.enable_trace(move |r| {
+            if let TraceEvent::PacketDrop { reason, .. } = r.event {
+                out.borrow_mut().push((r.at, reason));
+            }
+        });
         // The link went down u32::MAX times already: the next down wraps
         // its epoch to 0. It is back up before the first packet lands at
         // 11 ms, so the epoch alone must drop it.
@@ -818,17 +824,8 @@ mod tests {
         assert_eq!(sim.core.links[l.0].epoch, 0);
         assert!(sim.node::<Echo>(b).unwrap().log.is_empty());
         assert_eq!(sim.stats().links[l.index()].dropped_in_flight, 1);
-        let drops: Vec<_> = sim
-            .trace()
-            .unwrap()
-            .records()
-            .filter_map(|r| match r.event {
-                TraceEvent::PacketDrop { reason, .. } => Some((r.at, reason)),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            drops,
+            *drops.borrow(),
             vec![(SimTime::from_micros(11_000), DropReason::InFlight)]
         );
     }
@@ -887,7 +884,7 @@ mod tests {
     fn timers_and_slab_events_due_together_dispatch_in_push_order() {
         // Timers are filed whole and every other event through the slab;
         // at one µs, dispatch must follow push order across both stores.
-        type Log = std::rc::Rc<std::cell::RefCell<Vec<String>>>;
+        type Log = Rc<RefCell<Vec<String>>>;
         const T: SimTime = SimTime::from_micros(10_000);
         const KICK: TimerKey = 9;
         struct Hub {

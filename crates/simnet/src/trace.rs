@@ -1,16 +1,18 @@
 //! Deterministic flight recorder and trace-invariant oracle.
 //!
-//! Every layer of the stack can emit typed [`TraceEvent`]s into a bounded
-//! ring-buffer [`TraceSink`] owned by the simulator. A record is a `Copy`
-//! struct — recording never formats. [`TraceSink::write_jsonl`] streams
-//! the ring as JSON lines (one object per record, fixed key order), each
-//! record writing its own line into one reused buffer, so two runs of the
-//! same seeded configuration produce **byte-identical** trace files. The
-//! schema is declared once, in the `trace_events!` table below; the enum
-//! and its line writer are generated from it.
+//! Every layer of the stack can emit typed [`TraceEvent`]s into the
+//! simulator's recorder, which numbers each [`TraceRecord`] and hands it,
+//! as it is recorded, to the one consumer
+//! [`Simulator::enable_trace`](crate::Simulator::enable_trace) was given;
+//! nothing is kept. A record is a `Copy` struct — recording never
+//! formats. [`TraceRecord::write_line`] appends a record's JSON line (one
+//! object, fixed key order), so a consumer that writes each line as it
+//! comes dumps the whole run, and two runs of the same seeded
+//! configuration produce **byte-identical** trace files. The schema is
+//! declared once, in the `trace_events!` table below; the enum and its
+//! line writer are generated from it.
 //!
-//! [`TraceAudit`] checks each record as the sink receives it — so the
-//! verdict covers the whole run even after the ring has overflowed —
+//! [`TraceAudit`] checks each record just before the consumer sees it
 //! against protocol invariants that aggregate counters cannot express
 //! (a recorded slice collected into a `TraceAudit` meets the same rules):
 //!
@@ -29,9 +31,8 @@
 //! a 63-bit [`Tag`] so every field of a record serializes as an exact,
 //! non-negative JSON integer.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
-use std::io;
 
 use util::json::JsonError;
 
@@ -486,8 +487,7 @@ trace_events! {
 /// One recorded event: sequence number, sim time, acting node, payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
-    /// Monotonically increasing record number (gap-free while the ring
-    /// has not overflowed).
+    /// Record number: 0, 1, 2, … in recording order.
     pub seq: u64,
     /// Simulation time of the event.
     pub at: SimTime,
@@ -512,40 +512,31 @@ impl TraceRecord {
     }
 }
 
-/// Bounded in-memory flight record.
-///
-/// A ring buffer of [`TraceRecord`]s: when full, the oldest record is
-/// discarded and [`TraceSink::dropped`] counts the loss, so memory stays
-/// bounded no matter how long the run. Every record also passes through
-/// a [`TraceAudit`] on its way in, so the oracle's verdict covers the
-/// whole run whatever the ring retained; `dropped()` only says how much
-/// of the run [`TraceSink::write_jsonl`] can still show.
-#[derive(Debug, Clone)]
-pub struct TraceSink {
-    records: VecDeque<TraceRecord>,
-    capacity: usize,
+/// The flight recorder: numbers each record, checks it with the
+/// streaming [`TraceAudit`], then hands it to its one consumer. Nothing
+/// is kept, so a recorder costs no memory beyond the audit's state
+/// however long the run, and the consumer sees every record of it, in
+/// `seq` order.
+pub(crate) struct TraceSink {
     next_seq: u64,
-    dropped: u64,
     audit: TraceAudit,
+    consumer: Box<dyn FnMut(&TraceRecord)>,
 }
 
 impl TraceSink {
-    /// Creates a sink holding at most `capacity` records (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+    /// Creates a recorder that hands every record to `consumer`.
+    pub(crate) fn new(consumer: impl FnMut(&TraceRecord) + 'static) -> Self {
         TraceSink {
-            records: VecDeque::with_capacity(capacity),
-            capacity,
             next_seq: 0,
-            dropped: 0,
             audit: TraceAudit::default(),
+            consumer: Box::new(consumer),
         }
     }
 
-    /// Appends a record, evicting the oldest if the ring is full, and
-    /// feeds it to the streaming audit.
+    /// Numbers a record, feeds it to the streaming audit and then to the
+    /// consumer.
     #[inline]
-    pub fn record(&mut self, at: SimTime, node: NodeId, event: TraceEvent) {
+    pub(crate) fn record(&mut self, at: SimTime, node: NodeId, event: TraceEvent) {
         let record = TraceRecord {
             seq: self.next_seq,
             at,
@@ -554,40 +545,12 @@ impl TraceSink {
         };
         self.next_seq += 1;
         self.audit.observe(&record);
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
+        (self.consumer)(&record);
     }
 
-    /// The audit of every record ever written, retained or not.
-    pub fn audit(&self) -> &TraceAudit {
+    /// The audit of every record written so far.
+    pub(crate) fn audit(&self) -> &TraceAudit {
         &self.audit
-    }
-
-    /// Records evicted by ring overflow (0 means the retained window is
-    /// the complete trace).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterates the retained records oldest-first.
-    pub fn records(&self) -> impl ExactSizeIterator<Item = &TraceRecord> + '_ {
-        self.records.iter()
-    }
-
-    /// Streams the retained records to `w` as JSON lines, byte-identical
-    /// across runs of the same seeded configuration. Every line goes
-    /// through one reused buffer; give a file a `BufWriter`.
-    pub fn write_jsonl(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        let mut line = String::new();
-        for r in &self.records {
-            line.clear();
-            r.write_line(&mut line);
-            w.write_all(line.as_bytes())?;
-        }
-        Ok(())
     }
 }
 
@@ -662,9 +625,9 @@ struct LinkTally {
 /// The invariant oracle as a streaming fold: [`TraceAudit::observe`]
 /// checks each record as it arrives against O(nodes + links + staged
 /// chunks) of state, and [`TraceAudit::violations`] reads the verdict
-/// out. [`TraceSink::record`] feeds one, so a simulator's audit never
-/// depends on how many records its ring retained; a recorded slice is
-/// audited by collecting it into one. The slice must be a whole trace:
+/// out. The simulator's recorder feeds one, so a simulator's audit never
+/// depends on what its consumer keeps; a recorded slice is audited by
+/// collecting it into one. The slice must be a whole trace:
 /// one that starts mid-run can make a delivery look orphaned because its
 /// transmission precedes the slice.
 #[derive(Debug, Clone, Default)]
@@ -838,6 +801,9 @@ impl<'a> FromIterator<&'a TraceRecord> for TraceAudit {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     fn rec(seq: u64, t: u64, node: usize, event: TraceEvent) -> TraceRecord {
@@ -862,20 +828,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_counts_drops() {
-        let mut s = TraceSink::new(2);
+    fn sink_numbers_records_for_its_consumer_in_order() {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let out = Rc::clone(&seen);
+        let mut s = TraceSink::new(move |r| out.borrow_mut().push(r.seq));
         for i in 0..5 {
             s.record(SimTime::from_micros(i), NodeId(0), TraceEvent::NodeCrash);
         }
-        assert_eq!(s.dropped(), 3);
-        let seqs: Vec<u64> = s.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, [3, 4]);
+        assert_eq!(*seen.borrow(), [0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn overflowed_ring_does_not_hide_violations() {
+    fn a_consumer_that_keeps_nothing_hides_no_violations() {
         let (bytes, attempts) = (64, 1);
-        let mut s = TraceSink::new(4);
+        let mut s = TraceSink::new(|_| {});
         for i in 0..300 {
             let link = LinkId(0);
             let tx = TraceEvent::PacketTx {
@@ -884,12 +850,11 @@ mod tests {
                 attempts,
             };
             s.record(SimTime::from_micros(2 * i), NodeId(0), tx);
-            // One arrival nobody sent, long gone from the ring by the end.
+            // One arrival nobody sent, long forgotten by the end.
             let link = LinkId(usize::from(i == 150));
             let deliver = TraceEvent::PacketDeliver { link, bytes };
             s.record(SimTime::from_micros(2 * i + 1), NodeId(1), deliver);
         }
-        assert_eq!((s.records().len(), s.dropped()), (4, 596));
         let v = s.audit().violations(None);
         assert_eq!(v.len(), 1, "{v:#?}");
         assert_eq!((v[0].kind, v[0].seq), (InvariantKind::OrphanDelivery, 301));

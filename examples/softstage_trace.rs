@@ -8,19 +8,23 @@
 //!
 //! By default the world is one client downloading along an alternating
 //! coverage schedule; with a leading `fleet` it is the `fleet-smoke` world
-//! instead: 200 clients sharing four staged edges. With no output path
-//! the per-event-type summary and the oracle verdict print to stdout and
-//! the JSON lines are suppressed; pass a path (or `-` for stdout) to get
-//! the trace. The verdict comes from the streaming audit and covers every
-//! event of the run; the ring only bounds how much of it the JSON-lines
-//! dump (and the summary) can still show. A bad seed or an output file
+//! instead: 200 clients sharing four staged edges. The recorder's one
+//! consumer counts each record by event type and, given an output path
+//! (or `-` for stdout), writes its JSON line as the run records it, so
+//! the dump is the whole run and costs no memory beyond it. After the run
+//! the headline, the record count, the per-event-type histogram and the
+//! oracle verdict print to stdout — to stderr with `-`, so that stdout
+//! carries exactly the JSON lines. The verdict comes from the streaming
+//! audit and covers every event of the run. A bad seed or an output file
 //! that cannot be created fails with exit 2 before anything is
-//! simulated; a reader that closes stdout early (`| head`) ends the
-//! program quietly.
+//! simulated; a reader that closes stdout early (`| head`) stops the dump
+//! and the program ends quietly.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::rc::Rc;
 
 use softstage_suite::experiments::fleet::{self, FleetParams};
 use softstage_suite::experiments::world::World;
@@ -41,21 +45,26 @@ fn main() {
     let out = args.get(1).map(String::as_str);
     // Open the output up front: an unwritable path must fail with a
     // diagnostic before the run, not a panic after it.
-    let file = out.filter(|&path| path != "-").map(|path| {
-        File::create(path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")))
+    let dump = out.map(|path| -> Box<dyn Write> {
+        match path {
+            "-" => Box::new(BufWriter::new(io::stdout().lock())),
+            _ => Box::new(BufWriter::new(
+                File::create(path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}"))),
+            )),
+        }
     });
     if fleet {
         let mut world = fleet::build(&FleetParams {
             seed,
             ..FleetParams::default()
         });
-        world.sim.enable_trace(1 << 22);
+        let tally = record(&mut world, dump);
         let s = world.run();
         let headline = format!(
             "seed {seed}: fleet of {} clients, {} finished, p50 {:.2} s, p99 {:.2} s, {} stage rejects, digest {}",
             s.clients, s.completed, s.p50_s, s.p99_s, s.stage_rejects, s.digest
         );
-        finish(report(&world, &headline, out, file));
+        finish(report(&world, &headline, out, tally.take()));
     } else {
         let params = ExperimentParams {
             file_size: 6 * MB,
@@ -65,7 +74,7 @@ fn main() {
         };
         let schedule = params.alternating_schedule(SimDuration::from_secs(2000));
         let mut tb = build(&params, &schedule, SoftStageConfig::default());
-        tb.sim.enable_trace(1 << 20);
+        let tally = record(&mut tb, dump);
         let result = tb.run(SimTime::ZERO + SimDuration::from_secs(2000));
         let stats = tb.client_app().stats();
         let headline = format!(
@@ -82,8 +91,41 @@ fn main() {
                 "FAILED"
             },
         );
-        finish(report(&tb, &headline, out, file));
+        finish(report(&tb, &headline, out, tally.take()));
     }
+}
+
+/// What the recorder's consumer keeps: a count per event type, and the
+/// dump's writer until it returns its first error, which is kept too.
+#[derive(Default)]
+struct Tally {
+    by_event: BTreeMap<&'static str, u64>,
+    dump: Option<Box<dyn Write>>,
+    error: Option<io::Error>,
+}
+
+/// Attaches the flight recorder: each record is counted and, if there is
+/// a dump, written to it as its JSON line.
+fn record(world: &mut World, dump: Option<Box<dyn Write>>) -> Rc<RefCell<Tally>> {
+    let tally = Rc::new(RefCell::new(Tally {
+        dump,
+        ..Tally::default()
+    }));
+    let consumer = Rc::clone(&tally);
+    let mut line = String::new();
+    world.sim.enable_trace(move |r| {
+        let mut t = consumer.borrow_mut();
+        *t.by_event.entry(r.event.name()).or_default() += 1;
+        if let Some(w) = &mut t.dump {
+            line.clear();
+            r.write_line(&mut line);
+            if let Err(e) = w.write_all(line.as_bytes()) {
+                t.dump = None;
+                t.error = Some(e);
+            }
+        }
+    });
+    tally
 }
 
 /// Exits 1 on an oracle violation, quietly on a closed stdout, and 2 on
@@ -101,54 +143,40 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Prints the headline, the per-event histogram and the oracle verdict,
-/// then streams the JSON lines to `file` (or to stdout for `-`). Returns
-/// whether the oracle found the run clean.
-fn report(
-    world: &World,
-    headline: &str,
-    out: Option<&str>,
-    file: Option<File>,
-) -> io::Result<bool> {
-    let sink = world.sim.trace().expect("recorder attached");
-    let mut by_event: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for r in sink.records() {
-        *by_event.entry(r.event.name()).or_default() += 1;
+/// Finishes the dump, then prints the headline, the record count, the
+/// per-event histogram and the oracle verdict (to stderr when the dump
+/// went to stdout). Returns whether the oracle found the run clean.
+fn report(world: &World, headline: &str, out: Option<&str>, tally: Tally) -> io::Result<bool> {
+    let Tally {
+        by_event,
+        dump,
+        error,
+    } = tally;
+    if let Some(e) = error {
+        return Err(e);
     }
-    let mut stdout = BufWriter::new(io::stdout().lock());
-    writeln!(stdout, "{headline}")?;
-    writeln!(
-        stdout,
-        "trace: {} records in the ring ({} older ones dropped from the dump)",
-        sink.records().len(),
-        sink.dropped()
-    )?;
+    dump.map_or(Ok(()), |mut w| w.flush())?;
+    let mut summary: Box<dyn Write> = match out {
+        Some("-") => Box::new(io::stderr().lock()),
+        _ => Box::new(BufWriter::new(io::stdout().lock())),
+    };
+    writeln!(summary, "{headline}")?;
+    writeln!(summary, "trace: {} records", by_event.values().sum::<u64>())?;
     for (name, count) in &by_event {
-        writeln!(stdout, "  {name:<16} {count}")?;
+        writeln!(summary, "  {name:<16} {count}")?;
     }
-
     let violations = world.audit_trace();
     if violations.is_empty() {
-        writeln!(stdout, "oracle: clean")?;
+        writeln!(summary, "oracle: clean")?;
     } else {
-        writeln!(stdout, "oracle: {} violation(s)", violations.len())?;
+        writeln!(summary, "oracle: {} violation(s)", violations.len())?;
         for v in &violations {
-            writeln!(stdout, "  {v}")?;
+            writeln!(summary, "  {v}")?;
         }
-        stdout.flush()?;
-        return Ok(false);
     }
-
-    match (out, file) {
-        (Some(path), Some(file)) => {
-            let mut w = BufWriter::new(file);
-            sink.write_jsonl(&mut w)?;
-            w.flush()?;
-            writeln!(stdout, "wrote {path}")?;
-        }
-        (Some(_), None) => sink.write_jsonl(&mut stdout)?,
-        _ => {}
+    if let Some(path) = out.filter(|&path| path != "-") {
+        writeln!(summary, "wrote {path}")?;
     }
-    stdout.flush()?;
-    Ok(true)
+    summary.flush()?;
+    Ok(violations.is_empty())
 }

@@ -13,12 +13,13 @@
 # Profile through every staging state. Runs both `softstage_trace`
 # examples at seeds 42 and 7, on the single-client drive and on the
 # `fleet-smoke` world (200 clients at four shared edges, where cache,
-# server and VNF records interleave), and `cmp`s their stdout (summary
-# and oracle verdict) and their JSON-lines dumps (about 250 MB per fleet
-# run). A <git-ref> whose `softstage_trace` predates the `fleet` argument
-# is built with this tree's copy of the example instead. Also `cmp`s the
-# stdout of both `fault_injection` examples: the one run that crashes and
-# restarts a node, wipes a cache and opens a burst-loss window. Then
+# server and VNF records interleave), and `cmp`s their JSON-lines dumps
+# (about 220 MB per fleet run). A <git-ref> whose `softstage_trace`
+# predates the `fleet` argument is built with this tree's copy of the
+# example instead. Also compares the stdout of both `fault_injection`
+# examples: the one run that crashes and restarts a node, wipes a cache
+# and opens a burst-loss window. A stdout that differs (a summary, a
+# verdict) is printed as a line `diff`, its first 20 lines. Then
 # builds each tree's benchmark/ into a target directory of its own, runs
 # one traced `ssbench pass` per workload named in BENCHMARK.json at seed
 # 42 and at the held-out seed 7 on both and compares what the seed
@@ -89,7 +90,8 @@ for f in "$dir"/out/ref/*; do
     cmp -s "$f" "$t" && continue
     status=1
     case "$f" in
-    *.jsonl | *.stdout) cmp "$f" "$t" || true ;;
+    *.jsonl) cmp "$f" "$t" || true ;;
+    *.stdout) diff "$f" "$t" | head -n 20 || true ;;
     *) moved_cells "$f" "$t" ;;
     esac
 done

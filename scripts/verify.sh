@@ -84,13 +84,18 @@ cargo test -q --offline --release -p softstage --test client_walk -- --ignored
 echo "== golden traces (flight recorder + invariant oracle, release) =="
 cargo test -q --offline --release -p softstage-suite --test golden_trace
 
-echo "== flight-recorder dump (softstage_trace fleet 42: exit 0, oracle clean, non-empty JSON lines, release) =="
-# The whole fleet-smoke run (~2.7 M records, ~220 MB) streams to a file.
+echo "== flight-recorder dump (softstage_trace fleet 42: exit 0, oracle clean, one JSON line per record, release) =="
+# The whole fleet-smoke run (~2.7 M records, ~220 MB) streams to a file as
+# it is recorded, so the dump holds exactly the records the summary counts.
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 out=$(cargo run -q --release --offline --example softstage_trace -- fleet 42 "$tmp")
 grep -qx "oracle: clean" <<<"$out" || { echo "softstage_trace fleet 42: no 'oracle: clean'" >&2; exit 1; }
 test -s "$tmp" || { echo "softstage_trace fleet 42 wrote an empty dump" >&2; exit 1; }
+records=$(sed -n 's/^trace: \([0-9]*\) records$/\1/p' <<<"$out")
+lines=$(wc -l <"$tmp")
+[ -n "$records" ] && [ "$records" -eq "$lines" ] ||
+    { echo "softstage_trace fleet 42: summary counts '$records' records, dump has $lines lines" >&2; exit 1; }
 rm -f "$tmp"
 
 echo "== ssbench (the repo's benchmark) builds and passes its own tests =="

@@ -16,7 +16,7 @@ use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{ClientMode, SimDuration, SimTime, TraceEvent};
 use softstage_suite::softstage::SoftStageConfig;
 
-use common::{deadline, small, testbed, TRACE_CAPACITY};
+use common::{deadline, small, testbed, Recorded};
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
 
@@ -25,23 +25,24 @@ const SEEDS: [u64; 3] = [7, 101, 9001];
 /// fault-free twin, and an oracle-clean trace on both runs. `inject` gets
 /// the fault-free run's completion time: the run stops at completion, so
 /// a fault timed later never fires. Returns the faulted testbed with its
-/// result so scenarios can assert on post-run node state.
+/// result and its trace so scenarios can assert on post-run node state.
 fn assert_survives(
     params: &ExperimentParams,
     inject: impl Fn(&mut Testbed, SimDuration),
-) -> (Testbed, RunResult) {
+) -> (Testbed, RunResult, Recorded) {
     let mut clean_tb = testbed(params);
-    clean_tb.sim.enable_trace(TRACE_CAPACITY);
+    clean_tb.sim.enable_trace(|_| {});
     let clean = clean_tb.run(deadline());
     assert!(clean.content_ok, "fault-free run must pass: {clean:?}");
     common::assert_trace_clean(&clean_tb, &format!("clean seed {}", params.seed));
     let clean_t = clean.completion.expect("fault-free completion");
 
     let mut tb = testbed(params);
-    tb.sim.enable_trace(TRACE_CAPACITY);
+    let trace = common::record(&mut tb.sim);
     inject(&mut tb, clean_t - SimTime::ZERO);
     let result = tb.run(deadline());
-    let fired = tb.sim.trace().expect("tracing").records().any(|r| {
+    let trace = trace.take();
+    let fired = trace.records.iter().any(|r| {
         matches!(
             r.event,
             TraceEvent::LinkDown { .. }
@@ -73,7 +74,7 @@ fn assert_survives(
         "slowdown out of bounds (seed {}): clean {clean_t:?}, faulted {faulted_t:?}",
         params.seed
     );
-    (tb, result)
+    (tb, result, trace)
 }
 
 #[test]
@@ -122,7 +123,7 @@ fn burst_loss_windows_are_survivable() {
 fn wire_corruption_is_dropped_by_checksum_and_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        let (_, result) = assert_survives(&p, |tb, _| {
+        let (_, result, _) = assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &link in &tb.radio_links.clone() {
                 plan.push(Fault::Corruption {
@@ -187,7 +188,7 @@ fn cache_wipe_falls_back_to_origin_and_is_survivable() {
 fn cache_squeeze_evicts_staged_chunks_and_is_survivable() {
     for seed in SEEDS {
         let p = small(seed);
-        let (tb, _) = assert_survives(&p, |tb, _| {
+        let (tb, _, _) = assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
                 // Squeeze each edge cache to two chunks' worth mid-run:
@@ -214,7 +215,7 @@ fn cache_squeeze_evicts_staged_chunks_and_is_survivable() {
 fn cache_squeezed_below_one_chunk_refuses_staging_without_lying() {
     for seed in SEEDS {
         let p = small(seed);
-        let (tb, _) = assert_survives(&p, |tb, _| {
+        let (tb, _, trace) = assert_survives(&p, |tb, _| {
             let mut plan = FaultPlan::new();
             for &edge in &tb.edges.clone() {
                 // Half a chunk of cache before staging starts: no chunk
@@ -236,11 +237,9 @@ fn cache_squeezed_below_one_chunk_refuses_staging_without_lying() {
             (0, 0),
             "client chased a chunk no edge held (seed {seed}): {stats:?}"
         );
-        let declined = tb
-            .sim
-            .trace()
-            .expect("tracing")
-            .records()
+        let declined = trace
+            .records
+            .iter()
             .any(|r| matches!(r.event, TraceEvent::StageAck { ok: false, .. }));
         assert!(declined, "client never heard `ok: false` (seed {seed})");
         let vnf = tb.vnf_stats();
@@ -283,7 +282,7 @@ fn vnf_unreachable_uses_explicit_origin_fallback() {
             ..small(seed)
         };
         let mut tb = testbed(&p);
-        tb.sim.enable_trace(TRACE_CAPACITY);
+        tb.sim.enable_trace(|_| {});
         let result = tb.run(deadline());
         assert!(result.content_ok, "no-VNF run (seed {seed}): {result:?}");
         assert_eq!(result.stats.from_staged, 0);
@@ -311,7 +310,7 @@ fn long_edge_outage_charges_no_retries_while_detached_and_staging_resumes() {
         };
         let schedule = p.alternating_schedule(SimDuration::from_secs(2000));
         let mut tb = build(&p, &schedule, SoftStageConfig::default());
-        tb.sim.enable_trace(TRACE_CAPACITY);
+        let trace = common::record(&mut tb.sim);
         let mut plan = FaultPlan::new();
         // The crash lands just after association, with the first staging
         // requests outstanding. Unanswered, they time out through the
@@ -338,8 +337,7 @@ fn long_edge_outage_charges_no_retries_while_detached_and_staging_resumes() {
         common::assert_trace_clean(&tb, &format!("long-outage seed {seed}"));
         let app = tb.client_app();
         let stats = app.stats();
-        let trace = tb.sim.trace().expect("tracing");
-        let detached_timeout = trace.records().any(|r| {
+        let detached_timeout = trace.borrow().records.iter().any(|r| {
             matches!(r.event, TraceEvent::StageTimeout { .. }) && r.at > first_gap && r.at < back
         });
         // Every retry charged is a timeout of an associated edge.

@@ -18,7 +18,7 @@ use softstage_suite::simnet::{SimDuration, SimTime};
 fn run_digest(seed: u64, faults: bool) -> [u8; 20] {
     let p = common::small(seed);
     let mut tb = common::testbed(&p);
-    tb.sim.enable_trace(common::TRACE_CAPACITY);
+    let trace = common::record(&mut tb.sim);
     if faults {
         let mut plan = FaultPlan::new();
         for (i, &link) in tb.radio_links.clone().iter().enumerate() {
@@ -47,7 +47,8 @@ fn run_digest(seed: u64, faults: bool) -> [u8; 20] {
     }
     let result = tb.run(common::deadline());
     common::assert_trace_clean(&tb, &format!("seed {seed} faults {faults}"));
-    common::digest_of(&tb, &format!("seed={seed} faults={faults}"), &result)
+    let label = format!("seed={seed} faults={faults}");
+    common::digest_of(&tb, &label, &result, &trace.take())
 }
 
 #[test]

@@ -9,7 +9,7 @@ use softstage_suite::experiments::{build, ExperimentParams, MBPS};
 use softstage_suite::simnet::SimDuration;
 use softstage_suite::softstage::SoftStageConfig;
 
-use common::{deadline, TRACE_CAPACITY};
+use common::deadline;
 
 fn small() -> ExperimentParams {
     common::small(ExperimentParams::default().seed)
@@ -23,7 +23,7 @@ fn no_vnf_deployed_falls_back_to_origin_everywhere() {
     };
     let schedule = p.alternating_schedule(SimDuration::from_secs(2000));
     let mut tb = build(&p, &schedule, SoftStageConfig::default());
-    tb.sim.enable_trace(TRACE_CAPACITY);
+    tb.sim.enable_trace(|_| {});
     let result = tb.run(deadline());
     assert!(result.content_ok, "completes without any VNF: {result:?}");
     assert_eq!(result.stats.from_staged, 0);
@@ -48,7 +48,7 @@ fn severe_internet_loss_is_survivable() {
         ("baseline", SoftStageConfig::baseline()),
     ] {
         let mut tb = build(&p, &schedule, config);
-        tb.sim.enable_trace(TRACE_CAPACITY);
+        tb.sim.enable_trace(|_| {});
         let result = tb.run(deadline());
         assert!(result.content_ok, "harsh conditions ({name}): {result:?}");
         common::assert_trace_clean(&tb, &format!("severe loss, {name}"));
@@ -63,7 +63,7 @@ fn single_network_with_gaps_works_without_handoff_targets() {
         ..small()
     };
     let mut tb = common::testbed(&p);
-    tb.sim.enable_trace(TRACE_CAPACITY);
+    tb.sim.enable_trace(|_| {});
     let result = tb.run(deadline());
     assert!(result.content_ok, "single-network drive: {result:?}");
     common::assert_trace_clean(&tb, "single network");

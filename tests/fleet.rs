@@ -18,8 +18,9 @@ use softstage_suite::experiments::{
 use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{SimDuration, SimTime};
 use softstage_suite::softstage::{SoftStageClient, SoftStageConfig, VnfConfig};
-use softstage_suite::xia_addr::sha1;
 use util::json::ToJson;
+
+use common::Recorded;
 
 /// A 1000-client fleet with a 32 KiB working set per client — big fleet,
 /// small bytes, so the whole suite stays debug-fast.
@@ -57,19 +58,18 @@ fn thousand_client_world_is_deterministic() {
 
 #[test]
 fn thousand_client_traces_are_byte_identical() {
-    let jsonl = |seed: u64| {
+    let trace = |seed: u64| {
         let mut world = build(&kilo_fleet(seed));
-        world.sim.enable_trace(common::TRACE_CAPACITY);
+        let trace = common::record(&mut world.sim);
         world.run();
-        assert_eq!(world.sim.trace().map_or(0, |t| t.dropped()), 0);
-        common::jsonl(&world)
+        trace.take()
     };
-    let a = jsonl(42);
-    let b = jsonl(42);
-    assert!(!a.is_empty(), "fleet run must record events");
+    let a = trace(42);
+    let b = trace(42);
+    assert!(!a.records.is_empty(), "fleet run must record events");
     assert_eq!(
-        sha1::sha1(&a),
-        sha1::sha1(&b),
+        a.digest(),
+        b.digest(),
         "golden fleet trace differs between identical runs"
     );
 }
@@ -79,17 +79,13 @@ fn fleet_oracle_passes_multi_client_interleaving() {
     // A thousand clients through two edges: staging requests, cache
     // hits, evictions and fallbacks from distinct clients interleave in
     // one trace, and every oracle invariant must still hold (per-link
-    // conservation, breaker transitions, staging bookkeeping). The ring
-    // is deliberately far smaller than the run: the audit streams, so
-    // its verdict must not depend on what the ring retained.
+    // conservation, breaker transitions, staging bookkeeping). The
+    // recorder's consumer keeps nothing: the audit streams, so its
+    // verdict does not depend on what the consumer kept.
     let mut world = build(&kilo_fleet(7));
-    world.sim.enable_trace(4096);
+    world.sim.enable_trace(|_| {});
     let s = world.run();
     assert_eq!(s.completed, 1000, "{s:?}");
-    assert!(
-        world.sim.trace().is_some_and(|t| t.dropped() > 0),
-        "the run must overflow the ring for this test to mean anything"
-    );
     let violations = world.audit_trace();
     assert!(
         violations.is_empty(),
@@ -158,7 +154,7 @@ fn faulted_fleet_completes_without_a_retry_storm() {
             }
             .with_seed(seed),
         );
-        world.sim.enable_trace(common::TRACE_CAPACITY);
+        world.sim.enable_trace(|_| {});
         let mut plan = FaultPlan::new();
         plan.push(Fault::CacheSqueeze {
             node: world.edges[0],
@@ -193,7 +189,7 @@ fn faulted_fleet_completes_without_a_retry_storm() {
 /// record repeated, so all share one alternating coverage schedule over
 /// two edges (and the edges' one RSS model). Slow radios and short
 /// encounters stretch a small file over several encounters.
-fn platoon(seed: u64) -> world::World {
+fn platoon(seed: u64) -> (world::World, Recorded) {
     let params = ExperimentParams {
         file_size: 4 * MB,
         chunk_size: MB / 4,
@@ -219,20 +215,20 @@ fn platoon(seed: u64) -> world::World {
         })
         .collect();
     let mut world = world::build(spec);
-    world.sim.enable_trace(common::TRACE_CAPACITY);
+    let trace = common::record(&mut world.sim);
     let clients = world.clients.clone();
     world.sim.run_while(common::deadline(), |sim| {
         clients
             .iter()
             .all(|&c| client_on(sim, c).is_some_and(SoftStageClient::is_done))
     });
-    world
+    (world, trace.take())
 }
 
 #[test]
 fn platoon_hands_off_together_and_delivers_intact() {
     for seed in SEEDS {
-        let world = platoon(seed);
+        let (world, _) = platoon(seed);
         for (i, app) in world.client_apps().enumerate() {
             assert!(
                 world.content_ok(i),
@@ -253,11 +249,7 @@ fn platoon_hands_off_together_and_delivers_intact() {
 
 #[test]
 fn platoon_traces_are_byte_identical() {
-    let digest = || {
-        let world = platoon(42);
-        assert_eq!(world.sim.trace().map_or(0, |t| t.dropped()), 0);
-        sha1::sha1(&common::jsonl(&world))
-    };
+    let digest = || platoon(42).1.digest();
     assert_eq!(digest(), digest(), "same-seed platoon traces differ");
 }
 

@@ -13,19 +13,18 @@ use softstage_suite::simnet::{
 };
 use softstage_suite::softstage::SoftStageConfig;
 use softstage_suite::vehicular::CoverageSchedule;
-use softstage_suite::xia_addr::sha1;
 
-use common::{deadline, small, TRACE_CAPACITY};
+use common::{deadline, small, Recorded};
 
 /// One seeded fig5-style staging run (alternating coverage) with the
 /// recorder attached.
-fn staging_run(seed: u64) -> Testbed {
+fn staging_run(seed: u64) -> (Testbed, Recorded) {
     let p = small(seed);
     let mut tb = common::testbed(&p);
-    tb.sim.enable_trace(TRACE_CAPACITY);
+    let trace = common::record(&mut tb.sim);
     let result = tb.run(deadline());
     assert!(result.content_ok, "staging run must complete: {result:?}");
-    tb
+    (tb, trace.take())
 }
 
 /// One seeded handoff run: overlapping coverage, so the chunk-aware
@@ -34,7 +33,7 @@ fn staging_run(seed: u64) -> Testbed {
 /// when the RSS crossover inside an overlap makes the next network the
 /// stronger candidate — otherwise the run ends before any real switch
 /// decision.
-fn handoff_run(seed: u64) -> Testbed {
+fn handoff_run(seed: u64) -> (Testbed, Recorded) {
     let mut p = small(seed);
     p.file_size = 16 * softstage_suite::experiments::MB;
     p.encounter = SimDuration::from_secs(5);
@@ -45,52 +44,57 @@ fn handoff_run(seed: u64) -> Testbed {
         SimDuration::from_secs(2000),
     );
     let mut tb = softstage_suite::experiments::build(&p, &schedule, SoftStageConfig::default());
-    tb.sim.enable_trace(TRACE_CAPACITY);
+    let trace = common::record(&mut tb.sim);
     let result = tb.run(deadline());
     assert!(result.content_ok, "handoff run must complete: {result:?}");
     assert!(
         result.handoffs > 0,
         "overlap must produce handoffs: {result:?}"
     );
-    tb
+    (tb, trace.take())
 }
 
-fn golden(tb: &Testbed, scenario: &str) -> [u8; 20] {
-    common::assert_trace_clean(tb, scenario);
-    let jsonl = common::jsonl(tb);
-    assert!(!jsonl.is_empty(), "{scenario}: trace must not be empty");
-    // A batch fold over the recorded slice and the streaming audit are
-    // the same rules: same verdict on a real trace, stats cross-check
+/// Checks one recorded run — oracle clean, something recorded, and the
+/// batch and streaming audits agreeing — and hands back its trace.
+fn golden((tb, trace): (Testbed, Recorded), scenario: &str) -> Recorded {
+    common::assert_trace_clean(&tb, scenario);
+    assert!(
+        !trace.records.is_empty(),
+        "{scenario}: trace must not be empty"
+    );
+    // A batch fold over the kept records and the streaming audit are the
+    // same rules: same verdict on a real trace, stats cross-check
     // included.
-    let sink = tb.sim.trace().expect("recorder attached");
     assert_eq!(
-        sink.records()
+        trace
+            .records
+            .iter()
             .collect::<TraceAudit>()
             .violations(Some(tb.sim.stats())),
         tb.sim.audit_trace(),
         "{scenario}: batch vs streaming audit"
     );
-    sha1::sha1(&jsonl)
+    trace
 }
 
 #[test]
 fn staging_golden_trace_is_byte_identical_and_oracle_clean() {
-    let a = staging_run(42);
-    let b = staging_run(42);
-    let digest_a = golden(&a, "staging run A");
-    let digest_b = golden(&b, "staging run B");
+    let a = golden(staging_run(42), "staging run A");
+    let b = golden(staging_run(42), "staging run B");
     assert_eq!(
-        digest_a, digest_b,
+        a.digest(),
+        b.digest(),
         "same-seed staging traces must serialize byte-identically"
     );
     // The golden trace actually exercises the staging path.
-    let sink = a.sim.trace().expect("recorder attached");
-    let staged = sink
-        .records()
+    let staged = a
+        .records
+        .iter()
         .filter(|r| matches!(r.event, TraceEvent::Staged { .. }))
         .count();
-    let edge_fetches = sink
-        .records()
+    let edge_fetches = a
+        .records
+        .iter()
         .filter(|r| {
             matches!(
                 r.event,
@@ -108,19 +112,16 @@ fn staging_golden_trace_is_byte_identical_and_oracle_clean() {
 
 #[test]
 fn handoff_golden_trace_is_byte_identical_and_oracle_clean() {
-    let a = handoff_run(42);
-    let b = handoff_run(42);
-    let digest_a = golden(&a, "handoff run A");
-    let digest_b = golden(&b, "handoff run B");
+    let a = golden(handoff_run(42), "handoff run A");
+    let b = golden(handoff_run(42), "handoff run B");
     assert_eq!(
-        digest_a, digest_b,
+        a.digest(),
+        b.digest(),
         "same-seed handoff traces must serialize byte-identically"
     );
     let commits = a
-        .sim
-        .trace()
-        .expect("recorder attached")
-        .records()
+        .records
+        .iter()
         .filter(|r| matches!(r.event, TraceEvent::HandoffCommit { .. }))
         .count();
     assert!(commits > 0, "handoff run must record committed handoffs");
@@ -133,14 +134,8 @@ fn audit(records: &[TraceRecord]) -> Vec<Violation> {
 
 #[test]
 fn corrupted_golden_trace_is_rejected_with_specific_invariants() {
-    let tb = staging_run(42);
-    let clean: Vec<TraceRecord> = tb
-        .sim
-        .trace()
-        .expect("recorder attached")
-        .records()
-        .copied()
-        .collect();
+    let (_, trace) = staging_run(42);
+    let clean = trace.records;
     assert!(audit(&clean).is_empty(), "golden trace is clean");
 
     // Forgery 1: orphan deliveries — more arrivals on a link than it ever

@@ -24,7 +24,7 @@ use softstage_suite::simnet::fault::{Fault, FaultPlan};
 use softstage_suite::simnet::{BreakerState, SimDuration, SimTime};
 use softstage_suite::softstage::{Breaker, BreakerConfig, VnfConfig};
 
-use common::{deadline, TRACE_CAPACITY};
+use common::{deadline, Recorded};
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
 
@@ -38,24 +38,19 @@ fn untraced_storm(seed: u64, max_depth: usize) -> Testbed {
     })
 }
 
-/// The storm testbed with the flight recorder attached.
-fn storm_testbed(seed: u64, max_depth: usize) -> Testbed {
+/// Runs the storm testbed with the flight recorder attached.
+fn run_storm(seed: u64, max_depth: usize) -> (Testbed, RunResult, Recorded) {
     let mut tb = untraced_storm(seed, max_depth);
-    tb.sim.enable_trace(TRACE_CAPACITY);
-    tb
-}
-
-fn run_storm(seed: u64, max_depth: usize) -> (Testbed, RunResult) {
-    let mut tb = storm_testbed(seed, max_depth);
+    let trace = common::record(&mut tb.sim);
     let result = tb.run(deadline());
-    (tb, result)
+    (tb, result, trace.take())
 }
 
 #[test]
 fn storm_stays_within_queue_cap_and_loses_nothing() {
     for seed in SEEDS {
         let cap = 2usize;
-        let (tb, result) = run_storm(seed, cap);
+        let (tb, result, _) = run_storm(seed, cap);
         assert!(
             result.content_ok,
             "storm run must complete intact (seed {seed}): {result:?}"
@@ -103,11 +98,11 @@ fn storm_stays_within_queue_cap_and_loses_nothing() {
 #[test]
 fn storm_runs_are_byte_identical_per_seed() {
     for seed in SEEDS {
-        let (tb_a, res_a) = run_storm(seed, 2);
-        let (tb_b, res_b) = run_storm(seed, 2);
+        let (tb_a, res_a, trace_a) = run_storm(seed, 2);
+        let (tb_b, res_b, trace_b) = run_storm(seed, 2);
         assert!(res_a.content_ok && res_b.content_ok, "seed {seed}");
-        let a = common::digest_of(&tb_a, "storm", &res_a);
-        let b = common::digest_of(&tb_b, "storm", &res_b);
+        let a = common::digest_of(&tb_a, "storm", &res_a, &trace_a);
+        let b = common::digest_of(&tb_b, "storm", &res_b, &trace_b);
         assert_eq!(
             a, b,
             "same-seed storm runs must be byte-identical (seed {seed})"
@@ -119,14 +114,13 @@ fn storm_runs_are_byte_identical_per_seed() {
 fn the_counters_do_not_depend_on_the_recorder() {
     // Client and VNF counters are folds of the records each emits, and
     // the fold runs whether or not a recorder is attached: a storm run
-    // with one counts what the same run without one counts.
     // with one counts what the same run without one counts. The storm
     // sheds and trips breakers; the slow edge times requests out.
     let (mut rejects, mut timeouts, mut opens) = (0, 0, 0);
     for seed in SEEDS {
         for world in [|seed| untraced_storm(seed, 2), untraced_slow_edge] {
             let mut traced = world(seed);
-            traced.sim.enable_trace(TRACE_CAPACITY);
+            traced.sim.enable_trace(|_| {});
             let mut plain = world(seed);
             let stats = traced.run(deadline()).stats;
             assert_eq!(plain.run(deadline()).stats, stats, "seed {seed}");
@@ -144,7 +138,7 @@ fn unpinched_vnf_sees_no_backpressure() {
     // The generous default bounds must keep existing workloads reject-free:
     // overload protection is inert until something is actually overloaded.
     for seed in SEEDS {
-        let (tb, result) = run_storm(seed, 64);
+        let (tb, result, _) = run_storm(seed, 64);
         assert!(result.content_ok, "seed {seed}: {result:?}");
         common::assert_trace_clean(&tb, &format!("unpinched seed {seed}"));
         assert_eq!(
@@ -405,7 +399,7 @@ fn slow_edge_trips_breaker_and_download_survives() {
     // the run outlives the fault window with room for the recovery.
     for seed in SEEDS {
         let mut tb = untraced_slow_edge(seed);
-        tb.sim.enable_trace(TRACE_CAPACITY);
+        tb.sim.enable_trace(|_| {});
         let result = tb.run(deadline());
         assert!(
             result.content_ok,
