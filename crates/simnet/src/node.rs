@@ -126,8 +126,9 @@ impl<'a, M: Message> Context<'a, M> {
 
     /// Arms a timer that fires [`Node::on_timer`] with `key` after `delay`.
     ///
-    /// Timers cannot be cancelled; nodes should carry a generation counter
-    /// in `key` (or in their own state) to ignore stale expirations.
+    /// Timers cannot be cancelled. Keep the deadline in the node's state
+    /// and check it when the timer fires: a stale one finds its deadline
+    /// moved or gone and re-arms for it or does nothing.
     pub fn set_timer(&mut self, delay: SimDuration, key: TimerKey) {
         self.core.set_timer(self.node, delay, key);
     }

@@ -3,10 +3,10 @@
 //! A callback sees a snapshot of its host (a [`HostView`]), the host's
 //! chunk store, and a log it appends [`Effect`]s to. Nothing here reaches
 //! the simulator or the transport: the host applies the log after the
-//! callback returns, in the order asked — the same shape as
-//! `simnet::Context`'s action buffer one layer down. So an app is a
-//! function of its callbacks, and anything that keeps a `HostView` and a
-//! `ChunkStore` between calls can drive one.
+//! callback returns, in the order asked. (One layer down there is no such
+//! log: a node's `simnet::Context` sends and arms timers at the call.) So
+//! an app is a function of its callbacks, and anything that keeps a
+//! `HostView` and a `ChunkStore` between calls can drive one.
 
 use simnet::{LinkId, SimDuration, SimTime, TraceEvent};
 use util::bytes::Bytes;

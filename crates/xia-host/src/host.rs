@@ -20,7 +20,7 @@ use crate::ctx::{Effect, HostCtx, HostView};
 /// Whose a host timer is: the transport's, or app `idx`'s `key` armed in
 /// boot `epoch`. The simulator carries it as [`HostTimer::key`]: bit 63
 /// set is an app's `epoch << 24 | idx << 8 | key`, clear is the
-/// transport's own key, whose layout is private to `xia-transport`.
+/// transport's own key, the mux slot of the connection that armed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HostTimer {
     Transport(u64),

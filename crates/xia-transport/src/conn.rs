@@ -135,35 +135,8 @@ const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
 /// Receive window advertised to the peer, in bytes.
 pub(crate) const RECEIVE_WINDOW: u64 = 2 * 1024 * 1024;
 
-// A timer key is `kind << 61 | generation << 41 | mux slot`, bit 63 left
-// clear for the host, and these are the kinds a connection arms.
-const RTO: u64 = 0;
-const PACE: u64 = 1;
-const MIGRATE: u64 = 2;
-const IDLE: u64 = 3;
-const KIND_SHIFT: u32 = 61;
-const GEN_SHIFT: u32 = 41;
-const GEN_MASK: u32 = 0xF_FFFF;
-const UID_MASK: u64 = (1 << GEN_SHIFT) - 1;
-
-/// Packs a key the mux routes back to [`Connection::on_timer`].
-fn timer_key(kind: u64, gen: u32, uid: u64) -> u64 {
-    (kind << KIND_SHIFT) | (u64::from(gen) << GEN_SHIFT) | (uid & UID_MASK)
-}
-
-/// The kind and generation a timer key carries.
-fn timer_kind_gen(key: u64) -> (u64, u32) {
-    (key >> KIND_SHIFT, (key >> GEN_SHIFT) as u32 & GEN_MASK)
-}
-
-/// The mux slot a transport timer key was armed from.
-pub(crate) fn timer_uid(key: u64) -> u64 {
-    key & UID_MASK
-}
-
 pub(crate) struct Connection {
-    /// The mux slot this connection lives in (the low bits of its timer
-    /// keys).
+    /// The mux slot this connection lives in, and the key of its wakes.
     uid: u64,
     pub(crate) id: ConnId,
     pub(crate) state: ConnState,
@@ -196,7 +169,6 @@ pub(crate) struct Connection {
     /// must not produce RTT samples (Karn's rule).
     karn_until: u64,
     pace_until: SimTime,
-    pace_armed: bool,
 
     // --- receive side ---
     rcv_nxt: u64,
@@ -206,10 +178,13 @@ pub(crate) struct Connection {
     /// When the last segment arrived (or the connection started).
     last_heard: SimTime,
 
-    // --- timers ---
-    timer_gen: u32,
-    rto_gen: Option<u32>,
-    migrate_gen: Option<u32>,
+    // --- deadlines (the idle one is `last_heard` + the idle limit) ---
+    rto_at: Option<SimTime>,
+    migrate_at: Option<SimTime>,
+    /// When pacing lets a blocked [`Connection::pump`] send again.
+    pace_at: Option<SimTime>,
+    /// The one wake armed at or before every deadline, until it fires.
+    wake: Option<SimTime>,
 
     pub(crate) stats: ConnStats,
 }
@@ -253,15 +228,15 @@ impl Connection {
             timed: None,
             karn_until: 0,
             pace_until: SimTime::ZERO,
-            pace_armed: false,
             rcv_nxt: 0,
             out_of_order: BTreeMap::new(),
             peer_fin_seq: None,
             peer_closed_delivered: false,
             last_heard: SimTime::ZERO,
-            timer_gen: 0,
-            rto_gen: None,
-            migrate_gen: None,
+            rto_at: None,
+            migrate_at: None,
+            pace_at: None,
+            wake: None,
             stats: ConnStats::default(),
         }
     }
@@ -284,8 +259,10 @@ impl Connection {
     pub(crate) fn start(&mut self, env: &mut dyn TransportEnv) {
         debug_assert_eq!(self.state, ConnState::SynSent);
         self.snd_nxt = 1;
+        self.last_heard = env.now();
         self.emit_segment(env, 0, Bytes::new(), SegFlags::SYN);
-        self.arm_idle(env);
+        // No RTO outlasts the idle limit, so this first wake precedes the
+        // idle deadline too.
         self.arm_rto(env);
     }
 
@@ -298,8 +275,8 @@ impl Connection {
         self.rcv_nxt = 1;
         self.snd_nxt = 1;
         self.pace_until = env.now() + self.config.accept_delay;
+        self.last_heard = env.now();
         self.emit_segment(env, 0, Bytes::new(), SegFlags::SYN_ACK);
-        self.arm_idle(env);
         self.arm_rto(env);
     }
 
@@ -332,28 +309,41 @@ impl Connection {
         }
         self.src_dag = new_src;
         self.state = ConnState::Migrating;
-        let gen = self.next_gen();
-        self.migrate_gen = Some(gen);
-        env.set_timer(pause, timer_key(MIGRATE, gen, self.uid));
+        let at = env.now() + pause;
+        self.migrate_at = Some(at);
+        self.wake_by(env, at);
     }
 
-    /// The next timer generation. It wraps inside the key's field, so the
-    /// value a key carries back is always the value that was stored.
-    fn next_gen(&mut self) -> u32 {
-        self.timer_gen = (self.timer_gen + 1) & GEN_MASK;
-        self.timer_gen
-    }
-
-    /// Handles one of this connection's timers.
-    pub(crate) fn on_timer(&mut self, env: &mut dyn TransportEnv, key: u64) {
-        let (kind, gen) = timer_kind_gen(key);
-        match kind {
-            RTO => self.on_rto(env, gen),
-            PACE => self.on_pace(env),
-            MIGRATE => self.on_migrate_done(env, gen),
-            IDLE => self.on_idle(env),
-            _ => {}
+    /// Handles this connection's wake: acts on every deadline that has
+    /// passed (migration end, idle, RTO, pacing, in that order), then
+    /// sleeps until the next one.
+    pub(crate) fn on_timer(&mut self, env: &mut dyn TransportEnv) {
+        let now = env.now();
+        let due = |at: Option<SimTime>| at.is_some_and(|at| at <= now);
+        if due(self.migrate_at) {
+            self.migrate_at = None;
+            self.end_migration(env);
         }
+        if self.last_heard + self.idle_limit() <= now {
+            // E.g. a fetch whose request was acknowledged before the
+            // server died: nothing in flight, so no RTO.
+            self.fail(env, CloseReason::TimedOut);
+        }
+        if due(self.rto_at) {
+            self.rto_at = None;
+            self.on_rto(env);
+        }
+        if due(self.pace_at) {
+            self.pace_at = None;
+            self.pump(env);
+        }
+        // Clearing the record last leaves every push to the sleep below.
+        // A late wake clears it too: a record left in the past would keep
+        // every later deadline from arming a wake.
+        if due(self.wake) {
+            self.wake = None;
+        }
+        self.sleep(env);
     }
 
     /// How long a connection may hear nothing before it fails: the
@@ -362,35 +352,29 @@ impl Connection {
         MAX_RTO * (u64::from(self.config.max_consecutive_rtos) + 1)
     }
 
-    /// Starts the idle clock. The one `IDLE` timer is re-armed lazily in
-    /// [`Connection::on_idle`], so arriving segments cost no timer.
-    fn arm_idle(&mut self, env: &mut dyn TransportEnv) {
-        self.last_heard = env.now();
-        env.set_timer(self.idle_limit(), timer_key(IDLE, 0, self.uid));
-    }
-
-    /// Fails a connection that has heard nothing for the idle limit —
-    /// e.g. a fetch whose request was acknowledged before the server
-    /// died, which has nothing in flight and so arms no RTO — or sleeps
-    /// until the limit counted from the last segment.
-    fn on_idle(&mut self, env: &mut dyn TransportEnv) {
+    /// Arms a wake for the earliest deadline. The idle deadline always
+    /// exists, so a live connection always has a wake.
+    fn sleep(&mut self, env: &mut dyn TransportEnv) {
         if self.finished() {
             return;
         }
-        let deadline = self.last_heard + self.idle_limit();
-        let now = env.now();
-        if now >= deadline {
-            self.fail(env, CloseReason::TimedOut);
-        } else {
-            env.set_timer(deadline - now, timer_key(IDLE, 0, self.uid));
+        let next = [self.migrate_at, self.rto_at, self.pace_at]
+            .into_iter()
+            .flatten()
+            .fold(self.last_heard + self.idle_limit(), SimTime::min);
+        self.wake_by(env, next);
+    }
+
+    /// Arms a wake at `at` unless one is already armed at or before it: a
+    /// deadline that moves later costs no timer.
+    fn wake_by(&mut self, env: &mut dyn TransportEnv, at: SimTime) {
+        if self.wake.is_none_or(|wake| at < wake) {
+            self.wake = Some(at);
+            env.set_timer(at - env.now(), self.uid);
         }
     }
 
-    fn on_migrate_done(&mut self, env: &mut dyn TransportEnv, gen: u32) {
-        if self.migrate_gen != Some(gen) || self.state != ConnState::Migrating {
-            return;
-        }
-        self.migrate_gen = None;
+    fn end_migration(&mut self, env: &mut dyn TransportEnv) {
         self.state = if self.snd_una == 0 {
             // Handshake never completed; re-fire the SYN.
             if self.is_initiator {
@@ -576,7 +560,7 @@ impl Connection {
             if self.flight() > 0 {
                 self.arm_rto(env);
             } else {
-                self.rto_gen = None;
+                self.rto_at = None;
             }
         } else if ack == self.snd_una && pure_ack && self.flight() > 0 {
             if self.consecutive_rtos > 0 {
@@ -682,10 +666,8 @@ impl Connection {
             if overhead > SimDuration::ZERO {
                 let now = env.now();
                 if now < self.pace_until {
-                    if !self.pace_armed {
-                        self.pace_armed = true;
-                        env.set_timer(self.pace_until - now, timer_key(PACE, 0, self.uid));
-                    }
+                    self.pace_at = Some(self.pace_until);
+                    self.wake_by(env, self.pace_until);
                     break;
                 }
                 self.pace_until = self.pace_until.max(now) + overhead;
@@ -719,23 +701,8 @@ impl Connection {
         }
     }
 
-    fn on_pace(&mut self, env: &mut dyn TransportEnv) {
-        if self.finished() {
-            return;
-        }
-        self.pace_armed = false;
-        self.pump(env);
-    }
-
-    fn on_rto(&mut self, env: &mut dyn TransportEnv, gen: u32) {
-        if self.finished() || self.rto_gen != Some(gen) {
-            return;
-        }
-        self.rto_gen = None;
-        if self.state == ConnState::Migrating {
-            return;
-        }
-        if self.flight() == 0 {
+    fn on_rto(&mut self, env: &mut dyn TransportEnv) {
+        if self.finished() || self.state == ConnState::Migrating || self.flight() == 0 {
             return;
         }
         self.stats.rtos += 1;
@@ -816,12 +783,9 @@ impl Connection {
             .as_micros()
             .clamp(MIN_RTO.as_micros(), MAX_RTO.as_micros());
         let backed_off = (base << self.rto_backoff.min(16)).min(MAX_RTO.as_micros());
-        let gen = self.next_gen();
-        self.rto_gen = Some(gen);
-        env.set_timer(
-            SimDuration::from_micros(backed_off),
-            timer_key(RTO, gen, self.uid),
-        );
+        let at = env.now() + SimDuration::from_micros(backed_off);
+        self.rto_at = Some(at);
+        self.wake_by(env, at);
     }
 
     fn flight(&self) -> u64 {
@@ -887,15 +851,14 @@ impl std::fmt::Debug for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use util::check::check;
     use xia_addr::{Principal, Xid};
 
-    /// Records the packets a connection emits and the timers it arms.
+    /// Records the packets a connection emits and the wakes it arms.
     #[derive(Default)]
     struct Env {
         now: SimTime,
         out: Vec<XiaPacket>,
-        timers: Vec<(SimDuration, u64)>,
+        timers: Vec<(SimTime, u64)>,
     }
 
     impl TransportEnv for Env {
@@ -906,13 +869,13 @@ mod tests {
             self.out.push(pkt);
         }
         fn set_timer(&mut self, delay: SimDuration, key: u64) {
-            self.timers.push((delay, key));
+            self.timers.push((self.now + delay, key));
         }
         fn deliver(&mut self, _event: TransportEvent) {}
     }
 
     #[test]
-    fn rto_is_honoured_after_the_generation_outgrows_its_key_field() {
+    fn an_ack_that_only_moves_the_rto_later_arms_no_timer() {
         let hid = Xid::new_random(Principal::Hid, 1);
         let peer = Dag::direct(Xid::new_random(Principal::Hid, 2));
         let id = ConnId {
@@ -920,33 +883,44 @@ mod tests {
             port: 1,
         };
         let config = TransportConfig::linux_tcp();
-        let mut conn = Connection::new(7, id, peer, Dag::direct(hid), config, true);
-        // As after 2^20 - 1 re-arms: about 1.47 GB acknowledged at MSS 1400.
-        conn.timer_gen = GEN_MASK;
+        let mut conn = Connection::new(7, id, peer.clone(), Dag::direct(hid), config, true);
         let mut env = Env::default();
+        let segment = |seq, ack, flags| Segment {
+            conn: id,
+            seq,
+            ack,
+            flags,
+            window: RECEIVE_WINDOW,
+            payload: Bytes::new(),
+        };
         conn.start(&mut env);
-        let (delay, key) = env.timers.pop().expect("start arms the RTO");
-        assert_eq!(timer_uid(key), 7);
-        env.timers.clear(); // the idle timer, which this test never fires
+        env.now += SimDuration::from_millis(100);
+        conn.on_segment(&mut env, segment(0, 1, SegFlags::SYN_ACK), &peer);
+        conn.send(&mut env, Bytes::from(vec![7u8; 3 * MSS]));
+        let first = conn.rto_at.expect("data in flight arms the RTO");
+        let armed = env.timers.len();
 
-        env.now += delay;
+        // The first segment's ACK restarts the RTO from a later instant
+        // (with a 500 ms sample, 1.5 s on).
+        env.now += SimDuration::from_millis(500);
+        let ack = 1 + MSS as u64;
+        conn.on_segment(&mut env, segment(1, ack, SegFlags::ACK), &peer);
+        let moved = conn.rto_at.expect("two segments are still in flight");
+        assert!(moved > first);
+        assert_eq!(env.timers.len(), armed, "a later deadline pushed a timer");
+
+        // Firing the wakes in order, the RTO is taken exactly at `moved`.
         env.out.clear();
-        conn.on_timer(&mut env, key);
-        assert_eq!(conn.stats.rtos, 1, "the live RTO was taken for a stale one");
-        assert_eq!(env.out.len(), 1, "the SYN is retransmitted");
-        assert_eq!(env.timers.len(), 1, "and the RTO re-armed");
-    }
-
-    #[test]
-    fn a_timer_key_leaves_bit_63_clear_and_decodes_to_what_was_packed() {
-        check("transport_timer_key_round_trips", 1024, |g| {
-            // Both fields zero, both at their largest, or both drawn.
-            let drawn = (g.u64() as u32 & GEN_MASK, g.u64() & UID_MASK);
-            let (gen, uid) = *g.choose(&[(0, 0), (GEN_MASK, UID_MASK), drawn]);
-            let kind = g.u64_in(RTO, IDLE);
-            let key = timer_key(kind, gen, uid);
-            assert_eq!(key >> 63, 0, "bit 63 is the host's");
-            assert_eq!((timer_kind_gen(key), timer_uid(key)), ((kind, gen), uid));
-        });
+        while conn.stats.rtos == 0 {
+            let next = (0..env.timers.len()).min_by_key(|&i| env.timers[i]);
+            let (at, key) = env
+                .timers
+                .swap_remove(next.expect("a live connection has a wake"));
+            assert_eq!(key, 7, "a wake is keyed by the mux slot");
+            env.now = at;
+            conn.on_timer(&mut env);
+        }
+        assert_eq!(env.now, moved);
+        assert_eq!(env.out.len(), 1, "the head segment is retransmitted");
     }
 }

@@ -11,7 +11,7 @@ use xia_addr::{Dag, ProbeTable, Xid};
 use xia_wire::{ConnId, SegFlags, Segment, XiaPacket, L4};
 
 use crate::config::TransportConfig;
-use crate::conn::{timer_uid, ConnState, ConnStats, Connection, TransportEnv, RECEIVE_WINDOW};
+use crate::conn::{ConnState, ConnStats, Connection, TransportEnv, RECEIVE_WINDOW};
 
 /// Errors returned by the mux's host-facing API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,10 +290,11 @@ impl TransportMux {
     }
 
     /// Routes a timer this mux armed back to the owning connection, if it
-    /// is still live. Bit 63 of every key the mux arms is clear.
+    /// is still live. The key is the connection's slot (its uid), so bit
+    /// 63 of every key the mux arms is clear.
     pub fn on_timer(&mut self, env: &mut dyn TransportEnv, timer_key: u64) {
-        if let Entry::Occupied(mut c) = self.conns.entry(timer_uid(timer_key)) {
-            c.get_mut().on_timer(env, timer_key);
+        if let Entry::Occupied(mut c) = self.conns.entry(timer_key) {
+            c.get_mut().on_timer(env);
             if c.get().finished() {
                 let c = c.remove();
                 self.retire(c);
@@ -373,21 +374,25 @@ mod tests {
         mux: [TransportMux; 2],
         env: [Env; 2],
         addr: [Dag; 2],
+        /// The latest clock reading a segment was delivered at.
+        last_delivery: SimTime,
     }
 
     impl Pair {
-        fn new() -> Self {
+        /// Two muxes on `preset`, which give up after two RTOs, so random
+        /// timer firings reach time-outs.
+        fn new(preset: TransportConfig) -> Self {
             let nid = Xid::new_random(Principal::Nid, 1);
             let hids = [100, 200].map(|s| Xid::new_random(Principal::Hid, s));
-            // Two RTOs give up, so random timer firings reach time-outs.
             let config = TransportConfig {
                 max_consecutive_rtos: 2,
-                ..TransportConfig::linux_tcp()
+                ..preset
             };
             Pair {
                 mux: hids.map(|hid| TransportMux::new(config.clone(), hid)),
                 env: [Env::default(), Env::default()],
                 addr: hids.map(|hid| Dag::host(nid, hid)),
+                last_delivery: SimTime::ZERO,
             }
         }
 
@@ -400,6 +405,7 @@ mod tests {
 
         fn deliver(&mut self, to: usize, pkt: XiaPacket) {
             let local = self.addr[to].clone();
+            self.last_delivery = self.last_delivery.max(self.env[to].now);
             self.mux[to].on_packet(&mut self.env[to], pkt, local);
             self.assert_reaped(to);
         }
@@ -441,7 +447,7 @@ mod tests {
 
     #[test]
     fn completing_segment_reaps_exactly_its_connection() {
-        let mut p = Pair::new();
+        let mut p = Pair::new(TransportConfig::linux_tcp());
         let idle: Vec<ConnId> = (0..64).map(|_| p.connect(A)).collect();
         let conn = p.connect(A);
         p.settle();
@@ -488,7 +494,7 @@ mod tests {
     /// lost SYN goes out again when the RTO fires.
     #[test]
     fn a_lost_syn_is_resent_from_a_slot_past_two_to_the_24() {
-        let mut p = Pair::new();
+        let mut p = Pair::new(TransportConfig::linux_tcp());
         p.mux[A].next_uid = 1 << 24;
         let conn = p.connect(A);
         p.env[A].out.clear();
@@ -503,9 +509,15 @@ mod tests {
     }
 
     /// Random API calls, deliveries (in any order, with loss and
-    /// duplication) and timer firings on two muxes.
+    /// duplication), timer firings and migrations on two muxes, then the
+    /// liveness oracle.
     fn random_walk(g: &mut Gen) {
-        let mut p = Pair::new();
+        // The XIA preset paces its segments, so it also sends from wakes.
+        let mut p = Pair::new(if g.bool() {
+            TransportConfig::xia()
+        } else {
+            TransportConfig::linux_tcp()
+        });
         let mut conns: Vec<ConnId> = Vec::new();
         // Sending after closing is the caller's bug, so the walk does not.
         let mut closed: Vec<(usize, ConnId)> = Vec::new();
@@ -514,7 +526,7 @@ mod tests {
             let pick = |g: &mut Gen, conns: &[ConnId]| {
                 (!conns.is_empty()).then(|| conns[g.usize_in(0, conns.len() - 1)])
             };
-            match g.usize_in(0, 9) {
+            match g.usize_in(0, 10) {
                 0 => conns.push(p.connect(side)),
                 1 => {
                     if let Some(conn) = pick(g, &conns).filter(|c| !closed.contains(&(side, *c))) {
@@ -542,6 +554,11 @@ mod tests {
                         p.mux[side].on_timer(&mut p.env[side], key);
                     }
                 }
+                10 => {
+                    let pause = SimDuration::from_micros(g.u64_in(0, 2_000_000));
+                    let src = p.addr[side].clone();
+                    p.mux[side].migrate_all(&mut p.env[side], src, pause);
+                }
                 // Deliver, duplicate or lose a packet this side emitted.
                 roll => {
                     let out = &mut p.env[side].out;
@@ -560,6 +577,75 @@ mod tests {
         }
         // Whatever state the walk left, quiescing it keeps the invariant.
         p.settle();
+        assert_live(p);
+    }
+
+    /// The liveness oracle: on one clock, a quiet network and the timers
+    /// end every connection within the idle limit of the last segment
+    /// delivered (or of the walk's end), and then no timer is left.
+    fn assert_live(mut p: Pair) {
+        // 3 × `MAX_RTO` at the walk's `max_consecutive_rtos: 2`.
+        let idle_limit = SimDuration::from_secs(30);
+        let mut now = p.env[A].now.max(p.env[B].now);
+        p.last_delivery = now;
+        let mut last_firing = now;
+        for _ in 0..100_000 {
+            let earliest = [A, B]
+                .into_iter()
+                .filter_map(|side| {
+                    let timers = &p.env[side].timers;
+                    let i = (0..timers.len()).min_by_key(|&i| timers[i])?;
+                    Some((timers[i].0, side, i))
+                })
+                .min();
+            let Some((at, side, i)) = earliest else {
+                break;
+            };
+            let (_, key) = p.env[side].timers.swap_remove(i);
+            now = now.max(at);
+            last_firing = now;
+            for env in &mut p.env {
+                env.now = now;
+            }
+            p.mux[side].on_timer(&mut p.env[side], key);
+            p.assert_reaped(side);
+            p.settle();
+        }
+        for side in [A, B] {
+            assert_eq!(
+                p.mux[side].active_connections(),
+                0,
+                "a connection outlived its timers"
+            );
+            assert!(p.env[side].timers.is_empty(), "the timers never ran out");
+            assert_one_end_per_incarnation(&p.env[side].events);
+        }
+        assert!(
+            last_firing <= p.last_delivery + idle_limit,
+            "a timer fired at {last_firing}, past the idle limit after {}",
+            p.last_delivery,
+        );
+    }
+
+    /// A side reports at most one `Closed` or `Failed` per incarnation of a
+    /// connection, and nothing after it. An `Incoming` opens a new
+    /// incarnation: the peer may resend its SYN after this side gave up.
+    fn assert_one_end_per_incarnation(events: &[crate::TransportEvent]) {
+        use crate::TransportEvent::*;
+        let mut ended = std::collections::BTreeSet::new();
+        for event in events {
+            match event {
+                Incoming { conn, .. } => {
+                    ended.remove(conn);
+                }
+                Connected { conn, .. } | Data { conn, .. } | PeerClosed { conn } => {
+                    assert!(!ended.contains(conn), "{event:?} after the end");
+                }
+                Closed { conn } | Failed { conn, .. } => {
+                    assert!(ended.insert(*conn), "{event:?} ends {conn:?} again");
+                }
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,15 @@ echo "== scheduler differential suite (wheel vs its (at, seq) contract, release)
 # identical dispatch order throughout.
 cargo test -q --offline --release -p simnet --test sched_diff
 
+echo "== transport mux walk, 4 more seeds (1,024 walks with the liveness oracle, release) =="
+# Tier-1 runs 256 random walks of API calls, lossy deliveries, timer
+# firings and migrations on two muxes; each then runs its timers out on
+# one clock and every connection must end within the idle limit.
+for seed in 1 2 3 4; do
+    UTIL_CHECK_SEED=$seed cargo test -q --offline --release -p xia-transport --lib \
+        mux::tests::no_finished_connection_survives_a_public_call
+done
+
 echo "== allocation regression (counting allocator, release) =="
 # Steady-state transmit/deliver must stay at zero heap ops per event —
 # bare, and with the flight recorder attached and a timer re-arming.
