@@ -2,9 +2,8 @@
 //!
 //! The simulator's pooling claim is that a steady-state link
 //! transmit/deliver cycle performs **zero** heap operations per event:
-//! wheel buckets recycle through a [`simnet::BufPool`] free list, the
-//! simulator's payload slab reuses freed cells, and the action scratch
-//! vector is handed from one dispatch to the next. The
+//! the wheel parks its drained buckets for the next slot that fills, and
+//! the simulator's payload slab reuses freed cells. The
 //! claim covers the per-event paths the bare ping-pong does not drive
 //! too — the flight recorder with its streaming audit and a consumer
 //! that writes each record's JSON line as it comes, and timer filing —
@@ -20,7 +19,7 @@ use std::io::{self, Write as _};
 use std::rc::Rc;
 
 use simnet::{
-    BufPool, Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator, TimerKey,
+    Context, LinkConfig, LinkId, Message, Node, SimDuration, SimTime, Simulator, TimerKey,
     WheelQueue,
 };
 use softstage_apps::{build_origin, SeqFetcher};
@@ -117,7 +116,7 @@ fn assert_steady_state_allocates_nothing(sim: &mut Simulator<Ball>, what: &str) 
 }
 
 /// The headline guarantee: after warmup, the transmit/deliver cycle runs
-/// allocation-free (the wheel recycles buckets through its pool).
+/// allocation-free (the wheel reuses the buckets it parks).
 #[test]
 fn steady_state_transmit_cycle_allocates_nothing() {
     assert_steady_state_allocates_nothing(&mut pingpong(), "transmit cycle");
@@ -153,53 +152,53 @@ fn steady_state_traced_cycle_with_timers_allocates_nothing() {
     );
 }
 
-/// The pool itself: capacity survives round trips, fresh allocations stop
-/// once the working set is warm, and parking is bounded by
-/// [`BufPool::MAX_PARKED`].
+/// A warm wheel hands a drained bucket to the next slot that fills: one
+/// event at a time, 1,000 times over, touches the heap not once.
 #[test]
-fn pool_serves_warm_buffers_without_fresh_allocations() {
-    let mut pool: BufPool<u64> = BufPool::new();
-    let mut first = pool.get();
-    first.reserve(64);
-    pool.put(first);
+fn a_warm_wheel_serves_buckets_without_fresh_allocations() {
+    let mut q: WheelQueue<u64> = WheelQueue::new();
+    q.push(SimTime::ZERO, 0);
+    q.pop();
     let before = snapshot();
-    for round in 0..1_000u64 {
-        let mut buf = pool.get();
-        buf.push(round);
-        pool.put(buf);
+    for round in 1..=1_000u64 {
+        q.push(SimTime::from_micros(round), round);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(round), round)));
     }
-    assert_eq!(
-        snapshot().since(before).allocs,
-        0,
-        "a warm pool must not allocate"
-    );
-    assert_eq!(pool.recycled(), 1_000);
-    assert_eq!(pool.fresh(), 1);
-    assert!(pool.parked() <= BufPool::<u64>::MAX_PARKED);
+    let delta = snapshot().since(before);
+    assert_eq!(delta.heap_ops(), 0, "a warm wheel must not allocate");
 }
 
-/// Wheel slot buckets cycle through the wheel's internal pool: after the
-/// first rotation, pops are served by recycled buckets, not fresh ones.
+/// Timer churn — 4,096 timers pending, each pop followed by a push up to
+/// 10 ms out, 65,536 times — reuses parked buckets: at most one heap
+/// operation per 64 pushes, where a wheel that dropped each drained
+/// bucket makes about 50 k.
 #[test]
 fn wheel_buckets_recycle_instead_of_allocating() {
+    const PUSHES: u64 = 65_536;
     let mut q: WheelQueue<u64> = WheelQueue::new();
     let mut now = 0u64;
     let mut lcg = 1u64;
-    for seq in 0..4_096u64 {
+    let mut push = |q: &mut WheelQueue<u64>, now: u64, seq: u64| {
         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
         q.push(SimTime::from_micros(now + (lcg >> 33) % 10_000), seq);
+    };
+    for seq in 0..4_096 {
+        push(&mut q, now, seq);
     }
-    for seq in 4_096..65_536u64 {
+    let before = snapshot();
+    for seq in 4_096..4_096 + PUSHES {
         if let Some((at, _)) = q.pop() {
             now = at.as_micros();
         }
-        lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
-        q.push(SimTime::from_micros(now + (lcg >> 33) % 10_000), seq);
+        push(&mut q, now, seq);
     }
-    let (recycled, fresh) = q.pool_stats();
+    let delta = snapshot().since(before);
     assert!(
-        recycled > fresh,
-        "steady-state buckets should be recycled (recycled {recycled}, fresh {fresh})"
+        delta.heap_ops() * 64 <= PUSHES,
+        "{PUSHES} pushes of timer churn touched the heap {} times ({} allocs, {} reallocs)",
+        delta.heap_ops(),
+        delta.allocs,
+        delta.reallocs,
     );
 }
 
@@ -213,7 +212,7 @@ fn wheel_buckets_recycle_instead_of_allocating() {
 /// ACK's empty payload is unallocated (1 per ACK).
 ///
 /// What the window does see is the scheduler: wheel buckets that outgrow
-/// the pool's parking limit are re-grown. That is measured at 0.03 heap
+/// the wheel's parking limit are re-grown. That is measured at 0.03 heap
 /// ops per segment here and budgeted at 1/8 — under any per-segment
 /// allocation in the stack, the cheapest of which costs 1/2.
 ///

@@ -147,10 +147,6 @@ pub struct FleetSummary {
     pub stage_wait_s: f64,
     /// Chunks evicted across all edge caches.
     pub evictions: u64,
-    /// Evicted-CID log records dropped past the bounded log's capacity.
-    pub evict_log_dropped: u64,
-    /// Highest byte high-water mark over the edge caches.
-    pub peak_edge_bytes: u64,
     /// SHA-1 over every client's and store's counters, hex-encoded —
     /// the byte-identity witness for determinism tests.
     pub digest: String,
@@ -321,13 +317,11 @@ impl FleetWorld {
                 digest.update(&v.to_le_bytes());
             }
         }
-        let (mut edge_hits, mut evictions, mut dropped, mut peak) = (0u64, 0u64, 0u64, 0u64);
+        let (mut edge_hits, mut evictions) = (0u64, 0u64);
         for host in self.edge_hosts() {
             let stats = host.store().stats();
             edge_hits += stats.hits;
             evictions += stats.evictions;
-            dropped += stats.evict_log_dropped;
-            peak = peak.max(stats.peak_used_bytes);
             for v in [
                 stats.hits,
                 stats.misses,
@@ -369,8 +363,6 @@ impl FleetWorld {
             pending_fetches,
             stage_wait_s: stage_wait_us as f64 / 1e6 / n as f64,
             evictions,
-            evict_log_dropped: dropped,
-            peak_edge_bytes: peak,
             digest: hex,
         }
     }

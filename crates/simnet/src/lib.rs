@@ -65,7 +65,6 @@
 pub mod fault;
 pub mod link;
 pub mod node;
-pub mod pool;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -76,7 +75,6 @@ pub mod wheel;
 pub use fault::{Fault, FaultPlan};
 pub use link::{LinkConfig, LinkId};
 pub use node::{Context, Message, Node, NodeFault, NodeId, TimerKey};
-pub use pool::BufPool;
 pub use rng::Rng;
 pub use sim::Simulator;
 pub use stats::{LinkStats, SimStats};

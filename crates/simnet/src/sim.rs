@@ -479,7 +479,6 @@ impl<M: Message> Simulator<M> {
                 }
             }
             EventKind::NodeFault { node, fault } => {
-                core.stats.faults += 1;
                 let ev = match fault {
                     NodeFault::Crash => TraceEvent::NodeCrash,
                     NodeFault::Restart => TraceEvent::NodeRestart,

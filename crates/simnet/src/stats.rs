@@ -61,8 +61,6 @@ pub struct SimStats {
     pub timers: u64,
     /// Packet arrivals dispatched.
     pub packets: u64,
-    /// Scheduled node faults dispatched (crashes, restarts, cache wipes).
-    pub faults: u64,
     /// Per-link counters, indexed by link id.
     pub links: Vec<LinkStats>,
 }

@@ -4,8 +4,9 @@
 //! equal timestamps resolve FIFO.
 //! [`WheelQueue`] is a hierarchical timer wheel (calendar queue) with
 //! 64-slot levels covering the full `u64` microsecond range. Push is
-//! O(1); pop is amortized O(1) with occasional cascades. Slot buckets are
-//! recycled through a [`BufPool`], so the steady state allocates nothing.
+//! O(1); pop is amortized O(1) with occasional cascades. Drained buckets
+//! are parked, emptied, and handed to the next slot that fills, so the
+//! steady state allocates nothing.
 //!
 //! Buckets hold whole entries, `(at, item)`: a cascade or a batch
 //! reversal moves each entry, so `T` should be small. The simulator files
@@ -42,7 +43,6 @@
 //! order is exactly `(at, push order)`, whatever an item holds, and no
 //! sequence number is needed to keep it.
 
-use crate::pool::BufPool;
 use crate::time::SimTime;
 
 /// Bits per wheel level (64 slots).
@@ -51,6 +51,13 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Levels needed so that `LEVELS * LEVEL_BITS >= 64` covers any `u64`.
 const LEVELS: usize = 11;
+/// The most drained buckets parked for reuse; beyond this, a drained
+/// bucket goes back to the allocator.
+const MAX_PARKED: usize = 1024;
+/// The largest capacity, in entries, a parked bucket may keep. Without it
+/// a cascaded high-level bucket (hundreds of entries) would be handed to
+/// a level-0 bucket that needs a handful of slots and stay that large.
+const MAX_PARKED_CAPACITY: usize = 64;
 
 /// What a bucket holds: the event's time and the event. Its place in the
 /// bucket is its place among events at the same time.
@@ -78,8 +85,10 @@ pub struct WheelQueue<T> {
     /// The level-0 bucket currently being drained, reversed so `pop()`
     /// from the back yields insertion order. All entries share one `at`.
     current: Vec<Entry<T>>,
-    /// Recycles drained bucket storage back under fresh pushes.
-    pool: BufPool<Entry<T>>,
+    /// Drained buckets, empty, waiting for the next slot that fills: at
+    /// most [`MAX_PARKED`], none with room for more than
+    /// [`MAX_PARKED_CAPACITY`] entries.
+    parked: Vec<Vec<Entry<T>>>,
 }
 
 impl<T> WheelQueue<T> {
@@ -92,14 +101,18 @@ impl<T> WheelQueue<T> {
             occupied: [0; LEVELS],
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             current: Vec::new(),
-            pool: BufPool::new(),
+            parked: Vec::new(),
         }
     }
 
-    /// Buffer-pool recycling counters `(recycled, fresh)` — how many
-    /// bucket handouts reused parked capacity vs. hit the allocator.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool.recycled(), self.pool.fresh())
+    /// Parks a drained bucket for the next slot that fills, unless it has
+    /// no capacity to give or would pin a burst's; it is emptied here.
+    fn park(&mut self, mut bucket: Vec<Entry<T>>) {
+        bucket.clear();
+        let worth_parking = (1..=MAX_PARKED_CAPACITY).contains(&bucket.capacity());
+        if worth_parking && self.parked.len() < MAX_PARKED {
+            self.parked.push(bucket);
+        }
     }
 
     /// The level holding an event at `at` given cursor `elapsed`: the
@@ -126,7 +139,9 @@ impl<T> WheelQueue<T> {
         let idx = level * SLOTS + slot;
         let bucket = &mut self.slots[idx];
         if bucket.capacity() == 0 {
-            *bucket = self.pool.get();
+            if let Some(parked) = self.parked.pop() {
+                *bucket = parked;
+            }
         }
         bucket.push(entry);
         self.occupied[level] |= 1 << slot;
@@ -173,7 +188,7 @@ impl<T> WheelQueue<T> {
                 self.len -= 1;
                 if self.current.is_empty() {
                     let spent = std::mem::take(&mut self.current);
-                    self.pool.put(spent);
+                    self.park(spent);
                 }
                 return Some((SimTime::from_micros(entry.at), entry.item));
             }
@@ -211,7 +226,7 @@ impl<T> WheelQueue<T> {
                     debug_assert!(Self::level_for(self.elapsed, entry.at) < level);
                     self.file(entry);
                 }
-                self.pool.put(bucket);
+                self.park(bucket);
             }
         }
     }
@@ -374,17 +389,56 @@ mod tests {
 
     #[test]
     fn buckets_recycle_through_the_pool() {
+        // Eight events a round at one time: each round fills one bucket
+        // and drains it, and the next round's bucket is the parked one.
         let mut q: WheelQueue<u32> = WheelQueue::new();
+        let mut first = None;
         for round in 0..100u64 {
             for i in 0..8 {
                 q.push(SimTime::from_micros(round * 100), i);
             }
+            let bucket = q.slots.iter().find(|b| !b.is_empty()).map(Vec::as_ptr);
+            assert_eq!(*first.get_or_insert(bucket), bucket, "round {round}");
             while q.pop().is_some() {}
+            assert_eq!(q.parked.len(), 1, "round {round}: the bucket is parked");
         }
-        let (recycled, fresh) = q.pool_stats();
-        assert!(
-            recycled > 10 * fresh,
-            "steady state must reuse buckets: recycled={recycled} fresh={fresh}"
-        );
+    }
+
+    #[test]
+    fn a_parked_bucket_keeps_its_capacity() {
+        let mut q: WheelQueue<u32> = WheelQueue::new();
+        let mut bucket = Vec::with_capacity(8);
+        bucket.extend((0..3).map(|item| Entry { at: 0, item }));
+        q.park(bucket);
+        assert_eq!(q.parked.len(), 1);
+        assert!(q.parked[0].is_empty(), "a parked bucket is emptied");
+        assert_eq!(q.parked[0].capacity(), 8, "and keeps its capacity");
+        q.push(SimTime::from_micros(5), 1);
+        assert!(q.parked.is_empty(), "the next slot that fills takes it");
+    }
+
+    #[test]
+    fn zero_capacity_buckets_are_not_parked() {
+        let mut q: WheelQueue<u32> = WheelQueue::new();
+        q.park(Vec::new());
+        assert!(q.parked.is_empty());
+    }
+
+    #[test]
+    fn parked_capacity_is_bounded() {
+        let mut q: WheelQueue<u32> = WheelQueue::new();
+        q.park(Vec::with_capacity(MAX_PARKED_CAPACITY + 1));
+        assert_eq!(q.parked.len(), 0, "an over-cap bucket is dropped");
+        q.park(Vec::with_capacity(MAX_PARKED_CAPACITY));
+        assert_eq!(q.parked.len(), 1, "an at-cap bucket is parked");
+    }
+
+    #[test]
+    fn parked_count_is_bounded() {
+        let mut q: WheelQueue<u32> = WheelQueue::new();
+        for _ in 0..MAX_PARKED + 10 {
+            q.park(Vec::with_capacity(1));
+        }
+        assert_eq!(q.parked.len(), MAX_PARKED);
     }
 }

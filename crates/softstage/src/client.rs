@@ -203,9 +203,9 @@ pub struct ClientStats {
     /// Payload bytes downloaded.
     pub bytes_fetched: u64,
     /// Fetches started while the chunk's staging answer was outstanding
-    /// at a VNF other than the attached edge's (the request went out
-    /// before a handoff): each fetches from the origin what that VNF may
-    /// be fetching too.
+    /// at a VNF other than the attached edge's (pre-staged into a handoff
+    /// target whose deferred commit the roamer refused): each fetches
+    /// from the origin what that VNF may be fetching too.
     pub pending_fetches: u64,
     /// Time fetches waited for a staging answer before they started, in
     /// µs.
@@ -317,7 +317,8 @@ pub struct SoftStageClient {
     waiting_since: Option<SimTime>,
     /// Outstanding staging-request send times by token (RTT measurement).
     sent_tokens: BTreeMap<u64, SimTime>,
-    /// When coverage was last lost (for reactive gap measurement).
+    /// When coverage was last lost; the next association measures the
+    /// gap from it.
     detached_at: Option<SimTime>,
     stats: ClientStats,
     content_hash: xcache::ContentDigest,
@@ -597,11 +598,13 @@ impl SoftStageClient {
 
     /// Starts the handoff to `target`; `false` when the roamer refuses.
     fn commit_handoff(&mut self, ctx: &mut HostCtx<'_>, target: Xid) -> bool {
-        let started = self.roamer.begin_handoff(ctx, target) != RoamEvent::None;
+        let event = self.roamer.begin_handoff(ctx, target);
+        let started = event != RoamEvent::None;
         if started {
             let target = tag(&target);
             self.note(ctx, TraceEvent::HandoffCommit { target });
         }
+        self.on_roam(ctx, event);
         started
     }
 
@@ -637,17 +640,34 @@ impl SoftStageClient {
         }
     }
 
+    /// Every result of the roamer lands here. Losing coverage, a lost
+    /// link or a target that vanished while associating, starts a gap: a
+    /// wait for a stage ends, since the gap is a wait for coverage, and
+    /// an in-flight fetch stalls on transport recovery until the next
+    /// association migrates it. An association ends the gap.
+    fn on_roam(&mut self, ctx: &mut HostCtx<'_>, event: RoamEvent) {
+        match event {
+            RoamEvent::None | RoamEvent::Associating(_) => {}
+            RoamEvent::Associated(nid) => self.on_associated(ctx, nid),
+            RoamEvent::Detached => {
+                self.detached_at = Some(ctx.now());
+                self.waiting_since = None;
+            }
+        }
+    }
+
     fn on_associated(&mut self, ctx: &mut HostCtx<'_>, nid: Xid) {
         if let Some(detached) = self.detached_at.take() {
             // Reactive content-mobility management: learn how long gaps
             // last and keep the VNF provisioned across them.
             self.coordinator.observe_gap(ctx.now() - detached);
-            // Answers sent during the gap were lost with the link, and
-            // the gap is no fault of the edge's: ask again at once,
-            // uncharged, and free the probe slot for the same reason.
-            self.profile.replace_pending(StagingState::Blank);
-            self.breaker.abort_probe();
         }
+        // The answers still outstanding are addressed to the locator the
+        // client had when it asked, which a gap or a handoff has just
+        // replaced: ask again at once from here, uncharged, and free the
+        // probe slot for the same reason.
+        self.profile.replace_pending(StagingState::Blank);
+        self.breaker.abort_probe();
         self.current_vnf = self.roamer.sensor.vnf_of(&nid, ctx.now()).cloned();
         if self.breaker_edge != Some(nid) {
             // A different edge: its health record starts clean. The breaker
@@ -670,7 +690,8 @@ impl App for SoftStageClient {
     }
 
     fn on_beacon(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, beacon: &Beacon) {
-        let _ = self.roamer.on_beacon(ctx, link, beacon);
+        let event = self.roamer.on_beacon(ctx, link, beacon);
+        self.on_roam(ctx, event);
         // VNF re-discovery: while associated but without a known VNF (it
         // crashed, or never advertised), pick up a newly advertised one
         // from the sensor and resume staging.
@@ -686,27 +707,22 @@ impl App for SoftStageClient {
     }
 
     fn on_link_event(&mut self, ctx: &mut HostCtx<'_>, link: LinkId, up: bool) {
-        if self.roamer.on_link_event(ctx, link, up) == RoamEvent::Detached {
-            // The in-flight fetch (if any) stalls on transport recovery
-            // and resumes after the next association + migration. A wait
-            // for a stage ends: the gap is a wait for coverage.
-            self.detached_at = Some(ctx.now());
-            self.waiting_since = None;
-        }
+        let event = self.roamer.on_link_event(ctx, link, up);
+        self.on_roam(ctx, event);
     }
 
     fn on_timer(&mut self, ctx: &mut HostCtx<'_>, key: u8) {
         match key {
             ROAM_ASSOC_TIMER => {
-                if let RoamEvent::Associated(nid) = self.roamer.on_timer(ctx, key) {
-                    self.on_associated(ctx, nid);
-                }
+                let event = self.roamer.on_timer(ctx, key);
+                self.on_roam(ctx, event);
             }
             TICK_TIMER => {
                 // Re-issue staging for requests lost in the air, each
                 // chunk on its own capped-exponential back-off schedule.
                 // Only while associated: a detached client cannot be
-                // answered, and re-association re-asks what the gap ate.
+                // answered, and every association re-asks what is
+                // outstanding.
                 if self.associated() && !self.staging_off() {
                     let stale = self.profile.stale_pending_with(ctx.now(), stage_backoff);
                     let budget = u64::from(STAGE_RETRY_BUDGET);
@@ -900,6 +916,7 @@ pub(crate) mod tests {
     use super::*;
     use simnet::{DropReason, RejectReason};
     use xia_addr::Principal;
+    use xia_host::HostView;
 
     /// One record of every kind except the `counted` ones. Where a fold
     /// counts some records of a kind and not others, the sample is one it
@@ -1103,5 +1120,34 @@ pub(crate) mod tests {
         }
         assert_eq!(stage_schedule(cid), stage);
         assert_ne!(stage_schedule(other), stage, "two chunks share a schedule");
+    }
+
+    #[test]
+    fn a_target_that_vanishes_while_associating_starts_a_gap_at_that_instant() {
+        let beacon = Beacon {
+            nid: Xid::new_random(Principal::Nid, 1),
+            hid: Xid::new_random(Principal::Hid, 1),
+            rss_dbm: -60.0,
+            staging_vnf: None,
+        };
+        let cid = Xid::for_content(b"chunk");
+        let chunks = vec![(cid, Dag::direct(cid))];
+        let mut client = SoftStageClient::new(chunks, 1, SoftStageConfig::default());
+        let mut store = xcache::ChunkStore::new(0, xcache::EvictionPolicy::Lru);
+        let view = HostView::new(Xid::new_random(Principal::Hid, 2));
+
+        let mut ctx = HostCtx::new(view, &mut store, Vec::new());
+        client.on_beacon(&mut ctx, LinkId::from_index(1), &beacon);
+        let (mut view, _) = ctx.finish();
+        let target = beacon.nid;
+        assert_eq!(client.roamer.state(), RoamState::Associating { target });
+
+        // The beacon has gone stale by the time the association timer
+        // fires: the client is detached, and its gap starts now.
+        view.now += SimDuration::from_secs(1);
+        let mut ctx = HostCtx::new(view, &mut store, Vec::new());
+        client.on_timer(&mut ctx, ROAM_ASSOC_TIMER);
+        assert_eq!(client.roamer.state(), RoamState::Detached);
+        assert_eq!(client.detached_at, Some(view.now));
     }
 }

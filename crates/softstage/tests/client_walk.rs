@@ -8,7 +8,8 @@
 //! with `util::check::walk`, the way `tests/overload.rs` walks the
 //! breaker. After every step: at most one fetch in flight, no fetch
 //! asked for while unattached, no handle reused, `is_done()` exactly when
-//! three chunks are fetched; and every traced event (plus a `staged`
+//! three chunks are fetched, no chunk outstanding at any VNF but the
+//! attached edge's right after an association; and every traced event (plus a `staged`
 //! record for each positive ack, as the VNF would have written) goes
 //! through `simnet::TraceAudit`, so the oracle's invariants hold on every
 //! interleaving rather than on two golden runs.
@@ -43,7 +44,10 @@
 //! timer, a positive answer then leaves the client idle on a `Ready`
 //! chunk; and in the TICK handler, drop `note_breaker_failure` for a
 //! stale request — the breaker never opens on a quiet network and the
-//! cursor chunk is asked for a sixth time with no fetch started.
+//! cursor chunk is asked for a sixth time with no fetch started; and in
+//! `client.rs::on_associated`, re-ask outstanding chunks only after a
+//! coverage gap — beacon A, association timer, stronger beacon B,
+//! association timer leaves chunk 0 outstanding at A's VNF.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
@@ -105,6 +109,8 @@ struct StandIn {
     fetches: VecDeque<(u64, Xid)>,
     asked: VecDeque<Asked>,
     handles: BTreeSet<u64>,
+    /// `(network, its VNF's service)` of every edge heard.
+    vnfs: Vec<(Xid, Xid)>,
     /// An origin fetch failed and no fetch has started since: the client
     /// is in its retry back-off.
     retrying: bool,
@@ -132,6 +138,7 @@ impl StandIn {
             fetches: VecDeque::new(),
             asked: VecDeque::new(),
             handles: BTreeSet::new(),
+            vnfs: Vec::new(),
             retrying: false,
             audit: TraceAudit::default(),
             seq: 0,
@@ -157,6 +164,7 @@ impl StandIn {
         f(&mut self.client, &mut ctx);
         let (view, effects) = ctx.finish();
         let mut attached = self.view.nid.is_some();
+        let mut joined = None;
         self.view = view;
         for effect in effects {
             match effect {
@@ -177,7 +185,10 @@ impl StandIn {
                     }
                 }
                 Effect::Timer { delay, key } => self.timers.push((self.view.now + delay, key)),
-                Effect::Attach { nid, .. } => attached = nid.is_some(),
+                Effect::Attach { nid, .. } => {
+                    attached = nid.is_some();
+                    joined = nid;
+                }
                 Effect::Trace(event) => self.record(event),
                 Effect::Migrate { .. } => assert!(attached, "migration while unattached"),
                 Effect::Register { .. } | Effect::SendOnLink { .. } => {
@@ -190,6 +201,9 @@ impl StandIn {
             self.client.is_done(),
             self.client.fetched_chunks() == CHUNKS
         );
+        if let Some(nid) = joined {
+            self.asks_only_here(nid);
+        }
         if let Some(cursor) = self.idle() {
             let state = self.staging_state(cursor);
             assert!(
@@ -206,6 +220,26 @@ impl StandIn {
         let associated = matches!(self.client.roamer.state(), RoamState::Associated { .. });
         let busy = self.client.is_done() || !self.fetches.is_empty() || self.retrying;
         (associated && !busy).then(|| self.client.fetched_chunks())
+    }
+
+    /// Right after an association with `nid`, nothing is outstanding at
+    /// any other edge's VNF: answers from there would go to a locator the
+    /// client has left.
+    fn asks_only_here(&self, nid: Xid) {
+        let here = self
+            .vnfs
+            .iter()
+            .find(|&&(heard, _)| heard == nid)
+            .map(|&(_, vnf)| vnf);
+        for idx in 0..CHUNKS {
+            if let StagingState::Pending { vnf, .. } = self.staging_state(idx) {
+                assert_eq!(
+                    Some(vnf),
+                    here,
+                    "chunk {idx} outstanding elsewhere on joining {nid:?}"
+                );
+            }
+        }
     }
 
     fn staging_state(&self, idx: usize) -> StagingState {
@@ -259,6 +293,12 @@ impl StandIn {
     }
 
     fn beacon(&mut self, edge: &Edge) {
+        let (nid, vnf) = (edge.beacon.nid, edge.beacon.staging_vnf.as_ref());
+        if let Some(sid) = vnf.map(Dag::intent) {
+            if !self.vnfs.contains(&(nid, sid)) {
+                self.vnfs.push((nid, sid));
+            }
+        }
         self.call(|app, ctx| app.on_beacon(ctx, edge.link, &edge.beacon));
     }
 
@@ -374,13 +414,15 @@ fn walk(depth: usize) -> Leaves {
 fn every_depth_5_interleaving_keeps_the_client_invariants() {
     // A beacon, the association timer, an answer and a completion fetch
     // one chunk; two answers put the second in flight. A client that
-    // heard its edge and nothing else waits.
+    // heard its edge and nothing else waits. So does one that joined A,
+    // then handed off to the stronger B: B is asked again for chunk 0 on
+    // association, where an answer from A would go to the locator left.
     let leaves = walk(5);
-    assert_eq!(leaves.fetched[1..], [216, 0, 0], "{leaves:?}");
-    assert_eq!(leaves.waiting, 5825, "{leaves:?}");
+    assert_eq!(leaves.fetched[1..], [215, 0, 0], "{leaves:?}");
+    assert_eq!(leaves.waiting, 5856, "{leaves:?}");
     // No edge answers a waiting leaf, so every wait outlives its first
     // request; the breaker opens before the fifth.
-    assert_eq!(leaves.rewaited, 5825, "{leaves:?}");
+    assert_eq!(leaves.rewaited, 5856, "{leaves:?}");
     assert_eq!(leaves.most_requests, 4, "{leaves:?}");
 }
 

@@ -255,17 +255,14 @@ impl RouterNode {
         self.flush(ctx);
     }
 
-    /// Routes packets originated by the local stack.
+    /// Routes packets originated by the local stack. One swap drains it:
+    /// `process(ctx, None, _)` never enters the stack, so routing them
+    /// adds nothing to the outbox.
     fn flush(&mut self, ctx: &mut SimContext<'_, XiaPacket>) {
         let mut out = std::mem::take(&mut self.spare_outbox);
-        loop {
-            self.host.swap_outbox(&mut out);
-            if out.is_empty() {
-                break;
-            }
-            for pkt in out.drain(..) {
-                self.process(ctx, None, pkt);
-            }
+        self.host.swap_outbox(&mut out);
+        for pkt in out.drain(..) {
+            self.process(ctx, None, pkt);
         }
         self.spare_outbox = out;
     }

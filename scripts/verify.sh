@@ -59,8 +59,8 @@ cargo test -q --offline
 echo "== chaos suite (fault injection, single- and multi-client, release) =="
 cargo test -q --offline --release -p softstage-suite --test chaos --test determinism --test fleet
 
-echo "== do no harm: a uniform 1000-client fleet gains >= 0.98 at seeds 42 and 7; fleet-smoke gains >= 0.98 at five seeds, median >= 1 (release) =="
-cargo test -q --offline --release -p softstage-suite --test fleet -- --ignored
+echo "== do no harm: a uniform 1000-client fleet gains >= 0.98 at seeds 42 and 7; fleet-smoke gains >= 0.98 at five seeds, median >= 1; the chunk-aware handoff policy beats the default at each of five seeds (release) =="
+cargo test -q --offline --release -p softstage-suite --test fleet --test mobility_integration -- --ignored
 
 echo "== scheduler differential suite (wheel vs its (at, seq) contract, release) =="
 # Property tests drive the timer wheel and a BTreeMap keyed by (at, seq)

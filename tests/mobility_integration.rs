@@ -1,7 +1,9 @@
 //! Mobility integration: handoffs, migrations and the chunk-aware policy.
 
 use simnet::{SimDuration, SimTime};
-use softstage_suite::experiments::{build, ExperimentParams, MB};
+use softstage_suite::experiments::{
+    build, exec, execute, handoff, ExecConfig, ExperimentParams, MB,
+};
 use softstage_suite::softstage::{HandoffPolicy, SoftStageConfig};
 use softstage_suite::vehicular::CoverageSchedule;
 
@@ -98,4 +100,44 @@ fn long_disconnections_still_complete() {
     let mut tb = build(&p, &schedule, SoftStageConfig::default());
     let result = tb.run(SimTime::ZERO + SimDuration::from_secs(3600));
     assert!(result.content_ok, "survives 100 s gaps: {result:?}");
+}
+
+#[test]
+fn pre_staged_chunks_are_never_charged_a_stage_timeout() {
+    // The chunk-aware world of `reproduce handoff` at seed 42. Chunks
+    // pre-staged into a handoff target through the current network are
+    // answered at the locator the client leaves; the association with
+    // the target asks for them again, so none is charged a timeout.
+    let p = ExperimentParams::default();
+    let schedule = CoverageSchedule::overlapping(
+        p.encounter,
+        SimDuration::from_secs(3),
+        2,
+        SimDuration::from_secs(4000),
+    );
+    let result = build(&p, &schedule, SoftStageConfig::default())
+        .run(SimTime::ZERO + SimDuration::from_secs(4000));
+    assert!(result.content_ok && result.handoffs > 0, "{result:?}");
+    assert_eq!(result.stats.stage_timeouts, 0, "{:?}", result.stats);
+}
+
+#[test]
+#[ignore = "ten handoff-table worlds, ~1 s in release: scripts/verify.sh runs it"]
+fn handoff_chunk_aware_never_loses_at_five_seeds() {
+    // `reproduce handoff --seeds 5`: the chunk-aware policy must beat the
+    // default one at every seed, not only on the mean.
+    let specs = [handoff::spec()];
+    let config = ExecConfig {
+        jobs: exec::default_jobs(&specs, 5),
+        seeds: 5,
+        base_seed: 42,
+    };
+    let tables = execute(&specs, &config);
+    let reduction = tables
+        .iter()
+        .flat_map(|t| &t.rows)
+        .find(|r| r.label == "reduction (%)")
+        .and_then(|r| r.spread)
+        .expect("a five-seed reduction row");
+    assert!(reduction.min > 0.0, "{reduction:?}");
 }
